@@ -11,8 +11,8 @@ Emits ``BENCH_profile.json``: one profiled run per scenario of the
   sim totals, counters — everything but the wall times);
 - **named line items** — the measured cost drivers the paper's scaling
   embarrassments hide behind: per-alert Theorem 1/2 closure
-  recomputation (ROADMAP item 2b) and the parallel batch's fan-out
-  overhead (ROADMAP item 2a, the <1 speedup), as real numbers, not
+  recomputation (ROADMAP item 1(c)) and the parallel batch's fan-out
+  overhead (ROADMAP item 3, the <1 speedup), as real numbers, not
   prose.
 
 Run as a script::
@@ -82,7 +82,7 @@ def profile_fullstack(horizon: float, seed: int) -> List[dict]:
                           == second.structure_digest()),
         "counters": first.counters,
         "line_items": {
-            # ROADMAP item 2b: the closure is re-derived from scratch
+            # ROADMAP item 1(c): the closure is re-derived from scratch
             # on every alert's scan — this is that cost, measured.
             "closure_recomputations": closure,
             "closure_recomputations_per_alert": closure / alerts,
@@ -120,7 +120,7 @@ def profile_batch(replications: int, horizon: float,
             "digest_stable": True,
             "counters": report.counters,
             "line_items": {
-                # ROADMAP item 2a: wall time the parallel harness adds
+                # ROADMAP item 3: wall time the parallel harness adds
                 # on top of each worker's fair share of the compute —
                 # the measured explanation of the <1 speedup rows.
                 "fan_out_overhead_s": batch.fan_out_overhead,

@@ -90,7 +90,7 @@ class RecoveryAnalyzer:
 
     def _dependency_analyzer(self) -> DependencyAnalyzer:
         if self._dep is None or len(self._dep.log) != len(self._log):
-            # ROADMAP item 2(b)'s measured embarrassment: the closure
+            # ROADMAP item 1(c)'s measured embarrassment: the closure
             # machinery is rebuilt from scratch here — once per analyzer
             # in standalone mode, once per *alert* in manager mode
             # (the log rolls with every epoch).  Counted so the profile

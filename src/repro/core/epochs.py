@@ -16,7 +16,9 @@ re-derive the world from the original initial data.
   baseline — later heals measure damage against them, exactly as the
   first heal measures damage against the initial data;
 - a combined history across all epochs supports end-to-end
-  strict-correctness audits against the original initial data.
+  strict-correctness audits against the original initial data; the
+  audit keeps one resumable replay, so each audit replays only the
+  steps healed since the previous one.
 
 One consequence of rolling: alerts naming instances of an already-rolled
 epoch are ignored by later heals (their log is archived).  Process every
@@ -30,11 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.axioms import (
-    CorrectnessReport,
-    HistoryStep,
-    audit_strict_correctness,
-)
+from repro.core.axioms import CorrectnessReport, HistoryReplay, HistoryStep
 from repro.core.healer import HealReport, Healer
 from repro.errors import RecoveryError
 from repro.obs.events import HealFinished, HealStarted
@@ -69,6 +67,9 @@ class EpochManager:
         self._archived: List[SystemLog] = []
         self._combined_history: List[HistoryStep] = []
         self._instance_seq = 0
+        #: Definition 2 replay of ``_combined_history[:steps]``, extended
+        #: lazily by :meth:`audit`.
+        self._replay = HistoryReplay(self._specs, self._initial_data)
 
     # -- running workflows ---------------------------------------------------
 
@@ -193,10 +194,13 @@ class EpochManager:
 
     def audit(self) -> CorrectnessReport:
         """Audit the accumulated healed history against the *original*
-        initial data (Definition 2, end to end across epochs)."""
-        return audit_strict_correctness(
-            self._specs,
-            self._initial_data,
-            self.combined_history,
-            self._store.snapshot(),
-        )
+        initial data (Definition 2, end to end across epochs).
+
+        Replays only the steps healed since the previous audit, then
+        judges the whole replay against the live store; the report
+        equals :func:`~repro.core.axioms.audit_strict_correctness` over
+        :attr:`combined_history`.
+        """
+        self._replay.extend(
+            self._combined_history[self._replay.steps:])
+        return self._replay.judge(self._store.snapshot())

@@ -23,7 +23,7 @@ buys wall-clock time, never different answers.  With ``workers=1`` no
 pool (and no subprocess) is created at all.
 
 Parallelism *should* buy wall-clock time — measured, at small
-replication counts, it often does not (ROADMAP item 2a: speedups of
+replication counts, it often does not (ROADMAP items 1 and 3: speedups of
 0.61–0.83 at the benchmark's shape).  The batch results therefore
 carry the accounting that explains the gap: per-replication in-worker
 wall times, the :attr:`~FullStackBatchResult.fan_out_overhead` spent
@@ -230,7 +230,7 @@ def _account_fan_out(batch, profiler: Optional[PhaseProfiler]) -> None:
     if batch.workers > 1:
         # A perfectly packed pool would finish in worker_wall/workers;
         # everything beyond that is fan-out overhead — spawn, pickle,
-        # IPC, result collection (ROADMAP item 2a's measured gap).
+        # IPC, result collection (ROADMAP item 3's measured gap).
         ideal = worker_wall / batch.workers
         batch.fan_out_overhead = max(batch.elapsed - ideal, 0.0)
         if profiler is not None:
@@ -306,7 +306,7 @@ class GillespieBatchResult:
     @property
     def speedup_lt_1(self) -> bool:
         """True when a pooled run was slower than its own serial work
-        (the ROADMAP item 2a embarrassment, flagged loudly)."""
+        (the ROADMAP item 1 embarrassment, flagged loudly)."""
         return (self.workers > 1 and bool(self.wall_times)
                 and self.speedup < 1.0)
 

@@ -516,18 +516,26 @@ class FullStackSimulator:
         if cfg.arrival_rate > 0:
             sim.schedule(rng.expovariate(cfg.arrival_rate), attack,
                          "attack")
-        sim.run_until(horizon)
-        account()
+        try:
+            sim.run_until(horizon)
+            account()
 
-        # Final sweep: heal everything still anywhere in the pipeline.
-        executed_uids.extend(alert_queue)
-        alert_queue.clear()
-        for plan in unit_queue:
-            executed_uids.extend(plan.alert_uids)
-        unit_queue.clear()
-        scanning = recovering = False
-        commit_repairs()
-        note_state()
+            # Final sweep: heal everything still anywhere in the pipeline.
+            executed_uids.extend(alert_queue)
+            alert_queue.clear()
+            for plan in unit_queue:
+                executed_uids.extend(plan.alert_uids)
+            unit_queue.clear()
+            scanning = recovering = False
+            commit_repairs()
+            note_state()
+        finally:
+            # The callbacks reach each other, and the simulator whose
+            # heap still holds the next arrival, through closure cells.
+            # Emptying those cells breaks the cycle, so the run's
+            # store, logs and specs are freed by reference counting
+            # instead of waiting for a full garbage collection.
+            del sim, attack, dispatch, scan_done, recovery_done
 
         return FullStackResult(
             horizon=horizon,
