@@ -443,75 +443,107 @@ def _serve_telemetry(args, monitor) -> int:
     return 0
 
 
-def _obs_recorded_run(args, path: Optional[str] = None):
-    """Run the selected scenario with a flight recorder attached;
-    returns ``(recorder, obs_run)``.  Only the scenarios whose drivers
-    are recorder-instrumented qualify."""
-    from repro.obs.recorder import FlightRecorder
+def _obs_run(args, record: bool = False, path: Optional[str] = None):
+    """Run the selected ``obs`` scenario on an event bus; returns
+    ``(flight, obs_run)``.
 
+    figure1 goes through its incident driver; gillespie and fullstack
+    are the simulators' own ``run_replication`` with pipeline metrics
+    and an event recorder on the bus, plus the health monitor for
+    ``fullstack --health`` (objective ``--slo-loss`` when given).  With
+    ``record``, a flight recorder (writing to ``path``, else kept in
+    memory) captures the run and is returned closed; ``flight`` is
+    ``None`` otherwise.  Gillespie trajectories cannot be recorded.
+    """
+    from repro.obs.events import EventBus, EventRecorder
+    from repro.obs.metrics import PipelineMetrics
+    from repro.obs.recorder import FlightRecorder
+    from repro.obs.runner import ObsRun
+
+    if record and args.scenario == "gillespie":
+        raise ObsError(
+            "flight recording supports --scenario figure1 and "
+            "fullstack (gillespie trajectories have no recovery "
+            "pipeline to record)"
+        )
+    flight = None
     if args.scenario == "figure1":
         from repro.obs.runner import run_figure1_observed
 
-        flight = FlightRecorder(
-            label="figure1", path=path,
-            meta={"false_alarms": args.false_alarms},
-        )
-        run = run_figure1_observed(
-            false_alarms=args.false_alarms,
-            alert_buffer=args.alert_buffer or args.buffer,
-            recovery_buffer=args.buffer,
-            scan_time=1.0 / args.mu1,
-            task_time=1.0 / args.xi1,
-            flight=flight,
-        )
-    elif args.scenario == "fullstack":
-        from repro.obs.runner import run_fullstack_observed
-        from repro.sim.fullstack import FullStackConfig
+        if record:
+            flight = FlightRecorder(
+                label="figure1", path=path,
+                meta={"false_alarms": args.false_alarms},
+            )
+        try:
+            run = run_figure1_observed(
+                false_alarms=args.false_alarms,
+                alert_buffer=args.alert_buffer or args.buffer,
+                recovery_buffer=args.buffer,
+                scan_time=1.0 / args.mu1,
+                task_time=1.0 / args.xi1,
+                flight=flight,
+            )
+        finally:
+            if flight is not None:
+                flight.close()
+        return flight, run
 
-        cfg = FullStackConfig(
+    if args.scenario == "gillespie":
+        from repro.sim import ctmc_sim
+
+        stg = _stg_from_args(args)
+
+        def drive(bus):
+            return ctmc_sim.run_replication(stg, args.horizon, args.seed,
+                                            bus=bus)
+    else:  # fullstack
+        from repro.sim import fullstack
+
+        cfg = fullstack.FullStackConfig(
             arrival_rate=args.lam,
             scan_time=1.0 / args.mu1,
             unit_recovery_time=1.0 / args.xi1,
             alert_buffer=args.alert_buffer or args.buffer,
             recovery_buffer=args.buffer,
         )
-        meta = {"seed": args.seed, "horizon": args.horizon}
-        pred = None
-        health_config = None
-        if getattr(args, "health", False):
+        pred = health_config = None
+        if args.health:
             from repro.obs.health import HealthConfig, ModelPrediction
 
             pred = ModelPrediction.from_stg(cfg.stg())
-            slo_loss = getattr(args, "slo_loss", None)
-            if slo_loss is not None:
-                health_config = HealthConfig(loss_objective=slo_loss)
-            # The model parameters go into the header so replay can
-            # rebuild the identical null model and re-derive verdicts.
-            meta["health"] = {
-                "arrival_rate": cfg.arrival_rate,
-                "scan_time": cfg.scan_time,
-                "unit_recovery_time": cfg.unit_recovery_time,
-                "alert_buffer": cfg.alert_buffer,
-                "recovery_buffer": cfg.recovery_buffer,
-                "loss_objective": slo_loss,
-            }
-        flight = FlightRecorder(label="fullstack", path=path, meta=meta)
-        run = run_fullstack_observed(
-            cfg,
-            horizon=args.horizon,
-            seed=args.seed,
-            flight=flight,
-            health=pred,
-            health_config=health_config,
-        )
-    else:
-        raise ObsError(
-            "flight recording supports --scenario figure1 and "
-            "fullstack (gillespie trajectories have no recovery "
-            "pipeline to record)"
-        )
-    flight.close()
-    return flight, run
+            if args.slo_loss is not None:
+                health_config = HealthConfig(loss_objective=args.slo_loss)
+        if record:
+            flight = FlightRecorder(
+                label="fullstack", path=path,
+                meta=fullstack.flight_log_meta(
+                    cfg, args.horizon, args.seed, pred, health_config),
+            )
+
+        def drive(bus):
+            return fullstack.run_replication(
+                cfg, args.horizon, args.seed, bus=bus, health=pred,
+                health_config=health_config,
+            )
+
+    bus = EventBus()
+    metrics = PipelineMetrics().attach(bus)
+    recorder = EventRecorder().attach(bus)
+    if flight is not None:
+        flight.attach(bus)
+        flight.mark("start", 0.0, state="NORMAL")
+    metrics.start(0.0, state="NORMAL")
+    try:
+        result = drive(bus)
+        metrics.finalize(args.horizon)
+        if flight is not None:
+            flight.mark("finalize", args.horizon)
+    finally:
+        if flight is not None:
+            flight.close()
+    return flight, ObsRun(metrics=metrics, events=list(recorder.events),
+                          result=result)
 
 
 def _obs_load_log(args):
@@ -521,13 +553,13 @@ def _obs_load_log(args):
 
     if args.log:
         return load_flight_log(args.log)
-    flight, _ = _obs_recorded_run(args)
+    flight, _ = _obs_run(args, record=True)
     return read_flight_log(flight.text())
 
 
 def _cmd_obs_record(args) -> int:
     path = args.log if args.log and args.log != "-" else None
-    flight, _ = _obs_recorded_run(args, path=path)
+    flight, _ = _obs_run(args, record=True, path=path)
     lines = flight.text().count("\n")
     if path is None:
         print(flight.text(), end="")
@@ -540,9 +572,11 @@ def _replay_verdict_check(log, run) -> None:
     """When a flight log carries health-monitor verdicts, re-derive
     them from the raw events and report whether they match.
 
-    Requires the log's ``meta.health`` model parameters (written by
-    ``obs record --scenario fullstack --health``); logs of unmonitored
-    runs print nothing.
+    Requires the full-stack header's ``config`` and ``health`` blocks
+    (:func:`repro.sim.fullstack.flight_log_meta` — written by ``obs
+    record --scenario fullstack --health`` and by health-monitored
+    ``run_fullstack_batch(record_dir=...)``); logs of unmonitored runs
+    print nothing.
     """
     from repro.obs.events import (
         ConformanceViolation,
@@ -564,17 +598,11 @@ def _replay_verdict_check(log, run) -> None:
         return
     print(f"  SLO verdicts: {len(run.slo_transitions)} transitions, "
           f"{len(run.drifts)} drift alarms")
-    if not health:
+    if not health or "config" not in log.meta:
         print("  verdict replay: skipped (log header carries no "
               "health model parameters)")
         return
-    cfg = FullStackConfig(
-        arrival_rate=float(health["arrival_rate"]),
-        scan_time=float(health["scan_time"]),
-        unit_recovery_time=float(health["unit_recovery_time"]),
-        alert_buffer=int(health["alert_buffer"]),
-        recovery_buffer=int(health["recovery_buffer"]),
-    )
+    cfg = FullStackConfig(**log.meta["config"])
     config = None
     if health.get("loss_objective") is not None:
         config = HealthConfig(
@@ -838,53 +866,19 @@ def cmd_obs(args) -> int:
     if action == "watch":
         return _cmd_obs_watch(args)
 
+    _, run = _obs_run(args)
     if args.scenario == "figure1":
-        from repro.obs.runner import run_figure1_observed
-
-        run = run_figure1_observed(
-            false_alarms=args.false_alarms,
-            alert_buffer=args.alert_buffer or args.buffer,
-            recovery_buffer=args.buffer,
-            scan_time=1.0 / args.mu1,
-            task_time=1.0 / args.xi1,
-        )
         title = "Observed figure1 incident"
     elif args.scenario == "gillespie":
-        from repro.obs.runner import run_gillespie_observed
-
-        run = run_gillespie_observed(
-            _stg_from_args(args), horizon=args.horizon, seed=args.seed
-        )
         title = (f"Observed Gillespie trajectory "
                  f"(horizon {args.horizon:g}, seed {args.seed})")
-    else:  # fullstack
-        from repro.obs.runner import run_fullstack_observed
-        from repro.sim.fullstack import FullStackConfig
-
-        cfg = FullStackConfig(
-            arrival_rate=args.lam,
-            scan_time=1.0 / args.mu1,
-            unit_recovery_time=1.0 / args.xi1,
-            alert_buffer=args.alert_buffer or args.buffer,
-            recovery_buffer=args.buffer,
-        )
-        pred = None
-        if getattr(args, "health", False):
-            from repro.obs.health import ModelPrediction
-
-            pred = ModelPrediction.from_stg(cfg.stg())
-        run = run_fullstack_observed(
-            cfg,
-            horizon=args.horizon,
-            seed=args.seed,
-            health=pred,
-        )
+    else:
         title = (f"Observed full-stack run "
                  f"(horizon {args.horizon:g}, seed {args.seed})")
 
     print(metrics_table(run.metrics, title).render())
-    if getattr(run, "monitor", None) is not None:
-        report = run.monitor.report()
+    report = getattr(run.result, "conformance", None)
+    if report is not None:
         print(f"\nhealth: verdict {report.verdict.value} — "
               f"loss {report.loss_fraction:.3e} "
               f"(model {report.predicted_loss:.3e}, "
@@ -1511,7 +1505,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "verdicts from the replayed event stream "
                         "(replay action); exit 1 on any violation")
     p.add_argument("--slo-loss", type=float, default=None,
-                   help="explicit loss-SLO objective (watch; default: "
+                   help="explicit loss-SLO objective (watch, and "
+                        "fullstack --health runs; default: "
                         "3x the model's predicted loss)")
     p.add_argument("--attack-rate", type=float, default=None,
                    help="step the arrival rate to this value at "

@@ -14,9 +14,9 @@ This package provides the measurement layer:
 - :mod:`repro.obs.metrics` — counters, gauges (with high-water marks),
   and fixed-bucket histograms, plus :class:`PipelineMetrics`, a bus
   subscriber that derives the paper's quantities from the event stream;
-- :mod:`repro.obs.tracing` — span-based tracing with an injectable
-  monotonic clock, so both simulated and wall time work, producing a
-  span tree per incident (alert → scan → plan → undo → redo);
+- :mod:`repro.obs.tracing` — timed spans, a manually advanced
+  simulated-time clock, and the ASCII renderer of an incident's span
+  tree (alert → scan → plan → undo → redo);
 - :mod:`repro.obs.recorder` — the flight recorder: versioned,
   append-only JSONL capture of a full run, loadable back into typed
   events;
@@ -42,8 +42,9 @@ This package provides the measurement layer:
 - :mod:`repro.obs.server` — a stdlib-only HTTP telemetry endpoint
   (``/metrics`` Prometheus text, ``/healthz``, ``/slo`` JSON,
   ``/profile`` attribution breakdowns);
-- :mod:`repro.obs.runner` — instrumented end-to-end scenario drivers
-  behind the ``repro-workflow obs`` CLI subcommand.
+- :mod:`repro.obs.runner` — the Figure 1 incident driver behind the
+  ``repro-workflow obs`` CLI subcommand (the simulators are observed
+  through their own ``run_replication`` with a bus attached).
 
 Instrumentation is strictly opt-in: every instrumented component takes
 an optional bus and publishes nothing (and allocates nothing) when none
@@ -120,7 +121,7 @@ from repro.obs.recorder import (
     read_flight_log,
 )
 from repro.obs.server import TelemetryServer
-from repro.obs.tracing import ManualClock, Span, Tracer, render_span_tree
+from repro.obs.tracing import ManualClock, Span, render_span_tree
 from repro.obs.windows import (
     Cusum,
     Ewma,
@@ -163,7 +164,6 @@ __all__ = [
     # tracing
     "ManualClock",
     "Span",
-    "Tracer",
     "render_span_tree",
     # recorder
     "SCHEMA_VERSION",

@@ -26,14 +26,13 @@ Design rules, in priority order:
    observation: the profiler only ever *reads* clocks, so attaching it
    cannot perturb replay byte-identity or worker-count invariance.
 
-Like :class:`~repro.obs.tracing.Tracer`, a profiler instance is
-single-owner: phases are entered and exited on one thread.  Work
-measured on other threads or in worker processes is folded in serially
-afterwards via :meth:`PhaseProfiler.add_external`.  The module-level
-:func:`bump` counters are lock-protected so low-level code (the CTMC
-solver, the analyzer) can count events without threading a profiler
-through every signature; :meth:`PhaseProfiler.start` snapshots them and
-the report carries the per-run delta.
+A profiler instance is single-owner: phases are entered and exited on
+one thread.  Work measured on other threads or in worker processes is
+folded in serially afterwards via :meth:`PhaseProfiler.add_external`.
+The module-level :func:`bump` counters are lock-protected so low-level
+code (the CTMC solver, the analyzer) can count events without threading
+a profiler through every signature; :meth:`PhaseProfiler.start`
+snapshots them and the report carries the per-run delta.
 """
 
 from __future__ import annotations

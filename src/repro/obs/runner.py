@@ -1,15 +1,19 @@
-"""Instrumented end-to-end scenario drivers.
+"""The Figure 1 incident driver behind ``repro-workflow obs``.
 
-These functions run a scenario with the full observability harness
-attached — event bus, pipeline metrics, recorder, tracer — and return
-one :class:`ObsRun` bundling everything a report needs.  They back the
-``repro-workflow obs`` CLI subcommand and the empirical CTMC
-validation tests.
+:func:`run_figure1_observed` pushes the paper's Figure 1 attack through
+:class:`~repro.system.SelfHealingSystem` on a sim-time clock and builds
+the incident span tree (detect → scan* → heal(undo, redo)).  The
+simulators need no driver of their own: an observed full-stack or
+Gillespie run is the ordinary ``run_replication`` with an
+:class:`~repro.obs.events.EventBus` carrying a
+:class:`~repro.obs.metrics.PipelineMetrics`, an
+:class:`~repro.obs.events.EventRecorder` and, when recording, a
+:class:`~repro.obs.recorder.FlightRecorder`.  :class:`ObsRun` bundles
+what a report needs from either kind of run.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -25,15 +29,12 @@ from repro.obs.events import (
 )
 from repro.obs.metrics import PipelineMetrics
 from repro.obs.recorder import FlightRecorder
-from repro.obs.tracing import ManualClock, Span, Tracer
+from repro.obs.tracing import ManualClock, Span
 
 __all__ = [
     "ObsRun",
     "SimTimeDriver",
     "run_figure1_observed",
-    "run_gillespie_observed",
-    "run_gillespie_batch_observed",
-    "run_fullstack_observed",
 ]
 
 
@@ -52,16 +53,12 @@ class ObsRun:
         have no natural incident nesting).
     result:
         Scenario-specific payload (heal report, simulator result, ...).
-    monitor:
-        The :class:`~repro.obs.health.HealthMonitor` that rode the run,
-        when health monitoring was requested; ``None`` otherwise.
     """
 
     metrics: PipelineMetrics
     events: List[ObsEvent] = field(default_factory=list)
     spans: List[Span] = field(default_factory=list)
     result: object = None
-    monitor: object = None
 
 
 class SimTimeDriver:
@@ -133,7 +130,6 @@ def run_figure1_observed(
     recorder = EventRecorder().attach(bus)
     if flight is not None:
         flight.attach(bus)
-    tracer = Tracer(clock)
 
     system = SelfHealingSystem(
         sc.store, sc.log, sc.specs_by_instance,
@@ -146,42 +142,51 @@ def run_figure1_observed(
     if flight is not None:
         flight.mark("start", clock.now, state="NORMAL")
 
-    report = None
-    with tracer.span("incident", scenario="figure1"):
-        with tracer.span("detect", genuine=1, false_alarms=false_alarms):
-            system.submit_alert(Alert(clock.now, sc.malicious_uid))
-            for i in range(false_alarms):
-                clock.advance(inter_arrival)
-                system.submit_alert(
-                    Alert(clock.now, f"noise/t0#{i + 1}", genuine=False)
-                )
-        scans = 0
-        while system.state is SystemState.SCAN:
-            system.normal_task_admissible()  # strict gate: refusals count
-            with tracer.span("scan", step=scans + 1):
-                plan = system.scan_step()
-            if plan is None:
-                raise RecoveryError(
-                    "analyzer blocked: recovery queue full while alerts "
-                    "are pending — increase the recovery buffer "
-                    f"(capacity {recovery_buffer})"
-                )
-            scans += 1
-        with tracer.span(
-            "heal", units=system.recovery_units_queued
-        ) as heal_span:
-            report = system.recovery_step()
-        # The heal is atomic from the runner's side; reconstruct its
-        # undo/redo sub-phases from the per-task event timestamps (the
-        # events are stamped at operation start, before the sim-time
-        # driver advances the clock by task_time).
-        for name, ev_type in (("undo", TaskUndone), ("redo", TaskRedone)):
-            times = [e.time for e in recorder.of_type(ev_type)
-                     if not getattr(e, "disposition", False)]
-            if times:
-                child = Span(name, times[0], {"tasks": len(times)})
-                child.end = times[-1] + task_time
-                heal_span.children.append(child)
+    incident = Span("incident", clock.now, {"scenario": "figure1"})
+
+    def add_child(name: str, start: float, **attributes) -> Span:
+        """Close an incident child span that opened at ``start``."""
+        span = Span(name, start, attributes)
+        span.end = clock.now
+        incident.children.append(span)
+        return span
+
+    start = clock.now
+    system.submit_alert(Alert(clock.now, sc.malicious_uid))
+    for i in range(false_alarms):
+        clock.advance(inter_arrival)
+        system.submit_alert(
+            Alert(clock.now, f"noise/t0#{i + 1}", genuine=False)
+        )
+    add_child("detect", start, genuine=1, false_alarms=false_alarms)
+    scans = 0
+    while system.state is SystemState.SCAN:
+        system.normal_task_admissible()  # strict gate: refusals count
+        start = clock.now
+        plan = system.scan_step()
+        if plan is None:
+            raise RecoveryError(
+                "analyzer blocked: recovery queue full while alerts "
+                "are pending — increase the recovery buffer "
+                f"(capacity {recovery_buffer})"
+            )
+        scans += 1
+        add_child("scan", start, step=scans)
+    start, units = clock.now, system.recovery_units_queued
+    report = system.recovery_step()
+    heal = add_child("heal", start, units=units)
+    # The heal is atomic from the runner's side; reconstruct its
+    # undo/redo sub-phases from the per-task event timestamps (the
+    # events are stamped at operation start, before the sim-time
+    # driver advances the clock by task_time).
+    for name, ev_type in (("undo", TaskUndone), ("redo", TaskRedone)):
+        times = [e.time for e in recorder.of_type(ev_type)
+                 if not getattr(e, "disposition", False)]
+        if times:
+            child = Span(name, times[0], {"tasks": len(times)})
+            child.end = times[-1] + task_time
+            heal.children.append(child)
+    incident.end = clock.now
     metrics.finalize(clock.now)
     if flight is not None:
         # Queue-depth gauges are driven by queue hooks (pops included),
@@ -195,152 +200,6 @@ def run_figure1_observed(
     return ObsRun(
         metrics=metrics,
         events=list(recorder.events),
-        spans=list(tracer.roots),
+        spans=[incident],
         result=report,
-    )
-
-
-def run_gillespie_observed(
-    stg,
-    horizon: float = 2000.0,
-    seed: int = 0,
-) -> ObsRun:
-    """One Gillespie trajectory of ``stg``, measured through the obs
-    layer — the empirical side of the CTMC validation.
-
-    The returned metrics carry category occupancy (from state dwell
-    accounting) and the observed alert-loss fraction; compare them to
-    :func:`repro.markov.steady_state.steady_state` +
-    :func:`repro.markov.metrics.loss_probability`.
-    """
-    from repro.sim.ctmc_sim import GillespieSimulator
-
-    bus = EventBus()
-    metrics = PipelineMetrics().attach(bus)
-    recorder = EventRecorder().attach(bus)
-    metrics.start(0.0, state="NORMAL")
-    sim = GillespieSimulator(stg, random.Random(seed), bus=bus)
-    result = sim.run(horizon=horizon)
-    metrics.finalize(horizon)
-    return ObsRun(
-        metrics=metrics,
-        events=list(recorder.events),
-        spans=[],
-        result=result,
-    )
-
-
-def run_gillespie_batch_observed(
-    stg,
-    horizon: float = 500.0,
-    replications: int = 4,
-    workers: int = 1,
-    seed: int = 0,
-) -> ObsRun:
-    """A parallel Gillespie batch with merged observability.
-
-    Replications run in worker processes, where the in-process event
-    bus cannot follow; instead each worker's
-    :class:`~repro.sim.ctmc_sim.GillespieResult` is folded into one
-    :class:`~repro.obs.metrics.PipelineMetrics` afterwards — category
-    dwell via :meth:`~repro.obs.metrics.PipelineMetrics.observe_dwell`
-    (one interval per replication, weighted by occupancy), arrival and
-    loss counters pooled.  The span tree records the fan-out itself:
-    one root batch span with a child span per replication carrying its
-    seed and measured wall-clock duration (children share a common
-    origin — they ran concurrently, not stacked).
-
-    Returns an :class:`ObsRun` whose ``result`` is the
-    :class:`~repro.sim.batch.GillespieBatchResult`.
-    """
-    from repro.sim.batch import run_gillespie_batch
-
-    batch = run_gillespie_batch(
-        stg, horizon=horizon, replications=replications,
-        workers=workers, seed=seed,
-    )
-    metrics = PipelineMetrics()
-    for result in batch.results:
-        for category, frac in result.category_occupancy.items():
-            if frac > 0:
-                metrics.observe_dwell(category.name, frac * horizon)
-        accepted = result.arrivals - result.arrivals_lost
-        if accepted:
-            metrics.alerts_enqueued.inc(accepted)
-        if result.arrivals_lost:
-            metrics.alerts_lost.inc(result.arrivals_lost)
-
-    clock = ManualClock()
-    tracer = Tracer(clock)
-    root = tracer.start_span(
-        "gillespie-batch", replications=batch.replications,
-        workers=batch.workers, horizon=horizon,
-    )
-    for i, (rep_seed, wall) in enumerate(zip(batch.seeds,
-                                             batch.wall_times)):
-        child = Span(f"replication-{i}", 0.0,
-                     {"seed": rep_seed, "jumps": batch.results[i].jumps})
-        child.end = wall
-        root.children.append(child)
-    clock.advance(batch.elapsed)
-    tracer.end_span(root)
-
-    return ObsRun(
-        metrics=metrics,
-        events=[],
-        spans=list(tracer.roots),
-        result=batch,
-    )
-
-
-def run_fullstack_observed(
-    config=None,
-    horizon: float = 60.0,
-    seed: int = 0,
-    flight: Optional[FlightRecorder] = None,
-    health=None,
-    health_config=None,
-) -> ObsRun:
-    """A full-stack timed run (real attacks, analyzer, healer) with the
-    observability harness attached.
-
-    Passing a :class:`~repro.obs.recorder.FlightRecorder` as ``flight``
-    captures the run for deterministic replay; all timestamps are
-    simulated time, so the log depends only on ``(config, horizon,
-    seed)``.
-
-    Passing a :class:`~repro.obs.health.ModelPrediction` as ``health``
-    additionally rides a :class:`~repro.obs.health.HealthMonitor` on
-    the bus.  The flight recorder is attached *before* the monitor, so
-    the captured log orders each triggering event ahead of the verdict
-    it caused — :func:`repro.obs.health.replay_verdicts` then re-derives
-    the identical SLO/drift stream from the raw events.
-    """
-    from repro.obs.health import HealthMonitor
-    from repro.sim.fullstack import FullStackConfig, FullStackSimulator
-
-    cfg = config if config is not None else FullStackConfig()
-    bus = EventBus()
-    metrics = PipelineMetrics().attach(bus)
-    recorder = EventRecorder().attach(bus)
-    if flight is not None:
-        flight.attach(bus)
-        flight.mark("start", 0.0, state="NORMAL")
-    monitor = None
-    if health is not None:
-        monitor = HealthMonitor(health, config=health_config).attach(bus)
-    sim = FullStackSimulator(cfg, random.Random(seed), bus=bus)
-    metrics.start(0.0, state="NORMAL")
-    result = sim.run(horizon=horizon)
-    metrics.finalize(horizon)
-    if monitor is not None:
-        result.conformance = monitor.report()
-    if flight is not None:
-        flight.mark("finalize", horizon)
-    return ObsRun(
-        metrics=metrics,
-        events=list(recorder.events),
-        spans=[],
-        result=result,
-        monitor=monitor,
     )

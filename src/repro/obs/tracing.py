@@ -1,25 +1,18 @@
-"""Span-based tracing with an injectable clock.
+"""Timed spans on a simulated clock.
 
 An incident — one burst of alerts through detect → scan → plan → undo →
-redo — is naturally a tree of timed spans.  The tracer here is tiny and
-synchronous: spans nest via a context-manager API, timestamps come from
-whatever zero-argument clock callable the caller injects, so the same
-code traces wall time (``time.monotonic``) and simulated time
-(:class:`ManualClock` driven by a simulator) identically.
+redo — is naturally a tree of timed spans.  :class:`Span` is one node of
+such a tree; the incident driver (:mod:`repro.obs.runner`) and the
+flight-log replayer (:mod:`repro.obs.provenance`) build trees of them
+directly, timed by a :class:`ManualClock` or by event timestamps, and
+:func:`render_span_tree` prints them.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.errors import ObsError
-
-__all__ = ["Clock", "ManualClock", "Span", "Tracer", "render_span_tree"]
-
-#: A clock is any zero-argument callable returning monotonic seconds.
-Clock = Any
+__all__ = ["ManualClock", "Span", "render_span_tree"]
 
 
 class ManualClock:
@@ -90,80 +83,6 @@ class Span:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = f"{self.duration:.6g}" if self.finished else "open"
         return f"Span({self.name!r}, {state}, children={len(self.children)})"
-
-
-class Tracer:
-    """Builds span trees against an injected clock.
-
-    Spans opened while another span is open become its children; spans
-    opened at top level become roots.  The usual shape is one root per
-    incident.
-
-    **Single-owner contract**: a tracer's span stack encodes the call
-    nesting of *one* logical thread of execution, so — unlike the
-    lock-protected :class:`~repro.obs.metrics.MetricsRegistry` and
-    :class:`~repro.obs.events.EventBus` — a tracer must not be shared
-    across threads (interleaved ``start_span``/``end_span`` from two
-    threads would raise nesting errors or, worse, build a wrong tree).
-    Concurrent code creates one tracer per worker/shard; the fleet
-    control plane keeps tracing per-shard for exactly this reason.
-    """
-
-    def __init__(self, clock: Optional[Clock] = None) -> None:
-        self._clock: Clock = clock if clock is not None else time.monotonic  # lint: allow[DET001] injectable clock; wall time is the live default
-        self._stack: List[Span] = []
-        self.roots: List[Span] = []
-
-    @property
-    def current(self) -> Optional[Span]:
-        """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
-
-    def start_span(self, name: str, **attributes: Any) -> Span:
-        """Open a span as a child of the current one (or a new root)."""
-        span = Span(name, self._clock(), attributes)
-        if self._stack:
-            self._stack[-1].children.append(span)
-        else:
-            self.roots.append(span)
-        self._stack.append(span)
-        return span
-
-    def end_span(self, span: Optional[Span] = None) -> Span:
-        """Close the innermost span (must be ``span`` when given).
-
-        Raises :class:`~repro.errors.ObsError` when no span is open,
-        when ``span`` is already finished, or when ``span`` is not the
-        innermost open one — each a lifecycle bug at the caller worth
-        failing loudly over (a silently misclosed tree renders wrong).
-        """
-        if span is not None and span.finished:
-            raise ObsError(
-                f"span {span.name!r} already finished "
-                f"(ended at {span.end:g}); end_span must be called "
-                "exactly once per span"
-            )
-        if not self._stack:
-            raise ObsError("no open span to end")
-        top = self._stack.pop()
-        if span is not None and span is not top:
-            self._stack.append(top)
-            raise ObsError(
-                f"span nesting violated: ending {span.name!r} while "
-                f"{top.name!r} is innermost"
-            )
-        top.end = self._clock()
-        return top
-
-    @contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[Span]:
-        """Context manager: open on enter, close on exit (also on
-        exceptions, so error paths still produce finished spans)."""
-        s = self.start_span(name, **attributes)
-        try:
-            yield s
-        finally:
-            self.end_span(s)
 
 
 def render_span_tree(roots: List[Span], indent: str = "  ") -> str:

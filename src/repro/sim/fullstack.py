@@ -63,8 +63,38 @@ __all__ = [
     "FullStackConfig",
     "FullStackResult",
     "FullStackSimulator",
+    "flight_log_meta",
     "run_replication",
 ]
+
+
+def flight_log_meta(
+    config: Optional["FullStackConfig"],
+    horizon: float,
+    seed: int,
+    health: Optional[ModelPrediction] = None,
+    health_config: Optional[HealthConfig] = None,
+) -> Dict[str, object]:
+    """The header ``meta`` of a full-stack flight log: the run's whole
+    input, so ``obs replay`` can rebuild it from the log alone.
+
+    ``seed``, ``horizon`` and ``config`` (the :class:`FullStackConfig`
+    fields) always; a health-monitored run adds ``health`` with the
+    loss objective it ran under (``None``: the model-derived default).
+    The null model itself is ``FullStackConfig(**config).stg()``.
+    """
+    from dataclasses import asdict
+
+    meta: Dict[str, object] = {
+        "seed": seed, "horizon": horizon,
+        "config": asdict(config) if config is not None else {},
+    }
+    if health is not None:
+        meta["health"] = {
+            "loss_objective": health_config.loss_objective
+            if health_config is not None else None,
+        }
+    return meta
 
 
 def run_replication(
@@ -98,8 +128,6 @@ def run_replication(
     started :class:`~repro.obs.perf.PhaseProfiler` (see
     :class:`FullStackSimulator`).
     """
-    from dataclasses import asdict
-
     from repro.obs.recorder import FlightRecorder
 
     recorder: Optional[FlightRecorder] = None
@@ -110,8 +138,8 @@ def run_replication(
     if record_path is not None:
         recorder = FlightRecorder(
             label="fullstack", path=record_path,
-            meta={"seed": seed, "horizon": horizon,
-                  "config": asdict(config) if config is not None else {}},
+            meta=flight_log_meta(config, horizon, seed, health,
+                                 health_config),
         ).attach(bus)
         recorder.mark("start", 0.0, state="NORMAL")
     if health is not None:

@@ -175,6 +175,19 @@ class TestObs:
         assert "- incident" in out
         assert "undo" in out and "redo" in out
 
+    def test_figure1_span_tree_matches_readme(self, capsys):
+        """The report's incident tree is the README's, character for
+        character: a pin on the spans' timing, not just their names."""
+        from pathlib import Path
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md") \
+            .read_text(encoding="utf-8")
+        block = readme.split("Incident span tree:\n", 1)[1]
+        block = block.split("```", 1)[0]
+        assert main(["obs", "--scenario", "figure1"]) == 0
+        out = capsys.readouterr().out
+        assert out.split("Incident span tree:\n", 1)[1] == block
+
     def test_gillespie_comparison_table(self, capsys):
         assert main(["obs", "--scenario", "gillespie", "--lam", "4",
                      "--mu1", "6", "--xi1", "8", "--buffer", "3",
@@ -361,6 +374,36 @@ class TestObsFlightVerbs:
     def test_report_remains_the_default_action(self, capsys):
         assert main(["obs", "--scenario", "figure1"]) == 0
         assert "Observed figure1 incident" in capsys.readouterr().out
+
+
+class TestObsHealth:
+    """``--health`` full-stack runs: objective and verdict replay."""
+
+    def test_report_honours_slo_loss(self, capsys):
+        argv = ["obs", "--scenario", "fullstack", "--health", "--lam", "6",
+                "--buffer", "3", "--horizon", "20"]
+        assert main(argv + ["--slo-loss", "0.01"]) == 0
+        assert "objective 1.000e-02)" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "objective 1.000e-02)" not in capsys.readouterr().out
+
+    def test_batch_recorded_log_replays_verdicts(self, capsys, tmp_path):
+        from repro.obs.health import HealthConfig, ModelPrediction
+        from repro.sim.batch import run_fullstack_batch
+        from repro.sim.fullstack import FullStackConfig
+
+        cfg = FullStackConfig(arrival_rate=8, alert_buffer=2,
+                              recovery_buffer=2)
+        run_fullstack_batch(
+            cfg, horizon=30, replications=1, seed=1,
+            record_dir=str(tmp_path),
+            health=ModelPrediction.from_stg(cfg.stg()),
+            health_config=HealthConfig(loss_objective=1e-6),
+        )
+        log = tmp_path / "rep-0000.jsonl"
+        assert main(["obs", "replay", "--log", str(log)]) == 0
+        out = capsys.readouterr().out
+        assert "identical to recorded: True" in out
 
 
 class TestLint:

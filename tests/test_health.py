@@ -251,21 +251,23 @@ class TestReplayVerdicts:
         assert replayed == recorded
 
     def test_fullstack_flight_log_replays_identically(self):
-        from repro.obs.runner import run_fullstack_observed
-        from repro.sim.fullstack import FullStackConfig
+        from repro.sim.fullstack import FullStackConfig, run_replication
 
         cfg = FullStackConfig(arrival_rate=6.0, alert_buffer=3,
                               recovery_buffer=3)
         prediction = ModelPrediction.from_stg(cfg.stg())
         config = HealthConfig(loss_objective=0.01)
-        run = run_fullstack_observed(
-            cfg, horizon=80.0, seed=5, health=prediction,
-            health_config=config,
-        )
-        recorded = list(run.monitor.emitted)
+        bus = EventBus()
+        recorder = EventRecorder().attach(bus)
+        result = run_replication(cfg, 80.0, 5, bus=bus, health=prediction,
+                                 health_config=config)
+        verdicts = (SloTransition, DriftDetected)
+        recorded = [e for e in recorder.events if isinstance(e, verdicts)]
         assert recorded, "tight objective should force transitions"
-        events = [e for e in run.events
-                  if not isinstance(e, (SloTransition, DriftDetected))]
+        assert len(recorded) == (result.conformance.slo_transitions
+                                 + result.conformance.drift_count)
+        events = [e for e in recorder.events
+                  if not isinstance(e, verdicts)]
         assert replay_verdicts(events, prediction,
                                config=config) == recorded
 

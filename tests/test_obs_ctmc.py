@@ -15,7 +15,10 @@ from repro.markov.degradation import power_law
 from repro.markov.metrics import category_probabilities, loss_probability
 from repro.markov.steady_state import steady_state
 from repro.markov.stg import RecoverySTG, StateCategory
-from repro.obs.runner import run_gillespie_observed
+from repro.obs.events import EventBus
+from repro.obs.metrics import PipelineMetrics
+from repro.obs.runner import ObsRun
+from repro.sim.ctmc_sim import run_replication
 
 # Calibrated overloaded configuration: lambda = 4 against mu1 = 6,
 # xi1 = 8 with a small buffer gives a large, well-separated loss
@@ -34,7 +37,13 @@ TOLERANCE = 0.02
 
 @pytest.fixture(scope="module")
 def observed():
-    return run_gillespie_observed(STG, horizon=HORIZON, seed=SEED)
+    """One trajectory measured by pipeline metrics on its event bus."""
+    bus = EventBus()
+    metrics = PipelineMetrics().attach(bus)
+    metrics.start(0.0, state="NORMAL")
+    result = run_replication(STG, HORIZON, SEED, bus=bus)
+    metrics.finalize(HORIZON)
+    return ObsRun(metrics=metrics, result=result)
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,13 @@
-"""Integration tests for the instrumented scenario runners.
+"""Integration tests for observed runs.
 
 ``run_figure1_observed`` drives the paper's Figure 1 attack through the
 Figure 2 architecture with the full observability harness attached; the
 assertions here pin the headline quantities the ``repro obs`` report
 prints — per-state dwell times, queue high-water marks, loss counts,
 and the incident span tree — against the scenario's known ground truth.
+The simulators are observed as the ``repro obs`` report observes them:
+their ordinary ``run_replication`` with pipeline metrics and an event
+recorder on the bus.
 """
 
 import pytest
@@ -12,21 +15,32 @@ import pytest
 from repro.errors import RecoveryError
 from repro.obs.events import (
     AlertEnqueued,
+    EventBus,
+    EventRecorder,
     HealFinished,
     ScanStep,
     StateTransition,
     TaskRedone,
     TaskUndone,
 )
-from repro.obs.runner import (
-    run_figure1_observed,
-    run_fullstack_observed,
-    run_gillespie_observed,
-)
+from repro.obs.metrics import PipelineMetrics
+from repro.obs.runner import run_figure1_observed
 from repro.obs.tracing import render_span_tree
 
 SCAN_TIME = 1.0 / 15.0
 TASK_TIME = 1.0 / 20.0
+
+
+def observe(run_replication, model, horizon, seed):
+    """``run_replication`` on a bus carrying pipeline metrics and an
+    event recorder; returns ``(metrics, events, result)``."""
+    bus = EventBus()
+    metrics = PipelineMetrics().attach(bus)
+    recorder = EventRecorder().attach(bus)
+    metrics.start(0.0, state="NORMAL")
+    result = run_replication(model, horizon, seed, bus=bus)
+    metrics.finalize(horizon)
+    return metrics, recorder.events, result
 
 
 @pytest.fixture(scope="module")
@@ -154,9 +168,10 @@ class TestFigure1Observed:
 
 class TestFullstackObserved:
     def test_metrics_agree_with_simulator_result(self):
-        run = run_fullstack_observed(horizon=30.0, seed=0)
-        result = run.result
-        m = run.metrics
+        from repro.sim.fullstack import FullStackConfig, run_replication
+
+        m, _, result = observe(run_replication, FullStackConfig(),
+                               30.0, 0)
         assert m.alerts_lost.value == result.alerts_lost
         assert (m.alerts_enqueued.value + m.alerts_lost.value
                 == result.attacks)
@@ -173,16 +188,16 @@ class TestGillespieObserved:
     def test_transition_events_drive_dwell_accounting(self):
         from repro.markov.degradation import power_law
         from repro.markov.stg import RecoverySTG
+        from repro.sim.ctmc_sim import run_replication
 
         stg = RecoverySTG(arrival_rate=1.0, scan=power_law(15.0, 1.0),
                           recovery=power_law(20.0, 1.0), recovery_buffer=4)
-        run = run_gillespie_observed(stg, horizon=50.0, seed=3)
-        m = run.metrics
+        m, events, _ = observe(run_replication, stg, 50.0, 3)
         total = sum(m.time_in_state(s) for s in m.dwell_states())
         assert total == pytest.approx(50.0)
         assert m.time_in_state("NORMAL") > 0
-        assert any(isinstance(e, StateTransition) for e in run.events)
-        assert any(isinstance(e, AlertEnqueued) for e in run.events)
+        assert any(isinstance(e, StateTransition) for e in events)
+        assert any(isinstance(e, AlertEnqueued) for e in events)
         assert m.alerts_enqueued.value > 0
         assert all(not isinstance(e, (TaskUndone, TaskRedone))
-                   for e in run.events)  # the CTMC abstracts heal work
+                   for e in events)  # the CTMC abstracts heal work

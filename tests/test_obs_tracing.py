@@ -1,9 +1,8 @@
-"""Unit tests for the span tracer and its injectable clocks."""
+"""Unit tests for spans, the span-tree renderer and the manual clock."""
 
 import pytest
 
-from repro.errors import ReproError
-from repro.obs.tracing import ManualClock, Span, Tracer, render_span_tree
+from repro.obs.tracing import ManualClock, Span, render_span_tree
 
 
 class TestManualClock:
@@ -26,62 +25,7 @@ class TestManualClock:
             clock.set(4.0)
 
 
-class TestTracer:
-    def test_wall_clock_default(self):
-        tracer = Tracer()
-        with tracer.span("op"):
-            pass
-        (root,) = tracer.roots
-        assert root.finished and root.duration >= 0.0
-
-    def test_nesting_builds_tree(self):
-        clock = ManualClock()
-        tracer = Tracer(clock)
-        with tracer.span("incident") as root:
-            clock.advance(1.0)
-            with tracer.span("scan", step=1):
-                clock.advance(2.0)
-            with tracer.span("heal"):
-                clock.advance(3.0)
-        assert tracer.roots == [root]
-        assert [c.name for c in root.children] == ["scan", "heal"]
-        assert root.duration == pytest.approx(6.0)
-        assert root.children[0].duration == pytest.approx(2.0)
-        assert root.children[1].duration == pytest.approx(3.0)
-        assert root.children[0].attributes == {"step": 1}
-
-    def test_current_tracks_innermost(self):
-        tracer = Tracer(ManualClock())
-        assert tracer.current is None
-        outer = tracer.start_span("outer")
-        inner = tracer.start_span("inner")
-        assert tracer.current is inner
-        tracer.end_span(inner)
-        assert tracer.current is outer
-
-    def test_span_closed_on_exception(self):
-        clock = ManualClock()
-        tracer = Tracer(clock)
-        with pytest.raises(RuntimeError):
-            with tracer.span("failing"):
-                clock.advance(1.0)
-                raise RuntimeError("boom")
-        (root,) = tracer.roots
-        assert root.finished and root.duration == pytest.approx(1.0)
-        assert tracer.current is None
-
-    def test_end_without_open_span_raises(self):
-        with pytest.raises(ReproError):
-            Tracer(ManualClock()).end_span()
-
-    def test_out_of_order_end_raises_and_preserves_stack(self):
-        tracer = Tracer(ManualClock())
-        outer = tracer.start_span("outer")
-        inner = tracer.start_span("inner")
-        with pytest.raises(ReproError, match="nesting"):
-            tracer.end_span(outer)
-        assert tracer.current is inner  # stack unchanged by the error
-
+class TestSpan:
     def test_set_attribute(self):
         span = Span("s", 0.0)
         span.set_attribute("tasks", 7)
@@ -90,51 +34,13 @@ class TestTracer:
 
 class TestRenderSpanTree:
     def test_renders_durations_depth_and_attrs(self):
-        clock = ManualClock()
-        tracer = Tracer(clock)
-        with tracer.span("incident", scenario="figure1"):
-            with tracer.span("scan"):
-                clock.advance(0.5)
-        text = render_span_tree(tracer.roots)
-        lines = text.splitlines()
+        root = Span("incident", 0.0, {"scenario": "figure1"})
+        scan = Span("scan", 0.0)
+        scan.end = root.end = 0.5
+        root.children.append(scan)
+        lines = render_span_tree([root]).splitlines()
         assert lines[0] == "- incident (0.5)  [scenario=figure1]"
         assert lines[1] == "  - scan (0.5)"
 
     def test_unfinished_span_rendered_open(self):
-        tracer = Tracer(ManualClock())
-        tracer.start_span("pending")
-        assert "(open)" in render_span_tree(tracer.roots)
-
-
-class TestEndSpanHardening:
-    def test_double_end_raises_obs_error(self):
-        from repro.errors import ObsError
-
-        tracer = Tracer(ManualClock())
-        span = tracer.start_span("once")
-        tracer.end_span(span)
-        with pytest.raises(ObsError, match="already finished"):
-            tracer.end_span(span)
-
-    def test_finished_span_error_even_with_other_spans_open(self):
-        from repro.errors import ObsError
-
-        clock = ManualClock()
-        tracer = Tracer(clock)
-        with tracer.span("outer"):
-            inner = tracer.start_span("inner")
-            clock.advance(0.25)
-            tracer.end_span(inner)
-            with pytest.raises(ObsError, match="already finished"):
-                tracer.end_span(inner)
-        # The erroneous call must not have closed "outer" in inner's
-        # stead: its duration covers the full block.
-        (outer,) = tracer.roots
-        assert outer.finished
-
-    def test_lifecycle_errors_are_obs_errors(self):
-        from repro.errors import ObsError, ReproError
-
-        assert issubclass(ObsError, ReproError)
-        with pytest.raises(ObsError):
-            Tracer(ManualClock()).end_span()
+        assert "(open)" in render_span_tree([Span("pending", 0.0)])

@@ -14,15 +14,22 @@ import pytest
 from repro.errors import ObsError
 from repro.obs.events import (
     ActionDispatched,
+    EventBus,
+    EventRecorder,
     OrderConstraint,
     RedoDecision,
     UndoDecision,
 )
 from repro.obs.export import render_prometheus, spans_to_chrome_trace
+from repro.obs.metrics import PipelineMetrics
 from repro.obs.provenance import build_span_tree, explain, replay
 from repro.obs.recorder import FlightRecorder, read_flight_log
-from repro.obs.runner import run_figure1_observed, run_fullstack_observed
-from repro.sim.fullstack import FullStackConfig
+from repro.obs.runner import ObsRun, run_figure1_observed
+from repro.sim.fullstack import (
+    FullStackConfig,
+    flight_log_meta,
+    run_replication,
+)
 
 BURSTY = FullStackConfig(arrival_rate=4.0, alert_buffer=3,
                          recovery_buffer=3)
@@ -36,13 +43,20 @@ def record_figure1():
 
 
 def record_fullstack(config=BURSTY, horizon=30.0, seed=3):
+    bus = EventBus()
+    metrics = PipelineMetrics().attach(bus)
+    recorder = EventRecorder().attach(bus)
     flight = FlightRecorder(
-        label="fullstack",
-        meta={"seed": seed, "horizon": horizon},
-    )
-    run = run_fullstack_observed(config, horizon=horizon, seed=seed,
-                                 flight=flight)
+        label="fullstack", meta=flight_log_meta(config, horizon, seed),
+    ).attach(bus)
+    flight.mark("start", 0.0, state="NORMAL")
+    metrics.start(0.0, state="NORMAL")
+    result = run_replication(config, horizon, seed, bus=bus)
+    metrics.finalize(horizon)
+    flight.mark("finalize", horizon)
     flight.close()
+    run = ObsRun(metrics=metrics, events=list(recorder.events),
+                 result=result)
     return read_flight_log(flight.text()), run
 
 
