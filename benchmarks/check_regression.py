@@ -14,7 +14,10 @@ the committed baselines at the repository root and fails (exit 1) when:
   with ``results_identical: false`` (workers=K must reproduce
   workers=1 bit-exactly), any fleet row with
   ``workers_identical: false`` / ``audits_ok: false``, or any profile
-  row below its attribution floor / with an unstable structure digest;
+  row below its attribution floor / with an unstable structure digest,
+  or a fullstack profile rebuilding the dependency closure for more
+  than one alert in ten (``closure_recomputations_per_alert`` above
+  ``MAX_CLOSURE_PER_ALERT``);
 - on rows present in *both* files (matched by ``buffer`` for the CTMC
   sweep, ``replications`` for the simulation batch), a speedup fell by
   more than ``--tolerance`` (default 25%) relative to the committed
@@ -37,6 +40,11 @@ from typing import Dict, List, Optional
 
 #: Operations timed per CTMC row.
 CTMC_OPS = ("steady_state", "transient", "passage")
+
+#: ROADMAP item 1(c)'s gate: the fullstack profile may rebuild the
+#: dependency closure for at most one alert in ten (once per log epoch,
+#: not once per alert).
+MAX_CLOSURE_PER_ALERT = 0.1
 
 
 def _load(path: pathlib.Path, expected_benchmark: str) -> dict:
@@ -197,9 +205,9 @@ def check_profile(fresh: dict, baseline: Optional[dict],
 
     Hard invariants (always): every row with an ``attribution_floor``
     meets it, every row's structure digest was stable across its two
-    runs, the fullstack row names per-alert closure recomputation and
-    the parallel-batch row names fan-out overhead as measured line
-    items.  Baseline comparison (tolerated absent — the profile
+    runs, the fullstack row names closure recomputation as a measured
+    line item at no more than ``MAX_CLOSURE_PER_ALERT`` per alert, and
+    the parallel-batch row names fan-out overhead as one.  Baseline comparison (tolerated absent — the profile
     benchmark is the newest of the set) matches rows by scenario with
     identical ``params`` and fails only when attribution dropped more
     than ``attribution_slack`` absolute below the committed value;
@@ -226,20 +234,29 @@ def check_profile(fresh: dict, baseline: Optional[dict],
     fullstack = by_scenario.get("fullstack")
     if fullstack is None:
         failures.append("profile: no fullstack row")
-    elif fullstack.get("line_items", {}).get(
-            "closure_recomputations", 0) < 1:
-        failures.append(
-            "profile fullstack: closure_recomputations line item "
-            "missing or zero — the per-alert recomputation cost "
-            "(ROADMAP 2b) is no longer measured"
-        )
+    else:
+        items = fullstack.get("line_items", {})
+        if items.get("closure_recomputations", 0) < 1:
+            failures.append(
+                "profile fullstack: closure_recomputations line item "
+                "missing or zero — the closure rebuild cost (ROADMAP "
+                "1(c)) is no longer measured"
+            )
+        per_alert = items.get("closure_recomputations_per_alert")
+        if per_alert is None or per_alert > MAX_CLOSURE_PER_ALERT:
+            failures.append(
+                f"profile fullstack: closure_recomputations_per_alert "
+                f"{per_alert} above {MAX_CLOSURE_PER_ALERT} — the "
+                "dependency closure is rebuilt per alert again instead "
+                "of extended per epoch (ROADMAP 1(c))"
+            )
     parallel = by_scenario.get("batch-parallel")
     if parallel is None:
         failures.append("profile: no batch-parallel row")
     elif "fan_out_overhead_s" not in parallel.get("line_items", {}):
         failures.append(
             "profile batch-parallel: fan_out_overhead_s line item "
-            "missing — the parallel overhead (ROADMAP 2a) is no "
+            "missing — the parallel overhead (ROADMAP item 3) is no "
             "longer measured"
         )
     compared = 0

@@ -18,8 +18,10 @@ from __future__ import annotations
 import time as _time
 from contextlib import nullcontext
 from dataclasses import replace
+from itertools import repeat
 from typing import (
     Callable,
+    Dict,
     Iterable,
     List,
     Mapping,
@@ -29,9 +31,11 @@ from typing import (
     Union,
 )
 
+from repro.core.actions import Action
 from repro.core.partial_orders import recovery_partial_order
 from repro.core.plan import RecoveryPlan
 from repro.core.undo_redo import find_redo_tasks, find_undo_tasks
+from repro.errors import RecoveryError
 from repro.ids.alerts import Alert
 from repro.obs.events import (
     EventBus,
@@ -54,9 +58,13 @@ class RecoveryAnalyzer:
     Parameters
     ----------
     log:
-        The system log to analyze.
+        The system log to analyze.  Its dependency index is built on
+        the first scan and extended with later commits on each next
+        one; drivers whose log rolls with every heal hold one analyzer
+        per epoch.
     specs_by_instance:
-        Spec executed by each workflow instance in the log.
+        Spec executed by each workflow instance in the log, read live
+        (instances registered later are seen by later scans).
     bus:
         Optional :class:`repro.obs.events.EventBus`; when attached, each
         :meth:`analyze` call publishes a
@@ -82,20 +90,18 @@ class RecoveryAnalyzer:
         profiler: Optional[PhaseProfiler] = None,
     ) -> None:
         self._log = log
-        self._specs = dict(specs_by_instance)
+        self._specs = specs_by_instance
         self._dep: Optional[DependencyAnalyzer] = None
         self._bus = bus
         self._clock = clock if clock is not None else _time.monotonic  # lint: allow[DET001] injectable clock; wall time is the live default
         self._profiler = profiler
 
     def _dependency_analyzer(self) -> DependencyAnalyzer:
-        if self._dep is None or len(self._dep.log) != len(self._log):
-            # ROADMAP item 1(c)'s measured embarrassment: the closure
-            # machinery is rebuilt from scratch here — once per analyzer
-            # in standalone mode, once per *alert* in manager mode
-            # (the log rolls with every epoch).  Counted so the profile
-            # names it as a line item instead of burying it in
-            # "analyze" time.
+        if self._dep is None:
+            # The one closure build of this analyzer's log (ROADMAP item
+            # 1(c)): later scans reuse it, and it indexes only what was
+            # committed since.  Drivers hold one analyzer per log epoch,
+            # so the counter reads builds per epoch, not per alert.
             bump("closure_recomputations")
             self._dep = DependencyAnalyzer(self._log, self._specs)
         return self._dep
@@ -183,37 +189,50 @@ class RecoveryAnalyzer:
         analyzer: DependencyAnalyzer,
         order,
         outstanding: Sequence[RecoveryPlan],
-    ):
+    ) -> Tuple[Tuple[Action, Action], ...]:
         """Order the new plan's actions after every conflicting action
-        of every outstanding unit (FIFO across units)."""
+        of every outstanding unit (FIFO across units).
+
+        Two actions conflict when they share an instance or one writes
+        an object the other reads or writes.  Pairs come unit by unit,
+        prior actions sorted, new actions sorted within each prior.
+        """
         new_actions = sorted(order.elements())
         if not outstanding or not new_actions:
             return ()
-        footprints = {}
-        for action in new_actions:
+        n = len(new_actions)
+        # Indices into new_actions: of the actions on each instance, of
+        # those reading or writing each object, of those writing it.
+        on_uid: Dict[str, List[int]] = {}
+        touching: Dict[str, List[int]] = {}
+        writing: Dict[str, List[int]] = {}
+        for i, action in enumerate(new_actions):
             record = analyzer.record(action.uid)
-            footprints[action] = (
-                set(record.reads), set(record.writes)
-            )
-        constraints = []
+            on_uid.setdefault(action.uid, []).append(i)
+            for name in record.reads.keys() | record.writes.keys():
+                touching.setdefault(name, []).append(i)
+            for name in record.writes:
+                writing.setdefault(name, []).append(i)
+        constraints: List[Tuple[Action, Action]] = []
         for plan in outstanding:
             for prior in sorted(plan.order.elements()):
                 try:
                     prior_record = analyzer.record(prior.uid)
-                except Exception:
+                except RecoveryError:
                     continue  # unit from an older log epoch
-                p_reads = set(prior_record.reads)
-                p_writes = set(prior_record.writes)
-                for action in new_actions:
-                    reads, writes = footprints[action]
-                    conflict = (
-                        action.uid == prior.uid
-                        or bool(p_writes & reads)
-                        or bool(p_reads & writes)
-                        or bool(p_writes & writes)
-                    )
-                    if conflict:
-                        constraints.append((prior, action))
+                if (any(len(touching.get(name, ())) == n
+                        for name in prior_record.writes)
+                        or any(len(writing.get(name, ())) == n
+                               for name in prior_record.reads)):
+                    row: Sequence[Action] = new_actions
+                else:
+                    hits = set(on_uid.get(prior.uid, ()))
+                    for name in prior_record.writes:
+                        hits.update(touching.get(name, ()))
+                    for name in prior_record.reads:
+                        hits.update(writing.get(name, ()))
+                    row = [new_actions[i] for i in sorted(hits)]
+                constraints.extend(zip(repeat(prior), row))
         return tuple(constraints)
 
     def analysis_cost(self, outstanding_units: int) -> int:

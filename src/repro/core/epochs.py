@@ -30,6 +30,7 @@ drained.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.axioms import CorrectnessReport, HistoryReplay, HistoryStep
@@ -94,9 +95,11 @@ class EpochManager:
         return list(self._archived)
 
     @property
-    def specs_by_instance(self) -> Dict[str, WorkflowSpec]:
-        """Spec of every workflow instance run so far (all epochs)."""
-        return dict(self._specs)
+    def specs_by_instance(self) -> Mapping[str, WorkflowSpec]:
+        """Spec of every workflow instance run so far (all epochs): a
+        live read-only view, so an analyzer held across scans sees the
+        instances run after it was built."""
+        return MappingProxyType(self._specs)
 
     def new_engine(self) -> Engine:
         """An engine bound to the current epoch's log.

@@ -102,10 +102,11 @@ def recovery_partial_order(
         add_edge("T3.3", Action.undo(uid), Action.redo(uid))
 
     # T3.1: log precedence between redo pairs.
-    redo_sorted = sorted(redos, key=lambda u: analyzer.record(u).seq)
-    for i, earlier in enumerate(redo_sorted):
-        for later in redo_sorted[i + 1:]:
-            add_edge("T3.1", Action.redo(earlier), Action.redo(later))
+    redo_chain = [Action.redo(u) for u in
+                  sorted(redos, key=lambda u: analyzer.record(u).seq)]
+    for i, earlier in enumerate(redo_chain):
+        for later in redo_chain[i + 1:]:
+            add_edge("T3.1", earlier, later)
 
     # T3.2, T3.4, T3.5 from the log's data dependences.
     for uid in sorted(undos | redos):

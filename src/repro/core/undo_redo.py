@@ -216,7 +216,7 @@ def find_undo_tasks(
         model = analyzer.control_model(wf)
         spec = model.spec
         executed_tasks = {
-            r.instance.task_id for r in log.trace(wf)
+            r.instance.task_id for r in analyzer.trace(wf)
         }
         bad_task = record.instance.task_id
         for t_k in sorted(spec.tasks):

@@ -602,6 +602,9 @@ class FleetControlPlane:
             with (prof.phase("sweep") if prof is not None
                   else nullcontext()):
                 pool.map(sweep, self.shards)  # lint: allow[RACE005] phase-confined; sanitizer barriers fence the join
+                # The sweep is the pool's last use: joining its threads
+                # is part of that phase, not unattributed time.
+                pool.close()
             if self._sanitizer is not None:
                 self._sanitizer.barrier("sweep")
         # Final rollup: harvest, shard-profile fold, health freeze.

@@ -308,25 +308,10 @@ class PhaseProfiler:
 
     # -- recording ---------------------------------------------------------
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Measure one phase occurrence under the current stack."""
-        self._stack.append(name)
-        path = tuple(self._stack)
-        w0 = self._wall_clock()
-        s0 = self._sim()
-        try:
-            yield
-        finally:
-            wall = self._wall_clock() - w0
-            sim = self._sim() - s0
-            self._stack.pop()
-            stat = self._stats.get(path)
-            if stat is None:
-                stat = self._stats[path] = PhaseStat()
-            stat.add(wall, sim)
-            if self._registry is not None:
-                self._observe(name, wall)
+    def phase(self, name: str) -> "_Phase":
+        """Context manager measuring one phase occurrence under the
+        current stack."""
+        return _Phase(self, name)
 
     def add_external(
         self,
@@ -459,6 +444,40 @@ class PhaseProfiler:
             rows=rows,
             counters=counters,
         )
+
+
+class _Phase:
+    """One occurrence of a :meth:`PhaseProfiler.phase`.
+
+    A plain class rather than a generator-based context manager: the
+    bookkeeping outside the measured interval is un-attributed time, so
+    it is kept as small as possible.
+    """
+
+    __slots__ = ("_prof", "_name", "_path", "_w0", "_s0")
+
+    def __init__(self, prof: PhaseProfiler, name: str) -> None:
+        self._prof = prof
+        self._name = name
+
+    def __enter__(self) -> None:
+        prof = self._prof
+        prof._stack.append(self._name)
+        self._path = tuple(prof._stack)
+        self._w0 = prof._wall_clock()
+        self._s0 = prof._sim()
+
+    def __exit__(self, *exc_info: Any) -> None:
+        prof = self._prof
+        wall = prof._wall_clock() - self._w0
+        sim = prof._sim() - self._s0
+        prof._stack.pop()
+        stat = prof._stats.get(self._path)
+        if stat is None:
+            stat = prof._stats[self._path] = PhaseStat()
+        stat.add(wall, sim)
+        if prof._registry is not None:
+            prof._observe(self._name, wall)
 
 
 @dataclass

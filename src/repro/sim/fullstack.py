@@ -320,6 +320,9 @@ class FullStackSimulator:
 
         initial = {"balance": 100}
         manager = EpochManager(DataStore(initial), initial)
+        #: The current epoch's analyzer: it keeps its dependency index
+        #: across scans and is dropped when a heal rolls the epoch.
+        analyzer: Optional[RecoveryAnalyzer] = None
 
         alert_queue: List[str] = []          # uids awaiting analysis
         unit_queue: List[RecoveryPlan] = []  # units awaiting execution
@@ -370,7 +373,7 @@ class FullStackSimulator:
         def commit_repairs() -> None:
             """Real heal of everything drained so far, plus admin
             reports for lost alerts; runs at quiescence."""
-            nonlocal heals, repaired, audits_ok
+            nonlocal heals, repaired, audits_ok, analyzer
             uids = executed_uids + lost_backlog
             if not uids:
                 return
@@ -383,6 +386,7 @@ class FullStackSimulator:
                   else nullcontext()):
                 report = manager.heal(uids, bus=bus, clock=lambda: now,
                                       profiler=prof)
+                analyzer = None  # the epoch rolled; free its index
             heals += 1
             repaired += len(report.undone)
             with (prof.phase("audit") if prof is not None
@@ -467,7 +471,7 @@ class FullStackSimulator:
             # from the analyzer's own sub-phases).  dispatch() cannot
             # commit here — the unit queue is never empty after the
             # plan is appended.
-            nonlocal scanning
+            nonlocal scanning, analyzer
             if prof is not None:
                 # Recorded before the phase opens so both land beside
                 # (not inside) "analyze", at whatever stack depth this
@@ -489,10 +493,11 @@ class FullStackSimulator:
                 scanning = False
                 uid = alert_queue.pop(0)
                 now = min(sim.now, horizon)
-                analyzer = RecoveryAnalyzer(
-                    manager.log, manager.specs_by_instance,
-                    bus=bus, clock=lambda: now, profiler=prof,
-                )
+                if analyzer is None:
+                    analyzer = RecoveryAnalyzer(
+                        manager.log, manager.specs_by_instance, bus=bus,
+                        clock=lambda: min(sim.now, horizon), profiler=prof,
+                    )
                 plan = analyzer.analyze([uid],
                                         outstanding=list(unit_queue))
                 unit_queue.append(plan)
@@ -535,8 +540,10 @@ class FullStackSimulator:
                             plan.order, executor=lambda action: None,
                             bus=bus, clock=lambda: now,
                         ).run()
-                for plan in unit_queue:
-                    executed_uids.extend(plan.alert_uids)
+                # A generator, so no local keeps the last plan alive
+                # and the drained plans are freed inside this phase.
+                executed_uids.extend(
+                    uid for plan in unit_queue for uid in plan.alert_uids)
                 unit_queue.clear()
             dispatch()
             note_state()

@@ -159,15 +159,16 @@ class SelfHealingSystem:
         # never reach the system-level AlertLost instrumentation.
         self._alerts.instrument("alert", bus, self._clock)
         self._plans.instrument("recovery", bus, self._clock)
-        # In manager mode the log and spec set roll with every heal, so
-        # the analyzer is rebuilt per scan (its constructor is cheap —
-        # dependency analysis is lazy); standalone mode keeps one.
+        # One analyzer per log: standalone mode keeps this one; in
+        # manager mode the log rolls with every heal, so scan_step
+        # builds one per epoch.
         self._profiler = profiler
         self._analyzer = (
             None if manager is not None
             else RecoveryAnalyzer(log, self._specs, bus=bus,
                                   clock=self._clock, profiler=profiler)
         )
+        self._analyzer_epoch = -1  # manager mode: epoch of self._analyzer
         self._verify = verify
         self._heals: List[HealReport] = []
         self._last_state = self.state
@@ -293,13 +294,15 @@ class SelfHealingSystem:
                             sim=self._clock() - queued_at)
         with (prof.phase("analyze") if prof is not None
               else nullcontext()):
-            analyzer = self._analyzer
-            if analyzer is None:  # manager mode: bind the current epoch
-                analyzer = RecoveryAnalyzer(
-                    self._manager.log, self._manager.specs_by_instance,
+            manager = self._manager
+            if manager is not None and \
+                    self._analyzer_epoch != manager.epoch:
+                self._analyzer = RecoveryAnalyzer(
+                    manager.log, manager.specs_by_instance,
                     bus=self._bus, clock=self._clock, profiler=prof,
                 )
-            plan = analyzer.analyze(
+                self._analyzer_epoch = manager.epoch
+            plan = self._analyzer.analyze(
                 [alert], outstanding=list(self._plans)
             )
             if self._verify:
@@ -383,6 +386,8 @@ class SelfHealingSystem:
                 report = self._manager.heal(uids, bus=self._bus,
                                             clock=self._clock,
                                             profiler=prof)
+                # Release the archived epoch's analyzer and its index.
+                self._analyzer = None
             else:
                 healer = Healer(self._store, self._log, self._specs,
                                 bus=self._bus, clock=self._clock,

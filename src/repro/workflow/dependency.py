@@ -19,6 +19,7 @@ in the test suite.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import (
@@ -35,7 +36,7 @@ from typing import (
 
 from repro.errors import RecoveryError
 from repro.workflow.dominators import dominators, unavoidable_nodes
-from repro.workflow.log import LogRecord, SystemLog
+from repro.workflow.log import LogRecord, RecordKind, SystemLog
 from repro.workflow.spec import WorkflowSpec
 
 __all__ = [
@@ -125,15 +126,22 @@ class ControlDependencies:
 class DependencyAnalyzer:
     """Log-level dependence analysis across all workflows in the system.
 
+    The analyzer indexes the log's normal records — version → writer,
+    version → readers, object → writers in commit order, workflow
+    instance → trace — and every query first indexes the records
+    committed since the previous one.  One analyzer therefore serves a
+    growing log, and each query costs in proportion to the edges it
+    returns, not to the length of the log.
+
     Parameters
     ----------
     log:
-        The system log to analyze (a snapshot; the analyzer never mutates
-        it).
+        The system log to analyze (the analyzer never mutates it).
     specs:
         Mapping from *workflow instance id* to the
-        :class:`~repro.workflow.spec.WorkflowSpec` that instance executes.
-        Needed for control dependences; data dependences work without it.
+        :class:`~repro.workflow.spec.WorkflowSpec` that instance executes,
+        read live, so instances registered later are visible.  Needed
+        for control dependences; data dependences work without it.
     """
 
     def __init__(
@@ -142,14 +150,41 @@ class DependencyAnalyzer:
         specs: Optional[Mapping[str, WorkflowSpec]] = None,
     ) -> None:
         self._log = log
-        self._records: Tuple[LogRecord, ...] = log.normal_records()
-        self._specs = dict(specs) if specs else {}
+        self._specs: Mapping[str, WorkflowSpec] = \
+            specs if specs is not None else {}
         self._control_cache: Dict[str, ControlDependencies] = {}
+        #: Log positions (records of every kind) indexed so far.
+        self._indexed = 0
+        self._records: List[LogRecord] = []
+        self._by_uid: Dict[str, LogRecord] = {}
         self._writer_of_version: Dict[Tuple[str, int], str] = {}
-        for r in self._records:
+        self._readers_of_version: Dict[Tuple[str, int],
+                                       List[LogRecord]] = {}
+        #: object → uids and seqs of its normal writers, in commit order.
+        self._writers: Dict[str, List[str]] = {}
+        self._writer_seqs: Dict[str, List[int]] = {}
+        self._traces: Dict[str, List[LogRecord]] = {}
+        self._extend()
+
+    def _extend(self) -> None:
+        """Index the normal records committed since the last call."""
+        if len(self._log) == self._indexed:
+            return
+        new = self._log.since(self._indexed)
+        self._indexed += len(new)
+        for r in new:
+            if r.kind != RecordKind.NORMAL:
+                continue
+            self._records.append(r)
+            self._by_uid[r.uid] = r
             for name, ver in r.writes.items():
                 self._writer_of_version[(name, ver)] = r.uid
-        self._by_uid: Dict[str, LogRecord] = {r.uid: r for r in self._records}
+                self._writers.setdefault(name, []).append(r.uid)
+                self._writer_seqs.setdefault(name, []).append(r.seq)
+            for key in r.reads.items():
+                self._readers_of_version.setdefault(key, []).append(r)
+            self._traces.setdefault(
+                r.instance.workflow_instance, []).append(r)
 
     # -- basic access ---------------------------------------------------------
 
@@ -160,10 +195,18 @@ class DependencyAnalyzer:
 
     def record(self, uid: str) -> LogRecord:
         """Normal log record for ``uid``."""
+        self._extend()
         try:
             return self._by_uid[uid]
         except KeyError:
             raise RecoveryError(f"uid {uid!r} not in analyzed log") from None
+
+    def trace(self, workflow_instance: str) -> Tuple[LogRecord, ...]:
+        """Normal records of one workflow instance, in commit order
+        (:meth:`SystemLog.trace <repro.workflow.log.SystemLog.trace>`
+        from the index)."""
+        self._extend()
+        return tuple(self._traces.get(workflow_instance, ()))
 
     def control_model(self, workflow_instance: str) -> ControlDependencies:
         """Control-dependency model for the spec run by ``workflow_instance``."""
@@ -200,59 +243,58 @@ class DependencyAnalyzer:
     def flow_dependents(self, uid: str) -> Tuple[DependencyEdge, ...]:
         """Edges ``uid →f t_j``: instances that read versions ``uid`` wrote."""
         src = self.record(uid)
-        out: List[DependencyEdge] = []
-        written = {(name, ver) for name, ver in src.writes.items()}
-        for r in self._records:
-            if r.seq <= src.seq:
-                continue
-            objs = {
-                name for name, ver in r.reads.items() if (name, ver) in written
-            }
-            if objs:
-                out.append(
-                    DependencyEdge(uid, r.uid, DependencyKind.FLOW,
-                                   frozenset(objs))
-                )
-        return tuple(out)
+        hits: Dict[int, Tuple[str, Set[str]]] = {}
+        for key in src.writes.items():
+            for r in self._readers_of_version.get(key, ()):
+                if r.seq > src.seq:
+                    hits.setdefault(r.seq, (r.uid, set()))[1].add(key[0])
+        return self._edges(uid, DependencyKind.FLOW, hits)
 
     def anti_edges_from(self, uid: str) -> Tuple[DependencyEdge, ...]:
         """Edges ``uid →a t_j``: the *first* later writer of each object
         ``uid`` read."""
         src = self.record(uid)
-        out: List[DependencyEdge] = []
-        pending: Set[str] = set(src.reads)
-        for r in self._records:
-            if r.seq <= src.seq or not pending:
-                continue
-            objs = pending & set(r.writes)
-            if objs:
-                out.append(
-                    DependencyEdge(uid, r.uid, DependencyKind.ANTI,
-                                   frozenset(objs))
-                )
-                pending -= objs
-        return tuple(out)
+        return self._edges(uid, DependencyKind.ANTI,
+                           self._next_writers(src, src.reads))
 
     def output_edges_from(self, uid: str) -> Tuple[DependencyEdge, ...]:
         """Edges ``uid →o t_j``: the *next* writer of each object ``uid``
         wrote."""
         src = self.record(uid)
-        out: List[DependencyEdge] = []
-        pending: Set[str] = set(src.writes)
-        for r in self._records:
-            if r.seq <= src.seq or not pending:
+        return self._edges(uid, DependencyKind.OUTPUT,
+                           self._next_writers(src, src.writes))
+
+    def _next_writers(
+        self, src: LogRecord, names: Iterable[str],
+    ) -> Dict[int, Tuple[str, Set[str]]]:
+        """The first writer after ``src`` of each object in ``names``,
+        with the objects it is first for."""
+        hits: Dict[int, Tuple[str, Set[str]]] = {}
+        for name in names:
+            seqs = self._writer_seqs.get(name)
+            if seqs is None:
                 continue
-            objs = pending & set(r.writes)
-            if objs:
-                out.append(
-                    DependencyEdge(uid, r.uid, DependencyKind.OUTPUT,
-                                   frozenset(objs))
-                )
-                pending -= objs
-        return tuple(out)
+            i = bisect_right(seqs, src.seq)
+            if i < len(seqs):
+                hits.setdefault(seqs[i], (self._writers[name][i],
+                                          set()))[1].add(name)
+        return hits
+
+    @staticmethod
+    def _edges(
+        uid: str, kind: DependencyKind,
+        hits: Mapping[int, Tuple[str, Set[str]]],
+    ) -> Tuple[DependencyEdge, ...]:
+        """One edge per hit (seq → destination uid and objects), in
+        commit order."""
+        return tuple(
+            DependencyEdge(uid, hits[seq][0], kind, frozenset(hits[seq][1]))
+            for seq in sorted(hits)
+        )
 
     def all_data_edges(self) -> Tuple[DependencyEdge, ...]:
         """Every flow / anti / output edge in the log, in source order."""
+        self._extend()
         out: List[DependencyEdge] = []
         for r in self._records:
             out.extend(self.flow_dependents(r.uid))
@@ -321,7 +363,7 @@ class DependencyAnalyzer:
         wf = src.instance.workflow_instance
         model = self.control_model(wf)
         out: List[str] = []
-        for r in self._log.trace(wf):
+        for r in self._traces[wf]:
             if r.seq <= src.seq:
                 continue
             if model.depends(src.instance.task_id, r.instance.task_id):
@@ -334,7 +376,7 @@ class DependencyAnalyzer:
         wf = dst.instance.workflow_instance
         model = self.control_model(wf)
         out: List[str] = []
-        for r in self._log.trace(wf):
+        for r in self._traces[wf]:
             if r.seq >= dst.seq:
                 continue
             if model.depends(r.instance.task_id, dst.instance.task_id):

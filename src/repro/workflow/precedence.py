@@ -120,8 +120,23 @@ class PartialOrder(Generic[T]):
         )
 
     def check_acyclic(self) -> None:
-        """Raise :class:`~repro.errors.CyclicOrderError` when cyclic."""
-        self.topological_order()
+        """Raise :class:`~repro.errors.CyclicOrderError` when cyclic.
+
+        A plain Kahn count; only a cyclic order pays for
+        :meth:`topological_order`, which raises the error.
+        """
+        in_deg = {x: len(preds) for x, preds in self._pred.items()}
+        ready = [x for x, deg in in_deg.items() if deg == 0]
+        seen = 0
+        while ready:
+            node = ready.pop()
+            seen += 1
+            for nxt in self._succ[node]:
+                in_deg[nxt] -= 1
+                if in_deg[nxt] == 0:
+                    ready.append(nxt)
+        if seen != len(self._succ):
+            self.topological_order()
 
     def topological_order(self, tiebreak: Optional[random.Random] = None) -> List[T]:
         """One linear extension of the partial order.

@@ -1,0 +1,405 @@
+"""The indexed, incremental damage analysis: every dependence query equals
+a linear scan of the log, an index extended chunk by chunk equals one
+built at once, a recovery analyzer reused across scans plans exactly like
+a fresh one, and the provenance it emits stays pinned byte for byte."""
+
+import hashlib
+import pickle
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cli import main
+from repro.core.actions import Action, ActionKind
+from repro.core.analyzer import RecoveryAnalyzer
+from repro.core.epochs import EpochManager
+from repro.errors import LogError, RecoveryError
+from repro.fleet import FleetConfig, FleetControlPlane
+from repro.ids.attacks import AttackCampaign
+from repro.sim.fullstack import FullStackConfig, run_replication
+from repro.system import SelfHealingSystem
+from repro.workflow.data import DataStore
+from repro.workflow.dependency import (
+    ControlDependencies,
+    DependencyAnalyzer,
+    DependencyEdge,
+    DependencyKind,
+)
+from repro.workflow.log import RecordKind, SystemLog
+from repro.workflow.spec import workflow
+from repro.workflow.task import TaskInstance
+
+#: t1 → t2 (branch) → t3 | t4 → t5: t3 and t4 are control dependent on t2.
+BRANCHING = (
+    workflow("branching")
+    .task("t1", reads=["a"], writes=["b"])
+    .task("t2", reads=["b"], writes=["c"], choose=lambda d: "t3")
+    .task("t3", reads=["c"], writes=["a"])
+    .task("t4", reads=["a"], writes=["c"])
+    .task("t5", reads=["a", "c"], writes=["b"])
+    .edge("t1", "t2").edge("t2", "t3").edge("t2", "t4")
+    .edge("t3", "t5").edge("t4", "t5")
+    .build()
+)
+INSTANCES = ("w0", "w1", "w2")
+SPECS = {wf: BRANCHING for wf in INSTANCES}
+
+
+class LinearScan:
+    """The reference: every query as a scan over the whole log."""
+
+    def __init__(self, log, specs):
+        self.log = log
+        self.records = log.normal_records()
+        self.models = {wf: ControlDependencies(spec)
+                       for wf, spec in specs.items()}
+        self.writer_of_version = {}
+        for r in self.records:
+            for name, ver in r.writes.items():
+                self.writer_of_version[(name, ver)] = r.uid
+
+    def flow_sources(self, uid):
+        dst = self.log.get(uid)
+        by_src = {}
+        for name, ver in dst.reads.items():
+            src = self.writer_of_version.get((name, ver))
+            if src is not None and src != uid:
+                by_src.setdefault(src, set()).add(name)
+        return tuple(
+            DependencyEdge(src, uid, DependencyKind.FLOW, frozenset(objs))
+            for src, objs in sorted(by_src.items())
+        )
+
+    def flow_dependents(self, uid):
+        src = self.log.get(uid)
+        written = set(src.writes.items())
+        out = []
+        for r in self.records:
+            if r.seq <= src.seq:
+                continue
+            objs = {name for name, ver in r.reads.items()
+                    if (name, ver) in written}
+            if objs:
+                out.append(DependencyEdge(uid, r.uid, DependencyKind.FLOW,
+                                          frozenset(objs)))
+        return tuple(out)
+
+    def _first_later_writers(self, uid, names, kind):
+        src = self.log.get(uid)
+        out = []
+        pending = set(names)
+        for r in self.records:
+            if r.seq <= src.seq or not pending:
+                continue
+            objs = pending & set(r.writes)
+            if objs:
+                out.append(DependencyEdge(uid, r.uid, kind, frozenset(objs)))
+                pending -= objs
+        return tuple(out)
+
+    def anti_edges_from(self, uid):
+        return self._first_later_writers(
+            uid, self.log.get(uid).reads, DependencyKind.ANTI)
+
+    def output_edges_from(self, uid):
+        return self._first_later_writers(
+            uid, self.log.get(uid).writes, DependencyKind.OUTPUT)
+
+    def control_dependents(self, uid):
+        src = self.log.get(uid)
+        wf = src.instance.workflow_instance
+        model = self.models[wf]
+        return tuple(
+            r.uid for r in self.log.trace(wf)
+            if r.seq > src.seq
+            and model.depends(src.instance.task_id, r.instance.task_id)
+        )
+
+    def control_sources(self, uid):
+        dst = self.log.get(uid)
+        wf = dst.instance.workflow_instance
+        model = self.models[wf]
+        return tuple(
+            r.uid for r in self.log.trace(wf)
+            if r.seq < dst.seq
+            and model.depends(r.instance.task_id, dst.instance.task_id)
+        )
+
+    def flow_closure(self, seeds):
+        seen = set()
+        frontier = list(seeds)
+        while frontier:
+            for edge in self.flow_dependents(frontier.pop()):
+                if edge.dst not in seen:
+                    seen.add(edge.dst)
+                    frontier.append(edge.dst)
+        return frozenset(seen)
+
+
+PER_UID_QUERIES = ("flow_sources", "flow_dependents", "anti_edges_from",
+                   "output_edges_from", "control_dependents",
+                   "control_sources")
+
+
+def assert_matches_scan(dep, log):
+    """Every query of ``dep`` equals the linear scan of ``log`` now."""
+    ref = LinearScan(log, SPECS)
+    uids = [r.uid for r in ref.records]
+    for uid in uids:
+        assert dep.record(uid) is log.get(uid)
+        for query in PER_UID_QUERIES:
+            assert getattr(dep, query)(uid) == getattr(ref, query)(uid), \
+                (query, uid)
+        assert dep.flow_closure([uid]) == ref.flow_closure([uid])
+    assert dep.flow_closure(uids) == ref.flow_closure(uids)
+    assert dep.flow_closure([]) == frozenset()
+    for wf in INSTANCES:
+        assert dep.trace(wf) == log.trace(wf)
+    with pytest.raises(RecoveryError):
+        dep.record("nowhere/t1#1")
+
+
+entries = st.lists(
+    st.tuples(
+        st.sampled_from(INSTANCES),
+        st.sampled_from(sorted(BRANCHING.tasks)),
+        st.dictionaries(st.sampled_from("abc"), st.integers(0, 3),
+                        max_size=3),
+        st.dictionaries(st.sampled_from("abc"), st.integers(0, 3),
+                        max_size=3),
+        st.sampled_from((RecordKind.NORMAL,) * 3
+                        + (RecordKind.UNDO, RecordKind.REDO)),
+    ),
+    max_size=12,
+)
+
+
+def commit_all(log, batch, visits):
+    """Commit ``batch``; undo/redo entries re-commit the latest normal
+    instance (and are dropped before there is one)."""
+    for wf, task, reads, writes, kind in batch:
+        if kind == RecordKind.NORMAL:
+            visits[(wf, task)] = visits.get((wf, task), 0) + 1
+            instance = TaskInstance(wf, task, visits[(wf, task)])
+        else:
+            normal = log.normal_records()
+            if not normal:
+                continue
+            instance = normal[-1].instance
+        log.commit(instance, reads=reads, writes=writes, kind=kind)
+
+
+class TestQueriesAgainstLinearScan:
+    @settings(max_examples=60, deadline=None)
+    @given(entries)
+    def test_index_built_at_once(self, batch):
+        log = SystemLog()
+        commit_all(log, batch, {})
+        assert_matches_scan(DependencyAnalyzer(log, SPECS), log)
+
+    @settings(max_examples=40, deadline=None)
+    @given(entries)
+    def test_index_extended_at_every_cut(self, batch):
+        for cut in range(len(batch) + 1):
+            log, visits = SystemLog(), {}
+            commit_all(log, batch[:cut], visits)
+            dep = DependencyAnalyzer(log, SPECS)
+            assert_matches_scan(dep, log)
+            commit_all(log, batch[cut:], visits)
+            assert_matches_scan(dep, log)
+
+    def test_specs_are_read_live(self):
+        log, specs = SystemLog(), {}
+        dep = DependencyAnalyzer(log, specs)
+        log.commit(TaskInstance("late", "t2"), reads={}, writes={})
+        specs["late"] = BRANCHING
+        assert dep.control_model("late").spec is BRANCHING
+
+
+def cross_unit_reference(log, order, outstanding):
+    """Today's P×N cross-unit check over the log's normal records."""
+    new_actions = sorted(order.elements())
+    if not outstanding or not new_actions:
+        return ()
+    pairs = []
+    for plan in outstanding:
+        for prior in sorted(plan.order.elements()):
+            try:
+                p = log.get(prior.uid)
+            except LogError:
+                continue
+            for action in new_actions:
+                a = log.get(action.uid)
+                if (action.uid == prior.uid
+                        or set(p.writes) & set(a.reads)
+                        or set(p.reads) & set(a.writes)
+                        or set(p.writes) & set(a.writes)):
+                    pairs.append((prior, action))
+    return tuple(pairs)
+
+
+@pytest.fixture
+def checked_scans(monkeypatch):
+    """Every scan also runs on a fresh analyzer over the same log; the
+    two plans must be equal, and the cross-unit tuple must equal the
+    reference in order.  Yields the analyzers that ran the scans."""
+    original = RecoveryAnalyzer.analyze
+    analyzers = []
+
+    def analyze(self, alerts, outstanding=()):
+        plan = original(self, alerts, outstanding)
+        fresh = original(RecoveryAnalyzer(self._log, self._specs),
+                         alerts, outstanding)
+        assert plan.alert_uids == fresh.alert_uids
+        assert plan.undo_analysis == fresh.undo_analysis
+        assert plan.redo_analysis == fresh.redo_analysis
+        assert plan.order.elements() == fresh.order.elements()
+        assert plan.order.edges() == fresh.order.edges()
+        assert plan.cross_unit_constraints == fresh.cross_unit_constraints
+        assert plan.cross_unit_constraints == cross_unit_reference(
+            self._log, plan.order, outstanding)
+        analyzers.append(self)
+        return plan
+
+    monkeypatch.setattr(RecoveryAnalyzer, "analyze", analyze)
+    return analyzers
+
+
+def reused(analyzers):
+    """Scans that ran on an analyzer already used by an earlier scan."""
+    distinct = {id(a) for a in analyzers}
+    return len(analyzers) - len(distinct)
+
+
+class TestReusedAnalyzerPlansLikeFresh:
+    @pytest.mark.parametrize("lam,horizon", [(1.0, 40.0), (6.0, 15.0),
+                                             (8.0, 10.0)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fullstack(self, checked_scans, lam, horizon, seed):
+        config = FullStackConfig(arrival_rate=lam, alert_buffer=8,
+                                 recovery_buffer=8)
+        result = run_replication(config, horizon, seed)
+        assert result.all_heals_audited_ok
+        assert checked_scans
+        if lam >= 6.0:
+            assert reused(checked_scans) > len(checked_scans) // 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_self_healing_system_manager_mode(self, checked_scans, seed):
+        report = FleetControlPlane(FleetConfig(
+            tenants=4, duration=30.0, workers=1, seed=seed)).run()
+        assert all(t.audits_ok for t in report.health.tenants)
+        assert reused(checked_scans) > 0
+
+    def test_manager_mode_builds_one_analyzer_per_epoch(self,
+                                                        checked_scans):
+        initial = {"balance": 100}
+        manager = EpochManager(DataStore(initial), initial)
+        system = SelfHealingSystem(manager=manager, alert_buffer=8,
+                                   recovery_buffer=8)
+        for wave in range(3):
+            for i in range(3):
+                name = f"w{wave}.{i}"
+                campaign = AttackCampaign().transform_task(
+                    "apply", lambda _, o: {k: v + 1 for k, v in o.items()},
+                    workflow_instance=name)
+                manager.run_workflow_attacked(victim(name), campaign,
+                                              name=name)
+                system.submit_alert(campaign.malicious_uids[0])
+            system.run_to_quiescence()
+        assert manager.epoch == 3
+        assert len(checked_scans) == 9
+        assert len({id(a) for a in checked_scans}) == 3
+        assert manager.audit().ok
+
+
+def victim(name):
+    return (
+        workflow(name)
+        .task("apply", reads=["balance"],
+              writes=["balance", f"receipt_{name}"],
+              compute=lambda d: {"balance": d["balance"] + 10,
+                                 f"receipt_{name}": d["balance"] + 10})
+        .build()
+    )
+
+
+class TestIndexLivesWithTheAnalyzer:
+    def test_archived_log_has_only_its_own_attributes(self):
+        initial = {"balance": 100}
+        manager = EpochManager(DataStore(initial), initial)
+        system = SelfHealingSystem(manager=manager)
+        for wave in range(2):
+            name = f"w{wave}"
+            campaign = AttackCampaign().transform_task(
+                "apply", lambda _, o: o, workflow_instance=name)
+            manager.run_workflow_attacked(victim(name), campaign, name=name)
+            system.submit_alert(campaign.malicious_uids[0])
+            system.run_to_quiescence()
+        assert len(manager.archived_logs) == 2
+        for log in manager.archived_logs + [manager.log]:
+            assert set(vars(log)) == {"_records", "_by_uid", "_next_seq"}
+
+
+class TestPinnedProvenance:
+    #: sha256 of ``obs record --scenario fullstack --lam 8 --buffer 8
+    #: --horizon 5 --seed 3``: 28,930 records, 26,840 of them XU
+    #: cross-unit constraints, plus every T1–T3 decision in order.
+    OVERLOAD_LOG_SHA256 = (
+        "04f3aff21a02db1e7c0abd95829fbe0770fd5e3ae0d42f23477274e6ba32a34e")
+
+    def test_overload_flight_log_digest(self, tmp_path, capsys):
+        path = tmp_path / "overload.jsonl"
+        assert main(["obs", "record", "--scenario", "fullstack",
+                     "--lam", "8", "--buffer", "8", "--horizon", "5",
+                     "--seed", "3", "--log", str(path)]) == 0
+        assert "28930 flight-log records" in capsys.readouterr().out
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.OVERLOAD_LOG_SHA256
+
+    def test_action_value_semantics(self):
+        undo_b, redo_a = Action.undo("w/t#1"), Action.redo("w/t#2")
+        assert repr(undo_b) == \
+            "Action(kind=<ActionKind.UNDO: 'undo'>, uid='w/t#1')"
+        assert repr(Action.normal("n")) == \
+            "Action(kind=<ActionKind.NORMAL: 'normal'>, uid='n')"
+        assert (str(undo_b), str(redo_a), str(Action.normal("n"))) == \
+            ("undo(w/t#1)", "redo(w/t#2)", "n")
+        assert Action(ActionKind.UNDO, "x") == Action.undo("x")
+        assert Action(kind=ActionKind.REDO, uid="x") == Action.redo("x")
+        assert sorted([undo_b, redo_a, Action.normal("z"),
+                       Action.undo("a")]) == [
+            Action.normal("z"), redo_a, Action.undo("a"), undo_b]
+        assert hash(Action.undo("x")) == hash(Action.undo("x"))
+        assert len({Action.undo("x"), Action.undo("x"),
+                    Action.redo("x")}) == 2
+        for action in (undo_b, redo_a, Action.normal("n")):
+            back = pickle.loads(pickle.dumps(action))
+            assert back == action and type(back) is Action
+            assert back.kind is action.kind
+        with pytest.raises(AttributeError):
+            undo_b.uid = "other"
+
+
+class TestClosureGate:
+    def test_per_alert_rebuilds_fail_the_profile_gate(self):
+        from benchmarks.check_regression import (
+            MAX_CLOSURE_PER_ALERT,
+            check_profile,
+        )
+
+        def profile(per_alert):
+            return {"results": [
+                {"scenario": "fullstack", "digest_stable": True,
+                 "line_items": {
+                     "closure_recomputations": 3,
+                     "closure_recomputations_per_alert": per_alert}},
+                {"scenario": "batch-parallel", "digest_stable": True,
+                 "line_items": {"fan_out_overhead_s": 0.0}},
+            ]}
+
+        assert check_profile(profile(MAX_CLOSURE_PER_ALERT), None) == []
+        failures = check_profile(profile(1.0), None)
+        assert len(failures) == 1
+        assert "closure_recomputations_per_alert 1.0" in failures[0]

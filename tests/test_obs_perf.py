@@ -200,11 +200,11 @@ class TestFullstackAttribution:
         assert first.structure_digest() == second.structure_digest()
         assert first.attribution >= 0.95
         rows = rows_by_path(first)
-        # ROADMAP 2b's measured line item: the closure is re-derived on
-        # every analyzer scan, once per processed alert.
+        # ROADMAP 1(c)'s measured line item: the closure is built once
+        # per log epoch and extended across that epoch's scans, so it
+        # is rebuilt for at most one alert in ten.
         closure = first.counters["closure_recomputations"]
-        assert closure >= 1
-        assert closure == rows["analyze"]["calls"]
+        assert 1 <= closure <= 0.1 * rows["analyze"]["calls"]
         assert rows["analyze;analyze.closure"]["wall"] >= 0.0
 
 
