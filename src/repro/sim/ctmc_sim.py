@@ -9,13 +9,21 @@ this is the cross-validation used by ``benchmarks/bench_sim_vs_ctmc.py``.
 
 Beyond occupancy, the simulator counts what the analytic model can only
 imply: the actual number of alerts lost to a full alert buffer.
+
+The loop runs over integers: it walks the STG's cached
+:meth:`~repro.markov.stg.RecoverySTG.jump_table` (per state the total
+rate, cumulative successor rates and successor indices), so one jump is
+a few list lookups, one ``bisect`` and exactly the RNG draws that
+``random.Random.expovariate`` and a cumulative-rate scan would make.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from math import log
+from typing import Dict, Optional
 
 from repro.errors import SimulationError
 from repro.markov.stg import RecoverySTG, State, StateCategory
@@ -148,16 +156,7 @@ class GillespieSimulator:
         self._stg = stg
         self._rng = rng if rng is not None else random.Random(0)
         self._bus = bus
-        # Per-source sorted outgoing transitions, consistent by
-        # construction with the analytic generator.
-        self._out: Dict[State, Tuple[Tuple[State, float], ...]] = {
-            s: () for s in stg.states
-        }
-        grouped: Dict[State, Dict[State, float]] = {}
-        for (src, dst), rate in stg.transition_rates().items():
-            grouped.setdefault(src, {})[dst] = rate
-        for src, dsts in grouped.items():
-            self._out[src] = tuple(sorted(dsts.items()))
+        self._table = stg.jump_table()
 
     def run(
         self,
@@ -174,19 +173,24 @@ class GillespieSimulator:
         """
         if horizon <= 0:
             raise SimulationError(f"horizon must be > 0, got {horizon}")
-        stg = self._stg
-        rng = self._rng
-        state = start if start is not None else stg.normal_state
-        lam = stg.arrival_rate
+        table = self._table
+        states = table.states
+        totals, cums, succs = table.total, table.cum, table.succ
+        arrivals_at, loss_at = table.arrival, table.loss
+        uniform = self._rng.random
+        i = table.index[start if start is not None
+                        else self._stg.normal_state]
+        lam = self._stg.arrival_rate
         bus = self._bus if self._bus is not None and self._bus.active \
             else None
 
-        time_in: Dict[State, float] = {}
+        # Occupancy per state index, in first-visit order.
+        time_in: Dict[int, float] = {}
+        time_in_get = time_in.get
         now = 0.0
         jumps = 0
         arrivals = 0
         arrivals_lost = 0
-        loss_states = set(stg.loss_states())
         loss_time = 0.0
 
         while now < horizon:
@@ -194,50 +198,63 @@ class GillespieSimulator:
                 raise SimulationError(
                     f"exceeded {max_jumps} jumps before horizon {horizon}"
                 )
-            out = self._out[state]
-            total = sum(rate for _, rate in out)
-            dwell = rng.expovariate(total) if total > 0 else horizon - now
-            end = min(now + dwell, horizon)
+            total = totals[i]
+            # random.Random.expovariate(total), drawn inline.
+            dwell = -log(1.0 - uniform()) / total if total > 0 \
+                else horizon - now
+            end = now + dwell
+            if end > horizon:
+                end = horizon
             elapsed = end - now
-            time_in[state] = time_in.get(state, 0.0) + elapsed
-            if state in loss_states:
+            time_in[i] = time_in_get(i, 0.0) + elapsed
+            if loss_at[i]:  # alert buffer full: arrivals are lost
                 loss_time += elapsed
-            if lam > 0 and state.alerts >= stg.alert_buffer:
-                lost_here = self._poisson_count(lam * elapsed)
-                arrivals += lost_here
-                arrivals_lost += lost_here
-                if bus is not None:
-                    for _ in range(lost_here):
-                        bus.publish(AlertLost(
-                            end, uid="", queue_depth=state.alerts,
-                        ))
+                mean = lam * elapsed
+                if mean > 0:
+                    # Arrivals into the full buffer: a Poisson count
+                    # from summed unit exponentials.
+                    lost_here = 0
+                    acc = -log(1.0 - uniform())
+                    while acc < mean:
+                        lost_here += 1
+                        acc += -log(1.0 - uniform())
+                    arrivals += lost_here
+                    arrivals_lost += lost_here
+                    if bus is not None:
+                        for _ in range(lost_here):
+                            bus.publish(AlertLost(
+                                end, uid="", queue_depth=states[i].alerts,
+                            ))
             now = end
             if now >= horizon or total <= 0:
                 break
-            nxt = self._choose(out, total)
-            if nxt.alerts == state.alerts + 1:
+            k = bisect_left(cums[i], uniform() * total)
+            nxt = succs[i][k]
+            if arrivals_at[i][k]:
                 arrivals += 1  # an accepted alert arrival
                 if bus is not None:
                     bus.publish(AlertEnqueued(
-                        now, uid="", queue_depth=nxt.alerts,
+                        now, uid="", queue_depth=states[nxt].alerts,
                     ))
-            elif bus is not None and nxt.units == state.units + 1:
+            elif bus is not None \
+                    and states[nxt].units == states[i].units + 1:
                 # A scan jump moves one alert into the recovery queue.
                 bus.publish(UnitEmitted(
-                    now, units=1, queue_depth=nxt.units,
+                    now, units=1, queue_depth=states[nxt].units,
                 ))
             if bus is not None:
+                old, new = states[i], states[nxt]
                 bus.publish(StateTransition(
-                    now, old=str(state), new=str(nxt),
-                    old_category=state.category.name,
-                    new_category=nxt.category.name,
+                    now, old=str(old), new=str(new),
+                    old_category=old.category.name,
+                    new_category=new.category.name,
                 ))
-            state = nxt
+            i = nxt
             jumps += 1
 
         result = GillespieResult(
             horizon=horizon,
-            occupancy={s: t / horizon for s, t in time_in.items()},
+            occupancy={states[j]: t / horizon for j, t in time_in.items()},
             loss_time_fraction=loss_time / horizon,
             arrivals=arrivals,
             arrivals_lost=arrivals_lost,
@@ -248,29 +265,3 @@ class GillespieSimulator:
             cat[s.category] += frac
         result.category_occupancy = cat
         return result
-
-    # -- internals --------------------------------------------------------
-
-    def _choose(
-        self,
-        out: Tuple[Tuple[State, float], ...],
-        total: float,
-    ) -> State:
-        x = self._rng.random() * total
-        acc = 0.0
-        for dst, rate in out:
-            acc += rate
-            if x <= acc:
-                return dst
-        return out[-1][0]  # numerical edge: fall back to the last option
-
-    def _poisson_count(self, mean: float) -> int:
-        """Sample a Poisson count via exponential inter-arrival sums."""
-        if mean <= 0:
-            return 0
-        count = 0
-        acc = self._rng.expovariate(1.0)
-        while acc < mean:
-            count += 1
-            acc += self._rng.expovariate(1.0)
-        return count
