@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import platform
 import sys
@@ -136,6 +137,7 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"{args.workers} workers")
     doc = bench_fleet(sizes, workers=args.workers, seed=args.seed)
     doc["meta"] = {
+        "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "platform": platform.platform(),
         "quick": args.quick,

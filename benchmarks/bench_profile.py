@@ -11,7 +11,8 @@ Emits ``BENCH_profile.json``: one profiled run per scenario of the
   sim totals, counters — everything but the wall times);
 - **named line items** — the measured cost drivers the paper's scaling
   embarrassments hide behind: Theorem 1/2 closure rebuilds per alert
-  (ROADMAP item 1(c); one per log epoch) and the parallel batch's fan-out
+  (ROADMAP item 1(c); one per log epoch), the wall time of the closure
+  and plan phases of damage analysis, and the parallel batch's fan-out
   overhead (ROADMAP item 3, the <1 speedup), as real numbers, not
   prose.
 
@@ -22,15 +23,17 @@ Run as a script::
     PYTHONPATH=src python benchmarks/bench_profile.py --out-dir benchmarks/results
 
 ``benchmarks/check_regression.py`` gates the output: attribution
-floors, digest stability, the presence of both named line items and
-a closure rebuild rate of at most 0.1 per alert are hard failures; the wall-time columns are informational (cross-
-machine timing comparisons are noise).
+floors, digest stability, the presence of the closure, plan-phase and
+fan-out line items and a closure rebuild rate of at most 0.1 per alert
+are hard failures; the wall-time columns are informational
+(cross-machine timing comparisons are noise).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import platform
 import sys
@@ -89,6 +92,10 @@ def profile_fullstack(horizon: float, seed: int) -> List[dict]:
             "closure_recomputations_per_alert": closure / alerts,
             "closure_wall_s": rows.get(
                 "analyze;analyze.closure", {}).get("wall", 0.0),
+            # Theorem 3/4 ordering and the cross-unit check; gated for
+            # presence so the plan phase stays measured.
+            "plan_wall_s": rows.get(
+                "analyze;analyze.plan", {}).get("wall", 0.0),
         },
     }]
 
@@ -209,6 +216,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "seed": args.seed,
         "results": results,
         "meta": {
+            "nproc": os.cpu_count(),
             "python": platform.python_version(),
             "platform": platform.platform(),
             "quick": args.quick,

@@ -206,8 +206,10 @@ def check_profile(fresh: dict, baseline: Optional[dict],
     Hard invariants (always): every row with an ``attribution_floor``
     meets it, every row's structure digest was stable across its two
     runs, the fullstack row names closure recomputation as a measured
-    line item at no more than ``MAX_CLOSURE_PER_ALERT`` per alert, and
-    the parallel-batch row names fan-out overhead as one.  Baseline comparison (tolerated absent — the profile
+    line item at no more than ``MAX_CLOSURE_PER_ALERT`` per alert and
+    the plan-phase wall as ``plan_wall_s``, and the parallel-batch row
+    names fan-out overhead as one.  Baseline comparison (tolerated
+    absent — the profile
     benchmark is the newest of the set) matches rows by scenario with
     identical ``params`` and fails only when attribution dropped more
     than ``attribution_slack`` absolute below the committed value;
@@ -249,6 +251,12 @@ def check_profile(fresh: dict, baseline: Optional[dict],
                 f"{per_alert} above {MAX_CLOSURE_PER_ALERT} — the "
                 "dependency closure is rebuilt per alert again instead "
                 "of extended per epoch (ROADMAP 1(c))"
+            )
+        if "plan_wall_s" not in items:
+            failures.append(
+                "profile fullstack: plan_wall_s line item missing — the "
+                "analyze.plan phase (Theorem 3/4 ordering and the "
+                "cross-unit check) is no longer measured"
             )
     parallel = by_scenario.get("batch-parallel")
     if parallel is None:

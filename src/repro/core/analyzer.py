@@ -18,7 +18,6 @@ from __future__ import annotations
 import time as _time
 from contextlib import nullcontext
 from dataclasses import replace
-from itertools import repeat
 from typing import (
     Callable,
     Dict,
@@ -33,7 +32,7 @@ from typing import (
 
 from repro.core.actions import Action
 from repro.core.partial_orders import recovery_partial_order
-from repro.core.plan import RecoveryPlan
+from repro.core.plan import CrossUnitRow, RecoveryPlan
 from repro.core.undo_redo import find_redo_tasks, find_undo_tasks
 from repro.errors import RecoveryError
 from repro.ids.alerts import Alert
@@ -156,18 +155,22 @@ class RecoveryAnalyzer:
                 trace=order_trace,
             )
             order.check_acyclic()
-            cross = self._cross_unit_constraints(analyzer, order,
-                                                 outstanding)
+            cross_actions, cross_rows = self._cross_unit_constraints(
+                analyzer, order, outstanding)
         if tracing:
             now = self._clock()
             # Provenance first (why each action exists and how it is
             # ordered), then the ScanStep that closes the analysis.
             for decision in undo_trace + redo_trace + order_trace:
                 self._bus.publish(replace(decision, time=now))
-            for prior, action in cross:
-                self._bus.publish(OrderConstraint(
-                    now, rule="XU", before=str(prior), after=str(action),
-                ))
+            names = [str(action) for action in cross_actions]
+            for prior, hits in cross_rows:
+                before = str(prior)
+                row = names if hits is None else [names[i] for i in hits]
+                for after in row:
+                    self._bus.publish(OrderConstraint(
+                        now, rule="XU", before=before, after=after,
+                    ))
             outstanding_units = sum(p.units for p in outstanding)
             self._bus.publish(ScanStep(
                 now,
@@ -181,7 +184,8 @@ class RecoveryAnalyzer:
             redo_analysis=redo_analysis,
             order=order,
             units=len(uids),
-            cross_unit_constraints=cross,
+            cross_unit_actions=cross_actions,
+            cross_unit_rows=cross_rows,
         )
 
     def _cross_unit_constraints(
@@ -189,17 +193,23 @@ class RecoveryAnalyzer:
         analyzer: DependencyAnalyzer,
         order,
         outstanding: Sequence[RecoveryPlan],
-    ) -> Tuple[Tuple[Action, Action], ...]:
+    ) -> Tuple[Tuple[Action, ...], Tuple[CrossUnitRow, ...]]:
         """Order the new plan's actions after every conflicting action
         of every outstanding unit (FIFO across units).
 
         Two actions conflict when they share an instance or one writes
-        an object the other reads or writes.  Pairs come unit by unit,
-        prior actions sorted, new actions sorted within each prior.
+        an object the other reads or writes.  The result is factored:
+        the new actions sorted, and one ``(prior, hits)`` row per
+        conflicting prior action, unit by unit and prior actions sorted,
+        where ``hits`` is the sorted indices of the new actions it
+        conflicts with or ``None`` for all of them.  Expanding the rows
+        gives the pairs in the order a pair-by-pair check would list
+        them (:attr:`RecoveryPlan.cross_unit_constraints`), without
+        allocating one tuple per pair.
         """
-        new_actions = sorted(order.elements())
+        new_actions = tuple(sorted(order.elements()))
         if not outstanding or not new_actions:
-            return ()
+            return (), ()
         n = len(new_actions)
         # Indices into new_actions: of the actions on each instance, of
         # those reading or writing each object, of those writing it.
@@ -213,27 +223,32 @@ class RecoveryAnalyzer:
                 touching.setdefault(name, []).append(i)
             for name in record.writes:
                 writing.setdefault(name, []).append(i)
-        constraints: List[Tuple[Action, Action]] = []
+        # Objects whose writer, or whose reader, conflicts with all of
+        # new_actions.
+        touched_by_all = {name for name, idx in touching.items()
+                          if len(idx) == n}
+        written_by_all = {name for name, idx in writing.items()
+                          if len(idx) == n}
+        rows: List[CrossUnitRow] = []
         for plan in outstanding:
             for prior in sorted(plan.order.elements()):
                 try:
                     prior_record = analyzer.record(prior.uid)
                 except RecoveryError:
                     continue  # unit from an older log epoch
-                if (any(len(touching.get(name, ())) == n
-                        for name in prior_record.writes)
-                        or any(len(writing.get(name, ())) == n
-                               for name in prior_record.reads)):
-                    row: Sequence[Action] = new_actions
-                else:
-                    hits = set(on_uid.get(prior.uid, ()))
-                    for name in prior_record.writes:
-                        hits.update(touching.get(name, ()))
-                    for name in prior_record.reads:
-                        hits.update(writing.get(name, ()))
-                    row = [new_actions[i] for i in sorted(hits)]
-                constraints.extend(zip(repeat(prior), row))
-        return tuple(constraints)
+                if (not touched_by_all.isdisjoint(prior_record.writes)
+                        or not written_by_all.isdisjoint(
+                            prior_record.reads)):
+                    rows.append((prior, None))
+                    continue
+                hits = set(on_uid.get(prior.uid, ()))
+                for name in prior_record.writes:
+                    hits.update(touching.get(name, ()))
+                for name in prior_record.reads:
+                    hits.update(writing.get(name, ()))
+                if hits:
+                    rows.append((prior, tuple(sorted(hits))))
+        return new_actions, tuple(rows)
 
     def analysis_cost(self, outstanding_units: int) -> int:
         """Dependence checks needed to admit one more alert when

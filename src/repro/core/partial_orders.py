@@ -101,12 +101,18 @@ def recovery_partial_order(
     for uid in sorted(undos & redos):
         add_edge("T3.3", Action.undo(uid), Action.redo(uid))
 
-    # T3.1: log precedence between redo pairs.
+    # T3.1: log precedence between redo pairs, all r(r-1)/2 of them in
+    # one insert; the trace lists them pair by pair in the same order.
     redo_chain = [Action.redo(u) for u in
                   sorted(redos, key=lambda u: analyzer.record(u).seq)]
-    for i, earlier in enumerate(redo_chain):
-        for later in redo_chain[i + 1:]:
-            add_edge("T3.1", earlier, later)
+    order.add_chain(redo_chain)
+    if trace is not None:
+        names = [str(action) for action in redo_chain]
+        for i, earlier in enumerate(names):
+            for later in names[i + 1:]:
+                trace.append(OrderConstraint(
+                    0.0, rule="T3.1", before=earlier, after=later,
+                ))
 
     # T3.2, T3.4, T3.5 from the log's data dependences.
     for uid in sorted(undos | redos):

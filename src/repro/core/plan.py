@@ -15,14 +15,19 @@ which requires executing redos and re-deciding branches — is the
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 from typing import FrozenSet, List, Optional, Tuple
 
 from repro.core.actions import Action, ActionKind
 from repro.core.undo_redo import RedoAnalysis, UndoAnalysis
 from repro.workflow.precedence import PartialOrder
 
-__all__ = ["RecoveryPlan"]
+__all__ = ["CrossUnitRow", "RecoveryPlan"]
+
+#: One prior action and the sorted indices of the new actions it
+#: conflicts with, ``None`` meaning every one of them.
+CrossUnitRow = Tuple[Action, Optional[Tuple[int, ...]]]
 
 
 @dataclass
@@ -40,13 +45,17 @@ class RecoveryPlan:
     units:
         Number of recovery-task units (= number of alerts; the CTMC's
         queue items).
-    cross_unit_constraints:
-        Ordering constraints against *previously queued* recovery units:
-        ``(earlier unit's action, this plan's action)`` pairs for every
-        conflict (shared instance or overlapping data objects).  The
-        analyzer computes these by checking each new alert against all
+    cross_unit_actions, cross_unit_rows:
+        Ordering constraints against *previously queued* recovery units,
+        stored factored: ``cross_unit_actions`` is this plan's actions,
+        sorted, and each row ``(prior, hits)`` names one earlier unit's
+        action that conflicts (shared instance or overlapping data
+        objects) with the new actions at the sorted indices ``hits`` —
+        or with all of them when ``hits`` is ``None``.  The analyzer
+        computes these by checking each new alert against all
         outstanding units — the work that makes the alert-processing
         rate ``μ_k`` fall as the recovery queue grows (Section IV-D).
+        :attr:`cross_unit_constraints` expands them into pairs.
     """
 
     alert_uids: Tuple[str, ...]
@@ -54,7 +63,20 @@ class RecoveryPlan:
     redo_analysis: RedoAnalysis
     order: PartialOrder[Action]
     units: int
-    cross_unit_constraints: Tuple[Tuple[Action, Action], ...] = ()
+    cross_unit_actions: Tuple[Action, ...] = ()
+    cross_unit_rows: Tuple[CrossUnitRow, ...] = ()
+
+    @property
+    def cross_unit_constraints(self) -> Tuple[Tuple[Action, Action], ...]:
+        """``(earlier unit's action, this plan's action)`` for every
+        cross-unit conflict: rows in order, new actions sorted within
+        each row.  Built on each read from the factored rows."""
+        actions = self.cross_unit_actions
+        pairs: List[Tuple[Action, Action]] = []
+        for prior, hits in self.cross_unit_rows:
+            row = actions if hits is None else [actions[i] for i in hits]
+            pairs.extend(zip(repeat(prior), row))
+        return tuple(pairs)
 
     @property
     def undo_actions(self) -> FrozenSet[Action]:

@@ -22,6 +22,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
     TypeVar,
@@ -67,6 +68,25 @@ class PartialOrder(Generic[T]):
         self.add_element(after)
         self._succ[before].add(after)
         self._pred[after].add(before)
+
+    def add_chain(self, seq: Sequence[T]) -> None:
+        """Record ``seq[i] ≺ seq[j]`` for every ``i < j``: all pairs, not
+        just neighbours.
+
+        Each successor and predecessor set receives the same elements in
+        the same insertion order as :meth:`add_edge` over the pairs in
+        row-major order, so set iteration order — and with it
+        :meth:`topological_order` — is unchanged, at one set update per
+        element instead of one call per pair.
+        """
+        if len(set(seq)) != len(seq):
+            raise CyclicOrderError(
+                f"chain of {len(seq)} repeats an element: reflexive ≺")
+        for element in seq:
+            self.add_element(element)
+        for i, element in enumerate(seq):
+            self._succ[element].update(seq[i + 1:])
+            self._pred[element].update(seq[:i])
 
     # -- queries ------------------------------------------------------------
 

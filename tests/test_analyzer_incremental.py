@@ -394,7 +394,8 @@ class TestClosureGate:
                 {"scenario": "fullstack", "digest_stable": True,
                  "line_items": {
                      "closure_recomputations": 3,
-                     "closure_recomputations_per_alert": per_alert}},
+                     "closure_recomputations_per_alert": per_alert,
+                     "plan_wall_s": 0.0}},
                 {"scenario": "batch-parallel", "digest_stable": True,
                  "line_items": {"fan_out_overhead_s": 0.0}},
             ]}
@@ -403,3 +404,17 @@ class TestClosureGate:
         failures = check_profile(profile(1.0), None)
         assert len(failures) == 1
         assert "closure_recomputations_per_alert 1.0" in failures[0]
+
+    def test_missing_plan_wall_fails_the_profile_gate(self):
+        from benchmarks.check_regression import check_profile
+
+        doc = {"results": [
+            {"scenario": "fullstack", "digest_stable": True,
+             "line_items": {"closure_recomputations": 3,
+                            "closure_recomputations_per_alert": 0.05}},
+            {"scenario": "batch-parallel", "digest_stable": True,
+             "line_items": {"fan_out_overhead_s": 0.0}},
+        ]}
+        failures = check_profile(doc, None)
+        assert len(failures) == 1
+        assert "plan_wall_s" in failures[0]
