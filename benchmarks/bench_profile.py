@@ -14,7 +14,11 @@ Emits ``BENCH_profile.json``: one profiled run per scenario of the
   (ROADMAP item 1(c); one per log epoch), the wall time of the closure
   and plan phases of damage analysis, and the parallel batch's fan-out
   overhead (ROADMAP item 3, the <1 speedup), as real numbers, not
-  prose.
+  prose;
+- **the conformance monitor on its own** — one seeded fullstack run is
+  recorded off a bus and the Definition 2 LTLf pack replays it twice
+  (:func:`repro.obs.monitor.replay_conformance`): events, monitor wall
+  time, events per second and violations (an honest run has none).
 
 Run as a script::
 
@@ -24,8 +28,9 @@ Run as a script::
 
 ``benchmarks/check_regression.py`` gates the output: attribution
 floors, digest stability, the presence of the closure, plan-phase and
-fan-out line items and a closure rebuild rate of at most 0.1 per alert
-are hard failures; the wall-time columns are informational
+fan-out line items, a closure rebuild rate of at most 0.1 per alert and
+a conformance row with zero violations are hard failures; the
+wall-time columns are informational
 (cross-machine timing comparisons are noise).
 """
 
@@ -41,6 +46,8 @@ import time
 from typing import Dict, List, Optional
 
 from repro.fleet import FleetConfig, FleetControlPlane
+from repro.obs.events import EventBus, EventRecorder
+from repro.obs.monitor import replay_conformance
 from repro.obs.perf import PhaseProfiler
 from repro.sim.batch import run_fullstack_batch
 from repro.sim.fullstack import FullStackConfig, run_replication
@@ -183,6 +190,44 @@ def profile_fleet(tenants: int, duration: float, seed: int,
     }]
 
 
+def profile_conformance(horizon: float, seed: int) -> List[dict]:
+    """The LTLf monitor alone: replay one recorded fullstack run's
+    events through a fresh monitor, twice, and keep the faster wall
+    (the second replay steps tables the first filled; the two verdict
+    streams must agree)."""
+    config = FullStackConfig(arrival_rate=6.0, alert_buffer=4,
+                             recovery_buffer=4)
+    bus = EventBus()
+    recorder = EventRecorder().attach(bus)
+    run_replication(config, horizon=horizon, seed=seed, bus=bus)
+    events = recorder.events
+
+    def once():
+        t0 = time.perf_counter()
+        monitor = replay_conformance(events)
+        return monitor, time.perf_counter() - t0
+
+    (first, wall), (second, again) = once(), once()
+    wall = min(wall, again)
+    return [{
+        "scenario": "conformance",
+        "params": {"horizon": horizon, "seed": seed,
+                   "arrival_rate": 6.0},
+        "total_wall_s": wall,
+        "attribution": None,
+        "attribution_floor": None,
+        "digest": None,
+        "digest_stable": first.violations == second.violations,
+        "counters": {},
+        "line_items": {
+            "events": len(events),
+            "monitor_wall_s": wall,
+            "events_per_s": len(events) / wall if wall > 0 else 0.0,
+            "violations": first.violation_count,
+        },
+    }]
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Profiling-layer benchmark (JSON output)")
@@ -204,10 +249,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                              args.seed)
     results += profile_fleet(shape["tenants"], shape["duration"],
                              args.seed, args.fleet_workers)
+    results += profile_conformance(shape["horizon"], args.seed)
     for row in results:
         floor = row["attribution_floor"]
-        print(f"  {row['scenario']:<15} attribution "
-              f"{row['attribution']:.3f}"
+        attribution = (f"attribution {row['attribution']:.3f}"
+                       if row["attribution"] is not None
+                       else f"{row['line_items']}")
+        print(f"  {row['scenario']:<15} {attribution}"
               f"{f' (floor {floor})' if floor else ''} "
               f"digest_stable={row['digest_stable']}")
 

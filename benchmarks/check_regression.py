@@ -207,8 +207,9 @@ def check_profile(fresh: dict, baseline: Optional[dict],
     meets it, every row's structure digest was stable across its two
     runs, the fullstack row names closure recomputation as a measured
     line item at no more than ``MAX_CLOSURE_PER_ALERT`` per alert and
-    the plan-phase wall as ``plan_wall_s``, and the parallel-batch row
-    names fan-out overhead as one.  Baseline comparison (tolerated
+    the plan-phase wall as ``plan_wall_s``, the parallel-batch row
+    names fan-out overhead as one, and the conformance row exists and
+    found no violations on its honest run.  Baseline comparison (tolerated
     absent — the profile
     benchmark is the newest of the set) matches rows by scenario with
     identical ``params`` and fails only when attribution dropped more
@@ -266,6 +267,19 @@ def check_profile(fresh: dict, baseline: Optional[dict],
             "profile batch-parallel: fan_out_overhead_s line item "
             "missing — the parallel overhead (ROADMAP item 3) is no "
             "longer measured"
+        )
+    conformance = by_scenario.get("conformance")
+    if conformance is None:
+        failures.append(
+            "profile: no conformance row — the LTLf monitor's own cost "
+            "is no longer measured"
+        )
+    elif conformance.get("line_items", {}).get("violations") != 0:
+        failures.append(
+            f"profile conformance: "
+            f"{conformance.get('line_items', {}).get('violations')} "
+            "violation(s) on an honest fullstack run (Definition 2 "
+            "monitor or pipeline regressed)"
         )
     compared = 0
     if baseline is not None:

@@ -9,6 +9,7 @@ and RACE102 checks at runtime.
 Tiers, outermost (acquired first) to innermost::
 
     server(0) -> registry(1) -> metric(2) -> bus(3) -> queue(4) -> shard(5)
+        -> monitor(6)
 
 Observed nestings in the tree today: the telemetry handler holds the
 ``server`` RLock while rendering, which walks the registry
@@ -17,6 +18,9 @@ The bus, queue and shard tiers currently nest inside nothing — the bus
 dispatches outside its lock and the queues/shards are phase-confined
 — but they have reserved levels so the upcoming process-pool/asyncio
 shard work inherits an established order instead of inventing one.
+The ``monitor`` tier guards the fill path of the per-process LTLf
+monitor tables (:mod:`repro.obs.monitor`); a fill acquires nothing
+else, so it is innermost and may run under any other lock.
 
 Checking is **opt-in** (``enable_checks()`` or the
 ``REPRO_LOCK_ORDER`` environment variable): production builds get a
@@ -48,6 +52,7 @@ LOCK_LEVELS: Dict[str, int] = {
     "bus": 3,
     "queue": 4,
     "shard": 5,
+    "monitor": 6,
 }
 
 _enabled = False

@@ -23,7 +23,9 @@ Three layers:
    deterministic monitor automata by **formula progression**
    (:func:`progress`): consuming one trace letter rewrites the formula
    into the obligation on the remaining suffix, and memoizing the
-   rewrite per (state, letter) *is* the automaton's transition table.
+   rewrite per (state, letter) *is* the automaton's transition table
+   (:class:`MonitorDfa`: int states, bitmask letters, one table per
+   formula per process).
    Verdicts are the four RV-LTL values (:class:`Verdict`): a state of
    ``TRUE``/``FALSE`` is irrevocably satisfied/violated; otherwise the
    empty-suffix evaluation (:func:`eval_empty`) splits the undecided
@@ -109,6 +111,7 @@ from repro.obs.events import (
     UndoDecision,
     UnitEmitted,
 )
+from repro.obs.locks import make_lock
 
 __all__ = [
     "Formula",
@@ -130,6 +133,8 @@ __all__ = [
     "atoms",
     "eval_empty",
     "progress",
+    "MonitorDfa",
+    "monitor_dfa",
     "MonitorAutomaton",
     "LtlProperty",
     "SlicedLtlProperty",
@@ -478,65 +483,161 @@ class Verdict(str, Enum):
         return self in (Verdict.SATISFIED, Verdict.VIOLATED)
 
 
-class MonitorAutomaton:
-    """A deterministic monitor automaton, built lazily by progression.
+def _verdict_of(state: Formula) -> Verdict:
+    """The RV-LTL verdict of a progression state."""
+    if isinstance(state, Const):
+        return Verdict.SATISFIED if state.value else Verdict.VIOLATED
+    return (Verdict.PRESUMABLY_TRUE if eval_empty(state)
+            else Verdict.PRESUMABLY_FALSE)
 
-    States are progressed formulas; the transition function is memoized
-    per (state, letter) in a cache that may be *shared* across automata
-    of the same formula (trace slicing spawns one automaton per slice —
-    all slices of a property reuse one table).  Letters are restricted
-    to the formula's atom alphabet, so extractors may pass arbitrary
-    valuations without fragmenting the cache.
+
+class MonitorDfa:
+    """The deterministic monitor automaton of one formula, with int
+    states, filled lazily by progression.
+
+    Progression computes the LTLf→DFA construction (De Giacomo and
+    Vardi, IJCAI 2013) on the fly; this class is its table.  State ``i``
+    is the formula :attr:`states` ``[i]``, with its verdict, its
+    end-of-trace verdict and its decided flag precomputed in
+    :attr:`verdicts`, :attr:`final` and :attr:`decided`.  A letter
+    becomes a bitmask over the sorted atom alphabet (atoms outside it
+    are ignored), and ``state * 2**len(alphabet) + mask`` indexes the
+    transition.  A miss fills the entry by calling :func:`progress` on
+    the state's formula, so the table never disagrees with progression.
+
+    One table serves every automaton and slice of its formula in the
+    process (:func:`monitor_dfa`), across tenants and pool threads.
+    Lookups that hit are lock-free; the fill path interns the successor
+    (``len(states)``, append, index) under one ``monitor``-tier lock so
+    two threads can never give two formulas one id.
     """
 
-    def __init__(
-        self,
-        formula: Formula,
-        cache: Optional[
-            Dict[Tuple[Formula, FrozenSet[str]], Formula]
-        ] = None,
-    ) -> None:
+    __slots__ = ("formula", "alphabet", "initial", "states", "verdicts",
+                 "final", "decided", "_bits", "_width", "_ids", "_table",
+                 "_lock")
+
+    def __init__(self, formula: Formula) -> None:
         self.formula = formula
         self.alphabet = atoms(formula)
-        self.state = formula
-        self._cache = cache if cache is not None else {}
-        self.steps = 0
+        self._bits = tuple(
+            (atom, 1 << i) for i, atom in enumerate(sorted(self.alphabet))
+        )
+        self._width = 1 << len(self._bits)
+        self.states: List[Formula] = []
+        self.verdicts: List[Verdict] = []
+        self.final: List[Verdict] = []
+        self.decided: List[bool] = []
+        self._ids: Dict[Formula, int] = {}
+        self._table: Dict[int, int] = {}
+        self._lock = make_lock("monitor")
+        with self._lock:
+            self.initial = self._intern(formula)
+
+    def mask(self, letter: Mapping[str, bool]) -> int:
+        """``letter`` as a bitmask over the sorted alphabet."""
+        mask = 0
+        for atom, bit in self._bits:
+            if letter.get(atom, False):
+                mask |= bit
+        return mask
+
+    def step(self, state: int, letter: Mapping[str, bool]) -> int:
+        """The successor of state id ``state`` on ``letter``."""
+        key = state * self._width + self.mask(letter)
+        nxt_state = self._table.get(key)
+        if nxt_state is None:
+            nxt_state = self._fill(key, state, letter)
+        return nxt_state
+
+    def _fill(self, key: int, state: int,
+              letter: Mapping[str, bool]) -> int:
+        with self._lock:
+            nxt_state = self._table.get(key)
+            if nxt_state is None:
+                nxt_state = self._intern(
+                    progress(self.states[state], letter)
+                )
+                self._table[key] = nxt_state
+        return nxt_state
+
+    def _intern(self, state: Formula) -> int:
+        sid = self._ids.get(state)
+        if sid is None:
+            sid = len(self.states)
+            verdict = _verdict_of(state)
+            self.states.append(state)
+            self.verdicts.append(verdict)
+            self.final.append(
+                Verdict.SATISFIED
+                if verdict in (Verdict.SATISFIED, Verdict.PRESUMABLY_TRUE)
+                else Verdict.VIOLATED
+            )
+            self.decided.append(verdict.decided)
+            self._ids[state] = sid
+        return sid
+
+
+_DFAS: Dict[Formula, MonitorDfa] = {}
+_DFAS_LOCK = make_lock("monitor")
+
+
+def monitor_dfa(formula: Formula) -> MonitorDfa:
+    """The process-wide :class:`MonitorDfa` of ``formula`` (structurally
+    equal formulas share one).  Tables live as long as the process: the
+    property pack has nine formulas, and each table holds only the
+    states its traces reached."""
+    dfa = _DFAS.get(formula)
+    if dfa is None:
+        fresh = MonitorDfa(formula)
+        with _DFAS_LOCK:
+            dfa = _DFAS.setdefault(formula, fresh)
+    return dfa
+
+
+class MonitorAutomaton:
+    """One run of a formula's monitor: its shared :class:`MonitorDfa`
+    and the current state id.
+
+    Every automaton of a formula steps the same per-process table, so a
+    property pays for each (state, letter) progression once per process
+    rather than once per tenant or slice.  Letters may carry atoms
+    outside the formula's alphabet; they are ignored.
+    """
+
+    __slots__ = ("dfa", "sid")
+
+    def __init__(self, formula: Formula) -> None:
+        self.dfa = monitor_dfa(formula)
+        self.sid = self.dfa.initial
+
+    @property
+    def formula(self) -> Formula:
+        return self.dfa.formula
+
+    @property
+    def alphabet(self) -> FrozenSet[str]:
+        return self.dfa.alphabet
+
+    @property
+    def state(self) -> Formula:
+        """The current progression state (the obligation on the
+        remaining suffix)."""
+        return self.dfa.states[self.sid]
 
     @property
     def verdict(self) -> Verdict:
         """The RV-LTL verdict after the consumed prefix."""
-        if self.state is TRUE:
-            return Verdict.SATISFIED
-        if self.state is FALSE:
-            return Verdict.VIOLATED
-        return (Verdict.PRESUMABLY_TRUE if eval_empty(self.state)
-                else Verdict.PRESUMABLY_FALSE)
+        return self.dfa.verdicts[self.sid]
 
     def step(self, letter: Mapping[str, bool]) -> Verdict:
         """Consume one trace letter; returns the updated verdict."""
-        self.steps += 1
-        if self.state is TRUE or self.state is FALSE:
-            return self.verdict  # sink states
-        key = (
-            self.state,
-            frozenset(a for a in self.alphabet if letter.get(a, False)),
-        )
-        nxt_state = self._cache.get(key)
-        if nxt_state is None:
-            nxt_state = progress(self.state, letter)
-            self._cache[key] = nxt_state
-        self.state = nxt_state
-        return self.verdict
+        self.sid = self.dfa.step(self.sid, letter)
+        return self.dfa.verdicts[self.sid]
 
     def finalize(self) -> Verdict:
         """Close the trace: undecided states resolve by their
         empty-suffix value (the finite-trace verdict)."""
-        if self.state is TRUE:
-            return Verdict.SATISFIED
-        if self.state is FALSE:
-            return Verdict.VIOLATED
-        return (Verdict.SATISFIED if eval_empty(self.state)
-                else Verdict.VIOLATED)
+        return self.dfa.final[self.sid]
 
 
 # --------------------------------------------------------------------------
@@ -570,6 +671,8 @@ class LtlProperty:
     alphabet are skipped entirely, so each property reads its own
     subsequence of the run (projection semantics; identical online and
     offline).  A violated property reports once and goes quiet.
+    ``reads`` names the event types ``extract`` can map to a letter;
+    :class:`ConformanceMonitor` routes only those types here.
     """
 
     def __init__(
@@ -577,9 +680,11 @@ class LtlProperty:
         name: str,
         formula: Formula,
         extract: Callable[[ObsEvent], Optional[Dict[str, bool]]],
+        reads: Tuple[type, ...],
         describe: Optional[Callable[[ObsEvent], str]] = None,
     ) -> None:
         self.name = name
+        self.reads = reads
         self.automaton = MonitorAutomaton(formula)
         self._extract = extract
         self._describe = describe
@@ -611,8 +716,13 @@ class LtlProperty:
 
 
 class SlicedLtlProperty:
-    """A parametric property: one automaton per *slice* (task uid,
-    order edge, ...), all sharing one transition cache.
+    """A parametric property: one state per *slice* (task uid, order
+    edge, ...) of the formula's shared :class:`MonitorDfa`.
+
+    A slice is just its current state id in :attr:`slices`; spawning one
+    stores :attr:`MonitorDfa.initial`, so slices of every tenant step
+    one per-process table and nothing is built per slice.  ``reads``
+    names the event types ``route`` acts on (see :class:`LtlProperty`).
 
     ``route`` maps an event to ``(spawn, steps)``: slice keys to create
     (ignored when already live or decided) and ``(key, letter)`` pairs
@@ -633,34 +743,39 @@ class SlicedLtlProperty:
             [ObsEvent],
             Tuple[Sequence[str], Sequence[Tuple[str, Dict[str, bool]]]],
         ],
+        reads: Tuple[type, ...],
         finally_detail: str = "unresolved obligation at end of trace",
     ) -> None:
         self.name = name
         self.formula = formula
+        self.reads = reads
         self._route = route
-        self._cache: Dict[Tuple[Formula, FrozenSet[str]], Formula] = {}
-        self.slices: Dict[str, MonitorAutomaton] = {}
+        self._dfa = monitor_dfa(formula)
+        #: Live slice key -> state id of :attr:`_dfa`.
+        self.slices: Dict[str, int] = {}
         self._decided: set = set()
         self._finally_detail = finally_detail
         self.violations = 0
 
     def consume(self, event: ObsEvent) -> List[Finding]:
         spawn, steps = self._route(event)
+        slices = self.slices
+        dfa = self._dfa
         for key in spawn:
-            if key not in self.slices and key not in self._decided:
-                self.slices[key] = MonitorAutomaton(
-                    self.formula, cache=self._cache
-                )
+            if key not in slices and key not in self._decided:
+                slices[key] = dfa.initial
         out: List[Finding] = []
         for key, letter in steps:
-            automaton = self.slices.get(key)
-            if automaton is None:
+            state = slices.get(key)
+            if state is None:
                 continue
-            verdict = automaton.step(letter)
-            if verdict.decided:
-                del self.slices[key]
-                self._decided.add(key)
-            if verdict is Verdict.VIOLATED:
+            state = dfa.step(state, letter)
+            if not dfa.decided[state]:
+                slices[key] = state
+                continue
+            del slices[key]
+            self._decided.add(key)
+            if dfa.verdicts[state] is Verdict.VIOLATED:
                 self.violations += 1
                 out.append(Finding(
                     self.name, Verdict.VIOLATED.value, key,
@@ -670,8 +785,9 @@ class SlicedLtlProperty:
 
     def finalize(self) -> List[Finding]:
         out: List[Finding] = []
+        final = self._dfa.final
         for key in sorted(self.slices):
-            if self.slices[key].finalize() is Verdict.VIOLATED:
+            if final[self.slices[key]] is Verdict.VIOLATED:
                 self.violations += 1
                 out.append(Finding(
                     self.name, "finally-violated", key,
@@ -699,6 +815,8 @@ class ClaimConsistencyProperty:
 
     UNDO = "undo-claim-consistency"
     REDO = "redo-claim-consistency"
+
+    reads = (UndoDecision, RedoDecision, UnitEmitted)
 
     def __init__(self) -> None:
         self.name = "claim-consistency"
@@ -786,6 +904,7 @@ def _heal_alternation() -> LtlProperty:
 
     return LtlProperty(
         "heal-alternation", formula, extract,
+        (HealStarted, HealFinished),
         describe=lambda e: (
             f"{e.kind} at t={e.time:g} breaks the "
             f"HealStarted/HealFinished alternation"
@@ -811,6 +930,7 @@ def _task_within_heal() -> LtlProperty:
 
     return LtlProperty(
         "task-within-heal", formula, extract,
+        (HealStarted, HealFinished, TaskUndone, TaskRedone),
         describe=lambda e: (
             f"{e.kind}({getattr(e, 'uid', '?')}) at t={e.time:g} "
             f"outside any HealStarted/HealFinished bracket"
@@ -827,7 +947,7 @@ def _normal_refusal() -> LtlProperty:
         return None
 
     return LtlProperty(
-        "normal-refusal", formula, extract,
+        "normal-refusal", formula, extract, (NormalTaskRefused,),
         describe=lambda e: (
             f"normal task refused at t={e.time:g} while the system "
             f"reports NORMAL — Theorem 4's gate fired without cause"
@@ -847,7 +967,7 @@ def _undo_completeness() -> SlicedLtlProperty:
         return (), ()
 
     return SlicedLtlProperty(
-        "undo-completeness", formula, route,
+        "undo-completeness", formula, route, (UndoDecision, TaskUndone),
         finally_detail=(
             "uid decided definitely-undone (Theorem 1.1/1.3) was never "
             "undone before the trace ended"
@@ -870,6 +990,7 @@ def _redo_follow_through() -> SlicedLtlProperty:
 
     return SlicedLtlProperty(
         "redo-follow-through", formula, route,
+        (RedoDecision, TaskRedone, TaskUndone),
         finally_detail=(
             "uid decided definitely-redone (Theorem 2.1) was neither "
             "redone nor abandoned before the trace ended"
@@ -890,7 +1011,7 @@ def _undo_before_redo() -> SlicedLtlProperty:
         return (), ()
 
     return SlicedLtlProperty(
-        "undo-before-redo", formula, route,
+        "undo-before-redo", formula, route, (TaskUndone, TaskRedone),
         finally_detail="re-execution without a prior undo",
     )
 
@@ -923,6 +1044,7 @@ class _OrderConsistency(SlicedLtlProperty):
                 eventually(land(before, eventually(after))),
             ),
             self._route_event,
+            (OrderConstraint, ActionDispatched),
             finally_detail=(
                 "a constrained action was dispatched, and no dispatch "
                 "of it ever followed its required predecessor"
@@ -1020,7 +1142,9 @@ class ConformanceMonitor:
     The monitor is deterministic and clock-free: the violation stream
     is a pure function of the event sequence, which is what makes
     online and offline (:func:`replay_conformance`) verdicts
-    bit-identical.
+    bit-identical.  Each event goes only to the properties whose
+    ``reads`` include its type, in pack order, so the violation order is
+    the same as feeding every property every event.
     """
 
     #: Event types the property pack reads; subscription is typed so an
@@ -1044,6 +1168,8 @@ class ConformanceMonitor:
         self.events_seen = 0
         self.finalized = False
         self._bus: Optional[EventBus] = None
+        #: Event type -> the properties that read it, in pack order.
+        self._routes: Dict[type, List[Any]] = {}
 
     @property
     def violation_count(self) -> int:
@@ -1074,8 +1200,14 @@ class ConformanceMonitor:
         if event.time > self.now:
             self.now = event.time
         self.events_seen += 1
+        cls = type(event)
+        routed = self._routes.get(cls)
+        if routed is None:
+            routed = self._routes[cls] = [
+                p for p in self.properties if issubclass(cls, p.reads)
+            ]
         out: List[ConformanceViolation] = []
-        for prop_ in self.properties:
+        for prop_ in routed:
             for finding in prop_.consume(event):
                 out.append(self._violation(event.time, finding))
         return out

@@ -398,6 +398,8 @@ class TestClosureGate:
                      "plan_wall_s": 0.0}},
                 {"scenario": "batch-parallel", "digest_stable": True,
                  "line_items": {"fan_out_overhead_s": 0.0}},
+                {"scenario": "conformance", "digest_stable": True,
+                 "line_items": {"violations": 0}},
             ]}
 
         assert check_profile(profile(MAX_CLOSURE_PER_ALERT), None) == []
@@ -414,6 +416,8 @@ class TestClosureGate:
                             "closure_recomputations_per_alert": 0.05}},
             {"scenario": "batch-parallel", "digest_stable": True,
              "line_items": {"fan_out_overhead_s": 0.0}},
+            {"scenario": "conformance", "digest_stable": True,
+             "line_items": {"violations": 0}},
         ]}
         failures = check_profile(doc, None)
         assert len(failures) == 1

@@ -15,7 +15,14 @@ Four layers, mirroring the module:
    sequences and on full generated campaigns (honest and mutated).
 4. **Pipeline invariance** — `sim.batch` conformance verdicts are
    identical at any worker count.
+5. **Shared tables** — the per-process int-state table agrees with a
+   left fold of :func:`progress` after every step, is shared by every
+   automaton of a formula, and fills consistently under threads.
 """
+
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +50,7 @@ from repro.obs.monitor import (
     ConformanceMonitor,
     Const,
     MonitorAutomaton,
+    MonitorDfa,
     Next,
     Not,
     Or,
@@ -60,6 +68,7 @@ from repro.obs.monitor import (
     land,
     lnot,
     lor,
+    monitor_dfa,
     nxt,
     progress,
     prop,
@@ -497,6 +506,204 @@ class TestReplayIdentity:
                      if isinstance(e, ConformanceViolation)]
         assert [v.property for v in published] == ["task-within-heal"]
         assert monitor.violations == published
+
+
+def rv_verdict(f):
+    """The RV-LTL verdict of a progression state, from its formula."""
+    if f is TRUE:
+        return Verdict.SATISFIED
+    if f is FALSE:
+        return Verdict.VIOLATED
+    return (Verdict.PRESUMABLY_TRUE if eval_empty(f)
+            else Verdict.PRESUMABLY_FALSE)
+
+
+def unrouted_findings(events, finalize):
+    """Every event through every property of one pack, in pack order —
+    the monitor's semantics before events were routed by type."""
+    pack = strict_property_pack()
+    out = []
+    for event in events:
+        for prop_ in pack:
+            out.extend((f.prop, f.verdict, f.instance, f.detail)
+                       for f in prop_.consume(event))
+    if finalize:
+        for prop_ in pack:
+            out.extend((f.prop, f.verdict, f.instance, f.detail)
+                       for f in prop_.finalize())
+    return out
+
+
+class TestSharedTable:
+    @settings(max_examples=300, deadline=None)
+    @given(f=formula_st, trace=trace_st)
+    def test_table_matches_progression_after_every_step(self, f, trace):
+        automaton = MonitorAutomaton(f)
+        expected = f
+        assert automaton.state == expected
+        assert automaton.verdict is rv_verdict(expected)
+        for letter in trace:
+            expected = progress(expected, letter)
+            automaton.step(letter)
+            assert automaton.state == expected
+            assert automaton.verdict is rv_verdict(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(f=formula_st)
+    def test_automata_of_one_formula_share_one_table(self, f):
+        a, b = MonitorAutomaton(f), MonitorAutomaton(f)
+        assert a.dfa is b.dfa is monitor_dfa(f)
+        assert a.formula == f and a.alphabet == atoms(f)
+
+    def test_structurally_equal_packs_share_tables(self):
+        a, b = strict_property_pack(), strict_property_pack()
+        for left, right in zip(a, b):
+            if hasattr(left, "automaton"):
+                assert left.automaton.dfa is right.automaton.dfa
+            if hasattr(left, "slices"):
+                assert left._dfa is right._dfa
+
+    @settings(max_examples=100, deadline=None)
+    @given(letter=letter_st,
+           extra=st.dictionaries(st.sampled_from(["c", "zz", "hs"]),
+                                 st.booleans()))
+    def test_atoms_outside_the_alphabet_do_not_change_the_mask(
+            self, letter, extra):
+        dfa = monitor_dfa(until(prop("a"), prop("b")))
+        assert dfa.mask({**extra, **letter}) == dfa.mask(letter)
+        assert dfa.mask({}) == 0
+
+    @settings(max_examples=120, deadline=None)
+    @given(events=st.lists(event_st, max_size=12),
+           finalize=st.booleans())
+    def test_packs_of_two_monitors_agree(self, events, finalize):
+        first, second = ConformanceMonitor(), ConformanceMonitor()
+        for event in events:
+            first.consume(event)
+            second.consume(event)
+        if finalize:
+            first.finalize()
+            second.finalize()
+        assert first.violations == second.violations
+        assert first.summary() == second.summary()
+
+    @settings(max_examples=120, deadline=None)
+    @given(events=st.lists(event_st, max_size=12),
+           finalize=st.booleans())
+    def test_routing_by_type_keeps_violation_order(self, events,
+                                                    finalize):
+        monitor, _ = run_monitor(events, finalize=finalize)
+        assert [
+            (v.property, v.verdict, v.instance, v.detail)
+            for v in monitor.violations
+        ] == unrouted_findings(events, finalize)
+
+    def test_reads_cover_exactly_the_consumed_types(self):
+        read = set()
+        for prop_ in strict_property_pack():
+            read.update(prop_.reads)
+        assert read == set(ConformanceMonitor.CONSUMES)
+
+    def test_threads_fill_one_table_consistently(self):
+        # Four threads step slices over one fresh table while it fills,
+        # each starting at a different trace so they fill different
+        # entries at once.  Every verdict must match a serial run, and
+        # no state formula may be interned under two ids.
+        a, b, c, d = prop("a"), prop("b"), prop("c"), prop("d")
+        formula = land(*(
+            always(implies(p, nxt(nxt(nxt(q)))))
+            for p, q in ((a, b), (c, d), (b, a))
+        ))  # a few hundred reachable states
+        rng = random.Random(17)
+        traces = [
+            [{atom: rng.random() < 0.5 for atom in "abcd"}
+             for _ in range(12)]
+            for _ in range(400)
+        ]
+
+        def run(dfa, first):
+            out = {}
+            for i in range(first, first + len(traces)):
+                i %= len(traces)
+                state = dfa.initial
+                verdicts = []
+                for letter in traces[i]:
+                    state = dfa.step(state, letter)
+                    verdicts.append(dfa.verdicts[state])
+                out[i] = (verdicts, dfa.states[state], dfa.final[state])
+            return out
+
+        def hammer(shared):
+            results = [None] * 4
+            barrier = threading.Barrier(4)
+
+            def worker(index):
+                barrier.wait(timeout=60)
+                results[index] = run(shared, index * len(traces) // 4)
+
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            return results
+
+        serial = run(MonitorDfa(formula), 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as we can
+        try:
+            for _ in range(3):  # each round races a fresh table
+                shared = MonitorDfa(formula)
+                assert hammer(shared) == [serial] * 4
+                assert len(set(shared.states)) == len(shared.states)
+                assert len(shared.verdicts) == len(shared.final) == len(
+                    shared.decided) == len(shared.states)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestConformanceProfileGate:
+    """``check_regression.py`` gates the monitor's own bench row."""
+
+    @staticmethod
+    def profile(conformance):
+        rows = [
+            {"scenario": "fullstack", "digest_stable": True,
+             "line_items": {"closure_recomputations": 3,
+                            "closure_recomputations_per_alert": 0.05,
+                            "plan_wall_s": 0.0}},
+            {"scenario": "batch-parallel", "digest_stable": True,
+             "line_items": {"fan_out_overhead_s": 0.0}},
+        ]
+        if conformance is not None:
+            rows.append({"scenario": "conformance", "digest_stable": True,
+                         "line_items": conformance})
+        return {"results": rows}
+
+    def test_clean_row_passes(self):
+        from benchmarks.check_regression import check_profile
+
+        assert check_profile(self.profile({
+            "events": 10, "monitor_wall_s": 0.01, "events_per_s": 1e3,
+            "violations": 0,
+        }), None) == []
+
+    def test_missing_row_fails(self):
+        from benchmarks.check_regression import check_profile
+
+        failures = check_profile(self.profile(None), None)
+        assert len(failures) == 1
+        assert "no conformance row" in failures[0]
+
+    @pytest.mark.parametrize("items", [{"violations": 2}, {}])
+    def test_violations_fail(self, items):
+        from benchmarks.check_regression import check_profile
+
+        failures = check_profile(self.profile(items), None)
+        assert len(failures) == 1
+        assert "profile conformance" in failures[0]
 
 
 class TestCampaignReplayIdentity:
