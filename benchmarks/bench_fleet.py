@@ -7,10 +7,10 @@ recovery control plane (:mod:`repro.fleet`), reporting per row
   and healed per wall-clock second of the run;
 - **detect→heal latency** — p50/p99/max of the per-alert simulated
   time from IDS detection to the start of its batch heal;
-- the serial-vs-parallel wall clock and the ``workers_identical``
-  correctness guard: ``workers=K`` must produce per-tenant verdicts
-  and latencies bit-identical to ``workers=1`` (the control plane's
-  determinism contract, also pinned by ``tests/test_fleet.py``).
+- the run's wall clock and the ``audits_ok`` correctness guard: every
+  tenant's end-to-end strict-correctness audit must pass.
+
+The fleet runs every phase inline, so each tenant count runs once.
 
 Run as a script::
 
@@ -44,10 +44,9 @@ FULL_SIZES: List[Tuple[int, float]] = [
 QUICK_SIZES: List[Tuple[int, float]] = [(20, 10.0), (100, 5.0)]
 
 
-def run_fleet(tenants: int, duration: float, workers: int, seed: int):
+def run_fleet(tenants: int, duration: float, seed: int):
     """One timed fleet run; returns ``(report, wall_seconds)``."""
-    config = FleetConfig(tenants=tenants, duration=duration,
-                         workers=workers, seed=seed)
+    config = FleetConfig(tenants=tenants, duration=duration, seed=seed)
     plane = FleetControlPlane(config)
     t0 = time.perf_counter()
     report = plane.run()
@@ -55,40 +54,26 @@ def run_fleet(tenants: int, duration: float, workers: int, seed: int):
 
 
 def bench_fleet(sizes: List[Tuple[int, float]],
-                workers: int, seed: int) -> Dict[str, object]:
-    """Tenant-count sweep, serial vs ``workers`` threads."""
+                seed: int) -> Dict[str, object]:
+    """Tenant-count sweep, one run per row."""
     results = []
     for tenants, duration in sizes:
-        serial, serial_s = run_fleet(tenants, duration, 1, seed)
-        parallel, parallel_s = run_fleet(tenants, duration, workers,
-                                         seed)
-        identical = (
-            serial.verdicts_by_tenant == parallel.verdicts_by_tenant
-            and [t.latencies for t in serial.health.tenants]
-            == [t.latencies for t in parallel.health.tenants]
-            and serial.alerts_lost == parallel.alerts_lost
-            and serial.heals == parallel.heals
-        )
-        lat = sorted(parallel.health.latencies)
-        health = parallel.health
+        report, wall_s = run_fleet(tenants, duration, seed)
+        lat = sorted(report.health.latencies)
+        health = report.health
         entry = {
             "tenants": tenants,
             "duration": duration,
-            "ticks": parallel.ticks,
-            "workers": workers,
-            "attacks": parallel.attacks,
-            "alerts_accepted": parallel.alerts_accepted,
-            "alerts_lost": parallel.alerts_lost,
-            "central_deferrals": parallel.central_deferrals,
-            "heals": parallel.heals,
-            "serial_s": serial_s,
-            "parallel_s": parallel_s,
-            "speedup": (serial_s / parallel_s
-                        if parallel_s > 0 else None),
+            "ticks": report.ticks,
+            "attacks": report.attacks,
+            "alerts_accepted": report.alerts_accepted,
+            "alerts_lost": report.alerts_lost,
+            "central_deferrals": report.central_deferrals,
+            "heals": report.heals,
+            "wall_s": wall_s,
             # healed alerts per wall-clock second, end to end
             "throughput_alerts_per_s": (
-                parallel.attacks / parallel_s if parallel_s > 0
-                else None
+                report.attacks / wall_s if wall_s > 0 else None
             ),
             "latency_samples": len(lat),
             "latency_p50": percentile(lat, 50),
@@ -97,7 +82,6 @@ def bench_fleet(sizes: List[Tuple[int, float]],
             "verdict": health.verdict.value,
             "breach_tenants": health.by_state["BREACH"],
             "audits_ok": all(t.audits_ok for t in health.tenants),
-            "workers_identical": identical,
         }
         results.append(entry)
         print(f"  {tenants:>6} tenants (duration {duration:g}): "
@@ -105,11 +89,9 @@ def bench_fleet(sizes: List[Tuple[int, float]],
               f"{entry['throughput_alerts_per_s']:.0f} alerts/s, "
               f"latency p50 {entry['latency_p50']:.3f} "
               f"p99 {entry['latency_p99']:.3f}, "
-              f"serial {serial_s:.2f}s / {workers} workers "
-              f"{parallel_s:.2f}s, identical={identical}")
+              f"wall {wall_s:.2f}s, audits_ok={entry['audits_ok']}")
     return {
         "benchmark": "fleet",
-        "workers": workers,
         "seed": seed,
         "results": results,
     }
@@ -125,17 +107,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                         default=pathlib.Path("."),
                         help="directory for BENCH_fleet.json "
                              "(default: cwd)")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="thread count for the parallel runs "
-                             "(default 4)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     sizes = QUICK_SIZES if args.quick else FULL_SIZES
     print(f"fleet sweep ({'quick' if args.quick else 'full'}): "
-          f"{', '.join(str(t) for t, _ in sizes)} tenants, "
-          f"{args.workers} workers")
-    doc = bench_fleet(sizes, workers=args.workers, seed=args.seed)
+          f"{', '.join(str(t) for t, _ in sizes)} tenants")
+    doc = bench_fleet(sizes, seed=args.seed)
     doc["meta"] = {
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
@@ -148,8 +126,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
 
-    bad = [row for row in doc["results"]
-           if not row["workers_identical"] or not row["audits_ok"]]
+    bad = [row for row in doc["results"] if not row["audits_ok"]]
     if bad:
         print("FAIL: correctness guard tripped on "
               f"{len(bad)} row(s)")

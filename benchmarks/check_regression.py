@@ -12,11 +12,11 @@ the committed baselines at the repository root and fails (exit 1) when:
 - a correctness invariant broke: any CTMC backend disagreement
   (``max_abs_diff``) above ``--max-abs-diff``, any simulation row
   with ``results_identical: false`` (workers=K must reproduce
-  workers=1 bit-exactly), any fleet row with
-  ``workers_identical: false`` / ``audits_ok: false``, or any profile
-  row below its attribution floor / with an unstable structure digest,
-  or a fullstack profile rebuilding the dependency closure for more
-  than one alert in ten (``closure_recomputations_per_alert`` above
+  workers=1 bit-exactly), any fleet row with ``audits_ok: false``, or
+  any profile row below its attribution floor / with an unstable
+  structure digest, or a fullstack profile rebuilding the dependency
+  closure for more than one alert in ten
+  (``closure_recomputations_per_alert`` above
   ``MAX_CLOSURE_PER_ALERT``);
 - on rows present in *both* files (matched by ``buffer`` for the CTMC
   sweep, ``replications`` for the simulation batch), a speedup fell by
@@ -155,20 +155,14 @@ def check_fleet(fresh: dict, baseline: Optional[dict],
                 tolerance: float) -> List[str]:
     """Failures found in the fleet control-plane sweep.
 
-    Correctness invariants (worker-count independence, end-to-end
-    strict-correctness audits) always apply.  Throughput comparison
+    The correctness invariant (end-to-end strict-correctness audits)
+    always applies.  Throughput comparison
     needs a committed ``BENCH_fleet.json`` baseline with overlapping
     tenant counts; an absent baseline (older checkouts) is tolerated —
     the fleet benchmark is newer than the other two.
     """
     failures: List[str] = []
     for row in fresh["results"]:
-        if not row.get("workers_identical", False):
-            failures.append(
-                f"fleet tenants={row['tenants']}: parallel per-tenant "
-                "results differ from serial (worker-count invariance "
-                "broke)"
-            )
         if not row.get("audits_ok", True):
             failures.append(
                 f"fleet tenants={row['tenants']}: a tenant failed its "

@@ -924,21 +924,15 @@ def cmd_fleet(args) -> int:
 
     Each tenant runs a workload archetype from ``--mix`` under its own
     Poisson attack process; alerts multiplex through a central priority
-    queue where breaching tenants preempt healthy ones, and ``--workers
-    K`` threads process shards concurrently (per-tenant results are
-    identical at any worker count).  ``--serve PORT`` then exposes the
+    queue where breaching tenants preempt healthy ones, and granted
+    shards are served in grant order.  ``--serve PORT`` then exposes the
     fleet telemetry over HTTP: ``/slo`` is the fleet rollup,
     ``/slo?tenant=ID`` the drill-down, ``/healthz`` probes the worst-of
     verdict.
 
-    ``--sanitize`` runs the same fleet under the dynamic race
-    sanitizer (Eraser-style lockset checking on the registry, bus,
-    central queue and shards) and fails with exit 2 on any violation.
-
     Exit code 0 when every tenant audits strictly correct and the
-    fleet's final verdict is not BREACH; 1 otherwise; 2 on sanitizer
-    violations; 3 on domain errors (unknown archetypes, invalid
-    counts).
+    fleet's final verdict is not BREACH; 1 otherwise; 3 on domain
+    errors (unknown archetypes, invalid counts).
     """
     from repro.fleet import FleetConfig, FleetControlPlane
 
@@ -947,18 +941,13 @@ def cmd_fleet(args) -> int:
         mix=tuple(args.mix),
         duration=args.duration,
         tick=args.tick,
-        workers=args.workers,
         central_capacity=args.central_capacity,
         seed=args.seed,
     )
-    sanitizer = None
-    if args.sanitize:
-        from repro.lint.sanitizer import RaceSanitizer
-        sanitizer = RaceSanitizer()
-    plane = FleetControlPlane(config, sanitizer=sanitizer)
+    plane = FleetControlPlane(config)
     print(f"fleet: {config.tenants} tenant(s), mix "
           f"{'/'.join(config.mix)}, duration {config.duration:g}, "
-          f"{config.workers} worker(s), seed {config.seed}")
+          f"seed {config.seed}")
     report = plane.run()
     health = report.health
 
@@ -992,17 +981,6 @@ def cmd_fleet(args) -> int:
                            t.report.losses, t.heals)
         print()
         print(detail.render())
-
-    if sanitizer is not None:
-        stats = sanitizer.summary()
-        print()
-        print(f"sanitizer: {stats['accesses']} access(es) over "
-              f"{stats['tracked_vars']} var(s), {stats['locks']} lock(s), "
-              f"{stats['barriers']} barrier(s), "
-              f"{stats['violations']} violation(s)")
-        if sanitizer.violations:
-            print(sanitizer.report().render_text())
-            return 2
 
     ok = audits_ok and health.verdict.value != "BREACH"
     if args.serve is not None:
@@ -1290,8 +1268,7 @@ def cmd_profile(args) -> int:
         from repro.fleet import FleetConfig, FleetControlPlane
 
         config = FleetConfig(
-            tenants=args.tenants, duration=args.duration,
-            workers=args.workers, seed=args.seed,
+            tenants=args.tenants, duration=args.duration, seed=args.seed,
         )
         profiler = PhaseProfiler()
         plane = FleetControlPlane(config, profiler=profiler)
@@ -1305,8 +1282,7 @@ def cmd_profile(args) -> int:
         report = plane.profile_report()
         scenario_line = (
             f"fleet: {config.tenants} tenant(s), duration "
-            f"{config.duration:g}, {config.workers} worker(s), "
-            f"seed {config.seed}"
+            f"{config.duration:g}, seed {config.seed}"
         )
     else:
         from repro.sim.fullstack import FullStackConfig, run_replication
@@ -1527,10 +1503,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simulated run length (default 50)")
     p.add_argument("--tick", type=float, default=1.0,
                    help="scheduling round length (default 1)")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="threads for the parallel shard-processing "
-                        "phase (default 1; results are identical at "
-                        "any worker count)")
     p.add_argument("--central-capacity", type=int, default=0,
                    help="central priority-queue capacity (default 0: "
                         "4x tenants)")
@@ -1543,10 +1515,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=60.0,
                    help="how long to serve before exiting (default "
                         "60; 0: until interrupted)")
-    p.add_argument("--sanitize", action="store_true",
-                   help="run under the dynamic race sanitizer "
-                        "(Eraser-style lockset checks on registry/bus/"
-                        "queue/shards); exit 2 on any violation")
     p.set_defaults(fn=cmd_fleet)
 
     p = sub.add_parser("lint", help=cmd_lint.__doc__)
@@ -1622,8 +1590,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fleet tenant count (default 6)")
     p.add_argument("--duration", type=float, default=40.0,
                    help="fleet sim duration (default 40)")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="fleet worker threads (default 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--flame", metavar="FILE", default=None,
                    help="write flamegraph collapsed-stack text")

@@ -4,8 +4,8 @@ Runs N independent self-healing systems (one per tenant) behind a
 single service: per-tenant sharded state
 (:class:`~repro.fleet.shard.TenantShard`), a prioritized central
 scheduling queue where BREACH-tenant alerts preempt healthy tenants'
-(:class:`~repro.fleet.control.FleetControlPlane`), a thread worker pool
-for the parallel analysis/heal phase
+(:class:`~repro.fleet.control.FleetControlPlane`), an ordered inline
+map over the granted shards' analysis/heal work
 (:class:`~repro.fleet.pool.WorkerPool`), and a fleet-level SLO rollup
 (:func:`~repro.fleet.slo.rollup`) served by ``repro.obs.server``.
 

@@ -10,8 +10,8 @@ Architecture (docs/FLEET.md has the picture):
   tenants' accepted alerts; its priority classes come from the owning
   tenant's live SLO verdict (BREACH preempts WARN preempts OK), so a
   burning tenant's detection work is served first under contention;
-- a :class:`~repro.fleet.pool.WorkerPool` runs the granted shards'
-  analysis/heal work concurrently.
+- a :class:`~repro.fleet.pool.WorkerPool` maps the granted shards'
+  analysis/heal work in grant order, inline.
 
 Time is simulated, advanced in **tick rounds** of three phases:
 
@@ -24,22 +24,22 @@ Time is simulated, advanced in **tick rounds** of three phases:
    (the alert stays in its tenant queue and is re-offered next round),
    *not* a loss — then drain the queue in priority order into
    per-tenant grant counts;
-3. *process* (parallel): each granted shard scans its grants through
-   the real analyzer and batch-heals when its alert queue drains.
+3. *process* (grant order): each granted shard scans its grants
+   through the real analyzer and batch-heals when its alert queue
+   drains.
 
-Phases 1–2 are serial and deterministic; phase 3 touches only disjoint
-shard state plus commutative lock-protected fleet counters, so **the
-worker count cannot change any result** — ``workers=8`` produces
-bit-identical per-tenant verdicts to ``workers=1`` (the acceptance
-test pins this).  Workers buy wall-clock time only.
+Every phase runs in the caller's thread, so a run is a deterministic
+function of its config: ``FleetConfig.workers`` is accepted for
+compatibility and changes nothing (the tests pin ``workers=4`` against
+``workers=1``).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FleetError, ObsError
 from repro.fleet.pool import WorkerPool
@@ -86,15 +86,15 @@ class FleetConfig:
     tick:
         Scheduling round length (sim time).
     workers:
-        Worker-pool size for the parallel process phase.
+        Accepted and validated (>= 1) for compatibility; it has no
+        effect, since every phase runs inline in the caller's thread.
     central_capacity:
         Central scheduling queue capacity — the per-round grant bound.
         ``0`` (default) sizes it at ``4 × tenants`` (ample: contention
         then only throttles genuinely bursty rounds).
     seed:
         Fleet seed; tenant ``i`` runs on ``seed + i`` so every tenant's
-        attack process is independent of the others and of the worker
-        count.
+        attack process is independent of the others.
     """
 
     tenants: int = 10
@@ -144,8 +144,7 @@ class FleetReport:
 
     @property
     def verdicts_by_tenant(self) -> Dict[str, str]:
-        """Tenant id → final verdict (the determinism pin compares
-        these across worker counts)."""
+        """Tenant id → final verdict."""
         return {t.tenant: t.verdict.value for t in self.health.tenants}
 
     def as_dict(self) -> Dict[str, object]:
@@ -174,8 +173,7 @@ class FleetControlPlane:
         The fleet configuration.
     registry:
         Optional shared :class:`~repro.obs.metrics.MetricsRegistry` for
-        fleet-level instruments (lock-protected, updated from worker
-        threads); one is created when omitted.
+        fleet-level instruments; one is created when omitted.
     bus:
         Optional fleet-level bus; receives the central queue's
         :class:`~repro.obs.events.QueueItemDropped` deferral events
@@ -189,10 +187,10 @@ class FleetControlPlane:
         control plane records its tick phases (``tick.ingest`` /
         ``tick.schedule`` / ``tick.process`` / ``tick.harvest``, plus
         ``drain`` and ``sweep``) into it, gives every shard a private
-        profiler whose pipeline phases are folded in serially at
-        harvest under ``workers;<tenant>;…``, and measures the
-        central-scheduling dwell (``central-queue-wait``) and grant
-        count per granted alert.  See :meth:`profile_report` /
+        profiler whose pipeline phases are folded in at harvest under
+        ``workers;<tenant>;…``, and measures the central-scheduling
+        dwell (``central-queue-wait``) and grant count per granted
+        alert.  See :meth:`profile_report` /
         :meth:`profile_snapshot`.
     """
 
@@ -203,17 +201,11 @@ class FleetControlPlane:
         bus: Optional[EventBus] = None,
         profiles: Optional[Sequence[TenantProfile]] = None,
         profiler: Optional[PhaseProfiler] = None,
-        sanitizer: Optional[Any] = None,
     ) -> None:
         self.config = config
         self.registry = registry if registry is not None else MetricsRegistry()
         self.bus = bus
         self._profiler = profiler
-        #: Optional dynamic race sanitizer (duck-typed:
-        #: ``instrument_fleet`` / ``barrier`` / ``note_access``, see
-        #: :class:`repro.lint.sanitizer.RaceSanitizer`).  Instrumented
-        #: at the end of __init__, fenced at every phase boundary.
-        self._sanitizer = sanitizer
         cycle = (list(profiles) if profiles is not None
                  else resolve_mix(config.mix))
         width = len(str(max(config.tenants - 1, 1)))
@@ -230,9 +222,8 @@ class FleetControlPlane:
             # Mirror phase exits into labeled registry histograms so a
             # /metrics scrape sees repro_phase_wall_seconds{phase=...}
             # alongside the fleet counters.  Shard profilers share the
-            # fleet registry: instrument locks make the cross-thread
-            # observes safe, and labels stay per-phase (not per-tenant)
-            # so cardinality is bounded.
+            # fleet registry; labels stay per-phase (not per-tenant) so
+            # cardinality is bounded.
             profiler.bind_registry(self.registry)
             for shard in self.shards:
                 if shard.profiler is not None:
@@ -289,8 +280,6 @@ class FleetControlPlane:
             Tuple[str, ...], Tuple[int, float, float]] = {}
         #: Recent per-tick phase breakdowns (bounded; /profile payload).
         self._tick_profiles: Deque[Dict[str, object]] = deque(maxlen=256)
-        if sanitizer is not None:
-            sanitizer.instrument_fleet(self)
 
     # -- one scheduling round ----------------------------------------------
 
@@ -300,7 +289,6 @@ class FleetControlPlane:
         tick_end = self._ticks * self.config.tick
         self.clock.set(max(tick_end, self.clock.now))
         prof = self._profiler
-        san = self._sanitizer
 
         # The parent "tick" phase swallows the inter-round glue, so
         # top-level attribution never leaks tick-internal gaps.
@@ -312,22 +300,14 @@ class FleetControlPlane:
                 for index, shard in enumerate(self.shards):
                     accepted = shard.ingest(tick_end)
                     self._unscheduled[index].extend(accepted)
-            if san is not None:
-                san.barrier("tick.ingest")
             # Phase 2 — schedule (serial).
             with (prof.phase("tick.schedule") if prof is not None
                   else nullcontext()):
                 grants = self._schedule_round()
-            if san is not None:
-                san.barrier("tick.schedule")
-            # Phase 3 — process (parallel over granted shards).  The
-            # pool.map join is the real happens-before edge the barrier
-            # mirrors: worker writes are published to the main thread.
+            # Phase 3 — process (granted shards, in grant order).
             with (prof.phase("tick.process") if prof is not None
                   else nullcontext()):
                 self._process_round(pool, grants, tick_end)
-            if san is not None:
-                san.barrier("tick.process")
             # Phase 4 — harvest (serial): fleet metrics, then shard
             # profiles.  The per-tick note runs after the phase closes
             # so its tick.harvest delta covers this very tick.
@@ -336,8 +316,6 @@ class FleetControlPlane:
                 self._harvest_serial()
                 if prof is not None:
                     self._fold_shard_profiles()
-            if san is not None:
-                san.barrier("tick.harvest")
             if prof is not None:
                 self._note_tick_profile(tick_end)
 
@@ -402,18 +380,17 @@ class FleetControlPlane:
         grants: List[Tuple[int, int]],
         tick_end: float,
     ) -> None:
-        """Run granted shards on the pool; re-queue unserved grants."""
+        """Serve granted shards in grant order; re-queue unserved
+        grants."""
 
         def serve(grant: Tuple[int, int]) -> Tuple[int, int]:
             index, count = grant
             shard = self.shards[index]
             leftover = shard.process(count, tick_end)
-            # Fleet counters are lock-protected and commutative — safe
-            # and order-independent from worker threads.
             self._m_scans.inc(count - leftover)
             return index, leftover
 
-        results = pool.map(serve, grants)  # lint: allow[RACE005] phase-confined; sanitizer barriers fence the join
+        results = pool.map(serve, grants)  # lint: allow[RACE005] WorkerPool.map is an inline loop
         for index, leftover in results:
             if leftover:
                 # Analyzer blocked mid-grant: the unserved alerts are
@@ -427,14 +404,6 @@ class FleetControlPlane:
     def _harvest_serial(self) -> None:
         """Fold per-shard deltas into fleet metrics (serial phase, so
         gauges and non-commutative reads stay deterministic)."""
-        if self._sanitizer is not None:
-            # The folds below read shard fields directly (no wrapped
-            # method runs), so tell the sanitizer about the cross-phase
-            # reads explicitly — it proves the ingest/process writes
-            # were fenced before the main thread read them back.
-            for shard in self.shards:
-                self._sanitizer.note_access(
-                    f"shard[{shard.tenant}]", write=False)
         attacks = sum(s.attacks for s in self.shards)
         accepted = sum(s.system.alert_queue.accepted for s in self.shards)
         lost = sum(s.alerts_lost for s in self.shards)
@@ -459,8 +428,8 @@ class FleetControlPlane:
 
     def _fold_shard_profiles(self) -> None:
         """Fold each shard profiler's *new* stats into the fleet
-        profiler under ``workers;<tenant>;…`` (serial phase, owner
-        thread — the same discipline as :meth:`_harvest_serial`)."""
+        profiler under ``workers;<tenant>;…`` (serial phase, like
+        :meth:`_harvest_serial`)."""
         assert self._profiler is not None
         for shard in self.shards:
             sprof = shard.profiler
@@ -502,9 +471,9 @@ class FleetControlPlane:
         """The fleet's attribution breakdown so far.
 
         The per-tenant subtrees folded under the synthetic ``workers``
-        root are detail, not coverage — their wall time ran on worker
-        threads concurrently with the ``tick.*`` phases — so they are
-        excluded from the attribution fraction (``aux_roots``).
+        root are detail, not coverage — their wall time is already
+        inside the ``tick.*`` phases — so they are excluded from the
+        attribution fraction (``aux_roots``).
         """
         if self._profiler is None:
             raise ObsError(
@@ -560,53 +529,42 @@ class FleetControlPlane:
         cfg = self.config
         prof = self._profiler
         ticks = int(round(cfg.duration / cfg.tick))
-        with WorkerPool(cfg.workers) as pool:
-            for _ in range(max(ticks, 1)):
-                self.run_tick(pool)
-            # Drain-down: keep scheduling rounds — without new ingest —
-            # until every accepted alert has been granted and served,
-            # or no round can make progress any more (shards whose
-            # analyzer is blocked by a full recovery queue with alerts
-            # still pending: the paper's deadlock-by-overflow, resolved
-            # only by the sweep's administrator path below).
-            with (prof.phase("drain") if prof is not None
-                  else nullcontext()):
-                guard = 0
-                while any(self._unscheduled) or any(
-                        s.system.alerts_queued for s in self.shards):
-                    guard += 1
-                    if guard > 100_000:
-                        raise FleetError(
-                            "fleet drain-down did not quiesce"
-                        )
-                    before = sum(
-                        s.scans + s.heals for s in self.shards)
-                    self._ticks += 1
-                    end = self._ticks * cfg.tick
-                    self.clock.set(max(end, self.clock.now))
-                    grants = self._schedule_round()
-                    self._process_round(pool, grants, end)
-                    if self._sanitizer is not None:
-                        self._sanitizer.barrier("drain.process")
-                    self._harvest_serial()
-                    if sum(s.scans + s.heals
-                           for s in self.shards) == before:
-                        break  # only blocked shards; sweep resolves
-            # Final per-shard sweep: heal stragglers (blocked shards,
-            # admin backlog) and audit end to end.
-            sweep_at = self.clock.now
+        pool = WorkerPool()
+        for _ in range(max(ticks, 1)):
+            self.run_tick(pool)
+        # Drain-down: keep scheduling rounds — without new ingest —
+        # until every accepted alert has been granted and served, or no
+        # round can make progress any more (shards whose analyzer is
+        # blocked by a full recovery queue with alerts still pending:
+        # the paper's deadlock-by-overflow, resolved only by the
+        # sweep's administrator path below).
+        with (prof.phase("drain") if prof is not None
+              else nullcontext()):
+            guard = 0
+            while any(self._unscheduled) or any(
+                    s.system.alerts_queued for s in self.shards):
+                guard += 1
+                if guard > 100_000:
+                    raise FleetError("fleet drain-down did not quiesce")
+                before = sum(s.scans + s.heals for s in self.shards)
+                self._ticks += 1
+                end = self._ticks * cfg.tick
+                self.clock.set(max(end, self.clock.now))
+                grants = self._schedule_round()
+                self._process_round(pool, grants, end)
+                self._harvest_serial()
+                if sum(s.scans + s.heals for s in self.shards) == before:
+                    break  # only blocked shards; sweep resolves
+        # Final per-shard sweep: heal stragglers (blocked shards, admin
+        # backlog) and audit end to end.
+        sweep_at = self.clock.now
 
-            def sweep(shard: TenantShard) -> None:
-                shard.sweep(sweep_at)
+        def sweep(shard: TenantShard) -> None:
+            shard.sweep(sweep_at)
 
-            with (prof.phase("sweep") if prof is not None
-                  else nullcontext()):
-                pool.map(sweep, self.shards)  # lint: allow[RACE005] phase-confined; sanitizer barriers fence the join
-                # The sweep is the pool's last use: joining its threads
-                # is part of that phase, not unattributed time.
-                pool.close()
-            if self._sanitizer is not None:
-                self._sanitizer.barrier("sweep")
+        with (prof.phase("sweep") if prof is not None
+              else nullcontext()):
+            pool.map(sweep, self.shards)  # lint: allow[RACE005] WorkerPool.map is an inline loop
         # Final rollup: harvest, shard-profile fold, health freeze.
         with (prof.phase("rollup") if prof is not None
               else nullcontext()):

@@ -1,25 +1,19 @@
-"""Worker pool for the fleet control plane.
+"""The fleet's shard map.
 
-A thin, order-preserving map over a thread pool.  Threads (not
-processes) because the per-shard work — damage analysis and healing —
-is CPU-light, allocation-heavy Python with no I/O, and shards share
-nothing mutable except the lock-protected obs layer; processes would
-pay pickling for no isolation gain.
+The paper's scheduler is one sequential scan-or-recover loop per
+system, and the fleet runs its shards the same way: an ordered inline
+loop in the caller's thread.  Shards are CPU-bound Python with no I/O,
+so threads under the GIL only added contention (serial beat every
+measured thread count), and processes would pay pickling per tick.
 
-``workers=1`` degenerates to an inline loop with no pool at all, which
-is both the determinism baseline the acceptance test compares against
-and the zero-overhead default.  Wall-clock time is the *only* thing the
-worker count may change: shards are disjoint state driven by
-simulated-time clocks, so per-tenant results are identical at any
-worker count (pinned by ``tests/test_fleet.py``).
+:class:`WorkerPool` stays as the seam the control plane maps through
+(the benchmark tracer wraps :meth:`WorkerPool.map`), with
+``workers`` fixed at 1.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence, TypeVar
-
-from repro.errors import FleetError
+from typing import Callable, List, Sequence, TypeVar
 
 __all__ = ["WorkerPool"]
 
@@ -28,39 +22,11 @@ R = TypeVar("R")
 
 
 class WorkerPool:
-    """Order-preserving parallel map with an inline ``workers=1`` mode.
+    """Ordered inline map over the fleet's shards."""
 
-    Usable as a context manager; :meth:`close` is idempotent.
-    """
-
-    def __init__(self, workers: int = 1) -> None:
-        if workers < 1:
-            raise FleetError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self._executor: Optional[ThreadPoolExecutor] = (
-            ThreadPoolExecutor(max_workers=workers,
-                               thread_name_prefix="fleet")
-            if workers > 1 else None
-        )
+    workers = 1
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``fn`` to every item; results in input order.
-
-        A worker exception propagates to the caller (after the other
-        in-flight items finish), exactly like the inline mode.
-        """
-        if self._executor is None or len(items) <= 1:
-            return [fn(item) for item in items]
-        return list(self._executor.map(fn, items))
-
-    def close(self) -> None:
-        """Shut the pool down (waits for in-flight work)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        """Apply ``fn`` to every item in order; an exception propagates
+        from the item that raised it."""
+        return [fn(item) for item in items]

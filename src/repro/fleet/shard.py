@@ -4,11 +4,9 @@ Each tenant of the fleet owns a full vertical slice — data store,
 epoch-managed system log, self-healing system, event bus, simulated
 clock, health monitor, and attack RNG.  Shards share **no mutable
 state** with each other; the only cross-shard objects a shard touches
-are the fleet's lock-protected
-:class:`~repro.obs.metrics.MetricsRegistry` counters, whose increments
-commute.  That isolation is what makes the control plane's parallel
-processing phase deterministic: any worker schedule computes the same
-per-tenant state, because no ordering between shards is observable.
+are the fleet's :class:`~repro.obs.metrics.MetricsRegistry` counters,
+whose increments commute, so no ordering between shards is observable
+in any tenant's results.
 
 The shard's lifecycle is driven by the control plane in tick rounds:
 
@@ -17,7 +15,7 @@ The shard's lifecycle is driven by the control plane in tick rounds:
   IDS alert to the tenant's bounded alert queue — a full queue is a
   *true loss* (the paper's Definition 3, per tenant); lost uids join
   the administrator backlog (Section IV-D) healed at the next commit;
-- :meth:`process` (parallel phase) consumes centrally granted alerts
+- :meth:`process` (process phase, grant order) consumes centrally granted alerts
   through the real analyzer, advancing the shard clock by the modeled
   service times, and — once the tenant's alert queue is drained — runs
   the batch heal, which rolls the tenant's epoch;
@@ -69,10 +67,8 @@ class TenantShard:
         When true, the shard owns a private
         :class:`~repro.obs.perf.PhaseProfiler` (``sim_clock`` = the
         shard clock) that its pipeline phases accumulate into.  The
-        profiler is as single-owner as the shard itself: the control
-        plane's phase discipline guarantees at most one thread drives
-        a shard at a time, and the fleet profiler folds shard stats in
-        serially at harvest.
+        control plane drives every shard from its own thread and folds
+        the shard stats into the fleet profiler at harvest.
     """
 
     def __init__(self, tenant: str, profile: TenantProfile,
@@ -181,7 +177,7 @@ class TenantShard:
             else:
                 self._admin_backlog.append(uid)
 
-    # -- parallel phase ----------------------------------------------------
+    # -- process phase -----------------------------------------------------
 
     def process(self, granted: int, until: float) -> int:
         """Serve ``granted`` centrally scheduled alerts, then heal if

@@ -10,10 +10,10 @@ The fleet control plane (:mod:`repro.fleet`) multiplexes every tenant's
 alerts through one :class:`PriorityBoundedQueue`: the same bounded
 semantics, but items carry a priority class (BREACH-tenant alerts
 preempt OK-tenant alerts) with FIFO order preserved *within* each
-class.  Queues are not internally locked — the architecture admits and
-drains them in serial phases; only the obs layer
-(:class:`~repro.obs.metrics.MetricsRegistry`,
-:class:`~repro.obs.events.EventBus`) is shared across fleet workers.
+class.  Queues are not internally locked: one thread admits and drains
+them.  Only the obs layer (:class:`~repro.obs.metrics.MetricsRegistry`,
+:class:`~repro.obs.events.EventBus`) is shared with another thread, the
+telemetry server's scrape thread.
 """
 
 from __future__ import annotations

@@ -26,12 +26,12 @@ records renderable as text, JSON and SARIF 2.1.0:
   threads), honouring the same pragma;
 - :mod:`repro.lint.sanitizer` — the *dynamic* complement: an opt-in
   Eraser-style lockset sanitizer (RACE101/RACE102) instrumenting the
-  registry, bus, queues and fleet shards at runtime.
+  metrics registry, instruments and event bus at runtime; the tests
+  attach it to the telemetry server's scrape path.
 
 The ``repro-workflow lint`` CLI verb exposes the static passes
-(``lint code --all`` merges determinism + races into one SARIF log);
-``repro-workflow fleet --sanitize`` runs the dynamic one.  Exit code
-2 signals ERROR-level findings.
+(``lint code --all`` merges determinism + races into one SARIF log).
+Exit code 2 signals ERROR-level findings.
 """
 
 from repro.lint.diagnostics import (

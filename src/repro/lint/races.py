@@ -1,10 +1,11 @@
 """Static lockset / lock-order analysis (RACE001–RACE005).
 
-The fleet control plane runs real threads over shared state; the
-workers=K ≡ workers=1 guarantee is only as strong as the locking
-discipline of :mod:`repro.obs` and :mod:`repro.fleet`.  This pass
-verifies that discipline before runtime, in the spirit of static
-workflow-soundness checking applied to our own implementation:
+The telemetry server's scrape thread reads the metrics registry, the
+event bus and the fleet's health while the run loop mutates them; the
+answers are only as consistent as the locking discipline of
+:mod:`repro.obs`.  This pass verifies that discipline before runtime,
+in the spirit of static workflow-soundness checking applied to our own
+implementation:
 
 1. **Thread roots.**  Callables handed to ``threading.Thread`` /
    ``Timer``, executor/pool ``submit``/``map`` targets, ``do_*``
@@ -38,10 +39,10 @@ pragma convention::
 
     self._thread = t  # lint: allow[RACE001] owner-thread confined
 
-Phase-confined state (the fleet's serial ingest/harvest rounds) is the
-dynamic sanitizer's job (:mod:`repro.lint.sanitizer`): classes without
-locks are intentionally out of scope here, because the static contract
-we enforce is "if you own a lock, use it everywhere".
+Classes without locks are intentionally out of scope here, because the
+static contract we enforce is "if you own a lock, use it everywhere";
+the dynamic sanitizer (:mod:`repro.lint.sanitizer`) checks the
+instrumented objects at runtime.
 """
 
 from __future__ import annotations
@@ -1120,8 +1121,8 @@ class _Analyzer:
                     f"'{desc}' escapes to a thread/pool from {s.key}; "
                     "captured mutable state becomes shared",
                     where=s.key, filename=s.filename, lineno=lineno,
-                    fix="confine the state to phases (sanitizer barrier) "
-                        "or guard it with a lock, then annotate the site")
+                    fix="confine the state to one thread or guard it "
+                        "with a lock, then annotate the site")
 
     def _inventory(self, reached: Dict[str, Set[str]]) -> Dict[str, List[str]]:
         shared: Dict[str, Set[str]] = {}

@@ -1,14 +1,13 @@
 """Opt-in Eraser-style dynamic lockset sanitizer (RACE101/RACE102).
 
-The static pass (:mod:`repro.lint.races`) proves lock discipline for
-classes that own locks; phase-confined state — the fleet's shard
-stores and bounded queues, touched by worker threads in the process
-phase and by the main thread in ingest/harvest — is invisible to it.
-This module is the second line of defense: instrument the real locks
-and the real accesses, refine per-variable candidate locksets at
-runtime (Savage et al.'s Eraser algorithm), and report violations as
-typed :class:`~repro.lint.diagnostics.Diagnostic` records with thread
-and stack provenance.
+The static pass (:mod:`repro.lint.races`) proves lock discipline from
+the source; this module checks it at runtime.  Instrument the real
+locks and the real accesses of the objects the telemetry server's
+scrape thread shares with the run loop (metrics registry, instruments,
+event bus), refine per-variable candidate locksets (Savage et al.'s
+Eraser algorithm), and report violations as typed
+:class:`~repro.lint.diagnostics.Diagnostic` records with thread and
+stack provenance.
 
 State machine per shared variable::
 
@@ -24,13 +23,6 @@ only on the *locksets*, not on an actual unlucky interleaving, the
 removed-lock canary is detected deterministically even when the two
 threads run back to back.
 
-Happens-before at phase boundaries is modelled with :meth:`barrier`:
-the fleet control plane fences between its serial ingest/schedule,
-parallel process, and serial harvest rounds (the ``pool.map`` join is
-a real synchronization point), which resets variable states so
-phase-confined single-owner state stays clean while genuine same-phase
-races (two workers on one registry) are still caught.
-
 Lock attribution: instrumented objects acquire their locks *inside*
 their methods (``Counter.inc`` takes ``self._lock`` itself), so an
 access hook wrapping the method cannot see the lock in the held set at
@@ -39,7 +31,7 @@ thread, and the hook attributes to the access every lock acquired
 *during* the wrapped call as well as those held at entry.
 
 Everything here is opt-in: no repro class imports this module; the
-``--sanitize`` CLI flag and the tests wire it up explicitly.
+tests wire it up explicitly.
 """
 
 from __future__ import annotations
@@ -137,7 +129,6 @@ class RaceSanitizer:
         self._violations: List[Diagnostic] = []
         self._next_tid = 0
         self.accesses = 0
-        self.barriers = 0
         self.locks_tracked = 0
 
     # -- per-thread state ---------------------------------------------------
@@ -300,27 +291,18 @@ class RaceSanitizer:
                         f"{me[1]} races prior access by {st.last[0]} at "
                         f"{st.last[1]} with no common lock"),
                     where=var, file=fname, line=lineno,
-                    fix="guard every access with one lock, or fence the "
-                        "phases with sanitizer.barrier()",
+                    fix="guard every access with one lock",
                 ))
             st.last = me
-
-    def barrier(self, label: str = "") -> None:
-        """Happens-before fence: all variable states reset to VIRGIN.
-
-        Call where the program genuinely synchronizes (the fleet's
-        ``pool.map`` join between phases); accesses on opposite sides
-        of a barrier are ordered and must not refine locksets against
-        each other.
-        """
-        with self._meta:
-            self.barriers += 1
-            self._states.clear()
 
     # -- canned instrumentation for the repro's shared objects ---------------
 
     def instrument_metrics(self, registry: Any, name: str = "registry") -> None:
-        """Track the registry lock, its map, and every instrument."""
+        """Track the registry lock, its map, and every instrument.
+
+        ``metrics()`` counts as a read of the map: it is what a
+        ``/metrics`` scrape walks from the server thread.
+        """
         registry._lock = self.wrap_lock(
             f"MetricsRegistry._lock", inner=registry._lock)
         san = self
@@ -348,6 +330,8 @@ class RaceSanitizer:
         registry._get_or_create = get_or_create
         for metric in registry.metrics():
             self.instrument_metric(metric)
+        self.wrap_method(registry, "metrics", f"{name}._metrics",
+                         write=False)
 
     def instrument_metric(self, metric: Any) -> None:
         """Track one Counter/Gauge/Histogram instance."""
@@ -368,38 +352,6 @@ class RaceSanitizer:
         self.wrap_method(bus, "publish", f"{name}.handlers", write=False,
                          only_if_locked=True)
 
-    def instrument_queue(self, queue: Any, name: str = "queue") -> None:
-        """Track a BoundedQueue/PriorityBoundedQueue's store.
-
-        The queues are deliberately lock-free (serial-phase
-        discipline); the sanitizer proves that discipline holds at
-        runtime — any cross-thread access inside one phase empties the
-        lockset immediately.
-        """
-        var = f"queue[{name}]"
-        for method in ("offer", "push", "pop"):
-            if hasattr(type(queue), method):
-                self.wrap_method(queue, method, var, write=True)
-
-    def instrument_shard(self, shard: Any) -> None:
-        """Track a TenantShard's phase-confined state."""
-        var = f"shard[{shard.tenant}]"
-        for method in ("ingest", "process", "sweep"):
-            if hasattr(type(shard), method):
-                self.wrap_method(shard, method, var, write=True)
-
-    def instrument_fleet(self, plane: Any) -> None:
-        """Wire up a FleetControlPlane's shared objects in one call."""
-        if getattr(plane, "registry", None) is not None:
-            self.instrument_metrics(plane.registry)
-        if getattr(plane, "bus", None) is not None:
-            self.instrument_bus(plane.bus)
-        central = getattr(plane, "central", None)
-        if central is not None:
-            self.instrument_queue(central, name="central")
-        for shard in getattr(plane, "shards", ()):
-            self.instrument_shard(shard)
-
     # -- results -------------------------------------------------------------
 
     @property
@@ -417,6 +369,5 @@ class RaceSanitizer:
                 "accesses": self.accesses,
                 "tracked_vars": len(self._states) + len(self._reported),
                 "locks": self.locks_tracked,
-                "barriers": self.barriers,
                 "violations": len(self._violations),
             }

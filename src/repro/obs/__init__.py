@@ -105,7 +105,6 @@ from repro.obs.perf import (
     PHASES,
     PROFILE_WALL_BUCKETS,
     PhaseProfiler,
-    PhaseSink,
     ProfileReport,
     bump,
     counter_snapshot,
@@ -176,7 +175,6 @@ __all__ = [
     "PHASES",
     "PROFILE_WALL_BUCKETS",
     "PhaseProfiler",
-    "PhaseSink",
     "ProfileReport",
     "bump",
     "counter_snapshot",

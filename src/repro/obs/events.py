@@ -398,7 +398,7 @@ class EventBus:
     instrumented code uses that to skip building expensive events.
 
     Subscription bookkeeping is lock-protected so a bus can be shared
-    across fleet workers.  ``publish`` snapshots the handler lists
+    across threads.  ``publish`` snapshots the handler lists
     under the lock but dispatches *outside* it: handlers are allowed to
     publish re-entrantly (the health monitor republishes SLO verdicts
     onto the same bus mid-dispatch) and to (un)subscribe, neither of

@@ -1,4 +1,4 @@
-"""Explicit lock hierarchy for :mod:`repro.obs` + :mod:`repro.fleet`.
+"""Explicit lock hierarchy for :mod:`repro.obs`.
 
 Deadlock freedom by construction: every lock belongs to a named tier,
 tiers are totally ordered, and a thread holding a lock at tier *L* may
@@ -8,19 +8,18 @@ and RACE102 checks at runtime.
 
 Tiers, outermost (acquired first) to innermost::
 
-    server(0) -> registry(1) -> metric(2) -> bus(3) -> queue(4) -> shard(5)
-        -> monitor(6)
+    server(0) -> registry(1) -> metric(2) -> bus(3) -> monitor(4)
 
-Observed nestings in the tree today: the telemetry handler holds the
-``server`` RLock while rendering, which walks the registry
+The only in-process concurrency is the telemetry server's scrape
+thread (:mod:`repro.obs.server`) against the run loop that mutates
+what it serves; everything else, the fleet included, runs in one
+thread.  Observed nestings: the scrape handler holds the ``server``
+RLock while rendering, which walks the registry
 (``server -> registry``) and reads instruments (``server -> metric``).
-The bus, queue and shard tiers currently nest inside nothing — the bus
-dispatches outside its lock and the queues/shards are phase-confined
-— but they have reserved levels so the upcoming process-pool/asyncio
-shard work inherits an established order instead of inventing one.
-The ``monitor`` tier guards the fill path of the per-process LTLf
-monitor tables (:mod:`repro.obs.monitor`); a fill acquires nothing
-else, so it is innermost and may run under any other lock.
+The bus dispatches outside its lock, so it nests inside nothing.  The
+``monitor`` tier guards the fill path of the per-process LTLf monitor
+tables (:mod:`repro.obs.monitor`); a fill acquires nothing else, so it
+is innermost and may run under any other lock.
 
 Checking is **opt-in** (``enable_checks()`` or the
 ``REPRO_LOCK_ORDER`` environment variable): production builds get a
@@ -50,9 +49,7 @@ LOCK_LEVELS: Dict[str, int] = {
     "registry": 1,
     "metric": 2,
     "bus": 3,
-    "queue": 4,
-    "shard": 5,
-    "monitor": 6,
+    "monitor": 4,
 }
 
 _enabled = False

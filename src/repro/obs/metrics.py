@@ -73,8 +73,8 @@ class _Metric:
     Every instrument carries its own lock at the ``metric`` tier of
     the hierarchy in :mod:`repro.obs.locks`; all mutating operations
     (and the compound read-modify-write ones in particular, such as
-    :meth:`Gauge.inc`) hold it, so instruments can be shared across
-    the fleet worker pool without losing updates.  Single-field reads
+    :meth:`Gauge.inc`) hold it, so instruments can be shared with the
+    telemetry server's scrape thread without tearing updates.  Single-field reads
     stay lock-free — on CPython a ``float`` load is atomic — while
     compound reads (:meth:`Histogram.mean`,
     :meth:`Histogram.bucket_counts`) copy under the lock.

@@ -506,7 +506,7 @@ class MonitorDfa:
     the state's formula, so the table never disagrees with progression.
 
     One table serves every automaton and slice of its formula in the
-    process (:func:`monitor_dfa`), across tenants and pool threads.
+    process (:func:`monitor_dfa`), across tenants and threads.
     Lookups that hit are lock-free; the fill path interns the successor
     (``len(states)``, append, index) under one ``monitor``-tier lock so
     two threads can never give two formulas one id.

@@ -41,17 +41,8 @@ import hashlib
 import json
 import threading
 import time  # lint: allow[DET001] — wall-clock profiling is this module's job
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ObsError
 
@@ -59,7 +50,6 @@ __all__ = [
     "PHASES",
     "PROFILE_WALL_BUCKETS",
     "PhaseProfiler",
-    "PhaseSink",
     "PhaseStat",
     "ProfileReport",
     "bump",
@@ -179,49 +169,6 @@ class PhaseStat:
         self.calls += calls
         self.wall += wall
         self.sim += sim
-
-
-class PhaseSink:
-    """Flat per-phase ``(calls, wall, sim)`` accumulator.
-
-    The carrier the fleet's worker threads fill: each granted shard
-    measures its own pipeline phases into a private sink (no shared
-    state, no locks) and the control plane folds the sinks into the
-    fleet :class:`PhaseProfiler` serially at harvest
-    (:meth:`PhaseProfiler.absorb`) — the same isolation discipline that
-    keeps the fleet deterministic keeps the profile race-free.
-    """
-
-    __slots__ = ("data",)
-
-    def __init__(self) -> None:
-        #: name → [calls, wall, sim]
-        self.data: Dict[str, List[float]] = {}
-
-    def add(self, name: str, wall: float, sim: float = 0.0,
-            calls: int = 1) -> None:
-        slot = self.data.get(name)
-        if slot is None:
-            self.data[name] = [float(calls), wall, sim]
-        else:
-            slot[0] += calls
-            slot[1] += wall
-            slot[2] += sim
-
-    @contextmanager
-    def phase(
-        self, name: str,
-        sim_clock: Optional[Callable[[], float]] = None,
-    ) -> Iterator[None]:
-        """Measure one occurrence of ``name`` into this sink."""
-        w0 = time.perf_counter()  # lint: allow[DET001]
-        s0 = sim_clock() if sim_clock is not None else 0.0
-        try:
-            yield
-        finally:
-            wall = time.perf_counter() - w0  # lint: allow[DET001]
-            sim = (sim_clock() - s0) if sim_clock is not None else 0.0
-            self.add(name, wall, sim)
 
 
 class PhaseProfiler:
@@ -345,14 +292,6 @@ class PhaseProfiler:
         if stat is None:
             stat = self._stats[path] = PhaseStat()
         stat.add(wall, sim, calls=calls)
-
-    def absorb(self, sink: PhaseSink,
-               prefix: Tuple[str, ...] = ()) -> None:
-        """Fold a :class:`PhaseSink` in under ``prefix`` (serially,
-        from the owning thread)."""
-        for name in sorted(sink.data):
-            calls, wall, sim = sink.data[name]
-            self.add_at(prefix + (name,), wall, sim, calls=int(calls))
 
     def count(self, name: str, n: int = 1) -> None:
         """Bump a cost-driver counter (recorded globally; the report

@@ -499,7 +499,7 @@ class TestLint:
 class TestFleet:
     def test_calibrated_fleet_exits_zero(self, capsys):
         assert main(["fleet", "--tenants", "4", "--duration", "25",
-                     "--workers", "2", "--seed", "3"]) == 0
+                     "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "verdict" in out and "OK" in out
         assert "audits strictly correct" in out
@@ -522,15 +522,20 @@ class TestFleet:
         assert exc.value.code == 2
 
     def test_worker_count_does_not_change_the_report(self, capsys):
+        # The CLI has no worker knob; its table must match a
+        # workers=4 run of the same config through the API.
+        from repro.fleet import FleetConfig, FleetControlPlane
+
         assert main(["fleet", "--tenants", "3", "--duration", "20",
                      "--seed", "5"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["fleet", "--tenants", "3", "--duration", "20",
-                     "--seed", "5", "--workers", "4"]) == 0
-        parallel = capsys.readouterr().out
-        strip = lambda text: [line for line in text.splitlines()
-                              if "worker(s)" not in line]
-        assert strip(parallel) == strip(serial)
+        out = capsys.readouterr().out
+        report = FleetControlPlane(FleetConfig(
+            tenants=3, duration=20.0, workers=4, seed=5)).run()
+        for label, value in (("attacks", report.attacks),
+                             ("scans", report.scans),
+                             ("heals", report.heals)):
+            assert any(line.split()[:2] == [label, str(value)]
+                       for line in out.splitlines()), (label, value)
 
     def test_breached_fleet_exits_one(self, capsys):
         # one grant per 20-time-unit round starves the tenant queue:
@@ -696,36 +701,3 @@ class TestLintRacesCLI:
         sarif = _json.loads(out_file.read_text())
         assert len(sarif["runs"]) == 2
         assert all(run["results"] == [] for run in sarif["runs"])
-
-
-class TestFleetSanitize:
-    def test_sanitized_fleet_exits_zero_and_reports(self, capsys):
-        assert main(["fleet", "--tenants", "3", "--duration", "6",
-                     "--workers", "2", "--seed", "3",
-                     "--sanitize"]) == 0
-        out = capsys.readouterr().out
-        assert "sanitizer:" in out
-        assert "0 violation(s)" in out
-
-    def test_violations_exit_two(self, capsys, monkeypatch):
-        # Force a violation through the sanitizer the CLI builds.
-        import threading
-
-        from repro.lint import sanitizer as san_mod
-
-        class Tripped(san_mod.RaceSanitizer):
-            def instrument_fleet(self, plane):
-                super().instrument_fleet(plane)
-                for name in ("t1", "t2"):
-                    t = threading.Thread(
-                        target=lambda: self.note_access("x", write=True),
-                        name=name)
-                    t.start()
-                    t.join()
-
-        monkeypatch.setattr(san_mod, "RaceSanitizer", Tripped)
-        code = main(["fleet", "--tenants", "2", "--duration", "3",
-                     "--workers", "2", "--sanitize"])
-        out = capsys.readouterr().out
-        assert code == 2
-        assert "RACE101" in out

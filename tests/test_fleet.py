@@ -1,11 +1,11 @@
 """Tests for the fleet control plane (`repro.fleet`).
 
-The load-bearing pin is worker-count independence: shards are disjoint
-state driven by simulated-time clocks, so ``workers=K`` must produce
-per-tenant verdicts, latencies, and counters identical to ``workers=1``
-— the acceptance criterion of the subsystem.  The rest covers the
-scheduling semantics (central preemption, deferral vs true loss, the
-administrator path for blocked shards) and the workload archetypes.
+The fleet runs every phase inline, so ``FleetConfig.workers`` must be
+accepted and change nothing: ``workers=K`` produces per-tenant
+verdicts, latencies, and counters identical to ``workers=1`` and never
+starts a thread pool.  The rest covers the scheduling semantics
+(central preemption, deferral vs true loss, the administrator path for
+blocked shards) and the workload archetypes.
 """
 
 import dataclasses
@@ -44,27 +44,30 @@ def run_fleet(workers=1, tenants=6, duration=40.0, seed=7, **kwargs):
 
 class TestWorkerPool:
     def test_inline_mode_has_no_executor(self):
-        pool = WorkerPool(1)
+        pool = WorkerPool()
+        assert pool.workers == 1
         assert pool.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-        pool.close()
-
-    def test_parallel_map_preserves_order(self):
-        with WorkerPool(4) as pool:
-            assert pool.map(lambda x: x * x, list(range(20))) == [
-                x * x for x in range(20)
-            ]
 
     def test_worker_exception_propagates(self):
         def boom(x):
             raise ValueError(f"bad {x}")
 
-        with WorkerPool(3) as pool:
-            with pytest.raises(ValueError):
-                pool.map(boom, [1, 2, 3])
+        with pytest.raises(ValueError, match="bad 1"):
+            WorkerPool().map(boom, [1, 2, 3])
 
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(FleetError):
-            WorkerPool(0)
+    def test_fleet_never_starts_a_thread_pool(self, monkeypatch):
+        """``workers=4`` still runs inline: constructing a thread pool
+        at all is a bug.  Patching the class itself catches every
+        binding of the name, however it was imported."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError(
+                "ThreadPoolExecutor created despite inline fleet")
+
+        monkeypatch.setattr(ThreadPoolExecutor, "__init__", forbidden)
+        report = run_fleet(workers=4, tenants=3, duration=5.0)
+        assert report.ticks >= 5
 
 
 class TestConfig:
@@ -92,7 +95,7 @@ class TestConfig:
 
 
 class TestDeterminismAcrossWorkers:
-    """The acceptance pin: worker count changes wall-clock only."""
+    """``FleetConfig.workers`` is accepted and changes no result."""
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_calm_fleet_identical_to_serial(self, workers):

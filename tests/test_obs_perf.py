@@ -25,7 +25,6 @@ from repro.obs.monitor import (
 from repro.obs.perf import (
     PHASES,
     PhaseProfiler,
-    PhaseSink,
     bump,
     counter_snapshot,
 )
@@ -140,18 +139,6 @@ class TestPhaseAlgebra:
         report = prof.report()
         assert report.counters["closure_recomputations"] == 3
         assert counter_snapshot()["closure_recomputations"] >= 10
-
-    def test_absorb_folds_sink_under_prefix(self):
-        sink = PhaseSink()
-        with sink.phase("detect"):
-            pass
-        sink.add("heal", 2.0, sim=1.5, calls=4)
-        prof = PhaseProfiler(wall_clock=FakeClock()).start()
-        prof.absorb(sink, prefix=("workers", "t1"))
-        prof.stop()
-        rows = rows_by_path(prof.report())
-        assert rows["workers;t1;heal"]["calls"] == 4
-        assert rows["workers;t1;heal"]["sim"] == pytest.approx(1.5)
 
     def test_collapsed_stack_format(self):
         clock = FakeClock()

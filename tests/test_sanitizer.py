@@ -10,7 +10,6 @@ import threading
 
 import pytest
 
-from repro.fleet.control import FleetConfig, FleetControlPlane
 from repro.lint.sanitizer import RaceSanitizer, TrackedLock
 from repro.obs import locks as locks_mod
 from repro.obs.events import AlertEnqueued, EventBus
@@ -123,24 +122,6 @@ class TestEraserStateMachine:
             run_in_thread(lambda: san.note_access("v", write=True), "t2")
             outcomes.append(rules_of(san))
         assert outcomes == [["RACE101"]] * 3
-
-
-class TestBarrier:
-    def test_barrier_fences_cross_phase_access(self):
-        # Phase-confined hand-off: writer thread, join (modelled by the
-        # barrier), then another thread — ordered, not racy.
-        san = RaceSanitizer()
-        run_in_thread(lambda: san.note_access("v", write=True), "worker")
-        san.barrier("phase-join")
-        run_in_thread(lambda: san.note_access("v", write=True), "main")
-        assert san.violations == ()
-
-    def test_same_phase_race_still_caught(self):
-        san = RaceSanitizer()
-        san.barrier("start")
-        run_in_thread(lambda: san.note_access("v", write=True), "w1")
-        run_in_thread(lambda: san.note_access("v", write=True), "w2")
-        assert rules_of(san) == ["RACE101"]
 
 
 class TestLockOrderRuntime:
@@ -262,30 +243,6 @@ class TestInstrumentedBus:
         run_in_thread(lambda: bus.subscribe(lambda e: None), "t1")
         run_in_thread(lambda: bus.subscribe(lambda e: None), "t2")
         assert rules_of(san) == ["RACE101"]
-
-
-class TestSanitizedFleet:
-    def test_fleet_run_is_violation_free(self):
-        san = RaceSanitizer()
-        config = FleetConfig(tenants=4, mix=("web", "banking"),
-                             duration=6.0, tick=1.0, workers=4, seed=11)
-        plane = FleetControlPlane(config, bus=EventBus(), sanitizer=san)
-        report = plane.run()
-        assert report.ticks >= 6
-        stats = san.summary()
-        assert stats["accesses"] > 0
-        assert stats["barriers"] > 0
-        assert san.violations == (), san.report().render_text()
-
-    def test_fleet_results_unchanged_by_sanitizer(self):
-        config = FleetConfig(tenants=3, mix=("web",), duration=4.0,
-                             tick=1.0, workers=2, seed=7)
-        bare = FleetControlPlane(config).run()
-        sanitized = FleetControlPlane(
-            config, sanitizer=RaceSanitizer()).run()
-        assert bare.heals == sanitized.heals
-        assert bare.scans == sanitized.scans
-        assert bare.alerts_lost == sanitized.alerts_lost
 
 
 class TestLockHierarchy:

@@ -313,25 +313,30 @@ class TestProfileEndpoint:
 
 
 class TestProfileHammer:
-    """Satellite: /metrics + /slo + /profile scraped concurrently
-    while the fleet is mid-run.
+    """/metrics + /slo + /profile scraped concurrently while the fleet
+    is mid-run — the one truly concurrent path in the tree.
 
     The server contract is that a driver mutating shared state wraps
     each mutation in ``server.lock`` — so the test drives the tick
     loop by hand under the lock while four scraper threads hammer
     every endpoint.  Every response must be a well-formed 200; a
-    torn read would surface as a 500 or a JSON parse error.
+    torn read would surface as a 500 or a JSON parse error.  The
+    fleet registry runs under the dynamic race sanitizer, which must
+    see the scrapes and report no lockset violation.
     """
 
     def test_concurrent_scrapes_during_fleet_ticks(self):
         import threading
 
         from repro.fleet import FleetConfig, FleetControlPlane, WorkerPool
+        from repro.lint.sanitizer import RaceSanitizer
         from repro.obs.perf import PhaseProfiler
 
         prof = PhaseProfiler()
-        config = FleetConfig(tenants=3, duration=20.0, workers=2, seed=4)
+        config = FleetConfig(tenants=3, duration=20.0, seed=4)
         plane = FleetControlPlane(config, profiler=prof)
+        san = RaceSanitizer()
+        san.instrument_metrics(plane.registry)
         prof.start()
         failures = []
         counts = {}
@@ -359,10 +364,10 @@ class TestProfileHammer:
             for t in threads:
                 t.start()
             ticks = int(round(config.duration / config.tick))
-            with WorkerPool(config.workers) as pool:
-                for _ in range(ticks):
-                    with server.lock:
-                        plane.run_tick(pool)
+            pool = WorkerPool()
+            for _ in range(ticks):
+                with server.lock:
+                    plane.run_tick(pool)
             stop.set()
             for t in threads:
                 t.join()
@@ -370,3 +375,5 @@ class TestProfileHammer:
         assert not failures, failures
         assert all(counts.get(p, 0) > 0 for p in paths), counts
         assert plane.profile_report().attribution > 0.0
+        assert san.summary()["accesses"] > 0
+        assert san.violations == (), san.report().render_text()
