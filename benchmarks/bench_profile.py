@@ -150,14 +150,14 @@ def profile_batch(replications: int, horizon: float,
     return out
 
 
-def profile_fleet(tenants: int, duration: float, seed: int,
-                  workers: int) -> List[dict]:
+def profile_fleet(tenants: int, duration: float,
+                  seed: int) -> List[dict]:
     """The control plane, profiled after construction (setup solves
     CTMC steady states — that belongs to calibration, not the run)."""
 
     def once():
         config = FleetConfig(tenants=tenants, duration=duration,
-                             workers=workers, seed=seed)
+                             seed=seed)
         prof = PhaseProfiler()
         plane = FleetControlPlane(config, profiler=prof)
         prof.start()
@@ -172,7 +172,7 @@ def profile_fleet(tenants: int, duration: float, seed: int,
     return [{
         "scenario": "fleet",
         "params": {"tenants": tenants, "duration": duration,
-                   "workers": workers, "seed": seed},
+                   "seed": seed},
         "total_wall_s": first.total_wall,
         "attribution": first.attribution,
         "attribution_floor": 0.95,
@@ -238,7 +238,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="directory for BENCH_profile.json "
                              "(default: cwd)")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--fleet-workers", type=int, default=4)
     args = parser.parse_args(argv)
 
     shape = QUICK if args.quick else FULL
@@ -248,7 +247,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     results += profile_batch(shape["reps"], shape["batch_horizon"],
                              args.seed)
     results += profile_fleet(shape["tenants"], shape["duration"],
-                             args.seed, args.fleet_workers)
+                             args.seed)
     results += profile_conformance(shape["horizon"], args.seed)
     for row in results:
         floor = row["attribution_floor"]

@@ -4,7 +4,8 @@ Emits two JSON documents that seed the perf trajectory:
 
 - ``BENCH_ctmc.json`` — a state-count sweep over the recovery STG
   comparing the dense and sparse solver backends (steady state,
-  uniformization transient, expected hitting times), with per-size
+  uniformization transient, expected hitting times, Equation 3's
+  cumulative times at ``t = 1000``), with per-size
   speedups and the max dense-vs-sparse discrepancy as a built-in
   correctness guard;
 - ``BENCH_sim.json`` — a replication-count sweep of the Gillespie
@@ -38,12 +39,16 @@ import numpy as np
 from repro.markov.passage import expected_hitting_times
 from repro.markov.steady_state import steady_state
 from repro.markov.stg import RecoverySTG
-from repro.markov.transient import transient_probabilities
+from repro.markov.transient import cumulative_times, transient_probabilities
 from repro.sim.batch import default_workers, run_gillespie_batch
 
 #: Arrival rate used throughout: high enough that loss states carry
 #: probability mass and the solves are not trivially concentrated.
 ARRIVAL_RATE = 2.0
+
+#: Horizon of the Equation 3 row: long enough for the chain to mix,
+#: so the dense path runs its full count of squarings.
+CUMULATIVE_HORIZON = 1000.0
 
 FULL_CTMC_BUFFERS = [10, 15, 25, 35, 45]
 QUICK_CTMC_BUFFERS = [3, 6]
@@ -94,6 +99,12 @@ def bench_ctmc(buffers: List[int], repeats: int) -> Dict[str, object]:
             np.abs(h_dense[finite] - h_sparse[finite]).max()
         )
 
+        cum_dense = cumulative_times(chain, pi0, CUMULATIVE_HORIZON,
+                                     backend="dense")
+        cum_sparse = cumulative_times(chain, pi0, CUMULATIVE_HORIZON,
+                                      backend="sparse")
+        cumulative_diff = float(np.abs(cum_dense - cum_sparse).max())
+
         entry = {
             "buffer": buffer_size,
             "states": chain.n_states,
@@ -102,6 +113,7 @@ def bench_ctmc(buffers: List[int], repeats: int) -> Dict[str, object]:
                 "steady_state": steady_diff,
                 "transient": transient_diff,
                 "passage": passage_diff,
+                "cumulative": cumulative_diff,
             },
         }
         for op, dense_fn, sparse_fn in (
@@ -118,6 +130,11 @@ def bench_ctmc(buffers: List[int], repeats: int) -> Dict[str, object]:
                                             backend="dense"),
              lambda: expected_hitting_times(chain, targets,
                                             backend="sparse")),
+            ("cumulative",
+             lambda: cumulative_times(chain, pi0, CUMULATIVE_HORIZON,
+                                      backend="dense"),
+             lambda: cumulative_times(chain, pi0, CUMULATIVE_HORIZON,
+                                      backend="sparse")),
         ):
             dense_s = _best_of(dense_fn, repeats)
             sparse_s = _best_of(sparse_fn, repeats)
@@ -131,6 +148,7 @@ def bench_ctmc(buffers: List[int], repeats: int) -> Dict[str, object]:
               f"steady {entry['steady_state']['speedup']:.1f}x, "
               f"transient {entry['transient']['speedup']:.1f}x, "
               f"passage {entry['passage']['speedup']:.1f}x, "
+              f"cumulative {entry['cumulative']['speedup']:.1f}x, "
               f"max diff {max(entry['max_abs_diff'].values()):.2e}")
     largest = results[-1]
     return {

@@ -39,7 +39,7 @@ import sys
 from typing import Dict, List, Optional
 
 #: Operations timed per CTMC row.
-CTMC_OPS = ("steady_state", "transient", "passage")
+CTMC_OPS = ("steady_state", "transient", "passage", "cumulative")
 
 #: ROADMAP item 1(c)'s gate: the fullstack profile may rebuild the
 #: dependency closure for at most one alert in ten (once per log epoch,

@@ -10,8 +10,8 @@ Implements Sections IV-C through VI of the paper:
   (Figure 3) with finite buffers (Section IV-E);
 - :mod:`repro.markov.steady_state` — Equation 1 (``πQ = 0``);
 - :mod:`repro.markov.transient` — Equations 2 and 3 (transient
-  probabilities and cumulative state times), via uniformization and the
-  matrix exponential;
+  probabilities and cumulative state times), via uniformization, the
+  matrix exponential and its φ₁ companion;
 - :mod:`repro.markov.metrics` — loss probability (Definition 3),
   ε-convergence (Definition 4), expected queue lengths;
 - :mod:`repro.markov.design` — the Section VI design-guideline

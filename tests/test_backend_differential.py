@@ -234,3 +234,26 @@ def test_unknown_backend_name_raises() -> None:
     chain = RecoverySTG.paper_default(buffer_size=3).ctmc()
     with pytest.raises(ModelError, match="unknown backend"):
         steady_state(chain, backend="bogus")
+
+
+@needs_scipy
+def test_ctmc_bench_gates_equation3() -> None:
+    """The CTMC sweep times Equation 3 and the regression gate reads it."""
+    from benchmarks.bench_scale import bench_ctmc
+    from benchmarks.check_regression import check_ctmc
+
+    doc = bench_ctmc([3], repeats=1)
+    row = doc["results"][0]
+    assert set(row["cumulative"]) == {"dense_s", "sparse_s", "speedup"}
+    assert row["max_abs_diff"]["cumulative"] < 1e-6
+    assert check_ctmc(doc, doc, 0.25, 1e-6) == []
+
+    slower = {"results": [dict(row, cumulative=dict(
+        row["cumulative"], speedup=row["cumulative"]["speedup"] / 2))]}
+    failures = check_ctmc(slower, doc, 0.25, 1e-6)
+    assert len(failures) == 1 and "cumulative" in failures[0]
+
+    apart = {"results": [dict(row, max_abs_diff=dict(
+        row["max_abs_diff"], cumulative=1e-3))]}
+    failures = check_ctmc(apart, doc, 0.25, 1e-6)
+    assert len(failures) == 1 and "cumulative" in failures[0]

@@ -1,11 +1,17 @@
 """Tests for transient analysis (Equations 2 and 3)."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from repro.errors import ModelError
+from repro.markov import transient
 from repro.markov.ctmc import CTMC
+from repro.markov.degradation import power_law
 from repro.markov.steady_state import steady_state
+from repro.markov.stg import RecoverySTG
 from repro.markov.transient import (
     cumulative_times,
     transient_probabilities,
@@ -16,6 +22,26 @@ from repro.markov.transient import (
 def two_state(a=2.0, b=3.0):
     return CTMC.from_rates(["on", "off"], {("on", "off"): a,
                                            ("off", "on"): b})
+
+
+def augmented_cumulative_times(q, pi0, t):
+    """Equation 3 through the 2n×2n augmented exponential (reference).
+
+    With ``M = [[Q, 0], [I, 0]]`` and ``y(0) = [0, π(0)]``,
+    ``y(t) = y(0) e^{Mt}`` holds ``l(t)`` in its first block.
+    """
+    n = q.shape[0]
+    m = np.zeros((2 * n, 2 * n))
+    m[:n, :n] = q
+    m[n:, :n] = np.eye(n)
+    y0 = np.concatenate([np.zeros(n), pi0])
+    return (y0 @ expm(m * t))[:n]
+
+
+def assert_matches_reference(chain, pi0, t):
+    lt = cumulative_times(chain, pi0, t, backend="dense")
+    ref = augmented_cumulative_times(chain.generator, pi0, t)
+    assert np.abs(lt - ref).max() <= 1e-9 * t
 
 
 class TestEquation2:
@@ -130,3 +156,52 @@ class TestEquation3:
         chain = two_state()
         with pytest.raises(ModelError):
             cumulative_times(chain, chain.point_distribution("on"), -0.5)
+
+
+class TestEquation3AgainstAugmented:
+    """The dense n×n φ₁ path against the augmented 2n×2n exponential."""
+
+    @pytest.mark.parametrize("lam", [2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("buffer", [5, 10, 15])
+    @pytest.mark.parametrize("t", [0.5, 1000.0])
+    def test_model_grid(self, lam, buffer, t):
+        stg = RecoverySTG.paper_default(arrival_rate=lam,
+                                        buffer_size=buffer)
+        assert_matches_reference(stg.ctmc(), stg.initial_distribution(), t)
+
+    @pytest.mark.parametrize("t", [0.5, 10.0, 1000.0])
+    def test_start_in_absorbing_state(self, t):
+        chain = CTMC.from_rates(
+            ["a", "b", "c", "d"],
+            {("a", "b"): 3.0, ("b", "a"): 1.0, ("b", "c"): 2.0,
+             ("a", "d"): 0.5},
+        )
+        for start in ("c", "d"):
+            pi0 = chain.point_distribution(start)
+            assert_matches_reference(chain, pi0, t)
+            assert cumulative_times(chain, pi0, t) == pytest.approx(t * pi0)
+        # Mass split between a transient and an absorbing state.
+        assert_matches_reference(chain, np.array([0.5, 0.0, 0.5, 0.0]), t)
+
+    @pytest.mark.parametrize("alpha", [0.1, 2.0])
+    @pytest.mark.parametrize("t", [0.5, 1000.0])
+    def test_alpha_degraded_stg(self, alpha, t):
+        stg = RecoverySTG(arrival_rate=2.0, scan=power_law(15.0, alpha),
+                          recovery=power_law(20.0, alpha),
+                          recovery_buffer=8)
+        lt = cumulative_times(stg.ctmc(), stg.initial_distribution(), t)
+        assert lt.sum() == pytest.approx(t, rel=1e-9)
+        assert (lt >= -1e-12).all()
+        assert_matches_reference(stg.ctmc(), stg.initial_distribution(), t)
+
+    def test_taylor_truncation_below_unit_roundoff(self):
+        """The stated bound on ``‖e^B − T_m(B)‖₁`` at ``‖B‖₁ = θ``."""
+        m, theta = transient._TAYLOR_DEGREE, transient._TAYLOR_THETA
+        tail = (theta ** (m + 1) / math.factorial(m + 1)
+                / (1.0 - theta / (m + 2)))
+        assert tail < 2.0 ** -53
+
+    def test_zero_generator_accumulates_the_start(self):
+        chain = CTMC(["a", "b"], np.zeros((2, 2)))
+        pi0 = np.array([0.3, 0.7])
+        assert cumulative_times(chain, pi0, 7.0) == pytest.approx(7.0 * pi0)
