@@ -59,6 +59,7 @@ from repro.markov.steady_state import steady_state
 from repro.markov.stg import RecoverySTG, StateCategory
 from repro.markov.transient import transient_probabilities
 from repro.report.tables import Table
+from repro.scenarios import SCENARIOS
 
 __all__ = ["main", "build_parser", "EXIT_DOMAIN_ERROR"]
 
@@ -121,70 +122,27 @@ def cmd_demo(args) -> int:
     """Run one of the built-in scenarios end to end."""
     if getattr(args, "flight_log", None) and args.scenario != "web-app":
         raise ObsError(
-            "demo --flight-log is supported for the web-app scenario "
-            "only (the other demos heal outside the Figure 2 pipeline)"
+            "demo --flight-log records only the web-app scenario's "
+            "alert-driven run; record the Figure 1 incident with "
+            "'obs record --scenario figure1'"
         )
-    if args.scenario == "figure1":
-        from repro.scenarios.figure1 import Figure1Scenario, build_figure1
-
-        sc = build_figure1(attacked=True)
-        report = sc.heal_now()
-        T = Figure1Scenario.task_ids
-        print("System log:",
-              " ".join(str(r.instance) for r in sc.log.normal_records()))
-        print(report.summary())
-        for label, uids in (
-            ("undone", report.undone), ("redone", report.redone),
-            ("abandoned", report.abandoned),
-            ("new", report.new_executions), ("kept", report.kept),
-        ):
-            print(f"  {label:<10}: {' '.join(sorted(T(uids)))}")
-        print(f"strictly correct: {sc.audit.ok}")
-        return 0 if sc.audit.ok else 1
-    if args.scenario == "banking":
-        from repro.scenarios.banking import build_banking
-
-        sc = build_banking()
-        print("balances before heal:", sc.balances())
-        report = sc.heal_now()
-        print(report.summary())
-        print("balances after heal :", sc.balances())
-        print(f"strictly correct: {sc.audit.ok}")
-        return 0 if sc.audit.ok else 1
-    if args.scenario == "travel":
-        from repro.scenarios.travel import build_travel
-
-        sc = build_travel()
-        print(f"before heal: seats={sc.store.read('seats')} "
-              f"revenue={sc.store.read('revenue')}")
-        report = sc.heal_now()
-        print(report.summary())
-        print(f"after heal : seats={sc.store.read('seats')} "
-              f"revenue={sc.store.read('revenue')}")
-        print(f"strictly correct: {sc.audit.ok}")
-        return 0 if sc.audit.ok else 1
-    if args.scenario == "web-app":
-        from repro.scenarios.web_app import build_web_app
-
-        sc = build_web_app()
-        if getattr(args, "flight_log", None):
-            return _demo_web_app_recorded(sc, args.flight_log)
-        print(f"before heal: {sc.summary()}")
-        report = sc.heal_now()
-        print(report.summary())
-        print(f"after heal : {sc.summary()}")
-        print(f"strictly correct: {sc.audit.ok}")
-        return 0 if sc.audit.ok else 1
-    # supply-chain
-    from repro.scenarios.supply_chain import build_supply_chain
-
-    sc = build_supply_chain()
-    print(f"before heal: {sc.summary()}")
+    sc = SCENARIOS[args.scenario]()
+    if getattr(args, "flight_log", None):
+        return _demo_web_app_recorded(sc, args.flight_log)
+    _print_state(sc, "before heal")
     report = sc.heal_now()
-    print(report.summary())
-    print(f"after heal : {sc.summary()}")
+    for line in sc.describe(report):
+        print(line)
+    _print_state(sc, "after heal")
     print(f"strictly correct: {sc.audit.ok}")
     return 0 if sc.audit.ok else 1
+
+
+def _print_state(sc, when: str) -> None:
+    """A demo's before/after view of the state the attack touched."""
+    state = sc.summary()
+    if state is not None:
+        print(f"{sc.STATE_LABEL}{when:<11}: {state}")
 
 
 def _demo_web_app_recorded(sc, path: str) -> int:
@@ -208,15 +166,9 @@ def _demo_web_app_recorded(sc, path: str) -> int:
         # online monitor's final verdicts.
         meta={"conformance_finalized": True},
     ).attach(bus)
-    system = SelfHealingSystem(
-        store=sc.store,
-        log=sc.log,
-        specs_by_instance=sc.specs_by_instance,
-        bus=bus,
-        clock=clock,
-    )
+    system = SelfHealingSystem(sc.manager, bus=bus, clock=clock)
     flight.mark("start", clock.now, state=system.state.value)
-    print(f"before heal: {sc.summary()}")
+    _print_state(sc, "before heal")
     system.submit_alert(sc.hijacked_uid)
     clock.advance(1.0)
     while system.alerts_queued:
@@ -230,7 +182,7 @@ def _demo_web_app_recorded(sc, path: str) -> int:
     flight.mark("finalize", clock.now, state=system.state.value)
     flight.close()
     print(report.summary())
-    print(f"after heal : {sc.summary()}")
+    _print_state(sc, "after heal")
     print(f"strictly correct: {audit.ok}")
     if out is None:
         print(flight.text(), end="")
@@ -1004,31 +956,11 @@ def cmd_fleet(args) -> int:
     return 0 if ok else 1
 
 
-_LINT_SCENARIOS = (
-    "figure1", "banking", "travel", "supply-chain", "web-app",
-)
-
-
 def _scenario_specs(name: str) -> List:
     """The (deduplicated) workflow specs a built-in scenario executes."""
-    if name == "figure1":
-        from repro.scenarios.figure1 import build_figure1
-        built = build_figure1(attacked=False)
-    elif name == "banking":
-        from repro.scenarios.banking import build_banking
-        built = build_banking()
-    elif name == "travel":
-        from repro.scenarios.travel import build_travel
-        built = build_travel()
-    elif name == "web-app":
-        from repro.scenarios.web_app import build_web_app
-        built = build_web_app()
-    else:
-        from repro.scenarios.supply_chain import build_supply_chain
-        built = build_supply_chain()
     by_id = {
         spec.workflow_id: spec
-        for spec in built.specs_by_instance.values()
+        for spec in SCENARIOS[name]().specs_by_instance.values()
     }
     return [by_id[wf] for wf in sorted(by_id)]
 
@@ -1067,10 +999,8 @@ def cmd_lint(args) -> int:
 
         diags = []
         scenarios: List[str] = list(args.scenario or ())
-        if args.all_scenarios:
-            scenarios = list(_LINT_SCENARIOS)
-        if not scenarios and not args.files:
-            scenarios = list(_LINT_SCENARIOS)
+        if args.all_scenarios or (not scenarios and not args.files):
+            scenarios = list(SCENARIOS)
         for name in scenarios:
             diags.extend(lint_specs(_scenario_specs(name)))
         docs = []
@@ -1385,8 +1315,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("demo", help=cmd_demo.__doc__)
-    p.add_argument("scenario", choices=["figure1", "banking", "travel",
-                                        "supply-chain", "web-app"])
+    p.add_argument("scenario", choices=list(SCENARIOS))
     p.add_argument("--flight-log", metavar="FILE", default=None,
                    help="drive the heal through the instrumented "
                         "Figure 2 pipeline and write a replayable "
@@ -1534,7 +1463,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "files/directories (code default: src/repro; "
                         "spec default: all built-in scenarios)")
     p.add_argument("--scenario", action="append",
-                   choices=list(_LINT_SCENARIOS),
+                   choices=list(SCENARIOS),
                    help="lint this built-in scenario's workflows "
                         "(spec pass; repeatable)")
     p.add_argument("--all-scenarios", action="store_true",

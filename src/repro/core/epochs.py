@@ -9,7 +9,8 @@ re-derive the world from the original initial data.
 
 :class:`EpochManager` provides that lifecycle:
 
-- workflows execute through engines bound to the current epoch's log;
+- workflows run (:meth:`EpochManager.new_run`) against the current
+  epoch's log;
 - ``heal()`` runs the healer against the current epoch and then *rolls*
   the epoch: the healed log is archived, a fresh empty log begins, and
   the current (healed) store versions become the next epoch's trusted
@@ -25,11 +26,16 @@ epoch are ignored by later heals (their log is archived).  Process every
 alert of a burst *before* rolling — which is precisely the paper's
 operating discipline: recovery starts only once the alert queue has
 drained.
+
+This is the package's one heal-and-audit path: the scenarios,
+:func:`~repro.sim.recovery_sim.run_pipeline`, the Figure 2
+:class:`~repro.system.SelfHealingSystem`, the full-stack simulator, the
+fleet and the fuzzer all heal through :meth:`EpochManager.heal` and
+check Definition 2 through :meth:`EpochManager.audit`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -38,7 +44,7 @@ from repro.core.healer import HealReport, Healer
 from repro.errors import RecoveryError
 from repro.obs.events import HealFinished, HealStarted
 from repro.workflow.data import DataStore
-from repro.workflow.engine import Engine
+from repro.workflow.engine import WorkflowRun
 from repro.workflow.log import SystemLog
 from repro.workflow.spec import WorkflowSpec
 
@@ -101,13 +107,26 @@ class EpochManager:
         instances run after it was built."""
         return MappingProxyType(self._specs)
 
-    def new_engine(self) -> Engine:
-        """An engine bound to the current epoch's log.
+    def new_run(self, spec: WorkflowSpec,
+                name: Optional[str] = None) -> WorkflowRun:
+        """Register a workflow instance in the current epoch and return
+        its run, ready to be stepped against :attr:`store` and
+        :attr:`log` (by hand, or interleaved with others through an
+        :class:`~repro.workflow.engine.Engine`).
 
-        Engines from earlier epochs must not be reused after a heal —
-        they hold the archived log.
+        Runs from earlier epochs must not be stepped after a heal —
+        the log they would commit to is archived.
         """
-        return Engine(self._store, self._log)
+        if name is None:
+            name = f"e{self._epoch}.wf{self._instance_seq}"
+        self._instance_seq += 1
+        if name in self._specs:
+            raise RecoveryError(
+                f"workflow instance {name!r} already exists (instance ids "
+                "must be unique across epochs)"
+            )
+        self._specs[name] = spec
+        return WorkflowRun(spec, name)
 
     def run_workflow(self, spec: WorkflowSpec,
                      name: Optional[str] = None) -> str:
@@ -118,19 +137,10 @@ class EpochManager:
     def run_workflow_attacked(self, spec: WorkflowSpec, tamper=None,
                               name: Optional[str] = None) -> str:
         """Like :meth:`run_workflow`, with an optional tamper hook."""
-        if name is None:
-            name = f"e{self._epoch}.wf{self._instance_seq}"
-        self._instance_seq += 1
-        if name in self._specs:
-            raise RecoveryError(
-                f"workflow instance {name!r} already exists (instance ids "
-                "must be unique across epochs)"
-            )
-        engine = self.new_engine()
-        run = engine.new_run(spec, name)
-        engine.run_to_completion(run, tamper=tamper)
-        self._specs[name] = spec
-        return name
+        run = self.new_run(spec, name)
+        while not run.done:
+            run.step(self._store, self._log, tamper)
+        return run.workflow_instance
 
     # -- healing ----------------------------------------------------------------
 
@@ -144,10 +154,11 @@ class EpochManager:
         observability (no-ops when ``None``).  ``bracket=True``
         additionally publishes the ``HealStarted``/``HealFinished``
         pair around the heal — callers that drive the manager directly
-        (fleet sweeps, fuzz backlog drains) opt in so the conformance
-        monitor sees every undo/redo inside a heal bracket; callers
-        already bracketed upstream (``SelfHealingSystem.recovery_step``,
-        the fullstack simulator's ``commit_repairs``) keep the default.
+        (fleet sweeps, fuzz backlog drains, the fullstack simulator's
+        ``commit_repairs``) opt in so the conformance monitor sees every
+        undo/redo inside a heal bracket;
+        ``SelfHealingSystem.recovery_step``, which publishes its
+        dispatch schedule inside its own bracket, keeps the default.
         ``profiler`` (a :class:`~repro.obs.perf.PhaseProfiler`) is
         likewise forwarded for the undo/settle/reconcile wall-time
         split.

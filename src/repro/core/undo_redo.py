@@ -246,7 +246,7 @@ def find_undo_tasks(
                         via=(bad, t_k),
                         objects=tuple(sorted(objs)),
                     ))
-            for uid in transitive:
+            for uid in sorted(transitive):
                 if uid == bad:
                     continue
                 stale.add(

@@ -132,7 +132,7 @@ def run_figure1_observed(
         flight.attach(bus)
 
     system = SelfHealingSystem(
-        sc.store, sc.log, sc.specs_by_instance,
+        sc.manager,
         alert_buffer=alert_buffer, recovery_buffer=recovery_buffer,
         bus=bus, clock=clock,
     )

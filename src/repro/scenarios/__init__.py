@@ -13,8 +13,11 @@
 - :mod:`repro.scenarios.web_app` — an Ancora-style web shop: a session
   hijack at request granularity, with live traffic racing the repair.
 
-Each module exposes a ``build_*()`` returning a ready-to-run scenario
-with a ``heal_now()`` performing recovery and the Definition 2 audit.
+Each module exposes a ``build_*()`` returning a ready-to-run
+:class:`~repro.scenarios.base.Scenario` built on an
+:class:`~repro.core.epochs.EpochManager`, whose ``heal_now()`` performs
+recovery and the Definition 2 audit; :data:`SCENARIOS` maps each CLI
+name to its builder.
 
 Beyond the fixed case studies, :mod:`repro.scenarios.generate` grows
 seeded random workloads and attack campaigns (the fuzzing DSL), and
@@ -22,7 +25,10 @@ seeded random workloads and attack campaigns (the fuzzing DSL), and
 fuzzing harness behind ``repro-workflow fuzz``.
 """
 
+from typing import Callable, Dict
+
 from repro.scenarios.banking import BankingScenario, build_banking
+from repro.scenarios.base import Scenario
 from repro.scenarios.figure1 import Figure1Scenario, build_figure1
 from repro.scenarios.supply_chain import (
     SupplyChainScenario,
@@ -31,7 +37,18 @@ from repro.scenarios.supply_chain import (
 from repro.scenarios.travel import TravelScenario, build_travel
 from repro.scenarios.web_app import WebAppScenario, build_web_app
 
+#: CLI name → builder of every built-in scenario, in listing order.
+SCENARIOS: Dict[str, Callable[[], Scenario]] = {
+    "figure1": build_figure1,
+    "banking": build_banking,
+    "travel": build_travel,
+    "supply-chain": build_supply_chain,
+    "web-app": build_web_app,
+}
+
 __all__ = [
+    "SCENARIOS",
+    "Scenario",
     "Figure1Scenario",
     "build_figure1",
     "BankingScenario",

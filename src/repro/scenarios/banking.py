@@ -18,14 +18,12 @@ the attack never happened.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import ClassVar, Dict, Sequence, Tuple
 
-from repro.core.axioms import CorrectnessReport, audit_strict_correctness
-from repro.core.healer import HealReport, Healer
+from repro.core.epochs import EpochManager
+from repro.scenarios.base import Scenario
 from repro.workflow.data import DataStore
-from repro.workflow.engine import Engine
-from repro.workflow.log import SystemLog
 from repro.workflow.spec import WorkflowSpec, workflow
 
 __all__ = ["BankingScenario", "build_banking", "transfer_spec"]
@@ -68,32 +66,18 @@ def transfer_spec(name: str, src: str, dst: str) -> WorkflowSpec:
 
 
 @dataclass
-class BankingScenario:
+class BankingScenario(Scenario):
     """The attacked banking system, ready to heal."""
 
-    store: DataStore
-    log: SystemLog
-    specs_by_instance: Dict[str, WorkflowSpec]
-    initial_data: Dict[str, int]
     forged_run: str
-    heal: Optional[HealReport] = None
-    audit: Optional[CorrectnessReport] = None
 
-    def heal_now(self) -> HealReport:
-        """Undo the forged run and repair its collateral damage."""
-        healer = Healer(self.store, self.log, self.specs_by_instance)
-        self.heal = healer.heal([], forged_runs=[self.forged_run])
-        self.audit = audit_strict_correctness(
-            {
-                wf: spec
-                for wf, spec in self.specs_by_instance.items()
-                if wf != self.forged_run
-            },
-            self.initial_data,
-            self.heal.final_history,
-            self.store.snapshot(),
-        )
-        return self.heal
+    STATE_LABEL: ClassVar[str] = "balances "
+
+    def reported(self) -> Tuple[Sequence[str], Sequence[str]]:
+        return (), [self.forged_run]
+
+    def summary(self) -> Dict[str, int]:
+        return self.balances()
 
     def balances(self) -> Dict[str, int]:
         """Current account balances."""
@@ -132,28 +116,12 @@ def build_banking() -> BankingScenario:
         "ok_forged": 0, "ok_ab": 0, "ok_cd": 0,
         "rejected_forged": 0, "rejected_ab": 0, "rejected_cd": 0,
     }
-    store = DataStore(initial)
-    log = SystemLog()
-    engine = Engine(store, log)
-
-    forged = engine.new_run(
-        transfer_spec("forged", "alice", "mallory"), "transfer_forged"
-    )
-    legit_ab = engine.new_run(
-        transfer_spec("ab", "alice", "bob"), "transfer_ab"
-    )
-    legit_cd = engine.new_run(
-        transfer_spec("cd", "carol", "dave"), "transfer_cd"
-    )
+    manager = EpochManager(DataStore(initial), initial)
     # The theft commits first, then the two legitimate transfers.
-    engine.run_to_completion(forged)
-    engine.run_to_completion(legit_ab)
-    engine.run_to_completion(legit_cd)
-
-    return BankingScenario(
-        store=store,
-        log=log,
-        specs_by_instance=engine.specs_by_instance,
-        initial_data=initial,
-        forged_run="transfer_forged",
-    )
+    manager.run_workflow(transfer_spec("forged", "alice", "mallory"),
+                         name="transfer_forged")
+    manager.run_workflow(transfer_spec("ab", "alice", "bob"),
+                         name="transfer_ab")
+    manager.run_workflow(transfer_spec("cd", "carol", "dave"),
+                         name="transfer_cd")
+    return BankingScenario(manager, initial, forged_run="transfer_forged")

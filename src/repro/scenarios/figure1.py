@@ -24,15 +24,14 @@ execute ``t5``; keep ``t7 t9`` untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
-from repro.core.axioms import CorrectnessReport, audit_strict_correctness
-from repro.core.healer import HealReport, Healer
+from repro.core.epochs import EpochManager
+from repro.core.healer import HealReport
 from repro.ids.attacks import AttackCampaign
+from repro.scenarios.base import Scenario
 from repro.workflow.data import DataStore
-from repro.workflow.engine import Engine
-from repro.workflow.log import SystemLog
 from repro.workflow.spec import WorkflowSpec, workflow
 
 __all__ = ["Figure1Scenario", "build_figure1"]
@@ -99,16 +98,10 @@ def _wf2() -> WorkflowSpec:
 
 
 @dataclass
-class Figure1Scenario:
+class Figure1Scenario(Scenario):
     """The executed (attacked) Figure 1 system plus its recovery."""
 
-    store: DataStore
-    log: SystemLog
-    specs_by_instance: Dict[str, WorkflowSpec]
-    initial_data: Dict[str, int]
     malicious_uid: str
-    heal: HealReport = field(default=None)  # type: ignore[assignment]
-    audit: CorrectnessReport = field(default=None)  # type: ignore[assignment]
 
     # Expected outcomes straight from the paper (task-id level).
     EXPECTED_UNDONE = frozenset(
@@ -119,17 +112,24 @@ class Figure1Scenario:
     EXPECTED_NEW = frozenset({"t5"})
     EXPECTED_KEPT = frozenset({"t7", "t9"})
 
-    def heal_now(self) -> HealReport:
-        """Run the healer on the attacked system and audit it."""
-        healer = Healer(self.store, self.log, self.specs_by_instance)
-        self.heal = healer.heal([self.malicious_uid])
-        self.audit = audit_strict_correctness(
-            self.specs_by_instance,
-            self.initial_data,
-            self.heal.final_history,
-            self.store.snapshot(),
-        )
-        return self.heal
+    def reported(self) -> Tuple[Sequence[str], Sequence[str]]:
+        return [self.malicious_uid], ()
+
+    def describe(self, report: HealReport) -> List[str]:
+        """The attacked log, the heal summary and its task-level sets."""
+        T = self.task_ids
+        lines = [
+            "System log: " + " ".join(
+                str(r.instance) for r in self.log.normal_records()),
+            report.summary(),
+        ]
+        for label, uids in (
+            ("undone", report.undone), ("redone", report.redone),
+            ("abandoned", report.abandoned),
+            ("new", report.new_executions), ("kept", report.kept),
+        ):
+            lines.append(f"  {label:<10}: {' '.join(sorted(T(uids)))}")
+        return lines
 
     @staticmethod
     def task_ids(uids) -> frozenset:
@@ -147,13 +147,9 @@ def build_figure1(attacked: bool = True) -> Figure1Scenario:
         ``False`` executes the clean system (the recovery oracle).
     """
     initial = {"input1": 1, "input2": 2, "c": 3, "w": 0}
-    store = DataStore(initial)
-    log = SystemLog()
-    engine = Engine(store, log)
-    runs = [
-        engine.new_run(_wf1(), "wf1"),
-        engine.new_run(_wf2(), "wf2"),
-    ]
+    manager = EpochManager(DataStore(initial), initial)
+    store, log = manager.store, manager.log
+    runs = [manager.new_run(_wf1(), "wf1"), manager.new_run(_wf2(), "wf2")]
 
     campaign = AttackCampaign()
     if attacked:
@@ -179,10 +175,4 @@ def build_figure1(attacked: bool = True) -> Figure1Scenario:
         while not run.done:
             run.step(store, log, tamper=campaign)
 
-    return Figure1Scenario(
-        store=store,
-        log=log,
-        specs_by_instance=engine.specs_by_instance,
-        initial_data=initial,
-        malicious_uid="wf1/t1#1",
-    )
+    return Figure1Scenario(manager, initial, malicious_uid="wf1/t1#1")

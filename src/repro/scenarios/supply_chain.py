@@ -21,15 +21,13 @@ corrupted stock — while the untouched orders keep their work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
-from repro.core.axioms import CorrectnessReport, audit_strict_correctness
-from repro.core.healer import HealReport, Healer
+from repro.core.epochs import EpochManager
 from repro.ids.attacks import AttackCampaign
+from repro.scenarios.base import Scenario
 from repro.workflow.data import DataStore
-from repro.workflow.engine import Engine
-from repro.workflow.log import SystemLog
 from repro.workflow.spec import WorkflowSpec, workflow
 
 __all__ = ["SupplyChainScenario", "build_supply_chain"]
@@ -114,36 +112,15 @@ def audit_spec() -> WorkflowSpec:
 
 
 @dataclass
-class SupplyChainScenario:
+class SupplyChainScenario(Scenario):
     """The attacked supply-chain day, ready to heal."""
 
-    store: DataStore
-    log: SystemLog
-    specs_by_instance: Dict[str, WorkflowSpec]
-    initial_data: Dict[str, int]
     malicious_uid: str          # the corrupted procurement check
     forged_run: str             # the fake sales order
     sale_names: List[str]
-    heal: Optional[HealReport] = None
-    audit: Optional[CorrectnessReport] = None
 
-    def heal_now(self) -> HealReport:
-        """Run the compound recovery and audit it."""
-        healer = Healer(self.store, self.log, self.specs_by_instance)
-        self.heal = healer.heal(
-            [self.malicious_uid], forged_runs=[self.forged_run]
-        )
-        self.audit = audit_strict_correctness(
-            {
-                wf: spec
-                for wf, spec in self.specs_by_instance.items()
-                if wf != self.forged_run
-            },
-            self.initial_data,
-            self.heal.final_history,
-            self.store.snapshot(),
-        )
-        return self.heal
+    def reported(self) -> Tuple[Sequence[str], Sequence[str]]:
+        return [self.malicious_uid], [self.forged_run]
 
     def summary(self) -> Dict[str, int]:
         """Key business figures of the current store state."""
@@ -181,33 +158,22 @@ def build_supply_chain(n_sales: int = 4) -> SupplyChainScenario:
         initial[f"invoice_{name}"] = 0
         initial[f"settled_{name}"] = 0
 
-    store = DataStore(initial)
-    log = SystemLog()
-    engine = Engine(store, log)
+    manager = EpochManager(DataStore(initial), initial)
 
     campaign = AttackCampaign().corrupt_task(
         "check", workflow_instance="procurement",
         label="forged stock reading", stock_reading=400,
     )
 
-    engine.run_to_completion(
-        engine.new_run(procurement_spec(), "procurement"),
-        tamper=campaign,
-    )
-    engine.run_to_completion(
-        engine.new_run(sales_spec("evil", 30), "sale_evil")
-    )
+    manager.run_workflow_attacked(procurement_spec(), campaign,
+                                  name="procurement")
+    manager.run_workflow(sales_spec("evil", 30), name="sale_evil")
     for name in names:
-        engine.run_to_completion(
-            engine.new_run(sales_spec(name, 20), f"sale_{name}")
-        )
-    engine.run_to_completion(engine.new_run(audit_spec(), "bookkeeping"))
+        manager.run_workflow(sales_spec(name, 20), name=f"sale_{name}")
+    manager.run_workflow(audit_spec(), name="bookkeeping")
 
     return SupplyChainScenario(
-        store=store,
-        log=log,
-        specs_by_instance=engine.specs_by_instance,
-        initial_data=initial,
+        manager, initial,
         malicious_uid="procurement/check#1",
         forged_run="sale_evil",
         sale_names=names,

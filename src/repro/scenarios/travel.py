@@ -19,14 +19,12 @@ later booking that read the corrupted seat count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Sequence, Tuple
 
-from repro.core.axioms import CorrectnessReport, audit_strict_correctness
-from repro.core.healer import HealReport, Healer
+from repro.core.epochs import EpochManager
 from repro.ids.attacks import AttackCampaign
+from repro.scenarios.base import Scenario
 from repro.workflow.data import DataStore
-from repro.workflow.engine import Engine
-from repro.workflow.log import SystemLog
 from repro.workflow.spec import WorkflowSpec, workflow
 
 __all__ = ["TravelScenario", "build_travel", "booking_spec"]
@@ -68,28 +66,17 @@ def booking_spec(name: str) -> WorkflowSpec:
 
 
 @dataclass
-class TravelScenario:
+class TravelScenario(Scenario):
     """The attacked booking system, ready to heal."""
 
-    store: DataStore
-    log: SystemLog
-    specs_by_instance: Dict[str, WorkflowSpec]
-    initial_data: Dict[str, int]
     malicious_uid: str
-    heal: Optional[HealReport] = None
-    audit: Optional[CorrectnessReport] = None
 
-    def heal_now(self) -> HealReport:
-        """Repair the forged booking and its downstream damage."""
-        healer = Healer(self.store, self.log, self.specs_by_instance)
-        self.heal = healer.heal([self.malicious_uid])
-        self.audit = audit_strict_correctness(
-            self.specs_by_instance,
-            self.initial_data,
-            self.heal.final_history,
-            self.store.snapshot(),
-        )
-        return self.heal
+    def reported(self) -> Tuple[Sequence[str], Sequence[str]]:
+        return [self.malicious_uid], ()
+
+    def summary(self) -> str:
+        return (f"seats={self.store.read('seats')} "
+                f"revenue={self.store.read('revenue')}")
 
 
 def build_travel(n_honest_bookings: int = 3) -> TravelScenario:
@@ -115,9 +102,7 @@ def build_travel(n_honest_bookings: int = 3) -> TravelScenario:
         initial[f"booked_{name}"] = 0
         initial[f"denied_{name}"] = 0
 
-    store = DataStore(initial)
-    log = SystemLog()
-    engine = Engine(store, log)
+    manager = EpochManager(DataStore(initial), initial)
 
     campaign = AttackCampaign()
     campaign.corrupt_task(
@@ -127,16 +112,11 @@ def build_travel(n_honest_bookings: int = 3) -> TravelScenario:
         **{"cardinfo_fraud": 7 * 999},  # looks valid to the verifier
     )
 
-    fraud = engine.new_run(booking_spec("fraud"), "booking_fraud")
-    engine.run_to_completion(fraud, tamper=campaign)
+    manager.run_workflow_attacked(booking_spec("fraud"), campaign,
+                                  name="booking_fraud")
     for name in names:
-        run = engine.new_run(booking_spec(name), f"booking_{name}")
-        engine.run_to_completion(run, tamper=campaign)
+        manager.run_workflow_attacked(booking_spec(name), campaign,
+                                      name=f"booking_{name}")
 
-    return TravelScenario(
-        store=store,
-        log=log,
-        specs_by_instance=engine.specs_by_instance,
-        initial_data=initial,
-        malicious_uid="booking_fraud/submit#1",
-    )
+    return TravelScenario(manager, initial,
+                          malicious_uid="booking_fraud/submit#1")

@@ -29,15 +29,12 @@ Carol's rejection into an approval, and re-pricing everything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Sequence, Tuple
 
-from repro.core.axioms import CorrectnessReport, audit_strict_correctness
-from repro.core.healer import HealReport, Healer
-from repro.obs.events import EventBus
+from repro.core.epochs import EpochManager
 from repro.ids.attacks import AttackCampaign
+from repro.scenarios.base import Scenario
 from repro.workflow.data import DataStore
-from repro.workflow.engine import Engine
-from repro.workflow.log import SystemLog
 from repro.workflow.spec import WorkflowSpec, workflow
 
 __all__ = [
@@ -104,44 +101,15 @@ def checkout_spec(name: str, user: str) -> WorkflowSpec:
 
 
 @dataclass
-class WebAppScenario:
-    """The attacked web shop, ready to heal."""
+class WebAppScenario(Scenario):
+    """The attacked web shop, ready to heal: healing undoes the hijacked
+    request and repairs its collateral damage while keeping every
+    legitimate request that raced it."""
 
-    store: DataStore
-    log: SystemLog
-    specs_by_instance: Dict[str, WorkflowSpec]
-    initial_data: Dict[str, int]
     hijacked_uid: str
-    heal: Optional[HealReport] = None
-    audit: Optional[CorrectnessReport] = None
 
-    def heal_now(
-        self,
-        bus: Optional[EventBus] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> HealReport:
-        """Undo the hijacked request and repair its collateral damage —
-        while keeping every legitimate request that raced it.  With a
-        ``bus`` (and ``clock``), the healer publishes its typed
-        undo/redo events for observers such as the conformance
-        monitor."""
-        healer = Healer(self.store, self.log, self.specs_by_instance,
-                        bus=bus, clock=clock)
-        self.record_heal(healer.heal([self.hijacked_uid]))
-        assert self.heal is not None
-        return self.heal
-
-    def record_heal(self, report: HealReport) -> CorrectnessReport:
-        """Adopt a heal report produced by an external driver (e.g. the
-        instrumented Figure 2 pipeline) and audit the healed history."""
-        self.heal = report
-        self.audit = audit_strict_correctness(
-            self.specs_by_instance,
-            self.initial_data,
-            report.final_history,
-            self.store.snapshot(),
-        )
-        return self.audit
+    def reported(self) -> Tuple[Sequence[str], Sequence[str]]:
+        return [self.hijacked_uid], ()
 
     def summary(self) -> str:
         """One-line view of the shop's shared state and sessions."""
@@ -186,9 +154,7 @@ def build_web_app() -> WebAppScenario:
         initial[f"ok_{name}"] = 0
         initial[f"receipt_{name}"] = 0
         initial[f"rejected_{name}"] = 0
-    store = DataStore(initial)
-    log = SystemLog()
-    engine = Engine(store, log)
+    manager = EpochManager(DataStore(initial), initial)
 
     hijack = AttackCampaign().corrupt_task(
         "add", workflow_instance="add_b1",
@@ -208,13 +174,7 @@ def build_web_app() -> WebAppScenario:
         (checkout_spec("d2", "dave"), "checkout_d2"),
     ]
     for spec, instance in requests:
-        run = engine.new_run(spec, instance)
-        engine.run_to_completion(run, tamper=hijack)
+        manager.run_workflow_attacked(spec, hijack, name=instance)
 
-    return WebAppScenario(
-        store=store,
-        log=log,
-        specs_by_instance=engine.specs_by_instance,
-        initial_data=initial,
-        hijacked_uid=hijack.malicious_uids[0],
-    )
+    return WebAppScenario(manager, initial,
+                          hijacked_uid=hijack.malicious_uids[0])

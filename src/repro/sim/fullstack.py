@@ -43,8 +43,6 @@ from repro.obs.events import (
     AlertEnqueued,
     AlertLost,
     EventBus,
-    HealFinished,
-    HealStarted,
     StateTransition,
     UnitEmitted,
 )
@@ -380,28 +378,18 @@ class FullStackSimulator:
             executed_uids.clear()
             lost_backlog.clear()
             now = min(sim.now, horizon)
-            if bus is not None:
-                bus.publish(HealStarted(now, malicious=tuple(uids)))
             with (prof.phase("heal") if prof is not None
                   else nullcontext()):
+                # Commits are instantaneous in sim time: the bracket's
+                # HealFinished carries duration 0.
                 report = manager.heal(uids, bus=bus, clock=lambda: now,
-                                      profiler=prof)
+                                      bracket=True, profiler=prof)
                 analyzer = None  # the epoch rolled; free its index
             heals += 1
             repaired += len(report.undone)
             with (prof.phase("audit") if prof is not None
                   else nullcontext()):
                 audits_ok = audits_ok and manager.audit().ok
-            if bus is not None:
-                bus.publish(HealFinished(
-                    now,
-                    undone=len(report.undone),
-                    redone=len(report.redone),
-                    kept=len(report.kept),
-                    abandoned=len(report.abandoned),
-                    new_executions=len(report.new_executions),
-                    duration=0.0,  # commits are instantaneous in sim time
-                ))
 
         def dispatch() -> None:
             nonlocal scanning, recovering

@@ -6,19 +6,22 @@ Wires the whole system together the way Figure 2 draws it:
     emits alerts → recovery analyzer builds a plan → healer repairs →
     strict-correctness audit checks Definition 2.
 
-:func:`run_pipeline` is the single entry point used by integration
-tests, property tests, examples and the baseline benchmarks.
+:func:`run_pipeline` is the one-shot driver used by integration tests,
+property tests, workload calibration and the baseline benchmarks; it
+heals and audits through :class:`~repro.core.epochs.EpochManager`, like
+every other driver.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.analyzer import RecoveryAnalyzer
-from repro.core.axioms import CorrectnessReport, audit_strict_correctness
-from repro.core.healer import Healer, HealReport
+from repro.core.axioms import CorrectnessReport
+from repro.core.epochs import EpochManager
+from repro.core.healer import HealReport
 from repro.core.plan import RecoveryPlan
 from repro.ids.attacks import AttackCampaign
 from repro.ids.detector import DetectorConfig, IntrusionDetector
@@ -37,7 +40,8 @@ class PipelineResult:
     Attributes
     ----------
     store, log:
-        The (healed) system state.
+        The (healed) system state; ``log`` is the attacked epoch's log,
+        with the heal's UNDO/REDO records.
     run_results:
         Per-workflow execution summaries of the attacked run.
     malicious_ground_truth:
@@ -98,12 +102,14 @@ def run_pipeline(
         Skip analysis/healing when ``False`` (produce the attacked state
         only).
     """
-    store = DataStore(workload.initial_data)
-    log = SystemLog()
-    engine = Engine(store, log, rng=random.Random(seed))
-    runs = [engine.new_run(spec, f"{spec.workflow_id}.run") for spec in
-            workload.specs]
-    run_results = engine.interleave(runs, policy=policy, tamper=campaign)
+    manager = EpochManager(DataStore(workload.initial_data),
+                           workload.initial_data)
+    store, log = manager.store, manager.log
+    runs = [manager.new_run(spec, f"{spec.workflow_id}.run")
+            for spec in workload.specs]
+    run_results = Engine(store, log, rng=random.Random(seed)).interleave(
+        runs, policy=policy, tamper=campaign)
+    specs_by_instance = dict(manager.specs_by_instance)
 
     ground_truth: Tuple[str, ...] = (
         campaign.malicious_uids if campaign is not None else ()
@@ -119,7 +125,7 @@ def run_pipeline(
             heal=None,
             audit=None,
             initial_data=dict(workload.initial_data),
-            specs_by_instance=engine.specs_by_instance,
+            specs_by_instance=specs_by_instance,
         )
 
     detector = IntrusionDetector(
@@ -136,18 +142,8 @@ def run_pipeline(
         alerts.append(detector.administrator_report(uid))
     alert_uids = tuple(a.uid for a in alerts)
 
-    analyzer = RecoveryAnalyzer(log, engine.specs_by_instance)
-    plan = analyzer.analyze(alerts)
-
-    healer = Healer(store, log, engine.specs_by_instance)
-    report = healer.heal(alert_uids)
-
-    audit = audit_strict_correctness(
-        engine.specs_by_instance,
-        workload.initial_data,
-        report.final_history,
-        store.snapshot(),
-    )
+    plan = RecoveryAnalyzer(log, specs_by_instance).analyze(alerts)
+    report = manager.heal(alert_uids)
     return PipelineResult(
         store=store,
         log=log,
@@ -156,7 +152,7 @@ def run_pipeline(
         alert_uids=alert_uids,
         plan=plan,
         heal=report,
-        audit=audit,
+        audit=manager.audit(),
         initial_data=dict(workload.initial_data),
-        specs_by_instance=engine.specs_by_instance,
+        specs_by_instance=specs_by_instance,
     )

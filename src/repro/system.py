@@ -23,10 +23,12 @@ Semantics faithfully modeled:
   "we cannot run any normal task until all malicious tasks reported by
   the IDS have been processed").
 
-The underlying repair uses the :class:`~repro.core.healer.Healer`, which
-assumes one heal per log epoch; the system therefore executes all queued
-recovery units in one batch when RECOVERY begins (the paper likewise
-requires the alert queue to drain before recovery runs).
+The system protects whatever its :class:`~repro.core.epochs.EpochManager`
+currently holds and repairs through ``manager.heal``, which heals one
+log epoch and then rolls to the next; the system therefore executes all
+queued recovery units in one batch when RECOVERY begins (the paper
+likewise requires the alert queue to drain before recovery runs), and
+keeps working across attack waves.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ from __future__ import annotations
 import time as _time
 from contextlib import nullcontext
 from enum import Enum
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.analyzer import RecoveryAnalyzer
 from repro.core.epochs import EpochManager
-from repro.core.healer import HealReport, Healer
+from repro.core.healer import HealReport
 from repro.core.plan import RecoveryPlan
 from repro.core.strategies import RecoveryStrategy
 from repro.errors import RecoveryError, SchedulingError
@@ -54,9 +56,6 @@ from repro.obs.events import (
     UnitEmitted,
 )
 from repro.obs.perf import PhaseProfiler
-from repro.workflow.data import DataStore
-from repro.workflow.log import SystemLog
-from repro.workflow.spec import WorkflowSpec
 
 __all__ = ["SystemState", "SelfHealingSystem"]
 
@@ -74,13 +73,11 @@ class SelfHealingSystem:
 
     Parameters
     ----------
-    store, log, specs_by_instance:
-        The workflow system being protected.  Alternatively pass
-        ``manager`` (an :class:`~repro.core.epochs.EpochManager`) and
-        leave these ``None``: the system then protects whatever the
-        manager currently holds, heals through ``manager.heal`` (which
-        rolls the epoch), and keeps working across attack waves — the
-        mode the fleet control plane runs every tenant in.
+    manager:
+        The :class:`~repro.core.epochs.EpochManager` owning the
+        protected workflow system.  The system analyzes the manager's
+        current epoch and heals through ``manager.heal``, which rolls
+        the epoch.
     alert_buffer:
         Capacity of the IDS-alert queue.
     recovery_buffer:
@@ -120,35 +117,16 @@ class SelfHealingSystem:
 
     def __init__(
         self,
-        store: Optional[DataStore] = None,
-        log: Optional[SystemLog] = None,
-        specs_by_instance: Optional[Mapping[str, WorkflowSpec]] = None,
+        manager: EpochManager,
         alert_buffer: int = 15,
         recovery_buffer: int = 15,
         strategy: RecoveryStrategy = RecoveryStrategy.STRICT,
         bus: Optional[EventBus] = None,
         clock: Optional[Callable[[], float]] = None,
         verify: bool = False,
-        manager: Optional[EpochManager] = None,
         profiler: Optional[PhaseProfiler] = None,
     ) -> None:
-        if manager is not None:
-            if (store is not None or log is not None
-                    or specs_by_instance is not None):
-                raise ValueError(
-                    "pass either manager= or store/log/specs_by_instance, "
-                    "not both"
-                )
-        elif store is None or log is None or specs_by_instance is None:
-            raise ValueError(
-                "store, log and specs_by_instance are required without "
-                "a manager"
-            )
         self._manager = manager
-        self._store = store
-        self._log = log
-        self._specs = (dict(specs_by_instance)
-                       if specs_by_instance is not None else None)
         self._alerts: BoundedQueue[Alert] = BoundedQueue(alert_buffer)
         self._plans: BoundedQueue[RecoveryPlan] = BoundedQueue(recovery_buffer)
         self._strategy = strategy
@@ -159,43 +137,21 @@ class SelfHealingSystem:
         # never reach the system-level AlertLost instrumentation.
         self._alerts.instrument("alert", bus, self._clock)
         self._plans.instrument("recovery", bus, self._clock)
-        # One analyzer per log: standalone mode keeps this one; in
-        # manager mode the log rolls with every heal, so scan_step
-        # builds one per epoch.
         self._profiler = profiler
-        self._analyzer = (
-            None if manager is not None
-            else RecoveryAnalyzer(log, self._specs, bus=bus,
-                                  clock=self._clock, profiler=profiler)
-        )
-        self._analyzer_epoch = -1  # manager mode: epoch of self._analyzer
+        # One analyzer per log: the log rolls with every heal, so
+        # scan_step builds one per epoch.
+        self._analyzer: Optional[RecoveryAnalyzer] = None
+        self._analyzer_epoch = -1  # epoch of self._analyzer
         self._verify = verify
         self._heals: List[HealReport] = []
         self._last_state = self.state
         #: uid → clock time at enqueue, for buffer-wait attribution.
         self._enqueued_at: Dict[str, float] = {}
 
-    # -- the protected world (epoch-aware in manager mode) ------------------
-
     @property
-    def manager(self) -> Optional[EpochManager]:
-        """The epoch manager, when running in manager mode."""
+    def manager(self) -> EpochManager:
+        """The epoch manager owning the protected system."""
         return self._manager
-
-    def _current_log(self) -> SystemLog:
-        if self._manager is not None:
-            return self._manager.log
-        return self._log  # type: ignore[return-value]
-
-    def _current_specs(self) -> Dict[str, WorkflowSpec]:
-        if self._manager is not None:
-            return self._manager.specs_by_instance
-        return self._specs  # type: ignore[return-value]
-
-    def _current_store(self) -> DataStore:
-        if self._manager is not None:
-            return self._manager.store
-        return self._store  # type: ignore[return-value]
 
     # -- observable state ---------------------------------------------------
 
@@ -295,8 +251,7 @@ class SelfHealingSystem:
         with (prof.phase("analyze") if prof is not None
               else nullcontext()):
             manager = self._manager
-            if manager is not None and \
-                    self._analyzer_epoch != manager.epoch:
+            if self._analyzer_epoch != manager.epoch:
                 self._analyzer = RecoveryAnalyzer(
                     manager.log, manager.specs_by_instance,
                     bus=self._bus, clock=self._clock, profiler=prof,
@@ -334,8 +289,8 @@ class SelfHealingSystem:
         prof = self._profiler
         with (prof.phase("analyze.verify") if prof is not None
               else nullcontext()):
-            findings = verify_plan(self._current_log(),
-                                   self._current_specs(), plan)
+            findings = verify_plan(self._manager.log,
+                                   self._manager.specs_by_instance, plan)
         if findings:
             detail = "; ".join(
                 f"{d.rule}: {d.message}" for d in findings[:3]
@@ -357,9 +312,9 @@ class SelfHealingSystem:
 
         ``extra_uids`` are out-of-band administrator reports (Section
         IV-D: alerts lost to a full queue are ultimately reported by
-        the administrator) folded into this batch — essential in
-        manager mode, where the epoch rolls at the commit and uids of
-        the just-archived epoch would be unreachable afterwards.
+        the administrator) folded into this batch — essential because
+        the epoch rolls at the commit and uids of the just-archived
+        epoch would be unreachable afterwards.
         """
         if self.state is not SystemState.RECOVERY:
             return None
@@ -379,20 +334,12 @@ class SelfHealingSystem:
                   else nullcontext()):
                 self._publish_schedule(plans)
         with (prof.phase("heal") if prof is not None else nullcontext()):
-            if self._manager is not None:
-                # The manager heals against its epoch baseline and rolls
-                # the epoch, so the system keeps protecting the
-                # post-heal world.
-                report = self._manager.heal(uids, bus=self._bus,
-                                            clock=self._clock,
-                                            profiler=prof)
-                # Release the archived epoch's analyzer and its index.
-                self._analyzer = None
-            else:
-                healer = Healer(self._store, self._log, self._specs,
-                                bus=self._bus, clock=self._clock,
-                                profiler=prof)
-                report = healer.heal(uids)
+            # The manager heals against its epoch baseline and rolls the
+            # epoch, so the system keeps protecting the post-heal world.
+            report = self._manager.heal(uids, bus=self._bus,
+                                        clock=self._clock, profiler=prof)
+            # Release the archived epoch's analyzer and its index.
+            self._analyzer = None
         self._heals.append(report)
         if observed:
             now = self._clock()

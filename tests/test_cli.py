@@ -243,13 +243,13 @@ class TestDomainErrorExit:
                                                 monkeypatch):
         """The handler sits in main(), so every subcommand gets the
         same clean exit — simulate a domain failure inside demo."""
-        import repro.scenarios.figure1 as figure1
         from repro.errors import RecoveryError
+        from repro.scenarios import SCENARIOS
 
         def boom(*args, **kwargs):
             raise RecoveryError("undo failed mid-heal")
 
-        monkeypatch.setattr(figure1, "build_figure1", boom)
+        monkeypatch.setitem(SCENARIOS, "figure1", boom)
         code = main(["demo", "figure1"])
         captured = capsys.readouterr()
         assert code == 3
@@ -264,13 +264,13 @@ class TestDomainErrorExit:
         assert "Traceback" not in captured.err
 
     def test_scheduling_error_also_mapped(self, capsys, monkeypatch):
-        import repro.scenarios.figure1 as figure1
         from repro.errors import SchedulingError
+        from repro.scenarios import SCENARIOS
 
         def boom(*args, **kwargs):
             raise SchedulingError("no admissible order")
 
-        monkeypatch.setattr(figure1, "build_figure1", boom)
+        monkeypatch.setitem(SCENARIOS, "figure1", boom)
         code = main(["demo", "figure1"])
         captured = capsys.readouterr()
         assert code == 3

@@ -227,28 +227,24 @@ class TestIndependence:
 class TestSystemVerifyHook:
     def test_verified_scan_step_accepts_sound_plan(self):
         sc = build_figure1(attacked=True)
-        system = SelfHealingSystem(
-            sc.store, sc.log, sc.specs_by_instance, verify=True
-        )
+        system = SelfHealingSystem(sc.manager, verify=True)
         assert system.submit_alert(sc.malicious_uid)
         assert system.scan_step() is not None
         assert len(system.heal_reports) == 0
 
     def test_corrupt_plan_raises_before_queuing(self, monkeypatch):
         sc = build_figure1(attacked=True)
-        system = SelfHealingSystem(
-            sc.store, sc.log, sc.specs_by_instance, verify=True
-        )
-        real_analyze = system._analyzer.analyze
+        system = SelfHealingSystem(sc.manager, verify=True)
+        real_analyze = RecoveryAnalyzer.analyze
 
-        def corrupt_analyze(alerts, outstanding=()):
-            plan = real_analyze(alerts, outstanding=outstanding)
+        def corrupt_analyze(analyzer, alerts, outstanding=()):
+            plan = real_analyze(analyzer, alerts, outstanding=outstanding)
             ua = plan.undo_analysis
             return replace(plan, undo_analysis=replace(
                 ua, infected=ua.infected - {sorted(ua.infected)[-1]}
             ))
 
-        monkeypatch.setattr(system._analyzer, "analyze", corrupt_analyze)
+        monkeypatch.setattr(RecoveryAnalyzer, "analyze", corrupt_analyze)
         system.submit_alert(sc.malicious_uid)
         with pytest.raises(RecoveryError, match="PLAN001"):
             system.scan_step()
@@ -256,7 +252,7 @@ class TestSystemVerifyHook:
 
     def test_default_is_unverified(self):
         sc = build_figure1(attacked=True)
-        system = SelfHealingSystem(sc.store, sc.log, sc.specs_by_instance)
+        system = SelfHealingSystem(sc.manager)
         assert system._verify is False
 
 

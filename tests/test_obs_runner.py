@@ -150,8 +150,8 @@ class TestFigure1Observed:
         from repro.system import SelfHealingSystem, SystemState
 
         sc = build_figure1(attacked=True)
-        system = SelfHealingSystem(sc.store, sc.log, sc.specs_by_instance,
-                                   alert_buffer=8, recovery_buffer=8)
+        system = SelfHealingSystem(sc.manager, alert_buffer=8,
+                                   recovery_buffer=8)
         system.submit_alert(Alert(0.0, sc.malicious_uid))
         for i in range(2):
             system.submit_alert(Alert(0.0, f"noise/t0#{i + 1}",

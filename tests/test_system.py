@@ -10,9 +10,7 @@ from repro.system import SelfHealingSystem, SystemState
 
 def make_system(**kwargs):
     sc = build_figure1(attacked=True)
-    system = SelfHealingSystem(
-        sc.store, sc.log, sc.specs_by_instance, **kwargs
-    )
+    system = SelfHealingSystem(sc.manager, **kwargs)
     return sc, system
 
 
@@ -146,18 +144,8 @@ class TestManagerMode:
         manager = EpochManager(DataStore(initial), initial)
         return manager, SelfHealingSystem(manager=manager, **kwargs)
 
-    def test_manager_excludes_explicit_world(self):
-        from repro.core.epochs import EpochManager
-        from repro.workflow.data import DataStore
-        from repro.workflow.log import SystemLog
-
-        store = DataStore({})
-        manager = EpochManager(store, {})
-        with pytest.raises(ValueError):
-            SelfHealingSystem(store, SystemLog(), {}, manager=manager)
-
     def test_world_required_without_manager(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             SelfHealingSystem()
 
     def test_heals_roll_epochs_across_attack_waves(self):
