@@ -11,7 +11,9 @@ Emits ``BENCH_profile.json``: one profiled run per scenario of the
   sim totals, counters — everything but the wall times);
 - **named line items** — the measured cost drivers the paper's scaling
   embarrassments hide behind: Theorem 1/2 closure rebuilds per alert
-  (ROADMAP item 1(c); one per log epoch), the wall time of the closure
+  (ROADMAP item 1(c); one per log epoch), Theorem 3 edge walks per
+  distinct action planned in an epoch (one when each action is planned
+  once per epoch), the wall time of the closure
   and plan phases of damage analysis, and the parallel batch's fan-out
   overhead (ROADMAP item 3, the <1 speedup), as real numbers, not
   prose;
@@ -28,7 +30,8 @@ Run as a script::
 
 ``benchmarks/check_regression.py`` gates the output: attribution
 floors, digest stability, the presence of the closure, plan-phase and
-fan-out line items, a closure rebuild rate of at most 0.1 per alert and
+fan-out line items, a closure rebuild rate of at most 0.1 per alert, at
+most 1.5 edge walks per planned action and
 a conformance row with zero violations are hard failures; the
 wall-time columns are informational
 (cross-machine timing comparisons are noise).
@@ -103,6 +106,13 @@ def profile_fullstack(horizon: float, seed: int) -> List[dict]:
             # presence so the plan phase stays measured.
             "plan_wall_s": rows.get(
                 "analyze;analyze.plan", {}).get("wall", 0.0),
+            # Theorem 3 edge walks per distinct action planned in an
+            # epoch: 1 when each action is planned once per epoch, the
+            # mean number of plans an action is in when every scan
+            # walks again; check_regression gates it.
+            "analyses_per_action": (
+                first.counters.get("plan_memo_fills", 0)
+                / (first.counters.get("actions_planned", 0) or 1)),
         },
     }]
 

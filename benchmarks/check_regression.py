@@ -17,7 +17,9 @@ the committed baselines at the repository root and fails (exit 1) when:
   structure digest, or a fullstack profile rebuilding the dependency
   closure for more than one alert in ten
   (``closure_recomputations_per_alert`` above
-  ``MAX_CLOSURE_PER_ALERT``);
+  ``MAX_CLOSURE_PER_ALERT``) or walking an action's Theorem 3 edges
+  more than once per epoch (``analyses_per_action`` above
+  ``MAX_ANALYSES_PER_ACTION``);
 - on rows present in *both* files (matched by ``buffer`` for the CTMC
   sweep, ``replications`` for the simulation batch), a speedup fell by
   more than ``--tolerance`` (default 25%) relative to the committed
@@ -45,6 +47,12 @@ CTMC_OPS = ("steady_state", "transient", "passage", "cumulative")
 #: dependency closure for at most one alert in ten (once per log epoch,
 #: not once per alert).
 MAX_CLOSURE_PER_ALERT = 0.1
+
+#: ROADMAP item 1's gate: Theorem 3 edge walks per distinct action
+#: planned in an epoch.  The analyzer's memos make it exactly 1; a
+#: walk per scan makes it the mean number of plans an action is in
+#: (3.2 on the profile's fullstack row, 7.1 on perfbench's overload).
+MAX_ANALYSES_PER_ACTION = 1.5
 
 
 def _load(path: pathlib.Path, expected_benchmark: str) -> dict:
@@ -200,8 +208,9 @@ def check_profile(fresh: dict, baseline: Optional[dict],
     Hard invariants (always): every row with an ``attribution_floor``
     meets it, every row's structure digest was stable across its two
     runs, the fullstack row names closure recomputation as a measured
-    line item at no more than ``MAX_CLOSURE_PER_ALERT`` per alert and
-    the plan-phase wall as ``plan_wall_s``, the parallel-batch row
+    line item at no more than ``MAX_CLOSURE_PER_ALERT`` per alert,
+    ``analyses_per_action`` at no more than ``MAX_ANALYSES_PER_ACTION``
+    and the plan-phase wall as ``plan_wall_s``, the parallel-batch row
     names fan-out overhead as one, and the conformance row exists and
     found no violations on its honest run.  Baseline comparison (tolerated
     absent — the profile
@@ -246,6 +255,14 @@ def check_profile(fresh: dict, baseline: Optional[dict],
                 f"{per_alert} above {MAX_CLOSURE_PER_ALERT} — the "
                 "dependency closure is rebuilt per alert again instead "
                 "of extended per epoch (ROADMAP 1(c))"
+            )
+        per_action = items.get("analyses_per_action")
+        if per_action is None or per_action > MAX_ANALYSES_PER_ACTION:
+            failures.append(
+                f"profile fullstack: analyses_per_action {per_action} "
+                f"above {MAX_ANALYSES_PER_ACTION} — recovery actions are "
+                "planned again on every scan instead of once per epoch "
+                "(ROADMAP 1)"
             )
         if "plan_wall_s" not in items:
             failures.append(

@@ -26,6 +26,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -53,6 +54,19 @@ __all__ = ["RecoveryAnalyzer"]
 
 class RecoveryAnalyzer:
     """Turns IDS alerts into recovery plans.
+
+    Consecutive alerts in one epoch condemn mostly the same instances,
+    so each instance's facts are computed once per epoch, in the
+    :class:`~repro.workflow.dependency.DependencyAnalyzer`'s memos, and
+    later scans only extend them with the records committed since.
+    That equals a rebuild because a log only grows at its end and each
+    fact is monotone in it: an instance's readers are later records;
+    the first later writer of an object, once there, never changes;
+    its control sources are fixed at commit, while its control
+    dependents and its Theorem 1 condition-4 alternatives change only
+    with the length of its trace; and an object's readers (condition
+    4's direct stale reads) only gain later records.  Each plan, its
+    provenance and its order are the same as a fresh analyzer's.
 
     Parameters
     ----------
@@ -91,16 +105,22 @@ class RecoveryAnalyzer:
         self._log = log
         self._specs = specs_by_instance
         self._dep: Optional[DependencyAnalyzer] = None
+        #: Distinct actions planned in this epoch, and the analyzer's
+        #: memo fills already counted (the ``actions_planned`` and
+        #: ``plan_memo_fills`` counters).
+        self._planned: Set[Action] = set()
+        self._fills_counted = 0
         self._bus = bus
         self._clock = clock if clock is not None else _time.monotonic  # lint: allow[DET001] injectable clock; wall time is the live default
         self._profiler = profiler
 
     def _dependency_analyzer(self) -> DependencyAnalyzer:
         if self._dep is None:
-            # The one closure build of this analyzer's log (ROADMAP item
-            # 1(c)): later scans reuse it, and it indexes only what was
-            # committed since.  Drivers hold one analyzer per log epoch,
-            # so the counter reads builds per epoch, not per alert.
+            # The one index-and-memo build of this analyzer's log
+            # (ROADMAP item 1(c)): later scans reuse it, and extend it
+            # only with what was committed since.  Drivers hold one
+            # analyzer per log epoch, so the counter reads builds per
+            # epoch, not per alert.
             bump("closure_recomputations")
             self._dep = DependencyAnalyzer(self._log, self._specs)
         return self._dep
@@ -157,6 +177,13 @@ class RecoveryAnalyzer:
             order.check_acyclic()
             cross_actions, cross_rows = self._cross_unit_constraints(
                 analyzer, order, outstanding)
+        # Once per epoch: each distinct action's Theorem 3 edge walk is
+        # one memo fill, so the ratio of these counters stays at 1.
+        planned = len(self._planned)
+        self._planned.update(order)
+        bump("actions_planned", len(self._planned) - planned)
+        bump("plan_memo_fills", analyzer.memo_fills - self._fills_counted)
+        self._fills_counted = analyzer.memo_fills
         if tracing:
             now = self._clock()
             # Provenance first (why each action exists and how it is
@@ -217,11 +244,11 @@ class RecoveryAnalyzer:
         touching: Dict[str, List[int]] = {}
         writing: Dict[str, List[int]] = {}
         for i, action in enumerate(new_actions):
-            record = analyzer.record(action.uid)
+            reads, writes = analyzer.object_names(action.uid)
             on_uid.setdefault(action.uid, []).append(i)
-            for name in record.reads.keys() | record.writes.keys():
+            for name in reads | writes:
                 touching.setdefault(name, []).append(i)
-            for name in record.writes:
+            for name in writes:
                 writing.setdefault(name, []).append(i)
         # Objects whose writer, or whose reader, conflicts with all of
         # new_actions.
@@ -229,25 +256,34 @@ class RecoveryAnalyzer:
                           if len(idx) == n}
         written_by_all = {name for name, idx in writing.items()
                           if len(idx) == n}
+        # A prior action's hits depend only on its instance, so the
+        # undo and redo of one instance share them; () means no row.
+        hits_of: Dict[str, Optional[Tuple[int, ...]]] = {}
         rows: List[CrossUnitRow] = []
         for plan in outstanding:
-            for prior in sorted(plan.order.elements()):
-                try:
-                    prior_record = analyzer.record(prior.uid)
-                except RecoveryError:
-                    continue  # unit from an older log epoch
-                if (not touched_by_all.isdisjoint(prior_record.writes)
-                        or not written_by_all.isdisjoint(
-                            prior_record.reads)):
-                    rows.append((prior, None))
-                    continue
-                hits = set(on_uid.get(prior.uid, ()))
-                for name in prior_record.writes:
-                    hits.update(touching.get(name, ()))
-                for name in prior_record.reads:
-                    hits.update(writing.get(name, ()))
-                if hits:
-                    rows.append((prior, tuple(sorted(hits))))
+            for prior in plan.actions:
+                uid = prior.uid
+                if uid in hits_of:
+                    hits = hits_of[uid]
+                else:
+                    try:
+                        reads, writes = analyzer.object_names(uid)
+                    except RecoveryError:
+                        hits_of[uid] = ()  # unit from an older log epoch
+                        continue
+                    if (not touched_by_all.isdisjoint(writes)
+                            or not written_by_all.isdisjoint(reads)):
+                        hits = None
+                    else:
+                        found = set(on_uid.get(uid, ()))
+                        for name in writes:
+                            found.update(touching.get(name, ()))
+                        for name in reads:
+                            found.update(writing.get(name, ()))
+                        hits = tuple(sorted(found))
+                    hits_of[uid] = hits
+                if hits != ():
+                    rows.append((prior, hits))
         return new_actions, tuple(rows)
 
     def analysis_cost(self, outstanding_units: int) -> int:

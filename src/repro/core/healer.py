@@ -377,10 +377,15 @@ class Healer:
             new_execs: List[str] = []
             history: List[HistoryStep] = []
 
-            walkers: Dict[str, _Walker] = {}
+            # Each instance's trace, grouped in one pass over the log
+            # (keys in first-appearance order, as workflow_instances()).
+            normal = log.normal_records()
             remaining: Dict[str, List[LogRecord]] = {}
-            for wf in log.workflow_instances():
-                remaining[wf] = list(log.trace(wf))
+            for record in normal:
+                remaining.setdefault(
+                    record.instance.workflow_instance, []).append(record)
+            walkers: Dict[str, _Walker] = {}
+            for wf in remaining:
                 if wf not in forged:
                     spec = self._specs.get(wf)
                     if spec is None:
@@ -390,7 +395,7 @@ class Healer:
                         )
                     walkers[wf] = _Walker(spec)
 
-            for record in log.normal_records():
+            for record in normal:
                 wf = record.instance.workflow_instance
                 remaining[wf].pop(0)
                 if wf in forged:
@@ -413,7 +418,7 @@ class Healer:
                     self._keep(record, walker, view, kept, history)
 
             # Drive any diverged walker that outlived its original trace.
-            for wf in log.workflow_instances():
+            for wf in remaining:
                 if wf in forged:
                     continue
                 walker = walkers[wf]

@@ -83,27 +83,30 @@ def recovery_partial_order(
     """
     undos = frozenset(undo_set)
     redos = frozenset(redo_set)
-    order: PartialOrder[Action] = PartialOrder()
+    # Each action once per plan, looked up by uid below.
+    undo_of = {uid: Action.undo(uid) for uid in sorted(undos)}
+    redo_of = {uid: Action.redo(uid) for uid in sorted(redos)}
+    order: PartialOrder[Action] = PartialOrder(undo_of.values())
+    order.add_elements(redo_of.values())
+    edges: List[Tuple[Action, Action]] = []
 
     def add_edge(rule: str, before: Action, after: Action) -> None:
-        order.add_edge(before, after)
+        edges.append((before, after))
         if trace is not None:
             trace.append(OrderConstraint(
                 0.0, rule=rule, before=str(before), after=str(after),
             ))
 
-    for uid in sorted(undos):
-        order.add_element(Action.undo(uid))
-    for uid in sorted(redos):
-        order.add_element(Action.redo(uid))
-
-    # T3.3: undo(t) ≺ redo(t).
+    # T3.3: undo(t) ≺ redo(t).  Edges go in batches, in the order
+    # they are found: the order's sets keep insertion order.
     for uid in sorted(undos & redos):
-        add_edge("T3.3", Action.undo(uid), Action.redo(uid))
+        add_edge("T3.3", undo_of[uid], redo_of[uid])
+    order.add_edges(edges)
+    edges.clear()
 
     # T3.1: log precedence between redo pairs, all r(r-1)/2 of them in
     # one insert; the trace lists them pair by pair in the same order.
-    redo_chain = [Action.redo(u) for u in
+    redo_chain = [redo_of[u] for u in
                   sorted(redos, key=lambda u: analyzer.record(u).seq)]
     order.add_chain(redo_chain)
     if trace is not None:
@@ -114,18 +117,21 @@ def recovery_partial_order(
                     0.0, rule="T3.1", before=earlier, after=later,
                 ))
 
-    # T3.2, T3.4, T3.5 from the log's data dependences.
+    # T3.2, T3.4, T3.5 from the log's data dependences: flow and
+    # control are covered by the T3.1 edges (dependences imply ≺); anti
+    # and output add undo-side constraints.
     for uid in sorted(undos | redos):
-        # flow / control handled by T3.1 edges (dependences imply ≺);
-        # anti and output add undo-side constraints.
-        for edge in analyzer.anti_edges_from(uid):
+        if uid in redos:
             # t_i →a t_j: t_j modified data t_i read.
-            if uid in redos and edge.dst in undos:
-                add_edge("T3.4", Action.undo(edge.dst), Action.redo(uid))
-        for edge in analyzer.output_edges_from(uid):
+            for dst in analyzer.anti_successors(uid):
+                if dst in undos:
+                    add_edge("T3.4", undo_of[dst], redo_of[uid])
+        if uid in undos:
             # t_i →o t_j: both wrote the same object, t_j later.
-            if uid in undos and edge.dst in undos:
-                add_edge("T3.5", Action.undo(edge.dst), Action.undo(uid))
+            for dst in analyzer.output_successors(uid):
+                if dst in undos:
+                    add_edge("T3.5", undo_of[dst], undo_of[uid])
+    order.add_edges(edges)
     return order
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import FrozenSet, List, Optional, Tuple
 
@@ -77,6 +78,12 @@ class RecoveryPlan:
             row = actions if hits is None else [actions[i] for i in hits]
             pairs.extend(zip(repeat(prior), row))
         return tuple(pairs)
+
+    @cached_property
+    def actions(self) -> Tuple[Action, ...]:
+        """The order's actions, sorted; cached, as the order is not
+        changed once the analyzer returns the plan."""
+        return tuple(sorted(self.order.elements()))
 
     @property
     def undo_actions(self) -> FrozenSet[Action]:

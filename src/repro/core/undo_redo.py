@@ -131,31 +131,21 @@ def _traced_flow_closure(
     :meth:`~repro.workflow.dependency.DependencyAnalyzer.flow_closure`;
     only the bookkeeping differs.
     """
-    parent: Dict[str, Tuple[str, FrozenSet[str]]] = {}
-    seen: Set[str] = set()
-    frontier: List[str] = list(seeds)
-    while frontier:
-        uid = frontier.pop()
-        for edge in analyzer.flow_dependents(uid):
-            if edge.dst not in seen:
-                seen.add(edge.dst)
-                parent[edge.dst] = (edge.src, edge.objects)
-                frontier.append(edge.dst)
-    infected = frozenset(seen) - seeds
+    parents: Dict[str, str] = {}
+    infected = analyzer.flow_closure(seeds, parents) - seeds
     for uid in sorted(infected):
         chain: List[str] = []
-        objects = parent[uid][1]
         cur = uid
-        while cur in parent and parent[cur][0] not in chain:
-            src = parent[cur][0]
-            chain.append(src)
-            cur = src
+        while cur in parents and parents[cur] not in chain:
+            cur = parents[cur]
+            chain.append(cur)
             if cur in seeds:
                 break
         trace.append(UndoDecision(
             0.0, uid=uid, condition="T1.3",
             via=tuple(reversed(chain)),
-            objects=tuple(sorted(objects)),
+            objects=tuple(sorted(
+                analyzer.flow_objects(parents[uid], uid))),
         ))
     return infected
 
@@ -211,30 +201,14 @@ def find_undo_tasks(
     # would write.
     stale: Set[StaleReadCandidate] = set()
     for bad in sorted(closure):
-        record = analyzer.record(bad)
-        wf = record.instance.workflow_instance
-        model = analyzer.control_model(wf)
-        spec = model.spec
-        executed_tasks = {
-            r.instance.task_id for r in analyzer.trace(wf)
-        }
-        bad_task = record.instance.task_id
-        for t_k in sorted(spec.tasks):
-            if t_k in executed_tasks:
-                continue  # t_k ∈ L: not condition 4
-            if not model.depends(bad_task, t_k):
-                continue  # need t_i →c* t_k
-            writes_k = spec.task(t_k).writes
-            if not writes_k:
-                continue
+        for t_k, writes_k in analyzer.unexecuted_controlled_writers(bad):
             # Potential direct flow t_k →f t_j: t_j read an object t_k
             # would write.  Extend transitively through the log's flow
             # edges from those direct readers.
-            direct_readers: List[Tuple[str, FrozenSet[str]]] = []
-            for r in log.normal_records():
-                objs = writes_k & set(r.reads)
-                if objs and r.uid != bad:
-                    direct_readers.append((r.uid, frozenset(objs)))
+            direct_readers = [
+                (r.uid, writes_k.intersection(r.reads))
+                for r in analyzer.readers_of(writes_k) if r.uid != bad
+            ]
             transitive = analyzer.flow_closure(
                 uid for uid, _ in direct_readers
             )

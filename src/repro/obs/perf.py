@@ -28,7 +28,7 @@ Design rules, in priority order:
 
 A profiler instance is single-owner: phases are entered and exited on
 one thread.  Work measured on other threads or in worker processes is
-folded in serially afterwards via :meth:`PhaseProfiler.add_external`.
+folded in serially afterwards via :meth:`PhaseProfiler.add_at`.
 The module-level :func:`bump` counters are lock-protected so low-level
 code (the CTMC solver, the analyzer) can count events without threading
 a profiler through every signature; :meth:`PhaseProfiler.start`
@@ -122,9 +122,11 @@ _COUNTERS: Dict[str, int] = {}
 #: them) — keeps the counter *structure* identical across runs that
 #: differ only in whether a driver fired.
 KNOWN_COUNTERS: Tuple[str, ...] = (
+    "actions_planned",
     "closure_recomputations",
     "ctmc_solver_calls",
     "pickle_bytes",
+    "plan_memo_fills",
     "queue_evictions",
 )
 
@@ -267,9 +269,15 @@ class PhaseProfiler:
         sim: float = 0.0,
         calls: int = 1,
     ) -> None:
-        """Attribute time measured elsewhere (a worker process, another
-        thread) as one phase occurrence under the current stack."""
-        path = tuple(self._stack) + (name,)
+        """Attribute time measured elsewhere as one occurrence of phase
+        ``name`` beside the innermost open phase (at top level when
+        none is open).
+
+        A driver books a phase's externally measured side — its
+        simulated service time, say — from inside that phase, so the
+        bookkeeping's own wall time is attributed, not left as a gap.
+        """
+        path = (*self._stack[:-1], name)
         stat = self._stats.get(path)
         if stat is None:
             stat = self._stats[path] = PhaseStat()
@@ -400,20 +408,23 @@ class _Phase:
         self._name = name
 
     def __enter__(self) -> None:
+        # The clocks are read before and after this occurrence's own
+        # bookkeeping, so that cost lands inside the phase: only the
+        # final accumulation is left un-attributed.
         prof = self._prof
-        prof._stack.append(self._name)
-        self._path = tuple(prof._stack)
         self._w0 = prof._wall_clock()
         self._s0 = prof._sim()
+        prof._stack.append(self._name)
+        self._path = tuple(prof._stack)
 
     def __exit__(self, *exc_info: Any) -> None:
         prof = self._prof
-        wall = prof._wall_clock() - self._w0
-        sim = prof._sim() - self._s0
         prof._stack.pop()
         stat = prof._stats.get(self._path)
         if stat is None:
             stat = prof._stats[self._path] = PhaseStat()
+        sim = prof._sim() - self._s0
+        wall = prof._wall_clock() - self._w0
         stat.add(wall, sim)
         if prof._registry is not None:
             prof._observe(self._name, wall)

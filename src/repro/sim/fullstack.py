@@ -460,23 +460,24 @@ class FullStackSimulator:
             # commit here — the unit queue is never empty after the
             # plan is appended.
             nonlocal scanning, analyzer
-            if prof is not None:
-                # Recorded before the phase opens so both land beside
-                # (not inside) "analyze", at whatever stack depth this
-                # run executes — top level standalone, under
-                # "batch.worker" in an inline batch.  Sim-time only:
-                # wall stays zero, so attribution is undistorted.
-                dwell_now = min(sim.now, horizon)
-                queued_at = enqueued_at.pop(alert_queue[0], None)
-                if queued_at is not None:
-                    prof.add_external("buffer-wait", 0.0,
-                                      sim=dwell_now - queued_at)
-                # The scan service's simulated duration is the analyze
-                # phase's sim-time side.
-                prof.add_external("analyze", 0.0,
-                                  sim=pending_service["scan"], calls=0)
             with (prof.phase("analyze") if prof is not None
                   else nullcontext()):
+                if prof is not None:
+                    # Filed beside (not inside) "analyze", at whatever
+                    # stack depth this run executes — top level
+                    # standalone, under "batch.worker" in an inline
+                    # batch.  Sim-time only, and booked from inside the
+                    # phase so the bookkeeping is attributed.
+                    dwell_now = min(sim.now, horizon)
+                    queued_at = enqueued_at.pop(alert_queue[0], None)
+                    if queued_at is not None:
+                        prof.add_external("buffer-wait", 0.0,
+                                          sim=dwell_now - queued_at)
+                    # The scan service's simulated duration is the
+                    # analyze phase's sim-time side.
+                    prof.add_external("analyze", 0.0,
+                                      sim=pending_service["scan"],
+                                      calls=0)
                 account()
                 scanning = False
                 uid = alert_queue.pop(0)
@@ -503,16 +504,17 @@ class FullStackSimulator:
             # the heal/audit phases must stay top-level for honest
             # single-count attribution.
             nonlocal recovering
-            if prof is not None:
-                # The recovery service's simulated duration is the
-                # heal phase's sim-time side; recorded outside the
-                # schedule phase so it merges with the wall-time "heal"
-                # entry that commit_repairs records at this same depth.
-                prof.add_external("heal", 0.0,
-                                  sim=pending_service["recovery"],
-                                  calls=0)
             with (prof.phase("schedule") if prof is not None
                   else nullcontext()):
+                if prof is not None:
+                    # The recovery service's simulated duration is the
+                    # heal phase's sim-time side; filed beside the
+                    # schedule phase so it merges with the wall-time
+                    # "heal" entry that commit_repairs records at this
+                    # same depth.
+                    prof.add_external("heal", 0.0,
+                                      sim=pending_service["recovery"],
+                                      calls=0)
                 account()
                 recovering = False
                 if bus is not None:

@@ -46,8 +46,7 @@ class PartialOrder(Generic[T]):
     def __init__(self, elements: Iterable[T] = ()) -> None:
         self._succ: Dict[T, Set[T]] = {}
         self._pred: Dict[T, Set[T]] = {}
-        for e in elements:
-            self.add_element(e)
+        self.add_elements(elements)
 
     # -- construction -----------------------------------------------------
 
@@ -56,18 +55,35 @@ class PartialOrder(Generic[T]):
         self._succ.setdefault(element, set())
         self._pred.setdefault(element, set())
 
+    def add_elements(self, elements: Iterable[T]) -> None:
+        """:meth:`add_element` for each of ``elements``, in order."""
+        succ, pred = self._succ, self._pred
+        for element in elements:
+            if element not in succ:
+                succ[element] = set()
+                pred[element] = set()
+
     def add_edge(self, before: T, after: T) -> None:
         """Record the constraint ``before ≺ after``.
 
         Self-edges are rejected immediately; longer cycles are detected by
         :meth:`check_acyclic` / :meth:`topological_order`.
         """
-        if before == after:
-            raise CyclicOrderError(f"reflexive constraint {before!r} ≺ itself")
-        self.add_element(before)
-        self.add_element(after)
-        self._succ[before].add(after)
-        self._pred[after].add(before)
+        self.add_edges(((before, after),))
+
+    def add_edges(self, pairs: Iterable[Tuple[T, T]]) -> None:
+        """:meth:`add_edge` for each ``(before, after)`` pair, in order."""
+        succ, pred = self._succ, self._pred
+        for before, after in pairs:
+            if before == after:
+                raise CyclicOrderError(
+                    f"reflexive constraint {before!r} ≺ itself")
+            if before not in succ:
+                self.add_element(before)
+            if after not in succ:
+                self.add_element(after)
+            succ[before].add(after)
+            pred[after].add(before)
 
     def add_chain(self, seq: Sequence[T]) -> None:
         """Record ``seq[i] ≺ seq[j]`` for every ``i < j``: all pairs, not

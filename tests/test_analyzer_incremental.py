@@ -5,6 +5,7 @@ a fresh one, and the provenance it emits stays pinned byte for byte."""
 
 import hashlib
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +14,14 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.core.actions import Action, ActionKind
 from repro.core.analyzer import RecoveryAnalyzer
+from repro.core.partial_orders import recovery_partial_order
+from repro.core.undo_redo import find_redo_tasks, find_undo_tasks
 from repro.core.epochs import EpochManager
 from repro.errors import LogError, RecoveryError
 from repro.fleet import FleetConfig, FleetControlPlane
 from repro.ids.attacks import AttackCampaign
+from repro.scenarios.figure1 import build_figure1
+from repro.scenarios.travel import booking_spec
 from repro.sim.fullstack import FullStackConfig, run_replication
 from repro.system import SelfHealingSystem
 from repro.workflow.data import DataStore
@@ -151,6 +156,15 @@ def assert_matches_scan(dep, log):
         for query in PER_UID_QUERIES:
             assert getattr(dep, query)(uid) == getattr(ref, query)(uid), \
                 (query, uid)
+        assert dep.anti_successors(uid) == tuple(
+            e.dst for e in ref.anti_edges_from(uid))
+        assert dep.output_successors(uid) == tuple(
+            e.dst for e in ref.output_edges_from(uid))
+        for edge in ref.flow_dependents(uid):
+            assert dep.flow_objects(uid, edge.dst) == edge.objects
+        written = log.get(uid).writes
+        assert dep.readers_of(written) == [
+            r for r in ref.records if set(r.reads) & set(written)]
         assert dep.flow_closure([uid]) == ref.flow_closure([uid])
     assert dep.flow_closure(uids) == ref.flow_closure(uids)
     assert dep.flow_closure([]) == frozenset()
@@ -239,11 +253,41 @@ def cross_unit_reference(log, order, outstanding):
     return tuple(pairs)
 
 
+def insertion_order(order):
+    """The order's elements and each one's successor and predecessor
+    sets, as iterated: equal only when built by the same inserts."""
+    return [(a, list(order._succ[a]), list(order._pred[a]))
+            for a in order]
+
+
+def traced_analysis(dep, uids):
+    """The T1/T2/T3 provenance lists of one analysis on ``dep``."""
+    undo_trace, redo_trace, order_trace = [], [], []
+    undo = find_undo_tasks(dep, uids, trace=undo_trace)
+    redo = find_redo_tasks(dep, undo.definite, trace=redo_trace)
+    recovery_partial_order(dep, undo.definite, redo.definite,
+                           trace=order_trace)
+    return undo_trace, redo_trace, order_trace
+
+
+def assert_plans_equal(plan, fresh):
+    assert plan.alert_uids == fresh.alert_uids
+    assert plan.undo_analysis == fresh.undo_analysis
+    assert plan.redo_analysis == fresh.redo_analysis
+    assert plan.order.elements() == fresh.order.elements()
+    assert plan.order.edges() == fresh.order.edges()
+    assert insertion_order(plan.order) == insertion_order(fresh.order)
+    assert plan.cross_unit_actions == fresh.cross_unit_actions
+    assert plan.cross_unit_rows == fresh.cross_unit_rows
+
+
 @pytest.fixture
 def checked_scans(monkeypatch):
     """Every scan also runs on a fresh analyzer over the same log; the
-    two plans must be equal, and the cross-unit tuple must equal the
-    reference in order.  Yields the analyzers that ran the scans."""
+    two plans must be equal, down to the insertion order of the
+    partial order and the provenance each would publish, and the
+    cross-unit tuple must equal the reference in order.  Yields the
+    analyzers that ran the scans."""
     original = RecoveryAnalyzer.analyze
     analyzers = []
 
@@ -251,12 +295,10 @@ def checked_scans(monkeypatch):
         plan = original(self, alerts, outstanding)
         fresh = original(RecoveryAnalyzer(self._log, self._specs),
                          alerts, outstanding)
-        assert plan.alert_uids == fresh.alert_uids
-        assert plan.undo_analysis == fresh.undo_analysis
-        assert plan.redo_analysis == fresh.redo_analysis
-        assert plan.order.elements() == fresh.order.elements()
-        assert plan.order.edges() == fresh.order.edges()
-        assert plan.cross_unit_constraints == fresh.cross_unit_constraints
+        assert_plans_equal(plan, fresh)
+        assert traced_analysis(self._dep, plan.alert_uids) == \
+            traced_analysis(DependencyAnalyzer(self._log, self._specs),
+                            plan.alert_uids)
         assert plan.cross_unit_constraints == cross_unit_reference(
             self._log, plan.order, outstanding)
         analyzers.append(self)
@@ -312,6 +354,114 @@ class TestReusedAnalyzerPlansLikeFresh:
         assert len(checked_scans) == 9
         assert len({id(a) for a in checked_scans}) == 3
         assert manager.audit().ok
+
+
+def branching_specs():
+    """Instance → spec over figure1's two workflows and a travel
+    booking: every one branches, and instances share objects."""
+    figure1 = build_figure1(attacked=False).specs_by_instance
+    booking = booking_spec("b")
+    return {"a": figure1["wf1"], "b": figure1["wf2"], "c": booking,
+            "d": figure1["wf1"], "e": booking}
+
+
+MEMO_SPECS = branching_specs()
+MEMO_INSTANCES = tuple(sorted(MEMO_SPECS))
+
+memo_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("commit"), st.sampled_from(MEMO_INSTANCES),
+                  st.integers(0, 5)),
+        st.tuples(st.just("scan"), st.integers(0, 63), st.integers(0, 3)),
+    ),
+    min_size=4, max_size=40,
+)
+
+MEMO_QUERIES = ("anti_successors", "output_successors",
+                "control_dependents", "control_sources",
+                "unexecuted_controlled_writers")
+
+
+def drive_interleaved(steps):
+    """Commit spec tasks (each reading the current versions of its
+    reads and writing the next ones) interleaved with scans on one
+    reused analyzer; every scan must plan like a fresh analyzer, and
+    every memoised query must answer like a fresh index.  Returns how
+    often each case the memos must handle came up."""
+    specs = MEMO_SPECS
+    log, visits, versions = SystemLog(), {}, {}
+    reused = RecoveryAnalyzer(log, specs)
+    outstanding, committed = [], []
+    seen = {}
+    stats = {"control": 0, "stale": 0, "reopened": 0}
+    for step in steps:
+        if step[0] == "commit":
+            _, wf, pick = step
+            tasks = sorted(specs[wf].tasks)
+            task = specs[wf].task(tasks[pick % len(tasks)])
+            visits[(wf, task.task_id)] = visits.get(
+                (wf, task.task_id), 0) + 1
+            reads = {n: versions.get(n, 0) for n in sorted(task.reads)}
+            writes = {n: versions.get(n, 0) + 1 for n in sorted(task.writes)}
+            versions.update(writes)
+            committed.append(log.commit(
+                TaskInstance(wf, task.task_id, visits[(wf, task.task_id)]),
+                reads=reads, writes=writes).uid)
+            continue
+        if not committed:
+            continue
+        _, pick, queued = step
+        alerts = [committed[pick % len(committed)]]
+        prior = outstanding[-queued:] if queued else []
+        plan = reused.analyze(alerts, outstanding=prior)
+        fresh_dep = DependencyAnalyzer(log, specs)
+        assert_plans_equal(plan, RecoveryAnalyzer(log, specs).analyze(
+            alerts, outstanding=prior))
+        assert traced_analysis(reused._dep, alerts) == \
+            traced_analysis(fresh_dep, alerts)
+        for uid in committed:
+            for query in MEMO_QUERIES:
+                got = getattr(reused._dep, query)(uid)
+                assert got == getattr(fresh_dep, query)(uid), (query, uid)
+                if query.endswith("_successors") and \
+                        seen.get((query, uid), got) != got:
+                    stats["reopened"] += 1  # a first later writer came
+                seen[(query, uid)] = got
+            assert reused._dep.flow_closure([uid]) == \
+                fresh_dep.flow_closure([uid])
+            reads, writes = log.get(uid).reads, log.get(uid).writes
+            assert reused._dep.readers_of(writes) == \
+                fresh_dep.readers_of(writes)
+            assert reused._dep.object_names(uid) == \
+                (frozenset(reads), frozenset(writes))
+        stats["control"] += bool(plan.undo_analysis.control_candidates)
+        stats["stale"] += bool(plan.undo_analysis.stale_read_candidates)
+        outstanding.append(plan)
+    return stats
+
+
+class TestMemosUnderInterleavedCommits:
+    """Per-record memos filled by one scan and extended by the next
+    equal a fresh analyzer's answers, on branching specs where
+    condition-2 and condition-4 candidates arise and objects gain
+    their first later writer between scans."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(memo_steps)
+    def test_reused_analyzer_answers_like_fresh(self, steps):
+        drive_interleaved(steps)
+
+    def test_the_cases_the_memos_extend_all_occur(self):
+        rng = random.Random(5)
+        steps = []
+        for _ in range(60):
+            if rng.random() < 0.7:
+                steps.append(("commit", rng.choice(MEMO_INSTANCES),
+                              rng.randrange(6)))
+            else:
+                steps.append(("scan", rng.randrange(64), rng.randrange(4)))
+        stats = drive_interleaved(steps)
+        assert stats["control"] and stats["stale"] and stats["reopened"]
 
 
 def victim(name):
@@ -382,6 +532,26 @@ class TestPinnedProvenance:
             undo_b.uid = "other"
 
 
+def gated_profile(per_alert=0.05, per_action=1.0, plan_wall=True):
+    """A profile document whose fullstack row carries the given closure
+    and plan line items (``per_action=None`` leaves that item out)."""
+    items = {"closure_recomputations": 3,
+             "closure_recomputations_per_alert": per_alert,
+             "analyses_per_action": per_action}
+    if per_action is None:
+        del items["analyses_per_action"]
+    if plan_wall:
+        items["plan_wall_s"] = 0.0
+    return {"results": [
+        {"scenario": "fullstack", "digest_stable": True,
+         "line_items": items},
+        {"scenario": "batch-parallel", "digest_stable": True,
+         "line_items": {"fan_out_overhead_s": 0.0}},
+        {"scenario": "conformance", "digest_stable": True,
+         "line_items": {"violations": 0}},
+    ]}
+
+
 class TestClosureGate:
     def test_per_alert_rebuilds_fail_the_profile_gate(self):
         from benchmarks.check_regression import (
@@ -389,23 +559,31 @@ class TestClosureGate:
             check_profile,
         )
 
-        def profile(per_alert):
-            return {"results": [
-                {"scenario": "fullstack", "digest_stable": True,
-                 "line_items": {
-                     "closure_recomputations": 3,
-                     "closure_recomputations_per_alert": per_alert,
-                     "plan_wall_s": 0.0}},
-                {"scenario": "batch-parallel", "digest_stable": True,
-                 "line_items": {"fan_out_overhead_s": 0.0}},
-                {"scenario": "conformance", "digest_stable": True,
-                 "line_items": {"violations": 0}},
-            ]}
-
-        assert check_profile(profile(MAX_CLOSURE_PER_ALERT), None) == []
-        failures = check_profile(profile(1.0), None)
+        assert check_profile(
+            gated_profile(per_alert=MAX_CLOSURE_PER_ALERT), None) == []
+        failures = check_profile(gated_profile(per_alert=1.0), None)
         assert len(failures) == 1
         assert "closure_recomputations_per_alert 1.0" in failures[0]
+
+    def test_per_scan_plans_fail_the_profile_gate(self):
+        from benchmarks.check_regression import (
+            MAX_ANALYSES_PER_ACTION,
+            check_profile,
+        )
+
+        assert check_profile(
+            gated_profile(per_action=MAX_ANALYSES_PER_ACTION), None) == []
+        for bad, shown in ((7.9, "7.9"), (None, "None")):
+            failures = check_profile(gated_profile(per_action=bad), None)
+            assert len(failures) == 1
+            assert f"analyses_per_action {shown}" in failures[0]
+
+    def test_profile_row_plans_each_action_once(self):
+        from benchmarks.bench_profile import profile_fullstack
+
+        (row,) = profile_fullstack(horizon=15.0, seed=1)
+        assert row["counters"]["actions_planned"] > 0
+        assert row["line_items"]["analyses_per_action"] == 1.0
 
     def test_missing_plan_wall_fails_the_profile_gate(self):
         from benchmarks.check_regression import check_profile
@@ -413,7 +591,8 @@ class TestClosureGate:
         doc = {"results": [
             {"scenario": "fullstack", "digest_stable": True,
              "line_items": {"closure_recomputations": 3,
-                            "closure_recomputations_per_alert": 0.05}},
+                            "closure_recomputations_per_alert": 0.05,
+                            "analyses_per_action": 1.0}},
             {"scenario": "batch-parallel", "digest_stable": True,
              "line_items": {"fan_out_overhead_s": 0.0}},
             {"scenario": "conformance", "digest_stable": True,
