@@ -965,12 +965,12 @@ def _scenario_specs(name: str) -> List:
     return [by_id[wf] for wf in sorted(by_id)]
 
 
-def _emit_report(args, report) -> int:
+def _emit_report(args, report, tool_name: str = "repro-lint") -> int:
     """Render a lint report per ``--format``/``--out``; exit 2 on ERROR."""
     if args.format == "json":
         text = report.to_json()
     elif args.format == "sarif":
-        text = report.to_sarif_json()
+        text = report.to_sarif_json(tool_name=tool_name)
     else:
         text = report.render_text()
     if args.out and args.out != "-":
@@ -988,9 +988,7 @@ def cmd_lint(args) -> int:
     sets (JSON documents or built-in scenarios), 'plan' re-derives the
     paper's Theorems 1-3 over a flight log's recovery provenance with
     independent code, 'code' scans Python sources for replay-poisonous
-    nondeterminism ('code --all' also runs the race pass and merges
-    both into one report), 'races' runs the static lockset/lock-order
-    analysis alone.  Exit code 2 when any ERROR-level finding exists."""
+    nondeterminism.  Exit code 2 when any ERROR-level finding exists."""
     from repro.lint import LintReport
 
     if args.pass_ == "spec":
@@ -1023,42 +1021,12 @@ def cmd_lint(args) -> int:
             diags.extend(verify_flight_log(load_flight_log(path)))
         return _emit_report(args, LintReport(diags))
 
-    paths = args.files or ["src/repro"]
-
-    if args.pass_ == "races":
-        from repro.lint import lint_races
-
-        return _emit_report(args, LintReport(lint_races(paths)))
-
     # code
     from repro.lint import lint_paths
 
-    if not getattr(args, "all", False):
-        return _emit_report(args, LintReport(lint_paths(paths)))
-
-    # code --all: determinism + races in one report.  SARIF keeps the
-    # passes as separate runs with distinct tool.driver names so a
-    # viewer can tell which analyzer produced each result; text/json
-    # merge into one finding list.
-    from repro.lint import combine_sarif, lint_races
-
-    det = LintReport(lint_paths(paths))
-    races = LintReport(lint_races(paths))
-    if args.format == "sarif":
-        text = combine_sarif([
-            ("repro-lint-determinism", det),
-            ("repro-lint-races", races),
-        ])
-        if args.out and args.out != "-":
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-            print(f"{len(det) + len(races)} finding(s) written to "
-                  f"{args.out} (sarif)")
-        else:
-            print(text)
-        return max(det.exit_code, races.exit_code)
-    merged = LintReport(list(det) + list(races))
-    return _emit_report(args, merged)
+    paths = args.files or ["src/repro"]
+    return _emit_report(args, LintReport(lint_paths(paths)),
+                        tool_name="repro-lint-determinism")
 
 
 def _budget_seconds(text: str) -> float:
@@ -1448,15 +1416,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lint", help=cmd_lint.__doc__)
     p.add_argument("pass_", metavar="pass",
-                   choices=["spec", "plan", "code", "races"],
+                   choices=["spec", "plan", "code"],
                    help="spec: workflow documents / scenarios; plan: "
                         "flight-log recovery provenance; code: Python "
-                        "sources (determinism); races: static "
-                        "lockset/lock-order analysis")
-    p.add_argument("--all", action="store_true",
-                   help="code pass: also run the race analysis and "
-                        "merge both reports (SARIF keeps one run per "
-                        "analyzer)")
+                        "sources (determinism)")
     p.add_argument("files", nargs="*",
                    help="inputs for the pass — workflow JSON documents "
                         "('-' for stdin), flight logs, or source "

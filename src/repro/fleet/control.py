@@ -390,7 +390,7 @@ class FleetControlPlane:
             self._m_scans.inc(count - leftover)
             return index, leftover
 
-        results = pool.map(serve, grants)  # lint: allow[RACE005] WorkerPool.map is an inline loop
+        results = pool.map(serve, grants)
         for index, leftover in results:
             if leftover:
                 # Analyzer blocked mid-grant: the unserved alerts are
@@ -486,8 +486,9 @@ class FleetControlPlane:
         """JSON-able ``/profile`` payload: the fleet report plus
         per-tenant pipeline tables and the recent per-tick breakdowns.
 
-        Readable between phase boundaries from the serving thread
-        (under the server owner lock, like ``/metrics`` and ``/slo``).
+        The telemetry server calls it under its lock, like ``/metrics``
+        and ``/slo``; a driver serving a running fleet takes that lock
+        around each tick (see :mod:`repro.obs.server`).
         """
         report = self.profile_report()
         tenants: Dict[str, List[Dict[str, object]]] = {}
@@ -564,7 +565,7 @@ class FleetControlPlane:
 
         with (prof.phase("sweep") if prof is not None
               else nullcontext()):
-            pool.map(sweep, self.shards)  # lint: allow[RACE005] WorkerPool.map is an inline loop
+            pool.map(sweep, self.shards)
         # Final rollup: harvest, shard-profile fold, health freeze.
         with (prof.phase("rollup") if prof is not None
               else nullcontext()):

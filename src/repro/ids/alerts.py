@@ -10,10 +10,9 @@ The fleet control plane (:mod:`repro.fleet`) multiplexes every tenant's
 alerts through one :class:`PriorityBoundedQueue`: the same bounded
 semantics, but items carry a priority class (BREACH-tenant alerts
 preempt OK-tenant alerts) with FIFO order preserved *within* each
-class.  Queues are not internally locked: one thread admits and drains
-them.  Only the obs layer (:class:`~repro.obs.metrics.MetricsRegistry`,
-:class:`~repro.obs.events.EventBus`) is shared with another thread, the
-telemetry server's scrape thread.
+class.  Queues are not internally locked: the run loop's one thread
+admits and drains them (the threading contract is in
+:mod:`repro.obs.server`).
 """
 
 from __future__ import annotations

@@ -18,24 +18,16 @@ records renderable as text, JSON and SARIF 2.1.0:
 - :mod:`repro.lint.determinism` — a stdlib-``ast`` pass flagging
   calls poisonous to seeded replay (wall clocks, module-level
   ``random``, set-iteration order), with an allowlist pragma
-  ``# lint: allow[RULE]``;
-- :mod:`repro.lint.races` — an interprocedural lockset / lock-order
-  analysis over the threaded parts of the tree (RACE001-RACE005:
-  unguarded shared writes, inconsistent guards, lock-order inversion,
-  locks held across blocking calls, mutable state escaping to
-  threads), honouring the same pragma;
-- :mod:`repro.lint.sanitizer` — the *dynamic* complement: an opt-in
-  Eraser-style lockset sanitizer (RACE101/RACE102) instrumenting the
-  metrics registry, instruments and event bus at runtime; the tests
-  attach it to the telemetry server's scrape path.
+  ``# lint: allow[RULE]``.
 
-The ``repro-workflow lint`` CLI verb exposes the static passes
-(``lint code --all`` merges determinism + races into one SARIF log).
-Exit code 2 signals ERROR-level findings.
+The ``repro-workflow lint`` CLI verb exposes the static passes; its
+``code`` pass is the determinism lint, and its SARIF log carries one
+run named ``repro-lint-determinism``.  Exit code 2 signals
+ERROR-level findings.  The package runs on one thread; the threading
+contract of the telemetry server is in :mod:`repro.obs.server`.
 """
 
 from repro.lint.diagnostics import (
-    combine_sarif,
     Diagnostic,
     LintReport,
     RuleInfo,
@@ -44,8 +36,6 @@ from repro.lint.diagnostics import (
 )
 from repro.lint.determinism import lint_paths, lint_source
 from repro.lint.plan_verifier import verify_flight_log, verify_plan
-from repro.lint.races import RaceAnalysis, analyze_paths, lint_races
-from repro.lint.sanitizer import RaceSanitizer, TrackedLock
 from repro.lint.spec_rules import (
     SpecLintConfig,
     config_from_document,
@@ -54,7 +44,6 @@ from repro.lint.spec_rules import (
 )
 
 __all__ = [
-    "combine_sarif",
     "Diagnostic",
     "LintReport",
     "RuleInfo",
@@ -66,11 +55,6 @@ __all__ = [
     "lint_specs",
     "lint_paths",
     "lint_source",
-    "lint_races",
-    "analyze_paths",
-    "RaceAnalysis",
-    "RaceSanitizer",
-    "TrackedLock",
     "verify_flight_log",
     "verify_plan",
 ]

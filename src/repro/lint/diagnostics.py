@@ -21,7 +21,6 @@ __all__ = [
     "RuleInfo",
     "RULES",
     "LintReport",
-    "combine_sarif",
     "SARIF_SCHEMA_URI",
     "SARIF_VERSION",
 ]
@@ -230,64 +229,7 @@ RULES: Dict[str, RuleInfo] = {r.rule: r for r in [
     _r("DET005", Severity.ERROR, "entropy source",
        "os.urandom/uuid.uuid4/secrets draw hardware entropy that no "
        "seed controls."),
-    # -- concurrency lint (RACE0xx static, RACE1xx dynamic) ----------------
-    _r("RACE001", Severity.ERROR, "unguarded write to shared state",
-       "A field of a lock-disciplined class (or a shared module "
-       "global) is written on a path that holds no lock; a concurrent "
-       "reader/writer on another thread can observe a torn or lost "
-       "update.  The fleet's workers=K ≡ workers=1 guarantee dies "
-       "exactly here."),
-    _r("RACE002", Severity.ERROR, "inconsistent lock guard",
-       "The same field is protected by different locks on different "
-       "paths; two threads each holding 'their' lock still race on "
-       "the field.  Every access must agree on one candidate "
-       "lockset."),
-    _r("RACE003", Severity.ERROR, "lock-order inversion (deadlock risk)",
-       "The static lock-acquisition graph contains a cycle: some path "
-       "acquires A then B while another acquires B then A.  Two "
-       "threads interleaving those paths deadlock.  Acquire locks in "
-       "hierarchy order (docs/LINT.md, lock-hierarchy table)."),
-    _r("RACE004", Severity.WARN, "lock held across a blocking call",
-       "Sleeping, joining a thread/pool, waiting on a queue or "
-       "future, or serving I/O while holding a lock starves every "
-       "other thread contending for it and invites lock-order "
-       "deadlocks against the blocking subsystem's own locks."),
-    _r("RACE005", Severity.WARN, "mutable state escapes to a thread",
-       "A callable closing over (or bound to) package-level mutable "
-       "state is handed to a thread/executor; unless the target is "
-       "lock-disciplined or phase-confined, every captured field "
-       "becomes shared state invisible to local reasoning."),
-    _r("RACE101", Severity.ERROR, "dynamic lockset violation (Eraser)",
-       "At runtime the candidate lockset of a shared field became "
-       "empty: two threads accessed it (at least one write) with no "
-       "common lock consistently held.  Reported with thread and "
-       "stack provenance by the opt-in sanitizer."),
-    _r("RACE102", Severity.ERROR, "dynamic lock-order inversion",
-       "The runtime lock-acquisition graph recorded A held while "
-       "acquiring B and, on another code path, B held while "
-       "acquiring A.  Even if no deadlock materialized in this run, "
-       "the schedule exists."),
 ]}
-
-
-def combine_sarif(named_reports: Iterable[Tuple[str, "LintReport"]],
-                  indent: Optional[int] = 2) -> str:
-    """Merge several lint passes into one SARIF log with multiple runs.
-
-    Each ``(tool_name, report)`` pair becomes its own ``runs[]`` entry
-    with a distinct ``tool.driver.name`` and its own
-    ``tool.driver.rules`` array, so viewers attribute findings to the
-    pass that produced them (``repro-lint-determinism`` vs
-    ``repro-lint-races``).  Used by ``lint code --all``.
-    """
-    runs: List[Dict[str, Any]] = []
-    for tool_name, report in named_reports:
-        runs.extend(report.to_sarif(tool_name=tool_name)["runs"])
-    return json.dumps({
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": runs,
-    }, indent=indent)
 
 
 class LintReport:
@@ -417,6 +359,7 @@ class LintReport:
             }],
         }
 
-    def to_sarif_json(self, indent: Optional[int] = 2) -> str:
+    def to_sarif_json(self, indent: Optional[int] = 2,
+                      tool_name: str = "repro-lint") -> str:
         """:meth:`to_sarif` serialized to a JSON string."""
-        return json.dumps(self.to_sarif(), indent=indent)
+        return json.dumps(self.to_sarif(tool_name=tool_name), indent=indent)

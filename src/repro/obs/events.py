@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
-from repro.obs.locks import make_lock
-
 __all__ = [
     "ObsEvent",
     "AlertEnqueued",
@@ -397,21 +395,20 @@ class EventBus:
     subscribers the bus is inert and :attr:`active` is ``False`` —
     instrumented code uses that to skip building expensive events.
 
-    Subscription bookkeeping is lock-protected so a bus can be shared
-    across threads.  ``publish`` snapshots the handler lists
-    under the lock but dispatches *outside* it: handlers are allowed to
-    publish re-entrantly (the health monitor republishes SLO verdicts
-    onto the same bus mid-dispatch) and to (un)subscribe, neither of
-    which may deadlock.  Handlers themselves must be thread-safe when
-    the bus is shared; dispatch order within one ``publish`` call stays
-    subscription order.
+    The handler lists are copy-on-write: (un)subscribing replaces a
+    list instead of mutating it, and ``publish`` reads both lists
+    before it dispatches.  Handlers may therefore publish re-entrantly
+    (the health monitor republishes SLO verdicts onto the same bus
+    mid-dispatch) and (un)subscribe; the change takes effect from the
+    next ``publish``, and dispatch order within one call stays
+    subscription order.  The bus belongs to the run loop's thread (see
+    :mod:`repro.obs.server`).
     """
 
     def __init__(self) -> None:
         self._all: List[Handler] = []
         self._typed: Dict[Type[ObsEvent], List[Handler]] = {}
         self._count = 0
-        self._lock = make_lock("bus")
 
     @property
     def active(self) -> bool:
@@ -425,41 +422,38 @@ class EventBus:
     ) -> Handler:
         """Register ``handler`` for all events (or only for ``types``);
         returns the handler for symmetry with :meth:`unsubscribe`."""
-        with self._lock:
-            if types is None:
-                self._all = self._all + [handler]
-            else:
-                typed = dict(self._typed)
-                for t in types:
-                    typed[t] = typed.get(t, []) + [handler]
-                self._typed = typed
-            self._count += 1
+        if types is None:
+            self._all = self._all + [handler]
+        else:
+            typed = dict(self._typed)
+            for t in types:
+                typed[t] = typed.get(t, []) + [handler]
+            self._typed = typed
+        self._count += 1
         return handler
 
     def unsubscribe(self, handler: Handler) -> None:
         """Remove every registration of ``handler`` (no-op if absent)."""
-        with self._lock:
-            removed = 0
-            if handler in self._all:
-                self._all = [h for h in self._all if h is not handler]
+        removed = 0
+        if handler in self._all:
+            self._all = [h for h in self._all if h is not handler]
+            removed += 1
+        typed = dict(self._typed)
+        for t, handlers in list(typed.items()):
+            if handler in handlers:
+                typed[t] = [h for h in handlers if h is not handler]
                 removed += 1
-            typed = dict(self._typed)
-            for t, handlers in list(typed.items()):
-                if handler in handlers:
-                    typed[t] = [h for h in handlers if h is not handler]
-                    removed += 1
-                    if not typed[t]:
-                        del typed[t]
-            self._typed = typed
-            self._count = max(0, self._count - removed)
+                if not typed[t]:
+                    del typed[t]
+        self._typed = typed
+        self._count = max(0, self._count - removed)
 
     def publish(self, event: ObsEvent) -> None:
         """Dispatch ``event`` to every matching handler, in order."""
         if self._count == 0:
             return
-        with self._lock:
-            all_handlers = self._all
-            typed = self._typed.get(type(event))
+        all_handlers = self._all
+        typed = self._typed.get(type(event))
         for handler in all_handlers:
             handler(event)
         if typed:

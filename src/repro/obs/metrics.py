@@ -19,7 +19,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.locks import make_lock
 from repro.obs.events import (
     AlertEnqueued,
     AlertLost,
@@ -70,14 +69,9 @@ def _labels_key(labels: LabelsArg) -> LabelsKey:
 class _Metric:
     """Common identity of every instrument.
 
-    Every instrument carries its own lock at the ``metric`` tier of
-    the hierarchy in :mod:`repro.obs.locks`; all mutating operations
-    (and the compound read-modify-write ones in particular, such as
-    :meth:`Gauge.inc`) hold it, so instruments can be shared with the
-    telemetry server's scrape thread without tearing updates.  Single-field reads
-    stay lock-free — on CPython a ``float`` load is atomic — while
-    compound reads (:meth:`Histogram.mean`,
-    :meth:`Histogram.bucket_counts`) copy under the lock.
+    Instruments are updated from the run loop's one thread; the
+    telemetry server reads them under its own lock (see
+    :mod:`repro.obs.server`).
     """
 
     kind = "untyped"
@@ -86,7 +80,6 @@ class _Metric:
         self.name = name
         self.labels = labels
         self.help = help
-        self._lock = make_lock("metric")
 
     @property
     def label_str(self) -> str:
@@ -116,13 +109,11 @@ class Counter(_Metric):
         """Add ``amount`` (must be >= 0)."""
         if amount < 0:
             raise ValueError(f"counter increment must be >= 0, got {amount}")
-        with self._lock:
-            self._value += amount
+        self._value += amount
 
     def reset(self) -> None:
         """Zero the counter."""
-        with self._lock:
-            self._value = 0.0
+        self._value = 0.0
 
 
 class Gauge(_Metric):
@@ -146,31 +137,24 @@ class Gauge(_Metric):
         """Maximum level seen since creation / last reset."""
         return self._high_water
 
-    def _set_locked(self, value: float) -> None:
+    def set(self, value: float) -> None:
+        """Set the level (updates the high-water mark)."""
         self._value = float(value)
         if self._value > self._high_water:
             self._high_water = self._value
 
-    def set(self, value: float) -> None:
-        """Set the level (updates the high-water mark)."""
-        with self._lock:
-            self._set_locked(value)
-
     def inc(self, amount: float = 1.0) -> None:
-        """Adjust the level by ``amount`` (atomic read-modify-write)."""
-        with self._lock:
-            self._set_locked(self._value + amount)
+        """Adjust the level by ``amount``."""
+        self.set(self._value + amount)
 
     def dec(self, amount: float = 1.0) -> None:
-        """Adjust the level by ``-amount`` (atomic read-modify-write)."""
-        with self._lock:
-            self._set_locked(self._value - amount)
+        """Adjust the level by ``-amount``."""
+        self.set(self._value - amount)
 
     def reset(self) -> None:
         """Zero the level and re-base the high-water mark."""
-        with self._lock:
-            self._value = 0.0
-            self._high_water = 0.0
+        self._value = 0.0
+        self._high_water = 0.0
 
 
 class Histogram(_Metric):
@@ -213,38 +197,25 @@ class Histogram(_Metric):
 
     @property
     def mean(self) -> float:
-        """Mean observation (0 when empty).
-
-        Reads two fields, so it takes the lock: a concurrent
-        ``observe`` between the reads would pair a new sum with an old
-        count.
-        """
-        with self._lock:
-            return self._sum / self._count if self._count else 0.0
+        """Mean observation (0 when empty)."""
+        return self._sum / self._count if self._count else 0.0
 
     @property
     def bucket_counts(self) -> Tuple[int, ...]:
-        """Per-bucket counts; the last entry is the ``+inf`` bucket.
-
-        Copied under the lock — handing out a snapshot taken while a
-        writer is mid-``observe`` would tear counts against sum.
-        """
-        with self._lock:
-            return tuple(self._counts)
+        """Per-bucket counts; the last entry is the ``+inf`` bucket."""
+        return tuple(self._counts)
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        with self._lock:
-            self._counts[bisect_left(self.bounds, value)] += 1
-            self._sum += value
-            self._count += 1
+        self._counts[bisect_left(self.bounds, value)] += 1
+        self._sum += value
+        self._count += 1
 
     def reset(self) -> None:
         """Drop every observation."""
-        with self._lock:
-            self._counts = [0] * (len(self.bounds) + 1)
-            self._sum = 0.0
-            self._count = 0
+        self._counts = [0] * (len(self.bounds) + 1)
+        self._sum = 0.0
+        self._count = 0
 
 
 class MetricsRegistry:
@@ -254,33 +225,25 @@ class MetricsRegistry:
     existing pair returns the same object (so instrumentation sites can
     be stateless).  Re-requesting a name with a different instrument
     kind is an error.
-
-    Get-or-create is guarded by a registry lock: two threads racing to
-    create the same ``(name, labels)`` pair receive the *same*
-    instrument (the unguarded check-then-insert would let one thread's
-    instrument — and every update made through it — be silently
-    replaced).
     """
 
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, LabelsKey], _Metric] = {}
-        self._lock = make_lock("registry")
 
     def _get_or_create(self, cls, name: str, labels: LabelsArg,
                        help: str, **kwargs) -> _Metric:
         key = (name, _labels_key(labels))
-        with self._lock:
-            existing = self._metrics.get(key)
-            if existing is not None:
-                if not isinstance(existing, cls):
-                    raise ValueError(
-                        f"metric {name!r} already registered as "
-                        f"{existing.kind}, not {cls.kind}"
-                    )
-                return existing
-            metric = cls(name, labels=key[1], help=help, **kwargs)
-            self._metrics[key] = metric
-            return metric
+        existing = self._metrics.get(key)
+        if existing is not None:
+            if not isinstance(existing, cls):
+                raise ValueError(
+                    f"metric {name!r} already registered as "
+                    f"{existing.kind}, not {cls.kind}"
+                )
+            return existing
+        metric = cls(name, labels=key[1], help=help, **kwargs)
+        self._metrics[key] = metric
+        return metric
 
     def counter(self, name: str, labels: LabelsArg = None,
                 help: str = "") -> Counter:
@@ -305,24 +268,19 @@ class MetricsRegistry:
 
     def metrics(self) -> List[_Metric]:
         """Every instrument, sorted by ``(name, labels)``."""
-        with self._lock:
-            return [self._metrics[k] for k in sorted(self._metrics)]
+        return [self._metrics[k] for k in sorted(self._metrics)]
 
     def get(self, name: str, labels: LabelsArg = None) -> Optional[_Metric]:
         """Look up an instrument; ``None`` when absent."""
-        with self._lock:
-            return self._metrics.get((name, _labels_key(labels)))
+        return self._metrics.get((name, _labels_key(labels)))
 
     def reset(self) -> None:
         """Reset every instrument in place."""
-        with self._lock:
-            instruments = list(self._metrics.values())
-        for metric in instruments:
+        for metric in self._metrics.values():
             metric.reset()  # type: ignore[attr-defined]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._metrics)
+        return len(self._metrics)
 
 
 class PipelineMetrics:

@@ -111,7 +111,6 @@ from repro.obs.events import (
     UndoDecision,
     UnitEmitted,
 )
-from repro.obs.locks import make_lock
 
 __all__ = [
     "Formula",
@@ -506,15 +505,11 @@ class MonitorDfa:
     the state's formula, so the table never disagrees with progression.
 
     One table serves every automaton and slice of its formula in the
-    process (:func:`monitor_dfa`), across tenants and threads.
-    Lookups that hit are lock-free; the fill path interns the successor
-    (``len(states)``, append, index) under one ``monitor``-tier lock so
-    two threads can never give two formulas one id.
+    process (:func:`monitor_dfa`), across tenants.
     """
 
     __slots__ = ("formula", "alphabet", "initial", "states", "verdicts",
-                 "final", "decided", "_bits", "_width", "_ids", "_table",
-                 "_lock")
+                 "final", "decided", "_bits", "_width", "_ids", "_table")
 
     def __init__(self, formula: Formula) -> None:
         self.formula = formula
@@ -529,9 +524,7 @@ class MonitorDfa:
         self.decided: List[bool] = []
         self._ids: Dict[Formula, int] = {}
         self._table: Dict[int, int] = {}
-        self._lock = make_lock("monitor")
-        with self._lock:
-            self.initial = self._intern(formula)
+        self.initial = self._intern(formula)
 
     def mask(self, letter: Mapping[str, bool]) -> int:
         """``letter`` as a bitmask over the sorted alphabet."""
@@ -546,18 +539,8 @@ class MonitorDfa:
         key = state * self._width + self.mask(letter)
         nxt_state = self._table.get(key)
         if nxt_state is None:
-            nxt_state = self._fill(key, state, letter)
-        return nxt_state
-
-    def _fill(self, key: int, state: int,
-              letter: Mapping[str, bool]) -> int:
-        with self._lock:
-            nxt_state = self._table.get(key)
-            if nxt_state is None:
-                nxt_state = self._intern(
-                    progress(self.states[state], letter)
-                )
-                self._table[key] = nxt_state
+            nxt_state = self._intern(progress(self.states[state], letter))
+            self._table[key] = nxt_state
         return nxt_state
 
     def _intern(self, state: Formula) -> int:
@@ -578,7 +561,6 @@ class MonitorDfa:
 
 
 _DFAS: Dict[Formula, MonitorDfa] = {}
-_DFAS_LOCK = make_lock("monitor")
 
 
 def monitor_dfa(formula: Formula) -> MonitorDfa:
@@ -588,9 +570,7 @@ def monitor_dfa(formula: Formula) -> MonitorDfa:
     states its traces reached."""
     dfa = _DFAS.get(formula)
     if dfa is None:
-        fresh = MonitorDfa(formula)
-        with _DFAS_LOCK:
-            dfa = _DFAS.setdefault(formula, fresh)
+        dfa = _DFAS[formula] = MonitorDfa(formula)
     return dfa
 
 

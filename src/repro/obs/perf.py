@@ -27,19 +27,19 @@ Design rules, in priority order:
    cannot perturb replay byte-identity or worker-count invariance.
 
 A profiler instance is single-owner: phases are entered and exited on
-one thread.  Work measured on other threads or in worker processes is
-folded in serially afterwards via :meth:`PhaseProfiler.add_at`.
-The module-level :func:`bump` counters are lock-protected so low-level
-code (the CTMC solver, the analyzer) can count events without threading
-a profiler through every signature; :meth:`PhaseProfiler.start`
-snapshots them and the report carries the per-run delta.
+one thread.  Work measured by other profilers (the fleet's per-shard
+ones) or in worker processes is folded in afterwards via
+:meth:`PhaseProfiler.add_at`.
+The module-level :func:`bump` counters let low-level code (the CTMC
+solver, the analyzer) count events without passing a profiler through
+every signature; :meth:`PhaseProfiler.start` snapshots them and the
+report carries the per-run delta.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import threading
 import time  # lint: allow[DET001] — wall-clock profiling is this module's job
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -115,7 +115,6 @@ def _rank(name: str) -> Tuple[int, str]:
 # Global cost-driver counters
 # ---------------------------------------------------------------------------
 
-_COUNTER_LOCK = threading.Lock()
 _COUNTERS: Dict[str, int] = {}
 
 #: Counter names the report always carries (zero when nothing bumped
@@ -132,26 +131,23 @@ KNOWN_COUNTERS: Tuple[str, ...] = (
 
 
 def bump(name: str, n: int = 1) -> None:
-    """Increment a global cost-driver counter (thread-safe).
+    """Increment a global cost-driver counter.
 
-    Low-level modules call this unconditionally — it is a dict add
-    under a lock, cheap enough to leave on — and profilers report the
-    delta across their profiled interval.
+    Low-level modules call this unconditionally — it is one dict add,
+    cheap enough to leave on — and profilers report the delta across
+    their profiled interval.
     """
-    with _COUNTER_LOCK:
-        _COUNTERS[name] = _COUNTERS.get(name, 0) + n
+    _COUNTERS[name] = _COUNTERS.get(name, 0) + n
 
 
 def counter_snapshot() -> Dict[str, int]:
     """Copy of the global counters right now."""
-    with _COUNTER_LOCK:
-        return dict(_COUNTERS)
+    return dict(_COUNTERS)
 
 
 def reset_counters() -> None:
     """Zero the global counters (test isolation)."""
-    with _COUNTER_LOCK:
-        _COUNTERS.clear()
+    _COUNTERS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +287,9 @@ class PhaseProfiler:
         calls: int = 1,
     ) -> None:
         """Attribute externally measured time at an explicit absolute
-        stack path — how harvest files worker-thread time under the
-        ``tick.process`` phase it actually happened in, even though the
-        fold runs later, inside ``tick.harvest``."""
+        stack path — how the fleet files each shard's phase time under
+        the ``workers`` root, even though the fold runs later, inside
+        ``tick.harvest``."""
         if not path:
             raise ObsError("add_at requires a non-empty phase path")
         stat = self._stats.get(path)
@@ -326,15 +322,14 @@ class PhaseProfiler:
         ``aux_roots`` names
         top-level paths that are *detail, not coverage* — e.g. the
         fleet folds every shard's internal phases under a synthetic
-        ``workers`` root whose wall time was spent on other threads,
-        concurrently with the control plane's ``tick.*`` phases; adding
-        both to the attribution would double-count the interval.
+        ``workers`` root whose wall time was already spent inside the
+        control plane's ``tick.*`` phases; adding both to the
+        attribution would double-count the interval.
 
         A *running* profiler reports a provisional total (clock read
         now, interval left open) so a live scrape — the ``/profile``
         endpoint mid-run — never freezes the measurement; stats are
-        copied up front so the row set is consistent even when the
-        owner thread is still recording.
+        copied up front, so the report never aliases the live stats.
         """
         if self._t0 is None:
             raise ObsError("profiler report requested before start()")

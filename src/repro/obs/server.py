@@ -32,10 +32,23 @@ single-system summary.
 
 The server binds ``127.0.0.1`` by default and accepts port ``0`` for
 an ephemeral port (the bound port is on :attr:`port` after
-:meth:`start` — how the CI smoke test avoids collisions).  Handlers
-take :attr:`lock` around every render; a driver mutating the registry
-or monitor from another thread wraps its update phase in
-``with server.lock:`` and readers always see a consistent snapshot.
+:meth:`start` — how the CI smoke test avoids collisions).
+
+Threading contract
+------------------
+The run loop owns all state: the system, the fleet, the bus, the
+metrics, the monitors and the profiler are built, mutated and read on
+its one thread, and none of them takes a lock.  The HTTP threads
+started here (the serving thread and one handler thread per request)
+are the only other threads in the package, and
+:attr:`TelemetryServer.lock` is the only lock.  Handlers hold it around every render, so concurrent scrapes
+never interleave with each other.  The CLI's ``--serve`` paths start
+the server after the run returns, when the state is read-only.  A
+driver that serves while it still mutates that state takes
+``with server.lock:`` around each mutation (one tick, one epoch), so a
+scrape sees the state between two mutations and never during one.
+Replication workers of :mod:`repro.sim.batch` are processes that
+share no memory.
 """
 
 from __future__ import annotations
@@ -48,7 +61,6 @@ from urllib.parse import parse_qsl
 
 from repro.errors import FleetError, ObsError
 from repro.obs.health import HealthMonitor, SloState
-from repro.obs.locks import make_rlock
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.perf import PhaseProfiler
 
@@ -164,11 +176,9 @@ class TelemetryServer:
         self._requested_port = int(port)
         self._httpd: Optional[_TelemetryHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
-        #: Guards every render; writers mutating registry/monitor from
-        #: another thread take it around their update phase.  Outermost
-        #: tier of the lock hierarchy: renders acquire registry and
-        #: metric locks underneath it.
-        self.lock = make_rlock("server")
+        #: Held around every render; a driver mutating what the server
+        #: reads while it runs takes it around each mutation.
+        self.lock = threading.RLock()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -208,12 +218,10 @@ class TelemetryServer:
                 f"{self._host}:{self._requested_port}: {exc}"
             ) from exc
         httpd.owner = self
-        # Lifecycle fields are owner-thread confined: only the thread
-        # driving start()/stop() writes them, and the serving thread
-        # never touches them.  serve_forever is internally synchronized
-        # by http.server; handlers take owner.lock around every render.
-        self._httpd = httpd  # lint: allow[RACE001] owner-thread confined lifecycle
-        self._thread = threading.Thread(  # lint: allow[RACE001,RACE005] owner-confined; server internally synchronized
+        # Only the thread driving start()/stop() writes the lifecycle
+        # fields; the serving thread never touches them.
+        self._httpd = httpd
+        self._thread = threading.Thread(
             target=httpd.serve_forever,
             name="repro-telemetry",
             daemon=True,
@@ -229,8 +237,8 @@ class TelemetryServer:
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
-        self._httpd = None  # lint: allow[RACE001] owner-thread confined lifecycle
-        self._thread = None  # lint: allow[RACE001] owner-thread confined lifecycle
+        self._httpd = None
+        self._thread = None
 
     def __enter__(self) -> "TelemetryServer":
         return self.start()

@@ -235,7 +235,7 @@ def _fan_out(
     t0 = time.perf_counter()  # lint: allow[DET001] host benchmark timing, not simulated time
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         spawn = time.perf_counter() - t0  # lint: allow[DET001] host benchmark timing, not simulated time
-        futures = [pool.submit(_run_chunk, worker, chunk)  # lint: allow[RACE005] process pool; each worker gets a pickled copy and shares no state
+        futures = [pool.submit(_run_chunk, worker, chunk)
                    for chunk in chunks]
         results = [r for f in futures for r in f.result()]
     if profiler is not None:

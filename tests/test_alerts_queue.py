@@ -249,89 +249,3 @@ class TestPriorityBoundedQueue:
     def test_classes_validation(self):
         with pytest.raises(ValueError):
             PriorityBoundedQueue(2, classes=0)
-
-
-class TestConcurrentHammer:
-    """The queues are lock-free by design (one owning thread);
-    these hammers pin the two halves of that contract: externally
-    serialized access is exact, and the dynamic sanitizer catches any
-    unlocked cross-thread use deterministically."""
-
-    THREADS = 8
-
-    def _hammer(self, worker):
-        import threading
-
-        barrier = threading.Barrier(self.THREADS)
-        errors = []
-
-        def run(tid):
-            barrier.wait()
-            try:
-                worker(tid)
-            except BaseException as exc:  # pragma: no cover
-                errors.append(exc)
-
-        ts = [threading.Thread(target=run, args=(i,))
-              for i in range(self.THREADS)]
-        for t in ts:
-            t.start()
-        for t in ts:
-            t.join()
-        if errors:
-            raise errors[0]
-
-    def test_externally_locked_offers_exact(self):
-        import threading
-
-        lock = threading.Lock()
-        q = PriorityBoundedQueue(10_000_000, classes=1)
-        n = 2_000
-
-        def work(tid):
-            for _ in range(n):
-                with lock:
-                    assert q.offer(object())
-
-        self._hammer(work)
-        assert len(q) == self.THREADS * n
-        assert q.accepted == self.THREADS * n
-        assert q.lost == 0
-
-    def test_sanitizer_passes_locked_hammer(self):
-        from repro.lint.sanitizer import RaceSanitizer
-
-        san = RaceSanitizer()
-        lock = san.wrap_lock("queue-external")
-        q = PriorityBoundedQueue(10_000_000, classes=1)
-        san.wrap_method(q, "offer", "queue[hammer]")
-        n = 500
-
-        def work(tid):
-            for _ in range(n):
-                with lock:
-                    q.offer(object())
-
-        self._hammer(work)
-        assert san.violations == (), san.report().render_text()
-        assert q.accepted == self.THREADS * n
-
-    def test_sanitizer_catches_unlocked_cross_thread_use(self):
-        # Sequential threads, no interleaving at all — the lockset
-        # verdict still fires, which is the whole point of Eraser.
-        import threading
-
-        from repro.lint.sanitizer import RaceSanitizer
-
-        san = RaceSanitizer()
-        q = PriorityBoundedQueue(100, classes=1)
-        san.wrap_method(q, "offer", "queue[central]")
-
-        for name in ("t1", "t2"):
-            t = threading.Thread(target=lambda: q.offer(object()),
-                                 name=name)
-            t.start()
-            t.join()
-        rules = [d.rule for d in san.violations]
-        assert rules == ["RACE101"]
-        assert san.violations[0].where == "queue[central]"

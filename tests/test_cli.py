@@ -438,6 +438,30 @@ class TestLint:
     def test_shipped_codebase_lints_clean(self, capsys):
         assert main(["lint", "code", "src/repro"]) == 0
 
+    def test_code_sarif_has_one_determinism_run(self, capsys, tmp_path):
+        import json as _json
+
+        src = tmp_path / "clock.py"
+        src.write_text("import time\nt = time.time()\n", encoding="utf-8")
+        out_file = tmp_path / "lint.sarif"
+        assert main(["lint", "code", str(src),
+                     "--format", "sarif", "--out", str(out_file)]) == 2
+        sarif = _json.loads(out_file.read_text())
+        names = [run["tool"]["driver"]["name"] for run in sarif["runs"]]
+        assert names == ["repro-lint-determinism"]
+        assert {r["ruleId"] for r in sarif["runs"][0]["results"]} == {
+            "DET001"}
+
+    def test_code_sarif_clean_tree_exits_zero(self, capsys, tmp_path):
+        import json as _json
+
+        out_file = tmp_path / "lint.sarif"
+        assert main(["lint", "code", "src/repro",
+                     "--format", "sarif", "--out", str(out_file)]) == 0
+        sarif = _json.loads(out_file.read_text())
+        assert len(sarif["runs"]) == 1
+        assert sarif["runs"][0]["results"] == []
+
     def test_spec_pass_scenario_no_errors(self, capsys):
         assert main(["lint", "spec", "--scenario", "figure1"]) == 0
         assert "0 error" in capsys.readouterr().out
@@ -638,66 +662,3 @@ class TestProfile:
         payload = _json.loads(blob.read_text())
         assert set(payload) == {"fleet", "tenants", "ticks"}
         assert payload["fleet"]["attribution"] >= 0.95
-
-
-class TestLintRacesCLI:
-    """The race pass and the merged `lint code --all` surface."""
-
-    RACY = (
-        "import threading\n"
-        "class C:\n"
-        "    def __init__(self):\n"
-        "        self._lock = threading.Lock()\n"
-        "        self._v = 0\n"
-        "    def inc(self):\n"
-        "        self._v += 1\n"
-    )
-
-    def test_races_pass_on_shipped_tree_clean(self, capsys):
-        assert main(["lint", "races", "src/repro"]) == 0
-        assert "0 error" in capsys.readouterr().out
-
-    def test_races_pass_exits_two_on_unguarded_write(self, capsys,
-                                                     tmp_path):
-        racy = tmp_path / "racy.py"
-        racy.write_text(self.RACY, encoding="utf-8")
-        assert main(["lint", "races", str(racy)]) == 2
-        out = capsys.readouterr().out
-        assert "RACE001" in out
-
-    def test_code_all_merges_both_passes(self, capsys, tmp_path):
-        both = tmp_path / "both.py"
-        both.write_text("import time\nt = time.time()\n" + self.RACY,
-                        encoding="utf-8")
-        assert main(["lint", "code", str(both), "--all"]) == 2
-        out = capsys.readouterr().out
-        assert "DET001" in out and "RACE001" in out
-
-    def test_code_all_sarif_has_one_run_per_analyzer(self, capsys,
-                                                     tmp_path):
-        import json as _json
-
-        both = tmp_path / "both.py"
-        both.write_text("import time\nt = time.time()\n" + self.RACY,
-                        encoding="utf-8")
-        out_file = tmp_path / "lint.sarif"
-        assert main(["lint", "code", str(both), "--all",
-                     "--format", "sarif", "--out", str(out_file)]) == 2
-        sarif = _json.loads(out_file.read_text())
-        names = [run["tool"]["driver"]["name"] for run in sarif["runs"]]
-        assert names == ["repro-lint-determinism", "repro-lint-races"]
-        det_rules, race_rules = (
-            {r["ruleId"] for r in run["results"]}
-            for run in sarif["runs"])
-        assert "DET001" in det_rules
-        assert "RACE001" in race_rules
-
-    def test_code_all_sarif_clean_tree_exits_zero(self, capsys, tmp_path):
-        import json as _json
-
-        out_file = tmp_path / "lint.sarif"
-        assert main(["lint", "code", "src/repro", "--all",
-                     "--format", "sarif", "--out", str(out_file)]) == 0
-        sarif = _json.loads(out_file.read_text())
-        assert len(sarif["runs"]) == 2
-        assert all(run["results"] == [] for run in sarif["runs"])

@@ -30,7 +30,7 @@ class TestCatalogue:
 
     def test_rule_families_present(self):
         families = {rule[:4] for rule in RULES}
-        assert families == {"SPEC", "PLAN", "DET0", "RACE"}
+        assert families == {"SPEC", "PLAN", "DET0"}
 
 
 class TestDiagnostic:

@@ -17,12 +17,8 @@ Four layers, mirroring the module:
    identical at any worker count.
 5. **Shared tables** — the per-process int-state table agrees with a
    left fold of :func:`progress` after every step, is shared by every
-   automaton of a formula, and fills consistently under threads.
+   automaton of a formula.
 """
-
-import random
-import sys
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -603,65 +599,6 @@ class TestSharedTable:
         for prop_ in strict_property_pack():
             read.update(prop_.reads)
         assert read == set(ConformanceMonitor.CONSUMES)
-
-    def test_threads_fill_one_table_consistently(self):
-        # Four threads step slices over one fresh table while it fills,
-        # each starting at a different trace so they fill different
-        # entries at once.  Every verdict must match a serial run, and
-        # no state formula may be interned under two ids.
-        a, b, c, d = prop("a"), prop("b"), prop("c"), prop("d")
-        formula = land(*(
-            always(implies(p, nxt(nxt(nxt(q)))))
-            for p, q in ((a, b), (c, d), (b, a))
-        ))  # a few hundred reachable states
-        rng = random.Random(17)
-        traces = [
-            [{atom: rng.random() < 0.5 for atom in "abcd"}
-             for _ in range(12)]
-            for _ in range(400)
-        ]
-
-        def run(dfa, first):
-            out = {}
-            for i in range(first, first + len(traces)):
-                i %= len(traces)
-                state = dfa.initial
-                verdicts = []
-                for letter in traces[i]:
-                    state = dfa.step(state, letter)
-                    verdicts.append(dfa.verdicts[state])
-                out[i] = (verdicts, dfa.states[state], dfa.final[state])
-            return out
-
-        def hammer(shared):
-            results = [None] * 4
-            barrier = threading.Barrier(4)
-
-            def worker(index):
-                barrier.wait(timeout=60)
-                results[index] = run(shared, index * len(traces) // 4)
-
-            threads = [threading.Thread(target=worker, args=(i,))
-                       for i in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-                assert not thread.is_alive()
-            return results
-
-        serial = run(MonitorDfa(formula), 0)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads as often as we can
-        try:
-            for _ in range(3):  # each round races a fresh table
-                shared = MonitorDfa(formula)
-                assert hammer(shared) == [serial] * 4
-                assert len(set(shared.states)) == len(shared.states)
-                assert len(shared.verdicts) == len(shared.final) == len(
-                    shared.decided) == len(shared.states)
-        finally:
-            sys.setswitchinterval(interval)
 
 
 class TestConformanceProfileGate:

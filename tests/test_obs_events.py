@@ -96,6 +96,42 @@ class TestEventBus:
         bus.unsubscribe(lambda e: None)
         assert bus.active
 
+    def test_reentrant_publish_from_handler(self):
+        # The health monitor republishes onto the bus mid-dispatch: the
+        # nested publish reaches every handler before the outer one
+        # resumes.
+        bus = EventBus()
+        seen = []
+
+        def republisher(event):
+            if isinstance(event, AlertEnqueued):
+                bus.publish(ScanStep(event.time, uid=event.uid,
+                                     outstanding_units=0, cost=1))
+
+        bus.subscribe(republisher)
+        bus.subscribe(lambda event: seen.append(event.kind))
+        bus.publish(AlertEnqueued(0.0, uid="u1", queue_depth=1))
+        assert seen == ["ScanStep", "AlertEnqueued"]
+
+    def test_resubscription_mid_dispatch_applies_from_next_publish(self):
+        # Copy-on-write handler lists: a handler that unsubscribes
+        # itself and subscribes another leaves the current dispatch
+        # as it began.
+        bus = EventBus()
+        seen = []
+
+        def once(event):
+            seen.append("once")
+            bus.unsubscribe(once)
+            bus.subscribe(lambda e: seen.append("late"))
+
+        bus.subscribe(once)
+        bus.subscribe(lambda e: seen.append("always"))
+        bus.publish(TaskUndone(0.0, uid="u"))
+        assert seen == ["once", "always"]
+        bus.publish(TaskUndone(1.0, uid="u"))
+        assert seen == ["once", "always", "always", "late"]
+
 
 class TestEventRecorder:
     def test_records_in_order_and_filters_by_type(self):

