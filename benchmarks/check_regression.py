@@ -21,9 +21,10 @@ the committed baselines at the repository root and fails (exit 1) when:
   more than once per epoch (``analyses_per_action`` above
   ``MAX_ANALYSES_PER_ACTION``);
 - on rows present in *both* files (matched by ``buffer`` for the CTMC
-  sweep, ``replications`` for the simulation batch), a speedup fell by
-  more than ``--tolerance`` (default 25%) relative to the committed
-  value.
+  sweep, ``replications`` for the simulation batch, ``(tenants,
+  duration)`` for the fleet sweep), a speedup or the fleet's alert
+  throughput fell by more than ``--tolerance`` (default 25%) relative
+  to the committed value.
 
 Quick CI sweeps use smaller problem sizes than the committed full
 sweep, so their rows may not overlap at all — the correctness checks
@@ -38,7 +39,7 @@ import argparse
 import json
 import pathlib
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 #: Operations timed per CTMC row.
 CTMC_OPS = ("steady_state", "transient", "passage", "cumulative")
@@ -164,10 +165,11 @@ def check_fleet(fresh: dict, baseline: Optional[dict],
     """Failures found in the fleet control-plane sweep.
 
     The correctness invariant (end-to-end strict-correctness audits)
-    always applies.  Throughput comparison
-    needs a committed ``BENCH_fleet.json`` baseline with overlapping
-    tenant counts; an absent baseline (older checkouts) is tolerated —
-    the fleet benchmark is newer than the other two.
+    always applies.  Throughput comparison needs a committed
+    ``BENCH_fleet.json`` baseline with rows of the same shape, matched
+    on ``(tenants, duration)``: a shorter run of the same fleet is a
+    different measurement.  An absent baseline (older checkouts) is
+    tolerated — the fleet benchmark is newer than the other two.
     """
     failures: List[str] = []
     for row in fresh["results"]:
@@ -178,11 +180,12 @@ def check_fleet(fresh: dict, baseline: Optional[dict],
             )
     compared = 0
     if baseline is not None:
-        base_by_tenants: Dict[int, dict] = {
-            row["tenants"]: row for row in baseline["results"]
+        base_by_shape: Dict[Tuple[int, float], dict] = {
+            (row["tenants"], row["duration"]): row
+            for row in baseline["results"]
         }
         for row in fresh["results"]:
-            base = base_by_tenants.get(row["tenants"])
+            base = base_by_shape.get((row["tenants"], row["duration"]))
             if base is None:
                 continue
             fresh_thr = row.get("throughput_alerts_per_s")
@@ -192,7 +195,8 @@ def check_fleet(fresh: dict, baseline: Optional[dict],
             compared += 1
             if fresh_thr < base_thr * (1.0 - tolerance):
                 failures.append(
-                    f"fleet tenants={row['tenants']}: throughput "
+                    f"fleet tenants={row['tenants']} duration="
+                    f"{row['duration']:g}: throughput "
                     f"regressed {base_thr:.0f} -> {fresh_thr:.0f} "
                     f"alerts/s (> {tolerance:.0%} below baseline)"
                 )

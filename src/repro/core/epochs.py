@@ -12,7 +12,7 @@ re-derive the world from the original initial data.
 - workflows run (:meth:`EpochManager.new_run`) against the current
   epoch's log;
 - ``heal()`` runs the healer against the current epoch and then *rolls*
-  the epoch: the healed log is archived, a fresh empty log begins, and
+  the epoch: the healed log is retired, a fresh empty log begins, and
   the current (healed) store versions become the next epoch's trusted
   baseline — later heals measure damage against them, exactly as the
   first heal measures damage against the initial data;
@@ -22,7 +22,7 @@ re-derive the world from the original initial data.
   steps healed since the previous one.
 
 One consequence of rolling: alerts naming instances of an already-rolled
-epoch are ignored by later heals (their log is archived).  Process every
+epoch are ignored by later heals (their log is retired).  Process every
 alert of a burst *before* rolling — which is precisely the paper's
 operating discipline: recovery starts only once the alert queue has
 drained.
@@ -71,7 +71,6 @@ class EpochManager:
         self._specs: Dict[str, WorkflowSpec] = {}
         self._baseline: Optional[Dict[str, int]] = None
         self._epoch = 0
-        self._archived: List[SystemLog] = []
         self._combined_history: List[HistoryStep] = []
         self._instance_seq = 0
         #: Definition 2 replay of ``_combined_history[:steps]``, extended
@@ -96,11 +95,6 @@ class EpochManager:
         return self._log
 
     @property
-    def archived_logs(self) -> List[SystemLog]:
-        """Logs of completed epochs, oldest first."""
-        return list(self._archived)
-
-    @property
     def specs_by_instance(self) -> Mapping[str, WorkflowSpec]:
         """Spec of every workflow instance run so far (all epochs): a
         live read-only view, so an analyzer held across scans sees the
@@ -115,7 +109,7 @@ class EpochManager:
         :class:`~repro.workflow.engine.Engine`).
 
         Runs from earlier epochs must not be stepped after a heal —
-        the log they would commit to is archived.
+        the log they would commit to is retired.
         """
         if name is None:
             name = f"e{self._epoch}.wf{self._instance_seq}"
@@ -188,8 +182,7 @@ class EpochManager:
         return report
 
     def _roll_epoch(self, report: HealReport) -> None:
-        """Archive the healed log and open a fresh epoch."""
-        self._archived.append(self._log)
+        """Retire the healed log and open a fresh epoch."""
         self._log = SystemLog()
         # The current (healed) store versions become the next epoch's
         # trusted baseline ("the last version before the next attack").

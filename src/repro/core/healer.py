@@ -139,12 +139,6 @@ class HealReport:
         """Number of recovery operations performed (undos + redos + new)."""
         return len(self.undone) + len(self.redone) + len(self.new_executions)
 
-    @property
-    def preserved_work(self) -> int:
-        """Instances whose original work survived (the paper's edge over
-        checkpoint rollback, which would discard them)."""
-        return len(self.kept)
-
     def summary(self) -> str:
         """One-line human-readable account of the heal."""
         return (
@@ -378,7 +372,7 @@ class Healer:
             history: List[HistoryStep] = []
 
             # Each instance's trace, grouped in one pass over the log
-            # (keys in first-appearance order, as workflow_instances()).
+            # (keys in order of each instance's first record).
             normal = log.normal_records()
             remaining: Dict[str, List[LogRecord]] = {}
             for record in normal:

@@ -18,9 +18,9 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import FrozenSet, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core.actions import Action, ActionKind
+from repro.core.actions import Action
 from repro.core.undo_redo import RedoAnalysis, UndoAnalysis
 from repro.workflow.precedence import PartialOrder
 
@@ -84,25 +84,6 @@ class RecoveryPlan:
         """The order's actions, sorted; cached, as the order is not
         changed once the analyzer returns the plan."""
         return tuple(sorted(self.order.elements()))
-
-    @property
-    def undo_actions(self) -> FrozenSet[Action]:
-        """Undo actions for the definite undo set."""
-        return frozenset(
-            a for a in self.order.elements() if a.kind == ActionKind.UNDO
-        )
-
-    @property
-    def redo_actions(self) -> FrozenSet[Action]:
-        """Redo actions for the definite redo set."""
-        return frozenset(
-            a for a in self.order.elements() if a.kind == ActionKind.REDO
-        )
-
-    @property
-    def total_actions(self) -> int:
-        """Number of scheduled recovery actions."""
-        return len(self.order)
 
     def schedule(self, rng: Optional[random.Random] = None) -> List[Action]:
         """A linear extension of the plan's partial order.

@@ -13,8 +13,11 @@ The paper weighs correctness against concurrency:
    recovery stays correct; normal tasks executed on stale snapshots may
    later need repair, and every object pays a version-storage cost.
 
-The enum is consumed by the architecture/simulation layers to decide
-blocking behaviour and by the strategy-ablation benchmark.
+The enum is consumed by :class:`~repro.system.SelfHealingSystem` (whether
+normal tasks wait during scan and recovery), by the conformance monitor
+and health configuration (which property pack to check, also per fleet
+tenant), by the Theorem 4 executor of :mod:`repro.core.concurrent`, and
+by the strategy-ablation benchmark.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from repro.fleet.shard import PRIORITY_OF_VERDICT, TenantShard
 from repro.fleet.slo import (
     FleetHealth,
     TenantVerdict,
-    merge_health,
     percentile,
     rollup,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "FleetHealth",
     "TenantVerdict",
     "rollup",
-    "merge_health",
     "percentile",
     "TenantProfile",
     "PROFILES",

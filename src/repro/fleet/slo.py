@@ -4,11 +4,9 @@ The fleet ``/slo`` endpoint needs one answer for "is the fleet
 healthy?" plus a drill-down per tenant.  Aggregation reuses the obs
 layer's associative machinery — :func:`~repro.obs.health.worst_state`
 for the verdict and :func:`~repro.obs.health.merge_conformance` for the
-counts — so the rollup is **invariant under tenant permutation and
-shard repartition**: any grouping of tenants into sub-rollups, merged
-in any order, produces the identical fleet view (pinned by a
-hypothesis property test, mirroring the existing ``merge_conformance``
-permutation test).
+counts — so the rollup is **invariant under tenant permutation**
+(pinned by a hypothesis property test, mirroring the existing
+``merge_conformance`` permutation test).
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ __all__ = [
     "TenantVerdict",
     "FleetHealth",
     "rollup",
-    "merge_health",
     "percentile",
 ]
 
@@ -192,18 +189,3 @@ def rollup(verdicts: Sequence[TenantVerdict]) -> FleetHealth:
                 f"duplicate tenant id {a.tenant!r} in fleet rollup"
             )
     return FleetHealth(tenants=ordered)
-
-
-def merge_health(parts: Sequence[FleetHealth]) -> FleetHealth:
-    """Merge per-shard-group rollups into the fleet rollup.
-
-    ``merge_health([rollup(g) for g in partition]) == rollup(all)``
-    for every partition of the tenants — the shard-repartition
-    invariance the property test pins.
-    """
-    if not parts:
-        raise FleetError("cannot merge zero fleet rollups")
-    combined: List[TenantVerdict] = []
-    for part in parts:
-        combined.extend(part.tenants)
-    return rollup(combined)

@@ -26,7 +26,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Tuple,
     TypeVar,
 )
 
@@ -73,14 +72,14 @@ class BoundedQueue(Generic[T]):
     recovery-task queue.
 
     Besides loss counts the queue tracks its **high-water mark** — the
-    maximum simultaneous occupancy since creation or the last
-    :meth:`reset_stats` — which is what the CTMC comparison and the
-    metrics layer need (occupancy, not just losses).  An optional
-    instrumentation hook (:meth:`set_hook`) observes every mutation;
-    when unset the only overhead is one ``None`` check per operation.
+    maximum simultaneous occupancy since creation — which is what the
+    CTMC comparison and the metrics layer need (occupancy, not just
+    losses).  An optional instrumentation hook (:meth:`set_hook`)
+    observes every mutation; when unset the only overhead is one
+    ``None`` check per operation.
 
     Storage is accessed only through the ``_store`` / ``_take`` /
-    ``_peek_next`` / ``_size`` / ``_iter_items`` primitives, so
+    ``_size`` / ``_iter_items`` primitives, so
     subclasses (:class:`PriorityBoundedQueue`) can change the queueing
     discipline without touching the capacity, loss-accounting,
     high-water, hook, or drop-event machinery.
@@ -111,9 +110,6 @@ class BoundedQueue(Generic[T]):
 
     def _take(self) -> T:
         return self._items.popleft()
-
-    def _peek_next(self) -> T:
-        return self._items[0]
 
     def _iter_items(self) -> Iterator[T]:
         return iter(self._items)
@@ -172,13 +168,6 @@ class BoundedQueue(Generic[T]):
         self._bus = bus
         self._clock = clock
 
-    def reset_stats(self) -> None:
-        """Zero the loss/accepted counters and re-base the high-water
-        mark at the current occupancy (queued items are untouched)."""
-        self._lost = 0
-        self._accepted = 0
-        self._high_water = self._size()
-
     def _note_lost(self, item: T) -> None:
         """Account one rejected (or evicted) item and publish its drop."""
         self._lost += 1
@@ -227,10 +216,6 @@ class BoundedQueue(Generic[T]):
             self._hook("pop", self)
         return item
 
-    def peek(self) -> T:
-        """Next item without dequeuing."""
-        return self._peek_next()
-
     @property
     def full(self) -> bool:
         """True when at capacity."""
@@ -258,12 +243,11 @@ class PriorityBoundedQueue(BoundedQueue[T]):
     Items are assigned a class in ``[0, classes)`` by ``priority_of``
     (lower class number = more urgent); :meth:`pop` serves the oldest
     item of the most urgent non-empty class, and order *within* a class
-    is strictly FIFO.  Capacity, loss accounting, ``high_water``,
-    ``reset_stats`` and drop-event instrumentation behave exactly as in
+    is strictly FIFO.  Capacity, loss accounting, ``high_water`` and
+    drop-event instrumentation behave exactly as in
     :class:`BoundedQueue`; the published
     :class:`~repro.obs.events.QueueItemDropped` additionally carries
-    the rejected item's class, and :attr:`lost_by_class` /
-    :attr:`accepted_by_class` break the counters down per class.
+    the rejected item's class.
 
     With ``evict_lower=True`` an arrival into a full queue may preempt:
     the *newest* item of the least urgent class less urgent than the
@@ -288,8 +272,6 @@ class PriorityBoundedQueue(BoundedQueue[T]):
         self._priority_of = priority_of
         self._evict_lower = evict_lower
         self._lanes: List[Deque[T]] = [deque() for _ in range(classes)]
-        self._lost_by_class = [0] * classes
-        self._accepted_by_class = [0] * classes
 
     # -- storage primitives ------------------------------------------------
 
@@ -307,19 +289,12 @@ class PriorityBoundedQueue(BoundedQueue[T]):
     def _store(self, item: T) -> None:
         cls = self._class_of(item)
         self._lanes[cls].append(item)
-        self._accepted_by_class[cls] += 1
 
     def _take(self) -> T:
         for lane in self._lanes:
             if lane:
                 return lane.popleft()
         raise IndexError("pop from an empty PriorityBoundedQueue")
-
-    def _peek_next(self) -> T:
-        for lane in self._lanes:
-            if lane:
-                return lane[0]
-        raise IndexError("peek at an empty PriorityBoundedQueue")
 
     def _iter_items(self) -> Iterator[T]:
         """Items in drain order: class by class, FIFO within a class."""
@@ -340,34 +315,9 @@ class PriorityBoundedQueue(BoundedQueue[T]):
                 return True
         return False
 
-    # -- per-class stats ---------------------------------------------------
+    # -- classes -------------------------------------------------------------
 
     @property
     def classes(self) -> int:
         """Number of priority classes."""
         return self._classes
-
-    @property
-    def lost_by_class(self) -> Tuple[int, ...]:
-        """Losses (rejections + evictions) broken down by class."""
-        return tuple(self._lost_by_class)
-
-    @property
-    def accepted_by_class(self) -> Tuple[int, ...]:
-        """Accepted items broken down by class."""
-        return tuple(self._accepted_by_class)
-
-    def depth_of_class(self, cls: int) -> int:
-        """Current occupancy of one class's lane."""
-        return len(self._lanes[cls])
-
-    def _note_lost(self, item: T) -> None:
-        self._lost_by_class[self._class_of(item)] += 1
-        super()._note_lost(item)
-
-    def reset_stats(self) -> None:
-        """Zero all counters (including the per-class breakdowns) and
-        re-base the high-water mark, exactly like the base queue."""
-        super().reset_stats()
-        self._lost_by_class = [0] * self._classes
-        self._accepted_by_class = [0] * self._classes

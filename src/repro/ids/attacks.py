@@ -234,9 +234,5 @@ class AttackCampaign:
         """Uids of every instance actually tampered with, in hit order."""
         return tuple(self._malicious)
 
-    def label_of(self, uid: str) -> Optional[str]:
-        """Label of the tamper that hit ``uid``, or ``None``."""
-        return self._malicious.get(uid)
-
     def __len__(self) -> int:
         return len(self._tampers)

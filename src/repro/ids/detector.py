@@ -9,8 +9,7 @@ simulator reproduces those knobs:
 - **detection probability** — per malicious instance, the chance the IDS
   (rather than the administrator) catches it;
 - **detection delay** — exponential lag between commit and report;
-- **false alarm rate** — spurious alerts naming innocent instances;
-- **reporting period** — alerts are batched and released periodically.
+- **false alarm rate** — spurious alerts naming innocent instances.
 
 Ground truth comes from an :class:`~repro.ids.attacks.AttackCampaign`.
 """
@@ -18,8 +17,8 @@ Ground truth comes from an :class:`~repro.ids.attacks.AttackCampaign`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Set, Tuple
 
 from repro.ids.alerts import Alert
 from repro.ids.attacks import AttackCampaign
@@ -45,16 +44,11 @@ class DetectorConfig:
     false_alarm_rate:
         Expected number of false alarms per inspected *innocent* log
         record (Bernoulli per record).
-    report_period:
-        Alerts are released in batches every ``report_period`` time units
-        ("the IDS periodically reports intrusions").  ``0`` releases
-        alerts as soon as their delay elapses.
     """
 
     detection_probability: float = 1.0
     mean_detection_delay: float = 0.0
     false_alarm_rate: float = 0.0
-    report_period: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.detection_probability <= 1.0:
@@ -63,16 +57,14 @@ class DetectorConfig:
             raise ValueError("mean_detection_delay must be >= 0")
         if not 0.0 <= self.false_alarm_rate <= 1.0:
             raise ValueError("false_alarm_rate must be in [0, 1]")
-        if self.report_period < 0:
-            raise ValueError("report_period must be >= 0")
 
 
 class IntrusionDetector:
     """Simulated IDS producing the alert stream the recovery consumes.
 
     Typical use: after (or while) workflows execute, call :meth:`inspect`
-    with the current log and commit times, then :meth:`poll` to drain the
-    alerts whose release time has arrived.
+    with the current log and commit times, then :meth:`drain` to release
+    the alerts, ordered by detection time.
     """
 
     def __init__(
@@ -129,24 +121,8 @@ class IntrusionDetector:
                 scheduled += 1
         return scheduled
 
-    def poll(self, now: float) -> List[Alert]:
-        """Release every pending alert whose report time has arrived.
-
-        With a nonzero ``report_period`` an alert is held until the first
-        periodic report boundary at or after its detection time.
-        """
-        released: List[Alert] = []
-        still: List[Alert] = []
-        for alert in sorted(self._pending):
-            if self._release_time(alert.detected_at) <= now:
-                released.append(alert)
-            else:
-                still.append(alert)
-        self._pending = still
-        return released
-
     def drain(self) -> List[Alert]:
-        """Release all pending alerts immediately (end of experiment)."""
+        """Release all pending alerts, ordered by detection time."""
         released = sorted(self._pending)
         self._pending = []
         return released
@@ -167,11 +143,3 @@ class IntrusionDetector:
         if mean <= 0:
             return 0.0
         return self._rng.expovariate(1.0 / mean)
-
-    def _release_time(self, detected_at: float) -> float:
-        period = self._config.report_period
-        if period <= 0:
-            return detected_at
-        import math
-
-        return math.ceil(detected_at / period) * period

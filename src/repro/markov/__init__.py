@@ -29,7 +29,6 @@ from repro.markov.backend import (
 
 from repro.markov.calibration import (
     PowerLawFit,
-    calibrated_schedules,
     fit_power_law,
     measure_recovery_rates,
     measure_scan_rates,
@@ -38,9 +37,7 @@ from repro.markov.ctmc import CTMC
 from repro.markov.degradation import (
     RateFunction,
     constant,
-    geometric,
     inverse_k,
-    linear_decay,
     power_law,
 )
 from repro.markov.design import (
@@ -80,8 +77,6 @@ __all__ = [
     "constant",
     "inverse_k",
     "power_law",
-    "geometric",
-    "linear_decay",
     "RecoverySTG",
     "State",
     "StateCategory",
@@ -104,7 +99,6 @@ __all__ = [
     "fit_power_law",
     "measure_scan_rates",
     "measure_recovery_rates",
-    "calibrated_schedules",
     "Sensitivity",
     "loss_sensitivities",
     "normal_sensitivities",

@@ -11,9 +11,8 @@ module *measures* them on the implementation:
 - :func:`measure_recovery_rates` times the healer over incidents with
   growing numbers of recovery units;
 - :func:`fit_power_law` fits ``rate_k = r₁ / k^α`` by least squares in
-  log-log space, yielding a
-  :class:`~repro.markov.degradation.RateFunction` that plugs straight
-  into :class:`~repro.markov.stg.RecoverySTG`.
+  log-log space; ``power_law(fit.base, fit.alpha)`` is the schedule
+  :class:`~repro.markov.stg.RecoverySTG` takes.
 
 The result closes the loop between the operational system and the
 analytic model: the CTMC's parameters come from the code it models.
@@ -25,23 +24,20 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.analyzer import RecoveryAnalyzer
 from repro.errors import ModelError
-from repro.markov.degradation import RateFunction, power_law
 from repro.sim.recovery_sim import run_pipeline
 from repro.sim.workload import WorkloadConfig, WorkloadGenerator
 
 __all__ = [
     "PowerLawFit",
-    "clear_calibration_cache",
     "fit_power_law",
     "measure_scan_rates",
     "measure_recovery_rates",
-    "calibrated_schedules",
 ]
 
 
@@ -62,11 +58,6 @@ class PowerLawFit:
     base: float
     alpha: float
     residual: float
-
-    def as_rate_function(self) -> RateFunction:
-        """The fit as a pluggable rate schedule."""
-        return power_law(self.base, max(self.alpha, 0.0))
-
 
 def fit_power_law(rates: Mapping[int, float]) -> PowerLawFit:
     """Fit ``rate_k = base / k^alpha`` to measured ``{k: rate}`` pairs.
@@ -110,11 +101,6 @@ def _timed(fn: Callable[[], None], repeats: int) -> float:
 # same seed.  The result is memoized per (seed, n_attacks, tasks); the
 # cached log/specs are only *read* by the analyzers built on top.
 _PIPELINE_CACHE: Dict[Tuple[int, int, int], Tuple[object, object]] = {}
-
-
-def clear_calibration_cache() -> None:
-    """Drop memoized attacked pipelines (for tests and long sessions)."""
-    _PIPELINE_CACHE.clear()
 
 
 def _attacked_pipeline(seed: int, n_attacks: int, tasks: int = 10):
@@ -229,18 +215,3 @@ def measure_recovery_rates(
         seconds = _timed(dispatch_one, repeats)
         rates[k] = 1.0 / seconds if seconds > 0 else float("inf")
     return rates
-
-
-def calibrated_schedules(
-    batch_sizes: Sequence[int] = (1, 2, 4, 8),
-    seed: int = 0,
-) -> Tuple[PowerLawFit, PowerLawFit]:
-    """Measure and fit both schedules; returns ``(scan fit, recovery
-    fit)`` ready to instantiate a
-    :class:`~repro.markov.stg.RecoverySTG` (after scaling the base
-    rates from wall-clock seconds to model time units)."""
-    scan = fit_power_law(measure_scan_rates(batch_sizes, seed=seed))
-    recovery = fit_power_law(
-        measure_recovery_rates(batch_sizes, seed=seed)
-    )
-    return scan, recovery

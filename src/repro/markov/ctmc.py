@@ -235,7 +235,8 @@ class CTMC:
     def rate(self, src: Hashable, dst: Hashable) -> float:
         """Transition rate ``src → dst`` (0 when absent)."""
         if src == dst:
-            raise ModelError("use exit_rate() for diagonal entries")
+            raise ModelError(
+                "diagonal entries are exit rates, not transition rates")
         if self._rate_lookup is None:
             self._rate_lookup = {
                 (int(i), int(j)): float(v)
@@ -244,10 +245,6 @@ class CTMC:
         return self._rate_lookup.get(
             (self.index_of(src), self.index_of(dst)), 0.0
         )
-
-    def exit_rate(self, state: Hashable) -> float:
-        """Total rate of leaving ``state`` (``-q_ii``)."""
-        return float(-self._diag[self.index_of(state)])
 
     @property
     def n_states(self) -> int:
@@ -264,23 +261,6 @@ class CTMC:
         ``π(0)``)."""
         pi = np.zeros(len(self._states))
         pi[self.index_of(state)] = 1.0
-        return pi
-
-    def validate_distribution(self, pi: np.ndarray,
-                              atol: float = 1e-6) -> np.ndarray:
-        """Check ``pi`` is a distribution over this chain's states."""
-        pi = np.asarray(pi, dtype=float)
-        if pi.shape != (len(self._states),):
-            raise ModelError(
-                f"distribution has shape {pi.shape}, expected "
-                f"({len(self._states)},)"
-            )
-        if (pi < -atol).any():
-            raise ModelError("distribution has negative entries")
-        if abs(pi.sum() - 1.0) > atol:
-            raise ModelError(
-                f"distribution sums to {pi.sum():g}, expected 1"
-            )
         return pi
 
     def uniformization_rate(self) -> float:

@@ -22,8 +22,6 @@ __all__ = [
     "constant",
     "inverse_k",
     "power_law",
-    "geometric",
-    "linear_decay",
     "fig4_cases",
 ]
 
@@ -58,11 +56,6 @@ class RateFunction:
             )
         return rate
 
-    def rebased(self, base: float) -> "RateFunction":
-        """Same functional form with a different base rate."""
-        return RateFunction(self.name, base, self.fn)
-
-
 # The standard families use module-level functions (plus functools
 # partials for parameterized ones) rather than lambdas so a RateFunction
 # — and any RecoverySTG holding one — pickles cleanly across the
@@ -78,14 +71,6 @@ def _inverse_k_fn(b: float, k: int) -> float:
 
 def _power_law_fn(alpha: float, b: float, k: int) -> float:
     return b / (k ** alpha)
-
-
-def _geometric_fn(ratio: float, b: float, k: int) -> float:
-    return b * ratio ** (k - 1)
-
-
-def _linear_decay_fn(step: float, floor: float, b: float, k: int) -> float:
-    return max(b - step * (k - 1), floor)
 
 
 def constant(base: float) -> RateFunction:
@@ -107,22 +92,6 @@ def power_law(base: float, alpha: float) -> RateFunction:
     degradation (Figure 4(a)), ``alpha = 1`` is :func:`inverse_k`."""
     return RateFunction(
         f"1/k^{alpha:g}", base, partial(_power_law_fn, alpha)
-    )
-
-
-def geometric(base: float, ratio: float) -> RateFunction:
-    """``rate_k = rate_1 * ratio^(k-1)`` with ``0 < ratio ≤ 1``."""
-    if not 0 < ratio <= 1:
-        raise ValueError(f"ratio must be in (0, 1], got {ratio}")
-    return RateFunction(
-        f"geo{ratio:g}", base, partial(_geometric_fn, ratio)
-    )
-
-
-def linear_decay(base: float, step: float, floor: float = 1e-3) -> RateFunction:
-    """``rate_k = max(rate_1 - step*(k-1), floor)``."""
-    return RateFunction(
-        f"lin-{step:g}", base, partial(_linear_decay_fn, step, floor)
     )
 
 

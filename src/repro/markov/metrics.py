@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.markov.steady_state import steady_state
-from repro.markov.stg import RecoverySTG, State, StateCategory
+from repro.markov.stg import RecoverySTG, StateCategory
 
 __all__ = [
     "loss_probability",
@@ -23,7 +23,6 @@ __all__ = [
     "expected_recovery_units",
     "epsilon_convergence",
     "convergence_time",
-    "state_probability",
     "expected_lost_alerts",
     "occupancy_correlation_time",
 ]
@@ -49,12 +48,6 @@ def loss_probability(stg: RecoverySTG, pi: np.ndarray) -> float:
     pi = _check(stg, pi)
     chain = stg.ctmc()
     return float(sum(pi[chain.index_of(s)] for s in stg.loss_states()))
-
-
-def state_probability(stg: RecoverySTG, pi: np.ndarray, state: State) -> float:
-    """Probability of one state under ``pi``."""
-    pi = _check(stg, pi)
-    return float(pi[stg.ctmc().index_of(state)])
 
 
 def category_probabilities(

@@ -23,7 +23,7 @@ transition graph — ``O(states + transitions)`` — under either backend.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -34,10 +34,7 @@ from repro.markov.stg import RecoverySTG, State
 
 __all__ = [
     "expected_hitting_times",
-    "hitting_time_cdf",
-    "survival_probability",
     "mean_time_to_loss",
-    "mean_recovery_excursion",
 ]
 
 
@@ -118,89 +115,6 @@ def expected_hitting_times(
     return h
 
 
-def hitting_time_cdf(
-    chain: CTMC,
-    targets: Iterable,
-    start,
-    times: Sequence[float],
-    backend: Optional[str] = None,
-) -> np.ndarray:
-    """``P(T ≤ t)`` for the first-passage time ``T`` into ``targets``.
-
-    The hitting time of a CTMC is phase-type distributed: with ``Q_s``
-    the generator restricted to non-target states,
-
-        P(T ≤ t) = 1 − e_start · exp(Q_s t) · 1
-
-    Parameters
-    ----------
-    chain, targets:
-        As in :func:`expected_hitting_times`.
-    start:
-        Starting state (must not be a target).
-    times:
-        Evaluation times (each ≥ 0).
-    backend:
-        Dense evaluates ``expm(Q_s t)``; sparse applies
-        ``expm_multiply`` to the start vector without forming the
-        exponential.
-    """
-    target_idx = {chain.index_of(t) for t in targets}
-    if not target_idx:
-        raise ModelError("need at least one target state")
-    start_idx = chain.index_of(start)
-    if start_idx in target_idx:
-        return np.ones(len(list(times)))
-    mode = resolve_backend(chain.n_states, backend)
-    rest = [i for i in range(chain.n_states) if i not in target_idx]
-    pos = rest.index(start_idx)
-    e = np.zeros(len(rest))
-    e[pos] = 1.0
-    for t in times:
-        if t < 0:
-            raise ModelError(f"time must be >= 0, got {t}")
-
-    if mode == "sparse":
-        _, spla = require_scipy_sparse()
-        q = chain.sparse_generator()
-        sub_t = q[rest, :][:, rest].transpose().tocsc()
-        out = []
-        for t in times:
-            surv = float(
-                np.asarray(spla.expm_multiply(sub_t * t, e)).sum()
-            )
-            out.append(min(max(1.0 - surv, 0.0), 1.0))
-        return np.array(out)
-
-    from scipy.linalg import expm
-
-    sub = chain.generator[np.ix_(rest, rest)]
-    out = []
-    for t in times:
-        surv = float(e @ expm(sub * t) @ np.ones(len(rest)))
-        out.append(min(max(1.0 - surv, 0.0), 1.0))
-    return np.array(out)
-
-
-def survival_probability(
-    stg: RecoverySTG,
-    t: float,
-    start: Optional[State] = None,
-    backend: Optional[str] = None,
-) -> float:
-    """Probability the system loses **no** alert during ``[0, t]``.
-
-    The distributional refinement of Case 6's reading: not just the
-    *mean* resistance time but the chance of surviving a burst of a
-    given duration.
-    """
-    chain = stg.ctmc()
-    s = start if start is not None else stg.normal_state
-    cdf = hitting_time_cdf(chain, stg.loss_states(), s, [t],
-                           backend=backend)
-    return float(1.0 - cdf[0])
-
-
 def mean_time_to_loss(
     stg: RecoverySTG,
     start: Optional[State] = None,
@@ -213,19 +127,3 @@ def mean_time_to_loss(
     h = expected_hitting_times(chain, stg.loss_states(), backend=backend)
     s = start if start is not None else stg.normal_state
     return float(h[chain.index_of(s)])
-
-
-def mean_recovery_excursion(
-    stg: RecoverySTG,
-    start: State,
-    backend: Optional[str] = None,
-) -> float:
-    """Expected time to return to NORMAL from ``start``.
-
-    With ``start = (a, r)`` describing a burst's aftermath, this is the
-    expected duration of the scan+recovery excursion the burst causes.
-    """
-    chain = stg.ctmc()
-    h = expected_hitting_times(chain, [stg.normal_state],
-                               backend=backend)
-    return float(h[chain.index_of(start)])

@@ -385,10 +385,6 @@ class RecoverySTG:
         the states in which arriving IDS alerts are lost."""
         return [s for s in self._states if s.alerts == self._A]
 
-    def states_of(self, category: StateCategory) -> List[State]:
-        """All states in a category."""
-        return [s for s in self._states if s.category is category]
-
     def initial_distribution(self, state: Optional[State] = None) -> np.ndarray:
         """``π(0)`` concentrated on ``state`` (default: NORMAL)."""
         return self.ctmc().point_distribution(

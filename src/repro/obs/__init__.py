@@ -27,7 +27,7 @@ This package provides the measurement layer:
   text rendering, Chrome-trace/Perfetto JSON, and summary tables via
   :mod:`repro.report.tables`;
 - :mod:`repro.obs.windows` — sim-time sliding-window estimators (rate
-  windows, occupancy dwell windows, EWMA, quantiles) and sequential
+  windows, occupancy dwell windows) and sequential
   drift detectors (two-sided CUSUM, Page–Hinkley, G-test);
 - :mod:`repro.obs.health` — the live SLO health monitor: compares
   windowed estimates against the calibrated CTMC's steady-state
@@ -108,14 +108,12 @@ from repro.obs.perf import (
     ProfileReport,
     bump,
     counter_snapshot,
-    reset_counters,
 )
 from repro.obs.provenance import ReplayedRun, build_span_tree, explain, replay
 from repro.obs.recorder import (
     SCHEMA_VERSION,
     FlightLog,
     FlightRecorder,
-    canonical_text,
     load_flight_log,
     read_flight_log,
 )
@@ -123,7 +121,6 @@ from repro.obs.server import TelemetryServer
 from repro.obs.tracing import ManualClock, Span, render_span_tree
 from repro.obs.windows import (
     Cusum,
-    Ewma,
     OccupancyWindow,
     PageHinkley,
     RateWindow,
@@ -168,7 +165,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "FlightRecorder",
     "FlightLog",
-    "canonical_text",
     "read_flight_log",
     "load_flight_log",
     # perf
@@ -178,7 +174,6 @@ __all__ = [
     "ProfileReport",
     "bump",
     "counter_snapshot",
-    "reset_counters",
     # provenance
     "ReplayedRun",
     "replay",
@@ -195,7 +190,6 @@ __all__ = [
     "SlidingWindow",
     "RateWindow",
     "OccupancyWindow",
-    "Ewma",
     "Cusum",
     "PageHinkley",
     "g_test",

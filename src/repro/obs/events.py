@@ -395,11 +395,11 @@ class EventBus:
     subscribers the bus is inert and :attr:`active` is ``False`` —
     instrumented code uses that to skip building expensive events.
 
-    The handler lists are copy-on-write: (un)subscribing replaces a
-    list instead of mutating it, and ``publish`` reads both lists
-    before it dispatches.  Handlers may therefore publish re-entrantly
-    (the health monitor republishes SLO verdicts onto the same bus
-    mid-dispatch) and (un)subscribe; the change takes effect from the
+    The handler lists are copy-on-write: subscribing replaces a list
+    instead of mutating it, and ``publish`` reads both lists before it
+    dispatches.  Handlers may therefore publish re-entrantly (the
+    health monitor republishes SLO verdicts onto the same bus
+    mid-dispatch) and subscribe; a new handler takes effect from the
     next ``publish``, and dispatch order within one call stays
     subscription order.  The bus belongs to the run loop's thread (see
     :mod:`repro.obs.server`).
@@ -421,7 +421,7 @@ class EventBus:
         types: Optional[Iterable[Type[ObsEvent]]] = None,
     ) -> Handler:
         """Register ``handler`` for all events (or only for ``types``);
-        returns the handler for symmetry with :meth:`unsubscribe`."""
+        returns the handler."""
         if types is None:
             self._all = self._all + [handler]
         else:
@@ -431,22 +431,6 @@ class EventBus:
             self._typed = typed
         self._count += 1
         return handler
-
-    def unsubscribe(self, handler: Handler) -> None:
-        """Remove every registration of ``handler`` (no-op if absent)."""
-        removed = 0
-        if handler in self._all:
-            self._all = [h for h in self._all if h is not handler]
-            removed += 1
-        typed = dict(self._typed)
-        for t, handlers in list(typed.items()):
-            if handler in handlers:
-                typed[t] = [h for h in handlers if h is not handler]
-                removed += 1
-                if not typed[t]:
-                    del typed[t]
-        self._typed = typed
-        self._count = max(0, self._count - removed)
 
     def publish(self, event: ObsEvent) -> None:
         """Dispatch ``event`` to every matching handler, in order."""

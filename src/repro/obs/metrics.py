@@ -111,11 +111,6 @@ class Counter(_Metric):
             raise ValueError(f"counter increment must be >= 0, got {amount}")
         self._value += amount
 
-    def reset(self) -> None:
-        """Zero the counter."""
-        self._value = 0.0
-
-
 class Gauge(_Metric):
     """Settable level that remembers its high-water mark."""
 
@@ -134,7 +129,7 @@ class Gauge(_Metric):
 
     @property
     def high_water(self) -> float:
-        """Maximum level seen since creation / last reset."""
+        """Maximum level seen since creation."""
         return self._high_water
 
     def set(self, value: float) -> None:
@@ -146,16 +141,6 @@ class Gauge(_Metric):
     def inc(self, amount: float = 1.0) -> None:
         """Adjust the level by ``amount``."""
         self.set(self._value + amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        """Adjust the level by ``-amount``."""
-        self.set(self._value - amount)
-
-    def reset(self) -> None:
-        """Zero the level and re-base the high-water mark."""
-        self._value = 0.0
-        self._high_water = 0.0
-
 
 class Histogram(_Metric):
     """Fixed-bucket histogram with sum and count.
@@ -210,13 +195,6 @@ class Histogram(_Metric):
         self._counts[bisect_left(self.bounds, value)] += 1
         self._sum += value
         self._count += 1
-
-    def reset(self) -> None:
-        """Drop every observation."""
-        self._counts = [0] * (len(self.bounds) + 1)
-        self._sum = 0.0
-        self._count = 0
-
 
 class MetricsRegistry:
     """Named, get-or-create home for instruments.
@@ -273,11 +251,6 @@ class MetricsRegistry:
     def get(self, name: str, labels: LabelsArg = None) -> Optional[_Metric]:
         """Look up an instrument; ``None`` when absent."""
         return self._metrics.get((name, _labels_key(labels)))
-
-    def reset(self) -> None:
-        """Reset every instrument in place."""
-        for metric in self._metrics.values():
-            metric.reset()  # type: ignore[attr-defined]
 
     def __len__(self) -> int:
         return len(self._metrics)
@@ -448,24 +421,6 @@ class PipelineMetrics:
         self._close_interval(event.time)
         self._state = event.category_to
         self._state_since = event.time
-
-    def observe_dwell(self, state: str, duration: float) -> None:
-        """Record an externally-accounted stay of ``duration`` in
-        ``state``.
-
-        Used when dwell time is measured somewhere the event stream
-        cannot reach — e.g. replication workers in another process
-        (:mod:`repro.sim.batch`) whose per-category occupancy is merged
-        into one collector after the fact.
-        """
-        if duration < 0:
-            raise ValueError(
-                f"dwell duration must be >= 0, got {duration}"
-            )
-        self._dwell_histogram(state).observe(duration)
-        self._time_in_state[state] = (
-            self._time_in_state.get(state, 0.0) + duration
-        )
 
     def finalize(self, now: float) -> None:
         """Close the open dwell interval at ``now`` (idempotent)."""

@@ -1156,11 +1156,6 @@ class ConformanceMonitor:
         """Total violations so far (the conformance SLO's value)."""
         return len(self.violations)
 
-    @property
-    def clean(self) -> bool:
-        """No property instance has failed."""
-        return not self.violations
-
     def attach(self, bus: EventBus) -> "ConformanceMonitor":
         """Subscribe to ``bus`` and publish violations back onto it;
         returns self for chaining."""

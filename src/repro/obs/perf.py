@@ -54,7 +54,6 @@ __all__ = [
     "ProfileReport",
     "bump",
     "counter_snapshot",
-    "reset_counters",
 ]
 
 #: Histogram buckets for per-occurrence phase wall times (seconds):
@@ -143,11 +142,6 @@ def bump(name: str, n: int = 1) -> None:
 def counter_snapshot() -> Dict[str, int]:
     """Copy of the global counters right now."""
     return dict(_COUNTERS)
-
-
-def reset_counters() -> None:
-    """Zero the global counters (test isolation)."""
-    _COUNTERS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +304,6 @@ class PhaseProfiler:
         }
 
     # -- reading -----------------------------------------------------------
-
-    @property
-    def running(self) -> bool:
-        return self._t0 is not None and self._total_wall is None
 
     def report(self, scenario: str = "run",
                aux_roots: Tuple[str, ...] = ()) -> "ProfileReport":

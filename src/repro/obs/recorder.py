@@ -13,34 +13,20 @@ Record shapes (all JSON objects, discriminated by ``"record"``):
 ``{"record": "header", "schema": 1, "label": ..., "meta": {...}}``
     Always the first line.  ``meta`` carries run parameters (seed,
     horizon, config) — *never* wall-clock timestamps, so two runs with
-    the same inputs produce byte-identical logs.  With ``wall_meta=``
-    on, the header additionally carries a ``"wall"`` object (hostname,
-    Python version, wall start time) for operators correlating logs
-    across machines; it lives *outside* ``meta`` and the byte-identity
-    surface — :func:`canonical_text` strips it, and the replayer never
-    reads it.
+    the same inputs produce byte-identical logs.
 ``{"record": "mark", "mark": "start", "time": 0.0, "state": "NORMAL"}``
     Lifecycle marks; ``start`` and ``finalize`` bracket the run and
     drive the replayer's dwell accounting.
 ``{"record": "event", "event": "ScanStep", "time": ..., ...}``
     One captured :class:`~repro.obs.events.ObsEvent`, in the flat
     :meth:`~repro.obs.events.ObsEvent.to_dict` form.
-``{"record": "phase", "phase": ..., "wall": ..., "sim": ..., ...}``
-    Optional profiler phase sample (:meth:`FlightRecorder.phase_sample`)
-    — replay-inert: parsed into :attr:`FlightLog.phases`, invisible to
-    :func:`repro.obs.provenance.replay`, stripped by
-    :func:`canonical_text`.
-``{"record": "wall", "duration": ...}``
-    Wall-clock run duration, appended at :meth:`FlightRecorder.close`
-    when ``wall_meta`` is on.  Replay-inert and canonical-stripped like
-    phase samples.
+
+Any other record kind fails to load.
 """
 
 from __future__ import annotations
 
 import json
-import platform
-import time  # lint: allow[DET001] — wall meta is opt-in and replay-inert
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -51,7 +37,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "FlightRecorder",
     "FlightLog",
-    "canonical_text",
     "read_flight_log",
     "load_flight_log",
 ]
@@ -79,13 +64,6 @@ class FlightRecorder:
         JSON-serializable run parameters for the header.  Determinism
         contract: put seeds and configuration here, never wall-clock
         times or hostnames.
-    wall_meta:
-        When true, stamp the header with a ``"wall"`` object — host,
-        Python version, wall start time — and append a ``wall`` record
-        with the run's wall duration at :meth:`close`.  Kept strictly
-        outside ``meta`` so replay byte-identity checks
-        (:func:`canonical_text`) can ignore it: two hosts recording the
-        same seeded run still agree on the canonical log.
     """
 
     def __init__(
@@ -93,12 +71,10 @@ class FlightRecorder:
         label: str = "",
         path: Optional[str] = None,
         meta: Optional[Mapping[str, Any]] = None,
-        wall_meta: bool = False,
     ) -> None:
         self._lines: List[str] = []
         self._file = open(path, "w", encoding="utf-8") if path else None
         self._closed = False
-        self._wall_started: Optional[float] = None
         header: Dict[str, Any] = {
             "record": "header",
             "schema": SCHEMA_VERSION,
@@ -106,13 +82,6 @@ class FlightRecorder:
         }
         if meta:
             header["meta"] = dict(meta)
-        if wall_meta:
-            self._wall_started = time.time()  # lint: allow[DET001]
-            header["wall"] = {
-                "host": platform.node(),
-                "python": platform.python_version(),
-                "started": self._wall_started,
-            }
         self._append(header)
 
     def _append(self, obj: Mapping[str, Any]) -> None:
@@ -144,32 +113,13 @@ class FlightRecorder:
         bus.subscribe(self)
         return self
 
-    def phase_sample(self, phase: str, wall: float, sim: float = 0.0,
-                     calls: int = 1) -> None:
-        """Append one replay-inert profiler phase sample.
-
-        ``phase`` is a semicolon-joined stack path (a
-        :class:`~repro.obs.perf.ProfileReport` row's ``path``).  The
-        replayer never sees these records and :func:`canonical_text`
-        strips them, so sampling cannot perturb byte-identity.
-        """
-        self._append({"record": "phase", "phase": phase, "wall": wall,
-                      "sim": sim, "calls": calls})
-
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
         """Flush and close the backing file (idempotent); further
-        appends raise :class:`~repro.errors.ObsError`.  With
-        ``wall_meta`` on, first appends the wall-duration record."""
+        appends raise :class:`~repro.errors.ObsError`."""
         if self._closed:
             return
-        if self._wall_started is not None:
-            self._append({
-                "record": "wall",
-                "duration": time.time() - self._wall_started,  # lint: allow[DET001]
-            })
-            self._wall_started = None
         self._closed = True
         if self._file is not None:
             self._file.close()
@@ -199,16 +149,11 @@ class FlightLog:
     events:
         The typed event stream, rebuilt via
         :func:`~repro.obs.events.event_from_dict`, in log order.
-    phases:
-        Profiler phase-sample records, in log order (replay-inert).
     """
 
     header: Dict[str, Any]
     marks: List[Dict[str, Any]] = field(default_factory=list)
     events: List[ObsEvent] = field(default_factory=list)
-    phases: List[Dict[str, Any]] = field(default_factory=list)
-    #: The closing ``wall`` record (``None`` without ``wall_meta``).
-    wall_close: Optional[Dict[str, Any]] = None
 
     @property
     def label(self) -> str:
@@ -219,16 +164,6 @@ class FlightLog:
     def meta(self) -> Dict[str, Any]:
         """Run parameters from the header (empty dict when absent)."""
         return dict(self.header.get("meta", {}))
-
-    @property
-    def wall(self) -> Dict[str, Any]:
-        """Wall-clock header meta — host, python, started wall time,
-        plus ``duration`` when the closing record was written.  Empty
-        dict when the log was recorded without ``wall_meta``."""
-        info = dict(self.header.get("wall", {}))
-        if self.wall_close is not None and "duration" in self.wall_close:
-            info["duration"] = self.wall_close["duration"]
-        return info
 
     def mark(self, name: str) -> Optional[Dict[str, Any]]:
         """First mark record named ``name``, or ``None``."""
@@ -280,42 +215,11 @@ def read_flight_log(text: str) -> FlightLog:
                 raise ObsError(
                     f"flight log line {i}: bad event record: {exc}"
                 ) from exc
-        elif kind == "phase":
-            log.phases.append(record)
-        elif kind == "wall":
-            log.wall_close = record
         else:
             raise ObsError(
                 f"flight log line {i}: unknown record kind {kind!r}"
             )
     return log
-
-
-def canonical_text(text: str) -> str:
-    """The byte-identity surface of a flight log.
-
-    Strips everything wall-clock-dependent — the header's ``"wall"``
-    object and the ``phase`` / ``wall`` record lines — and re-serializes
-    the rest in the recorder's own compact form.  Two seeded runs of
-    the same scenario must agree on this **across hosts and Python
-    patch versions**, even when both recorded with ``wall_meta`` on;
-    replay-identity checks compare canonical text, never the raw log.
-    """
-    out: List[str] = []
-    for i, line in enumerate(ln for ln in text.splitlines() if ln.strip()):
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            raise ObsError(
-                f"flight log line {i + 1} is not valid JSON: {exc}"
-            ) from exc
-        kind = record.get("record")
-        if kind in ("phase", "wall"):
-            continue
-        if kind == "header":
-            record = {k: v for k, v in record.items() if k != "wall"}
-        out.append(_dumps(record))
-    return "\n".join(out) + ("\n" if out else "")
 
 
 def load_flight_log(path: str) -> FlightLog:

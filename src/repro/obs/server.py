@@ -183,11 +183,6 @@ class TelemetryServer:
     # -- lifecycle ---------------------------------------------------------
 
     @property
-    def running(self) -> bool:
-        """Is the server accepting requests?"""
-        return self._httpd is not None
-
-    @property
     def port(self) -> int:
         """The bound port (only meaningful after :meth:`start`)."""
         if self._httpd is None:

@@ -15,10 +15,9 @@ wall time, and replaying a flight log reproduces every estimate
 exactly.
 
 - :class:`SlidingWindow` — ring buffer of ``(time, value)`` samples
-  evicted by age, with mean/quantiles;
+  evicted by age, with its mean;
 - :class:`RateWindow` — event-rate estimator (``λ̂``) with a Poisson
   confidence interval;
-- :class:`Ewma` — time-decayed exponentially weighted moving average;
 - :class:`OccupancyWindow` — time-weighted occupancy histogram over
   integer levels (queue depths), the empirical side of the G-test;
 - :class:`Cusum` — two-sided CUSUM on a standardized sample stream;
@@ -39,7 +38,6 @@ from repro.errors import ObsError
 __all__ = [
     "SlidingWindow",
     "RateWindow",
-    "Ewma",
     "OccupancyWindow",
     "Cusum",
     "PageHinkley",
@@ -104,17 +102,6 @@ class SlidingWindow:
             return 0.0
         return sum(v for _, v in self._samples) / len(self._samples)
 
-    def quantile(self, q: float) -> float:
-        """The ``q``-quantile (nearest-rank) of retained values."""
-        if not 0.0 <= q <= 1.0:
-            raise ObsError(f"quantile must be in [0, 1], got {q}")
-        if not self._samples:
-            return 0.0
-        ordered = sorted(v for _, v in self._samples)
-        rank = min(len(ordered) - 1, int(math.ceil(q * len(ordered))) - 1)
-        return ordered[max(rank, 0)]
-
-
 class RateWindow:
     """Sliding-window event-rate estimator with a Poisson CI.
 
@@ -173,44 +160,6 @@ class RateWindow:
         half = z * math.sqrt(max(n, 1.0)) / span
         rate = n / span
         return (max(rate - half, 0.0), rate + half)
-
-
-class Ewma:
-    """Time-decayed exponentially weighted moving average.
-
-    The weight of an old observation decays as ``2^(-age/halflife)``;
-    irregular observation times are handled exactly (the decay uses
-    the elapsed time since the previous update, not a fixed step).
-    """
-
-    def __init__(self, halflife: float) -> None:
-        if halflife <= 0:
-            raise ObsError(f"halflife must be > 0, got {halflife}")
-        self.halflife = float(halflife)
-        self._value: Optional[float] = None
-        self._last: Optional[float] = None
-
-    @property
-    def value(self) -> float:
-        """Current average (0 before the first update)."""
-        return self._value if self._value is not None else 0.0
-
-    @property
-    def initialized(self) -> bool:
-        """Has at least one observation arrived?"""
-        return self._value is not None
-
-    def update(self, time: float, value: float) -> float:
-        """Fold in ``value`` observed at ``time``; returns the new
-        average."""
-        if self._value is None or self._last is None:
-            self._value = float(value)
-        else:
-            dt = max(time - self._last, 0.0)
-            alpha = 1.0 - math.pow(2.0, -dt / self.halflife)
-            self._value += alpha * (float(value) - self._value)
-        self._last = time
-        return self._value
 
 
 class OccupancyWindow:
@@ -322,8 +271,8 @@ class Cusum:
         return self.statistic > self.h
 
     def update(self, x: float) -> bool:
-        """Fold in one sample; returns ``True`` when the alarm fires
-        (the statistic stays latched until :meth:`reset`)."""
+        """Fold in one sample; returns ``True`` while either branch is
+        above the alarm level."""
         dev = float(x) - self.target
         self.s_pos = max(0.0, self.s_pos + dev - self.k)
         self.s_neg = max(0.0, self.s_neg - dev - self.k)
@@ -338,13 +287,6 @@ class Cusum:
         if self.s_neg > self.s_pos and self.s_neg > 0:
             return "down"
         return ""
-
-    def reset(self) -> None:
-        """Re-arm both branches."""
-        self.s_pos = 0.0
-        self.s_neg = 0.0
-        self.samples = 0
-
 
 class PageHinkley:
     """Two-sided Page–Hinkley test for a mean shift in a sample stream.
@@ -417,14 +359,6 @@ class PageHinkley:
         self._cum_dn += x - self._mean + self.delta
         self._max_dn = max(self._max_dn, self._cum_dn)
         return self.tripped
-
-    def reset(self) -> None:
-        """Re-arm the detector."""
-        self._mean = 0.0
-        self._cum_up = self._min_up = 0.0
-        self._cum_dn = self._max_dn = 0.0
-        self.samples = 0
-
 
 def _normal_sf(z: float) -> float:
     """Survival function of the standard normal."""

@@ -114,11 +114,6 @@ class GillespieResult:
     conformance: Optional[ConformanceReport] = None
 
     @property
-    def empirical_loss_probability(self) -> float:
-        """Alias for :attr:`loss_time_fraction`."""
-        return self.loss_time_fraction
-
-    @property
     def alert_loss_fraction(self) -> float:
         """Fraction of generated alerts that were lost."""
         if self.arrivals == 0:

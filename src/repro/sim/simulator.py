@@ -9,7 +9,7 @@ schedule their state changes through it.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
@@ -18,31 +18,12 @@ __all__ = ["Simulator"]
 
 
 class Simulator:
-    """Event loop with a simulated clock.
+    """Event loop with a simulated clock."""
 
-    Parameters
-    ----------
-    observer:
-        Optional hook called with each :class:`Event` right after it
-        fires — the tracing layer uses it to mirror simulated time into
-        an observability clock.  ``None`` (default) costs one check per
-        fired event.
-    """
-
-    def __init__(
-        self,
-        observer: Optional[Callable[[Event], None]] = None,
-    ) -> None:
+    def __init__(self) -> None:
         self._heap: List[Event] = []
         self._now = 0.0
         self._fired = 0
-        self._observer = observer
-
-    def set_observer(
-        self, observer: Optional[Callable[[Event], None]]
-    ) -> None:
-        """Install (or remove, with ``None``) the fired-event hook."""
-        self._observer = observer
 
     @property
     def now(self) -> float:
@@ -72,21 +53,6 @@ class Simulator:
         heapq.heappush(self._heap, event)
         return event
 
-    def schedule_at(
-        self,
-        time: float,
-        action: Callable[[], None],
-        label: str = "",
-    ) -> Event:
-        """Schedule ``action`` at an absolute simulated time."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time} < now ({self._now})"
-            )
-        event = Event(time=time, action=action, label=label)
-        heapq.heappush(self._heap, event)
-        return event
-
     def step(self) -> bool:
         """Fire the next event; ``False`` when the heap is empty."""
         while self._heap:
@@ -97,8 +63,6 @@ class Simulator:
             self._fired += 1
             if event.action is not None:
                 event.action()
-            if self._observer is not None:
-                self._observer(event)
             return True
         return False
 

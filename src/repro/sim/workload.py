@@ -85,14 +85,6 @@ class Workload:
     specs: List[WorkflowSpec]
     initial_data: Dict[str, Any]
 
-    def spec_named(self, workflow_id: str) -> WorkflowSpec:
-        """Look up a spec by its workflow id."""
-        for spec in self.specs:
-            if spec.workflow_id == workflow_id:
-                return spec
-        raise KeyError(workflow_id)
-
-
 def _linear_body(
     reads: Sequence[str],
     writes: Sequence[str],

@@ -43,7 +43,7 @@ from repro.core.epochs import EpochManager
 from repro.core.healer import HealReport
 from repro.core.plan import RecoveryPlan
 from repro.core.strategies import RecoveryStrategy
-from repro.errors import RecoveryError, SchedulingError
+from repro.errors import RecoveryError
 from repro.ids.alerts import Alert, BoundedQueue
 from repro.obs.events import (
     AlertEnqueued,
@@ -143,7 +143,6 @@ class SelfHealingSystem:
         self._analyzer: Optional[RecoveryAnalyzer] = None
         self._analyzer_epoch = -1  # epoch of self._analyzer
         self._verify = verify
-        self._heals: List[HealReport] = []
         self._last_state = self.state
         #: uid → clock time at enqueue, for buffer-wait attribution.
         self._enqueued_at: Dict[str, float] = {}
@@ -178,11 +177,6 @@ class SelfHealingSystem:
     def alerts_lost(self) -> int:
         """Alerts rejected because the alert queue was full."""
         return self._alerts.lost
-
-    @property
-    def heal_reports(self) -> List[HealReport]:
-        """Reports of completed recoveries, oldest first."""
-        return list(self._heals)
 
     @property
     def strategy(self) -> RecoveryStrategy:
@@ -340,7 +334,6 @@ class SelfHealingSystem:
                                         clock=self._clock, profiler=prof)
             # Release the archived epoch's analyzer and its index.
             self._analyzer = None
-        self._heals.append(report)
         if observed:
             now = self._clock()
             self._bus.publish(HealFinished(
@@ -388,28 +381,3 @@ class SelfHealingSystem:
                 self._clock(), state=self.state.value,
             ))
         return admissible
-
-    def run_to_quiescence(self, max_steps: int = 100_000) -> SystemState:
-        """Drive scan and recovery until the system returns to NORMAL.
-
-        "If there are no further intrusions, the recovery will
-        definitely be terminated" — this is that loop.
-        """
-        for _ in range(max_steps):
-            if self.state is SystemState.SCAN:
-                if self.scan_step() is None and self._plans.full:
-                    # Analyzer blocked with alerts pending: the paper's
-                    # deadlock-by-overflow; execute recovery to drain.
-                    raise RecoveryError(
-                        "analyzer blocked: recovery queue full while "
-                        "alerts are pending — recovery cannot start "
-                        "until the alert queue drains (increase the "
-                        "recovery buffer)"
-                    )
-            elif self.state is SystemState.RECOVERY:
-                self.recovery_step()
-            else:
-                return SystemState.NORMAL
-        raise SchedulingError(
-            f"system did not quiesce within {max_steps} steps"
-        )

@@ -103,11 +103,6 @@ class ControlDependencies:
         """The workflow specification analyzed."""
         return self._spec
 
-    @property
-    def unavoidable(self) -> FrozenSet[str]:
-        """Tasks on every execution path (never control dependent)."""
-        return self._unavoidable
-
     def controllers_of(self, task_id: str) -> FrozenSet[str]:
         """All ``t_i`` with ``t_i →c task_id`` (transitively closed)."""
         return self._controllers[task_id]
@@ -431,16 +426,6 @@ class DependencyAnalyzer:
             DependencyEdge(uid, hits[seq][0], kind, frozenset(hits[seq][1]))
             for seq in sorted(hits)
         )
-
-    def all_data_edges(self) -> Tuple[DependencyEdge, ...]:
-        """Every flow / anti / output edge in the log, in source order."""
-        self._extend()
-        out: List[DependencyEdge] = []
-        for r in self._records:
-            out.extend(self.flow_dependents(r.uid))
-            out.extend(self.anti_edges_from(r.uid))
-            out.extend(self.output_edges_from(r.uid))
-        return tuple(out)
 
     def readers_of(self, names: Iterable[str]) -> List[LogRecord]:
         """Normal records that read any object in ``names``, in commit

@@ -186,15 +186,6 @@ class SystemLog:
             and r.instance.workflow_instance == workflow_instance
         )
 
-    def workflow_instances(self) -> Tuple[str, ...]:
-        """Ids of all workflow instances present in the log, in order of
-        first appearance."""
-        seen: Dict[str, None] = {}
-        for r in self._records:
-            if r.kind == RecordKind.NORMAL:
-                seen.setdefault(r.instance.workflow_instance, None)
-        return tuple(seen)
-
     def succ(self, uid: str) -> Tuple[LogRecord, ...]:
         """``succ(t)``: instances committed after ``t`` in *its own trace*.
 

@@ -152,10 +152,6 @@ class SegmentedLog:
             self.segment(other).witness(entry.lamport)
         return entry
 
-    def total_entries(self) -> int:
-        """Commits across all segments."""
-        return sum(len(s) for s in self._segments.values())
-
     def merge(self) -> SystemLog:
         """Reconstruct the global system log.
 

@@ -75,11 +75,6 @@ class TaskSpec:
         object.__setattr__(self, "reads", frozenset(self.reads))
         object.__setattr__(self, "writes", frozenset(self.writes))
 
-    @property
-    def is_pure_router(self) -> bool:
-        """True when the task writes nothing (it may still branch)."""
-        return not self.writes
-
     def run(self, inputs: Mapping[str, Any]) -> Mapping[str, Any]:
         """Execute the task body over ``inputs`` and return its outputs.
 

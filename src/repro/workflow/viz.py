@@ -1,32 +1,17 @@
-"""Graph export: DOT rendering and networkx adapters.
+"""Graph export: Graphviz DOT rendering.
 
-Workflow specifications, log-level dependency graphs, recovery plans and
-the CTMC's state-transition graph all render to Graphviz DOT text for
-inspection (``dot -Tpng``), and convert to :mod:`networkx` digraphs for
-ad-hoc analysis.  The networkx adapters also serve as an independent
-validation of our own graph algorithms (see ``tests/test_viz.py``:
-dominators against ``networkx.immediate_dominators``).
+Workflow specifications (``workflow-dot``) and the CTMC's
+state-transition graph (``stg-dot``, Figure 3) render to Graphviz DOT
+text for inspection (``dot -Tpng``).  Only the standard library is
+needed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Set
-
-import networkx as nx
-
-from repro.core.healer import HealReport
 from repro.markov.stg import RecoverySTG, StateCategory
-from repro.workflow.dependency import DependencyAnalyzer, DependencyKind
 from repro.workflow.spec import WorkflowSpec
 
-__all__ = [
-    "spec_to_networkx",
-    "spec_to_dot",
-    "dependency_graph_to_networkx",
-    "dependency_graph_to_dot",
-    "heal_report_to_dot",
-    "stg_to_dot",
-]
+__all__ = ["spec_to_dot", "stg_to_dot"]
 
 
 def _quote(s: str) -> str:
@@ -36,25 +21,6 @@ def _quote(s: str) -> str:
 # --------------------------------------------------------------------------
 # Workflow specifications
 # --------------------------------------------------------------------------
-
-
-def spec_to_networkx(spec: WorkflowSpec) -> "nx.DiGraph":
-    """The workflow graph ⟨V, E⟩ as a networkx digraph.
-
-    Node attributes: ``reads``, ``writes`` (sorted lists), ``branch``
-    (bool).  Graph attribute ``workflow_id``.
-    """
-    g = nx.DiGraph(workflow_id=spec.workflow_id)
-    for task_id in spec.tasks:
-        task = spec.task(task_id)
-        g.add_node(
-            task_id,
-            reads=sorted(task.reads),
-            writes=sorted(task.writes),
-            branch=task_id in spec.branch_nodes,
-        )
-    g.add_edges_from(sorted(spec.edges))
-    return g
 
 
 def spec_to_dot(spec: WorkflowSpec) -> str:
@@ -83,132 +49,6 @@ def spec_to_dot(spec: WorkflowSpec) -> str:
         lines.append(f"  {_quote(task_id)} [{', '.join(attrs)}];")
     for src, dst in sorted(spec.edges):
         lines.append(f"  {_quote(src)} -> {_quote(dst)};")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-# --------------------------------------------------------------------------
-# Dependency graphs over the log
-# --------------------------------------------------------------------------
-
-_EDGE_COLORS = {
-    DependencyKind.FLOW: "black",
-    DependencyKind.ANTI: "orange",
-    DependencyKind.OUTPUT: "purple",
-    DependencyKind.CONTROL: "blue",
-}
-
-
-def dependency_graph_to_networkx(
-    analyzer: DependencyAnalyzer,
-    include_control: bool = True,
-) -> "nx.MultiDiGraph":
-    """All dependence edges of the analyzed log as a multi-digraph.
-
-    Edge attribute ``kind`` holds the
-    :class:`~repro.workflow.dependency.DependencyKind` value; data edges
-    carry ``objects``.
-    """
-    g = nx.MultiDiGraph()
-    records = analyzer.log.normal_records()
-    for r in records:
-        g.add_node(r.uid, seq=r.seq,
-                   workflow=r.instance.workflow_instance)
-    for edge in analyzer.all_data_edges():
-        g.add_edge(edge.src, edge.dst, kind=edge.kind.value,
-                   objects=sorted(edge.objects))
-    if include_control:
-        for r in records:
-            try:
-                deps = analyzer.control_dependents(r.uid)
-            except Exception:
-                continue  # no spec registered for this instance
-            for dst in deps:
-                g.add_edge(r.uid, dst,
-                           kind=DependencyKind.CONTROL.value, objects=[])
-    return g
-
-
-def dependency_graph_to_dot(
-    analyzer: DependencyAnalyzer,
-    malicious: Iterable[str] = (),
-    include_control: bool = True,
-) -> str:
-    """DOT text of the log's dependency graph.
-
-    Malicious instances render red ("B" in Figure 1); instances in
-    their flow closure render orange ("A").
-    """
-    bad = {u for u in malicious}
-    infected = set(analyzer.flow_closure(bad)) - bad
-    lines = ["digraph dependencies {",
-             "  rankdir=LR;",
-             "  node [shape=ellipse, fontname=Helvetica];"]
-    for r in analyzer.log.normal_records():
-        attrs = [f"label={_quote(str(r.instance))}"]
-        if r.uid in bad:
-            attrs.append('style=filled, fillcolor="#ff8888"')
-        elif r.uid in infected:
-            attrs.append('style=filled, fillcolor="#ffcc88"')
-        lines.append(f"  {_quote(r.uid)} [{', '.join(attrs)}];")
-    g = dependency_graph_to_networkx(analyzer, include_control)
-    for src, dst, data in sorted(
-        g.edges(data=True), key=lambda e: (e[0], e[1], e[2]["kind"])
-    ):
-        kind = DependencyKind(data["kind"])
-        color = _EDGE_COLORS[kind]
-        label = kind.value[0]  # f / a / o / c
-        lines.append(
-            f"  {_quote(src)} -> {_quote(dst)} "
-            f"[color={color}, label={_quote(label)}];"
-        )
-    lines.append("}")
-    return "\n".join(lines)
-
-
-# --------------------------------------------------------------------------
-# Heal reports
-# --------------------------------------------------------------------------
-
-_DISPOSITION_COLORS = {
-    "kept": "#88cc88",
-    "redone": "#88aaff",
-    "abandoned": "#ff8888",
-    "new": "#ffee88",
-}
-
-
-def heal_report_to_dot(report: HealReport) -> str:
-    """DOT text of the healed history: the settle order as a chain,
-    colored by disposition (kept / redone / abandoned / new)."""
-    disposition: Dict[str, str] = {}
-    for uid in report.kept:
-        disposition[uid] = "kept"
-    for uid in report.redone:
-        disposition[uid] = "redone"
-    for uid in report.new_executions:
-        disposition[uid] = "new"
-    for uid in report.abandoned:
-        disposition[uid] = "abandoned"
-
-    lines = ["digraph heal {",
-             "  rankdir=LR;",
-             "  node [shape=box, fontname=Helvetica, style=filled];"]
-    chain = [step.uid for step in report.final_history]
-    for uid in chain:
-        color = _DISPOSITION_COLORS.get(disposition.get(uid, "kept"))
-        lines.append(
-            f"  {_quote(uid)} [fillcolor={_quote(color)}];"
-        )
-    for a, b in zip(chain, chain[1:]):
-        lines.append(f"  {_quote(a)} -> {_quote(b)};")
-    # Abandoned instances float detached below the healed chain.
-    for uid in report.abandoned:
-        color = _DISPOSITION_COLORS["abandoned"]
-        lines.append(
-            f"  {_quote(uid)} [fillcolor={_quote(color)}, "
-            f"label={_quote(uid + ' (abandoned)')}];"
-        )
     lines.append("}")
     return "\n".join(lines)
 

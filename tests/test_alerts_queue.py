@@ -26,8 +26,7 @@ class TestBoundedQueue:
         for x in "abc":
             assert q.offer(x)
         assert q.pop() == "a"
-        assert q.peek() == "b"
-        assert len(q) == 2
+        assert list(q) == ["b", "c"]
 
     def test_offer_counts_losses_when_full(self):
         q = BoundedQueue(2)
@@ -81,18 +80,6 @@ class TestBoundedQueue:
         q.offer("b")  # lost
         assert q.high_water == 1
 
-    def test_reset_stats_rebases_at_current_depth(self):
-        q = BoundedQueue(2)
-        q.offer("a")
-        q.offer("b")
-        q.offer("c")  # lost
-        q.pop()
-        q.reset_stats()
-        assert q.lost == 0 and q.accepted == 0
-        assert q.high_water == len(q) == 1  # re-based, not zeroed
-        q.offer("d")
-        assert q.accepted == 1 and q.high_water == 2
-
     def test_hook_sees_offer_lost_and_pop(self):
         calls = []
         q = BoundedQueue(1, hook=lambda op, queue: calls.append(
@@ -123,6 +110,15 @@ class TestPriorityBoundedQueue:
         return PriorityBoundedQueue(capacity, classes=classes,
                                     priority_of=by_digit, **kwargs)
 
+    @staticmethod
+    def dropped_classes(q):
+        """Classes of the items ``q`` drops from now on, in order."""
+        bus, classes = EventBus(), []
+        bus.subscribe(lambda e: classes.append(e.priority),
+                      types=[QueueItemDropped])
+        q.instrument("q", bus, ManualClock(0.0))
+        return classes
+
     def test_pop_serves_most_urgent_class_first(self):
         q = self.make()
         for item in ["2:a", "0:b", "1:c", "0:d"]:
@@ -148,33 +144,36 @@ class TestPriorityBoundedQueue:
         for item in ["2:a", "0:b", "1:c"]:
             q.offer(item)
         assert list(q) == ["0:b", "1:c", "2:a"]
-        assert q.peek() == "0:b"
+        assert q.pop() == "0:b"
 
     def test_offer_without_eviction_rejects_when_full(self):
         q = self.make(capacity=2)
+        dropped = self.dropped_classes(q)
         q.offer("2:a")
         q.offer("2:b")
         assert not q.offer("0:urgent")  # evict_lower off: plain reject
         assert q.lost == 1
-        assert q.lost_by_class == (1, 0, 0)
+        assert dropped == [0]
         assert len(q) == 2
 
     def test_eviction_preempts_newest_least_urgent(self):
         q = self.make(capacity=3, evict_lower=True)
+        dropped = self.dropped_classes(q)
         for item in ["2:a", "2:b", "1:c"]:
             q.offer(item)
         assert q.offer("0:urgent")           # evicts 2:b (newest of 2)
         assert len(q) == 3
         assert list(q) == ["0:urgent", "1:c", "2:a"]
         assert q.lost == 1                   # the eviction is a loss...
-        assert q.lost_by_class == (0, 0, 1)  # ...of the victim's class
+        assert dropped == [2]                # ...of the victim's class
 
     def test_eviction_refused_when_nothing_less_urgent(self):
         q = self.make(capacity=2, evict_lower=True)
+        dropped = self.dropped_classes(q)
         q.offer("0:a")
         q.offer("1:b")
         assert not q.offer("1:c")  # class 1 cannot evict class 1
-        assert q.lost_by_class == (0, 1, 0)
+        assert dropped == [1]
         assert list(q) == ["0:a", "1:b"]
 
     def test_push_never_evicts(self):
@@ -191,31 +190,19 @@ class TestPriorityBoundedQueue:
         q.pop()
         assert q.high_water == 3
         assert q.accepted == 3
-        assert q.accepted_by_class == (1, 1, 1)
-        assert q.depth_of_class(1) == 1
-
-    def test_reset_stats_clears_per_class_breakdown(self):
-        q = self.make(capacity=2)
-        q.offer("0:a")
-        q.offer("1:b")
-        q.offer("2:c")  # lost
-        q.reset_stats()
-        assert q.lost == 0 and q.accepted == 0
-        assert q.lost_by_class == (0, 0, 0)
-        assert q.accepted_by_class == (0, 0, 0)
-        assert q.high_water == len(q) == 2  # re-based like the base queue
+        assert list(q) == ["1:b", "2:c"]
 
     def test_drop_accounting_under_mixed_priorities(self):
         q = self.make(capacity=2, evict_lower=True)
+        dropped = self.dropped_classes(q)
         q.offer("2:a")
         q.offer("2:b")
         q.offer("1:c")       # evicts 2:b
         q.offer("1:d")       # evicts 2:a
         assert not q.offer("1:e")  # no class-2 victims left: rejected
         assert q.lost == 3
-        assert q.lost_by_class == (0, 1, 2)
+        assert dropped == [2, 2, 1]
         assert q.accepted == 4
-        assert sum(q.lost_by_class) == q.lost
 
     def test_drop_events_carry_priority_class(self):
         bus = EventBus()

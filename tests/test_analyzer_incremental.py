@@ -35,6 +35,8 @@ from repro.workflow.log import RecordKind, SystemLog
 from repro.workflow.spec import workflow
 from repro.workflow.task import TaskInstance
 
+from tests.conftest import quiesce
+
 #: t1 → t2 (branch) → t3 | t4 → t5: t3 and t4 are control dependent on t2.
 BRANCHING = (
     workflow("branching")
@@ -349,7 +351,7 @@ class TestReusedAnalyzerPlansLikeFresh:
                 manager.run_workflow_attacked(victim(name), campaign,
                                               name=name)
                 system.submit_alert(campaign.malicious_uids[0])
-            system.run_to_quiescence()
+            quiesce(system)
         assert manager.epoch == 3
         assert len(checked_scans) == 9
         assert len({id(a) for a in checked_scans}) == 3
@@ -480,15 +482,17 @@ class TestIndexLivesWithTheAnalyzer:
         initial = {"balance": 100}
         manager = EpochManager(DataStore(initial), initial)
         system = SelfHealingSystem(manager=manager)
+        retired = []
         for wave in range(2):
             name = f"w{wave}"
             campaign = AttackCampaign().transform_task(
                 "apply", lambda _, o: o, workflow_instance=name)
             manager.run_workflow_attacked(victim(name), campaign, name=name)
+            retired.append(manager.log)
             system.submit_alert(campaign.malicious_uids[0])
-            system.run_to_quiescence()
-        assert len(manager.archived_logs) == 2
-        for log in manager.archived_logs + [manager.log]:
+            quiesce(system)
+        assert manager.epoch == 2
+        for log in retired + [manager.log]:
             assert set(vars(log)) == {"_records", "_by_uid", "_next_seq"}
 
 

@@ -22,14 +22,14 @@ def fig1_plan(figure1):
 class TestRecoveryAnalyzer:
     def test_plan_covers_definite_damage(self, fig1_plan):
         figure1, analyzer, plan = fig1_plan
-        undo_uids = {a.uid for a in plan.undo_actions}
+        undo_uids = {a.uid for a in plan.actions if a.kind == ActionKind.UNDO}
         assert undo_uids == {
             "wf1/t1#1", "wf1/t2#1", "wf1/t4#1", "wf2/t8#1", "wf2/t10#1"
         }
 
     def test_plan_redo_actions_definite_only(self, fig1_plan):
         figure1, analyzer, plan = fig1_plan
-        redo_uids = {a.uid for a in plan.redo_actions}
+        redo_uids = {a.uid for a in plan.actions if a.kind == ActionKind.REDO}
         # t4 is a candidate redo (control dependent on bad t2), so it is
         # not in the definite schedule.
         assert redo_uids == {
@@ -112,9 +112,9 @@ class TestRecoveryPlan:
 
     def test_total_actions_and_summary(self, fig1_plan):
         figure1, analyzer, plan = fig1_plan
-        assert plan.total_actions == len(plan.undo_actions) + len(
-            plan.redo_actions
-        )
+        assert len(plan.actions) == len(plan.order)
+        assert {a.kind for a in plan.actions} == {ActionKind.UNDO,
+                                                  ActionKind.REDO}
         text = plan.summary()
         assert "1 alerts" in text and "definite undo" in text
 

@@ -47,8 +47,6 @@ class TestAttackCampaign:
         inst = TaskInstance("wf", "t1", 1)
         campaign.apply(inst, {}, {"x": 0})
         assert campaign.malicious_uids == ("wf/t1#1",)
-        assert campaign.label_of("wf/t1#1") == "corrupt t1"
-        assert campaign.label_of("wf/t2#1") is None
 
     def test_untargeted_instance_untouched(self):
         campaign = AttackCampaign().corrupt_task("t1", x=1)
@@ -70,7 +68,6 @@ class TestAttackCampaign:
         out = campaign.apply(TaskInstance("evil", "t1", 1), {}, {"x": 42})
         assert out == {"x": 42}
         assert campaign.malicious_uids == ("evil/t1#1",)
-        assert "forged run" in campaign.label_of("evil/t1#1")
 
     def test_len_counts_rules(self):
         campaign = AttackCampaign().corrupt_task("a").forge_run("r")

@@ -34,7 +34,6 @@ from repro.markov.degradation import fig4_cases
 from repro.markov.metrics import loss_probability
 from repro.markov.passage import (
     expected_hitting_times,
-    hitting_time_cdf,
 )
 from repro.markov.steady_state import steady_state
 from repro.markov.stg import RecoverySTG
@@ -147,12 +146,6 @@ def test_passage_backends_agree(stg: RecoverySTG) -> None:
     scale = max(1.0, np.abs(h_dense[finite]).max())
     assert (np.abs(h_dense[finite] - h_sparse[finite]).max()
             / scale) < TOL
-    times = [0.5, 2.0, 10.0]
-    cdf_d = hitting_time_cdf(chain, targets, stg.normal_state, times,
-                             backend="dense")
-    cdf_s = hitting_time_cdf(chain, targets, stg.normal_state, times,
-                             backend="sparse")
-    assert np.abs(cdf_d - cdf_s).max() < TOL
 
 
 @needs_scipy

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ModelError
 from repro.markov.calibration import (
-    PowerLawFit,
     fit_power_law,
     measure_recovery_rates,
     measure_scan_rates,
@@ -29,19 +28,6 @@ class TestFitPowerLaw:
         fit = fit_power_law(rates)
         assert 0.8 <= fit.alpha <= 1.2
         assert fit.residual < 0.2
-
-    def test_as_rate_function(self):
-        fit = PowerLawFit(base=10.0, alpha=1.0, residual=0.0)
-        fn = fit.as_rate_function()
-        assert fn(1) == 10.0
-        assert fn(5) == pytest.approx(2.0)
-
-    def test_negative_alpha_clamped_in_rate_function(self):
-        # A (noisy) fit could come out slightly negative; the schedule
-        # must stay non-increasing.
-        fit = PowerLawFit(base=10.0, alpha=-0.05, residual=0.1)
-        fn = fit.as_rate_function()
-        assert fn(10) == fn(1)
 
     def test_validation(self):
         with pytest.raises(ModelError):

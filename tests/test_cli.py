@@ -1,7 +1,14 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -301,6 +308,46 @@ class TestWorkflowDot:
         path.write_text("{}")
         assert main(["workflow-dot", str(path)]) == 3
         assert "workflow_id" in capsys.readouterr().err
+
+
+class TestDotWithoutNetworkx:
+    """The DOT verbs need only the declared dependencies: with networkx
+    import-blocked, both render."""
+
+    SCRIPT = textwrap.dedent("""
+        import sys
+        sys.modules["networkx"] = None
+        from repro.cli import main
+        sys.exit(main(sys.argv[1:]))
+    """)
+
+    def run(self, *argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(repro.__file__).parent.parent),
+             os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run([sys.executable, "-c", self.SCRIPT, *argv],
+                              env=env, capture_output=True, text=True)
+
+    def test_stg_dot(self):
+        done = self.run("stg-dot", "--buffer", "2")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("digraph stg {")
+
+    def test_workflow_dot(self, tmp_path):
+        from repro.workflow.serialize import TaskDocument, WorkflowDocument
+
+        doc = WorkflowDocument(
+            workflow_id="demo",
+            tasks=(TaskDocument("a", writes={"x": "1"}),
+                   TaskDocument("b", writes={"y": "x + 1"})),
+            edges=(("a", "b"),),
+        )
+        path = tmp_path / "wf.json"
+        path.write_text(doc.to_json())
+        done = self.run("workflow-dot", str(path))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith('digraph "demo" {')
+        assert '"a" -> "b";' in done.stdout
 
 
 class TestObsFlightVerbs:

@@ -23,8 +23,9 @@ class TestConstruction:
     def test_rate_and_exit_rate(self):
         chain = two_state(a=2.0, b=3.0)
         assert chain.rate("on", "off") == 2.0
-        assert chain.exit_rate("on") == 2.0
-        assert chain.exit_rate("off") == 3.0
+        q = chain.generator
+        assert -q[chain.index_of("on"), chain.index_of("on")] == 2.0
+        assert -q[chain.index_of("off"), chain.index_of("off")] == 3.0
 
     def test_diagonal_query_rejected(self):
         with pytest.raises(ModelError):
@@ -69,16 +70,6 @@ class TestDistributions:
         pi = chain.point_distribution("off")
         assert pi[chain.index_of("off")] == 1.0
         assert pi.sum() == 1.0
-
-    def test_validate_distribution(self):
-        chain = two_state()
-        chain.validate_distribution(np.array([0.5, 0.5]))
-        with pytest.raises(ModelError):
-            chain.validate_distribution(np.array([0.9, 0.9]))
-        with pytest.raises(ModelError):
-            chain.validate_distribution(np.array([1.5, -0.5]))
-        with pytest.raises(ModelError):
-            chain.validate_distribution(np.array([1.0]))
 
     def test_uniformization_rate_dominates_diagonal(self):
         chain = two_state(a=2.0, b=7.0)

@@ -6,9 +6,7 @@ from repro.markov.degradation import (
     RateFunction,
     constant,
     fig4_cases,
-    geometric,
     inverse_k,
-    linear_decay,
     power_law,
 )
 
@@ -32,23 +30,6 @@ class TestFamilies:
         f = power_law(10.0, 0.0)
         assert f(7) == 10.0
 
-    def test_geometric(self):
-        f = geometric(8.0, 0.5)
-        assert f(1) == 8.0
-        assert f(4) == 1.0
-
-    def test_geometric_ratio_validated(self):
-        with pytest.raises(ValueError):
-            geometric(1.0, 1.5)
-        with pytest.raises(ValueError):
-            geometric(1.0, 0.0)
-
-    def test_linear_decay_floors(self):
-        f = linear_decay(10.0, 3.0, floor=0.5)
-        assert f(1) == 10.0
-        assert f(2) == 7.0
-        assert f(100) == 0.5
-
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             inverse_k(1.0)(0)
@@ -58,17 +39,10 @@ class TestFamilies:
         with pytest.raises(ValueError, match="negative"):
             bad(5)
 
-    def test_rebased_keeps_shape(self):
-        f = inverse_k(10.0).rebased(20.0)
-        assert f(2) == 10.0
-        assert f.name == "1/k"
-
     @pytest.mark.parametrize("factory", [
         lambda: constant(9.0),
         lambda: inverse_k(9.0),
         lambda: power_law(9.0, 0.3),
-        lambda: geometric(9.0, 0.8),
-        lambda: linear_decay(9.0, 0.5),
     ])
     def test_non_increasing(self, factory):
         f = factory()
@@ -105,50 +79,22 @@ class TestAdversarialInputs:
 
     def test_huge_queue_depths_stay_finite_and_nonnegative(self):
         for fn in (constant(15.0), inverse_k(15.0),
-                   power_law(15.0, 0.5), geometric(15.0, 0.9),
-                   linear_decay(15.0, 0.1)):
+                   power_law(15.0, 0.5)):
             for k in (1, 10**3, 10**6, 10**9):
                 rate = fn(k)
                 assert rate >= 0.0
                 assert rate <= fn.base
 
-    def test_geometric_underflows_to_zero_not_error(self):
-        fn = geometric(10.0, 0.5)
-        assert fn(10_000) == 0.0  # denormal-range underflow is clamped
-        assert fn(10_000) >= 0.0
-
-    def test_geometric_ratio_one_is_constant(self):
-        fn = geometric(8.0, 1.0)
-        assert [fn(k) for k in (1, 5, 500)] == [8.0, 8.0, 8.0]
-
-    def test_linear_decay_step_larger_than_base_floors_immediately(self):
-        fn = linear_decay(2.0, 100.0, floor=0.25)
-        assert fn(1) == 2.0
-        assert fn(2) == 0.25
-        assert fn(10**6) == 0.25
-
-    def test_linear_decay_zero_floor_allowed(self):
-        fn = linear_decay(1.0, 1.0, floor=0.0)
-        assert fn(2) == 0.0  # zero rate is legal (queue stalls)
-
-    def test_rebased_to_negative_base_is_caught_on_call(self):
-        fn = inverse_k(5.0).rebased(-5.0)
+    def test_negative_base_is_caught_on_call(self):
+        fn = inverse_k(-5.0)
         with pytest.raises(ValueError):
             fn(1)
 
     def test_k_zero_and_negative_rejected_by_every_family(self):
-        for fn in (constant(1.0), inverse_k(1.0), power_law(1.0, 0.3),
-                   geometric(1.0, 0.8), linear_decay(1.0, 0.1)):
+        for fn in (constant(1.0), inverse_k(1.0), power_law(1.0, 0.3)):
             for bad in (0, -1, -10**9):
                 with pytest.raises(ValueError):
                     fn(bad)
-
-    def test_fig4_cases_rebase_consistently(self):
-        for f, g in fig4_cases(3.0, 4.0).values():
-            rf, rg = f.rebased(30.0), g.rebased(40.0)
-            assert rf(1) == 30.0 and rg(1) == 40.0
-            assert rf.name == f.name and rg.name == g.name
-
 
 class TestNonIncreasingProperty:
     """The paper's standing assumption μ_1 ≥ μ_2 ≥ ... holds for every
@@ -164,8 +110,7 @@ class TestNonIncreasingProperty:
         @given(base=service_rates)
         def inner(base):
             for fn in (constant(base), inverse_k(base),
-                       power_law(base, 0.05), power_law(base, 1.0),
-                       geometric(base, 0.7), linear_decay(base, 0.5)):
+                       power_law(base, 0.05), power_law(base, 1.0)):
                 rates = [fn(k) for k in range(1, 40)]
                 assert all(a >= b - 1e-12
                            for a, b in zip(rates, rates[1:])), fn.name

@@ -104,7 +104,11 @@ class TestDataDependencies:
 
     def test_all_data_edges_cover_kinds(self, tx_tb_log):
         dep = DependencyAnalyzer(tx_tb_log)
-        kinds = {e.kind for e in dep.all_data_edges()}
+        kinds = {
+            e.kind for r in tx_tb_log.normal_records()
+            for e in (*dep.flow_dependents(r.uid),
+                      *dep.anti_edges_from(r.uid))
+        }
         assert DependencyKind.FLOW in kinds
         assert DependencyKind.ANTI in kinds
 

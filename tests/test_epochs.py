@@ -100,13 +100,16 @@ class TestMultipleEpochs:
         assert report.undone == ()
         assert mgr.store.read("counter") == 12
 
-    def test_archived_logs_accumulate(self, manager):
+    def test_each_heal_opens_a_fresh_log(self, manager):
         mgr, __ = manager
-        mgr.run_workflow(accumulator_spec("a", 1))
-        mgr.heal([])
-        mgr.run_workflow(accumulator_spec("b", 1))
-        mgr.heal([])
-        assert len(mgr.archived_logs) == 2
+        retired = []
+        for name in ("a", "b"):
+            mgr.run_workflow(accumulator_spec(name, 1))
+            retired.append(mgr.log)
+            mgr.heal([])
+        assert mgr.epoch == 2
+        assert all(len(log) == 1 for log in retired)
+        assert len({id(log) for log in [*retired, mgr.log]}) == 3
         assert len(mgr.log) == 0  # fresh epoch
 
     def test_duplicate_instance_names_rejected(self, manager):

@@ -22,6 +22,7 @@ from repro.fleet import (
     resolve_mix,
 )
 from repro.fleet.workload import prediction_for
+from repro.obs.events import EventBus, QueueItemDropped
 from repro.obs.health import SloState
 
 
@@ -173,14 +174,16 @@ class TestOverloadSemantics:
         never displaced."""
         cfg = FleetConfig(tenants=4, duration=30.0, seed=1,
                           central_capacity=6)
+        bus, dropped = EventBus(), []
+        bus.subscribe(dropped.append, types=[QueueItemDropped])
         plane = FleetControlPlane(
-            cfg, profiles=[hot_profile(), PROFILES["figure1"]]
+            cfg, profiles=[hot_profile(), PROFILES["figure1"]], bus=bus
         )
         report = plane.run()
-        lost_by_class = plane.central.lost_by_class
-        assert sum(lost_by_class) == plane.central.lost
-        assert lost_by_class[2] > 0  # calm tenants were deferred...
-        assert lost_by_class[0] == 0  # ...breaching ones never were
+        classes = [d.priority for d in dropped if d.queue == "central"]
+        assert len(classes) == plane.central.lost
+        assert 2 in classes      # calm tenants were deferred...
+        assert 0 not in classes  # ...breaching ones never were
         assert "BREACH" in report.verdicts_by_tenant.values()
         assert "OK" in report.verdicts_by_tenant.values()
 
@@ -267,3 +270,34 @@ class TestControlPlaneApi:
         ids = [s.tenant for s in plane.shards]
         assert len(set(ids)) == 12
         assert ids[0] == "t00" and ids[11] == "t11"
+
+
+class TestFleetBenchGate:
+    """``check_regression.py`` compares fleet throughput only between
+    rows of one shape, ``(tenants, duration)``."""
+
+    @staticmethod
+    def sweep(*rows):
+        return {"results": [
+            {"tenants": t, "duration": d, "throughput_alerts_per_s": thr,
+             "audits_ok": True} for t, d, thr in rows]}
+
+    def test_other_duration_is_not_compared(self):
+        from benchmarks.check_regression import check_fleet
+
+        fresh = self.sweep((100, 5.0, 600.0))
+        assert check_fleet(fresh, self.sweep((100, 40.0, 1400.0)),
+                           0.25) == []
+
+    def test_same_shape_is_gated(self):
+        from benchmarks.check_regression import check_fleet
+
+        fresh = self.sweep((100, 40.0, 600.0))
+        (failure,) = check_fleet(fresh, self.sweep((100, 40.0, 1400.0)),
+                                 0.25)
+        assert "tenants=100 duration=40" in failure
+
+    def test_quick_sweep_shares_a_shape_with_the_full_sweep(self):
+        from benchmarks.bench_fleet import FULL_SIZES, QUICK_SIZES
+
+        assert (100, 40.0) in set(QUICK_SIZES) & set(FULL_SIZES)

@@ -1,14 +1,13 @@
 """Property tests for the fleet SLO rollup (`repro.fleet.slo`).
 
 The fleet ``/slo`` view must not depend on how the control plane
-happens to enumerate or group its shards.  Hypothesis pins the two
-invariances the design claims:
+happens to enumerate its shards.  Hypothesis pins what the design
+claims:
 
 - **permutation**: ``rollup(perm(verdicts)) == rollup(verdicts)`` for
   any ordering of the tenants;
-- **repartition**: splitting the tenants into any partition, rolling
-  each group up separately, and merging the parts reproduces the
-  all-at-once rollup — ``merge_health([rollup(g) ...]) == rollup(all)``.
+- **sums**: merged counts are the sums of the tenants' counts, and
+  latencies the sorted union of theirs.
 
 Plus the deterministic edge cases (duplicates, empties, percentiles).
 """
@@ -20,7 +19,6 @@ from repro.errors import FleetError
 from repro.fleet.slo import (
     FleetHealth,
     TenantVerdict,
-    merge_health,
     percentile,
     rollup,
 )
@@ -109,22 +107,6 @@ class TestPermutationInvariance:
 
 
 class TestRepartitionInvariance:
-    @settings(max_examples=60)
-    @given(verdicts=fleet_st, data=st.data())
-    def test_any_partition_merges_to_the_full_rollup(self, verdicts,
-                                                     data):
-        # draw a random partition of the tenants into 1..n groups
-        n_groups = data.draw(
-            st.integers(1, len(verdicts)), label="n_groups"
-        )
-        groups = [[] for _ in range(n_groups)]
-        for t in verdicts:
-            groups[data.draw(
-                st.integers(0, n_groups - 1), label=f"group:{t.tenant}"
-            )].append(t)
-        parts = [rollup(g) for g in groups if g]
-        assert merge_health(parts) == rollup(verdicts)
-
     @settings(max_examples=40)
     @given(verdicts=fleet_st)
     def test_merged_counts_are_sums(self, verdicts):
@@ -149,19 +131,11 @@ class TestRollupEdges:
     def test_empty_rollup_rejected(self):
         with pytest.raises(FleetError):
             rollup([])
-        with pytest.raises(FleetError):
-            merge_health([])
 
     def test_duplicate_tenant_rejected(self):
         t = TenantVerdict("t1", SloState.OK, make_report())
         with pytest.raises(FleetError, match="duplicate tenant"):
             rollup([t, t])
-
-    def test_overlapping_partitions_rejected(self):
-        t = TenantVerdict("t1", SloState.OK, make_report())
-        part = rollup([t])
-        with pytest.raises(FleetError, match="duplicate tenant"):
-            merge_health([part, part])
 
     def test_worst_tenants_orders_by_severity_then_losses(self):
         ok = TenantVerdict("a", SloState.OK, make_report())

@@ -87,7 +87,7 @@ class TestFigure1:
     def test_report_counts(self, figure1):
         report = figure1.heal_now()
         assert report.touched == 7 + 5 + 1
-        assert report.preserved_work == 2
+        assert len(report.kept) == 2
         assert "7 undone" in report.summary()
 
 

@@ -230,7 +230,7 @@ class TestSystemVerifyHook:
         system = SelfHealingSystem(sc.manager, verify=True)
         assert system.submit_alert(sc.malicious_uid)
         assert system.scan_step() is not None
-        assert len(system.heal_reports) == 0
+        assert system.recovery_units_queued == 1
 
     def test_corrupt_plan_raises_before_queuing(self, monkeypatch):
         sc = build_figure1(attacked=True)

@@ -81,13 +81,6 @@ class TestQueries:
         succ = log.succ("wf1/t2#1")
         assert [r.uid for r in succ] == ["wf1/t3#1"]
 
-    def test_workflow_instances_in_first_appearance_order(self):
-        log = SystemLog()
-        commit(log, "b", "t1")
-        commit(log, "a", "t1")
-        commit(log, "b", "t2")
-        assert log.workflow_instances() == ("b", "a")
-
     def test_writers_of_and_writer_of_version(self):
         log = SystemLog()
         commit(log, "w", "t1", writes={"x": 1})

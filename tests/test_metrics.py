@@ -11,7 +11,6 @@ from repro.markov.metrics import (
     expected_lost_alerts,
     expected_recovery_units,
     loss_probability,
-    state_probability,
 )
 from repro.markov.steady_state import steady_state
 from repro.markov.stg import RecoverySTG, State, StateCategory
@@ -91,11 +90,6 @@ class TestEpsilonConvergence:
 
     def test_good_system_small_epsilon(self, paper_stg):
         assert epsilon_convergence(paper_stg) < 0.01
-
-    def test_state_probability(self, small_stg):
-        pi = point_mass(small_stg, State(1, 1))
-        assert state_probability(small_stg, pi, State(1, 1)) == 1.0
-        assert state_probability(small_stg, pi, State(0, 0)) == 0.0
 
 
 class TestExpectedLostAlerts:

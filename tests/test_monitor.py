@@ -254,7 +254,7 @@ class TestPropertyPack:
         ]
         monitor, violations = run_monitor(events)
         assert violations == []
-        assert monitor.clean
+        assert monitor.violations == []
 
     def test_undo_outside_heal_bracket(self):
         _, violations = run_monitor([TaskUndone(1.0, uid="wf/t1#1")],

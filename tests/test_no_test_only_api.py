@@ -1,0 +1,239 @@
+"""No test-only public API: every public definition under ``src/repro``
+has a caller outside ``tests/``, or an allow-list entry saying why a
+test alone may call it.
+
+A *definition* is a public top-level ``def``/``class`` of a module, or a
+public method or property of a public top-level class. A *use* is a
+reference from ``src/repro``, ``benchmarks/``, ``perfbench/`` or
+``examples/``: a bare name, an attribute, a ``from … import`` alias, or
+a string constant (getattr tables and report columns name methods as
+strings). Re-exports in a package ``__init__.py``, ``__all__`` entries
+and references inside the definition's own body are not uses. Names
+are matched bare, so the guard errs toward finding a caller.
+
+Dunders are exempt, and so are methods that override or are dispatched
+by a base class from outside ``repro`` (``ast.NodeVisitor.visit_*``,
+``BaseHTTPRequestHandler.do_GET``, ``Enum``/``Exception`` members).
+
+Adding an allow-list entry needs a one-line reason; loosening the guard
+needs a CHANGES.md entry (see CONTRIBUTING.md).
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from collections import defaultdict
+from http.server import BaseHTTPRequestHandler
+from pathlib import Path
+from typing import Dict, Iterator, List, Set, Tuple
+
+import repro
+
+SRC = Path(repro.__file__).parent
+ROOT = SRC.parent.parent
+CALLER_DIRS = (SRC, ROOT / "benchmarks", ROOT / "perfbench", ROOT / "examples")
+
+#: Bases outside ``repro`` that call methods by a name prefix.
+DISPATCH_PREFIXES = {ast.NodeVisitor: "visit_", BaseHTTPRequestHandler: "do_"}
+
+#: Test-only definitions kept on purpose, keyed ``module:Qualname`` (or
+#: ``module`` for every definition in it), each with its reason.
+ALLOWED: Dict[str, str] = {
+    # Paper definitions that tests pin.
+    "repro.workflow.spec:WorkflowSpec.execution_paths":
+        "Section II-A execution paths of a workflow graph",
+    "repro.workflow.spec:WorkflowSpec.is_acyclic":
+        "Section II-A acyclic workflow graphs",
+    "repro.workflow.dependency:DependencyAnalyzer.literal_flow":
+        "Definition 1 flow dependence, verbatim",
+    "repro.workflow.dependency:DependencyAnalyzer.literal_anti":
+        "Definition 1 anti dependence, verbatim",
+    "repro.workflow.dependency:DependencyAnalyzer.literal_output":
+        "Definition 1 output dependence, verbatim",
+    "repro.workflow.dependency:DependencyAnalyzer.flow_sources":
+        "Definition 1 flow edges into one record",
+    "repro.workflow.dependency:DependencyAnalyzer.flow_dependents":
+        "Definition 1 flow edges out of one record",
+    "repro.workflow.dependency:DependencyAnalyzer.anti_edges_from":
+        "Definition 1 anti edges out of one record",
+    "repro.workflow.dependency:DependencyAnalyzer.output_edges_from":
+        "Definition 1 output edges out of one record",
+    "repro.core.axioms:generates_incorrect_data":
+        "Axiom 1 as a predicate over one log record",
+    "repro.core.undo_redo:UndoAnalysis.all_possible":
+        "Theorem 1's definite plus candidate undo set",
+    "repro.workflow.precedence:PartialOrder.direct_successors":
+        "Section II-B precedence: the direct successors of an element",
+    "repro.workflow.precedence:PartialOrder.comparable":
+        "Section II-B precedence: whether two elements are ordered",
+    "repro.workflow.log:SystemLog.writers_of":
+        "the writers of an object behind Definition 1",
+    # References that tests check the fast paths against.
+    "repro.markov.transient:transient_probabilities_expm":
+        "expm reference for the uniformised transient solver",
+    "repro.core.plan:RecoveryPlan.cross_unit_constraints":
+        "pair view of the factored Theorem 3 rows",
+    # Paper claims.
+    "repro.markov.design:cost_effective_rate":
+        "the Section V cost-effective range of recovery rates",
+    "repro.sim.baselines:RecoveryCost.wasted_good_work":
+        "Section I: checkpoints lose good work",
+    "repro.sim.baselines:RecoveryCost.total_recovery_work":
+        "Section I: checkpoints lose good work",
+    # Waiting on ROADMAP 3(d): drive RISK_NORMAL_ONLY end to end, or
+    # delete it with these.
+    "repro.core.concurrent":
+        "ROADMAP 3(d): the Theorem 4 executor of RISK_NORMAL_ONLY",
+    "repro.core.partial_orders:normal_task_constraints":
+        "ROADMAP 3(d): the Theorem 4 edges for normal tasks",
+    "repro.workflow.data:MultiVersionDataStore.read_pinned":
+        "ROADMAP 3(d): pinned reads of RISK_NORMAL_ONLY",
+    "repro.workflow.data:DataStore.last_version_before":
+        "ROADMAP 3(d): version lookup of RISK_NORMAL_ONLY",
+    "repro.core.strategies:RecoveryStrategy.requires_multiversion_store":
+        "ROADMAP 3(d): the store RISK_NORMAL_ONLY needs",
+    # Kept by decision.
+    "repro.sim.architecture_sim:ArchitectureSimulator":
+        "the Figure 2 architecture simulator, kept by decision",
+    # Test support.
+    "repro.scenarios.generate:random_attacked_case":
+        "random attacked cases for the healer's property tests",
+}
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _is_public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def _definitions(path: Path) -> Iterator[Tuple[str, ast.AST, str]]:
+    """``(qualname, node, class_name)`` of each public definition."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            continue
+        if not _is_public(node.name):
+            continue
+        yield node.name, node, ""
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and _is_public(item.name)):
+                    yield f"{node.name}.{item.name}", item, node.name
+
+
+def _all_entries(tree: ast.AST) -> Set[int]:
+    """Ids of the string constants inside ``__all__ = [...]``."""
+    ids: Set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "__all__"
+               for t in targets):
+            ids.update(id(c) for c in ast.walk(node.value)
+                       if isinstance(c, ast.Constant))
+    return ids
+
+
+def _uses() -> Dict[str, List[Tuple[Path, int]]]:
+    """Every referenced name, with the file and line of each reference."""
+    uses: Dict[str, List[Tuple[Path, int]]] = defaultdict(list)
+    for root in CALLER_DIRS:
+        for path in root.rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            reexports = path.name == "__init__.py"
+            in_all = _all_entries(tree)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    uses[node.id].append((path, node.lineno))
+                elif isinstance(node, ast.Attribute):
+                    uses[node.attr].append((path, node.lineno))
+                elif isinstance(node, ast.ImportFrom) and not reexports:
+                    for alias in node.names:
+                        uses[alias.name].append((path, node.lineno))
+                elif (isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)
+                      and id(node) not in in_all):
+                    uses[node.value].append((path, node.lineno))
+    return uses
+
+
+def _exempt_by_base(module: str, class_name: str, method: str) -> bool:
+    """Whether a base class from outside ``repro`` defines or dispatches
+    ``method``."""
+    cls = getattr(importlib.import_module(module), class_name)
+    for base in cls.__mro__[1:]:
+        if base.__module__.split(".")[0] == "repro":
+            continue
+        if hasattr(base, method):
+            return True
+        prefix = DISPATCH_PREFIXES.get(base)
+        if prefix and method.startswith(prefix):
+            return True
+    return False
+
+
+def _test_only() -> Dict[str, Tuple[Path, int]]:
+    """``module:Qualname`` → location of each definition with no use."""
+    uses = _uses()
+    found: Dict[str, Tuple[Path, int]] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        module = _module_name(path)
+        for qualname, node, class_name in _definitions(path):
+            name = qualname.rsplit(".", 1)[-1]
+            own = range(node.lineno, node.end_lineno + 1)
+            if any(p != path or line not in own for p, line in uses[name]):
+                continue
+            if class_name and _exempt_by_base(module, class_name, name):
+                continue
+            found[f"{module}:{qualname}"] = (path, node.lineno)
+    return found
+
+
+def _allowed(key: str) -> str:
+    """The allow-list entry covering ``key``, or ``""``."""
+    module = key.split(":", 1)[0]
+    return next((entry for entry in (key, module) if entry in ALLOWED), "")
+
+
+def test_every_public_definition_has_a_caller_outside_tests():
+    unlisted = [
+        f"{path.relative_to(SRC).as_posix()}:{line} {key}"
+        for key, (path, line) in _test_only().items() if not _allowed(key)
+    ]
+    assert unlisted == [], (
+        "public definitions called only by tests: delete them, or "
+        "allow-list them with a reason:\n" + "\n".join(unlisted))
+
+
+def test_allow_list_has_no_stale_entries():
+    used = {_allowed(key) for key in _test_only()}
+    stale = sorted(set(ALLOWED) - used)
+    assert stale == [], (
+        "allow-list entries that no longer exist or now have a caller "
+        "outside tests: " + ", ".join(stale))
+
+
+def test_every_allow_list_entry_has_a_reason():
+    assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_every_export_resolves():
+    """Every ``__all__`` entry names an attribute of its module, so a
+    deletion cannot leave a dangling export behind."""
+    dangling = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = importlib.import_module(_module_name(path))
+        dangling += [f"{module.__name__}.{name}"
+                     for name in getattr(module, "__all__", ())
+                     if not hasattr(module, name)]
+    assert dangling == []

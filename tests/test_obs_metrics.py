@@ -35,12 +35,6 @@ class TestCounter:
         with pytest.raises(ValueError):
             Counter("c").inc(-1)
 
-    def test_reset(self):
-        c = Counter("c")
-        c.inc(4)
-        c.reset()
-        assert c.value == 0
-
 
 class TestGauge:
     def test_tracks_high_water(self):
@@ -53,14 +47,8 @@ class TestGauge:
     def test_inc_dec(self):
         g = Gauge("g")
         g.inc(5)
-        g.dec(2)
+        g.inc(-2)
         assert g.value == 3 and g.high_water == 5
-
-    def test_reset_rebases_high_water(self):
-        g = Gauge("g")
-        g.set(9)
-        g.reset()
-        assert g.value == 0 and g.high_water == 0
 
 
 class TestHistogram:
@@ -85,13 +73,6 @@ class TestHistogram:
             Histogram("h", buckets=(1.0, 1.0))
         with pytest.raises(ValueError):
             Histogram("h", buckets=(2.0, 1.0))
-
-    def test_reset(self):
-        h = Histogram("h", buckets=(1.0,))
-        h.observe(0.5)
-        h.reset()
-        assert h.count == 0 and h.sum == 0.0
-        assert h.bucket_counts == (0, 0)
 
 
 class TestMetricsRegistry:
@@ -120,13 +101,11 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError, match="already registered"):
             r.gauge("thing")
 
-    def test_metrics_sorted_and_reset(self):
+    def test_metrics_sorted(self):
         r = MetricsRegistry()
         r.counter("b_total").inc()
         r.counter("a_total").inc()
         assert [m.name for m in r.metrics()] == ["a_total", "b_total"]
-        r.reset()
-        assert all(m.value == 0 for m in r.metrics())
 
 
 class TestPipelineMetrics:

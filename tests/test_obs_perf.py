@@ -123,13 +123,11 @@ class TestPhaseAlgebra:
         with prof.phase("detect"):
             clock.advance(1.0)
         clock.advance(1.0)
-        assert prof.running
         live = prof.report()  # provisional: interval still open
         assert live.total_wall == pytest.approx(2.0)
         clock.advance(2.0)
         prof.stop()
         assert prof.report().total_wall == pytest.approx(4.0)
-        assert not prof.running
 
     def test_counters_report_the_runs_delta(self):
         bump("closure_recomputations", 7)  # pre-existing global noise

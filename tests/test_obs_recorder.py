@@ -16,7 +16,6 @@ from repro.obs.events import (
 from repro.obs.recorder import (
     SCHEMA_VERSION,
     FlightRecorder,
-    canonical_text,
     load_flight_log,
     read_flight_log,
 )
@@ -121,6 +120,17 @@ class TestReadFlightLog:
         with pytest.raises(ObsError, match="unknown record kind"):
             read_flight_log(self._text('{"record":"mystery"}'))
 
+    @pytest.mark.parametrize("record", [
+        '{"record":"phase","phase":"detect","wall":0.001,"sim":0.0,'
+        '"calls":1}',
+        '{"record":"wall","duration":0.5}',
+    ], ids=["phase", "wall"])
+    def test_phase_and_wall_records_rejected(self, record):
+        """Older recorders' replay-inert ``phase`` and ``wall`` records
+        load like any other foreign record: not at all."""
+        with pytest.raises(ObsError, match="line 5: unknown record kind"):
+            read_flight_log(self._text(record))
+
     def test_unknown_event_kind_rejected(self):
         bad = '{"record":"event","event":"NotAnEvent","time":0.0}'
         with pytest.raises(ObsError, match="bad event record"):
@@ -156,55 +166,11 @@ class TestEventRegistry:
             event_from_dict({"event": "Bogus", "time": 0.0})
 
 
-class TestWallMetaAndCanonicalText:
-    """Satellite: wall-clock header meta is replay-inert.
-
-    Raw logs from two hosts legitimately differ (hostname, start
-    times, durations); the ``canonical_text`` surface must not.
-    """
-
-    def test_wall_meta_header_and_close_record(self):
-        rec = FlightRecorder(label="w", wall_meta=True)
-        rec.mark("start", 0.0, state="NORMAL")
-        rec.close()
-        lines = [json.loads(ln) for ln in rec.text().splitlines()]
-        assert set(lines[0]["wall"]) == {"host", "python", "started"}
-        assert lines[-1]["record"] == "wall"
-        assert lines[-1]["duration"] >= 0.0
-        log = read_flight_log(rec.text())
-        assert set(log.wall) == {"host", "python", "started", "duration"}
-
-    def test_wall_meta_defaults_off(self):
-        rec = FlightRecorder(label="w")
-        rec.close()
-        log = read_flight_log(rec.text())
-        assert "wall" not in log.header
-        assert log.wall == {}
-        assert log.wall_close is None
-
-    def test_phase_samples_parse_but_stay_out_of_replay(self):
-        rec = FlightRecorder(label="w")
-        rec.mark("start", 0.0, state="NORMAL")
-        rec.phase_sample("analyze;analyze.closure", 0.25, sim=1.0,
-                         calls=3)
-        rec.close()
-        log = read_flight_log(rec.text())
-        assert log.phases == [{
-            "record": "phase", "phase": "analyze;analyze.closure",
-            "wall": 0.25, "sim": 1.0, "calls": 3,
-        }]
-        assert log.events == []
-        assert '"phase"' not in canonical_text(rec.text())
-
-    def test_canonical_text_rejects_bad_json(self):
-        with pytest.raises(ObsError, match="line 1"):
-            canonical_text("{nope\n")
-
+class TestHostIndependence:
     def test_cross_host_replay_byte_identity(self, monkeypatch):
-        """The same seeded run recorded on two 'hosts' (different
-        node names, different wall clocks, profiler samples on one
-        side only) canonicalizes to identical bytes — and to the same
-        bytes as a wall-meta-off recording."""
+        """The same seeded run recorded on two 'hosts' (different node
+        names) writes identical bytes: nothing in a log comes from the
+        host."""
         import platform
 
         from repro.sim.fullstack import FullStackConfig, run_replication
@@ -212,21 +178,12 @@ class TestWallMetaAndCanonicalText:
         config = FullStackConfig(arrival_rate=6.0, alert_buffer=4,
                                  recovery_buffer=4)
 
-        def record(host, wall_meta, sample):
+        def record(host):
             monkeypatch.setattr(platform, "node", lambda: host)
             bus = EventBus()
-            rec = FlightRecorder(label="fullstack",
-                                 wall_meta=wall_meta).attach(bus)
+            rec = FlightRecorder(label="fullstack").attach(bus)
             run_replication(config, horizon=15.0, seed=9, bus=bus)
-            if sample:
-                rec.phase_sample("detect", 0.001)
             rec.close()
             return rec.text()
 
-        a = record("host-a", wall_meta=True, sample=True)
-        b = record("host-b", wall_meta=True, sample=False)
-        plain = record("host-c", wall_meta=False, sample=False)
-        assert a != b  # hostnames, clocks, samples all differ
-        assert canonical_text(a) == canonical_text(b)
-        assert canonical_text(a) == canonical_text(plain)
-        assert canonical_text(plain) == plain  # already canonical
+        assert record("host-a") == record("host-b")

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.core.actions import ActionKind
 from repro.ids.detector import DetectorConfig
 from repro.sim.recovery_sim import run_pipeline
 from repro.sim.workload import WorkloadConfig, WorkloadGenerator
@@ -98,17 +99,15 @@ class TestDetectorIntegration:
         assert result.healthy, result.audit.problems
 
     def test_delayed_and_batched_detection_still_heals(self):
-        """Detection delay plus periodic batching (the paper's
-        'periodically reports intrusions'): recovery input arrives late
-        but complete, and healing still succeeds."""
+        """Detection delay, with the alerts released as one batch:
+        recovery input arrives late but complete, and healing still
+        succeeds."""
         g, wl = make(9)
         campaign = g.pick_attacks(wl, n_attacks=2)
         result = run_pipeline(
             wl,
             campaign,
-            detector_config=DetectorConfig(
-                mean_detection_delay=5.0, report_period=10.0
-            ),
+            detector_config=DetectorConfig(mean_detection_delay=5.0),
             seed=9,
         )
         assert result.healthy, result.audit.problems
@@ -120,5 +119,6 @@ class TestDetectorIntegration:
         g, wl = make(7)
         campaign = g.pick_attacks(wl, n_attacks=2)
         result = run_pipeline(wl, campaign, seed=7)
-        plan_undos = {a.uid for a in result.plan.undo_actions}
+        plan_undos = {a.uid for a in result.plan.actions
+                      if a.kind == ActionKind.UNDO}
         assert plan_undos <= set(result.heal.undone)

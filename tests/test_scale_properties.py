@@ -129,7 +129,6 @@ class TestObservedBatchWorkerInvariance:
 
     def test_recorder_files_and_metrics_identical(self, tmp_path) -> None:
         from repro.obs.export import render_prometheus
-        from repro.obs.metrics import PipelineMetrics
         from repro.obs.provenance import replay
         from repro.obs.recorder import read_flight_log
 
@@ -145,18 +144,12 @@ class TestObservedBatchWorkerInvariance:
         # must not change a single byte.
         assert serial_logs == parallel_logs
 
-        def merged(logs) -> str:
-            metrics = PipelineMetrics()
-            for name in sorted(logs):
-                run = replay(read_flight_log(logs[name].decode()))
-                for state in run.metrics.dwell_states():
-                    metrics.observe_dwell(
-                        state, run.metrics.time_in_state(state)
-                    )
-                metrics.alerts_enqueued.inc(
-                    run.metrics.alerts_enqueued.value
-                )
-                metrics.alerts_lost.inc(run.metrics.alerts_lost.value)
-            return render_prometheus(metrics.registry)
+        def replayed(logs):
+            return [
+                render_prometheus(
+                    replay(read_flight_log(logs[name].decode()))
+                    .metrics.registry)
+                for name in sorted(logs)
+            ]
 
-        assert merged(serial_logs) == merged(parallel_logs)
+        assert replayed(serial_logs) == replayed(parallel_logs)

@@ -71,13 +71,6 @@ class TestSegmentedLog:
             "w/a#1", "v/b#1"
         ]
 
-    def test_total_entries(self):
-        slog = SegmentedLog(["n1", "n2"])
-        slog.commit_on("n1", inst("a"), {}, {})
-        slog.commit_on("n2", inst("b"), {}, {})
-        assert slog.total_entries() == 2
-
-
 class TestDistributedFigure1:
     """Figure 1's workflows distributed over three processors."""
 

@@ -78,12 +78,6 @@ class TestStructure:
         assert all(s.alerts == A for s in small_stg.loss_states())
         assert len(small_stg.loss_states()) == small_stg.recovery_buffer + 1
 
-    def test_states_of_category(self, small_stg):
-        normals = small_stg.states_of(StateCategory.NORMAL)
-        assert normals == [State(0, 0)]
-        scans = small_stg.states_of(StateCategory.SCAN)
-        assert all(s.alerts > 0 for s in scans)
-
     def test_initial_distribution_defaults_to_normal(self, small_stg):
         pi0 = small_stg.initial_distribution()
         chain = small_stg.ctmc()

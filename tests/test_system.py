@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core.strategies import RecoveryStrategy
-from repro.errors import RecoveryError
 from repro.scenarios.figure1 import build_figure1
 from repro.system import SelfHealingSystem, SystemState
+
+from tests.conftest import quiesce
 
 
 def make_system(**kwargs):
@@ -41,15 +42,13 @@ class TestStates:
         report = system.recovery_step()
         assert report is not None
         assert system.state is SystemState.NORMAL
-        assert system.heal_reports == [report]
 
     def test_run_to_quiescence_heals(self):
         sc, system = make_system()
         system.submit_alert(sc.malicious_uid)
-        assert system.run_to_quiescence() is SystemState.NORMAL
-        assert len(system.heal_reports) == 1
+        report = quiesce(system)
+        assert system.state is SystemState.NORMAL
         # The Figure 1 damage was actually repaired.
-        report = system.heal_reports[0]
         assert len(report.undone) == 7 and len(report.redone) == 5
 
 
@@ -70,13 +69,6 @@ class TestQueueLimits:
         assert system.scan_step() is None       # analyzer blocked
         assert system.state is SystemState.SCAN
         assert system.recovery_units_queued == 1
-
-    def test_quiescence_raises_on_blocked_analyzer(self):
-        sc, system = make_system(recovery_buffer=1)
-        system.submit_alert("wf1/t1#1")
-        system.submit_alert("wf1/t2#1")
-        with pytest.raises(RecoveryError, match="blocked"):
-            system.run_to_quiescence()
 
 
 class TestStrategies:
@@ -118,7 +110,8 @@ class TestNoAlerts:
 
     def test_quiescence_trivial_when_normal(self):
         __, system = make_system()
-        assert system.run_to_quiescence() is SystemState.NORMAL
+        assert quiesce(system) is None
+        assert system.state is SystemState.NORMAL
 
 
 def _chain_spec():
@@ -159,9 +152,9 @@ class TestManagerMode:
                                   y=999)
             manager.run_workflow_attacked(spec, campaign, f"v{wave}")
             assert system.submit_alert(campaign.malicious_uids[0])
-            assert system.run_to_quiescence() is SystemState.NORMAL
+            assert quiesce(system) is not None
+            assert system.state is SystemState.NORMAL
         assert manager.epoch == 3
-        assert len(system.heal_reports) == 3
         assert manager.audit().ok
         assert manager.store.read("z") == 4  # healed: (1 + 1) * 2
 
@@ -176,6 +169,6 @@ class TestManagerMode:
                                   y=777)
             manager.run_workflow_attacked(spec, campaign, f"n{wave}")
             system.submit_alert(campaign.malicious_uids[0])
-            system.run_to_quiescence()
+            quiesce(system)
         assert manager.epoch == 2
         assert manager.audit().ok

@@ -39,15 +39,9 @@ class TestTaskSpec:
     def test_default_compute_is_identity(self):
         t = TaskSpec("t", reads=["a"])
         assert t.run({"a": 5}) == {}
-        assert t.is_pure_router
 
     def test_identity_compute_writes_nothing(self):
         assert identity_compute({"x": 1}) == {}
-
-    def test_not_pure_router_with_writes(self):
-        t = TaskSpec("t", writes=["w"], compute=lambda d: {"w": 0})
-        assert not t.is_pure_router
-
 
 class TestTaskInstance:
     def test_uid_format(self):

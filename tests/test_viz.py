@@ -1,22 +1,34 @@
-"""Tests for DOT export and networkx adapters — including independent
-validation of our dominator analysis against networkx."""
+"""Tests for DOT export, and independent validation of our dominator
+analysis against networkx through a reference adapter."""
 
 import networkx as nx
-import pytest
 
 from repro.markov.stg import RecoverySTG
 from repro.scenarios.figure1 import build_figure1
 from repro.workflow.dependency import DependencyAnalyzer
 from repro.workflow.dominators import dominators, unavoidable_nodes
-from repro.workflow.spec import workflow
-from repro.workflow.viz import (
-    dependency_graph_to_dot,
-    dependency_graph_to_networkx,
-    heal_report_to_dot,
-    spec_to_dot,
-    spec_to_networkx,
-    stg_to_dot,
-)
+from repro.workflow.spec import WorkflowSpec, workflow
+from repro.workflow.viz import spec_to_dot, stg_to_dot
+
+
+def spec_to_networkx(spec: WorkflowSpec) -> nx.DiGraph:
+    """Reference adapter: the workflow graph ⟨V, E⟩ as a networkx
+    digraph.
+
+    Node attributes: ``reads``, ``writes`` (sorted lists), ``branch``
+    (bool).  Graph attribute ``workflow_id``.
+    """
+    g = nx.DiGraph(workflow_id=spec.workflow_id)
+    for task_id in spec.tasks:
+        task = spec.task(task_id)
+        g.add_node(
+            task_id,
+            reads=sorted(task.reads),
+            writes=sorted(task.writes),
+            branch=task_id in spec.branch_nodes,
+        )
+    g.add_edges_from(sorted(spec.edges))
+    return g
 
 
 class TestSpecExport:
@@ -74,54 +86,15 @@ class TestSpecExport:
             assert unavoidable_nodes(spec) == frozenset(on_all)
 
 
-class TestDependencyExport:
-    @pytest.fixture
-    def analyzed(self):
+class TestDependencyEdges:
+    def test_flow_edge_matches_analyzer(self):
         sc = build_figure1(attacked=True)
-        return sc, DependencyAnalyzer(sc.log, sc.specs_by_instance)
-
-    def test_networkx_edges_carry_kinds(self, analyzed):
-        sc, dep = analyzed
-        g = dependency_graph_to_networkx(dep)
-        kinds = {d["kind"] for _, __, d in g.edges(data=True)}
-        assert "flow" in kinds and "control" in kinds
-        assert g.number_of_nodes() == len(sc.log.normal_records())
-
-    def test_control_edges_optional(self, analyzed):
-        sc, dep = analyzed
-        g = dependency_graph_to_networkx(dep, include_control=False)
-        kinds = {d["kind"] for _, __, d in g.edges(data=True)}
-        assert "control" not in kinds
-        assert "flow" in kinds
-
-    def test_flow_edge_matches_analyzer(self, analyzed):
-        sc, dep = analyzed
-        g = dependency_graph_to_networkx(dep)
+        dep = DependencyAnalyzer(sc.log, sc.specs_by_instance)
         flow_edges = {
-            (u, v) for u, v, d in g.edges(data=True)
-            if d["kind"] == "flow"
+            (edge.src, edge.dst) for edge in dep.flow_dependents("wf1/t1#1")
         }
         assert ("wf1/t1#1", "wf1/t2#1") in flow_edges
         assert ("wf1/t1#1", "wf2/t8#1") in flow_edges
-
-    def test_dot_marks_malicious_and_infected(self, analyzed):
-        sc, dep = analyzed
-        dot = dependency_graph_to_dot(dep, malicious=[sc.malicious_uid])
-        assert "#ff8888" in dot   # malicious (B)
-        assert "#ffcc88" in dot   # infected (A)
-        assert '"wf1/t1#1"' in dot
-
-
-class TestHealReportExport:
-    def test_dispositions_rendered(self, figure1):
-        report = figure1.heal_now()
-        dot = heal_report_to_dot(report)
-        assert "(abandoned)" in dot
-        for color in ("#88cc88", "#88aaff", "#ffee88", "#ff8888"):
-            assert color in dot
-        # Settle order renders as a chain.
-        first, second = (s.uid for s in report.final_history[:2])
-        assert f'"{first}" -> "{second}";' in dot
 
 
 class TestSTGExport:

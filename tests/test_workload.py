@@ -81,14 +81,6 @@ class TestGeneration:
         for name, wfs in writers.items():
             assert len(wfs) == 1, (name, wfs)
 
-    def test_spec_named_lookup(self):
-        wl = gen().generate()
-        wid = wl.specs[0].workflow_id
-        assert wl.spec_named(wid) is wl.specs[0]
-        with pytest.raises(KeyError):
-            wl.spec_named("nope")
-
-
 class TestAttackSelection:
     def test_campaign_targets_requested_count(self):
         g = gen(7)
