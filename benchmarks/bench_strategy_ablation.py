@@ -9,16 +9,18 @@ guarantee.  This bench quantifies the trade on both axes:
   fraction of time normal tasks are inadmissible equals 1 − P(NORMAL)
   of the steady state, swept over attack rates; risk strategies never
   block.
-- **storage overhead** (empirical): versions retained by a
-  multi-version store serving pinned snapshot reads for the same
-  workload, relative to the live objects of a single-copy store.
+- **storage overhead** (empirical): versions a multi-version store
+  must retain for the same workload — every version of the versioned
+  store's history — relative to the live objects of a single-copy
+  store.
+
+The strategies themselves are an analytic table: strict correctness is
+the one the system runs.
 """
 
 from __future__ import annotations
 
 import random
-
-import pytest
 
 from repro.core.strategies import RecoveryStrategy
 from repro.markov.metrics import category_probabilities
@@ -27,7 +29,6 @@ from repro.markov.stg import RecoverySTG, StateCategory
 from repro.report.tables import Table
 from repro.sim.recovery_sim import run_pipeline
 from repro.sim.workload import WorkloadConfig, WorkloadGenerator
-from repro.workflow.data import MultiVersionDataStore
 
 LAMBDAS = [0.25, 0.5, 1.0, 2.0]
 
@@ -54,17 +55,11 @@ def storage_analysis(seed=0):
     workload = gen.generate()
     result = run_pipeline(workload, None, heal=False, seed=seed)
 
-    # Replay the same write history into a multi-version store, pinning
-    # every reader to its snapshot (what the strategy must retain).
-    mv = MultiVersionDataStore(workload.initial_data)
-    for record in result.log.normal_records():
-        for name in record.reads:
-            mv.pin(record.uid, name)
-        for name, _ver in sorted(record.writes.items()):
-            mv.write(name, result.store.version(
-                name, record.writes[name]).value, writer=record.uid)
-    single_copy_objects = len(list(result.store.names()))
-    return single_copy_objects, mv.storage_cost()
+    # A multi-version store keeps every version a reader may have
+    # pinned: the whole history the versioned store already records.
+    store = result.store
+    versions = sum(len(store.history(n)) for n in store.names())
+    return len(list(store.names())), versions
 
 
 def run_ablation():

@@ -43,7 +43,6 @@ from repro.workflow import (
     DependencyAnalyzer,
     Engine,
     LogRecord,
-    MultiVersionDataStore,
     PartialOrder,
     SystemLog,
     TaskInstance,
@@ -65,7 +64,6 @@ __all__ = [
     "TaskSpec",
     "TaskInstance",
     "DataStore",
-    "MultiVersionDataStore",
     "SystemLog",
     "LogRecord",
     "Engine",

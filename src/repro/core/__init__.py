@@ -3,11 +3,11 @@
 This package implements Section III (theories of recovery) and Section IV
 (the recovery system):
 
-- :mod:`repro.core.actions` — undo/redo/normal recovery actions;
+- :mod:`repro.core.actions` — undo/redo recovery actions;
 - :mod:`repro.core.undo_redo` — Theorem 1 (undo tasks) and Theorem 2
   (redo tasks), including the *candidate* sets resolved only after redos;
 - :mod:`repro.core.partial_orders` — Theorem 3 (orders among recovery
-  tasks) and Theorem 4 (orders between recovery and normal tasks);
+  tasks);
 - :mod:`repro.core.plan` — a schedulable recovery plan;
 - :mod:`repro.core.analyzer` — the recovery analyzer of Figure 2, turning
   IDS alerts into recovery plans;
@@ -15,8 +15,8 @@ This package implements Section III (theories of recovery) and Section IV
   resolves candidates by re-execution and repairs the store and log;
 - :mod:`repro.core.axioms` — Axiom 1 and the strict-correctness audit of
   Definition 2;
-- :mod:`repro.core.strategies` — the three recovery strategies of
-  Section III-D.
+- :mod:`repro.core.strategies` — the analytic table of the three
+  recovery strategies of Section III-D.
 """
 
 from repro.core.actions import Action, ActionKind
@@ -26,7 +26,6 @@ from repro.core.axioms import (
     audit_strict_correctness,
     generates_incorrect_data,
 )
-from repro.core.concurrent import StrategyOutcome, run_strategy
 from repro.core.epochs import EpochManager
 from repro.core.healer import HealReport, Healer
 from repro.core.partial_orders import recovery_partial_order
@@ -56,6 +55,4 @@ __all__ = [
     "generates_incorrect_data",
     "CorrectnessReport",
     "EpochManager",
-    "StrategyOutcome",
-    "run_strategy",
 ]

@@ -1,15 +1,13 @@
 """Recovery actions.
 
-Recovery manipulates three kinds of actions over task instances:
+Recovery manipulates two kinds of actions over task instances:
 
 - ``undo(t)`` — remove ``t``'s effects by restoring the last clean version
   of every object it wrote;
-- ``redo(t)`` — re-execute ``t``'s genuine code against the repaired store;
-- normal — an ordinary workflow task scheduled alongside recovery
-  (Theorem 4 constrains when it may run).
+- ``redo(t)`` — re-execute ``t``'s genuine code against the repaired store.
 
-Actions are hashable values; the partial orders of Theorems 3/4 are built
-over them.  Both types hash and compare in C (``Action`` is a named
+Actions are hashable values; the Theorem 3 partial order is built over
+them.  Both types hash and compare in C (``Action`` is a named
 tuple, ``ActionKind`` a ``str`` enum): damage analysis keys dictionaries
 and sets by actions hundreds of thousands of times per run.
 """
@@ -27,7 +25,6 @@ class ActionKind(str, Enum):
 
     UNDO = "undo"
     REDO = "redo"
-    NORMAL = "normal"
 
     __hash__ = str.__hash__
     __eq__ = str.__eq__
@@ -52,12 +49,5 @@ class Action(NamedTuple):
         """The action ``redo(uid)``."""
         return Action(ActionKind.REDO, uid)
 
-    @staticmethod
-    def normal(uid: str) -> "Action":
-        """An ordinary (non-recovery) execution of ``uid``."""
-        return Action(ActionKind.NORMAL, uid)
-
     def __str__(self) -> str:
-        if self.kind == ActionKind.NORMAL:
-            return self.uid
         return f"{self.kind.value}({self.uid})"

@@ -21,7 +21,6 @@ from dataclasses import replace
 from typing import (
     Callable,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import time as _time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,

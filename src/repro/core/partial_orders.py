@@ -1,9 +1,7 @@
-"""Theorem 3 and Theorem 4 — partial orders over recovery actions.
+"""Theorem 3 — the partial order over recovery actions.
 
-Theorem 3 constrains recovery actions against each other; Theorem 4
-constrains pending *normal* tasks against recovery actions (with
-single-copy data, a normal task touching recovered data must wait for the
-recovery of that data).  The rules, with ``→`` any data/control dependence:
+Theorem 3 constrains recovery actions against each other.  The rules,
+with ``→`` any data/control dependence:
 
 ========  =====================================================================
 Rule      Constraint
@@ -15,38 +13,31 @@ T3.4      ``t_i →a t_j`` ⇒ ``undo(t_j) ≺ redo(t_i)``
 T3.5      ``t_i →o t_j`` ⇒ ``undo(t_j) ≺ undo(t_i)``
 T3.6–10   dynamic control-path rules resolved during re-execution (the
           :class:`~repro.core.healer.Healer` enforces them operationally)
-T4.1      ``t_i →{f,a,o,c} t_j``, ``t_j`` normal ⇒
-          ``undo(t_i) ≺ redo(t_i) ≺ t_j``
-T4.2      ``t_i →c* t_k``, ``t_k →f* t_j``, ``t_k ∉ L ∪ N``, ``t_j`` normal
-          ⇒ ``undo(t_i) ≺ redo(t_i) ≺ t_j``
 ========  =====================================================================
 
-The static rules (T3.1–T3.5, T4.1–T4.2) are materialized here as edges of
-a :class:`~repro.workflow.precedence.PartialOrder` over
+The static rules (T3.1–T3.5) are materialized here as edges of a
+:class:`~repro.workflow.precedence.PartialOrder` over
 :class:`~repro.core.actions.Action` values.  Rules T3.6–T3.10 talk about
 ``succ(redo(t_i))`` — facts that only exist once redos execute — and are
 enforced (and audited) dynamically by the healer.
+
+Theorem 4 (normal tasks wait behind recovery of the data they touch) is
+not materialized as edges: under strict correctness no normal task runs
+until every reported alert is analysed and repaired, which
+:meth:`~repro.system.SelfHealingSystem.normal_task_admissible` enforces
+as one gate over the SCAN and RECOVERY states.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Iterable, List, Optional, Tuple
 
 from repro.core.actions import Action
 from repro.obs.events import OrderConstraint
 from repro.workflow.dependency import DependencyAnalyzer
 from repro.workflow.precedence import PartialOrder
 
-__all__ = ["recovery_partial_order", "normal_task_constraints"]
+__all__ = ["recovery_partial_order"]
 
 
 def recovery_partial_order(
@@ -134,71 +125,3 @@ def recovery_partial_order(
     order.add_edges(edges)
     return order
 
-
-def normal_task_constraints(
-    analyzer: DependencyAnalyzer,
-    undo_set: Iterable[str],
-    redo_set: Iterable[str],
-    normal_tasks: Mapping[str, Tuple[FrozenSet[str], FrozenSet[str]]],
-    order: Optional[PartialOrder[Action]] = None,
-    trace: Optional[List[OrderConstraint]] = None,
-) -> PartialOrder[Action]:
-    """Add Theorem 4 edges for pending normal tasks.
-
-    Parameters
-    ----------
-    analyzer:
-        Dependency analyzer over the system log.
-    undo_set, redo_set:
-        As in :func:`recovery_partial_order`.
-    normal_tasks:
-        Pending (not yet executed) normal tasks: mapping
-        ``uid → (read set, write set)`` of *data object names*.
-    order:
-        Order to extend; a fresh Theorem 3 order is built when omitted.
-    trace:
-        Optional provenance sink: one
-        :class:`~repro.obs.events.OrderConstraint` (rule ``"T4.1"``)
-        per edge gating a normal task behind recovery.
-
-    Notes
-    -----
-    A pending normal task has no log record, so its dependences on
-    recovered tasks are judged from object names: it conflicts with a
-    recovered instance when it reads an object that instance wrote
-    (flow), writes an object that instance read (anti), or writes an
-    object that instance wrote (output).  Each conflict yields
-    ``undo(t_i) ≺ redo(t_i) ≺ t_j`` (rule T4.1); when ``t_i`` is undone
-    but not redone, the normal task waits for the undo.
-    """
-    undos = frozenset(undo_set)
-    redos = frozenset(redo_set)
-    if order is None:
-        order = recovery_partial_order(analyzer, undos, redos, trace=trace)
-
-    def add_edge(before: Action, after: Action) -> None:
-        order.add_edge(before, after)
-        if trace is not None:
-            trace.append(OrderConstraint(
-                0.0, rule="T4.1", before=str(before), after=str(after),
-            ))
-
-    for norm_uid, (reads, writes) in sorted(normal_tasks.items()):
-        normal_action = Action.normal(norm_uid)
-        order.add_element(normal_action)
-        for uid in sorted(undos | redos):
-            record = analyzer.record(uid)
-            rec_reads = set(record.reads)
-            rec_writes = set(record.writes)
-            conflict = (
-                bool(rec_writes & set(reads))    # flow into the normal task
-                or bool(rec_reads & set(writes))  # anti
-                or bool(rec_writes & set(writes))  # output
-            )
-            if not conflict:
-                continue
-            if uid in undos:
-                add_edge(Action.undo(uid), normal_action)
-            if uid in redos:
-                add_edge(Action.redo(uid), normal_action)
-    return order

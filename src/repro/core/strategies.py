@@ -1,4 +1,4 @@
-"""The three recovery strategies of Section III-D.
+"""The three recovery strategies of Section III-D, as an analytic table.
 
 The paper weighs correctness against concurrency:
 
@@ -13,11 +13,10 @@ The paper weighs correctness against concurrency:
    recovery stays correct; normal tasks executed on stale snapshots may
    later need repair, and every object pays a version-storage cost.
 
-The enum is consumed by :class:`~repro.system.SelfHealingSystem` (whether
-normal tasks wait during scan and recovery), by the conformance monitor
-and health configuration (which property pack to check, also per fleet
-tenant), by the Theorem 4 executor of :mod:`repro.core.concurrent`, and
-by the strategy-ablation benchmark.
+Only strict correctness is built: :class:`~repro.system.SelfHealingSystem`
+refuses normal tasks during SCAN and RECOVERY, and the conformance
+monitor checks the strict Definition 2 pack.  The enum records the
+paper's trade-offs for the strategy-ablation benchmark.
 """
 
 from __future__ import annotations
@@ -28,20 +27,11 @@ __all__ = ["RecoveryStrategy"]
 
 
 class RecoveryStrategy(str, Enum):
-    """Which concurrency/correctness trade-off the system runs with."""
+    """One of the paper's concurrency/correctness trade-offs."""
 
     STRICT = "strict"
     RISK_ALL = "risk_all"
     RISK_NORMAL_ONLY = "risk_normal_only"
-
-    @property
-    def blocks_normal_tasks(self) -> bool:
-        """Must normal tasks wait for damage analysis to finish?
-
-        Only strict correctness blocks them; both risk strategies trade
-        that wait for potential re-repair work.
-        """
-        return self is RecoveryStrategy.STRICT
 
     @property
     def recovery_guaranteed_terminating(self) -> bool:
@@ -54,28 +44,6 @@ class RecoveryStrategy(str, Enum):
         return self is not RecoveryStrategy.RISK_ALL
 
     @property
-    def requires_multiversion_store(self) -> bool:
-        """Does the strategy need multi-version data objects?"""
-        return self is RecoveryStrategy.RISK_NORMAL_ONLY
-
-    @property
     def recovery_stays_correct(self) -> bool:
         """Can recovery tasks themselves be corrupted mid-recovery?"""
         return self is not RecoveryStrategy.RISK_ALL
-
-    def describe(self) -> str:
-        """One-line description used in reports."""
-        return {
-            RecoveryStrategy.STRICT: (
-                "strict correctness: delay normal tasks during damage "
-                "analysis; recovery correct and terminating"
-            ),
-            RecoveryStrategy.RISK_ALL: (
-                "full concurrency: both recovery and normal tasks risk "
-                "corruption; termination not guaranteed"
-            ),
-            RecoveryStrategy.RISK_NORMAL_ONLY: (
-                "multi-version concurrency: recovery stays correct, "
-                "normal tasks risk repair, extra storage per version"
-            ),
-        }[self]

@@ -23,7 +23,7 @@ bad ``t_j`` but still on the re-executed path (candidates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.obs.events import RedoDecision, UndoDecision

@@ -598,7 +598,6 @@ class FleetControlPlane:
             heals=shard.heals,
             audits_ok=shard.audits_ok,
             latencies=tuple(shard.latencies),
-            strategy=shard.profile.strategy.value,
         )
 
     def health(self) -> FleetHealth:

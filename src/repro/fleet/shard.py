@@ -92,7 +92,7 @@ class TenantShard:
         )
         self.monitor = HealthMonitor(
             prediction_for(profile),
-            config=profile.effective_health_config(),
+            config=profile.health_config,
         ).attach(self.bus)
         self._rng = random.Random(seed)
         self._next_arrival = (

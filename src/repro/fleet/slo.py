@@ -56,16 +56,11 @@ class TenantVerdict:
     heals: int = 0
     audits_ok: bool = True
     latencies: Tuple[float, ...] = ()
-    #: The Section III-D strategy whose conformance property pack
-    #: judged this tenant (``"strict"`` unless the tenant profile
-    #: selected otherwise) — the fleet rollup surfaces it so mixed
-    #: fleets stay auditable per tenant.
-    strategy: str = "strict"
 
     @property
     def conformance(self) -> SloState:
         """The tenant's LTLf strict-correctness SLO state (OK when the
-        tenant's monitor ran without the conformance SLO)."""
+        report carries no conformance SLO state)."""
         for name, value in self.report.slo_states:
             if name == "conformance":
                 return SloState(value)
@@ -76,7 +71,6 @@ class TenantVerdict:
         return {
             "tenant": self.tenant,
             "verdict": self.verdict.value,
-            "strategy": self.strategy,
             "conformance": self.conformance.value,
             "violations": self.report.violations,
             "attacks": self.attacks,
@@ -113,15 +107,6 @@ class FleetHealth:
         return counts
 
     @property
-    def by_strategy(self) -> Dict[str, int]:
-        """Tenant count per conformance strategy — how many tenants
-        are judged by the strict pack vs a relaxed one."""
-        counts: Dict[str, int] = {}
-        for t in self.tenants:
-            counts[t.strategy] = counts.get(t.strategy, 0) + 1
-        return dict(sorted(counts.items()))
-
-    @property
     def merged(self) -> ConformanceReport:
         """All tenants' conformance counts merged into one report."""
         return merge_conformance([t.report for t in self.tenants])
@@ -153,7 +138,6 @@ class FleetHealth:
             "tenants": len(self.tenants),
             "verdict": self.verdict.value,
             "by_state": self.by_state,
-            "by_strategy": self.by_strategy,
             "alerts": self.merged.arrivals,
             "losses": self.merged.losses,
             "loss_fraction": self.merged.loss_fraction,

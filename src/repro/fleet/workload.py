@@ -17,10 +17,9 @@ archetypes performs four solves, not ten thousand.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.strategies import RecoveryStrategy
 from repro.errors import FleetError
 from repro.ids.attacks import AttackCampaign
 from repro.obs.health import HealthConfig, ModelPrediction
@@ -121,28 +120,6 @@ class TenantProfile:
     alert_buffer: int = 8
     recovery_buffer: int = 8
     health_config: Optional[HealthConfig] = None
-    #: The tenant's Section III-D concurrency strategy.  Selects the
-    #: conformance property pack its health monitor runs
-    #: (:func:`repro.obs.monitor.strict_property_pack`): a
-    #: ``RISK_NORMAL_ONLY`` tenant is not judged against
-    #: ``task-within-heal``, which multi-version re-repairs
-    #: legitimately break.  Surfaced per tenant in the fleet rollup.
-    strategy: RecoveryStrategy = RecoveryStrategy.STRICT
-
-    def effective_health_config(self) -> Optional[HealthConfig]:
-        """The health config the tenant's monitor should run with.
-
-        A non-strict :attr:`strategy` is authoritative: it is stamped
-        onto the (possibly default) health config so the conformance
-        monitor picks the matching property pack.  With the default
-        ``STRICT`` strategy the explicit :attr:`health_config` passes
-        through untouched (including any strategy *it* selects).
-        """
-        if self.strategy is RecoveryStrategy.STRICT:
-            return self.health_config
-        base = (self.health_config if self.health_config is not None
-                else HealthConfig())
-        return replace(base, strategy=self.strategy)
 
     def queueing_config(self) -> FullStackConfig:
         """This profile's knobs as a full-stack queueing config (the

@@ -46,7 +46,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.actions import Action, ActionKind
+from repro.core.actions import Action
 from repro.core.plan import RecoveryPlan
 from repro.lint.diagnostics import Diagnostic, RULES
 from repro.obs.recorder import FlightLog

@@ -23,7 +23,7 @@ rate about 5 time-units").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.markov.degradation import RateFunction
 from repro.markov.metrics import loss_probability

@@ -16,10 +16,10 @@ the relative metric change for one extra slot instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.errors import ModelError
-from repro.markov.degradation import RateFunction, power_law
+from repro.markov.degradation import power_law
 from repro.markov.metrics import (
     category_probabilities,
     loss_probability,

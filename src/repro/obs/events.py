@@ -238,12 +238,12 @@ class RedoDecision(ObsEvent):
 
 @dataclass(frozen=True)
 class OrderConstraint(ObsEvent):
-    """One Theorem 3/4 edge materialized into a recovery partial order.
+    """One Theorem 3 edge materialized into a recovery partial order.
 
-    ``rule`` is the clause tag (``"T3.1"``–``"T3.5"``, ``"T4.1"``,
-    ``"T4.2"``, or ``"XU"`` for a cross-unit FIFO constraint against an
-    already-queued recovery unit); ``before``/``after`` are the action
-    strings (``"undo(wf1/t2#1)"``) the edge orders.
+    ``rule`` is the clause tag (``"T3.1"``–``"T3.5"``, or ``"XU"`` for a
+    cross-unit FIFO constraint against an already-queued recovery
+    unit); ``before``/``after`` are the action strings
+    (``"undo(wf1/t2#1)"``) the edge orders.
     """
 
     rule: str

@@ -42,7 +42,6 @@ from typing import (
     Tuple,
 )
 
-from repro.core.strategies import RecoveryStrategy
 from repro.errors import ObsError
 from repro.obs.events import (
     ActionDispatched,
@@ -357,19 +356,6 @@ class HealthConfig:
     gtest_alpha: float = 1e-4
     gtest_every: int = 64
     gtest_min_count: int = 200
-    #: Run the LTLf strict-correctness monitor
-    #: (:class:`repro.obs.monitor.ConformanceMonitor`) and surface its
-    #: verdict as the ``conformance`` SLO.  On by default — the monitor
-    #: is cheap (a handful of automaton steps per event) and silent on
-    #: honest runs.
-    conformance: bool = True
-    #: Which Section III-D strategy's property pack the conformance
-    #: monitor runs (:func:`repro.obs.monitor.strict_property_pack`):
-    #: ``RISK_NORMAL_ONLY`` relaxes ``task-within-heal``, whose heal
-    #: bracketing multi-version re-repairs legitimately break.  The
-    #: fleet selects this per tenant via the tenant profile's health
-    #: config.
-    strategy: RecoveryStrategy = RecoveryStrategy.STRICT
 
     def resolved_loss_objective(self, prediction: ModelPrediction) -> float:
         """The loss SLO target: explicit when set, else three times the
@@ -502,19 +488,16 @@ class HealthMonitor:
                 min_samples=0,
             )),
         }
-        #: LTLf strict-correctness monitor (None when disabled).
-        self.conformance: Optional[ConformanceMonitor] = (
-            ConformanceMonitor(strategy=cfg.strategy)
-            if cfg.conformance else None
-        )
-        if self.conformance is not None:
-            self.slos["conformance"] = Slo(SloSpec(
-                name="conformance",
-                objective=0.0,
-                description=("LTLf strict-correctness violations over "
-                             "the event stream (Definition 2)"),
-                min_samples=0,
-            ))
+        #: LTLf strict-correctness monitor — cheap (a handful of
+        #: automaton steps per event) and silent on honest runs.
+        self.conformance = ConformanceMonitor()
+        self.slos["conformance"] = Slo(SloSpec(
+            name="conformance",
+            objective=0.0,
+            description=("LTLf strict-correctness violations over "
+                         "the event stream (Definition 2)"),
+            min_samples=0,
+        ))
 
         #: Every SloTransition / DriftDetected this monitor produced,
         #: in order — the verdict history replay compares against.
@@ -573,8 +556,7 @@ class HealthMonitor:
         """
         if event.time > self.now:
             self.now = event.time
-        if (self.conformance is not None
-                and isinstance(event, ConformanceMonitor.CONSUMES)):
+        if isinstance(event, ConformanceMonitor.CONSUMES):
             self._conformance_step(
                 event.time, self.conformance.consume(event)
             )
@@ -601,11 +583,8 @@ class HealthMonitor:
 
     def finalize(self, time: Optional[float] = None) -> None:
         """Close the monitored trace: unresolved LTLf obligations become
-        ``finally-violated`` conformance violations (idempotent; no-op
-        when conformance monitoring is disabled).  Call at end of run —
-        mid-run verdicts never depend on it."""
-        if self.conformance is None:
-            return
+        ``finally-violated`` conformance violations (idempotent).  Call
+        at end of run — mid-run verdicts never depend on it."""
         stamp = self.now if time is None else time
         self._conformance_step(stamp, self.conformance.finalize(stamp))
 
@@ -626,8 +605,6 @@ class HealthMonitor:
         # statistical excursion), zero violations is OK.  No WARN band,
         # so adding the SLO cannot perturb fleet scheduling or watch
         # exit codes on honest runs.
-        if self.conformance is None:
-            return
         value = float(self.conformance.violation_count)
         slo = self.slos["conformance"]
         self._transition_slo(
@@ -883,8 +860,7 @@ class HealthMonitor:
             "slos": {name: slo.as_dict()
                      for name, slo in sorted(self.slos.items())},
             "drifts": [d.to_dict() for d in self.drifts],
-            "conformance": (self.conformance.summary()
-                            if self.conformance is not None else None),
+            "conformance": self.conformance.summary(),
             "prediction": self.prediction.as_dict(),
         }
 
@@ -909,8 +885,7 @@ class HealthMonitor:
                 (d.detector, d.time, d.statistic, d.signal)
                 for d in self.drifts
             ),
-            violations=(self.conformance.violation_count
-                        if self.conformance is not None else 0),
+            violations=self.conformance.violation_count,
         )
 
 

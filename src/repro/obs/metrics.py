@@ -24,7 +24,6 @@ from repro.obs.events import (
     AlertLost,
     EventBus,
     HealFinished,
-    HealStarted,
     NormalTaskRefused,
     ObsEvent,
     QueueItemDropped,

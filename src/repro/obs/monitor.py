@@ -33,7 +33,7 @@ Three layers:
 
 2. **The Definition 2 property pack** (:func:`strict_property_pack`) —
    heal-bracket alternation, per-task undo/redo lifecycle obligations,
-   Theorem 3/4 dispatch-order consistency, claimed-vs-decided blast
+   Theorem 3 dispatch-order consistency, claimed-vs-decided blast
    radius, and the normal-service gate, each a :class:`LtlProperty` or
    a parametric :class:`SlicedLtlProperty` (one automaton per task uid
    or per order edge — classic trace slicing).
@@ -95,7 +95,6 @@ from typing import (
     Tuple,
 )
 
-from repro.core.strategies import RecoveryStrategy
 from repro.obs.events import (
     ActionDispatched,
     ConformanceViolation,
@@ -1054,9 +1053,7 @@ class _OrderConsistency(SlicedLtlProperty):
         return (), ()
 
 
-def strict_property_pack(
-    strategy: RecoveryStrategy = RecoveryStrategy.STRICT,
-) -> List[Any]:
+def strict_property_pack() -> List[Any]:
     """The Definition 2 property pack (one fresh instance per monitor).
 
     ==========================  ============================================
@@ -1069,26 +1066,16 @@ def strict_property_pack(
     undo-completeness           per decided uid: ``F undone``
     redo-follow-through         per T2.1 uid: ``F (redone ∨ abandoned)``
     undo-before-redo            per uid: ``¬redo W undone``
-    order-consistency           per T3/T4/XU edge: ``G ¬after ∨
+    order-consistency           per T3/XU edge: ``G ¬after ∨
                                 F(before ∧ F after)``
     claim-consistency           per scan window: ``G ¬missing ∧
                                 G ¬unjustified``
     ==========================  ============================================
 
-    The pack is parameterized by the operational
-    :class:`~repro.core.strategies.RecoveryStrategy` (Section III-D).
-    Under ``RISK_NORMAL_ONLY`` the multi-version store lets normal
-    tasks run during damage analysis, and tasks executed on stale
-    snapshots are legitimately re-repaired *outside* the heal bracket
-    that planned them — so ``task-within-heal`` (whose atoms cannot
-    tell a bracketed repair from a later multi-version re-repair) is
-    relaxed out of the pack.  Every other Definition 2 obligation —
-    bracket alternation, per-uid lifecycle, dispatch order, claim
-    consistency — still holds verbatim, because recovery itself stays
-    correct under that strategy.  ``STRICT`` and ``RISK_ALL`` run the
-    full pack.
+    Strict correctness is the one Section III-D strategy the system
+    runs, so every monitor checks all eight properties.
     """
-    pack: List[Any] = [
+    return [
         _heal_alternation(),
         _task_within_heal(),
         _normal_refusal(),
@@ -1098,9 +1085,6 @@ def strict_property_pack(
         _OrderConsistency(),
         ClaimConsistencyProperty(),
     ]
-    if strategy is RecoveryStrategy.RISK_NORMAL_ONLY:
-        pack = [p for p in pack if p.name != "task-within-heal"]
-    return pack
 
 
 # --------------------------------------------------------------------------
@@ -1136,13 +1120,8 @@ class ConformanceMonitor:
         ActionDispatched, UnitEmitted,
     )
 
-    def __init__(
-        self, strategy: RecoveryStrategy = RecoveryStrategy.STRICT,
-    ) -> None:
-        #: The operational strategy whose property pack this monitor
-        #: runs (see :func:`strict_property_pack`).
-        self.strategy = strategy
-        self.properties = strict_property_pack(strategy)
+    def __init__(self) -> None:
+        self.properties = strict_property_pack()
         self.violations: List[ConformanceViolation] = []
         self.now = 0.0
         self.events_seen = 0
@@ -1232,7 +1211,6 @@ class ConformanceMonitor:
             if slices is not None:
                 pending += len(slices)
         return {
-            "strategy": self.strategy.value,
             "violations": self.violation_count,
             "by_property": dict(sorted(by_property.items())),
             "pending_obligations": pending,
@@ -1243,7 +1221,6 @@ class ConformanceMonitor:
 
 def replay_conformance(
     events: Sequence[ObsEvent], finalize: bool = True,
-    strategy: RecoveryStrategy = RecoveryStrategy.STRICT,
 ) -> ConformanceMonitor:
     """Re-derive conformance verdicts offline from recorded events.
 
@@ -1254,11 +1231,9 @@ def replay_conformance(
     optionally finalizes.  Because the monitor is a pure function of
     the event sequence, the replayed violation stream equals the online
     one exactly — compare :attr:`ConformanceMonitor.violations` against
-    the recorded events to pin replay identity.  Replay with the same
-    ``strategy`` the run was monitored under, or the property packs
-    (and hence the verdicts) differ by construction.
+    the recorded events to pin replay identity.
     """
-    monitor = ConformanceMonitor(strategy=strategy)
+    monitor = ConformanceMonitor()
     for event in events:
         if isinstance(event, ConformanceViolation):
             continue

@@ -29,14 +29,12 @@ from repro.errors import ObsError
 from repro.obs.events import (
     ActionDispatched,
     AlertEnqueued,
-    AlertLost,
     DriftDetected,
     HealFinished,
     HealStarted,
     ObsEvent,
     OrderConstraint,
     RedoDecision,
-    ScanStep,
     SloTransition,
     StateTransition,
     TaskRedone,

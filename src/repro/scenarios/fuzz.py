@@ -471,14 +471,13 @@ def _run_single_episode(campaign: CampaignSpec) -> _EpisodeResult:
     # byte-compare covers them and offline replay re-derives them.
     monitor.finalize()
     conformance = monitor.conformance
-    if conformance is not None:
-        for v in conformance.violations:
-            instance = f" [{v.instance}]" if v.instance else ""
-            violations.append(Violation(
-                "conformance",
-                f"{v.property}{instance} {v.verdict} at t={v.time:g}: "
-                f"{v.detail}",
-            ))
+    for v in conformance.violations:
+        instance = f" [{v.instance}]" if v.instance else ""
+        violations.append(Violation(
+            "conformance",
+            f"{v.property}{instance} {v.verdict} at t={v.time:g}: "
+            f"{v.detail}",
+        ))
     flight.close()
     return _EpisodeResult(
         violations=violations,
@@ -487,9 +486,7 @@ def _run_single_episode(campaign: CampaignSpec) -> _EpisodeResult:
         alerts=alerts,
         flight_text=flight.text(),
         verdict=monitor.verdict,
-        conformance_violations=(
-            conformance.violation_count if conformance is not None else 0
-        ),
+        conformance_violations=conformance.violation_count,
     )
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.actions import Action
 from repro.core.analyzer import RecoveryAnalyzer
@@ -47,7 +47,6 @@ from repro.errors import GenerationError
 from repro.sim.workload import Workload, WorkloadConfig, WorkloadGenerator
 from repro.workflow.log import SystemLog
 from repro.workflow.precedence import PartialOrder
-from repro.workflow.spec import WorkflowSpec
 
 __all__ = [
     "CAMPAIGN_FORMAT",

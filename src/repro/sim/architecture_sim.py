@@ -30,7 +30,6 @@ architectural description and its Markov model disagree.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.errors import SimulationError

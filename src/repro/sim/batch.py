@@ -50,7 +50,16 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Generic,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -76,6 +85,9 @@ __all__ = [
     "run_gillespie_batch",
     "run_fullstack_batch",
 ]
+
+#: The per-replication result type a batch merges.
+R = TypeVar("R")
 
 
 class ParallelSlowdownWarning(UserWarning):
@@ -283,14 +295,14 @@ def _mean_and_stderr(values: Sequence[float]) -> Tuple[float, float]:
 
 
 @dataclass
-class GillespieBatchResult:
-    """Merged statistics over ``n`` independent Gillespie replications.
+class _BatchResult(Generic[R]):
+    """What both batch kinds share: the merged replications and the
+    fan-out accounting of the run that produced them.
 
     Attributes
     ----------
     results:
-        Per-replication :class:`~repro.sim.ctmc_sim.GillespieResult`,
-        in replication order.
+        Per-replication results, in replication order.
     seeds:
         The per-replication seed stream actually used.
     horizon, workers:
@@ -306,7 +318,7 @@ class GillespieBatchResult:
         inline runs.
     """
 
-    results: List[GillespieResult]
+    results: List[R]
     seeds: List[int]
     horizon: float
     workers: int
@@ -336,16 +348,6 @@ class GillespieBatchResult:
                 and self.speedup < 1.0)
 
     @property
-    def occupancy(self) -> Dict[State, float]:
-        """Mean fraction of time per state across replications."""
-        merged: Dict[State, float] = {}
-        for r in self.results:
-            for s, frac in r.occupancy.items():
-                merged[s] = merged.get(s, 0.0) + frac
-        n = len(self.results)
-        return {s: v / n for s, v in merged.items()}
-
-    @property
     def category_occupancy(self) -> Dict[StateCategory, float]:
         """Mean fraction of time in NORMAL / SCAN / RECOVERY."""
         merged = {c: 0.0 for c in StateCategory}
@@ -354,6 +356,36 @@ class GillespieBatchResult:
                 merged[c] += frac
         n = len(self.results)
         return {c: v / n for c, v in merged.items()}
+
+    @property
+    def conformance(self) -> Optional[ConformanceReport]:
+        """Merged per-replication conformance verdict (``None`` when
+        the batch ran without health monitoring).
+
+        The merge is order-independent (sums and max-severity only),
+        so the verdict is identical at any worker count — the same
+        invariance the raw results already guarantee.
+        """
+        reports = [r.conformance for r in self.results
+                   if r.conformance is not None]
+        if not reports:
+            return None
+        return merge_conformance(reports)
+
+
+class GillespieBatchResult(_BatchResult[GillespieResult]):
+    """Merged statistics over ``n`` independent Gillespie replications
+    (:class:`~repro.sim.ctmc_sim.GillespieResult` each)."""
+
+    @property
+    def occupancy(self) -> Dict[State, float]:
+        """Mean fraction of time per state across replications."""
+        merged: Dict[State, float] = {}
+        for r in self.results:
+            for s, frac in r.occupancy.items():
+                merged[s] = merged.get(s, 0.0) + frac
+        n = len(self.results)
+        return {s: v / n for s, v in merged.items()}
 
     @property
     def loss_time_fraction(self) -> float:
@@ -392,68 +424,10 @@ class GillespieBatchResult:
             return 0.0
         return self.arrivals_lost / self.arrivals
 
-    @property
-    def conformance(self) -> Optional[ConformanceReport]:
-        """Merged per-replication conformance verdict (``None`` when
-        the batch ran without health monitoring).
 
-        The merge is order-independent (sums and max-severity only),
-        so the verdict is identical at any worker count — the same
-        invariance the raw results already guarantee.
-        """
-        reports = [r.conformance for r in self.results
-                   if r.conformance is not None]
-        if not reports:
-            return None
-        return merge_conformance(reports)
-
-
-@dataclass
-class FullStackBatchResult:
-    """Merged statistics over ``n`` full-stack replications.
-
-    Carries the same fan-out accounting as
-    :class:`GillespieBatchResult`: ``wall_times`` / ``elapsed`` /
-    ``fan_out_overhead`` and the ``speedup`` / ``speedup_lt_1``
-    verdict."""
-
-    results: List[FullStackResult]
-    seeds: List[int]
-    horizon: float
-    workers: int
-    wall_times: List[float] = field(default_factory=list)
-    elapsed: float = 0.0
-    fan_out_overhead: float = 0.0
-
-    @property
-    def replications(self) -> int:
-        """Number of replications merged."""
-        return len(self.results)
-
-    @property
-    def speedup(self) -> float:
-        """In-worker compute seconds over whole-batch elapsed seconds
-        (see :attr:`GillespieBatchResult.speedup`)."""
-        if self.elapsed <= 0:
-            return 0.0
-        return sum(self.wall_times) / self.elapsed
-
-    @property
-    def speedup_lt_1(self) -> bool:
-        """True when a pooled run was slower than its own serial
-        work."""
-        return (self.workers > 1 and bool(self.wall_times)
-                and self.speedup < 1.0)
-
-    @property
-    def category_occupancy(self) -> Dict[StateCategory, float]:
-        """Mean fraction of time in NORMAL / SCAN / RECOVERY."""
-        merged = {c: 0.0 for c in StateCategory}
-        for r in self.results:
-            for c, frac in r.category_occupancy.items():
-                merged[c] += frac
-        n = len(self.results)
-        return {c: v / n for c, v in merged.items()}
+class FullStackBatchResult(_BatchResult[FullStackResult]):
+    """Merged statistics over ``n`` full-stack replications
+    (:class:`~repro.sim.fullstack.FullStackResult` each)."""
 
     @property
     def attacks(self) -> int:
@@ -487,17 +461,6 @@ class FullStackBatchResult:
         """True only if **every** replication stayed strictly
         correct."""
         return all(r.all_heals_audited_ok for r in self.results)
-
-    @property
-    def conformance(self) -> Optional[ConformanceReport]:
-        """Merged per-replication conformance verdict (``None`` when
-        the batch ran without health monitoring); order-independent,
-        hence worker-count invariant."""
-        reports = [r.conformance for r in self.results
-                   if r.conformance is not None]
-        if not reports:
-            return None
-        return merge_conformance(reports)
 
 
 def run_gillespie_batch(

@@ -15,7 +15,7 @@ execution (and every recovery re-execution) is reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.ids.attacks import AttackCampaign

@@ -18,8 +18,9 @@ Semantics faithfully modeled:
   refuse to run) and the alert queue fills; once it is also full,
   further alerts are **lost** (Section IV-E) — the loss the CTMC's
   Definition 3 measures;
-- under the strict-correctness strategy, normal-task submission is
-  refused while damage analysis is incomplete (Theorem 4's consequence:
+- normal-task submission is refused while damage analysis is
+  incomplete — strict correctness, the only Section III-D strategy the
+  system runs (Theorem 4's consequence:
   "we cannot run any normal task until all malicious tasks reported by
   the IDS have been processed").
 
@@ -42,7 +43,6 @@ from repro.core.analyzer import RecoveryAnalyzer
 from repro.core.epochs import EpochManager
 from repro.core.healer import HealReport
 from repro.core.plan import RecoveryPlan
-from repro.core.strategies import RecoveryStrategy
 from repro.errors import RecoveryError
 from repro.ids.alerts import Alert, BoundedQueue
 from repro.obs.events import (
@@ -83,9 +83,6 @@ class SelfHealingSystem:
     recovery_buffer:
         Capacity of the recovery-task queue (the performance-critical
         buffer of Section IV-E).
-    strategy:
-        Concurrency strategy (Section III-D); only ``STRICT`` changes
-        behaviour here (normal-task gating).
     bus:
         Optional :class:`repro.obs.events.EventBus`; when attached, the
         system publishes typed events (alert enqueued/lost, scan steps,
@@ -120,7 +117,6 @@ class SelfHealingSystem:
         manager: EpochManager,
         alert_buffer: int = 15,
         recovery_buffer: int = 15,
-        strategy: RecoveryStrategy = RecoveryStrategy.STRICT,
         bus: Optional[EventBus] = None,
         clock: Optional[Callable[[], float]] = None,
         verify: bool = False,
@@ -129,7 +125,6 @@ class SelfHealingSystem:
         self._manager = manager
         self._alerts: BoundedQueue[Alert] = BoundedQueue(alert_buffer)
         self._plans: BoundedQueue[RecoveryPlan] = BoundedQueue(recovery_buffer)
-        self._strategy = strategy
         self._bus = bus
         self._clock = clock if clock is not None else _time.monotonic  # lint: allow[DET001] injectable clock; wall time is the live default
         # The queues publish their own typed drop events, so rejections
@@ -177,11 +172,6 @@ class SelfHealingSystem:
     def alerts_lost(self) -> int:
         """Alerts rejected because the alert queue was full."""
         return self._alerts.lost
-
-    @property
-    def strategy(self) -> RecoveryStrategy:
-        """The configured concurrency strategy."""
-        return self._strategy
 
     @property
     def alert_queue(self) -> BoundedQueue:
@@ -370,11 +360,8 @@ class SelfHealingSystem:
         """May a normal task run right now?
 
         Under strict correctness, normal tasks wait whenever damage
-        analysis or repair is in progress; the risk strategies admit
-        them always (accepting possible later repair).
+        analysis or repair is in progress (SCAN or RECOVERY).
         """
-        if not self._strategy.blocks_normal_tasks:
-            return True
         admissible = self.state is SystemState.NORMAL
         if not admissible and self._bus is not None and self._bus.active:
             self._bus.publish(NormalTaskRefused(

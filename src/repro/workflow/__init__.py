@@ -11,8 +11,7 @@ Public API
   :class:`~repro.workflow.task.TaskInstance`
 - :class:`~repro.workflow.spec.WorkflowSpec` and the
   :func:`~repro.workflow.spec.workflow` builder
-- :class:`~repro.workflow.data.DataStore`,
-  :class:`~repro.workflow.data.MultiVersionDataStore`
+- :class:`~repro.workflow.data.DataStore`
 - :class:`~repro.workflow.log.SystemLog`, :class:`~repro.workflow.log.LogRecord`
 - :class:`~repro.workflow.engine.WorkflowRun`,
   :class:`~repro.workflow.engine.Engine`
@@ -21,7 +20,7 @@ Public API
   dependencies (Definition 1 and Section II-D)
 """
 
-from repro.workflow.data import DataStore, MultiVersionDataStore, Version
+from repro.workflow.data import DataStore, Version
 from repro.workflow.dependency import (
     ControlDependencies,
     DependencyAnalyzer,
@@ -49,7 +48,6 @@ __all__ = [
     "WorkflowSpec",
     "workflow",
     "DataStore",
-    "MultiVersionDataStore",
     "Version",
     "SystemLog",
     "LogRecord",

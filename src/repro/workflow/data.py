@@ -1,26 +1,21 @@
-"""Versioned data stores.
+"""The versioned data store.
 
 The recovery theory assumes ``undo(t)`` can be implemented "by reading the
 last version of the data objects before the attack from the log of the
 workflow management system" (Section III-A).  We therefore keep a full
-version history per data object.  Two store flavours exist:
-
-- :class:`DataStore` — every object has *one current copy* (the assumption
-  behind Theorem 4: a write destroys the previous value for readers), plus
-  an internal history used exclusively by recovery.
-- :class:`MultiVersionDataStore` — readers may pin snapshots, which breaks
-  anti-flow and output dependences (the third recovery strategy of
-  Section III-D).
+version history per data object.  Every object has *one current copy*
+(the assumption behind Theorem 4: a write destroys the previous value for
+readers), plus a history used exclusively by recovery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import DataStoreError, VersionNotFoundError
 
-__all__ = ["Version", "DataStore", "MultiVersionDataStore", "TOMBSTONE"]
+__all__ = ["Version", "DataStore", "TOMBSTONE"]
 
 
 class _Tombstone:
@@ -144,62 +139,3 @@ class DataStore:
         version number."""
         old = self.version(name, number)
         return self.write(name, old.value, writer)
-
-    def last_version_before(self, name: str, number: int) -> Version:
-        """The newest version of ``name`` strictly older than ``number``.
-
-        This is the paper's "last version of the data object before the
-        attack": undoing a write with version ``number`` restores this.
-        """
-        candidates = [v for v in self.history(name) if v.number < number]
-        if not candidates:
-            raise VersionNotFoundError(
-                f"{name!r} has no version before {number} "
-                "(object was created by the undone task)"
-            )
-        return candidates[-1]
-
-
-class MultiVersionDataStore(DataStore):
-    """Data store where readers may pin and read consistent snapshots.
-
-    Multiple versions break anti-flow (``→a``) and output (``→o``)
-    dependences: a normal task can keep reading the version it saw even
-    after recovery rewrites the object.  This enables the third recovery
-    strategy of Section III-D (concurrency at the risk of normal tasks
-    only) at the price of extra storage.
-    """
-
-    def __init__(self, initial: Optional[Mapping[str, Any]] = None) -> None:
-        super().__init__(initial)
-        self._pins: Dict[str, Dict[str, int]] = {}
-
-    def pin(self, reader: str, name: str) -> int:
-        """Pin ``reader`` to the current version of ``name``.
-
-        Subsequent :meth:`read_pinned` calls by the same reader observe
-        this version regardless of later writes.  Returns the pinned
-        version number.
-        """
-        number = self.latest(name).number
-        self._pins.setdefault(reader, {})[name] = number
-        return number
-
-    def read_pinned(self, reader: str, name: str) -> Any:
-        """Read ``name`` at the version pinned by ``reader``.
-
-        Falls back to the latest version when the reader has no pin.
-        """
-        pinned = self._pins.get(reader, {}).get(name)
-        if pinned is None:
-            return self.read(name)
-        return self.version(name, pinned).value
-
-    def release(self, reader: str) -> None:
-        """Drop all pins held by ``reader`` (it committed or aborted)."""
-        self._pins.pop(reader, None)
-
-    def storage_cost(self) -> int:
-        """Total number of stored versions (the paper's extra-storage
-        cost of the multi-version strategy)."""
-        return sum(len(vs) for vs in self._history.values())

@@ -15,10 +15,9 @@ that knowledge belongs to :mod:`repro.ids`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
-    Callable,
     Dict,
     List,
     Mapping,

@@ -13,7 +13,7 @@ to that instance; ``succ(t_i)`` is the set of instances committed after
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import LogError

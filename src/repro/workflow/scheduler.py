@@ -12,16 +12,7 @@ from __future__ import annotations
 
 import random
 import time as _time
-from typing import (
-    Callable,
-    Generic,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Set,
-    TypeVar,
-)
+from typing import Callable, Generic, Hashable, List, Optional, Set, TypeVar
 
 from repro.errors import CyclicOrderError
 from repro.obs.events import ActionDispatched, EventBus

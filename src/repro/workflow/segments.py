@@ -17,11 +17,11 @@ discussion", now a tested property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import LogError
-from repro.workflow.log import LogRecord, RecordKind, SystemLog
+from repro.workflow.log import RecordKind, SystemLog
 from repro.workflow.task import TaskInstance
 
 __all__ = ["SegmentEntry", "LogSegment", "SegmentedLog"]

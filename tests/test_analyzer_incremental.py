@@ -516,19 +516,15 @@ class TestPinnedProvenance:
         undo_b, redo_a = Action.undo("w/t#1"), Action.redo("w/t#2")
         assert repr(undo_b) == \
             "Action(kind=<ActionKind.UNDO: 'undo'>, uid='w/t#1')"
-        assert repr(Action.normal("n")) == \
-            "Action(kind=<ActionKind.NORMAL: 'normal'>, uid='n')"
-        assert (str(undo_b), str(redo_a), str(Action.normal("n"))) == \
-            ("undo(w/t#1)", "redo(w/t#2)", "n")
+        assert (str(undo_b), str(redo_a)) == ("undo(w/t#1)", "redo(w/t#2)")
         assert Action(ActionKind.UNDO, "x") == Action.undo("x")
         assert Action(kind=ActionKind.REDO, uid="x") == Action.redo("x")
-        assert sorted([undo_b, redo_a, Action.normal("z"),
-                       Action.undo("a")]) == [
-            Action.normal("z"), redo_a, Action.undo("a"), undo_b]
+        assert sorted([undo_b, redo_a, Action.undo("a")]) == [
+            redo_a, Action.undo("a"), undo_b]
         assert hash(Action.undo("x")) == hash(Action.undo("x"))
         assert len({Action.undo("x"), Action.undo("x"),
                     Action.redo("x")}) == 2
-        for action in (undo_b, redo_a, Action.normal("n")):
+        for action in (undo_b, redo_a):
             back = pickle.loads(pickle.dumps(action))
             assert back == action and type(back) is Action
             assert back.kind is action.kind

@@ -1,14 +1,9 @@
-"""Unit tests for the versioned data stores."""
+"""Unit tests for the versioned data store."""
 
 import pytest
 
 from repro.errors import DataStoreError, VersionNotFoundError
-from repro.workflow.data import (
-    TOMBSTONE,
-    DataStore,
-    MultiVersionDataStore,
-    Version,
-)
+from repro.workflow.data import TOMBSTONE, DataStore
 
 
 class TestDataStore:
@@ -56,15 +51,6 @@ class TestDataStore:
         # History preserved — recovery never rewrites it.
         assert [v.value for v in store.history("x")] == [10, 99, 10]
 
-    def test_last_version_before(self):
-        store = DataStore({"x": 10})
-        store.write("x", 20)
-        store.write("x", 30)
-        assert store.last_version_before("x", 2).value == 20
-        assert store.last_version_before("x", 1).value == 10
-        with pytest.raises(VersionNotFoundError):
-            store.last_version_before("x", 0)
-
     def test_snapshot(self):
         store = DataStore({"x": 1, "y": 2})
         store.write("x", 3)
@@ -74,33 +60,6 @@ class TestDataStore:
         store = DataStore({"x": 1})
         assert "x" in store and "y" not in store
         assert list(store.names()) == ["x"]
-
-
-class TestMultiVersionDataStore:
-    def test_pinned_read_survives_later_writes(self):
-        store = MultiVersionDataStore({"x": 1})
-        store.pin("reader", "x")
-        store.write("x", 2)
-        assert store.read("x") == 2
-        assert store.read_pinned("reader", "x") == 1
-
-    def test_unpinned_reader_sees_latest(self):
-        store = MultiVersionDataStore({"x": 1})
-        store.write("x", 2)
-        assert store.read_pinned("other", "x") == 2
-
-    def test_release_drops_pins(self):
-        store = MultiVersionDataStore({"x": 1})
-        store.pin("r", "x")
-        store.write("x", 2)
-        store.release("r")
-        assert store.read_pinned("r", "x") == 2
-
-    def test_storage_cost_counts_versions(self):
-        store = MultiVersionDataStore({"x": 1, "y": 1})
-        store.write("x", 2)
-        store.write("x", 3)
-        assert store.storage_cost() == 4  # x: 3 versions, y: 1
 
 
 class TestTombstone:

@@ -16,12 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FleetError
-from repro.fleet.slo import (
-    FleetHealth,
-    TenantVerdict,
-    percentile,
-    rollup,
-)
+from repro.fleet.slo import TenantVerdict, percentile, rollup
 from repro.obs.health import ConformanceReport, SloState
 
 import pytest

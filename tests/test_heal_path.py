@@ -38,11 +38,10 @@ def _called_names(path: Path):
 
 
 class TestOneHealPath:
-    """The heal-and-audit step lives in ``core/epochs.py``; the
-    Theorem 3 executor of ``core/concurrent.py`` is the one other
-    healer."""
+    """The heal-and-audit step lives in ``core/epochs.py``, the one
+    module that constructs a healer."""
 
-    HEALER_OWNERS = {"core/epochs.py", "core/concurrent.py"}
+    HEALER_OWNERS = {"core/epochs.py"}
 
     def test_healer_constructed_only_by_the_owners(self):
         constructing = {

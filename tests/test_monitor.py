@@ -46,7 +46,6 @@ from repro.obs.monitor import (
     ConformanceMonitor,
     Const,
     MonitorAutomaton,
-    MonitorDfa,
     Next,
     Not,
     Or,
@@ -693,6 +692,17 @@ class TestCampaignReplayIdentity:
 
 
 class TestPipelineIntegration:
+    def test_pack_is_the_eight_definition_2_properties(self):
+        assert [p.name for p in ConformanceMonitor().properties] == [
+            "heal-alternation", "task-within-heal", "normal-refusal",
+            "undo-completeness", "redo-follow-through",
+            "undo-before-redo", "order-consistency", "claim-consistency",
+        ]
+        assert set(ConformanceMonitor().summary()) == {
+            "violations", "by_property", "pending_obligations",
+            "events_seen", "finalized",
+        }
+
     def test_property_pack_is_fresh_per_monitor(self):
         a, b = ConformanceMonitor(), ConformanceMonitor()
         assert a.properties is not b.properties

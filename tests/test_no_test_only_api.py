@@ -81,18 +81,6 @@ ALLOWED: Dict[str, str] = {
         "Section I: checkpoints lose good work",
     "repro.sim.baselines:RecoveryCost.total_recovery_work":
         "Section I: checkpoints lose good work",
-    # Waiting on ROADMAP 3(d): drive RISK_NORMAL_ONLY end to end, or
-    # delete it with these.
-    "repro.core.concurrent":
-        "ROADMAP 3(d): the Theorem 4 executor of RISK_NORMAL_ONLY",
-    "repro.core.partial_orders:normal_task_constraints":
-        "ROADMAP 3(d): the Theorem 4 edges for normal tasks",
-    "repro.workflow.data:MultiVersionDataStore.read_pinned":
-        "ROADMAP 3(d): pinned reads of RISK_NORMAL_ONLY",
-    "repro.workflow.data:DataStore.last_version_before":
-        "ROADMAP 3(d): version lookup of RISK_NORMAL_ONLY",
-    "repro.core.strategies:RecoveryStrategy.requires_multiversion_store":
-        "ROADMAP 3(d): the store RISK_NORMAL_ONLY needs",
     # Kept by decision.
     "repro.sim.architecture_sim:ArchitectureSimulator":
         "the Figure 2 architecture simulator, kept by decision",

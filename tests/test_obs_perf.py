@@ -3,25 +3,15 @@
 Covers the accumulator's nesting/self-time algebra with injected
 clocks (fully deterministic), the attribution and structure-digest
 acceptance criteria on the real fullstack / batch / fleet scenarios,
-the registry histogram mirror, and the strategy-parameterized
-conformance packs that ride the same PR.
+and the registry histogram mirror.
 """
-
-import dataclasses
 
 import pytest
 
-from repro.core.strategies import RecoveryStrategy
 from repro.errors import ObsError
 from repro.fleet import FleetConfig, FleetControlPlane
-from repro.fleet.workload import resolve_mix
 from repro.obs.export import render_prometheus
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.monitor import (
-    ConformanceMonitor,
-    replay_conformance,
-    strict_property_pack,
-)
 from repro.obs.perf import (
     PHASES,
     PhaseProfiler,
@@ -306,55 +296,6 @@ class TestFleetProfile:
             return plane.profile_report().structure_digest()
 
         assert once() == once()
-
-
-class TestStrategyPacks:
-    def test_risk_normal_only_drops_heal_bracketing(self):
-        strict = {p.name for p in strict_property_pack()}
-        relaxed = {p.name for p in strict_property_pack(
-            RecoveryStrategy.RISK_NORMAL_ONLY)}
-        assert strict - relaxed == {"task-within-heal"}
-        # RISK_ALL still promises bracketed repairs: full pack.
-        risk_all = {p.name for p in strict_property_pack(
-            RecoveryStrategy.RISK_ALL)}
-        assert risk_all == strict
-
-    def test_monitor_summary_names_its_strategy(self):
-        monitor = ConformanceMonitor(
-            strategy=RecoveryStrategy.RISK_NORMAL_ONLY)
-        assert monitor.summary()["strategy"] == "risk_normal_only"
-        assert "task-within-heal" not in {p.name
-                                          for p in monitor.properties}
-        assert replay_conformance(
-            [], strategy=RecoveryStrategy.RISK_NORMAL_ONLY
-        ).strategy is RecoveryStrategy.RISK_NORMAL_ONLY
-
-    def test_mixed_fleet_rollup_counts_by_strategy(self):
-        base = resolve_mix(["figure1"])[0]
-        relaxed = dataclasses.replace(
-            base, strategy=RecoveryStrategy.RISK_NORMAL_ONLY)
-        plane = FleetControlPlane(
-            FleetConfig(tenants=2, duration=10.0, seed=2),
-            profiles=[base, relaxed],
-        )
-        plane.run()
-        health = plane.health()
-        assert health.by_strategy == {"risk_normal_only": 1, "strict": 1}
-        payload = health.as_dict()
-        assert payload["by_strategy"] == health.by_strategy
-        strategies = {row["tenant"]: row["strategy"]
-                      for row in payload["worst_tenants"]}
-        assert sorted(strategies.values()) == ["risk_normal_only",
-                                               "strict"]
-
-    def test_effective_health_config_authority(self):
-        base = resolve_mix(["figure1"])[0]
-        assert base.strategy is RecoveryStrategy.STRICT
-        assert base.effective_health_config() is base.health_config
-        relaxed = dataclasses.replace(
-            base, strategy=RecoveryStrategy.RISK_NORMAL_ONLY)
-        cfg = relaxed.effective_health_config()
-        assert cfg.strategy is RecoveryStrategy.RISK_NORMAL_ONLY
 
 
 class TestDeterminismUnderProfiling:

@@ -1,4 +1,4 @@
-"""Tests for Theorem 3 / Theorem 4 partial orders over recovery actions."""
+"""Tests for the Theorem 3 partial order over recovery actions."""
 
 import random
 
@@ -7,10 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.actions import Action
-from repro.core.partial_orders import (
-    normal_task_constraints,
-    recovery_partial_order,
-)
+from repro.core.partial_orders import recovery_partial_order
 from repro.errors import CyclicOrderError
 from repro.obs.events import OrderConstraint
 from repro.workflow.dependency import DependencyAnalyzer
@@ -93,68 +90,10 @@ class TestTheorem3:
             )
 
 
-class TestTheorem4:
-    def test_normal_reader_waits_for_redo(self, conflict_log):
-        dep = DependencyAnalyzer(conflict_log)
-        order = normal_task_constraints(
-            dep,
-            undo_set=["w/t1#1"],
-            redo_set=["w/t1#1"],
-            normal_tasks={
-                "w/new#1": (frozenset({"x"}), frozenset())
-            },
-        )
-        normal = Action.normal("w/new#1")
-        assert order.precedes(Action.undo("w/t1#1"), normal)
-        assert order.precedes(Action.redo("w/t1#1"), normal)
-
-    def test_normal_writer_waits_for_recovery_reader(self, conflict_log):
-        """A normal task writing ``a`` must wait for redo(t1), which
-        reads ``a`` (anti conflict)."""
-        dep = DependencyAnalyzer(conflict_log)
-        order = normal_task_constraints(
-            dep,
-            undo_set=["w/t1#1"],
-            redo_set=["w/t1#1"],
-            normal_tasks={
-                "w/writer#1": (frozenset(), frozenset({"a"}))
-            },
-        )
-        assert order.precedes(
-            Action.redo("w/t1#1"), Action.normal("w/writer#1")
-        )
-
-    def test_unrelated_normal_task_unconstrained(self, conflict_log):
-        dep = DependencyAnalyzer(conflict_log)
-        order = normal_task_constraints(
-            dep,
-            undo_set=["w/t1#1"],
-            redo_set=["w/t1#1"],
-            normal_tasks={
-                "w/free#1": (frozenset({"zz"}), frozenset({"qq"}))
-            },
-        )
-        free = Action.normal("w/free#1")
-        assert not order.direct_predecessors(free)
-
-    def test_output_conflict_constrains(self, conflict_log):
-        dep = DependencyAnalyzer(conflict_log)
-        order = normal_task_constraints(
-            dep,
-            undo_set=["w/t1#1"],
-            redo_set=[],
-            normal_tasks={
-                "w/ow#1": (frozenset(), frozenset({"x"}))
-            },
-        )
-        assert order.precedes(Action.undo("w/t1#1"), Action.normal("w/ow#1"))
-
-
 class TestActions:
     def test_action_str(self):
         assert str(Action.undo("w/t1#1")) == "undo(w/t1#1)"
         assert str(Action.redo("w/t1#1")) == "redo(w/t1#1)"
-        assert str(Action.normal("w/t1#1")) == "w/t1#1"
 
     def test_action_hashable_ordered(self):
         a, b = Action.undo("u"), Action.redo("u")

@@ -151,6 +151,18 @@ class TestMonitoredEndpoints:
         assert json.loads(body)["status"] == "breach"
 
 
+def _all_keys(payload):
+    """Every dict key anywhere in a JSON payload."""
+    if isinstance(payload, dict):
+        keys = set(payload)
+        for value in payload.values():
+            keys |= _all_keys(value)
+        return keys
+    if isinstance(payload, list):
+        return set().union(*map(_all_keys, payload)) if payload else set()
+    return set()
+
+
 @pytest.fixture(scope="module")
 def fleet_server():
     """A server over a finished small fleet run, in fleet mode."""
@@ -187,6 +199,22 @@ class TestFleetEndpoints:
         assert payload["latency"]["p50"] <= payload["latency"]["p99"]
         assert len(payload["worst_tenants"]) == 4
         assert payload["audits_ok"] is True
+
+    def test_slo_carries_no_strategy_key(self, fleet_server, monitored_server):
+        """Strict correctness is the only strategy, so no payload names
+        one: not the rollup, its tenant rows, a drill-down, or a single
+        run's ``/slo``."""
+        server, plane = fleet_server
+        single, _ = monitored_server
+        urls = (server.url + "/slo",
+                server.url + f"/slo?tenant={plane.shards[0].tenant}",
+                single.url + "/slo")
+        for url in urls:
+            status, _, body = _get(url)
+            assert status == 200
+            keys = _all_keys(json.loads(body))
+            assert "conformance" in keys
+            assert not keys & {"strategy", "by_strategy"}
 
     def test_slo_tenant_drilldown(self, fleet_server):
         server, plane = fleet_server

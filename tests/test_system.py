@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.strategies import RecoveryStrategy
+from repro.obs.events import EventBus, NormalTaskRefused
 from repro.scenarios.figure1 import build_figure1
 from repro.system import SelfHealingSystem, SystemState
 
@@ -71,32 +72,39 @@ class TestQueueLimits:
         assert system.recovery_units_queued == 1
 
 
-class TestStrategies:
-    def test_risk_strategies_admit_normal_tasks(self):
-        sc, system = make_system(
-            strategy=RecoveryStrategy.RISK_NORMAL_ONLY
-        )
-        system.submit_alert(sc.malicious_uid)
+class TestStrictGate:
+    def test_refused_in_scan_and_recovery(self):
+        """Strict correctness (Theorem 4): no normal task runs while an
+        alert is unanalysed or a repair is queued, and each refusal is
+        published with the state that caused it."""
+        bus = EventBus()
+        refused = []
+        bus.subscribe(refused.append, types=(NormalTaskRefused,))
+        sc, system = make_system(bus=bus, clock=lambda: 0.0)
         assert system.normal_task_admissible()
+        system.submit_alert(sc.malicious_uid)
+        assert not system.normal_task_admissible()
+        system.scan_step()
+        assert system.state is SystemState.RECOVERY
+        assert not system.normal_task_admissible()
+        quiesce(system)
+        assert system.normal_task_admissible()
+        assert [e.state for e in refused] == ["SCAN", "RECOVERY"]
 
+
+class TestStrategies:
     def test_strategy_properties(self):
         strict = RecoveryStrategy.STRICT
-        assert strict.blocks_normal_tasks
         assert strict.recovery_guaranteed_terminating
-        assert not strict.requires_multiversion_store
+        assert strict.recovery_stays_correct
 
         risky = RecoveryStrategy.RISK_ALL
-        assert not risky.blocks_normal_tasks
         assert not risky.recovery_guaranteed_terminating
         assert not risky.recovery_stays_correct
 
         mv = RecoveryStrategy.RISK_NORMAL_ONLY
-        assert mv.requires_multiversion_store
+        assert mv.recovery_guaranteed_terminating
         assert mv.recovery_stays_correct
-
-    def test_describe_nonempty(self):
-        for s in RecoveryStrategy:
-            assert s.describe()
 
 
 class TestNoAlerts:

@@ -5,7 +5,6 @@ The detector tests run on *synthetic* traces with seeded RNGs so the
 false-positive and detection-delay bounds they pin are deterministic.
 """
 
-import math
 import random
 
 import pytest
