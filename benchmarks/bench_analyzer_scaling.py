@@ -16,8 +16,6 @@ from __future__ import annotations
 import random
 import time
 
-import pytest
-
 from repro.core.analyzer import RecoveryAnalyzer
 from repro.report.tables import Table
 from repro.sim.recovery_sim import run_pipeline

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.report.tables import Table
 from repro.sim.baselines import (
     checkpoint_rollback_cost,

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.markov.stg import RecoverySTG
 from repro.report.series import Series, format_series
 from repro.sim.bursty import BurstModel, BurstySimulator

@@ -18,8 +18,6 @@ calibrated model admits a feasible design at λ=1.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.markov.calibration import (
     fit_power_law,
     measure_recovery_rates,

@@ -8,9 +8,7 @@ measures peak resilience at the chosen design points.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.markov.degradation import inverse_k, power_law
+from repro.markov.degradation import power_law
 from repro.markov.design import design_system, peak_resilience
 from repro.markov.stg import RecoverySTG
 from repro.report.tables import Table

@@ -17,8 +17,6 @@ attack rate and explodes for the well-provisioned system.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.markov.passage import mean_time_to_loss
 from repro.markov.sensitivity import loss_sensitivities
 from repro.markov.stg import RecoverySTG

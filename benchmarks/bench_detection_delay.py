@@ -19,8 +19,6 @@ Asserted shapes:
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.axioms import audit_strict_correctness
 from repro.core.healer import Healer
 from repro.ids.attacks import AttackCampaign

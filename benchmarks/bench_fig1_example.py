@@ -7,8 +7,6 @@ per-task recovery disposition matching Section III's narrative.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.report.tables import Table
 from repro.scenarios.figure1 import Figure1Scenario, build_figure1
 

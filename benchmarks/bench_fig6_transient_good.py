@@ -12,7 +12,6 @@ NORMAL — attacks are handled at little cost.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.markov.metrics import (

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.markov.stg import StateCategory
 from repro.obs.events import EventBus
 from repro.obs.metrics import PipelineMetrics

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.markov.metrics import category_probabilities, loss_probability
 from repro.markov.steady_state import steady_state
 from repro.markov.stg import RecoverySTG, StateCategory

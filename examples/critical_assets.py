@@ -17,7 +17,7 @@ from repro.scenarios.supply_chain import (
     procurement_spec,
     sales_spec,
 )
-from repro.workflow.analysis import critical_tasks, damage_radius
+from repro.workflow.analysis import critical_tasks
 
 
 def main() -> None:

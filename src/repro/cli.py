@@ -328,20 +328,14 @@ def cmd_simulate(args) -> int:
     monitor = None
     if args.serve is not None:
         from repro.obs.events import EventBus
-        from repro.obs.health import (
-            HealthConfig,
-            HealthMonitor,
-            ModelPrediction,
-        )
+        from repro.obs.health import HealthMonitor, ModelPrediction
         from repro.obs.metrics import MetricsRegistry
 
         prediction = ModelPrediction.from_stg(
             stg, backend=backend, with_convergence=True,
         )
-        config = HealthConfig(loss_objective=args.slo_loss) \
-            if args.slo_loss is not None else None
         monitor = HealthMonitor(
-            prediction, config=config, registry=MetricsRegistry(),
+            prediction, args.slo_loss, registry=MetricsRegistry(),
         ).attach(EventBus())
     result = run_replication(stg, horizon=args.horizon, seed=args.seed,
                              bus=monitor.bus if monitor else None)
@@ -459,24 +453,22 @@ def _obs_run(args, record: bool = False, path: Optional[str] = None):
             alert_buffer=args.alert_buffer or args.buffer,
             recovery_buffer=args.buffer,
         )
-        pred = health_config = None
+        pred = None
         if args.health:
-            from repro.obs.health import HealthConfig, ModelPrediction
+            from repro.obs.health import ModelPrediction
 
             pred = ModelPrediction.from_stg(cfg.stg())
-            if args.slo_loss is not None:
-                health_config = HealthConfig(loss_objective=args.slo_loss)
         if record:
             flight = FlightRecorder(
                 label="fullstack", path=path,
                 meta=fullstack.flight_log_meta(
-                    cfg, args.horizon, args.seed, pred, health_config),
+                    cfg, args.horizon, args.seed, pred, args.slo_loss),
             )
 
         def drive(bus):
             return fullstack.run_replication(
                 cfg, args.horizon, args.seed, bus=bus, health=pred,
-                health_config=health_config,
+                loss_objective=args.slo_loss,
             )
 
     bus = EventBus()
@@ -535,11 +527,7 @@ def _replay_verdict_check(log, run) -> None:
         DriftDetected,
         SloTransition,
     )
-    from repro.obs.health import (
-        HealthConfig,
-        ModelPrediction,
-        replay_verdicts,
-    )
+    from repro.obs.health import ModelPrediction, replay_verdicts
     from repro.sim.fullstack import FullStackConfig
 
     recorded = [e for e in run.events
@@ -555,13 +543,11 @@ def _replay_verdict_check(log, run) -> None:
               "health model parameters)")
         return
     cfg = FullStackConfig(**log.meta["config"])
-    config = None
-    if health.get("loss_objective") is not None:
-        config = HealthConfig(
-            loss_objective=float(health["loss_objective"])
-        )
+    loss_objective = health.get("loss_objective")
     replayed = replay_verdicts(
-        run.events, ModelPrediction.from_stg(cfg.stg()), config=config,
+        run.events, ModelPrediction.from_stg(cfg.stg()),
+        loss_objective=(float(loss_objective)
+                        if loss_objective is not None else None),
         finalize=bool(log.meta.get("conformance_finalized")),
     )
     identical = replayed == recorded
@@ -703,19 +689,13 @@ def _cmd_obs_watch(args) -> int:
         EventRecorder,
         SloTransition,
     )
-    from repro.obs.health import (
-        HealthConfig,
-        HealthMonitor,
-        ModelPrediction,
-    )
+    from repro.obs.health import HealthMonitor, ModelPrediction
     from repro.sim.ctmc_sim import GillespieSimulator
 
     stg = _stg_from_args(args)
     prediction = ModelPrediction.from_stg(
         stg, backend=_backend_from_args(args), with_convergence=True,
     )
-    config = HealthConfig(loss_objective=args.slo_loss) \
-        if args.slo_loss is not None else None
 
     def _live(event) -> None:
         if isinstance(event, DriftDetected):
@@ -729,7 +709,7 @@ def _cmd_obs_watch(args) -> int:
                   f"objective {event.objective:.4g})")
 
     bus = EventBus()
-    monitor = HealthMonitor(prediction, config=config).attach(bus)
+    monitor = HealthMonitor(prediction, args.slo_loss).attach(bus)
     bus.subscribe(_live, types=[SloTransition, DriftDetected])
 
     print(f"watching {stg!r} for {args.horizon:g} time units "

@@ -218,22 +218,11 @@ class FleetControlPlane:
             )
             for i in range(config.tenants)
         ]
-        if profiler is not None:
-            # Mirror phase exits into labeled registry histograms so a
-            # /metrics scrape sees repro_phase_wall_seconds{phase=...}
-            # alongside the fleet counters.  Shard profilers share the
-            # fleet registry; labels stay per-phase (not per-tenant) so
-            # cardinality is bounded.
-            profiler.bind_registry(self.registry)
-            for shard in self.shards:
-                if shard.profiler is not None:
-                    shard.profiler.bind_registry(self.registry)
         self.clock = ManualClock(0.0)
         self.central: PriorityBoundedQueue[Token] = PriorityBoundedQueue(
             config.resolved_central_capacity,
             classes=3,
             priority_of=lambda token: token.priority,
-            evict_lower=True,
         )
         self.central.instrument("central", bus, self.clock)
         #: Per-tenant FIFO of accepted alerts awaiting a central grant.
@@ -278,7 +267,8 @@ class FleetControlPlane:
         #: Fleet-profiler high-water marks for per-tick deltas.
         self._tick_folded: Dict[
             Tuple[str, ...], Tuple[int, float, float]] = {}
-        #: Recent per-tick phase breakdowns (bounded; /profile payload).
+        #: Recent per-tick phase breakdowns (bounded; the snapshot's
+        #: ``ticks``).
         self._tick_profiles: Deque[Dict[str, object]] = deque(maxlen=256)
 
     # -- one scheduling round ----------------------------------------------
@@ -448,7 +438,7 @@ class FleetControlPlane:
 
     def _note_tick_profile(self, tick_end: float) -> None:
         """Append this tick's per-phase deltas to the bounded per-tick
-        breakdown ring (the ``/profile`` payload's ``ticks``)."""
+        breakdown ring (the :meth:`profile_snapshot` ``ticks``)."""
         assert self._profiler is not None
         entry_phases: Dict[str, Dict[str, float]] = {}
         for path, (calls, wall, sim) in sorted(
@@ -478,18 +468,14 @@ class FleetControlPlane:
         if self._profiler is None:
             raise ObsError(
                 "fleet was constructed without a profiler; pass "
-                "profiler= to FleetControlPlane to enable /profile"
+                "profiler= to FleetControlPlane to profile it"
             )
         return self._profiler.report(scenario, aux_roots=("workers",))
 
     def profile_snapshot(self) -> Dict[str, object]:
-        """JSON-able ``/profile`` payload: the fleet report plus
-        per-tenant pipeline tables and the recent per-tick breakdowns.
-
-        The telemetry server calls it under its lock, like ``/metrics``
-        and ``/slo``; a driver serving a running fleet takes that lock
-        around each tick (see :mod:`repro.obs.server`).
-        """
+        """JSON-able profile document (``profile --scenario fleet
+        --json``): the fleet report plus per-tenant pipeline tables and
+        the recent per-tick breakdowns."""
         report = self.profile_report()
         tenants: Dict[str, List[Dict[str, object]]] = {}
         for row in report.rows:
@@ -505,21 +491,7 @@ class FleetControlPlane:
         return {
             "fleet": report.as_dict(),
             "tenants": tenants,
-            # Copy each ring entry (and its phase dicts): the payload
-            # outlives the snapshot call, and handing out aliases to
-            # the live ring would let a scraper see — or mutate —
-            # entries the next tick is still appending around.
-            "ticks": [
-                {
-                    "tick": entry["tick"],
-                    "sim_end": entry["sim_end"],
-                    "phases": {
-                        name: dict(stats)
-                        for name, stats in entry["phases"].items()  # type: ignore[union-attr]
-                    },
-                }
-                for entry in self._tick_profiles
-            ],
+            "ticks": list(self._tick_profiles),
         }
 
     # -- the full run ------------------------------------------------------

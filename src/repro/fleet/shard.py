@@ -90,10 +90,7 @@ class TenantShard:
             clock=self.clock,
             profiler=self.profiler,
         )
-        self.monitor = HealthMonitor(
-            prediction_for(profile),
-            config=profile.health_config,
-        ).attach(self.bus)
+        self.monitor = HealthMonitor(prediction_for(profile)).attach(self.bus)
         self._rng = random.Random(seed)
         self._next_arrival = (
             self._rng.expovariate(profile.arrival_rate)

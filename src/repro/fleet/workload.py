@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FleetError
 from repro.ids.attacks import AttackCampaign
-from repro.obs.health import HealthConfig, ModelPrediction
+from repro.obs.health import ModelPrediction
 from repro.sim.fullstack import FullStackConfig
 from repro.workflow.spec import WorkflowSpec, workflow
 
@@ -119,7 +119,6 @@ class TenantProfile:
     unit_recovery_time: float = 1.0 / 20.0
     alert_buffer: int = 8
     recovery_buffer: int = 8
-    health_config: Optional[HealthConfig] = None
 
     def queueing_config(self) -> FullStackConfig:
         """This profile's knobs as a full-stack queueing config (the
@@ -175,7 +174,7 @@ class GeneratedTenantProfile(TenantProfile):
 
     The fuzzing harness (:mod:`repro.scenarios.fuzz`) uses this profile
     to drive the fleet control plane with campaign-specific traffic:
-    each attacked run is a small task chain drawn from
+    each attacked run is a three-task chain drawn from
     ``stable_seed(campaign_seed, seq)``, reading and (in its last task)
     writing the shared ``pool`` object — the contagion channel through
     which one tenant's corruption chains across its own later runs.
@@ -188,7 +187,6 @@ class GeneratedTenantProfile(TenantProfile):
         default=None, repr=False)
     initial_data: Tuple[Tuple[str, int], ...] = (("pool", 1),)
     campaign_seed: int = 0
-    chain_length: int = 3
     delta: int = 4_242
 
     def build_attack(
@@ -198,7 +196,7 @@ class GeneratedTenantProfile(TenantProfile):
 
         rng = random.Random(stable_seed(self.campaign_seed, seq))
         name = f"atk{seq}"
-        length = max(2, self.chain_length)
+        length = 3
         builder = workflow(name)
         prev_obj: Optional[str] = None
         prev_tid: Optional[str] = None

@@ -85,8 +85,7 @@ class BoundedQueue(Generic[T]):
     high-water, hook, or drop-event machinery.
     """
 
-    def __init__(self, capacity: int,
-                 hook: Optional[QueueHook] = None) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._capacity = capacity
@@ -94,7 +93,7 @@ class BoundedQueue(Generic[T]):
         self._lost = 0
         self._accepted = 0
         self._high_water = 0
-        self._hook = hook
+        self._hook: Optional[QueueHook] = None
         self._name = ""
         self._bus: Optional[EventBus] = None
         self._clock: Optional[Callable[[], float]] = None
@@ -198,8 +197,8 @@ class BoundedQueue(Generic[T]):
         """Enqueue ``item`` or raise :class:`QueueFullError`.
 
         ``push`` never evicts — a full queue is an error even for
-        priority queues with preemption enabled (callers that want
-        preemption use :meth:`offer`).
+        priority queues (callers that want preemption use
+        :meth:`offer`).
         """
         if self._size() >= self._capacity:
             # push's failure is an error, not a loss
@@ -238,7 +237,7 @@ class BoundedQueue(Generic[T]):
 
 
 class PriorityBoundedQueue(BoundedQueue[T]):
-    """Bounded queue with priority classes and optional preemption.
+    """Bounded queue with priority classes and preemption.
 
     Items are assigned a class in ``[0, classes)`` by ``priority_of``
     (lower class number = more urgent); :meth:`pop` serves the oldest
@@ -249,12 +248,11 @@ class PriorityBoundedQueue(BoundedQueue[T]):
     :class:`~repro.obs.events.QueueItemDropped` additionally carries
     the rejected item's class.
 
-    With ``evict_lower=True`` an arrival into a full queue may preempt:
-    the *newest* item of the least urgent class less urgent than the
-    arrival is evicted (counted as a loss of the evicted item's class)
-    and the arrival admitted.  An arrival that is not more urgent than
-    everything's tail is rejected as usual — total occupancy never
-    exceeds ``capacity``.
+    An arrival into a full queue may preempt: the *newest* item of the
+    least urgent class less urgent than the arrival is evicted (counted
+    as a loss of the evicted item's class) and the arrival admitted.
+    An arrival that is not more urgent than everything's tail is
+    rejected as usual — total occupancy never exceeds ``capacity``.
     """
 
     def __init__(
@@ -262,15 +260,12 @@ class PriorityBoundedQueue(BoundedQueue[T]):
         capacity: int,
         classes: int = 3,
         priority_of: Optional[Callable[[T], int]] = None,
-        evict_lower: bool = False,
-        hook: Optional[QueueHook] = None,
     ) -> None:
         if classes < 1:
             raise ValueError(f"classes must be >= 1, got {classes}")
-        super().__init__(capacity, hook)
+        super().__init__(capacity)
         self._classes = classes
         self._priority_of = priority_of
-        self._evict_lower = evict_lower
         self._lanes: List[Deque[T]] = [deque() for _ in range(classes)]
 
     # -- storage primitives ------------------------------------------------
@@ -303,9 +298,7 @@ class PriorityBoundedQueue(BoundedQueue[T]):
                 yield item
 
     def _make_room(self, item: T) -> bool:
-        """Preempt the newest least-urgent item when allowed."""
-        if not self._evict_lower:
-            return False
+        """Preempt the newest least-urgent item."""
         cls = self._class_of(item)
         for victim_cls in range(self._classes - 1, cls, -1):
             lane = self._lanes[victim_cls]

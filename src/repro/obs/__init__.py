@@ -40,8 +40,7 @@ This package provides the measurement layer:
   global cost-driver counters count CTMC solves, closure
   recomputations, pickle bytes, and queue evictions;
 - :mod:`repro.obs.server` — a stdlib-only HTTP telemetry endpoint
-  (``/metrics`` Prometheus text, ``/healthz``, ``/slo`` JSON,
-  ``/profile`` attribution breakdowns);
+  (``/metrics`` Prometheus text, ``/healthz``, ``/slo`` JSON);
 - :mod:`repro.obs.runner` — the Figure 1 incident driver behind the
   ``repro-workflow obs`` CLI subcommand (the simulators are observed
   through their own ``run_replication`` with a bus attached).
@@ -76,7 +75,6 @@ from repro.obs.events import (
 )
 from repro.obs.health import (
     ConformanceReport,
-    HealthConfig,
     HealthMonitor,
     ModelPrediction,
     Slo,
@@ -103,7 +101,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.perf import (
     PHASES,
-    PROFILE_WALL_BUCKETS,
     PhaseProfiler,
     ProfileReport,
     bump,
@@ -169,7 +166,6 @@ __all__ = [
     "load_flight_log",
     # perf
     "PHASES",
-    "PROFILE_WALL_BUCKETS",
     "PhaseProfiler",
     "ProfileReport",
     "bump",
@@ -198,7 +194,6 @@ __all__ = [
     "SloSpec",
     "Slo",
     "ModelPrediction",
-    "HealthConfig",
     "HealthMonitor",
     "ConformanceReport",
     "merge_conformance",

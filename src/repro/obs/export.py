@@ -159,7 +159,6 @@ def _micros(seconds: float) -> float:
 def spans_to_chrome_trace(
     roots: Sequence[Span],
     events: Iterable[ObsEvent] = (),
-    pid: int = 1,
 ) -> str:
     """Render spans (and optional events) as Chrome-trace JSON.
 
@@ -177,7 +176,7 @@ def spans_to_chrome_trace(
             "name": span.name,
             "ph": "X" if span.finished else "B",
             "ts": _micros(span.start),
-            "pid": pid,
+            "pid": 1,
             "tid": tid,
             "args": {k: str(v) for k, v in sorted(span.attributes.items())},
         }
@@ -198,7 +197,7 @@ def spans_to_chrome_trace(
             "name": event.kind,
             "ph": "i",
             "ts": _micros(event.time),
-            "pid": pid,
+            "pid": 1,
             "tid": 0,
             "s": "t",  # thread-scoped instant
             "args": {k: str(v) for k, v in sorted(payload.items())},
@@ -222,7 +221,7 @@ def profile_to_collapsed(report: ProfileReport,
     return report.collapsed(root)
 
 
-def profile_to_chrome_trace(report: ProfileReport, pid: int = 1) -> str:
+def profile_to_chrome_trace(report: ProfileReport) -> str:
     """Render a profile report as Chrome-trace JSON with counter tracks.
 
     Phase rows are aggregates (total wall per stack path), not
@@ -251,7 +250,7 @@ def profile_to_chrome_trace(report: ProfileReport, pid: int = 1) -> str:
             "ph": "X",
             "ts": _micros(start),
             "dur": _micros(row["wall"]),
-            "pid": pid,
+            "pid": 1,
             "tid": 1,
             "args": {
                 "path": row["path"],
@@ -269,7 +268,7 @@ def profile_to_chrome_trace(report: ProfileReport, pid: int = 1) -> str:
                 "cat": "counter",
                 "ph": "C",
                 "ts": _micros(ts),
-                "pid": pid,
+                "pid": 1,
                 "args": {"value": sample},
             })
     return json.dumps(

@@ -82,7 +82,6 @@ __all__ = [
     "SloSpec",
     "Slo",
     "ModelPrediction",
-    "HealthConfig",
     "HealthMonitor",
     "ConformanceReport",
     "merge_conformance",
@@ -256,8 +255,6 @@ class ModelPrediction:
         stg: RecoverySTG,
         backend: Optional[str] = None,
         with_convergence: bool = False,
-        convergence_tol: float = 1e-3,
-        convergence_horizon: float = 50.0,
     ) -> "ModelPrediction":
         """Solve ``stg``'s steady state and package the predictions.
 
@@ -284,10 +281,7 @@ class ModelPrediction:
             unit_m[s.units] += p
         conv: Optional[float] = None
         if with_convergence:
-            conv = convergence_time(
-                stg, tol=convergence_tol,
-                horizon=convergence_horizon, backend=backend,
-            )
+            conv = convergence_time(stg, backend=backend)
         return cls(
             arrival_rate=stg.arrival_rate,
             loss_probability=loss_probability(stg, pi),
@@ -315,55 +309,50 @@ class ModelPrediction:
         }
 
 
-@dataclass(frozen=True)
-class HealthConfig:
-    """Tuning knobs of the :class:`HealthMonitor`.
+#: Monitor tuning, sized for the paper's Figure 4/5 workloads (event
+#: rates of order 1–20 per time unit): a window long enough to hold a
+#: few hundred arrivals, detector thresholds with in-control average
+#: run lengths of tens of thousands of events (so a no-drift run
+#: essentially never false-alarms — pinned by the detector tests).
+WINDOW = 200.0
+Z = 1.96
+LOSS_MIN_SAMPLES = 50
+CUSUM_K = 0.5
+CUSUM_H = 24.0
+#: Winsorization cap on the model-normalized inter-arrival gap fed to
+#: the CUSUM.  Exp(1) gaps are heavy-tailed — a handful of long gaps
+#: can spike the rate-decrease side without any rate change; clipping
+#: at 8 (exceeded with probability ~3e-4 per arrival) bounds the
+#: per-sample jump while leaving any *sustained* shift fully visible.
+CUSUM_CLIP = 8.0
+#: Page–Hinkley drift allowance / alarm threshold, in units of the
+#: model marginal's depth standard deviation (the monitor feeds the
+#: detector ``(depth − μ_model)/σ_model``).
+PH_DELTA = 0.5
+PH_THRESHOLD = 25.0
+PH_MIN_SAMPLES = 30
+#: Minimum model headroom ``(buffer − μ_model)/σ_model`` required to
+#: arm Page–Hinkley at all.  A heavily loaded model whose marginal
+#: already spans the whole buffer (e.g. λ=2 with buffer 8) leaves no
+#: depth regime the detector could call anomalous — conformant
+#: excursions saturate the queue for long autocorrelated stretches and
+#: any mean-shift test on them false-alarms.  With no headroom the
+#: occupancy G-test and the arrival CUSUM carry drift detection.
+PH_MIN_HEADROOM = 3.0
+GTEST_ALPHA = 1e-4
+GTEST_EVERY = 64
+GTEST_MIN_COUNT = 200
 
-    The defaults are sized for the paper's Figure 4/5 workloads (event
-    rates of order 1–20 per time unit): a window long enough to hold a
-    few hundred arrivals, detector thresholds with in-control average
-    run lengths of tens of thousands of events (so a no-drift run
-    essentially never false-alarms — pinned by the detector tests).
-    """
 
-    window: float = 200.0
-    z: float = 1.96
-    loss_objective: Optional[float] = None
-    loss_min_samples: int = 50
-    cusum_k: float = 0.5
-    cusum_h: float = 24.0
-    #: Winsorization cap on the model-normalized inter-arrival gap fed
-    #: to the CUSUM.  Exp(1) gaps are heavy-tailed — a handful of long
-    #: gaps can spike the rate-decrease side without any rate change;
-    #: clipping at 8 (exceeded with probability ~3e-4 per arrival)
-    #: bounds the per-sample jump while leaving any *sustained* shift
-    #: fully visible.
-    cusum_clip: float = 8.0
-    #: Page–Hinkley drift allowance / alarm threshold, in units of the
-    #: model marginal's depth standard deviation (the monitor feeds the
-    #: detector ``(depth − μ_model)/σ_model``).
-    ph_delta: float = 0.5
-    ph_threshold: float = 25.0
-    ph_min_samples: int = 30
-    #: Minimum model headroom ``(buffer − μ_model)/σ_model`` required to
-    #: arm Page–Hinkley at all.  A heavily loaded model whose marginal
-    #: already spans the whole buffer (e.g. λ=2 with buffer 8) leaves no
-    #: depth regime the detector could call anomalous — conformant
-    #: excursions saturate the queue for long autocorrelated stretches
-    #: and any mean-shift test on them false-alarms.  With no headroom
-    #: the occupancy G-test and the arrival CUSUM carry drift detection.
-    ph_min_headroom: float = 3.0
-    gtest_alpha: float = 1e-4
-    gtest_every: int = 64
-    gtest_min_count: int = 200
-
-    def resolved_loss_objective(self, prediction: ModelPrediction) -> float:
-        """The loss SLO target: explicit when set, else three times the
-        model's predicted loss probability floored at 1e-3 (a correctly
-        sized system keeps a healthy margin below this)."""
-        if self.loss_objective is not None:
-            return self.loss_objective
-        return max(3.0 * prediction.loss_probability, 1e-3)
+def resolved_loss_objective(
+    loss_objective: Optional[float], prediction: ModelPrediction
+) -> float:
+    """The loss SLO target: ``loss_objective`` when set, else three
+    times the model's predicted loss probability floored at 1e-3 (a
+    correctly sized system keeps a healthy margin below this)."""
+    if loss_objective is not None:
+        return loss_objective
+    return max(3.0 * prediction.loss_probability, 1e-3)
 
 
 #: Category-level codes for the state-occupancy window.
@@ -424,32 +413,28 @@ class HealthMonitor:
     def __init__(
         self,
         prediction: ModelPrediction,
-        config: Optional[HealthConfig] = None,
-        bus: Optional[EventBus] = None,
+        loss_objective: Optional[float] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.prediction = prediction
-        self.config = config if config is not None else HealthConfig()
-        self._bus = bus
-        cfg = self.config
+        self._bus: Optional[EventBus] = None
 
         # -- estimators ---------------------------------------------------
-        self._arrivals = RateWindow(cfg.window)
-        self._losses = RateWindow(cfg.window)
-        self._scans = RateWindow(cfg.window)
-        self._recoveries = RateWindow(cfg.window)
-        self._alert_occ = OccupancyWindow(cfg.window)
-        self._unit_occ = OccupancyWindow(cfg.window)
-        self._category_occ = OccupancyWindow(cfg.window)
+        self._arrivals = RateWindow(WINDOW)
+        self._losses = RateWindow(WINDOW)
+        self._scans = RateWindow(WINDOW)
+        self._recoveries = RateWindow(WINDOW)
+        self._alert_occ = OccupancyWindow(WINDOW)
+        self._unit_occ = OccupancyWindow(WINDOW)
+        self._category_occ = OccupancyWindow(WINDOW)
 
         # -- drift detectors ----------------------------------------------
-        self._cusum = Cusum(target=1.0, k=cfg.cusum_k, h=cfg.cusum_h)
-        self._ph = PageHinkley(delta=cfg.ph_delta,
-                               threshold=cfg.ph_threshold,
-                               min_samples=cfg.ph_min_samples)
+        self._cusum = Cusum(target=1.0, k=CUSUM_K, h=CUSUM_H)
+        self._ph = PageHinkley(delta=PH_DELTA, threshold=PH_THRESHOLD,
+                               min_samples=PH_MIN_SAMPLES)
         # Page–Hinkley runs on model-standardized depth samples, and
         # only when the model's own marginal leaves headroom below the
-        # buffer ceiling (see HealthConfig.ph_min_headroom).
+        # buffer ceiling (see PH_MIN_HEADROOM).
         marginal = prediction.alert_marginal
         depth_mean = sum(k * p for k, p in enumerate(marginal))
         depth_var = (sum(k * k * p for k, p in enumerate(marginal))
@@ -459,7 +444,7 @@ class HealthMonitor:
         buffer_top = max(len(marginal) - 1, 1)
         self.ph_armed = (
             (buffer_top - depth_mean) / self._depth_sd
-            >= cfg.ph_min_headroom
+            >= PH_MIN_HEADROOM
         )
         self._last_arrival: Optional[float] = None
         self._tripped: Dict[str, DriftDetected] = {}
@@ -473,13 +458,13 @@ class HealthMonitor:
         self.total_recoveries = 0
 
         # -- SLOs ----------------------------------------------------------
-        loss_obj = cfg.resolved_loss_objective(prediction)
+        loss_obj = resolved_loss_objective(loss_objective, prediction)
         self.slos: Dict[str, Slo] = {
             "loss": Slo(SloSpec(
                 name="loss",
                 objective=loss_obj,
                 description="windowed alert loss fraction vs Definition 3",
-                min_samples=cfg.loss_min_samples,
+                min_samples=LOSS_MIN_SAMPLES,
             )),
             "model-conformance": Slo(SloSpec(
                 name="model-conformance",
@@ -624,12 +609,12 @@ class HealthMonitor:
         # CUSUM on model-normalized inter-arrival times: under the
         # calibrated model the gaps are Exp(λ0), so λ0·Δt has mean 1;
         # a sustained mean below 1 is a rate increase.  Gaps are
-        # winsorized (cusum_clip) so single heavy-tail outliers cannot
+        # winsorized (CUSUM_CLIP) so single heavy-tail outliers cannot
         # spike the rate-decrease side.
         if self._last_arrival is not None:
             x = min(
                 self.prediction.arrival_rate * (time - self._last_arrival),
-                self.config.cusum_clip,
+                CUSUM_CLIP,
             )
             if self._cusum.update(x) and "cusum-arrival" not in self._tripped:
                 direction = self._cusum.direction
@@ -642,8 +627,7 @@ class HealthMonitor:
         self._last_arrival = time
 
         self._evaluate_loss(time)
-        if (self.config.gtest_every > 0
-                and self.total_arrivals % self.config.gtest_every == 0):
+        if self.total_arrivals % GTEST_EVERY == 0:
             self._run_gtest(time)
 
     def _note_alert_depth(self, time: float, depth: int) -> None:
@@ -709,7 +693,7 @@ class HealthMonitor:
         arrived = self._arrivals.count
         lost = self._losses.count
         fraction = lost / arrived if arrived else 0.0
-        ci = wilson_interval(lost, arrived, z=self.config.z)
+        ci = wilson_interval(lost, arrived, z=Z)
         slo = self.slos["loss"]
         self._transition_slo(time, slo,
                              slo.evaluate(fraction, ci, arrived))
@@ -726,10 +710,9 @@ class HealthMonitor:
         if self._ph.samples >= self._ph.min_samples:
             ratios.append(self._ph.statistic / self._ph.threshold)
         if self._gtest_p is not None and self._gtest_p > 0:
-            alpha = self.config.gtest_alpha
             # log-scale ratio: 1.0 exactly at p == alpha.
             ratios.append(math.log(1.0 / self._gtest_p)
-                          / math.log(1.0 / alpha))
+                          / math.log(1.0 / GTEST_ALPHA))
         for drift in self._tripped.values():
             if drift.threshold > 0:
                 ratios.append(drift.statistic / drift.threshold)
@@ -754,7 +737,7 @@ class HealthMonitor:
         # segments are heavily dependent, and pretending otherwise
         # false-alarms on the model's own conformant trajectories.
         segments = sum(self._alert_occ.jump_counts().values())
-        if segments < self.config.gtest_min_count:
+        if segments < GTEST_MIN_COUNT:
             return
         hist = self._alert_occ.histogram(time)
         total_time = sum(hist.values())
@@ -772,7 +755,7 @@ class HealthMonitor:
         if result is None:
             return
         self._gtest_p = result.p_value
-        if (result.p_value < self.config.gtest_alpha
+        if (result.p_value < GTEST_ALPHA
                 and "gtest-occupancy" not in self._tripped):
             # Statistic/threshold on the log-evidence scale so the
             # alarm condition is statistic > threshold, like the other
@@ -781,7 +764,7 @@ class HealthMonitor:
             self._drift(
                 time, "gtest-occupancy",
                 math.log(1.0 / max(result.p_value, floor)),
-                math.log(1.0 / self.config.gtest_alpha),
+                math.log(1.0 / GTEST_ALPHA),
                 "occupancy-shift",
             )
         else:
@@ -838,15 +821,14 @@ class HealthMonitor:
         return {
             "time": now,
             "verdict": self.verdict.value,
-            "window": self.config.window,
+            "window": WINDOW,
             "rates": self.rates(),
             "arrival_ci": list(
-                self._arrivals.confidence_interval(now, z=self.config.z)
+                self._arrivals.confidence_interval(now, z=Z)
             ),
             "loss": {
                 "fraction": lost / arrived if arrived else 0.0,
-                "ci": list(wilson_interval(lost, arrived,
-                                           z=self.config.z)),
+                "ci": list(wilson_interval(lost, arrived, z=Z)),
                 "window_arrivals": arrived,
                 "window_losses": lost,
                 "total_arrivals": self.total_arrivals,
@@ -1000,14 +982,14 @@ _DERIVED = (SloTransition, DriftDetected, ConformanceViolation)
 def replay_verdicts(
     events: Sequence[ObsEvent],
     prediction: ModelPrediction,
-    config: Optional[HealthConfig] = None,
+    loss_objective: Optional[float] = None,
     finalize: bool = False,
 ) -> List[ObsEvent]:
     """Re-derive the SLO verdict history from a recorded event stream.
 
     Feeds every non-derived event of ``events`` (a flight log's typed
     events) through a fresh :class:`HealthMonitor` with the same
-    ``prediction``/``config`` and returns the SloTransition /
+    ``prediction``/``loss_objective`` and returns the SloTransition /
     DriftDetected / ConformanceViolation events it produces.  Because
     the monitor is a pure function of the event sequence, the result
     equals the recorded verdicts exactly — the replay guarantee the
@@ -1019,7 +1001,7 @@ def replay_verdicts(
     replayed monitor then resolves end-of-trace LTLf obligations the
     same way, keeping the streams identical.
     """
-    monitor = HealthMonitor(prediction, config=config)
+    monitor = HealthMonitor(prediction, loss_objective)
     for event in events:
         if isinstance(event, _DERIVED):
             continue

@@ -48,20 +48,12 @@ from repro.errors import ObsError
 
 __all__ = [
     "PHASES",
-    "PROFILE_WALL_BUCKETS",
     "PhaseProfiler",
     "PhaseStat",
     "ProfileReport",
     "bump",
     "counter_snapshot",
 ]
-
-#: Histogram buckets for per-occurrence phase wall times (seconds):
-#: phases run from microseconds (a queue pop) to whole seconds (a
-#: batch fan-out), so the bounds are log-spaced across that range.
-PROFILE_WALL_BUCKETS: Tuple[float, ...] = (
-    1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0,
-)
 
 #: Canonical phase vocabulary, in pipeline order.  Reports list phases
 #: in this order (unknown names sort after, alphabetically), so the
@@ -198,31 +190,6 @@ class PhaseProfiler:
         self._total_wall: Optional[float] = None
         self._total_sim: float = 0.0
         self._counters0: Dict[str, int] = {}
-        self._registry: Optional[Any] = None
-        self._hists: Dict[str, Any] = {}
-
-    def bind_registry(self, registry: Any) -> None:
-        """Mirror every phase exit into a labeled registry histogram.
-
-        Each occurrence of phase ``name`` observes its wall duration
-        into ``repro_phase_wall_seconds{phase="name"}`` on the given
-        :class:`~repro.obs.metrics.MetricsRegistry` (duck-typed — any
-        object with a compatible ``histogram`` method works).  Labels
-        use the leaf name, not the full path, so cardinality stays
-        bounded by the phase vocabulary regardless of nesting."""
-        self._registry = registry
-        self._hists = {}
-
-    def _observe(self, name: str, wall: float) -> None:
-        hist = self._hists.get(name)
-        if hist is None:
-            hist = self._hists[name] = self._registry.histogram(
-                "repro_phase_wall_seconds",
-                buckets=PROFILE_WALL_BUCKETS,
-                labels={"phase": name},
-                help="Per-occurrence wall time of profiled phases.",
-            )
-        hist.observe(wall)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -316,20 +283,15 @@ class PhaseProfiler:
         control plane's ``tick.*`` phases; adding both to the
         attribution would double-count the interval.
 
-        A *running* profiler reports a provisional total (clock read
-        now, interval left open) so a live scrape — the ``/profile``
-        endpoint mid-run — never freezes the measurement; stats are
-        copied up front, so the report never aliases the live stats.
+        Raises :class:`~repro.errors.ObsError` unless the profiler was
+        started and stopped: the report covers one closed interval.
         """
         if self._t0 is None:
             raise ObsError("profiler report requested before start()")
-        if self._total_wall is not None:
-            total_wall, total_sim = self._total_wall, self._total_sim
-        else:
-            total_wall = self._wall_clock() - self._t0
-            total_sim = self._sim() - self._s0
-        stats = {path: (stat.calls, stat.wall, stat.sim)
-                 for path, stat in list(self._stats.items())}
+        if self._total_wall is None:
+            raise ObsError("profiler report requested before stop()")
+        total_wall, total_sim = self._total_wall, self._total_sim
+        stats = self.snapshot()
         paths = sorted(
             stats,
             key=lambda p: tuple(_rank(seg) for seg in p),
@@ -411,8 +373,6 @@ class _Phase:
         sim = prof._sim() - self._s0
         wall = prof._wall_clock() - self._w0
         stat.add(wall, sim)
-        if prof._registry is not None:
-            prof._observe(self._name, wall)
 
 
 @dataclass
@@ -459,7 +419,7 @@ class ProfileReport:
         return hashlib.sha256(blob).hexdigest()
 
     def as_dict(self) -> Dict[str, Any]:
-        """JSON-able form (the ``/profile`` payload and CLI output)."""
+        """JSON-able form (the CLI's ``profile --json`` document)."""
         return {
             "scenario": self.scenario,
             "total_wall": self.total_wall,

@@ -97,7 +97,6 @@ def run_figure1_observed(
     recovery_buffer: int = 8,
     scan_time: float = 1.0 / 15.0,
     task_time: float = 1.0 / 20.0,
-    inter_arrival: float = 0.05,
     flight: Optional[FlightRecorder] = None,
 ) -> ObsRun:
     """The paper's Figure 1 attack, driven through the Figure 2
@@ -105,7 +104,7 @@ def run_figure1_observed(
 
     The genuine IDS alert for the forged ``t1`` arrives first; then
     ``false_alarms`` spurious alerts (uids never committed — classic
-    IDS noise) follow, each ``inter_arrival`` sim-seconds apart, so the
+    IDS noise) follow, each 0.05 sim-seconds apart, so the
     queues actually fill and drain.  Scan and heal advance the manual
     clock via :class:`SimTimeDriver`.  Returns metrics, the full event
     stream, and one incident span tree
@@ -154,7 +153,7 @@ def run_figure1_observed(
     start = clock.now
     system.submit_alert(Alert(clock.now, sc.malicious_uid))
     for i in range(false_alarms):
-        clock.advance(inter_arrival)
+        clock.advance(0.05)
         system.submit_alert(
             Alert(clock.now, f"noise/t0#{i + 1}", genuine=False)
         )

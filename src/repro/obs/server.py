@@ -13,13 +13,7 @@ of a run, with zero dependencies beyond the standard library:
   SLO is OK or WARN, ``503`` on BREACH (so a probe-driven orchestrator
   reacts to a breached objective with no JSON parsing at all);
 - ``GET /slo``      — the full JSON health summary (verdicts, windowed
-  estimates, drift alarms, model predictions);
-- ``GET /profile``  — the live latency-attribution breakdown of a
-  :class:`~repro.obs.perf.PhaseProfiler` (phase rows, counters,
-  attribution fraction); ``?format=collapsed`` returns flamegraph
-  collapsed-stack text instead of JSON.  Scraping a *running* profiler
-  is safe — the report is provisional and never freezes the
-  measurement.
+  estimates, drift alarms, model predictions).
 
 In **fleet mode** (``fleet=`` a
 :class:`~repro.fleet.control.FleetControlPlane`, or anything with its
@@ -37,8 +31,8 @@ an ephemeral port (the bound port is on :attr:`port` after
 Threading contract
 ------------------
 The run loop owns all state: the system, the fleet, the bus, the
-metrics, the monitors and the profiler are built, mutated and read on
-its one thread, and none of them takes a lock.  The HTTP threads
+metrics and the monitors are built, mutated and read on its one
+thread, and none of them takes a lock.  The HTTP threads
 started here (the serving thread and one handler thread per request)
 are the only other threads in the package, and
 :attr:`TelemetryServer.lock` is the only lock.  Handlers hold it around every render, so concurrent scrapes
@@ -62,7 +56,6 @@ from urllib.parse import parse_qsl
 from repro.errors import FleetError, ObsError
 from repro.obs.health import HealthMonitor, SloState
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.perf import PhaseProfiler
 
 __all__ = ["TelemetryServer"]
 
@@ -108,18 +101,10 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
                     tenant=params.get("tenant")
                 )
                 self._send_json(status, payload)
-            elif path == "/profile":
-                if params.get("format") == "collapsed":
-                    status, text = owner.render_profile_collapsed()
-                    self._send(status, text.encode("utf-8"),
-                               "text/plain; charset=utf-8")
-                else:
-                    status, payload = owner.render_profile()
-                    self._send_json(status, payload)
             else:
                 self._send_json(404, {
                     "error": f"unknown path {path!r}",
-                    "paths": ["/metrics", "/healthz", "/slo", "/profile"],
+                    "paths": ["/metrics", "/healthz", "/slo"],
                 })
 
 
@@ -149,12 +134,6 @@ class TelemetryServer:
         ``shard_by_tenant(id) -> TenantShard``.  When set, ``/healthz``
         and ``/slo`` serve the fleet rollup (and ``?tenant=`` drills
         down) instead of the single ``monitor``.
-    profiler:
-        Optional :class:`~repro.obs.perf.PhaseProfiler` behind
-        ``/profile`` for single-system runs.  In fleet mode the fleet's
-        own profiler serves the route instead (via
-        ``fleet.profile_snapshot()``), with per-tenant and per-tick
-        breakdowns alongside the fleet rollup.
     host, port:
         Bind address; port ``0`` asks the OS for an ephemeral port.
     """
@@ -166,12 +145,10 @@ class TelemetryServer:
         host: str = "127.0.0.1",
         port: int = 0,
         fleet: Optional[Any] = None,
-        profiler: Optional[PhaseProfiler] = None,
     ) -> None:
         self.registry = registry
         self.monitor = monitor
         self.fleet = fleet
-        self.profiler = profiler
         self._host = host
         self._requested_port = int(port)
         self._httpd: Optional[_TelemetryHTTPServer] = None
@@ -304,36 +281,3 @@ class TelemetryServer:
         if self.monitor is None:
             return (404, {"error": "no health monitor attached"})
         return (200, self.monitor.summary())
-
-    def render_profile(self) -> Tuple[int, Dict[str, Any]]:
-        """Status + JSON for ``/profile``: the attribution breakdown.
-
-        Fleet mode serves ``fleet.profile_snapshot()`` (rollup +
-        per-tenant rows + per-tick ring); single mode serves the
-        attached profiler's :meth:`~repro.obs.perf.ProfileReport`.
-        404 when no profiler is wired up or it was never started —
-        a scrape should distinguish "not profiling" from "no data yet".
-        """
-        try:
-            if self.fleet is not None:
-                return (200, self.fleet.profile_snapshot())
-            if self.profiler is None:
-                return (404, {"error": "no profiler attached"})
-            return (200, self.profiler.report().as_dict())
-        except ObsError as exc:
-            return (404, {"error": str(exc)})
-
-    def render_profile_collapsed(self) -> Tuple[int, str]:
-        """Status + flamegraph collapsed-stack text for
-        ``/profile?format=collapsed`` (pipe straight into
-        ``flamegraph.pl`` or paste into speedscope)."""
-        try:
-            if self.fleet is not None:
-                report = self.fleet.profile_report()
-            elif self.profiler is not None:
-                report = self.profiler.report()
-            else:
-                return (404, "no profiler attached\n")
-        except ObsError as exc:
-            return (404, f"{exc}\n")
-        return (200, report.collapsed())

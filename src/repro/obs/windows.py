@@ -399,14 +399,13 @@ class GTestResult:
 def g_test(
     observed: Dict[int, float],
     expected_probs: Sequence[float],
-    min_expected: float = 1.0,
 ) -> Optional[GTestResult]:
     """Log-likelihood-ratio goodness-of-fit of ``observed`` counts
     against model cell probabilities.
 
     ``observed`` maps level → count (levels beyond the model's support
     are folded into the last cell); cells whose expected count falls
-    below ``min_expected`` are pooled with their neighbour so the χ²
+    below one are pooled with their neighbour so the χ²
     approximation holds.  Returns ``None`` when there is not enough
     data (fewer than two populated cells after pooling or zero total
     count) — callers treat that as "no verdict yet", never as a pass
@@ -428,14 +427,14 @@ def g_test(
     exp = [n * p / total_prob for p in expected_probs]
 
     # Pool adjacent low-expectation cells (right to left) so every
-    # remaining cell has expected count >= min_expected.
+    # remaining cell has expected count >= 1.
     pooled_obs: List[float] = []
     pooled_exp: List[float] = []
     acc_o = acc_e = 0.0
     for o, e in zip(obs, exp):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= 1.0:
             pooled_obs.append(acc_o)
             pooled_exp.append(acc_e)
             acc_o = acc_e = 0.0

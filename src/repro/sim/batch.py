@@ -67,7 +67,6 @@ from repro.errors import SimulationError
 from repro.markov.stg import RecoverySTG, State, StateCategory
 from repro.obs.health import (
     ConformanceReport,
-    HealthConfig,
     ModelPrediction,
     merge_conformance,
 )
@@ -165,12 +164,12 @@ def _timed_gillespie(
     seed: int,
     start: Optional[State],
     health: Optional[ModelPrediction] = None,
-    health_config: Optional[HealthConfig] = None,
+    loss_objective: Optional[float] = None,
 ) -> Tuple[GillespieResult, float]:
     t0 = time.perf_counter()  # lint: allow[DET001] host benchmark timing, not simulated time
     result = ctmc_sim.run_replication(stg, horizon, seed, start=start,
                                       health=health,
-                                      health_config=health_config)
+                                      loss_objective=loss_objective)
     return result, time.perf_counter() - t0  # lint: allow[DET001] host benchmark timing, not simulated time
 
 
@@ -180,14 +179,14 @@ def _timed_fullstack(
     seed: int,
     record_path: Optional[str] = None,
     health: Optional[ModelPrediction] = None,
-    health_config: Optional[HealthConfig] = None,
+    loss_objective: Optional[float] = None,
     profiler: Optional[PhaseProfiler] = None,
 ) -> Tuple[FullStackResult, float]:
     t0 = time.perf_counter()  # lint: allow[DET001] host benchmark timing, not simulated time
     result = fullstack.run_replication(config, horizon, seed,
                                        record_path=record_path,
                                        health=health,
-                                       health_config=health_config,
+                                       loss_objective=loss_objective,
                                        profiler=profiler)
     return result, time.perf_counter() - t0  # lint: allow[DET001] host benchmark timing, not simulated time
 
@@ -471,7 +470,7 @@ def run_gillespie_batch(
     seed: int = 0,
     start: Optional[State] = None,
     health: Optional[ModelPrediction] = None,
-    health_config: Optional[HealthConfig] = None,
+    loss_objective: Optional[float] = None,
     profiler: Optional[PhaseProfiler] = None,
 ) -> GillespieBatchResult:
     """Run ``replications`` independent Gillespie trajectories.
@@ -492,12 +491,14 @@ def run_gillespie_batch(
         (:func:`spawn_seeds`).
     start:
         Optional common start state (default NORMAL).
-    health, health_config:
+    health, loss_objective:
         With a :class:`~repro.obs.health.ModelPrediction`, every
         replication runs under a health monitor and the batch result's
         :attr:`~GillespieBatchResult.conformance` merges the
         per-replication verdicts (both are plain picklable data, so
-        they fan out to workers like the STG does).
+        they fan out to workers like the STG does); ``loss_objective``
+        sets the monitors' loss SLO target (``None``: derived from the
+        model).
     profiler:
         Optional started :class:`~repro.obs.perf.PhaseProfiler`; the
         batch records its ``batch.worker`` / ``batch.spawn`` /
@@ -515,7 +516,7 @@ def run_gillespie_batch(
     t0 = time.perf_counter()  # lint: allow[DET001] host benchmark timing, not simulated time
     outcomes = _fan_out(
         _timed_gillespie,
-        [(stg, horizon, s, start, health, health_config)
+        [(stg, horizon, s, start, health, loss_objective)
          for s in seeds],
         workers,
         profiler=profiler,
@@ -541,7 +542,7 @@ def run_fullstack_batch(
     seed: int = 0,
     record_dir: Optional[str] = None,
     health: Optional[ModelPrediction] = None,
-    health_config: Optional[HealthConfig] = None,
+    loss_objective: Optional[float] = None,
     profiler: Optional[PhaseProfiler] = None,
 ) -> FullStackBatchResult:
     """Run ``replications`` independent full-stack simulations; same
@@ -575,7 +576,7 @@ def run_fullstack_batch(
     t0 = time.perf_counter()  # lint: allow[DET001] host benchmark timing, not simulated time
     outcomes = _fan_out(
         _timed_fullstack,
-        [(config, horizon, s, p, health, health_config, inline_prof)
+        [(config, horizon, s, p, health, loss_objective, inline_prof)
          for s, p in zip(seeds, record_paths)],
         workers,
         profiler=profiler,

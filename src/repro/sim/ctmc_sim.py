@@ -36,7 +36,6 @@ from repro.obs.events import (
 )
 from repro.obs.health import (
     ConformanceReport,
-    HealthConfig,
     HealthMonitor,
     ModelPrediction,
 )
@@ -51,7 +50,7 @@ def run_replication(
     start: Optional[State] = None,
     bus: Optional[EventBus] = None,
     health: Optional[ModelPrediction] = None,
-    health_config: Optional[HealthConfig] = None,
+    loss_objective: Optional[float] = None,
 ) -> "GillespieResult":
     """One seeded Gillespie replication.
 
@@ -63,14 +62,14 @@ def run_replication(
     With ``health`` (a picklable :class:`ModelPrediction`), a
     :class:`HealthMonitor` rides the replication's event stream and the
     result carries its :class:`ConformanceReport` — a deterministic
-    function of ``(stg, horizon, seed, start, health, health_config)``,
+    function of ``(stg, horizon, seed, start, health, loss_objective)``,
     so batch merging stays bit-identical at any worker count.
     """
     monitor: Optional[HealthMonitor] = None
     if health is not None:
         if bus is None:
             bus = EventBus()
-        monitor = HealthMonitor(health, config=health_config).attach(bus)
+        monitor = HealthMonitor(health, loss_objective).attach(bus)
     result = GillespieSimulator(stg, random.Random(seed), bus=bus).run(
         horizon, start=start
     )

@@ -48,7 +48,6 @@ from repro.obs.events import (
 )
 from repro.obs.health import (
     ConformanceReport,
-    HealthConfig,
     HealthMonitor,
     ModelPrediction,
 )
@@ -71,7 +70,7 @@ def flight_log_meta(
     horizon: float,
     seed: int,
     health: Optional[ModelPrediction] = None,
-    health_config: Optional[HealthConfig] = None,
+    loss_objective: Optional[float] = None,
 ) -> Dict[str, object]:
     """The header ``meta`` of a full-stack flight log: the run's whole
     input, so ``obs replay`` can rebuild it from the log alone.
@@ -88,10 +87,7 @@ def flight_log_meta(
         "config": asdict(config) if config is not None else {},
     }
     if health is not None:
-        meta["health"] = {
-            "loss_objective": health_config.loss_objective
-            if health_config is not None else None,
-        }
+        meta["health"] = {"loss_objective": loss_objective}
     return meta
 
 
@@ -102,7 +98,7 @@ def run_replication(
     bus: Optional[EventBus] = None,
     record_path: Optional[str] = None,
     health: Optional[ModelPrediction] = None,
-    health_config: Optional[HealthConfig] = None,
+    loss_objective: Optional[float] = None,
     profiler: Optional[PhaseProfiler] = None,
 ) -> "FullStackResult":
     """One seeded full-stack replication.
@@ -137,11 +133,11 @@ def run_replication(
         recorder = FlightRecorder(
             label="fullstack", path=record_path,
             meta=flight_log_meta(config, horizon, seed, health,
-                                 health_config),
+                                 loss_objective),
         ).attach(bus)
         recorder.mark("start", 0.0, state="NORMAL")
     if health is not None:
-        monitor = HealthMonitor(health, config=health_config).attach(bus)
+        monitor = HealthMonitor(health, loss_objective).attach(bus)
     try:
         result = FullStackSimulator(config, random.Random(seed),
                                     bus=bus,

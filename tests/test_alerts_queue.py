@@ -82,8 +82,8 @@ class TestBoundedQueue:
 
     def test_hook_sees_offer_lost_and_pop(self):
         calls = []
-        q = BoundedQueue(1, hook=lambda op, queue: calls.append(
-            (op, len(queue))))
+        q = BoundedQueue(1)
+        q.set_hook(lambda op, queue: calls.append((op, len(queue))))
         q.offer("a")
         q.offer("b")  # rejected: full
         q.pop()
@@ -106,9 +106,9 @@ def by_digit(item):
 
 
 class TestPriorityBoundedQueue:
-    def make(self, capacity=4, classes=3, **kwargs):
+    def make(self, capacity=4, classes=3):
         return PriorityBoundedQueue(capacity, classes=classes,
-                                    priority_of=by_digit, **kwargs)
+                                    priority_of=by_digit)
 
     @staticmethod
     def dropped_classes(q):
@@ -146,18 +146,8 @@ class TestPriorityBoundedQueue:
         assert list(q) == ["0:b", "1:c", "2:a"]
         assert q.pop() == "0:b"
 
-    def test_offer_without_eviction_rejects_when_full(self):
-        q = self.make(capacity=2)
-        dropped = self.dropped_classes(q)
-        q.offer("2:a")
-        q.offer("2:b")
-        assert not q.offer("0:urgent")  # evict_lower off: plain reject
-        assert q.lost == 1
-        assert dropped == [0]
-        assert len(q) == 2
-
     def test_eviction_preempts_newest_least_urgent(self):
-        q = self.make(capacity=3, evict_lower=True)
+        q = self.make(capacity=3)
         dropped = self.dropped_classes(q)
         for item in ["2:a", "2:b", "1:c"]:
             q.offer(item)
@@ -168,7 +158,7 @@ class TestPriorityBoundedQueue:
         assert dropped == [2]                # ...of the victim's class
 
     def test_eviction_refused_when_nothing_less_urgent(self):
-        q = self.make(capacity=2, evict_lower=True)
+        q = self.make(capacity=2)
         dropped = self.dropped_classes(q)
         q.offer("0:a")
         q.offer("1:b")
@@ -177,7 +167,7 @@ class TestPriorityBoundedQueue:
         assert list(q) == ["0:a", "1:b"]
 
     def test_push_never_evicts(self):
-        q = self.make(capacity=1, evict_lower=True)
+        q = self.make(capacity=1)
         q.push("2:a")
         with pytest.raises(QueueFullError):
             q.push("0:b")
@@ -193,7 +183,7 @@ class TestPriorityBoundedQueue:
         assert list(q) == ["1:b", "2:c"]
 
     def test_drop_accounting_under_mixed_priorities(self):
-        q = self.make(capacity=2, evict_lower=True)
+        q = self.make(capacity=2)
         dropped = self.dropped_classes(q)
         q.offer("2:a")
         q.offer("2:b")
@@ -209,7 +199,7 @@ class TestPriorityBoundedQueue:
         drops = []
         bus.subscribe(drops.append, types=[QueueItemDropped])
         clock = ManualClock(5.0)
-        q = self.make(capacity=2, evict_lower=True)
+        q = self.make(capacity=2)
         q.instrument("central", bus, clock)
         q.offer("2:a")
         q.offer("2:b")
@@ -222,8 +212,8 @@ class TestPriorityBoundedQueue:
 
     def test_hook_sees_eviction_as_lost(self):
         calls = []
-        q = self.make(capacity=1, evict_lower=True,
-                      hook=lambda op, queue: calls.append(op))
+        q = self.make(capacity=1)
+        q.set_hook(lambda op, queue: calls.append(op))
         q.offer("2:a")
         q.offer("0:b")  # evicts 2:a: lost + offer
         assert calls == ["offer", "lost", "offer"]

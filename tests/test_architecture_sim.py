@@ -11,10 +11,7 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.markov.metrics import (
-    category_probabilities,
-    loss_probability,
-)
+from repro.markov.metrics import loss_probability
 from repro.markov.steady_state import steady_state
 from repro.markov.stg import RecoverySTG, State
 from repro.sim.architecture_sim import ArchitectureSimulator

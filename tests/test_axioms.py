@@ -1,7 +1,5 @@
 """Tests for Axiom 1 and the strict-correctness audit (Definition 2)."""
 
-import pytest
-
 from repro.core.axioms import (
     CorrectnessReport,
     HistoryStep,

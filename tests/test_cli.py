@@ -435,7 +435,7 @@ class TestObsHealth:
         assert "objective 1.000e-02)" not in capsys.readouterr().out
 
     def test_batch_recorded_log_replays_verdicts(self, capsys, tmp_path):
-        from repro.obs.health import HealthConfig, ModelPrediction
+        from repro.obs.health import ModelPrediction
         from repro.sim.batch import run_fullstack_batch
         from repro.sim.fullstack import FullStackConfig
 
@@ -445,7 +445,7 @@ class TestObsHealth:
             cfg, horizon=30, replications=1, seed=1,
             record_dir=str(tmp_path),
             health=ModelPrediction.from_stg(cfg.stg()),
-            health_config=HealthConfig(loss_objective=1e-6),
+            loss_objective=1e-6,
         )
         log = tmp_path / "rep-0000.jsonl"
         assert main(["obs", "replay", "--log", str(log)]) == 0

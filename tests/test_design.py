@@ -4,7 +4,6 @@ import pytest
 
 from repro.markov.degradation import constant, inverse_k
 from repro.markov.design import (
-    DesignResult,
     cost_effective_rate,
     design_system,
     peak_resilience,

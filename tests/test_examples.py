@@ -6,7 +6,6 @@ strict correctness), so "runs without raising" is a meaningful check.
 
 import pathlib
 import runpy
-import sys
 
 import pytest
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workflow.expr import Expr, ExprError, compile_expr
+from repro.workflow.expr import ExprError, compile_expr
 
 
 def ev(source, **env):

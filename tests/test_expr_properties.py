@@ -6,11 +6,10 @@ the tokenizer/parser against an independently-constructed ground truth
 rather than hand-picked cases.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workflow.expr import ExprError, compile_expr
+from repro.workflow.expr import compile_expr
 
 VARS = ["a", "b", "c", "qty", "rate"]
 ENV = {"a": 3, "b": -2, "c": 7, "qty": 10, "rate": 4}

@@ -12,8 +12,6 @@ Three concerns:
   the report's machine-parseable summary line.
 """
 
-import os
-
 import pytest
 
 from repro.errors import GenerationError

@@ -11,7 +11,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.markov.metrics import loss_probability
 from repro.markov.steady_state import steady_state
-from repro.markov.stg import RecoverySTG, State, StateCategory
+from repro.markov.stg import RecoverySTG, State
 from repro.sim.ctmc_sim import GillespieSimulator
 
 

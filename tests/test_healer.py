@@ -3,10 +3,10 @@ semantics, and the paper's Figure 1 outcome."""
 
 import pytest
 
-from repro.core.actions import Action, ActionKind
+from repro.core.actions import Action
 from repro.core.healer import Healer
 from repro.errors import RecoveryError
-from repro.scenarios.figure1 import Figure1Scenario, build_figure1
+from repro.scenarios.figure1 import Figure1Scenario
 from repro.workflow.data import TOMBSTONE, DataStore
 from repro.workflow.engine import Engine
 from repro.workflow.log import RecordKind, SystemLog

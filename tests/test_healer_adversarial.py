@@ -6,8 +6,6 @@ re-converging diamonds, read-your-write chains, multiple malicious
 tasks — and checks both the exact recovery outcome and Definition 2.
 """
 
-import pytest
-
 from repro.core.axioms import audit_strict_correctness
 from repro.core.healer import Healer
 from repro.ids.attacks import AttackCampaign

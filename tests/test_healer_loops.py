@@ -7,8 +7,6 @@ iterate the wrong number of times; the healed execution must re-decide
 every iteration, abandoning surplus instances or executing extra ones.
 """
 
-import pytest
-
 from repro.core.axioms import audit_strict_correctness
 from repro.core.healer import Healer
 from repro.ids.attacks import AttackCampaign

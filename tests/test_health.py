@@ -23,7 +23,6 @@ from repro.obs.events import (
 )
 from repro.obs.health import (
     ConformanceReport,
-    HealthConfig,
     HealthMonitor,
     ModelPrediction,
     SloState,
@@ -83,7 +82,7 @@ class TestWilsonInterval:
 class TestConformantRuns:
     """The acceptance gate: on the calibrated Figure 4 workload the
     monitor reports OK with no drift alarms, and the CTMC-predicted
-    loss lies inside the monitor's confidence interval."""
+    loss lies inside the Wilson interval of the run's loss fraction."""
 
     def test_paper_workload_stays_ok(self, paper_stg, paper_prediction):
         for seed in range(3):
@@ -96,13 +95,13 @@ class TestConformantRuns:
             assert report.verdict is SloState.OK
 
     def test_predicted_loss_within_ci(self, paper_stg, paper_prediction):
-        bus = EventBus()
-        monitor = HealthMonitor(
-            paper_prediction,
-            config=HealthConfig(window=600.0),
-        ).attach(bus)
-        GillespieSimulator(paper_stg, random.Random(0), bus=bus).run(600.0)
-        low, high = monitor.summary()["loss"]["ci"]
+        monitor = HealthMonitor(paper_prediction).attach(EventBus())
+        GillespieSimulator(
+            paper_stg, random.Random(0), bus=monitor.bus
+        ).run(600.0)
+        loss = monitor.summary()["loss"]
+        low, high = wilson_interval(loss["total_losses"],
+                                    loss["total_arrivals"])
         assert low <= paper_prediction.loss_probability <= high
 
     def test_hot_workload_disarms_page_hinkley(self):
@@ -237,17 +236,17 @@ class TestReplayVerdicts:
         # so re-deriving from the recorded events must match exactly.
         stg = RecoverySTG.paper_default(arrival_rate=6.0, buffer_size=3)
         prediction = ModelPrediction.from_stg(stg)
-        config = HealthConfig(loss_objective=0.01)  # far below reality
+        objective = 0.01  # far below reality
         bus = EventBus()
         recorder = EventRecorder().attach(bus)
-        monitor = HealthMonitor(prediction, config=config).attach(bus)
+        monitor = HealthMonitor(prediction, objective).attach(bus)
         GillespieSimulator(stg, random.Random(2), bus=bus).run(150.0)
         recorded = [e for e in recorder.events
                     if isinstance(e, (SloTransition, DriftDetected))]
         assert recorded, "lossy run should produce verdict events"
         assert recorded == monitor.emitted
         replayed = replay_verdicts(recorder.events, prediction,
-                                   config=config)
+                                   loss_objective=objective)
         assert replayed == recorded
 
     def test_fullstack_flight_log_replays_identically(self):
@@ -256,11 +255,11 @@ class TestReplayVerdicts:
         cfg = FullStackConfig(arrival_rate=6.0, alert_buffer=3,
                               recovery_buffer=3)
         prediction = ModelPrediction.from_stg(cfg.stg())
-        config = HealthConfig(loss_objective=0.01)
+        objective = 0.01
         bus = EventBus()
         recorder = EventRecorder().attach(bus)
         result = run_replication(cfg, 80.0, 5, bus=bus, health=prediction,
-                                 health_config=config)
+                                 loss_objective=objective)
         verdicts = (SloTransition, DriftDetected)
         recorded = [e for e in recorder.events if isinstance(e, verdicts)]
         assert recorded, "tight objective should force transitions"
@@ -269,7 +268,7 @@ class TestReplayVerdicts:
         events = [e for e in recorder.events
                   if not isinstance(e, verdicts)]
         assert replay_verdicts(events, prediction,
-                               config=config) == recorded
+                               loss_objective=objective) == recorded
 
 
 class TestQueueDropEvents:

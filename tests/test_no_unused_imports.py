@@ -1,10 +1,16 @@
-"""No unused imports under ``src/repro``.
+"""No unused imports under ``src/repro``, ``tests/``, ``benchmarks/``
+or ``examples/``.
 
 A module-level or local ``import`` binds a name; the import is *used*
 when that name is read anywhere in the module: as a bare name, as the
 root of an attribute chain, inside a quoted annotation, or listed in
 ``__all__``. A package ``__init__.py`` is exempt: its imports are
-re-exports. ``from __future__`` imports are exempt too.
+re-exports. ``from __future__`` imports are exempt too. A pytest
+fixture shared between test modules lives in a ``conftest.py``, which
+pytest loads by itself, so no test module imports a fixture.
+
+``perfbench/`` is not scanned: it is the benchmark harness, and it
+changes only together with the benchmark.
 
 The standard library ``ast`` is enough for this; no linter is needed.
 """
@@ -18,6 +24,7 @@ from typing import Iterator, List, Set, Tuple
 import repro
 
 SRC = Path(repro.__file__).parent
+ROOT = SRC.parent.parent
 
 
 def _quoted_names(node: ast.AST) -> Iterator[str]:
@@ -96,11 +103,23 @@ def test_detector_sees_unused_and_used_imports():
                                       (8, "json")]
 
 
+def _findings(*roots: Path) -> List[str]:
+    found = []
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            for line, name in unused_imports(path.read_text()):
+                found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
+    return found
+
+
 def test_no_unused_imports_in_src():
-    findings = []
-    for path in sorted(SRC.rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for line, name in unused_imports(path.read_text()):
-            findings.append(f"{path.relative_to(SRC.parent)}:{line}: {name}")
+    findings = _findings(SRC)
+    assert not findings, "unused imports:\n" + "\n".join(findings)
+
+
+def test_no_unused_imports_in_tests_benchmarks_and_examples():
+    findings = _findings(ROOT / "tests", ROOT / "benchmarks",
+                         ROOT / "examples")
     assert not findings, "unused imports:\n" + "\n".join(findings)

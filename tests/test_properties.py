@@ -227,7 +227,6 @@ def test_cumulative_times_sum_to_horizon(bd, t):
 @settings(max_examples=50, deadline=None)
 @given(segmented_commits())
 def test_segmented_merge_preserves_local_and_causal_order(scenario):
-    from repro.workflow.log import SystemLog
     from repro.workflow.segments import SegmentedLog
     from repro.workflow.task import TaskInstance
 

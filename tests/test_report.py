@@ -1,7 +1,5 @@
 """Tests for the table/series reporting helpers."""
 
-import math
-
 import pytest
 
 from repro.report.series import Series, format_series

@@ -5,7 +5,6 @@ import pytest
 from repro.scenarios.banking import build_banking
 from repro.scenarios.figure1 import build_figure1
 from repro.scenarios.travel import build_travel
-from repro.workflow.data import TOMBSTONE
 
 
 class TestBanking:

@@ -11,7 +11,6 @@ import pytest
 from repro.core.healer import Healer
 from repro.errors import LogError
 from repro.scenarios.figure1 import Figure1Scenario, build_figure1
-from repro.workflow.data import DataStore
 from repro.workflow.segments import LogSegment, SegmentedLog
 from repro.workflow.task import TaskInstance
 

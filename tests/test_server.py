@@ -15,7 +15,7 @@ import pytest
 from repro.errors import ObsError
 from repro.markov.stg import RecoverySTG
 from repro.obs.events import EventBus
-from repro.obs.health import HealthConfig, HealthMonitor, ModelPrediction
+from repro.obs.health import HealthMonitor, ModelPrediction
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.server import TelemetryServer
 from repro.sim.ctmc_sim import GillespieSimulator
@@ -95,7 +95,7 @@ class TestBareServer:
             status, _, body = _get(server.url + "/nope")
         assert status == 404
         assert json.loads(body)["paths"] == [
-            "/metrics", "/healthz", "/slo", "/profile",
+            "/metrics", "/healthz", "/slo",
         ]
 
 
@@ -139,8 +139,7 @@ class TestMonitoredEndpoints:
         # the loss SLO breaches, and the probe must go unhealthy.
         stg = RecoverySTG.paper_default(arrival_rate=6.0, buffer_size=3)
         monitor = HealthMonitor(
-            ModelPrediction.from_stg(stg),
-            config=HealthConfig(loss_objective=1e-6),
+            ModelPrediction.from_stg(stg), loss_objective=1e-6,
         ).attach(EventBus())
         GillespieSimulator(stg, random.Random(1),
                            bus=monitor.bus).run(150.0)
@@ -272,80 +271,13 @@ class TestFleetEndpoints:
         assert "repro_fleet_detect_heal_latency" in text
 
 
-class TestProfileEndpoint:
-    def _profiler(self):
-        from repro.obs.perf import PhaseProfiler
-
-        prof = PhaseProfiler().start()
-        with prof.phase("detect"):
-            pass
-        with prof.phase("analyze"):
-            with prof.phase("analyze.closure"):
-                pass
-        prof.stop()
-        return prof
-
-    def test_profile_404_without_profiler(self):
-        with TelemetryServer() as server:
-            status, _, body = _get(server.url + "/profile")
-        assert status == 404
-        assert "no profiler" in json.loads(body)["error"]
-
-    def test_profile_json_payload(self):
-        with TelemetryServer(profiler=self._profiler()) as server:
-            status, ctype, body = _get(server.url + "/profile")
-        payload = json.loads(body)
-        assert status == 200 and "json" in ctype
-        paths = [r["path"] for r in payload["phases"]]
-        assert paths == ["detect", "analyze", "analyze;analyze.closure"]
-        assert 0.0 <= payload["attribution"] <= 1.0
-        assert len(payload["structure_digest"]) == 64
-
-    def test_profile_collapsed_rendering(self):
-        with TelemetryServer(profiler=self._profiler()) as server:
-            status, ctype, body = _get(
-                server.url + "/profile?format=collapsed")
-        assert status == 200
-        assert ctype.startswith("text/plain")
-        lines = body.decode("utf-8").splitlines()
-        assert all(line.startswith("repro;") for line in lines)
-        assert any(line.startswith("repro;analyze;analyze.closure ")
-                   for line in lines)
-
-    def test_fleet_profile_serves_the_snapshot(self):
-        from repro.fleet import FleetConfig, FleetControlPlane
-        from repro.obs.perf import PhaseProfiler
-
-        prof = PhaseProfiler()
-        plane = FleetControlPlane(
-            FleetConfig(tenants=2, duration=10.0, seed=5),
-            profiler=prof,
-        )
-        prof.start()
-        plane.run()
-        prof.stop()
-        with TelemetryServer(registry=plane.registry,
-                             fleet=plane) as server:
-            status, _, body = _get(server.url + "/profile")
-        payload = json.loads(body)
-        assert status == 200
-        assert set(payload) == {"fleet", "tenants", "ticks"}
-        assert len(payload["tenants"]) == 2
-
-    def test_unprofiled_fleet_profile_is_404(self, fleet_server):
-        server, _ = fleet_server
-        status, _, body = _get(server.url + "/profile")
-        assert status == 404
-        assert "without a profiler" in json.loads(body)["error"]
-
-
 class TestProfileHammer:
-    """/metrics + /slo + /profile scraped concurrently while the fleet
+    """/metrics + /healthz + /slo scraped concurrently while the fleet
     is mid-run — the one truly concurrent path in the tree.
 
     The server contract is that a driver mutating shared state wraps
     each mutation in ``server.lock`` — so the test drives the tick
-    loop by hand under the lock while four scraper threads hammer
+    loop by hand under the lock while three scraper threads hammer
     every endpoint.  Every response must be a well-formed 200; a
     torn read would surface as a 500 or a JSON parse error.
     """
@@ -354,12 +286,9 @@ class TestProfileHammer:
         import threading
 
         from repro.fleet import FleetConfig, FleetControlPlane, WorkerPool
-        from repro.obs.perf import PhaseProfiler
 
-        prof = PhaseProfiler()
         config = FleetConfig(tenants=3, duration=20.0, seed=4)
-        plane = FleetControlPlane(config, profiler=prof)
-        prof.start()
+        plane = FleetControlPlane(config)
         failures = []
         counts = {}
         stop = threading.Event()
@@ -370,15 +299,11 @@ class TestProfileHammer:
                 if status != 200:
                     failures.append((path, status, body[:200]))
                     return
-                if "json" in path or path in ("/slo", "/profile"):
-                    payload = json.loads(body)
-                    if path == "/profile":
-                        # Live snapshot: provisional but consistent.
-                        assert payload["fleet"]["total_wall"] > 0.0
+                if path != "/metrics":
+                    json.loads(body)
                 counts[path] = counts.get(path, 0) + 1
 
-        paths = ("/metrics", "/slo", "/profile",
-                 "/profile?format=collapsed")
+        paths = ("/metrics", "/healthz", "/slo")
         with TelemetryServer(registry=plane.registry,
                              fleet=plane) as server:
             threads = [threading.Thread(target=scrape, args=(p,))
@@ -394,7 +319,5 @@ class TestProfileHammer:
             for t in threads:
                 t.join(timeout=60)
                 assert not t.is_alive()
-        prof.stop()
         assert not failures, failures
         assert all(counts.get(p, 0) > 0 for p in paths), counts
-        assert plane.profile_report().attribution > 0.0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ModelError
-from repro.markov.degradation import constant, inverse_k
+from repro.markov.degradation import constant
 from repro.markov.steady_state import steady_state
 from repro.markov.stg import RecoverySTG, State, StateCategory
 

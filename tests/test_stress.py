@@ -14,7 +14,7 @@ import pytest
 from repro.core.epochs import EpochManager
 from repro.ids.attacks import AttackCampaign
 from repro.workflow.data import DataStore
-from repro.workflow.spec import WorkflowSpec, workflow
+from repro.workflow.spec import workflow
 
 
 def make_spec(name: str, rng: random.Random, shared=("pool", "meter")):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.sim.workload import Workload, WorkloadConfig, WorkloadGenerator
+from repro.sim.workload import WorkloadConfig, WorkloadGenerator
 
 
 def gen(seed=0, **overrides):
