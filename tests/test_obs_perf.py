@@ -103,14 +103,19 @@ class TestPhaseAlgebra:
             PhaseProfiler().report()
         with pytest.raises(ObsError):
             PhaseProfiler().stop()
+
+    def test_live_report_while_running(self):
         # A report covers one closed interval: none while running.
         clock = FakeClock()
         prof = PhaseProfiler(wall_clock=clock).start()
-        clock.advance(2.0)
+        with prof.phase("detect"):
+            clock.advance(1.0)
+        clock.advance(1.0)
         with pytest.raises(ObsError, match="before stop"):
             prof.report()
+        clock.advance(2.0)
         prof.stop()
-        assert prof.report().total_wall == pytest.approx(2.0)
+        assert prof.report().total_wall == pytest.approx(4.0)
 
     def test_counters_report_the_runs_delta(self):
         bump("closure_recomputations", 7)  # pre-existing global noise
