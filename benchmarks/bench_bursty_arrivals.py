@@ -6,7 +6,9 @@ advising designers to size the alert buffer "according to the peak rate
 the system wants to handle".  This bench quantifies the gap: the same
 recovery pipeline is driven by a Poisson stream and by MMPP streams of
 *identical mean rate* but increasing peak-to-mean ratio, across buffer
-sizes.
+sizes.  Both columns are exact steady-state solves: the Poisson one of
+the STG itself, the bursty ones of the (burst phase, STG state) product
+chain (:func:`repro.markov.bursty.bursty_loss`).
 
 Expected shape: at equal mean load, burstier streams lose strictly more
 alerts.  Moreover, with the realistic ``1/k`` degradation the Figure
@@ -19,18 +21,15 @@ than to grow buffers for the mean rate.
 
 from __future__ import annotations
 
-import random
-
+from repro.markov.bursty import BurstModel, bursty_loss
+from repro.markov.metrics import loss_probability
+from repro.markov.steady_state import steady_state
 from repro.markov.stg import RecoverySTG
 from repro.report.series import Series, format_series
-from repro.sim.bursty import BurstModel, BurstySimulator
-from repro.sim.ctmc_sim import GillespieSimulator
 
 MEAN_RATE = 1.0
 PEAK_TO_MEAN = [3.0, 8.0]
 BUFFERS = [4, 8, 12]
-HORIZON = 40_000.0
-SEEDS = 3
 
 
 def compute_bursty_comparison():
@@ -41,20 +40,14 @@ def compute_bursty_comparison():
         stg = RecoverySTG.paper_default(
             arrival_rate=MEAN_RATE, buffer_size=buffer
         )
-        loss = 0.0
-        for seed in range(SEEDS):
-            sim = GillespieSimulator(stg, random.Random(seed))
-            loss += sim.run(HORIZON).loss_time_fraction
-        series["poisson"].add(buffer, loss / SEEDS)
+        series["poisson"].add(
+            buffer, loss_probability(stg, steady_state(stg.ctmc()))
+        )
         for ptm in PEAK_TO_MEAN:
             model = BurstModel.with_mean(
                 MEAN_RATE, peak_to_mean=ptm, mean_burst_length=4.0
             )
-            loss = 0.0
-            for seed in range(SEEDS):
-                sim = BurstySimulator(stg, model, random.Random(seed))
-                loss += sim.run(HORIZON).loss_time_fraction
-            series[ptm].add(buffer, loss / SEEDS)
+            series[ptm].add(buffer, bursty_loss(stg, model))
     return series
 
 
@@ -85,7 +78,7 @@ def test_bursty_arrivals(save_table, benchmark):
         "bursty_arrivals",
         format_series(
             "Extension E: loss-time fraction, Poisson vs bursty "
-            f"arrivals (mean rate {MEAN_RATE:g}, horizon {HORIZON:g})",
+            f"arrivals (mean rate {MEAN_RATE:g}, exact steady state)",
             list(series.values()),
             x_label="buffer",
         ),

@@ -221,7 +221,6 @@ class FleetControlPlane:
         self.clock = ManualClock(0.0)
         self.central: PriorityBoundedQueue[Token] = PriorityBoundedQueue(
             config.resolved_central_capacity,
-            classes=3,
             priority_of=lambda token: token.priority,
         )
         self.central.instrument("central", bus, self.clock)

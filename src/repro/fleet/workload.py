@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import FleetError
 from repro.ids.attacks import AttackCampaign
 from repro.obs.health import ModelPrediction
-from repro.sim.fullstack import FullStackConfig
+from repro.sim.fullstack import FullStackConfig, ledger_spec
 from repro.workflow.spec import WorkflowSpec, workflow
 
 __all__ = [
@@ -46,21 +46,6 @@ def _figure1_spec(name: str) -> WorkflowSpec:
         .task("consume", reads=["x"], writes=[f"out_{name}"],
               compute=lambda d: {f"out_{name}": d["x"] * 2 + d["x"] % 2})
         .chain("produce", "consume")
-        .build()
-    )
-
-
-def _banking_spec(name: str) -> WorkflowSpec:
-    """The full-stack simulator's ledger victim: apply a delta to the
-    shared balance and record a receipt (damage chains across runs)."""
-    return (
-        workflow(name)
-        .task("apply", reads=["balance"],
-              writes=["balance", f"receipt_{name}"],
-              compute=lambda d: {
-                  "balance": d["balance"] + 10,
-                  f"receipt_{name}": d["balance"] + 10,
-              })
         .build()
     )
 
@@ -244,7 +229,7 @@ PROFILES: Dict[str, TenantProfile] = {
         initial_data=(("x", 7),), arrival_rate=0.2,
     ),
     "banking": TenantProfile(
-        name="banking", spec_factory=_banking_spec,
+        name="banking", spec_factory=ledger_spec,
         attacked_task="apply", attacked_object="balance",
         initial_data=(("balance", 100),), arrival_rate=0.25,
     ),

@@ -37,6 +37,10 @@ __all__ = ["Alert", "BoundedQueue", "PriorityBoundedQueue"]
 
 T = TypeVar("T")
 
+#: Priority classes of a :class:`PriorityBoundedQueue`: the fleet's
+#: BREACH, WARN and OK tenants (0 most urgent).
+PRIORITY_CLASSES = 3
+
 
 @dataclass(frozen=True, order=True)
 class Alert:
@@ -239,12 +243,12 @@ class BoundedQueue(Generic[T]):
 class PriorityBoundedQueue(BoundedQueue[T]):
     """Bounded queue with priority classes and preemption.
 
-    Items are assigned a class in ``[0, classes)`` by ``priority_of``
-    (lower class number = more urgent); :meth:`pop` serves the oldest
-    item of the most urgent non-empty class, and order *within* a class
-    is strictly FIFO.  Capacity, loss accounting, ``high_water`` and
-    drop-event instrumentation behave exactly as in
-    :class:`BoundedQueue`; the published
+    Items are assigned a class in ``[0, PRIORITY_CLASSES)`` by
+    ``priority_of`` (lower class number = more urgent); :meth:`pop`
+    serves the oldest item of the most urgent non-empty class, and
+    order *within* a class is strictly FIFO.  Capacity, loss
+    accounting, ``high_water`` and drop-event instrumentation behave
+    exactly as in :class:`BoundedQueue`; the published
     :class:`~repro.obs.events.QueueItemDropped` additionally carries
     the rejected item's class.
 
@@ -258,15 +262,13 @@ class PriorityBoundedQueue(BoundedQueue[T]):
     def __init__(
         self,
         capacity: int,
-        classes: int = 3,
         priority_of: Optional[Callable[[T], int]] = None,
     ) -> None:
-        if classes < 1:
-            raise ValueError(f"classes must be >= 1, got {classes}")
         super().__init__(capacity)
-        self._classes = classes
         self._priority_of = priority_of
-        self._lanes: List[Deque[T]] = [deque() for _ in range(classes)]
+        self._lanes: List[Deque[T]] = [
+            deque() for _ in range(PRIORITY_CLASSES)
+        ]
 
     # -- storage primitives ------------------------------------------------
 
@@ -275,9 +277,9 @@ class PriorityBoundedQueue(BoundedQueue[T]):
 
     def _class_of(self, item: T) -> int:
         cls = self._priority_of(item) if self._priority_of else 0
-        if not 0 <= cls < self._classes:
+        if not 0 <= cls < PRIORITY_CLASSES:
             raise ValueError(
-                f"priority class {cls} outside [0, {self._classes})"
+                f"priority class {cls} outside [0, {PRIORITY_CLASSES})"
             )
         return cls
 
@@ -300,17 +302,10 @@ class PriorityBoundedQueue(BoundedQueue[T]):
     def _make_room(self, item: T) -> bool:
         """Preempt the newest least-urgent item."""
         cls = self._class_of(item)
-        for victim_cls in range(self._classes - 1, cls, -1):
+        for victim_cls in range(PRIORITY_CLASSES - 1, cls, -1):
             lane = self._lanes[victim_cls]
             if lane:
                 victim = lane.pop()  # newest of the class: least regret
                 self._note_lost(victim)
                 return True
         return False
-
-    # -- classes -------------------------------------------------------------
-
-    @property
-    def classes(self) -> int:
-        """Number of priority classes."""
-        return self._classes

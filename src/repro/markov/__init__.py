@@ -14,6 +14,8 @@ Implements Sections IV-C through VI of the paper:
   matrix exponential and its φ₁ companion;
 - :mod:`repro.markov.metrics` — loss probability (Definition 3),
   ε-convergence (Definition 4), expected queue lengths;
+- :mod:`repro.markov.bursty` — Definition 3's loss under bursty (MMPP)
+  arrivals, from the (burst phase, STG state) product chain;
 - :mod:`repro.markov.design` — the Section VI design-guideline
   procedure;
 - :mod:`repro.markov.backend` — dense/sparse solver backend selection

@@ -209,8 +209,7 @@ def spans_to_chrome_trace(
     )
 
 
-def profile_to_collapsed(report: ProfileReport,
-                         root: str = "repro") -> str:
+def profile_to_collapsed(report: ProfileReport) -> str:
     """Flamegraph collapsed-stack text for a profile report.
 
     Thin exporter wrapper over
@@ -218,7 +217,7 @@ def profile_to_collapsed(report: ProfileReport,
     string surfaces live in one module; pipe the result into
     ``flamegraph.pl`` or paste into speedscope.
     """
-    return report.collapsed(root)
+    return report.collapsed()
 
 
 def profile_to_chrome_trace(report: ProfileReport) -> str:

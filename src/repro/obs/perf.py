@@ -431,10 +431,10 @@ class ProfileReport:
             "structure_digest": self.structure_digest(),
         }
 
-    def collapsed(self, root: str = "repro") -> str:
+    def collapsed(self) -> str:
         """Flamegraph-compatible collapsed-stack rendering.
 
-        One line per stack path, ``root;phase;subphase <weight>``, with
+        One line per stack path, ``repro;phase;subphase <weight>``, with
         weights in integer microseconds of *self* wall time (the format
         ``flamegraph.pl`` and speedscope ingest).  Zero-weight paths
         are kept — shape stays deterministic even when a phase was too
@@ -443,5 +443,5 @@ class ProfileReport:
         lines = []
         for row in self.rows:
             weight = int(round(row["wall_self"] * 1e6))
-            lines.append(f"{root};{row['path']} {weight}")
+            lines.append(f"repro;{row['path']} {weight}")
         return "\n".join(lines) + ("\n" if lines else "")

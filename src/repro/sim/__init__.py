@@ -3,11 +3,13 @@
 The paper evaluates its architecture purely analytically (CTMC).  This
 package adds an operational layer:
 
-- :mod:`repro.sim.events` / :mod:`repro.sim.simulator` — a generic
-  discrete-event simulation core;
 - :mod:`repro.sim.ctmc_sim` — an exact stochastic (Gillespie) simulation
   of the recovery pipeline's state process, used to cross-validate the
-  CTMC's steady-state and loss-probability results;
+  CTMC's steady-state and loss-probability results (does the CTMC
+  hold?);
+- :mod:`repro.sim.fullstack` — the timed pipeline with a real store,
+  log, analyzer and healer (does the real pipeline hold?), on the
+  event loop of :mod:`repro.sim.simulator`;
 - :mod:`repro.sim.workload` — random workflow/attack workload generation
   for workflow-level experiments;
 - :mod:`repro.sim.recovery_sim` — end-to-end pipeline runs (engine →
@@ -16,9 +18,11 @@ package adds an operational layer:
   baselines the paper argues against;
 - :mod:`repro.sim.batch` — parallel replication fan-out over a process
   pool with deterministic per-replication seed streams.
+
+Bursty (MMPP) arrivals need no simulator of their own: the (phase,
+state) process is a CTMC, solved exactly by :mod:`repro.markov.bursty`.
 """
 
-from repro.sim.architecture_sim import ArchitectureSimulator
 from repro.sim.baselines import (
     RecoveryCost,
     checkpoint_rollback_cost,
@@ -32,9 +36,7 @@ from repro.sim.batch import (
     run_gillespie_batch,
     spawn_seeds,
 )
-from repro.sim.bursty import BurstModel, BurstySimulator
 from repro.sim.ctmc_sim import GillespieResult, GillespieSimulator
-from repro.sim.events import Event
 from repro.sim.fullstack import (
     FullStackConfig,
     FullStackResult,
@@ -45,7 +47,6 @@ from repro.sim.simulator import Simulator
 from repro.sim.workload import WorkloadConfig, WorkloadGenerator
 
 __all__ = [
-    "Event",
     "Simulator",
     "GillespieSimulator",
     "GillespieResult",
@@ -54,9 +55,6 @@ __all__ = [
     "run_gillespie_batch",
     "run_fullstack_batch",
     "spawn_seeds",
-    "ArchitectureSimulator",
-    "BurstModel",
-    "BurstySimulator",
     "FullStackSimulator",
     "FullStackConfig",
     "FullStackResult",

@@ -60,6 +60,7 @@ __all__ = [
     "FullStackConfig",
     "FullStackResult",
     "FullStackSimulator",
+    "ledger_spec",
     "flight_log_meta",
     "run_replication",
 ]
@@ -245,9 +246,10 @@ class FullStackResult:
         return self.alerts_lost / self.attacks
 
 
-def _victim_spec(name: str) -> WorkflowSpec:
-    """The per-attack workflow: reads the shared balance, applies a
-    delta, records a receipt (so damage chains across attacks)."""
+def ledger_spec(name: str) -> WorkflowSpec:
+    """The per-attack ledger workflow: reads the shared balance, applies
+    a delta, records a receipt (so damage chains across attacks).  The
+    fleet's banking archetype runs the same victim."""
     return (
         workflow(name)
         .task("apply", reads=["balance"],
@@ -396,12 +398,12 @@ class FullStackSimulator:
                 scanning = True
                 duration = cfg.scan_time * (1 + len(unit_queue))
                 pending_service["scan"] = duration
-                sim.schedule(duration, scan_done, "scan")
+                sim.schedule(duration, scan_done)
             elif unit_queue and (not alert_queue or blocked):
                 recovering = True
                 duration = cfg.unit_recovery_time * len(unit_queue)
                 pending_service["recovery"] = duration
-                sim.schedule(duration, recovery_done, "recovery")
+                sim.schedule(duration, recovery_done)
             elif not alert_queue and not unit_queue:
                 commit_repairs()  # quiescent: repairs take effect
 
@@ -426,7 +428,7 @@ class FullStackSimulator:
                     workflow_instance=name,
                 )
                 manager.run_workflow_attacked(
-                    _victim_spec(name), campaign, name=name
+                    ledger_spec(name), campaign, name=name
                 )
                 uid = campaign.malicious_uids[0]
                 if len(alert_queue) >= cfg.alert_buffer:
@@ -445,8 +447,7 @@ class FullStackSimulator:
                             min(sim.now, horizon), uid=uid,
                             queue_depth=len(alert_queue),
                         ))
-                sim.schedule(rng.expovariate(cfg.arrival_rate), attack,
-                             "attack")
+                sim.schedule(rng.expovariate(cfg.arrival_rate), attack)
                 dispatch()
                 note_state()
 
@@ -535,8 +536,7 @@ class FullStackSimulator:
             note_state()
 
         if cfg.arrival_rate > 0:
-            sim.schedule(rng.expovariate(cfg.arrival_rate), attack,
-                         "attack")
+            sim.schedule(rng.expovariate(cfg.arrival_rate), attack)
         try:
             sim.run_until(horizon)
             account()

@@ -106,9 +106,8 @@ def by_digit(item):
 
 
 class TestPriorityBoundedQueue:
-    def make(self, capacity=4, classes=3):
-        return PriorityBoundedQueue(capacity, classes=classes,
-                                    priority_of=by_digit)
+    def make(self, capacity=4):
+        return PriorityBoundedQueue(capacity, priority_of=by_digit)
 
     @staticmethod
     def dropped_classes(q):
@@ -134,7 +133,7 @@ class TestPriorityBoundedQueue:
         assert [q.pop(), q.pop(), q.pop()] == ["1:b", "1:c", "1:d"]
 
     def test_single_class_degenerates_to_fifo(self):
-        q = PriorityBoundedQueue(3, classes=1)
+        q = PriorityBoundedQueue(3)  # no priority_of: every item class 0
         for x in "abc":
             q.offer(x)
         assert [q.pop(), q.pop(), q.pop()] == ["a", "b", "c"]
@@ -219,10 +218,6 @@ class TestPriorityBoundedQueue:
         assert calls == ["offer", "lost", "offer"]
 
     def test_priority_class_out_of_range_raises(self):
-        q = PriorityBoundedQueue(2, classes=2, priority_of=by_digit)
+        q = self.make(capacity=2)
         with pytest.raises(ValueError):
-            q.offer("5:x")
-
-    def test_classes_validation(self):
-        with pytest.raises(ValueError):
-            PriorityBoundedQueue(2, classes=0)
+            q.offer("3:x")

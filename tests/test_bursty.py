@@ -1,15 +1,30 @@
-"""Tests for the MMPP bursty-arrival extension."""
+"""Tests for the MMPP bursty-arrival extension.
 
-import random
+The (burst phase, STG state) product chain is solved exactly, so the
+degenerate corners of the MMPP parameter space must reproduce the
+Poisson STG's Definition 3 loss to rounding, not to sampling error.
+"""
 
 import pytest
 
-from repro.errors import ModelError, SimulationError
-from repro.markov.steady_state import steady_state
+from repro.errors import ModelError
+from repro.markov.bursty import BurstModel, _product_chain, bursty_loss
 from repro.markov.metrics import loss_probability
+from repro.markov.steady_state import steady_state
 from repro.markov.stg import RecoverySTG
-from repro.sim.bursty import BurstModel, BurstySimulator
-from repro.sim.ctmc_sim import GillespieSimulator
+
+
+def poisson_loss(stg: RecoverySTG) -> float:
+    return loss_probability(stg, steady_state(stg.ctmc()))
+
+
+def phase_occupancy(stg: RecoverySTG, burst: BurstModel):
+    """``{phase: {State: π}}`` of the product chain's steady state."""
+    chain = _product_chain(stg, burst)
+    out = {}
+    for (phase, state), p in zip(chain.states, steady_state(chain)):
+        out.setdefault(phase, {})[state] = p
+    return out
 
 
 class TestBurstModel:
@@ -42,27 +57,20 @@ class TestBurstModel:
 
 
 class TestBurstySimulator:
-    def test_occupancy_sums_to_one(self):
-        stg = RecoverySTG.paper_default(buffer_size=4)
-        model = BurstModel.with_mean(1.0, peak_to_mean=5.0,
-                                     mean_burst_length=2.0)
-        result = BurstySimulator(stg, model, random.Random(1)).run(500.0)
-        assert sum(result.occupancy.values()) == pytest.approx(1.0)
+    """The exact product chain that replaced the sampled MMPP loop."""
 
     def test_mean_arrival_rate_realized(self):
-        # MMPP arrival counts are over-dispersed; average several
-        # trajectories to beat the burst-level variance.
+        """The phase marginal is the burst fraction, so the chain's
+        long-run arrival rate is the model's mean rate."""
         stg = RecoverySTG.paper_default(buffer_size=10)
         model = BurstModel.with_mean(1.0, peak_to_mean=4.0,
                                      mean_burst_length=3.0)
-        rates = []
-        for seed in range(4):
-            result = BurstySimulator(
-                stg, model, random.Random(seed)
-            ).run(20_000.0)
-            rates.append(result.arrivals / result.horizon)
-        realized = sum(rates) / len(rates)
-        assert realized == pytest.approx(model.mean_rate, rel=0.05)
+        occ = phase_occupancy(stg, model)
+        in_burst = sum(occ[1].values())
+        assert in_burst == pytest.approx(model.burst_fraction, abs=1e-12)
+        realized = (in_burst * model.burst_rate
+                    + sum(occ[0].values()) * model.quiet_rate)
+        assert realized == pytest.approx(model.mean_rate, abs=1e-12)
 
     def test_degenerate_model_matches_poisson(self):
         """A 'burst' model whose two phases share one rate is Poisson;
@@ -70,27 +78,17 @@ class TestBurstySimulator:
         stg = RecoverySTG.paper_default(arrival_rate=2.0, buffer_size=5)
         model = BurstModel(quiet_rate=2.0, burst_rate=2.0,
                            onset_rate=1.0, decay_rate=1.0)
-        result = BurstySimulator(stg, model, random.Random(3)).run(20_000.0)
-        analytic = loss_probability(stg, steady_state(stg.ctmc()))
-        assert result.loss_time_fraction == pytest.approx(analytic,
-                                                          abs=0.02)
+        assert bursty_loss(stg, model) == pytest.approx(
+            poisson_loss(stg), abs=1e-12
+        )
 
     def test_bursty_worse_than_poisson_at_same_mean(self):
         """The headline claim behind Section VI's peak-rate sizing."""
         mean = 1.0
         stg = RecoverySTG.paper_default(arrival_rate=mean, buffer_size=6)
-        poisson = GillespieSimulator(stg, random.Random(4)).run(30_000.0)
         model = BurstModel.with_mean(mean, peak_to_mean=8.0,
                                      mean_burst_length=4.0)
-        bursty = BurstySimulator(stg, model, random.Random(4)).run(30_000.0)
-        assert bursty.loss_time_fraction > poisson.loss_time_fraction
-        assert bursty.alert_loss_fraction > poisson.alert_loss_fraction
-
-    def test_zero_horizon_rejected(self):
-        stg = RecoverySTG.paper_default(buffer_size=3)
-        model = BurstModel.with_mean(1.0, 2.0, 1.0)
-        with pytest.raises(SimulationError):
-            BurstySimulator(stg, model).run(0.0)
+        assert bursty_loss(stg, model) > 10 * poisson_loss(stg)
 
 
 class TestAdversarialModels:
@@ -104,64 +102,40 @@ class TestAdversarialModels:
         assert model.burst_fraction == pytest.approx(1.0)
         assert model.mean_rate == pytest.approx(3.0)
         stg = RecoverySTG.paper_default(arrival_rate=3.0, buffer_size=5)
-        result = BurstySimulator(stg, model, random.Random(7)).run(5_000.0)
-        analytic = loss_probability(stg, steady_state(stg.ctmc()))
-        assert result.loss_time_fraction == pytest.approx(analytic,
-                                                          abs=0.03)
+        assert bursty_loss(stg, model) == pytest.approx(
+            poisson_loss(stg), abs=1e-12
+        )
 
     def test_burst_that_never_starts_is_quiet_poisson(self):
         """onset = 0 with a positive quiet rate: the burst phase is
-        unreachable and the stream is plain Poisson."""
-        model = BurstModel(quiet_rate=1.0, burst_rate=50.0,
-                           onset_rate=0.0, decay_rate=1.0)
-        assert model.burst_fraction == 0.0
-        assert model.mean_rate == pytest.approx(1.0)
+        unreachable and the stream is plain Poisson (with decay = 0
+        too, a two-phase chain would have two closed classes)."""
         stg = RecoverySTG.paper_default(arrival_rate=1.0, buffer_size=5)
-        result = BurstySimulator(stg, model, random.Random(9)).run(10_000.0)
-        analytic = loss_probability(stg, steady_state(stg.ctmc()))
-        assert result.loss_time_fraction == pytest.approx(analytic,
-                                                          abs=0.02)
+        for decay_rate in (1.0, 0.0):
+            model = BurstModel(quiet_rate=1.0, burst_rate=50.0,
+                               onset_rate=0.0, decay_rate=decay_rate)
+            assert model.burst_fraction == 0.0
+            assert model.mean_rate == pytest.approx(1.0)
+            assert bursty_loss(stg, model) == pytest.approx(
+                poisson_loss(stg), abs=1e-12
+            )
 
     def test_extreme_peak_saturates_tiny_buffer(self):
-        """A 100x peak against a one-slot buffer: most burst arrivals
-        must be lost, and the accounting stays consistent."""
+        """A 100x peak against a one-slot buffer: most arrivals come in
+        bursts, and most burst arrivals find the buffer full."""
         stg = RecoverySTG.paper_default(buffer_size=1)
         model = BurstModel.with_mean(1.0, peak_to_mean=100.0,
                                      mean_burst_length=5.0)
-        result = BurstySimulator(stg, model, random.Random(11)).run(2_000.0)
-        assert 0 < result.arrivals_lost <= result.arrivals
-        assert result.alert_loss_fraction > 0.5
-
-    def test_alert_count_never_exceeds_buffer(self):
-        stg = RecoverySTG.paper_default(buffer_size=3)
-        model = BurstModel.with_mean(2.0, peak_to_mean=20.0,
-                                     mean_burst_length=2.0)
-        result = BurstySimulator(stg, model, random.Random(13)).run(500.0)
-        assert all(s.alerts <= 3 for s in result.occupancy)
-
-    def test_same_seed_is_bit_identical(self):
-        stg = RecoverySTG.paper_default(buffer_size=4)
-        model = BurstModel.with_mean(1.0, peak_to_mean=6.0,
-                                     mean_burst_length=2.0)
-        a = BurstySimulator(stg, model, random.Random(17)).run(300.0)
-        b = BurstySimulator(stg, model, random.Random(17)).run(300.0)
-        assert a.occupancy == b.occupancy
-        assert a.arrivals == b.arrivals and a.jumps == b.jumps
-
-    def test_jump_bound_enforced(self):
-        stg = RecoverySTG.paper_default(arrival_rate=5.0, buffer_size=4)
-        model = BurstModel.with_mean(5.0, peak_to_mean=4.0,
-                                     mean_burst_length=1.0)
-        with pytest.raises(SimulationError):
-            BurstySimulator(stg, model, random.Random(1)).run(
-                10_000.0, max_jumps=50
-            )
-
-    def test_negative_horizon_rejected(self):
-        stg = RecoverySTG.paper_default(buffer_size=3)
-        model = BurstModel.with_mean(1.0, 2.0, 1.0)
-        with pytest.raises(SimulationError):
-            BurstySimulator(stg, model).run(-1.0)
+        occ = phase_occupancy(stg, model)
+        full = stg.alert_buffer
+        lost_rate = sum(
+            p * rate
+            for phase, rate in ((0, model.quiet_rate),
+                                (1, model.burst_rate))
+            for s, p in occ[phase].items() if s.alerts == full
+        )
+        assert lost_rate / model.mean_rate > 0.5
+        assert 0 < bursty_loss(stg, model) < model.burst_fraction
 
     def test_mean_unreachable_quiet_rate_rejected(self):
         # quiet_rate == mean makes p = 0: no valid burst fraction.

@@ -81,9 +81,6 @@ ALLOWED: Dict[str, str] = {
         "Section I: checkpoints lose good work",
     "repro.sim.baselines:RecoveryCost.total_recovery_work":
         "Section I: checkpoints lose good work",
-    # Kept by decision.
-    "repro.sim.architecture_sim:ArchitectureSimulator":
-        "the Figure 2 architecture simulator, kept by decision",
     # Test support.
     "repro.scenarios.generate:random_attacked_case":
         "random attacked cases for the healer's property tests",
