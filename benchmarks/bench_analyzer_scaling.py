@@ -34,7 +34,7 @@ def build_attacked_system(n_tasks_total, seed=0):
     )
     workload = gen.generate()
     campaign = gen.pick_attacks(workload, n_attacks=8)
-    result = run_pipeline(workload, campaign, heal=False, seed=seed)
+    result = run_pipeline(workload, campaign, seed=seed)
     return result
 
 

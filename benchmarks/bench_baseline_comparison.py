@@ -47,8 +47,9 @@ def compare_strategies():
             workload = gen.generate()
             campaign = gen.pick_attacks(workload, n_attacks=n_attacks)
             result = run_pipeline(workload, campaign, seed=seed)
-            assert result.healthy, result.audit.problems
-            dep = dependency_recovery_cost(result.heal)
+            report = result.heal_now()
+            assert result.audit.ok, result.audit.problems
+            dep = dependency_recovery_cost(report)
             ckpt = checkpoint_rollback_cost(
                 result.log, result.malicious_ground_truth
             )

@@ -53,7 +53,7 @@ def storage_analysis(seed=0):
         random.Random(seed),
     )
     workload = gen.generate()
-    result = run_pipeline(workload, None, heal=False, seed=seed)
+    result = run_pipeline(workload, None, seed=seed)
 
     # A multi-version store keeps every version a reader may have
     # pinned: the whole history the versioned store already records.

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Quickstart: define a workflow, attack it, detect, heal, verify.
+"""Quickstart: define a workflow, attack it, report, heal, verify.
 
 Walks through the full public API in one small scenario:
 
 1. specify a workflow (tasks with read/write sets + a branch);
 2. execute it under an attack that forges one task's output;
-3. let the IDS report the malicious instance;
+3. report the malicious instance (the attack's ground truth stands in
+   for the IDS);
 4. analyze the damage (Theorems 1–2) and inspect the plan;
 5. heal (undo/redo with candidate resolution);
 6. audit strict correctness (Definition 2).
@@ -18,7 +19,6 @@ from repro import (
     DataStore,
     Engine,
     Healer,
-    IntrusionDetector,
     RecoveryAnalyzer,
     SystemLog,
     audit_strict_correctness,
@@ -64,10 +64,8 @@ def main() -> None:
     print(f"  billed     : {store.read('billed')} (should be 60)")
 
     # 3. The IDS reports the tampered instance.
-    ids = IntrusionDetector(attack)
-    ids.inspect(log)
-    alerts = ids.drain()
-    print(f"\nIDS alerts: {[a.uid for a in alerts]}")
+    alerts = list(attack.malicious_uids)
+    print(f"\nIDS alerts: {alerts}")
 
     # 4. Damage analysis: Theorems 1 and 2.
     analyzer = RecoveryAnalyzer(log, engine.specs_by_instance)
@@ -79,7 +77,7 @@ def main() -> None:
 
     # 5. Heal: re-execute the genuine code, re-decide the branch.
     healer = Healer(store, log, engine.specs_by_instance)
-    report = healer.heal([a.uid for a in alerts])
+    report = healer.heal(alerts)
     print(f"\n{report.summary()}")
     print(f"  abandoned (wrong path): {sorted(report.abandoned)}")
     print(f"  new executions        : {sorted(report.new_executions)}")

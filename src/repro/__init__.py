@@ -1,8 +1,8 @@
 """repro — self-healing workflow systems under attacks.
 
 A full reproduction of *Yu, Liu & Zang, "Self-Healing Workflow Systems
-under Attacks", ICDCS 2004*: a workflow management substrate, attack and
-IDS simulation, the dependency-based attack-recovery theory (Theorems
+under Attacks", ICDCS 2004*: a workflow management substrate, attack
+injection and IDS alert queues, the dependency-based attack-recovery theory (Theorems
 1–4), an operational self-healer, and the paper's CTMC performance
 model with steady-state and transient analysis.
 
@@ -30,7 +30,7 @@ from repro.core import (
     recovery_partial_order,
 )
 from repro.errors import ReproError
-from repro.ids import Alert, AttackCampaign, DetectorConfig, IntrusionDetector
+from repro.ids import Alert, AttackCampaign
 from repro.persistence import (
     PersistenceError,
     SystemSnapshot,
@@ -73,8 +73,6 @@ __all__ = [
     "DependencyAnalyzer",
     # attacks & detection
     "AttackCampaign",
-    "IntrusionDetector",
-    "DetectorConfig",
     "Alert",
     # recovery core
     "Action",

@@ -120,15 +120,9 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
 
 def cmd_demo(args) -> int:
     """Run one of the built-in scenarios end to end."""
-    if getattr(args, "flight_log", None) and args.scenario != "web-app":
-        raise ObsError(
-            "demo --flight-log records only the web-app scenario's "
-            "alert-driven run; record the Figure 1 incident with "
-            "'obs record --scenario figure1'"
-        )
     sc = SCENARIOS[args.scenario]()
     if getattr(args, "flight_log", None):
-        return _demo_web_app_recorded(sc, args.flight_log)
+        return _demo_recorded(args.scenario, sc, args.flight_log)
     _print_state(sc, "before heal")
     report = sc.heal_now()
     for line in sc.describe(report):
@@ -145,11 +139,21 @@ def _print_state(sc, when: str) -> None:
         print(f"{sc.STATE_LABEL}{when:<11}: {state}")
 
 
-def _demo_web_app_recorded(sc, path: str) -> int:
-    """Heal the hijacked web shop through the full Figure 2 pipeline
-    (alert queue → analyzer scan → batch heal) with a flight recorder
-    attached, leaving a replayable log whose conformance verdicts can
-    be re-derived offline (``obs replay --conformance --log FILE``)."""
+def _demo_recorded(name: str, sc, path: str) -> int:
+    """Heal a scenario through the full Figure 2 pipeline (alert queue
+    → analyzer scan → batch heal) with a flight recorder attached,
+    leaving a replayable log whose conformance verdicts can be
+    re-derived offline (``obs replay --conformance --log FILE``).
+
+    Only damage named by task uids travels as IDS alerts; a scenario
+    that reports forged workflow runs cannot be recorded."""
+    malicious, forged_runs = sc.reported()
+    if forged_runs:
+        raise ObsError(
+            f"demo --flight-log cannot record {name}: it reports forged "
+            "workflow runs, which are not IDS alerts; the pipeline heals "
+            "only alerts that name task uids"
+        )
     from repro.obs.events import EventBus
     from repro.obs.recorder import FlightRecorder
     from repro.obs.tracing import ManualClock
@@ -159,7 +163,7 @@ def _demo_web_app_recorded(sc, path: str) -> int:
     clock = ManualClock(0.0)
     out = None if path == "-" else path
     flight = FlightRecorder(
-        label="web-app",
+        label=name,
         path=out,
         # The run ends at quiescence, so offline replay must close the
         # trace (resolve remaining LTLf obligations) to reproduce the
@@ -169,15 +173,16 @@ def _demo_web_app_recorded(sc, path: str) -> int:
     system = SelfHealingSystem(sc.manager, bus=bus, clock=clock)
     flight.mark("start", clock.now, state=system.state.value)
     _print_state(sc, "before heal")
-    system.submit_alert(sc.hijacked_uid)
+    for uid in malicious:
+        system.submit_alert(uid)
     clock.advance(1.0)
     while system.alerts_queued:
         if system.scan_step() is None:
-            raise ObsError("web-app analyzer stalled with alerts queued")
+            raise ObsError(f"{name} analyzer stalled with alerts queued")
         clock.advance(1.0)
     report = system.recovery_step()
     if report is None:
-        raise ObsError("web-app pipeline produced no heal report")
+        raise ObsError(f"{name} pipeline produced no heal report")
     audit = sc.record_heal(report)
     flight.mark("finalize", clock.now, state=system.state.value)
     flight.close()
@@ -1267,8 +1272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flight-log", metavar="FILE", default=None,
                    help="drive the heal through the instrumented "
                         "Figure 2 pipeline and write a replayable "
-                        "flight log to FILE ('-' for stdout; web-app "
-                        "scenario only)")
+                        "flight log to FILE ('-' for stdout; scenarios "
+                        "whose damage is task uids: figure1, travel, "
+                        "web-app)")
     p.set_defaults(fn=cmd_demo)
 
     p = sub.add_parser("steady", help=cmd_steady.__doc__)

@@ -27,11 +27,12 @@ alert of a burst *before* rolling — which is precisely the paper's
 operating discipline: recovery starts only once the alert queue has
 drained.
 
-This is the package's one heal-and-audit path: the scenarios,
-:func:`~repro.sim.recovery_sim.run_pipeline`, the Figure 2
-:class:`~repro.system.SelfHealingSystem`, the full-stack simulator, the
-fleet and the fuzzer all heal through :meth:`EpochManager.heal` and
-check Definition 2 through :meth:`EpochManager.audit`.
+This is the package's one heal-and-audit path: the scenarios (the
+attacked workloads of :func:`~repro.sim.recovery_sim.run_pipeline`
+among them), the Figure 2 :class:`~repro.system.SelfHealingSystem`,
+the full-stack simulator, the fleet and the fuzzer all heal through
+:meth:`EpochManager.heal` and check Definition 2 through
+:meth:`EpochManager.audit`.
 """
 
 from __future__ import annotations

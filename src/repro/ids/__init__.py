@@ -8,9 +8,7 @@ provides both sides:
 - :mod:`repro.ids.attacks` — tamper hooks that corrupt task outputs or
   forge whole malicious runs, recording ground truth for evaluation;
 - :mod:`repro.ids.alerts` — alerts and the bounded queues of the recovery
-  architecture (Figure 2);
-- :mod:`repro.ids.detector` — an IDS simulator with detection delay,
-  detection probability and false alarms.
+  architecture (Figure 2).
 """
 
 from repro.ids.alerts import Alert, BoundedQueue
@@ -20,7 +18,6 @@ from repro.ids.attacks import (
     OutputTransform,
     TargetSelector,
 )
-from repro.ids.detector import DetectorConfig, IntrusionDetector
 
 __all__ = [
     "Alert",
@@ -29,6 +26,4 @@ __all__ = [
     "OutputOverride",
     "OutputTransform",
     "TargetSelector",
-    "IntrusionDetector",
-    "DetectorConfig",
 ]

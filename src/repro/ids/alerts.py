@@ -51,16 +51,13 @@ class Alert:
     detected_at:
         Simulation / wall-clock time of the report (alerts order by it).
     uid:
-        Uid of the reported task instance.
-    genuine:
-        ``False`` for false alarms (the uid does not denote a truly malicious
-        instance); the recovery analyzer treats both alike, which lets
-        experiments measure the cost of false positives.
+        Uid of the reported task instance.  A false alarm names an
+        innocent instance; recovery cannot tell it from a genuine
+        report and treats both alike.
     """
 
     detected_at: float
     uid: str
-    genuine: bool = True
 
 
 #: Instrumentation hook: called as ``hook(op, queue)`` with ``op`` one

@@ -115,7 +115,7 @@ def _attacked_pipeline(seed: int, n_attacks: int, tasks: int = 10):
     )
     workload = gen.generate()
     campaign = gen.pick_attacks(workload, n_attacks=n_attacks)
-    result = run_pipeline(workload, campaign, heal=False, seed=seed)
+    result = run_pipeline(workload, campaign, seed=seed)
     _PIPELINE_CACHE[key] = (workload, result)
     return workload, result
 

@@ -118,11 +118,19 @@ def steady_state(chain: Union[CTMC, np.ndarray],
         b = np.zeros(n)
         b[-1] = 1.0
         try:
-            pi, residuals, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+            pi, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise NotConvergedError(
                 f"steady-state solve failed: {exc}"
             ) from exc
+        if rank < n:
+            # A rank-deficient system has no unique solution: lstsq
+            # would return one minimum-norm mixture of the closed
+            # classes' stationary vectors.
+            raise NotConvergedError(
+                f"steady-state system has rank {rank} < {n} "
+                "(reducible chain with multiple closed classes?)"
+            )
         pi = _finish(pi)
         residual = np.abs(pi @ q).max()
 

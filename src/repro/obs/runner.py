@@ -154,9 +154,7 @@ def run_figure1_observed(
     system.submit_alert(Alert(clock.now, sc.malicious_uid))
     for i in range(false_alarms):
         clock.advance(0.05)
-        system.submit_alert(
-            Alert(clock.now, f"noise/t0#{i + 1}", genuine=False)
-        )
+        system.submit_alert(Alert(clock.now, f"noise/t0#{i + 1}"))
     add_child("detect", start, genuine=1, false_alarms=false_alarms)
     scans = 0
     while system.state is SystemState.SCAN:

@@ -317,13 +317,13 @@ def _run_single_episode(campaign: CampaignSpec) -> _EpisodeResult:
     backlog: List[str] = []
     t = 0.0
 
-    def submit(uid: str, genuine: bool = True, timed: bool = False) -> None:
+    def submit(uid: str, timed: bool = False) -> None:
         nonlocal t, alerts
         if not timed:
             t += rng.expovariate(campaign.arrival_rate)
             clock.set(max(t, clock.now))
         alerts += 1
-        if not system.submit_alert(Alert(clock.now, uid, genuine=genuine)):
+        if not system.submit_alert(Alert(clock.now, uid)):
             backlog.append(uid)
 
     def false_alarm_uids(step, exclude: Set[str]) -> List[str]:
@@ -345,7 +345,7 @@ def _run_single_episode(campaign: CampaignSpec) -> _EpisodeResult:
         """Fire one scan/recovery-timed step at the current clock."""
         if step.kind == "false-alarm":
             for uid in false_alarm_uids(step, set()):
-                submit(uid, genuine=False, timed=True)
+                submit(uid, timed=True)
             return
         workload = minis[(i, j)]
         burst = AttackCampaign()
@@ -368,15 +368,12 @@ def _run_single_episode(campaign: CampaignSpec) -> _EpisodeResult:
                 spec, attack, name=f"{spec.workflow_id}.run"
             )
         malicious = set(attack.malicious_uids)
-        queued: List[Tuple[str, bool]] = [
-            (uid, True) for uid in attack.malicious_uids
-        ]
+        queued = list(attack.malicious_uids)
         for step in stage:
             if step.trigger == "ingest" and step.kind == "false-alarm":
-                for uid in false_alarm_uids(step, malicious):
-                    queued.append((uid, False))
-        for uid, genuine in queued:
-            submit(uid, genuine=genuine)
+                queued.extend(false_alarm_uids(step, malicious))
+        for uid in queued:
+            submit(uid)
 
         pending_scan = [
             (j, step) for j, step in enumerate(stage)

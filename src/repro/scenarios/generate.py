@@ -390,7 +390,7 @@ def random_attacked_case(
     )
     workload = gen.generate()
     campaign = gen.pick_attacks(workload, n_attacks=n_attacks)
-    result = run_pipeline(workload, campaign, seed=seed, heal=False)
+    result = run_pipeline(workload, campaign, seed=seed)
     alerts = [u for u in result.malicious_ground_truth if u in result.log]
     if not alerts:
         return None

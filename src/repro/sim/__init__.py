@@ -12,8 +12,8 @@ package adds an operational layer:
   event loop of :mod:`repro.sim.simulator`;
 - :mod:`repro.sim.workload` — random workflow/attack workload generation
   for workflow-level experiments;
-- :mod:`repro.sim.recovery_sim` — end-to-end pipeline runs (engine →
-  attack → IDS → analyzer → healer → audit);
+- :mod:`repro.sim.recovery_sim` — attacked workload runs, returned as
+  scenarios to heal and audit;
 - :mod:`repro.sim.baselines` — checkpoint/rollback and redo-everything
   baselines the paper argues against;
 - :mod:`repro.sim.batch` — parallel replication fan-out over a process

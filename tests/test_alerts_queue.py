@@ -15,10 +15,6 @@ class TestAlert:
         assert early < late
         assert sorted([late, early])[0] is early
 
-    def test_genuine_default(self):
-        assert Alert(0.0, "u").genuine
-        assert not Alert(0.0, "u", genuine=False).genuine
-
 
 class TestBoundedQueue:
     def test_fifo(self):

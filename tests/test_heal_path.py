@@ -95,7 +95,8 @@ class TestScenariosHealThroughTheManager:
         gen, wl = make_workload(seed=3)
         result = run_pipeline(wl, gen.pick_attacks(wl, n_attacks=2),
                               seed=3)
-        assert result.healthy, result.audit.problems
+        result.heal_now()
+        assert result.audit.ok, result.audit.problems
         assert result.heal.undone
         assert set(result.heal.undone) == {
             r.uid for r in result.log.records(RecordKind.UNDO)}
@@ -150,3 +151,25 @@ class TestFlightLogPins:
             ).stdout
 
         assert record("0") == record("1")
+
+
+class TestDemoFlightLogs:
+    """``demo --flight-log`` records every scenario whose reported
+    damage is task uids, and refuses the ones that report forged runs."""
+
+    @pytest.mark.parametrize("name", ["figure1", "travel", "web-app"])
+    def test_recorded_heal_replays_conformant(self, tmp_path, capsys,
+                                              name):
+        path = tmp_path / f"{name}.jsonl"
+        assert main(["demo", name, "--flight-log", str(path)]) == 0
+        assert "strictly correct: True" in capsys.readouterr().out
+        assert main(["obs", "replay", "--log", str(path),
+                     "--conformance"]) == 0
+        assert ", 0 violation(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["banking", "supply-chain"])
+    def test_forged_runs_are_refused(self, tmp_path, capsys, name):
+        path = tmp_path / f"{name}.jsonl"
+        assert main(["demo", name, "--flight-log", str(path)]) == 3
+        assert "forged workflow runs" in capsys.readouterr().err
+        assert not path.exists()

@@ -29,14 +29,7 @@ CALLER_DIRS = (SRC, ROOT / "benchmarks", ROOT / "perfbench", ROOT / "examples")
 
 #: Fields kept at their default on purpose, keyed ``Class.field``, each
 #: with its reason.
-ALLOWED: Dict[str, str] = {
-    "DetectorConfig.detection_probability":
-        "ROADMAP 3(b) alert-channel faults; test_pipeline drives them",
-    "DetectorConfig.mean_detection_delay":
-        "ROADMAP 3(b) alert-channel faults; test_pipeline drives them",
-    "DetectorConfig.false_alarm_rate":
-        "ROADMAP 3(b) alert-channel faults; test_pipeline drives them",
-}
+ALLOWED: Dict[str, str] = {}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

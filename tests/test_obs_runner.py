@@ -154,8 +154,7 @@ class TestFigure1Observed:
                                    recovery_buffer=8)
         system.submit_alert(Alert(0.0, sc.malicious_uid))
         for i in range(2):
-            system.submit_alert(Alert(0.0, f"noise/t0#{i + 1}",
-                                      genuine=False))
+            system.submit_alert(Alert(0.0, f"noise/t0#{i + 1}"))
         while system.state is SystemState.SCAN:
             assert system.scan_step() is not None
         plain = system.recovery_step()

@@ -1,12 +1,12 @@
-"""Integration tests: the full pipeline (engine → IDS → analyzer →
-healer → audit) over random workloads."""
+"""Integration tests: attacked random workloads (engine → attack),
+healed and audited through ``Scenario.heal_now``."""
 
 import random
 
 import pytest
 
 from repro.core.actions import ActionKind
-from repro.ids.detector import DetectorConfig
+from repro.core.analyzer import RecoveryAnalyzer
 from repro.sim.recovery_sim import run_pipeline
 from repro.sim.workload import WorkloadConfig, WorkloadGenerator
 
@@ -25,7 +25,8 @@ class TestHealing:
         g, wl = make(seed)
         campaign = g.pick_attacks(wl, n_attacks=2)
         result = run_pipeline(wl, campaign, seed=seed)
-        assert result.healthy, result.audit.problems
+        result.heal_now()
+        assert result.audit.ok, result.audit.problems
 
     @pytest.mark.parametrize("policy", ["round_robin", "sequential",
                                         "random"])
@@ -33,7 +34,8 @@ class TestHealing:
         g, wl = make(42)
         campaign = g.pick_attacks(wl, n_attacks=2)
         result = run_pipeline(wl, campaign, policy=policy, seed=42)
-        assert result.healthy, result.audit.problems
+        result.heal_now()
+        assert result.audit.ok, result.audit.problems
 
     def test_sequential_policy_matches_clean_oracle(self):
         """With sequential interleaving the healed store must equal the
@@ -43,82 +45,41 @@ class TestHealing:
             campaign = g.pick_attacks(wl, n_attacks=3)
             healed = run_pipeline(wl, campaign, policy="sequential",
                                   seed=seed)
-            clean = run_pipeline(wl, None, policy="sequential", seed=seed,
-                                 heal=False)
+            healed.heal_now()
+            clean = run_pipeline(wl, None, policy="sequential", seed=seed)
             assert healed.store.snapshot() == clean.store.snapshot(), seed
 
     def test_no_attack_pipeline_keeps_everything(self):
         g, wl = make(3)
         result = run_pipeline(wl, None)
-        assert result.healthy
+        result.heal_now()
+        assert result.audit.ok
         assert result.heal.undone == ()
         assert len(result.heal.kept) == len(result.log.normal_records())
 
     def test_heal_false_returns_attacked_state(self):
+        """Until ``heal_now``, the pipeline is the attacked system."""
         # Several attacks so at least one lands on an executed path
         # (attacks on never-taken branch arms have no ground truth).
         g, wl = make(4)
         campaign = g.pick_attacks(wl, n_attacks=5)
-        result = run_pipeline(wl, campaign, heal=False)
+        result = run_pipeline(wl, campaign)
         assert result.heal is None and result.audit is None
         assert result.malicious_ground_truth
+        assert result.reported() == (result.malicious_ground_truth, ())
 
 
 class TestDetectorIntegration:
-    def test_missed_detections_covered_by_administrator(self):
-        """detection_probability < 1: the admin reports the misses, so
-        recovery input is complete and healing still succeeds."""
-        g, wl = make(5)
-        campaign = g.pick_attacks(wl, n_attacks=3)
-        result = run_pipeline(
-            wl,
-            campaign,
-            detector_config=DetectorConfig(detection_probability=0.3),
-            seed=5,
-        )
-        assert result.healthy, result.audit.problems
-        assert set(result.alert_uids) >= set(
-            result.malicious_ground_truth
-        ) & {u for u in result.alert_uids}
-        # every ground-truth instance was ultimately reported
-        assert set(result.malicious_ground_truth) <= set(result.alert_uids)
-
-    def test_false_alarms_do_not_break_recovery(self):
-        """Spurious alerts name innocent instances; recovery treats them
-        as damage reports about correct tasks.  The healed system must
-        still be strictly correct (redoing a correct task reproduces its
-        values)."""
-        g, wl = make(6)
-        campaign = g.pick_attacks(wl, n_attacks=1)
-        result = run_pipeline(
-            wl,
-            campaign,
-            detector_config=DetectorConfig(false_alarm_rate=0.2),
-            seed=6,
-        )
-        assert result.healthy, result.audit.problems
-
-    def test_delayed_and_batched_detection_still_heals(self):
-        """Detection delay, with the alerts released as one batch:
-        recovery input arrives late but complete, and healing still
-        succeeds."""
-        g, wl = make(9)
-        campaign = g.pick_attacks(wl, n_attacks=2)
-        result = run_pipeline(
-            wl,
-            campaign,
-            detector_config=DetectorConfig(mean_detection_delay=5.0),
-            seed=9,
-        )
-        assert result.healthy, result.audit.problems
-        assert set(result.malicious_ground_truth) <= set(
-            result.alert_uids
-        )
+    """The reported damage (what the IDS alerts name) drives both the
+    static recovery plan and the heal."""
 
     def test_plan_and_heal_agree_on_definite_undos(self):
         g, wl = make(7)
         campaign = g.pick_attacks(wl, n_attacks=2)
         result = run_pipeline(wl, campaign, seed=7)
-        plan_undos = {a.uid for a in result.plan.actions
+        plan = RecoveryAnalyzer(result.log, result.specs_by_instance
+                                ).analyze(result.malicious_ground_truth)
+        report = result.heal_now()
+        plan_undos = {a.uid for a in plan.actions
                       if a.kind == ActionKind.UNDO}
-        assert plan_undos <= set(result.heal.undone)
+        assert plan_undos <= set(report.undone)

@@ -68,7 +68,8 @@ def test_healing_is_strictly_correct(seed, n_attacks, branchiness,
     workload = gen.generate()
     campaign = gen.pick_attacks(workload, n_attacks=n_attacks)
     result = run_pipeline(workload, campaign, policy=policy, seed=seed)
-    assert result.healthy, (seed, result.audit.problems[:3])
+    result.heal_now()
+    assert result.audit.ok, (seed, result.audit.problems[:3])
 
     report = result.heal
     # Theorem 3 rule 3: undo(t) strictly before redo(t).
@@ -110,9 +111,10 @@ def test_healing_idempotent_damage_free(seed):
     )
     workload = gen.generate()
     result = run_pipeline(workload, None, seed=seed)
+    result.heal_now()
     assert result.heal.undone == ()
     assert result.heal.redone == ()
-    assert result.healthy
+    assert result.audit.ok
 
 
 @settings(max_examples=20, deadline=None,
@@ -141,7 +143,8 @@ def test_healed_state_invariant_under_interleaving(seed, interleavings):
         campaign = gen.pick_attacks(wl, n_attacks=2)
         result = run_pipeline(wl, campaign, policy="random",
                               seed=policy_seed)
-        assert result.healthy, result.audit.problems[:3]
+        result.heal_now()
+        assert result.audit.ok, result.audit.problems[:3]
         snapshots.append(result.store.snapshot())
     first = snapshots[0]
     for other in snapshots[1:]:

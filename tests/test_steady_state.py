@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import ModelError
+from repro.errors import ModelError, NotConvergedError
+from repro.markov.backend import sparse_available
 from repro.markov.ctmc import CTMC
 from repro.markov.steady_state import steady_state
 
@@ -64,3 +65,25 @@ class TestProperties:
     def test_rejects_non_square(self):
         with pytest.raises(ModelError):
             steady_state(np.zeros((2, 3)))
+
+
+class TestReducibleChains:
+    """Two closed classes: no unique stationary distribution, so both
+    backends refuse instead of returning an arbitrary mixture."""
+
+    GENERATORS = [
+        [[-1, 1, 0, 0], [1, -1, 0, 0], [0, 0, -2, 2], [0, 0, 3, -3]],
+        [[-1, 1, 0], [0, 0, 0], [0, 0, 0]],
+    ]
+
+    @pytest.mark.parametrize("backend", [
+        "dense",
+        pytest.param("sparse", marks=pytest.mark.skipif(
+            not sparse_available(), reason="scipy not available")),
+    ])
+    @pytest.mark.parametrize("q", GENERATORS)
+    # scipy warns about the singular matrix before the solver raises.
+    @pytest.mark.filterwarnings("ignore:Matrix is exactly singular")
+    def test_two_closed_classes_raise(self, q, backend):
+        with pytest.raises(NotConvergedError, match="reducible"):
+            steady_state(np.array(q, dtype=float), backend=backend)

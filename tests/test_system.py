@@ -3,7 +3,10 @@
 import pytest
 
 from repro.core.strategies import RecoveryStrategy
+from repro.ids.alerts import Alert
 from repro.obs.events import EventBus, NormalTaskRefused
+from repro.obs.monitor import ConformanceMonitor
+from repro.obs.tracing import ManualClock
 from repro.scenarios.figure1 import build_figure1
 from repro.system import SelfHealingSystem, SystemState
 
@@ -51,6 +54,58 @@ class TestStates:
         assert system.state is SystemState.NORMAL
         # The Figure 1 damage was actually repaired.
         assert len(report.undone) == 7 and len(report.redone) == 5
+
+
+class TestAlertChannelFaults:
+    """Duplicated, late and missed alerts, and false alarms, heal clean:
+    the imperfect IDS of Section IV-D changes the alert stream, not the
+    healed state (Definition 2)."""
+
+    #: Innocent committed tasks of Figure 1 (kept by the single heal).
+    INNOCENT = ("wf2/t7#1", "wf2/t9#1")
+
+    @staticmethod
+    def heal(alerts, alert_buffer=15):
+        """Heal ``alerts`` (``None`` = the malicious uid) on a fresh
+        attacked Figure 1 under a conformance monitor. Alerts lost to a
+        full queue arrive as administrator reports folded into the
+        batch."""
+        sc = build_figure1(attacked=True)
+        bus, clock = EventBus(), ManualClock(0.0)
+        monitor = ConformanceMonitor().attach(bus)
+        system = SelfHealingSystem(sc.manager, alert_buffer=alert_buffer,
+                                   bus=bus, clock=clock)
+        lost = []
+        for uid in alerts:
+            clock.advance(0.5)
+            uid = uid or sc.malicious_uid
+            if not system.submit_alert(Alert(clock.now, uid)):
+                lost.append(uid)
+        clock.advance(0.5)
+        while system.alerts_queued:
+            assert system.scan_step() is not None, "analyzer blocked"
+        report = system.recovery_step(extra_uids=tuple(lost))
+        sc.record_heal(report)
+        monitor.finalize(clock.now)
+        return sc, report, monitor, lost
+
+    @pytest.mark.parametrize("alerts, alert_buffer, missed", [
+        ([None, None], 15, 0),
+        ([INNOCENT[0], None], 15, 0),
+        ([INNOCENT[0], None, INNOCENT[1]], 15, 0),
+        ([INNOCENT[0], None], 1, 1),
+    ], ids=["duplicated", "late-after-false-alarm",
+            "false-alarms-both-sides", "missed-reported-by-administrator"])
+    def test_heals_clean_to_the_single_alert_store(self, alerts,
+                                                   alert_buffer, missed):
+        single = self.heal([None])[0]
+        sc, report, monitor, lost = self.heal(alerts, alert_buffer)
+        assert len(lost) == missed
+        assert sc.audit.ok, sc.audit.problems
+        assert monitor.events_seen and monitor.violations == []
+        assert sc.store.snapshot() == single.store.snapshot()
+        false_alarms = {uid for uid in alerts if uid is not None}
+        assert false_alarms <= set(report.redone)
 
 
 class TestQueueLimits:

@@ -47,8 +47,8 @@ class TestGeneration:
         arithmetic must differ between seeds."""
         from repro.sim.recovery_sim import run_pipeline
 
-        s1 = run_pipeline(gen(1).generate(), None, heal=False).store
-        s2 = run_pipeline(gen(2).generate(), None, heal=False).store
+        s1 = run_pipeline(gen(1).generate(), None).store
+        s2 = run_pipeline(gen(2).generate(), None).store
         assert s1.snapshot() != s2.snapshot()
 
     def test_every_read_object_has_initial_value(self):
@@ -94,7 +94,7 @@ class TestAttackSelection:
         g = gen(8)
         wl = g.generate()
         campaign = g.pick_attacks(wl, n_attacks=2)
-        attacked = run_pipeline(wl, campaign, heal=False, seed=8)
-        clean = run_pipeline(wl, None, heal=False, seed=8)
+        attacked = run_pipeline(wl, campaign, seed=8)
+        clean = run_pipeline(wl, None, seed=8)
         assert attacked.malicious_ground_truth
         assert attacked.store.snapshot() != clean.store.snapshot()

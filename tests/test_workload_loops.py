@@ -35,7 +35,7 @@ class TestLoopGeneration:
 
     def test_specs_execute_with_repeated_instances(self):
         wl = gen(4).generate()
-        result = run_pipeline(wl, None, heal=False, seed=4)
+        result = run_pipeline(wl, None, seed=4)
         numbers = [
             r.instance.number for r in result.log.normal_records()
         ]
@@ -50,7 +50,8 @@ class TestLoopHealing:
         wl = g.generate()
         campaign = g.pick_attacks(wl, n_attacks=2)
         result = run_pipeline(wl, campaign, seed=seed)
-        assert result.healthy, result.audit.problems[:3]
+        result.heal_now()
+        assert result.audit.ok, result.audit.problems[:3]
 
     def test_loop_count_change_during_heal(self):
         """Find a seed where recovery changes the iteration count —
@@ -61,7 +62,8 @@ class TestLoopHealing:
             wl = g.generate()
             campaign = g.pick_attacks(wl, n_attacks=2)
             result = run_pipeline(wl, campaign, seed=seed)
-            assert result.healthy, (seed, result.audit.problems[:3])
+            result.heal_now()
+            assert result.audit.ok, (seed, result.audit.problems[:3])
             body_changed = any(
                 "#"  in u and int(u.split("#")[1]) >= 2
                 for u in (tuple(result.heal.new_executions)
