@@ -51,7 +51,7 @@ from typing import Dict, List, Optional
 from repro.fleet import FleetConfig, FleetControlPlane
 from repro.obs.events import EventBus, EventRecorder
 from repro.obs.monitor import replay_conformance
-from repro.obs.perf import PhaseProfiler
+from repro.obs.perf import PhaseProfiler, recording
 from repro.sim.batch import run_fullstack_batch
 from repro.sim.fullstack import FullStackConfig, run_replication
 
@@ -74,8 +74,8 @@ def profile_fullstack(horizon: float, seed: int) -> List[dict]:
         config = FullStackConfig(arrival_rate=6.0, alert_buffer=4,
                                  recovery_buffer=4)
         prof = PhaseProfiler().start()
-        run_replication(config, horizon=horizon, seed=seed,
-                        profiler=prof)
+        with recording(prof):
+            run_replication(config, horizon=horizon, seed=seed)
         prof.stop()
         return prof.report("fullstack")
 
@@ -125,10 +125,11 @@ def profile_batch(replications: int, horizon: float,
                              recovery_buffer=4)
     for workers in (1, 2):
         prof = PhaseProfiler().start()
-        batch = run_fullstack_batch(
-            config, horizon=horizon, replications=replications,
-            workers=workers, seed=seed, profiler=prof,
-        )
+        with recording(prof):
+            batch = run_fullstack_batch(
+                config, horizon=horizon, replications=replications,
+                workers=workers, seed=seed,
+            )
         prof.stop()
         report = prof.report(
             "batch-inline" if workers == 1 else "batch-parallel")

@@ -1132,8 +1132,8 @@ def cmd_profile(args) -> int:
     ``--scenario fullstack`` profiles one instrumented replication;
     ``--scenario fleet`` profiles the multi-tenant control plane with
     per-tenant and per-tick breakdowns.  ``--flame`` writes flamegraph
-    collapsed-stack text, ``--chrome`` a Perfetto-loadable trace with
-    counter tracks, ``--json`` the full report document.
+    collapsed-stack text, ``--chrome`` a Perfetto-loadable trace of the
+    phases, ``--json`` the full report document.
 
     The breakdown *structure* (phases, ordering, call counts, sim
     totals, counters) is deterministic for a given scenario and seed —
@@ -1141,11 +1141,8 @@ def cmd_profile(args) -> int:
     """
     import json as json_mod
 
-    from repro.obs.export import (
-        profile_to_chrome_trace,
-        profile_to_collapsed,
-    )
-    from repro.obs.perf import PhaseProfiler
+    from repro.obs.export import spans_to_chrome_trace
+    from repro.obs.perf import PhaseProfiler, recording
 
     if args.scenario == "fleet":
         from repro.fleet import FleetConfig, FleetControlPlane
@@ -1176,8 +1173,8 @@ def cmd_profile(args) -> int:
             recovery_buffer=args.recovery_buffer,
         )
         profiler = PhaseProfiler().start()
-        run_replication(config, horizon=args.horizon, seed=args.seed,
-                        profiler=profiler)
+        with recording(profiler):
+            run_replication(config, horizon=args.horizon, seed=args.seed)
         profiler.stop()
         report = profiler.report(scenario="fullstack")
         scenario_line = (
@@ -1215,11 +1212,11 @@ def cmd_profile(args) -> int:
 
     if args.flame:
         with open(args.flame, "w", encoding="utf-8") as fh:
-            fh.write(profile_to_collapsed(report))
+            fh.write(report.collapsed())
         print(f"collapsed stacks written to {args.flame}")
     if args.chrome:
         with open(args.chrome, "w", encoding="utf-8") as fh:
-            fh.write(profile_to_chrome_trace(report))
+            fh.write(spans_to_chrome_trace(report.spans()))
         print(f"chrome trace written to {args.chrome}")
     if args.json:
         doc = report.as_dict()
@@ -1472,7 +1469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flame", metavar="FILE", default=None,
                    help="write flamegraph collapsed-stack text")
     p.add_argument("--chrome", metavar="FILE", default=None,
-                   help="write Chrome-trace JSON with counter tracks")
+                   help="write Chrome-trace JSON of the phases")
     p.add_argument("--json", metavar="FILE", default=None,
                    help="write the full profile document "
                         "('-' for stdout)")

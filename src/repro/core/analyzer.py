@@ -16,7 +16,6 @@ them), which is exactly the ``μ_k`` degradation the CTMC models; see
 from __future__ import annotations
 
 import time as _time
-from contextlib import nullcontext
 from dataclasses import replace
 from typing import (
     Callable,
@@ -43,7 +42,7 @@ from repro.obs.events import (
     ScanStep,
     UndoDecision,
 )
-from repro.obs.perf import PhaseProfiler, bump
+from repro.obs.perf import bump, phase
 from repro.workflow.dependency import DependencyAnalyzer
 from repro.workflow.log import SystemLog
 from repro.workflow.spec import WorkflowSpec
@@ -85,12 +84,10 @@ class RecoveryAnalyzer:
     clock:
         Timestamp source for published events (default
         ``time.monotonic``).
-    profiler:
-        Optional :class:`~repro.obs.perf.PhaseProfiler`; when attached,
-        each :meth:`analyze` splits its wall time into the
-        ``analyze.closure`` (Theorem 1/2 dependency closure) and
-        ``analyze.plan`` (Theorem 3/4 ordering + cross-unit checks)
-        sub-phases.  No-op when ``None``.
+
+    Under a recording profiler, :meth:`analyze` records the phases
+    ``analyze.closure`` (Theorems 1/2) and ``analyze.plan`` (Theorems
+    3/4 and the cross-unit checks).
     """
 
     def __init__(
@@ -99,7 +96,6 @@ class RecoveryAnalyzer:
         specs_by_instance: Mapping[str, WorkflowSpec],
         bus: Optional[EventBus] = None,
         clock: Optional[Callable[[], float]] = None,
-        profiler: Optional[PhaseProfiler] = None,
     ) -> None:
         self._log = log
         self._specs = specs_by_instance
@@ -111,7 +107,6 @@ class RecoveryAnalyzer:
         self._fills_counted = 0
         self._bus = bus
         self._clock = clock if clock is not None else _time.monotonic  # lint: allow[DET001] injectable clock; wall time is the live default
-        self._profiler = profiler
 
     def _dependency_analyzer(self) -> DependencyAnalyzer:
         if self._dep is None:
@@ -151,22 +146,19 @@ class RecoveryAnalyzer:
         for alert in alerts:
             uid = alert.uid if isinstance(alert, Alert) else alert
             uids.append(uid)
-        prof = self._profiler
         tracing = self._bus is not None and self._bus.active
         undo_trace: Optional[List[UndoDecision]] = [] if tracing else None
         redo_trace: Optional[List[RedoDecision]] = [] if tracing else None
         order_trace: Optional[List[OrderConstraint]] = \
             [] if tracing else None
-        with (prof.phase("analyze.closure") if prof is not None
-              else nullcontext()):
+        with phase("analyze.closure"):
             analyzer = self._dependency_analyzer()
             undo_analysis = find_undo_tasks(analyzer, uids,
                                             trace=undo_trace)
             redo_analysis = find_redo_tasks(
                 analyzer, undo_analysis.definite, trace=redo_trace
             )
-        with (prof.phase("analyze.plan") if prof is not None
-              else nullcontext()):
+        with phase("analyze.plan"):
             order = recovery_partial_order(
                 analyzer,
                 undo_set=undo_analysis.definite,

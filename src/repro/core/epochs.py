@@ -140,8 +140,7 @@ class EpochManager:
     # -- healing ----------------------------------------------------------------
 
     def heal(self, malicious, forged_runs=(), bus=None,
-             clock=None, bracket: bool = False,
-             profiler=None) -> HealReport:
+             clock=None, bracket: bool = False) -> HealReport:
         """Heal the current epoch, then roll to the next one.
 
         ``bus``/``clock`` are forwarded to the underlying
@@ -154,9 +153,6 @@ class EpochManager:
         undo/redo inside a heal bracket;
         ``SelfHealingSystem.recovery_step``, which publishes its
         dispatch schedule inside its own bracket, keeps the default.
-        ``profiler`` (a :class:`~repro.obs.perf.PhaseProfiler`) is
-        likewise forwarded for the undo/settle/reconcile wall-time
-        split.
         """
         publish = (bracket and bus is not None and bus.active)
         started = clock() if (publish and clock is not None) else 0.0
@@ -164,7 +160,7 @@ class EpochManager:
             bus.publish(HealStarted(started, malicious=tuple(malicious)))
         healer = Healer(
             self._store, self._log, self._specs, baseline=self._baseline,
-            bus=bus, clock=clock, profiler=profiler,
+            bus=bus, clock=clock,
         )
         report = healer.heal(malicious, forged_runs=forged_runs)
         if publish:

@@ -54,7 +54,6 @@ alerts: SCAN drains the alert queue, then recovery executes).
 from __future__ import annotations
 
 import time as _time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -75,7 +74,7 @@ from repro.core.axioms import HistoryStep
 from repro.core.undo_redo import UndoAnalysis, find_undo_tasks
 from repro.errors import ExecutionError, RecoveryError
 from repro.obs.events import EventBus, TaskRedone, TaskUndone
-from repro.obs.perf import PhaseProfiler
+from repro.obs.perf import phase
 from repro.workflow.data import TOMBSTONE, DataStore
 from repro.workflow.dependency import DependencyAnalyzer
 from repro.workflow.log import LogRecord, RecordKind, SystemLog
@@ -263,11 +262,9 @@ class Healer:
     clock:
         Timestamp source for published events (default
         ``time.monotonic``).
-    profiler:
-        Optional :class:`~repro.obs.perf.PhaseProfiler`; when attached,
-        :meth:`heal` splits its wall time into the ``heal.undo`` /
-        ``heal.settle`` / ``heal.reconcile`` sub-phases (the algorithm's
-        Phases A–C).  No-op when ``None``.
+
+    Under a recording profiler, :meth:`heal` records its Phases A–C as
+    ``heal.undo`` / ``heal.settle`` / ``heal.reconcile``.
     """
 
     def __init__(
@@ -278,7 +275,6 @@ class Healer:
         baseline: Optional[Mapping[str, int]] = None,
         bus: Optional[EventBus] = None,
         clock: Optional[Callable[[], float]] = None,
-        profiler: Optional[PhaseProfiler] = None,
     ) -> None:
         self._store = store
         self._log = log
@@ -286,7 +282,6 @@ class Healer:
         self._baseline = dict(baseline) if baseline is not None else None
         self._bus = bus if bus is not None and bus.active else None
         self._clock = clock if clock is not None else _time.monotonic  # lint: allow[DET001] injectable clock; wall time is the live default
-        self._profiler = profiler
 
     def _note_undo(self, uid: str, reason: str = "",
                    disposition: bool = False) -> None:
@@ -322,13 +317,11 @@ class Healer:
             task of such a run is undone and none redone (Axiom 1
             condition 1: "the task should not be executed").
         """
-        prof = self._profiler
         log = self._log
         forged = set(forged_runs)
 
         # ---- Phase A: undo records for the closure -------------------------
-        with (prof.phase("heal.undo") if prof is not None
-              else nullcontext()):
+        with phase("heal.undo"):
             analyzer = DependencyAnalyzer(log, self._specs)
 
             bad: Set[str] = {u for u in malicious if u in log}
@@ -362,8 +355,7 @@ class Healer:
                 )
 
         # ---- Phase B: settle pass -------------------------------------------
-        with (prof.phase("heal.settle") if prof is not None
-              else nullcontext()):
+        with phase("heal.settle"):
             view = _SettledView(self._store, self._baseline)
             kept: List[str] = []
             redone: List[str] = []
@@ -421,8 +413,7 @@ class Healer:
                                          actions, history)
 
         # ---- Phase C: reconcile the physical store ---------------------------
-        with (prof.phase("heal.reconcile") if prof is not None
-              else nullcontext()):
+        with phase("heal.reconcile"):
             self._reconcile(view)
 
         return HealReport(

@@ -37,7 +37,6 @@ compatibility and changes nothing (the tests pin ``workers=4`` against
 from __future__ import annotations
 
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -49,7 +48,7 @@ from repro.fleet.workload import TenantProfile, resolve_mix
 from repro.ids.alerts import Alert, PriorityBoundedQueue
 from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.perf import PhaseProfiler, ProfileReport
+from repro.obs.perf import PhaseProfiler, ProfileReport, phase, recording
 from repro.obs.tracing import ManualClock
 
 __all__ = ["FleetConfig", "FleetReport", "FleetControlPlane"]
@@ -183,14 +182,15 @@ class FleetControlPlane:
         Explicit profile cycle overriding ``config.mix`` resolution —
         tests use this to inject custom archetypes.
     profiler:
-        Optional started :class:`~repro.obs.perf.PhaseProfiler`.  The
-        control plane records its tick phases (``tick.ingest`` /
+        Optional :class:`~repro.obs.perf.PhaseProfiler`.  :meth:`run`
+        and :meth:`run_tick` record their phases (``tick.ingest`` /
         ``tick.schedule`` / ``tick.process`` / ``tick.harvest``, plus
-        ``drain`` and ``sweep``) into it, gives every shard a private
-        profiler whose pipeline phases are folded in at harvest under
-        ``workers;<tenant>;…``, and measures the central-scheduling
-        dwell (``central-queue-wait``) and grant count per granted
-        alert.  See :meth:`profile_report` /
+        ``drain`` and ``sweep``) into it — with ``None``, into nothing,
+        even under an outer recording profiler.  The plane gives every
+        shard a private profiler whose pipeline phases are folded in at
+        harvest under ``workers;<tenant>;…``, and measures the
+        central-scheduling dwell (``central-queue-wait``) and grant
+        count per granted alert.  See :meth:`profile_report` /
         :meth:`profile_snapshot`.
     """
 
@@ -281,27 +281,22 @@ class FleetControlPlane:
 
         # The parent "tick" phase swallows the inter-round glue, so
         # top-level attribution never leaks tick-internal gaps.
-        with (prof.phase("tick") if prof is not None
-              else nullcontext()):
+        with recording(prof), phase("tick"):
             # Phase 1 — ingest (serial, tenant order).
-            with (prof.phase("tick.ingest") if prof is not None
-                  else nullcontext()):
+            with phase("tick.ingest"):
                 for index, shard in enumerate(self.shards):
                     accepted = shard.ingest(tick_end)
                     self._unscheduled[index].extend(accepted)
             # Phase 2 — schedule (serial).
-            with (prof.phase("tick.schedule") if prof is not None
-                  else nullcontext()):
+            with phase("tick.schedule"):
                 grants = self._schedule_round()
             # Phase 3 — process (granted shards, in grant order).
-            with (prof.phase("tick.process") if prof is not None
-                  else nullcontext()):
+            with phase("tick.process"):
                 self._process_round(pool, grants, tick_end)
             # Phase 4 — harvest (serial): fleet metrics, then shard
             # profiles.  The per-tick note runs after the phase closes
             # so its tick.harvest delta covers this very tick.
-            with (prof.phase("tick.harvest") if prof is not None
-                  else nullcontext()):
+            with phase("tick.harvest"):
                 self._harvest_serial()
                 if prof is not None:
                     self._fold_shard_profiles()
@@ -510,8 +505,7 @@ class FleetControlPlane:
         # blocked by a full recovery queue with alerts still pending:
         # the paper's deadlock-by-overflow, resolved only by the
         # sweep's administrator path below).
-        with (prof.phase("drain") if prof is not None
-              else nullcontext()):
+        with recording(prof), phase("drain"):
             guard = 0
             while any(self._unscheduled) or any(
                     s.system.alerts_queued for s in self.shards):
@@ -534,12 +528,10 @@ class FleetControlPlane:
         def sweep(shard: TenantShard) -> None:
             shard.sweep(sweep_at)
 
-        with (prof.phase("sweep") if prof is not None
-              else nullcontext()):
+        with recording(prof), phase("sweep"):
             pool.map(sweep, self.shards)
         # Final rollup: harvest, shard-profile fold, health freeze.
-        with (prof.phase("rollup") if prof is not None
-              else nullcontext()):
+        with recording(prof), phase("rollup"):
             self._harvest_serial()
             if prof is not None:
                 self._fold_shard_profiles()

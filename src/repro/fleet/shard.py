@@ -26,10 +26,7 @@ The shard's lifecycle is driven by the control plane in tick rounds:
 from __future__ import annotations
 
 import random
-from typing import Dict, List
-
-from contextlib import nullcontext
-from typing import Optional
+from typing import Dict, List, Optional
 
 from repro.core.epochs import EpochManager
 from repro.errors import RecoveryError
@@ -37,7 +34,7 @@ from repro.fleet.workload import TenantProfile, prediction_for
 from repro.ids.alerts import Alert
 from repro.obs.events import EventBus, HealStarted
 from repro.obs.health import HealthMonitor, SloState
-from repro.obs.perf import PhaseProfiler
+from repro.obs.perf import PhaseProfiler, phase, recording
 from repro.obs.tracing import ManualClock
 from repro.system import SelfHealingSystem
 from repro.workflow.data import DataStore
@@ -66,9 +63,9 @@ class TenantShard:
     profiled:
         When true, the shard owns a private
         :class:`~repro.obs.perf.PhaseProfiler` (``sim_clock`` = the
-        shard clock) that its pipeline phases accumulate into.  The
-        control plane drives every shard from its own thread and folds
-        the shard stats into the fleet profiler at harvest.
+        shard clock) that :meth:`ingest`, :meth:`process` and
+        :meth:`sweep` record into.  The control plane folds the shard
+        stats into the fleet profiler at harvest.
     """
 
     def __init__(self, tenant: str, profile: TenantProfile,
@@ -88,7 +85,6 @@ class TenantShard:
             recovery_buffer=profile.recovery_buffer,
             bus=self.bus,
             clock=self.clock,
-            profiler=self.profiler,
         )
         self.monitor = HealthMonitor(prediction_for(profile)).attach(self.bus)
         self._rng = random.Random(seed)
@@ -143,9 +139,7 @@ class TenantShard:
         queued for the administrator backlog.
         """
         accepted: List[Alert] = []
-        prof = self.profiler
-        with (prof.phase("detect") if prof is not None
-              else nullcontext()):
+        with recording(self.profiler), phase("detect"):
             self._ingest_into(accepted, until)
         return accepted
 
@@ -186,24 +180,25 @@ class TenantShard:
         the analyzer blocks when the recovery queue fills (Section
         IV-E), and unserved grants return to the central backlog.
         """
-        self.clock.set(max(until, self.clock.now))
-        served = 0
-        for _ in range(granted):
-            outstanding = len(self.system.recovery_queue)
-            if self.system.recovery_queue.full:
-                break  # analyzer blocked; remaining grants deferred
-            self.clock.advance(
-                self.profile.scan_time * (1 + outstanding)
-            )
-            if self.system.scan_step() is None:
-                raise RecoveryError(
-                    f"tenant {self.tenant}: granted alert missing from "
-                    "the tenant queue (grant/queue desync)"
+        with recording(self.profiler):
+            self.clock.set(max(until, self.clock.now))
+            served = 0
+            for _ in range(granted):
+                outstanding = len(self.system.recovery_queue)
+                if self.system.recovery_queue.full:
+                    break  # analyzer blocked; remaining grants deferred
+                self.clock.advance(
+                    self.profile.scan_time * (1 + outstanding)
                 )
-            served += 1
-            self.scans += 1
-        self._maybe_heal()
-        return granted - served
+                if self.system.scan_step() is None:
+                    raise RecoveryError(
+                        f"tenant {self.tenant}: granted alert missing "
+                        "from the tenant queue (grant/queue desync)"
+                    )
+                served += 1
+                self.scans += 1
+            self._maybe_heal()
+            return granted - served
 
     def _maybe_heal(self) -> None:
         """Batch-heal once the alert queue is empty (the paper's
@@ -225,46 +220,42 @@ class TenantShard:
         """Drain everything still in flight at end of run: scan every
         queued alert, heal, and fold in any remaining administrator
         backlog — then audit the whole multi-epoch history."""
-        self.clock.set(max(until, self.clock.now))
-        guard = 0
-        while (self.system.alerts_queued
-               or self.system.recovery_units_queued
-               or self._admin_backlog):
-            guard += 1
-            if guard > 100_000:
-                raise RecoveryError(
-                    f"tenant {self.tenant}: final sweep did not quiesce"
-                )
-            if self.system.alerts_queued:
-                leftover = self.process(self.system.alerts_queued,
-                                        self.clock.now)
-                if leftover:
-                    # Analyzer blocked with alerts pending — the
-                    # paper's deadlock-by-overflow.  At end of run the
-                    # operator resolves it: remaining queued alerts
-                    # become administrator reports folded into the
-                    # batch heal of the already-planned units.
-                    while self.system.alert_queue:
-                        alert = self.system.alert_queue.pop()
-                        self._admin_backlog.append(alert.uid)
+        with recording(self.profiler):
+            self.clock.set(max(until, self.clock.now))
+            guard = 0
+            while (self.system.alerts_queued
+                   or self.system.recovery_units_queued
+                   or self._admin_backlog):
+                guard += 1
+                if guard > 100_000:
+                    raise RecoveryError(f"tenant {self.tenant}: final "
+                                        "sweep did not quiesce")
+                if self.system.alerts_queued:
+                    leftover = self.process(self.system.alerts_queued,
+                                            self.clock.now)
+                    if leftover:
+                        # Analyzer blocked with alerts pending (the
+                        # paper's deadlock-by-overflow): at end of run
+                        # the queued alerts become administrator reports
+                        # folded into the heal of the planned units.
+                        while self.system.alert_queue:
+                            alert = self.system.alert_queue.pop()
+                            self._admin_backlog.append(alert.uid)
+                        self._maybe_heal()
+                elif self.system.recovery_units_queued:
                     self._maybe_heal()
-            elif self.system.recovery_units_queued:
-                self._maybe_heal()
-            else:
-                # Only lost-alert reports remain: a dedicated
-                # administrator heal commits them (and rolls the epoch).
-                backlog = tuple(self._admin_backlog)
-                with (self.profiler.phase("heal")
-                      if self.profiler is not None else nullcontext()):
-                    self.manager.heal(backlog, bus=self.bus,
-                                      clock=self.clock, bracket=True,
-                                      profiler=self.profiler)
-                del self._admin_backlog[:len(backlog)]
-                self.heals += 1
-        # Close the monitored trace: unresolved LTLf obligations (an
-        # undo decided but never executed, a heal never finished) become
-        # conformance violations in the tenant's final verdict.
-        self.monitor.finalize()
-        with (self.profiler.phase("audit")
-              if self.profiler is not None else nullcontext()):
-            self.audits_ok = self.manager.audit().ok
+                else:
+                    # Only lost-alert reports remain: an administrator
+                    # heal commits them (and rolls the epoch).
+                    backlog = tuple(self._admin_backlog)
+                    with phase("heal"):
+                        self.manager.heal(backlog, bus=self.bus,
+                                          clock=self.clock, bracket=True)
+                    del self._admin_backlog[:len(backlog)]
+                    self.heals += 1
+            # Close the monitored trace: unresolved LTLf obligations
+            # (an undo decided but never executed, a heal never
+            # finished) become conformance violations.
+            self.monitor.finalize()
+            with phase("audit"):
+                self.audits_ok = self.manager.audit().ok

@@ -17,6 +17,7 @@ pins both paths together to 1e-8.
 
 from __future__ import annotations
 
+import warnings
 from typing import Optional, Union
 
 import numpy as np
@@ -103,7 +104,11 @@ def steady_state(chain: Union[CTMC, np.ndarray],
         b = np.zeros(n)
         b[-1] = 1.0
         try:
-            pi = spla.spsolve(a, b)
+            # A reducible chain makes ``a`` singular: spsolve warns and
+            # returns NaNs, which _finish reports as a reducible chain.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", spla.MatrixRankWarning)
+                pi = spla.spsolve(a, b)
         except Exception as exc:
             raise NotConvergedError(
                 f"sparse steady-state solve failed: {exc}"

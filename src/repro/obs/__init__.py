@@ -87,8 +87,6 @@ from repro.obs.health import (
 from repro.obs.export import (
     events_to_jsonl,
     metrics_table,
-    profile_to_chrome_trace,
-    profile_to_collapsed,
     render_prometheus,
     spans_to_chrome_trace,
 )
@@ -179,8 +177,6 @@ __all__ = [
     "events_to_jsonl",
     "render_prometheus",
     "metrics_table",
-    "profile_to_chrome_trace",
-    "profile_to_collapsed",
     "spans_to_chrome_trace",
     # windows
     "SlidingWindow",

@@ -462,7 +462,3 @@ class EventRecorder:
     def of_type(self, event_type: Type[ObsEvent]) -> List[ObsEvent]:
         """Recorded events of one type, in order."""
         return [e for e in self.events if isinstance(e, event_type)]
-
-    def clear(self) -> None:
-        """Forget everything recorded so far."""
-        self.events.clear()

@@ -19,7 +19,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     PipelineMetrics,
 )
-from repro.obs.perf import ProfileReport
 from repro.obs.tracing import Span
 from repro.report.tables import Table
 
@@ -27,8 +26,6 @@ __all__ = [
     "events_to_jsonl",
     "render_prometheus",
     "metrics_table",
-    "profile_to_chrome_trace",
-    "profile_to_collapsed",
     "spans_to_chrome_trace",
 ]
 
@@ -205,74 +202,5 @@ def spans_to_chrome_trace(
 
     return json.dumps(
         {"traceEvents": trace_events, "displayTimeUnit": "ms"},
-        sort_keys=True,
-    )
-
-
-def profile_to_collapsed(report: ProfileReport) -> str:
-    """Flamegraph collapsed-stack text for a profile report.
-
-    Thin exporter wrapper over
-    :meth:`~repro.obs.perf.ProfileReport.collapsed` so all render-to-
-    string surfaces live in one module; pipe the result into
-    ``flamegraph.pl`` or paste into speedscope.
-    """
-    return report.collapsed()
-
-
-def profile_to_chrome_trace(report: ProfileReport) -> str:
-    """Render a profile report as Chrome-trace JSON with counter tracks.
-
-    Phase rows are aggregates (total wall per stack path), not
-    timestamped samples, so the timeline is *schematic*: top-level
-    phases are laid end-to-end in canonical pipeline order and each
-    child starts at its parent's start — positions are synthetic but
-    every ``dur`` is the real accumulated wall time, so the proportions
-    Perfetto shows are the true attribution.  Each cost-driver counter
-    becomes a ``ph: "C"`` counter track ramping from zero to its
-    per-run delta across the profiled interval, and an
-    ``attributed_wall`` counter track does the same for the coverage
-    quantity.
-    """
-    trace_events: List[Dict[str, Any]] = []
-    #: phase path -> ts where its next child starts.
-    child_cursor: Dict[Tuple[str, ...], float] = {(): 0.0}
-    for row in report.rows:
-        path = tuple(row["path"].split(";"))
-        parent = path[:-1]
-        start = child_cursor.get(parent, 0.0)
-        child_cursor[parent] = start + row["wall"]
-        child_cursor[path] = start
-        trace_events.append({
-            "name": row["name"],
-            "cat": "phase",
-            "ph": "X",
-            "ts": _micros(start),
-            "dur": _micros(row["wall"]),
-            "pid": 1,
-            "tid": 1,
-            "args": {
-                "path": row["path"],
-                "calls": row["calls"],
-                "sim": row["sim"],
-                "wall_self": row["wall_self"],
-            },
-        })
-    counters = dict(sorted(report.counters.items()))
-    counters["attributed_wall"] = report.attributed_wall
-    for name, value in counters.items():
-        for ts, sample in ((0.0, 0), (report.total_wall, value)):
-            trace_events.append({
-                "name": name,
-                "cat": "counter",
-                "ph": "C",
-                "ts": _micros(ts),
-                "pid": 1,
-                "args": {"value": sample},
-            })
-    return json.dumps(
-        {"traceEvents": trace_events, "displayTimeUnit": "ms",
-         "otherData": {"scenario": report.scenario,
-                       "attribution": report.attribution}},
         sort_keys=True,
     )

@@ -30,10 +30,13 @@ A profiler instance is single-owner: phases are entered and exited on
 one thread.  Work measured by other profilers (the fleet's per-shard
 ones) or in worker processes is folded in afterwards via
 :meth:`PhaseProfiler.add_at`.
-The module-level :func:`bump` counters let low-level code (the CTMC
-solver, the analyzer) count events without passing a profiler through
-every signature; :meth:`PhaseProfiler.start` snapshots them and the
-report carries the per-run delta.
+Pipeline code holds no profiler: ``with phase(name):`` records into
+the one a caller made current with ``with recording(profiler):``, or
+nowhere.  Likewise low-level code (the CTMC solver, the analyzer)
+counts events with :func:`bump`; :meth:`PhaseProfiler.start` snapshots
+those counters and the report carries the per-run delta.  Both are
+plain module state: the pipeline runs on one thread
+(``tests/test_one_thread.py``).
 """
 
 from __future__ import annotations
@@ -45,14 +48,18 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ObsError
+from repro.obs.tracing import Span
 
 __all__ = [
     "PHASES",
     "PhaseProfiler",
     "PhaseStat",
     "ProfileReport",
+    "active",
     "bump",
     "counter_snapshot",
+    "phase",
+    "recording",
 ]
 
 #: Canonical phase vocabulary, in pipeline order.  Reports list phases
@@ -214,11 +221,6 @@ class PhaseProfiler:
 
     # -- recording ---------------------------------------------------------
 
-    def phase(self, name: str) -> "_Phase":
-        """Context manager measuring one phase occurrence under the
-        current stack."""
-        return _Phase(self, name)
-
     def add_external(
         self,
         name: str,
@@ -257,11 +259,6 @@ class PhaseProfiler:
         if stat is None:
             stat = self._stats[path] = PhaseStat()
         stat.add(wall, sim, calls=calls)
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Bump a cost-driver counter (recorded globally; the report
-        carries this run's delta)."""
-        bump(name, n)
 
     def snapshot(self) -> Dict[Tuple[str, ...], Tuple[int, float, float]]:
         """Copy of the accumulated stats (per-tick delta computation)."""
@@ -341,7 +338,7 @@ class PhaseProfiler:
 
 
 class _Phase:
-    """One occurrence of a :meth:`PhaseProfiler.phase`.
+    """One occurrence of a :func:`phase` in a recording profiler.
 
     A plain class rather than a generator-based context manager: the
     bookkeeping outside the measured interval is un-attributed time, so
@@ -373,6 +370,62 @@ class _Phase:
         sim = prof._sim() - self._s0
         wall = prof._wall_clock() - self._w0
         stat.add(wall, sim)
+
+
+# ---------------------------------------------------------------------------
+# The recording profiler
+# ---------------------------------------------------------------------------
+
+#: The profiler :func:`phase` records into; ``None`` records nothing.
+_recording: Optional[PhaseProfiler] = None
+
+
+class recording:
+    """``with recording(profiler):`` makes ``profiler`` (``None``:
+    nothing) the one phases record into, and restores the previous one
+    on exit, also on an exception.  A slotted class, not a generator:
+    the fleet enters one per shard call."""
+
+    __slots__ = ("_profiler", "_outer")
+
+    def __init__(self, profiler: Optional[PhaseProfiler]) -> None:
+        self._profiler = profiler
+
+    def __enter__(self) -> None:
+        global _recording
+        self._outer = _recording
+        _recording = self._profiler
+
+    def __exit__(self, *exc_info: Any) -> None:
+        global _recording
+        _recording = self._outer
+
+
+def active() -> Optional[PhaseProfiler]:
+    """The recording profiler, or ``None`` when nothing records."""
+    return _recording
+
+
+class _NoPhase:
+    """The shared do-nothing phase of an unprofiled run."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info: Any) -> None:
+        return None
+
+
+_NO_PHASE = _NoPhase()
+
+
+def phase(name: str) -> Any:
+    """Context manager measuring one occurrence of phase ``name`` in
+    the recording profiler (a shared no-op when none records)."""
+    prof = _recording
+    return _NO_PHASE if prof is None else _Phase(prof, name)
 
 
 @dataclass
@@ -430,6 +483,30 @@ class ProfileReport:
             "counters": dict(sorted(self.counters.items())),
             "structure_digest": self.structure_digest(),
         }
+
+    def spans(self) -> List[Span]:
+        """The rows as a schematic span forest for
+        :func:`~repro.obs.export.spans_to_chrome_trace`: top-level
+        phases run end to end in canonical order, each child starts at
+        its parent's start, and every duration is the real accumulated
+        wall time (rows are aggregates, not timestamped samples)."""
+        roots: List[Span] = []
+        spans: Dict[Tuple[str, ...], Span] = {}
+        #: phase path -> where its next child starts.
+        child_cursor: Dict[Tuple[str, ...], float] = {(): 0.0}
+        for row in self.rows:
+            path = tuple(row["path"].split(";"))
+            start = child_cursor.get(path[:-1], 0.0)
+            child_cursor[path[:-1]] = start + row["wall"]
+            child_cursor[path] = start
+            span = Span(row["name"], start, {
+                key: row[key]
+                for key in ("path", "calls", "sim", "wall_self")})
+            span.end = start + row["wall"]
+            parent = spans.get(path[:-1])
+            (roots if parent is None else parent.children).append(span)
+            spans[path] = span
+        return roots
 
     def collapsed(self) -> str:
         """Flamegraph-compatible collapsed-stack rendering.

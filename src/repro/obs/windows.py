@@ -87,20 +87,10 @@ class SlidingWindow:
         while samples and samples[0][0] < edge:
             samples.popleft()
 
-    @property
-    def count(self) -> int:
-        """Samples currently inside the window."""
-        return len(self._samples)
-
     def values(self) -> List[float]:
         """The retained sample values, oldest first."""
         return [v for _, v in self._samples]
 
-    def mean(self) -> float:
-        """Mean of the retained values (0 when empty)."""
-        if not self._samples:
-            return 0.0
-        return sum(v for _, v in self._samples) / len(self._samples)
 
 class RateWindow:
     """Sliding-window event-rate estimator with a Poisson CI.

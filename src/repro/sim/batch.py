@@ -36,7 +36,7 @@ spent outside any worker's compute (process spawn, task pickling, IPC),
 a :attr:`~FullStackBatchResult.speedup` estimate, and — when a parallel
 run is slower than its own serial work — a loud
 :class:`ParallelSlowdownWarning` plus the
-:attr:`~FullStackBatchResult.speedup_lt_1` flag.  Under a
+:attr:`~FullStackBatchResult.speedup_lt_1` flag.  Under a recording
 :class:`~repro.obs.perf.PhaseProfiler` the same quantities appear as
 ``batch.worker`` / ``batch.spawn`` / ``batch.fan-out`` phases and the
 ``pickle_bytes`` cost-driver counter.
@@ -70,7 +70,7 @@ from repro.obs.health import (
     ModelPrediction,
     merge_conformance,
 )
-from repro.obs.perf import PhaseProfiler, bump as perf_bump
+from repro.obs.perf import active, bump as perf_bump, phase, recording
 from repro.sim import ctmc_sim, fullstack
 from repro.sim.ctmc_sim import GillespieResult
 from repro.sim.fullstack import FullStackConfig, FullStackResult
@@ -180,20 +180,21 @@ def _timed_fullstack(
     record_path: Optional[str] = None,
     health: Optional[ModelPrediction] = None,
     loss_objective: Optional[float] = None,
-    profiler: Optional[PhaseProfiler] = None,
 ) -> Tuple[FullStackResult, float]:
     t0 = time.perf_counter()  # lint: allow[DET001] host benchmark timing, not simulated time
     result = fullstack.run_replication(config, horizon, seed,
                                        record_path=record_path,
                                        health=health,
-                                       loss_objective=loss_objective,
-                                       profiler=profiler)
+                                       loss_objective=loss_objective)
     return result, time.perf_counter() - t0  # lint: allow[DET001] host benchmark timing, not simulated time
 
 
 def _run_chunk(worker: Callable, tasks: Sequence[tuple]) -> List[tuple]:
-    """Run one worker's contiguous slice of the batch."""
-    return [worker(*task) for task in tasks]
+    """Run one worker's contiguous slice of the batch, unprofiled: a
+    forked worker inherits the parent's recording profiler, but
+    profilers never cross the process boundary."""
+    with recording(None):
+        return [worker(*task) for task in tasks]
 
 
 def _chunks(tasks: Sequence[tuple], n: int) -> List[Sequence[tuple]]:
@@ -207,7 +208,6 @@ def _fan_out(
     worker: Callable,
     tasks: Sequence[tuple],
     workers: int,
-    profiler: Optional[PhaseProfiler] = None,
 ) -> List[tuple]:
     """Run ``worker(*task)`` for every task, preserving order.
 
@@ -221,7 +221,7 @@ def _fan_out(
     what it compiles from them
     (:meth:`~repro.markov.stg.RecoverySTG.jump_table`).
 
-    With ``profiler``: inline runs wrap each worker call in a
+    Under a recording profiler: inline runs wrap each worker call in a
     ``batch.worker`` phase (so a replication's own phases nest under
     it); pooled runs count the chunk payloads into the ``pickle_bytes``
     cost driver and record pool construction as ``batch.spawn`` —
@@ -229,15 +229,14 @@ def _fan_out(
     caller, which knows the per-replication wall times.
     """
     if workers == 1:
-        if profiler is None:
-            return [worker(*task) for task in tasks]
         out = []
         for task in tasks:
-            with profiler.phase("batch.worker"):
+            with phase("batch.worker"):
                 out.append(worker(*task))
         return out
+    prof = active()
     chunks = _chunks(tasks, min(workers, len(tasks)))
-    if profiler is not None:
+    if prof is not None:
         # What the pool is about to pickle over the pipe, measured
         # up front (the double dumps() is noise next to the spawn).
         perf_bump("pickle_bytes",
@@ -249,18 +248,18 @@ def _fan_out(
         futures = [pool.submit(_run_chunk, worker, chunk)
                    for chunk in chunks]
         results = [r for f in futures for r in f.result()]
-    if profiler is not None:
-        profiler.add_at(("batch.spawn",), spawn, calls=1)
+    if prof is not None:
+        prof.add_at(("batch.spawn",), spawn, calls=1)
     return results
 
 
-def _account_fan_out(batch, profiler: Optional[PhaseProfiler]) -> None:
+def _account_fan_out(batch) -> None:
     """Post-run fan-out accounting shared by both batch kinds.
 
     Computes :attr:`~FullStackBatchResult.fan_out_overhead` (pooled
-    runs only), mirrors the in-worker/overhead split into the profiler
-    as ``batch.worker`` / ``batch.fan-out`` phases, and issues the
-    :class:`ParallelSlowdownWarning` when the batch's
+    runs only), mirrors the in-worker/overhead split into the recording
+    profiler as ``batch.worker`` / ``batch.fan-out`` phases, and issues
+    the :class:`ParallelSlowdownWarning` when the batch's
     ``speedup_lt_1`` flag trips."""
     worker_wall = sum(batch.wall_times)
     if batch.workers > 1:
@@ -269,11 +268,12 @@ def _account_fan_out(batch, profiler: Optional[PhaseProfiler]) -> None:
         # IPC, result collection (ROADMAP item 3's measured gap).
         ideal = worker_wall / batch.workers
         batch.fan_out_overhead = max(batch.elapsed - ideal, 0.0)
-        if profiler is not None:
-            profiler.add_at(("batch.worker",), worker_wall,
-                            calls=batch.replications)
-            profiler.add_at(("batch.fan-out",),
-                            batch.fan_out_overhead, calls=1)
+        prof = active()
+        if prof is not None:
+            prof.add_at(("batch.worker",), worker_wall,
+                        calls=batch.replications)
+            prof.add_at(("batch.fan-out",),
+                        batch.fan_out_overhead, calls=1)
     if batch.speedup_lt_1:
         warnings.warn(ParallelSlowdownWarning(
             workers=batch.workers,
@@ -471,7 +471,6 @@ def run_gillespie_batch(
     start: Optional[State] = None,
     health: Optional[ModelPrediction] = None,
     loss_objective: Optional[float] = None,
-    profiler: Optional[PhaseProfiler] = None,
 ) -> GillespieBatchResult:
     """Run ``replications`` independent Gillespie trajectories.
 
@@ -499,12 +498,10 @@ def run_gillespie_batch(
         they fan out to workers like the STG does); ``loss_objective``
         sets the monitors' loss SLO target (``None``: derived from the
         model).
-    profiler:
-        Optional started :class:`~repro.obs.perf.PhaseProfiler`; the
-        batch records its ``batch.worker`` / ``batch.spawn`` /
-        ``batch.fan-out`` split into it (profilers never cross the
-        process boundary — pooled workers run unprofiled and report
-        wall times instead).
+
+    Under a recording profiler the batch records its ``batch.worker`` /
+    ``batch.spawn`` / ``batch.fan-out`` split; pooled workers run
+    unprofiled and report wall times instead.
 
     Raises
     ------
@@ -519,7 +516,6 @@ def run_gillespie_batch(
         [(stg, horizon, s, start, health, loss_objective)
          for s in seeds],
         workers,
-        profiler=profiler,
     )
     elapsed = time.perf_counter() - t0  # lint: allow[DET001] host benchmark timing, not simulated time
     batch = GillespieBatchResult(
@@ -530,7 +526,7 @@ def run_gillespie_batch(
         wall_times=[w for _, w in outcomes],
         elapsed=elapsed,
     )
-    _account_fan_out(batch, profiler)
+    _account_fan_out(batch)
     return batch
 
 
@@ -543,12 +539,11 @@ def run_fullstack_batch(
     record_dir: Optional[str] = None,
     health: Optional[ModelPrediction] = None,
     loss_objective: Optional[float] = None,
-    profiler: Optional[PhaseProfiler] = None,
 ) -> FullStackBatchResult:
     """Run ``replications`` independent full-stack simulations; same
     contract as :func:`run_gillespie_batch` (including the optional
-    ``health`` monitoring, merged conformance verdict, and ``profiler``
-    fan-out accounting).
+    ``health`` monitoring, merged conformance verdict, and fan-out
+    accounting into the recording profiler).
 
     With ``record_dir``, every replication writes a flight-recorder log
     to ``<record_dir>/rep-NNNN.jsonl`` (seed and config in the header).
@@ -558,7 +553,7 @@ def run_fullstack_batch(
     DriftDetected verdict events.
 
     One full-stack extra over the Gillespie batch: at ``workers=1``
-    the profiler rides *into* each inline replication, so the deep
+    the inline replications record into the same profiler, so the deep
     pipeline phases (detect/analyze/heal/…) appear nested under
     ``batch.worker``.  Pooled replications run unprofiled — a profiler
     cannot cross the process boundary.
@@ -572,14 +567,12 @@ def run_fullstack_batch(
             os.path.join(record_dir, f"rep-{i:04d}.jsonl")
             for i in range(replications)
         ]
-    inline_prof = profiler if workers == 1 else None
     t0 = time.perf_counter()  # lint: allow[DET001] host benchmark timing, not simulated time
     outcomes = _fan_out(
         _timed_fullstack,
-        [(config, horizon, s, p, health, loss_objective, inline_prof)
+        [(config, horizon, s, p, health, loss_objective)
          for s, p in zip(seeds, record_paths)],
         workers,
-        profiler=profiler,
     )
     elapsed = time.perf_counter() - t0  # lint: allow[DET001] host benchmark timing, not simulated time
     batch = FullStackBatchResult(
@@ -590,5 +583,5 @@ def run_fullstack_batch(
         wall_times=[w for _, w in outcomes],
         elapsed=elapsed,
     )
-    _account_fan_out(batch, profiler)
+    _account_fan_out(batch)
     return batch

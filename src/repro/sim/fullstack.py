@@ -29,7 +29,6 @@ proof that the system stayed strictly correct throughout the run.
 from __future__ import annotations
 
 import random
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -51,7 +50,7 @@ from repro.obs.health import (
     HealthMonitor,
     ModelPrediction,
 )
-from repro.obs.perf import PhaseProfiler
+from repro.obs.perf import active, phase
 from repro.sim.simulator import Simulator
 from repro.workflow.data import DataStore
 from repro.workflow.spec import WorkflowSpec, workflow
@@ -100,7 +99,6 @@ def run_replication(
     record_path: Optional[str] = None,
     health: Optional[ModelPrediction] = None,
     loss_objective: Optional[float] = None,
-    profiler: Optional[PhaseProfiler] = None,
 ) -> "FullStackResult":
     """One seeded full-stack replication.
 
@@ -118,10 +116,6 @@ def run_replication(
     each SloTransition/DriftDetected right after the event that caused
     it — which is what lets ``obs replay`` reproduce the verdict
     sequence bit for bit.
-
-    With ``profiler``, the run's phases accumulate into the caller's
-    started :class:`~repro.obs.perf.PhaseProfiler` (see
-    :class:`FullStackSimulator`).
     """
     from repro.obs.recorder import FlightRecorder
 
@@ -141,8 +135,7 @@ def run_replication(
         monitor = HealthMonitor(health, loss_objective).attach(bus)
     try:
         result = FullStackSimulator(config, random.Random(seed),
-                                    bus=bus,
-                                    profiler=profiler).run(horizon)
+                                    bus=bus).run(horizon)
         if recorder is not None:
             recorder.mark("finalize", horizon)
     finally:
@@ -276,13 +269,10 @@ class FullStackSimulator:
         analyzer), unit emissions, NORMAL/SCAN/RECOVERY transitions,
         and heal lifecycles including per-task undo/redo from the real
         healer.  ``None`` (default) adds no observable cost.
-    profiler:
-        Optional :class:`repro.obs.perf.PhaseProfiler` (started by the
-        caller); when given, every event-loop callback runs inside an
-        attributed phase — detect / buffer-wait / analyze (with the
-        analyzer's closure/plan/verify split) / schedule / heal (with
-        the healer's undo/settle/reconcile split) / audit — in wall
-        time *and* simulated time.
+
+    Under a recording profiler (:mod:`repro.obs.perf`), every
+    event-loop callback runs inside a phase — detect / buffer-wait /
+    analyze / schedule / heal / audit — in wall *and* simulated time.
     """
 
     def __init__(
@@ -290,12 +280,10 @@ class FullStackSimulator:
         config: Optional[FullStackConfig] = None,
         rng: Optional[random.Random] = None,
         bus: Optional[EventBus] = None,
-        profiler: Optional[PhaseProfiler] = None,
     ) -> None:
         self._config = config if config is not None else FullStackConfig()
         self._rng = rng if rng is not None else random.Random(0)
         self._bus = bus
-        self._profiler = profiler
 
     def run(self, horizon: float) -> FullStackResult:
         """Simulate ``[0, horizon]``; remaining damage is healed in a
@@ -305,10 +293,10 @@ class FullStackSimulator:
         cfg, rng = self._config, self._rng
         bus = self._bus if self._bus is not None and self._bus.active \
             else None
-        prof = self._profiler
+        prof = active()
         sim = Simulator()
 
-        #: uid → arrival time of accepted alerts (buffer-wait dwell).
+        #: uid → arrival of accepted alerts, kept for a profiler.
         enqueued_at: Dict[str, float] = {}
         #: Simulated duration of the service that just completed, set at
         #: dispatch — the sim-time side of the analyze/heal phases.
@@ -376,17 +364,15 @@ class FullStackSimulator:
             executed_uids.clear()
             lost_backlog.clear()
             now = min(sim.now, horizon)
-            with (prof.phase("heal") if prof is not None
-                  else nullcontext()):
+            with phase("heal"):
                 # Commits are instantaneous in sim time: the bracket's
                 # HealFinished carries duration 0.
                 report = manager.heal(uids, bus=bus, clock=lambda: now,
-                                      bracket=True, profiler=prof)
+                                      bracket=True)
                 analyzer = None  # the epoch rolled; free its index
             heals += 1
             repaired += len(report.undone)
-            with (prof.phase("audit") if prof is not None
-                  else nullcontext()):
+            with phase("audit"):
                 audits_ok = audits_ok and manager.audit().ok
 
         def dispatch() -> None:
@@ -414,8 +400,7 @@ class FullStackSimulator:
             # never empty after an arrival — so heal/audit stay
             # top-level phases.
             nonlocal attacks, alerts_lost
-            with (prof.phase("detect") if prof is not None
-                  else nullcontext()):
+            with phase("detect"):
                 account()
                 attacks += 1
                 name = f"atk{attacks}"
@@ -441,7 +426,8 @@ class FullStackSimulator:
                         ))
                 else:
                     alert_queue.append(uid)
-                    enqueued_at[uid] = min(sim.now, horizon)
+                    if prof is not None:
+                        enqueued_at[uid] = min(sim.now, horizon)
                     if bus is not None:
                         bus.publish(AlertEnqueued(
                             min(sim.now, horizon), uid=uid,
@@ -457,8 +443,7 @@ class FullStackSimulator:
             # commit here — the unit queue is never empty after the
             # plan is appended.
             nonlocal scanning, analyzer
-            with (prof.phase("analyze") if prof is not None
-                  else nullcontext()):
+            with phase("analyze"):
                 if prof is not None:
                     # Filed beside (not inside) "analyze", at whatever
                     # stack depth this run executes — top level
@@ -482,7 +467,7 @@ class FullStackSimulator:
                 if analyzer is None:
                     analyzer = RecoveryAnalyzer(
                         manager.log, manager.specs_by_instance, bus=bus,
-                        clock=lambda: min(sim.now, horizon), profiler=prof,
+                        clock=lambda: min(sim.now, horizon),
                     )
                 plan = analyzer.analyze([uid],
                                         outstanding=list(unit_queue))
@@ -501,8 +486,7 @@ class FullStackSimulator:
             # the heal/audit phases must stay top-level for honest
             # single-count attribution.
             nonlocal recovering
-            with (prof.phase("schedule") if prof is not None
-                  else nullcontext()):
+            with phase("schedule"):
                 if prof is not None:
                     # The recovery service's simulated duration is the
                     # heal phase's sim-time side; filed beside the

@@ -35,7 +35,6 @@ keeps working across attack waves.
 from __future__ import annotations
 
 import time as _time
-from contextlib import nullcontext
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -55,7 +54,7 @@ from repro.obs.events import (
     StateTransition,
     UnitEmitted,
 )
-from repro.obs.perf import PhaseProfiler
+from repro.obs.perf import active, phase
 
 __all__ = ["SystemState", "SelfHealingSystem"]
 
@@ -102,14 +101,11 @@ class SelfHealingSystem:
         raises :class:`~repro.errors.RecoveryError` instead of healing
         from a wrong plan.  Off by default (it re-traverses the log per
         alert).
-    profiler:
-        Optional :class:`~repro.obs.perf.PhaseProfiler`; when attached,
-        the pipeline attributes its wall time to phases — ``analyze``
-        (with the analyzer's closure/plan and the verifier's
-        ``analyze.verify`` splits), ``schedule``, ``heal`` (with the
-        healer's undo/settle/reconcile splits) — and records each
-        alert's queue dwell as the sim-time ``buffer-wait`` line item.
-        No-op when ``None``.
+
+    Under a recording profiler (:mod:`repro.obs.perf`) the pipeline
+    records the phases ``analyze`` (and ``analyze.verify``),
+    ``schedule`` and ``heal``, and each alert's queue dwell as the
+    sim-time ``buffer-wait`` line item.
     """
 
     def __init__(
@@ -120,7 +116,6 @@ class SelfHealingSystem:
         bus: Optional[EventBus] = None,
         clock: Optional[Callable[[], float]] = None,
         verify: bool = False,
-        profiler: Optional[PhaseProfiler] = None,
     ) -> None:
         self._manager = manager
         self._alerts: BoundedQueue[Alert] = BoundedQueue(alert_buffer)
@@ -132,7 +127,6 @@ class SelfHealingSystem:
         # never reach the system-level AlertLost instrumentation.
         self._alerts.instrument("alert", bus, self._clock)
         self._plans.instrument("recovery", bus, self._clock)
-        self._profiler = profiler
         # One analyzer per log: the log rolls with every heal, so
         # scan_step builds one per epoch.
         self._analyzer: Optional[RecoveryAnalyzer] = None
@@ -202,7 +196,7 @@ class SelfHealingSystem:
         if isinstance(alert, str):
             alert = Alert(0.0, alert)
         accepted = self._alerts.offer(alert)
-        if accepted and self._profiler is not None:
+        if accepted and active() is not None:
             self._enqueued_at[alert.uid] = self._clock()
         if self._bus is not None and self._bus.active:
             cls = AlertEnqueued if accepted else AlertLost
@@ -223,7 +217,7 @@ class SelfHealingSystem:
         if not self._alerts or self._plans.full:
             return None
         alert = self._alerts.pop()
-        prof = self._profiler
+        prof = active()
         if prof is not None:
             queued_at = self._enqueued_at.pop(alert.uid, None)
             if queued_at is not None:
@@ -232,13 +226,12 @@ class SelfHealingSystem:
                 # an alert waits, so the wall side stays zero.
                 prof.add_at(("buffer-wait",), 0.0,
                             sim=self._clock() - queued_at)
-        with (prof.phase("analyze") if prof is not None
-              else nullcontext()):
+        with phase("analyze"):
             manager = self._manager
             if self._analyzer_epoch != manager.epoch:
                 self._analyzer = RecoveryAnalyzer(
                     manager.log, manager.specs_by_instance,
-                    bus=self._bus, clock=self._clock, profiler=prof,
+                    bus=self._bus, clock=self._clock,
                 )
                 self._analyzer_epoch = manager.epoch
             plan = self._analyzer.analyze(
@@ -270,9 +263,7 @@ class SelfHealingSystem:
         """
         from repro.lint.plan_verifier import verify_plan
 
-        prof = self._profiler
-        with (prof.phase("analyze.verify") if prof is not None
-              else nullcontext()):
+        with phase("analyze.verify"):
             findings = verify_plan(self._manager.log,
                                    self._manager.specs_by_instance, plan)
         if findings:
@@ -310,18 +301,16 @@ class SelfHealingSystem:
             uids.extend(plan.alert_uids)
         uids.extend(extra_uids)
         observed = self._bus is not None and self._bus.active
-        prof = self._profiler
         started = self._clock() if observed else 0.0
         if observed:
             self._bus.publish(HealStarted(started, malicious=tuple(uids)))
-            with (prof.phase("schedule") if prof is not None
-                  else nullcontext()):
+            with phase("schedule"):
                 self._publish_schedule(plans)
-        with (prof.phase("heal") if prof is not None else nullcontext()):
+        with phase("heal"):
             # The manager heals against its epoch baseline and rolls the
             # epoch, so the system keeps protecting the post-heal world.
             report = self._manager.heal(uids, bus=self._bus,
-                                        clock=self._clock, profiler=prof)
+                                        clock=self._clock)
             # Release the archived epoch's analyzer and its index.
             self._analyzer = None
         if observed:

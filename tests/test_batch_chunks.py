@@ -4,9 +4,9 @@ A pooled batch splits its replications into ``min(workers, n)``
 contiguous chunks, one pool task each.  Whatever the split — fewer
 replications than workers, uneven remainders — the batch must equal
 the inline ``workers=1`` run: results, seeds, merged conformance and
-flight-log bytes.  Under a profiler, ``batch.worker`` still counts one
-call per replication and ``pickle_bytes`` counts the chunk payloads
-handed to the pool.
+flight-log bytes.  Under a recording profiler, ``batch.worker`` still
+counts one call per replication and ``pickle_bytes`` counts the chunk
+payloads handed to the pool.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pytest
 
 from repro.markov.stg import RecoverySTG
 from repro.obs.health import ModelPrediction
-from repro.obs.perf import PhaseProfiler
+from repro.obs.perf import PhaseProfiler, recording
 from repro.sim.batch import (
     _chunks,
     _timed_fullstack,
@@ -53,7 +53,8 @@ def config_prediction():
 
 def _profiled(run):
     prof = PhaseProfiler().start()
-    batch = run(prof)
+    with recording(prof):
+        batch = run()
     prof.stop()
     report = prof.report("batch")
     rows = {r["path"]: r for r in report.rows}
@@ -101,9 +102,9 @@ def test_chunks_are_contiguous_and_near_equal():
 def test_gillespie_batch_matches_workers_1(
         workers, replications, serial_gillespie, stg_prediction):
     serial = serial_gillespie[replications]
-    batch, rows, counters = _profiled(lambda prof: run_gillespie_batch(
+    batch, rows, counters = _profiled(lambda: run_gillespie_batch(
         STG, STG_HORIZON, replications, workers=workers, seed=SEED,
-        health=stg_prediction, profiler=prof))
+        health=stg_prediction))
     assert batch.seeds == serial.seeds
     assert _comparable(batch.results) == _comparable(serial.results)
     assert [r.conformance for r in batch.results] == \
@@ -124,10 +125,9 @@ def test_fullstack_batch_matches_workers_1(
         workers, replications, serial_fullstack, config_prediction,
         tmp_path):
     serial, serial_logs = serial_fullstack[replications]
-    batch, rows, counters = _profiled(lambda prof: run_fullstack_batch(
+    batch, rows, counters = _profiled(lambda: run_fullstack_batch(
         CONFIG, FULLSTACK_HORIZON, replications, workers=workers,
-        seed=SEED, record_dir=str(tmp_path), health=config_prediction,
-        profiler=prof))
+        seed=SEED, record_dir=str(tmp_path), health=config_prediction))
     assert batch.seeds == serial.seeds
     assert _comparable(batch.results) == _comparable(serial.results)
     assert [r.conformance for r in batch.results] == \
@@ -136,7 +136,7 @@ def test_fullstack_batch_matches_workers_1(
     assert _read_logs(tmp_path) == serial_logs
     assert rows["batch.worker"]["calls"] == replications
     tasks = [(CONFIG, FULLSTACK_HORIZON, s, str(tmp_path / f"rep-{i:04d}.jsonl"),
-              config_prediction, None, None)
+              config_prediction, None)
              for i, s in enumerate(serial.seeds)]
     chunks = _chunks(tasks, min(workers, replications))
     assert counters["pickle_bytes"] == sum(
@@ -146,9 +146,8 @@ def test_fullstack_batch_matches_workers_1(
 def test_shared_arguments_are_pickled_once_per_chunk(stg_prediction):
     """Seven replications on two workers ship the STG twice, not seven
     times."""
-    _, _, counters = _profiled(lambda prof: run_gillespie_batch(
-        STG, STG_HORIZON, 7, workers=2, seed=SEED, health=stg_prediction,
-        profiler=prof))
+    _, _, counters = _profiled(lambda: run_gillespie_batch(
+        STG, STG_HORIZON, 7, workers=2, seed=SEED, health=stg_prediction))
     tasks = [(STG, STG_HORIZON, s, None, stg_prediction, None)
              for s in range(7)]
     per_task = sum(len(pickle.dumps((_timed_gillespie, t))) for t in tasks)

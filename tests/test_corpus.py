@@ -15,6 +15,7 @@ import os
 import pytest
 
 from repro.scenarios.fuzz import load_campaign, run_campaign
+from repro.system import SelfHealingSystem
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
@@ -27,6 +28,7 @@ def test_corpus_is_present():
         "corrupt-basic.json",
         "multi-stage.json",
         "false-alarm-flood.json",
+        "false-alarm-flood-buffer1.json",
         "scan-timed.json",
         "recovery-timed.json",
         "fleet-correlated.json",
@@ -47,6 +49,32 @@ def test_corpus_file_replays_clean(path):
     # honest corpus campaign (its violations would also fail `ok`
     # above; this pins the dedicated counter too).
     assert outcome.conformance_violations == 0
+
+
+def test_lost_alerts_are_healed_as_administrator_reports(monkeypatch):
+    """Section IV-D: an alert lost at a full alert queue is reported by
+    the administrator and folded into the next batch heal."""
+    lost, folded = [], []
+    submit = SelfHealingSystem.submit_alert
+    recover = SelfHealingSystem.recovery_step
+
+    def counting_submit(self, alert):
+        accepted = submit(self, alert)
+        if not accepted:
+            lost.append(alert)
+        return accepted
+
+    def counting_recover(self, extra_uids=()):
+        folded.extend(extra_uids)
+        return recover(self, extra_uids=extra_uids)
+
+    monkeypatch.setattr(SelfHealingSystem, "submit_alert", counting_submit)
+    monkeypatch.setattr(SelfHealingSystem, "recovery_step", counting_recover)
+    outcome = run_campaign(load_campaign(
+        os.path.join(CORPUS_DIR, "false-alarm-flood-buffer1.json")))
+    assert outcome.ok, [v.render() for v in outcome.violations]
+    assert len(lost) >= 1
+    assert len(folded) >= 1
 
 
 def test_corpus_covers_triggers_and_kinds():

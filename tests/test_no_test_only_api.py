@@ -11,6 +11,11 @@ strings). Re-exports in a package ``__init__.py``, ``__all__`` entries
 and references inside the definition's own body are not uses. Names
 are matched bare, so the guard errs toward finding a caller.
 
+A bare match proves nothing for a name that ``str``, ``list``,
+``dict`` or ``set`` methods also carry (``.count`` on a list is no
+caller of ``LintReport.count``), so a definition by such a name needs
+a ``CALLERS`` entry citing one real caller as ``path:line``.
+
 Dunders are exempt, and so are methods that override or are dispatched
 by a base class from outside ``repro`` (``ast.NodeVisitor.visit_*``,
 ``BaseHTTPRequestHandler.do_GET``, ``Enum``/``Exception`` members).
@@ -84,6 +89,33 @@ ALLOWED: Dict[str, str] = {
     # Test support.
     "repro.scenarios.generate:random_attacked_case":
         "random attacked cases for the healer's property tests",
+}
+
+#: Public names of the builtin text and container methods.
+BUILTIN_METHOD_NAMES = frozenset(
+    name for kind in (str, bytes, list, tuple, dict, set, frozenset)
+    for name in dir(kind) if not name.startswith("_"))
+
+#: One real caller, ``path:line`` from the repository root, of each
+#: public definition named like a builtin method (a property is read
+#: there, a method called).
+CALLERS: Dict[str, str] = {
+    "repro.core.axioms:HistoryReplay.extend": "src/repro/core/axioms.py:300",
+    "repro.ids.alerts:BoundedQueue.pop": "src/repro/system.py:219",
+    "repro.lint.diagnostics:LintReport.count":
+        "src/repro/lint/diagnostics.py:279",
+    "repro.obs.metrics:Histogram.count": "src/repro/obs/export.py:137",
+    "repro.obs.metrics:MetricsRegistry.get":
+        "src/repro/obs/provenance.py:150",
+    "repro.obs.perf:PhaseStat.add": "src/repro/obs/perf.py:243",
+    "repro.obs.windows:SlidingWindow.add": "src/repro/obs/windows.py:112",
+    "repro.obs.windows:SlidingWindow.values":
+        "src/repro/obs/windows.py:123",
+    "repro.obs.windows:RateWindow.count": "src/repro/obs/health.py:693",
+    "repro.obs.windows:Cusum.update": "src/repro/obs/health.py:619",
+    "repro.obs.windows:PageHinkley.update": "src/repro/obs/health.py:642",
+    "repro.report.series:Series.add": "benchmarks/bench_fig5_lambda.py:47",
+    "repro.workflow.log:SystemLog.get": "src/repro/workflow/log.py:172",
 }
 
 
@@ -176,7 +208,11 @@ def _test_only() -> Dict[str, Tuple[Path, int]]:
         for qualname, node, class_name in _definitions(path):
             name = qualname.rsplit(".", 1)[-1]
             own = range(node.lineno, node.end_lineno + 1)
-            if any(p != path or line not in own for p, line in uses[name]):
+            if name in BUILTIN_METHOD_NAMES:
+                if f"{module}:{qualname}" in CALLERS:
+                    continue
+            elif any(p != path or line not in own
+                     for p, line in uses[name]):
                 continue
             if class_name and _exempt_by_base(module, class_name, name):
                 continue
@@ -210,6 +246,35 @@ def test_allow_list_has_no_stale_entries():
 
 def test_every_allow_list_entry_has_a_reason():
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_every_cited_caller_uses_its_definition():
+    """Each ``CALLERS`` entry names a definition by a builtin method
+    name, and its cited line, outside ``tests/`` and outside the
+    definition's own body, reads that property or calls that method."""
+    nodes = {
+        f"{_module_name(path)}:{qualname}": (path, node)
+        for path in SRC.rglob("*.py")
+        for qualname, node, _ in _definitions(path)
+    }
+    wrong = []
+    for key, where in sorted(CALLERS.items()):
+        name = key.rsplit(".", 1)[-1]
+        defined_in, node = nodes.get(key, (None, None))
+        path, line = where.rsplit(":", 1)
+        text = (ROOT / path).read_text(encoding="utf-8").splitlines()
+        cited = text[int(line) - 1] if int(line) <= len(text) else ""
+        is_property = node is not None and any(
+            isinstance(d, ast.Name) and d.id == "property"
+            for d in node.decorator_list)
+        use = f".{name}" if is_property else f".{name}("
+        own = (node is not None and ROOT / path == defined_in
+               and node.lineno <= int(line) <= node.end_lineno)
+        if (node is None or name not in BUILTIN_METHOD_NAMES or own
+                or path.startswith("tests/") or use not in cited):
+            wrong.append(f"{key} -> {where}: {cited.strip()!r}")
+    assert wrong == [], "stale or wrong CALLERS entries:\n" + "\n".join(
+        wrong)
 
 
 def test_every_export_resolves():

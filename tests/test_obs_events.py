@@ -7,7 +7,6 @@ from repro.obs.events import (
     AlertLost,
     EventBus,
     EventRecorder,
-    HealFinished,
     HealStarted,
     ScanStep,
     StateTransition,
@@ -125,10 +124,3 @@ class TestEventRecorder:
         assert [e.kind for e in rec.events] == [
             "AlertEnqueued", "TaskUndone", "AlertEnqueued"]
         assert [e.uid for e in rec.of_type(AlertEnqueued)] == ["a", "c"]
-
-    def test_clear(self):
-        rec = EventRecorder()
-        rec(HealFinished(0.0, undone=1, redone=1, kept=0, abandoned=0,
-                         new_executions=0, duration=0.5))
-        rec.clear()
-        assert rec.events == []

@@ -1,21 +1,33 @@
 """Tests for the wall-clock profiling layer (`repro.obs.perf`).
 
 Covers the accumulator's nesting/self-time algebra with injected
-clocks (fully deterministic), and the attribution and structure-digest
-acceptance criteria on the real fullstack / batch / fleet scenarios.
+clocks (fully deterministic), the contract of the recording profiler,
+and the attribution and structure-digest acceptance criteria on the
+real fullstack / batch / fleet scenarios.
 """
+
+import json
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ObsError
 from repro.fleet import FleetConfig, FleetControlPlane
 from repro.obs.perf import (
     PHASES,
     PhaseProfiler,
+    active,
     bump,
     counter_snapshot,
+    phase,
+    recording,
 )
-from repro.sim.batch import ParallelSlowdownWarning, run_fullstack_batch
+from repro.sim.batch import (
+    ParallelSlowdownWarning,
+    _run_chunk,
+    _timed_fullstack,
+    run_fullstack_batch,
+)
 from repro.sim.fullstack import FullStackConfig, run_replication
 
 
@@ -40,9 +52,9 @@ class TestPhaseAlgebra:
     def test_nested_paths_self_time_and_attribution(self):
         clock = FakeClock()
         prof = PhaseProfiler(wall_clock=clock).start()
-        with prof.phase("analyze"):
+        with recording(prof), phase("analyze"):
             clock.advance(1.0)
-            with prof.phase("analyze.closure"):
+            with phase("analyze.closure"):
                 clock.advance(2.0)
         clock.advance(1.0)  # un-instrumented driver time
         prof.stop()
@@ -60,7 +72,7 @@ class TestPhaseAlgebra:
         prof = PhaseProfiler(wall_clock=clock).start()
         # Recorded in reverse of the pipeline order on purpose.
         for name in ("audit", "heal", "analyze", "detect"):
-            with prof.phase(name):
+            with recording(prof), phase(name):
                 clock.advance(0.5)
         prof.stop()
         names = [r["path"] for r in prof.report().rows]
@@ -70,7 +82,7 @@ class TestPhaseAlgebra:
     def test_aux_roots_are_detail_not_coverage(self):
         clock = FakeClock()
         prof = PhaseProfiler(wall_clock=clock).start()
-        with prof.phase("tick"):
+        with recording(prof), phase("tick"):
             clock.advance(1.0)
         # Folded worker-thread time: ran concurrently with the tick,
         # so counting it would push attribution past 1.
@@ -87,7 +99,7 @@ class TestPhaseAlgebra:
             clock = FakeClock()
             prof = PhaseProfiler(wall_clock=clock).start()
             for _ in range(3):
-                with prof.phase("detect"):
+                with recording(prof), phase("detect"):
                     clock.advance(per_phase)
             prof.stop()
             return prof.report("unit")
@@ -108,7 +120,7 @@ class TestPhaseAlgebra:
         # A report covers one closed interval: none while running.
         clock = FakeClock()
         prof = PhaseProfiler(wall_clock=clock).start()
-        with prof.phase("detect"):
+        with recording(prof), phase("detect"):
             clock.advance(1.0)
         clock.advance(1.0)
         with pytest.raises(ObsError, match="before stop"):
@@ -120,7 +132,7 @@ class TestPhaseAlgebra:
     def test_counters_report_the_runs_delta(self):
         bump("closure_recomputations", 7)  # pre-existing global noise
         prof = PhaseProfiler(wall_clock=FakeClock()).start()
-        prof.count("closure_recomputations", 3)
+        bump("closure_recomputations", 3)
         prof.stop()
         report = prof.report()
         assert report.counters["closure_recomputations"] == 3
@@ -129,13 +141,85 @@ class TestPhaseAlgebra:
     def test_collapsed_stack_format(self):
         clock = FakeClock()
         prof = PhaseProfiler(wall_clock=clock).start()
-        with prof.phase("analyze"):
-            with prof.phase("analyze.plan"):
+        with recording(prof), phase("analyze"):
+            with phase("analyze.plan"):
                 clock.advance(0.002)
         prof.stop()
         lines = prof.report().collapsed().splitlines()
         assert lines[0] == "repro;analyze 0"
         assert lines[1] == "repro;analyze;analyze.plan 2000"
+
+
+class TestRecording:
+    def test_nested_recording_restores_the_outer_profiler(self):
+        outer, inner = PhaseProfiler(), PhaseProfiler()
+        with recording(outer):
+            with recording(inner):
+                assert active() is inner
+            assert active() is outer
+        assert active() is None
+
+    def test_an_exception_restores_the_outer_profiler(self):
+        outer = PhaseProfiler()
+        with recording(outer):
+            with pytest.raises(RuntimeError, match="boom"):
+                with recording(PhaseProfiler()):
+                    raise RuntimeError("boom")
+            assert active() is outer
+        assert active() is None
+
+    def test_recording_none_inside_a_profiler_records_nothing(self):
+        clock = FakeClock()
+        prof = PhaseProfiler(wall_clock=clock).start()
+        with recording(prof):
+            with recording(None), phase("detect"):
+                clock.advance(1.0)
+            with phase("heal"):
+                clock.advance(1.0)
+        prof.stop()
+        assert [r["path"] for r in prof.report().rows] == ["heal"]
+
+    def test_phase_with_nothing_recording_touches_no_profiler(self):
+        prof = PhaseProfiler().start()
+        assert active() is None
+        with phase("detect"):
+            with phase("analyze"):
+                pass
+        prof.stop()
+        assert prof.report().rows == []
+        # One shared no-op context: nothing is built per phase.
+        assert phase("detect") is phase("heal")
+
+    def test_a_pooled_chunk_runs_unprofiled(self):
+        # A forked worker inherits the parent's recording profiler;
+        # the chunk must not record into that copy.
+        config = FullStackConfig(arrival_rate=6.0)
+        prof = PhaseProfiler().start()
+        with recording(prof):
+            (result, _), = _run_chunk(_timed_fullstack,
+                                      [(config, 4.0, 7)])
+        prof.stop()
+        assert result.attacks > 0
+        assert prof.report().rows == []
+
+    def test_chrome_trace_has_one_event_per_row(self, tmp_path, capsys):
+        chrome = tmp_path / "prof.trace.json"
+        blob = tmp_path / "prof.json"
+        assert main(["profile", "--horizon", "20", "--seed", "7",
+                     "--chrome", str(chrome), "--json", str(blob)]) == 0
+        capsys.readouterr()
+        rows = json.loads(blob.read_text())["phases"]
+        events = [e for e in json.loads(chrome.read_text())["traceEvents"]
+                  if e["ph"] == "X"]
+        assert [e["args"]["path"] for e in events] == [
+            r["path"] for r in rows]
+        for event, row in zip(events, rows):
+            assert event["name"] == row["name"]
+            assert event["args"]["calls"] == str(row["calls"])
+            assert event["dur"] == pytest.approx(row["wall"] * 1e6,
+                                                 abs=2e-3)
+        assert all(e["ph"] == "X"
+                   for e in json.loads(chrome.read_text())["traceEvents"])
 
 
 class TestFullstackAttribution:
@@ -145,7 +229,8 @@ class TestFullstackAttribution:
 
         def once():
             prof = PhaseProfiler().start()
-            run_replication(config, horizon=30.0, seed=7, profiler=prof)
+            with recording(prof):
+                run_replication(config, horizon=30.0, seed=7)
             prof.stop()
             return prof.report("fullstack")
 
@@ -167,8 +252,9 @@ class TestBatchProfile:
 
     def test_inline_batch_nests_replication_phases(self):
         prof = PhaseProfiler().start()
-        run_fullstack_batch(self.CONFIG, horizon=8.0, replications=2,
-                            workers=1, seed=7, profiler=prof)
+        with recording(prof):
+            run_fullstack_batch(self.CONFIG, horizon=8.0, replications=2,
+                                workers=1, seed=7)
         prof.stop()
         report = prof.report("batch-inline")
         rows = rows_by_path(report)
@@ -181,10 +267,11 @@ class TestBatchProfile:
         # Tiny work, real process pool: spawn dwarfs compute, so the
         # <1 "speedup" fires the loud warning (ROADMAP 2a, satellite 3).
         prof = PhaseProfiler().start()
-        with pytest.warns(ParallelSlowdownWarning, match="slower"):
+        with recording(prof), pytest.warns(ParallelSlowdownWarning,
+                                           match="slower"):
             batch = run_fullstack_batch(
                 self.CONFIG, horizon=2.0, replications=2,
-                workers=2, seed=7, profiler=prof)
+                workers=2, seed=7)
         prof.stop()
         assert batch.speedup_lt_1
         assert batch.speedup < 1.0
@@ -278,8 +365,8 @@ class TestDeterminismUnderProfiling:
                                  recovery_buffer=4)
         bare = run_replication(config, horizon=20.0, seed=11)
         prof = PhaseProfiler().start()
-        profiled = run_replication(config, horizon=20.0, seed=11,
-                                   profiler=prof)
+        with recording(prof):
+            profiled = run_replication(config, horizon=20.0, seed=11)
         prof.stop()
         assert bare.heals == profiled.heals
         assert bare.alerts_lost == profiled.alerts_lost

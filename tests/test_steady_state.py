@@ -1,5 +1,7 @@
 """Tests for steady-state analysis (Equation 1) against closed forms."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -82,8 +84,11 @@ class TestReducibleChains:
             not sparse_available(), reason="scipy not available")),
     ])
     @pytest.mark.parametrize("q", GENERATORS)
-    # scipy warns about the singular matrix before the solver raises.
-    @pytest.mark.filterwarnings("ignore:Matrix is exactly singular")
     def test_two_closed_classes_raise(self, q, backend):
-        with pytest.raises(NotConvergedError, match="reducible"):
-            steady_state(np.array(q, dtype=float), backend=backend)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NotConvergedError, match="reducible"):
+                steady_state(np.array(q, dtype=float), backend=backend)
+        # The error names the reducible chain; no solver warning
+        # escapes ahead of it.
+        assert [str(w.message) for w in caught] == []

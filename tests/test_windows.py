@@ -31,24 +31,17 @@ class TestSlidingWindow:
         w.add(0.0, 1.0)
         w.add(5.0, 2.0)
         w.add(14.0, 3.0)
-        assert w.count == 2  # the t=0 sample aged out at t=14
-        assert w.values() == [2.0, 3.0]
-
-    def test_mean(self):
-        w = SlidingWindow(horizon=100.0)
-        for i in range(10):
-            w.add(float(i), float(i))
-        assert w.mean() == pytest.approx(4.5)
+        assert w.values() == [2.0, 3.0]  # the t=0 sample aged out
 
     def test_empty_window_degrades_gracefully(self):
         w = SlidingWindow(horizon=1.0)
-        assert w.count == 0 and w.mean() == 0.0
+        assert w.values() == []
 
     def test_max_samples_caps_memory(self):
         w = SlidingWindow(horizon=1e9, max_samples=8)
         for i in range(100):
             w.add(float(i), float(i))
-        assert w.count == 8
+        assert len(w.values()) == 8
 
 
 class TestRateWindow:
