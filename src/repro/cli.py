@@ -394,56 +394,50 @@ def _serve_telemetry(args, monitor) -> int:
     return 0
 
 
-def _obs_run(args, record: bool = False, path: Optional[str] = None):
-    """Run the selected ``obs`` scenario on an event bus; returns
-    ``(flight, obs_run)``.
+def _obs_run(args, path: Optional[str] = None):
+    """Record the selected ``obs`` scenario into a flight recorder;
+    returns ``(flight, result)`` with the recorder closed.
 
     figure1 goes through its incident driver; gillespie and fullstack
-    are the simulators' own ``run_replication`` with pipeline metrics
-    and an event recorder on the bus, plus the health monitor for
-    ``fullstack --health`` (objective ``--slo-loss`` when given).  With
-    ``record``, a flight recorder (writing to ``path``, else kept in
-    memory) captures the run and is returned closed; ``flight`` is
-    ``None`` otherwise.  Gillespie trajectories cannot be recorded.
+    are the simulators' own ``run_replication`` with the recorder on
+    the bus, plus the health monitor for ``fullstack --health``
+    (objective ``--slo-loss`` when given).  The recorder writes through
+    to ``path`` when given and keeps the log in memory either way;
+    every ``obs`` view renders from a replay of that log.
     """
-    from repro.obs.events import EventBus, EventRecorder
-    from repro.obs.metrics import PipelineMetrics
+    from repro.obs.events import EventBus
     from repro.obs.recorder import FlightRecorder
-    from repro.obs.runner import ObsRun
 
-    if record and args.scenario == "gillespie":
-        raise ObsError(
-            "flight recording supports --scenario figure1 and "
-            "fullstack (gillespie trajectories have no recovery "
-            "pipeline to record)"
-        )
-    flight = None
     if args.scenario == "figure1":
         from repro.obs.runner import run_figure1_observed
 
-        if record:
-            flight = FlightRecorder(
-                label="figure1", path=path,
-                meta={"false_alarms": args.false_alarms},
-            )
-        try:
-            run = run_figure1_observed(
+        flight = FlightRecorder(
+            label="figure1", path=path,
+            meta={"false_alarms": args.false_alarms},
+        )
+        with flight:
+            return flight, run_figure1_observed(
+                flight,
                 false_alarms=args.false_alarms,
                 alert_buffer=args.alert_buffer or args.buffer,
                 recovery_buffer=args.buffer,
                 scan_time=1.0 / args.mu1,
                 task_time=1.0 / args.xi1,
-                flight=flight,
             )
-        finally:
-            if flight is not None:
-                flight.close()
-        return flight, run
 
     if args.scenario == "gillespie":
         from repro.sim import ctmc_sim
 
         stg = _stg_from_args(args)
+        flight = FlightRecorder(
+            label="gillespie", path=path,
+            meta={"seed": args.seed, "horizon": args.horizon, "stg": {
+                "arrival_rate": args.lam, "mu1": args.mu1,
+                "xi1": args.xi1, "alpha": args.alpha,
+                "recovery_buffer": args.buffer,
+                "alert_buffer": args.alert_buffer,
+            }},
+        )
 
         def drive(bus):
             return ctmc_sim.run_replication(stg, args.horizon, args.seed,
@@ -463,12 +457,11 @@ def _obs_run(args, record: bool = False, path: Optional[str] = None):
             from repro.obs.health import ModelPrediction
 
             pred = ModelPrediction.from_stg(cfg.stg())
-        if record:
-            flight = FlightRecorder(
-                label="fullstack", path=path,
-                meta=fullstack.flight_log_meta(
-                    cfg, args.horizon, args.seed, pred, args.slo_loss),
-            )
+        flight = FlightRecorder(
+            label="fullstack", path=path,
+            meta=fullstack.flight_log_meta(
+                cfg, args.horizon, args.seed, pred, args.slo_loss),
+        )
 
         def drive(bus):
             return fullstack.run_replication(
@@ -477,22 +470,11 @@ def _obs_run(args, record: bool = False, path: Optional[str] = None):
             )
 
     bus = EventBus()
-    metrics = PipelineMetrics().attach(bus)
-    recorder = EventRecorder().attach(bus)
-    if flight is not None:
-        flight.attach(bus)
+    with flight.attach(bus):
         flight.mark("start", 0.0, state="NORMAL")
-    metrics.start(0.0, state="NORMAL")
-    try:
         result = drive(bus)
-        metrics.finalize(args.horizon)
-        if flight is not None:
-            flight.mark("finalize", args.horizon)
-    finally:
-        if flight is not None:
-            flight.close()
-    return flight, ObsRun(metrics=metrics, events=list(recorder.events),
-                          result=result)
+        flight.mark("finalize", args.horizon)
+    return flight, result
 
 
 def _obs_load_log(args):
@@ -502,13 +484,13 @@ def _obs_load_log(args):
 
     if args.log:
         return load_flight_log(args.log)
-    flight, _ = _obs_run(args, record=True)
+    flight, _ = _obs_run(args)
     return read_flight_log(flight.text())
 
 
 def _cmd_obs_record(args) -> int:
     path = args.log if args.log and args.log != "-" else None
-    flight, _ = _obs_run(args, record=True, path=path)
+    flight, _ = _obs_run(args, path=path)
     lines = flight.text().count("\n")
     if path is None:
         print(flight.text(), end="")
@@ -780,15 +762,14 @@ def _cmd_obs_watch(args) -> int:
 
 
 def cmd_obs(args) -> int:
-    """Observability: run a scenario instrumented ('report', the
-    default), capture a replayable flight log ('record'), reconstruct a
-    run from one ('replay'), print one task's causal chain ('explain
-    <task>'), or export a Chrome/Perfetto trace ('trace')."""
-    from repro.obs.export import (
-        events_to_jsonl,
-        metrics_table,
-        render_prometheus,
-    )
+    """Observability: record a scenario and report from the replay of
+    its flight log ('report', the default), capture a replayable flight
+    log ('record'), reconstruct a run from one ('replay'), print one
+    task's causal chain ('explain <task>'), or export a Chrome/Perfetto
+    trace ('trace')."""
+    from repro.obs.export import metrics_table, render_prometheus
+    from repro.obs.provenance import build_span_tree, replay
+    from repro.obs.recorder import read_flight_log
     from repro.obs.tracing import render_span_tree
 
     action = getattr(args, "action", "report")
@@ -803,7 +784,9 @@ def cmd_obs(args) -> int:
     if action == "watch":
         return _cmd_obs_watch(args)
 
-    _, run = _obs_run(args)
+    flight, result = _obs_run(args)
+    log = read_flight_log(flight.text())
+    metrics = replay(log).metrics
     if args.scenario == "figure1":
         title = "Observed figure1 incident"
     elif args.scenario == "gillespie":
@@ -813,8 +796,8 @@ def cmd_obs(args) -> int:
         title = (f"Observed full-stack run "
                  f"(horizon {args.horizon:g}, seed {args.seed})")
 
-    print(metrics_table(run.metrics, title).render())
-    report = getattr(run.result, "conformance", None)
+    print(metrics_table(metrics, title).render())
+    report = getattr(result, "conformance", None)
     if report is not None:
         print(f"\nhealth: verdict {report.verdict.value} — "
               f"loss {report.loss_fraction:.3e} "
@@ -822,36 +805,27 @@ def cmd_obs(args) -> int:
               f"objective {report.loss_objective:.3e}), "
               f"{report.drift_count} drift alarm(s), "
               f"{report.slo_transitions} SLO transition(s)")
-    if run.spans:
+    if args.scenario == "figure1":
         print("\nIncident span tree:")
-        print(render_span_tree(run.spans))
+        print(render_span_tree(build_span_tree(log)))
     if args.scenario == "gillespie":
         # Put the measurement next to the model's prediction.
         stg = _stg_from_args(args)
         pi = steady_state(stg.ctmc())
         predicted = loss_probability(stg, pi)
         cats = category_probabilities(stg, pi)
-        occ = run.metrics.occupancy()
+        occ = metrics.occupancy()
         table = Table("Empirical vs CTMC", ["metric", "CTMC", "measured"])
         for cat in StateCategory:
             table.add_row(f"P({cat.value})", cats[cat],
                           occ.get(cat.name, 0.0))
         table.add_row("loss probability", predicted,
-                      run.metrics.loss_fraction)
+                      metrics.loss_fraction)
         print()
         print(table.render())
     if args.prom:
         print("\nPrometheus exposition:")
-        print(render_prometheus(run.metrics.registry), end="")
-    if args.events:
-        text = events_to_jsonl(run.events)
-        if args.events == "-":
-            print("\nEvent log (JSONL):")
-            print(text)
-        else:
-            with open(args.events, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-            print(f"\n{len(run.events)} events written to {args.events}")
+        print(render_prometheus(metrics.registry), end="")
     return 0
 
 
@@ -1321,7 +1295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", nargs="?", default="report",
                    choices=["report", "record", "replay", "explain",
                             "trace", "watch"],
-                   help="report (default): run and print metrics; "
+                   help="report (default): record a run and print "
+                        "metrics replayed from its log; "
                         "record: capture a flight log; replay: "
                         "reconstruct a run from one; explain <task>: "
                         "print a task's causal chain; trace: export "
@@ -1349,9 +1324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--prom", action="store_true",
                    help="also print the Prometheus text exposition")
-    p.add_argument("--events", metavar="FILE", default=None,
-                   help="dump the JSONL event log to FILE ('-' for "
-                        "stdout)")
     p.add_argument("--health", action="store_true",
                    help="ride a health monitor on the run and record "
                         "its SLO/drift verdicts into the flight log "

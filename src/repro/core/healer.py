@@ -73,7 +73,7 @@ from repro.core.actions import Action
 from repro.core.axioms import HistoryStep
 from repro.core.undo_redo import UndoAnalysis, find_undo_tasks
 from repro.errors import ExecutionError, RecoveryError
-from repro.obs.events import EventBus, TaskRedone, TaskUndone
+from repro.obs.events import EventBus, TaskRedone, TaskUndone, UndoDecision
 from repro.obs.perf import phase
 from repro.workflow.data import TOMBSTONE, DataStore
 from repro.workflow.dependency import DependencyAnalyzer
@@ -393,9 +393,10 @@ class Healer:
                     self._abandon(record, closure, dirty, undone,
                                   abandoned, actions)
                     continue
-                if self._must_redo(record, closure, dirty, view):
+                if (record.uid in closure
+                        or self._stale_reads(record, dirty, view)):
                     self._redo(record, walker, view, dirty, undone,
-                               redone, actions, history)
+                               redone, actions, history, undo_analysis)
                     self._run_inline_until_rejoin(
                         wf, walker, remaining[wf], view, new_execs,
                         actions, history,
@@ -431,25 +432,24 @@ class Healer:
 
     # -- internals -------------------------------------------------------------
 
-    def _must_redo(
+    def _stale_reads(
         self,
         record: LogRecord,
-        closure: Set[str],
         dirty: Set[Tuple[str, int]],
         view: _SettledView,
-    ) -> bool:
-        """Axiom 1 at settle time: dirty or stale reads force a redo."""
-        if record.uid in closure:
-            return True
+    ) -> List[str]:
+        """Axiom 1 at settle time: the objects ``record`` read dirty or
+        stale, in read order; any of them forces a redo."""
+        stale: List[str] = []
         for name, ver in record.reads.items():
-            if (name, ver) in dirty:
-                return True
-            if not view.has(name):
-                return True  # healed history has not produced it (yet)
+            if (name, ver) in dirty or not view.has(name):
+                # dirty, or healed history has not produced it (yet)
+                stale.append(name)
+                continue
             __, settled_value = view.read(name)
             if settled_value != self._store.version(name, ver).value:
-                return True  # upstream redo produced a different value
-        return False
+                stale.append(name)  # upstream redo produced a new value
+        return stale
 
     def _keep(
         self,
@@ -485,12 +485,20 @@ class Healer:
         redone: List[str],
         actions: List[Action],
         history: List[HistoryStep],
+        undo_analysis: UndoAnalysis,
     ) -> None:
         """Re-execute a record's genuine code at its settle position."""
         uid = record.uid
         if uid not in set(undone):
             # Stale-read redo (Theorem 1 cond. 4): its old outputs are
             # incorrect even though it was not in the static closure.
+            if (self._bus is not None
+                    and uid not in undo_analysis.candidates):
+                # Found only now: no Theorem 1 decision covers it yet.
+                self._bus.publish(UndoDecision(
+                    self._clock(), uid=uid, condition="T1.4",
+                    objects=tuple(self._stale_reads(record, dirty, view)),
+                ))
             undone.append(uid)
             actions.append(Action.undo(uid))
             self._note_undo(uid, reason="stale-read")

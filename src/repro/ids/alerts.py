@@ -60,11 +60,6 @@ class Alert:
     uid: str
 
 
-#: Instrumentation hook: called as ``hook(op, queue)`` with ``op`` one
-#: of ``"offer"``, ``"lost"``, ``"pop"`` after the operation applied.
-QueueHook = Callable[[str, "BoundedQueue"], None]
-
-
 class BoundedQueue(Generic[T]):
     """FIFO queue with finite capacity and loss accounting.
 
@@ -75,15 +70,13 @@ class BoundedQueue(Generic[T]):
     Besides loss counts the queue tracks its **high-water mark** — the
     maximum simultaneous occupancy since creation — which is what the
     CTMC comparison and the metrics layer need (occupancy, not just
-    losses).  An optional instrumentation hook (:meth:`set_hook`)
-    observes every mutation; when unset the only overhead is one
-    ``None`` check per operation.
+    losses).
 
     Storage is accessed only through the ``_store`` / ``_take`` /
     ``_size`` / ``_iter_items`` primitives, so
     subclasses (:class:`PriorityBoundedQueue`) can change the queueing
     discipline without touching the capacity, loss-accounting,
-    high-water, hook, or drop-event machinery.
+    high-water, or drop-event machinery.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -94,7 +87,6 @@ class BoundedQueue(Generic[T]):
         self._lost = 0
         self._accepted = 0
         self._high_water = 0
-        self._hook: Optional[QueueHook] = None
         self._name = ""
         self._bus: Optional[EventBus] = None
         self._clock: Optional[Callable[[], float]] = None
@@ -148,10 +140,6 @@ class BoundedQueue(Generic[T]):
         """Maximum simultaneous occupancy since the last stats reset."""
         return self._high_water
 
-    def set_hook(self, hook: Optional[QueueHook]) -> None:
-        """Install (or, with ``None``, remove) the instrumentation hook."""
-        self._hook = hook
-
     def instrument(self, name: str, bus: Optional[EventBus],
                    clock: Callable[[], float]) -> None:
         """Make the queue publish a typed
@@ -178,8 +166,6 @@ class BoundedQueue(Generic[T]):
                 depth=self._size(), lost_total=self._lost,
                 priority=self._class_of(item),
             ))
-        if self._hook is not None:
-            self._hook("lost", self)
 
     def offer(self, item: T) -> bool:
         """Enqueue ``item`` if capacity allows; count a loss otherwise."""
@@ -190,8 +176,6 @@ class BoundedQueue(Generic[T]):
         self._accepted += 1
         if self._size() > self._high_water:
             self._high_water = self._size()
-        if self._hook is not None:
-            self._hook("offer", self)
         return True
 
     def push(self, item: T) -> None:
@@ -211,10 +195,7 @@ class BoundedQueue(Generic[T]):
     def pop(self) -> T:
         """Dequeue the next item (oldest; for priority queues, oldest
         of the most urgent class)."""
-        item = self._take()
-        if self._hook is not None:
-            self._hook("pop", self)
-        return item
+        return self._take()
 
     @property
     def full(self) -> bool:

@@ -15,16 +15,15 @@ This package provides the measurement layer:
   and fixed-bucket histograms, plus :class:`PipelineMetrics`, a bus
   subscriber that derives the paper's quantities from the event stream;
 - :mod:`repro.obs.tracing` — timed spans, a manually advanced
-  simulated-time clock, and the ASCII renderer of an incident's span
-  tree (alert → scan → plan → undo → redo);
+  simulated-time clock, and the ASCII renderer of a span tree;
 - :mod:`repro.obs.recorder` — the flight recorder: versioned,
   append-only JSONL capture of a full run, loadable back into typed
-  events;
+  events — the one record every ``obs`` view renders from;
 - :mod:`repro.obs.provenance` — deterministic replay of a flight log
-  (plan, partial order, schedule, metrics snapshot) and per-task causal
-  explanation;
-- :mod:`repro.obs.export` — JSON-lines event dumps, Prometheus-style
-  text rendering, Chrome-trace/Perfetto JSON, and summary tables via
+  (plan, partial order, schedule, metrics snapshot, span tree) and
+  per-task causal explanation;
+- :mod:`repro.obs.export` — Prometheus-style text rendering,
+  Chrome-trace/Perfetto JSON, and summary tables via
   :mod:`repro.report.tables`;
 - :mod:`repro.obs.windows` — sim-time sliding-window estimators (rate
   windows, occupancy dwell windows) and sequential
@@ -42,8 +41,9 @@ This package provides the measurement layer:
 - :mod:`repro.obs.server` — a stdlib-only HTTP telemetry endpoint
   (``/metrics`` Prometheus text, ``/healthz``, ``/slo`` JSON);
 - :mod:`repro.obs.runner` — the Figure 1 incident driver behind the
-  ``repro-workflow obs`` CLI subcommand (the simulators are observed
-  through their own ``run_replication`` with a bus attached).
+  ``repro-workflow obs`` CLI subcommand, recording into a flight
+  recorder (the simulators are recorded through their own
+  ``run_replication`` with a bus attached).
 
 Instrumentation is strictly opt-in: every instrumented component takes
 an optional bus and publishes nothing (and allocates nothing) when none
@@ -85,7 +85,6 @@ from repro.obs.health import (
     wilson_interval,
 )
 from repro.obs.export import (
-    events_to_jsonl,
     metrics_table,
     render_prometheus,
     spans_to_chrome_trace,
@@ -174,7 +173,6 @@ __all__ = [
     "explain",
     "build_span_tree",
     # export
-    "events_to_jsonl",
     "render_prometheus",
     "metrics_table",
     "spans_to_chrome_trace",

@@ -458,7 +458,3 @@ class EventRecorder:
         """Subscribe to ``bus``; returns self for chaining."""
         bus.subscribe(self)
         return self
-
-    def of_type(self, event_type: Type[ObsEvent]) -> List[ObsEvent]:
-        """Recorded events of one type, in order."""
-        return [e for e in self.events if isinstance(e, event_type)]

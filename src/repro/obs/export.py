@@ -1,5 +1,7 @@
-"""Exporters: JSON-lines event dumps, Prometheus text, Chrome traces,
-summary tables.
+"""Exporters: Prometheus text, Chrome traces, summary tables.
+
+The one JSON-lines event format is the flight log
+(:mod:`repro.obs.recorder`).
 
 Everything renders to plain strings so callers decide where the bytes
 go (stdout, a file, a test assertion).
@@ -23,19 +25,10 @@ from repro.obs.tracing import Span
 from repro.report.tables import Table
 
 __all__ = [
-    "events_to_jsonl",
     "render_prometheus",
     "metrics_table",
     "spans_to_chrome_trace",
 ]
-
-
-def events_to_jsonl(events: Iterable[ObsEvent]) -> str:
-    """One compact JSON object per line, in event order."""
-    return "\n".join(
-        json.dumps(e.to_dict(), sort_keys=True, separators=(",", ":"))
-        for e in events
-    )
 
 
 def _format_value(value: float) -> str:

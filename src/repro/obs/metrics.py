@@ -334,18 +334,6 @@ class PipelineMetrics:
         bus.subscribe(self)
         return self
 
-    def bind_queue(self, queue, which: str) -> None:
-        """Drive the ``which`` ('alert' | 'recovery') depth gauge from a
-        :class:`~repro.ids.alerts.BoundedQueue` instrumentation hook."""
-        gauge = (self.alert_depth if which == "alert"
-                 else self.recovery_depth)
-        gauge.set(len(queue))
-
-        def hook(op: str, q) -> None:
-            gauge.set(len(q))
-
-        queue.set_hook(hook)
-
     # -- event handling ----------------------------------------------------
 
     def start(self, now: float, state: str = "NORMAL") -> None:

@@ -9,15 +9,16 @@ log back into:
 
 - :func:`replay` — the reconstructed run: recovery plan (undo/redo
   sets), partial order (rule-tagged edge set), realized schedule, and a
-  freshly rebuilt :class:`~repro.obs.metrics.PipelineMetrics` that is
-  bit-for-bit equal to the live run's (same Prometheus exposition, same
-  summary rows);
+  freshly rebuilt :class:`~repro.obs.metrics.PipelineMetrics` — the
+  numbers every ``obs`` report prints;
 - :func:`explain` — the causal chain for one task instance: alert →
   Theorem 1 condition (with the dependency path that carried the
   infection) → Theorem 2 decision → ordering constraints → schedule
   position → execution outcome;
-- :func:`build_span_tree` — a span tree reconstructed from the event
-  timeline, for the Chrome-trace exporter.
+- :func:`build_span_tree` — the run's span tree (state dwells, and
+  the detect → scan → heal(undo, redo) incident spans) reconstructed
+  from the event timeline, for the ``obs`` report and the
+  Chrome-trace exporter.
 """
 
 from __future__ import annotations
@@ -29,17 +30,20 @@ from repro.errors import ObsError
 from repro.obs.events import (
     ActionDispatched,
     AlertEnqueued,
+    AlertLost,
     DriftDetected,
     HealFinished,
     HealStarted,
     ObsEvent,
     OrderConstraint,
     RedoDecision,
+    ScanStep,
     SloTransition,
     StateTransition,
     TaskRedone,
     TaskUndone,
     UndoDecision,
+    UnitEmitted,
 )
 from repro.obs.metrics import Gauge, PipelineMetrics
 from repro.obs.recorder import FlightLog
@@ -114,8 +118,9 @@ def replay(log: FlightLog) -> ReplayedRun:
     The metrics collector is rebuilt by replaying the captured events
     through a fresh :class:`~repro.obs.metrics.PipelineMetrics`, with
     the log's ``start``/``finalize`` marks driving dwell accounting —
-    exactly the inputs the live collector saw, so the replayed snapshot
-    renders the identical Prometheus exposition and summary rows.
+    exactly the inputs a collector on the run's bus would have seen,
+    so the snapshot renders the same Prometheus exposition and summary
+    rows.
     """
     run = ReplayedRun(header=dict(log.header), events=list(log.events))
 
@@ -266,11 +271,25 @@ def explain(log: FlightLog, uid: str) -> str:
 def build_span_tree(log: FlightLog) -> List[Span]:
     """Reconstruct a span tree from a flight log's event timeline.
 
-    The tree is derived, not recorded: one root span covering the run
+    The tree is derived, not recorded.  One root span covers the run
     (``start`` mark to ``finalize`` mark, falling back to first/last
-    event time), one child per contiguous state dwell, and one child
-    per heal (``HealStarted`` → ``HealFinished``).  Decision-level
-    events are better rendered as instants — pass ``log.events`` to
+    event time).  Its children are one span per contiguous state
+    dwell, then the incident spans in the order they open:
+
+    - ``detect``: from an offered alert (``AlertEnqueued`` or
+      ``AlertLost``) while none is open to the analyzer's next
+      ``ScanStep`` (or ``UnitEmitted``, for abstract simulators that
+      publish no scan steps);
+    - ``scan``: one per ``ScanStep``, ending at the ``UnitEmitted``
+      that queues its recovery unit;
+    - ``heal``: ``HealStarted`` → ``HealFinished``, with an ``undo``
+      and a ``redo`` child.  Task events are stamped when the
+      operation starts, so each undo/redo runs until the next one (or
+      the heal's finish); disposition-only notes are not operations.
+
+    Spans still open when the log ends stay unfinished (a crashed
+    heal, alerts never scanned).  Decision-level events are better
+    rendered as instants — pass ``log.events`` to
     :func:`repro.obs.export.spans_to_chrome_trace` alongside the tree.
     """
     times = [e.time for e in log.events]
@@ -300,17 +319,65 @@ def build_span_tree(log: FlightLog) -> List[Span]:
     closing.end = t1
     root.children.append(closing)
 
-    open_heal: Optional[Span] = None
+    detect: Optional[Span] = None
+    scan: Optional[Span] = None
+    scans = 0
+    heal: Optional[Span] = None
+    ops: List[Tuple[str, float]] = []  # the open heal's (kind, start)
     for event in log.events:
-        if isinstance(event, HealStarted):
-            open_heal = Span("heal", event.time,
-                             {"malicious": ", ".join(event.malicious)})
-        elif isinstance(event, HealFinished) and open_heal is not None:
-            open_heal.end = event.time
-            open_heal.set_attribute("undone", event.undone)
-            open_heal.set_attribute("redone", event.redone)
-            root.children.append(open_heal)
-            open_heal = None
-    if open_heal is not None:  # crashed mid-heal: keep it, unfinished
-        root.children.append(open_heal)
+        if isinstance(event, (AlertEnqueued, AlertLost)):
+            if detect is None:
+                detect = Span("detect", event.time, {"alerts": 0})
+                root.children.append(detect)
+            detect.attributes["alerts"] += 1
+        elif isinstance(event, (ScanStep, UnitEmitted)):
+            if detect is not None:
+                detect.end = event.time
+                detect = None
+            if isinstance(event, ScanStep):
+                scans += 1
+                scan = Span("scan", event.time,
+                            {"step": scans, "uid": event.uid})
+                root.children.append(scan)
+            elif scan is not None:
+                scan.end = event.time
+                scan = None
+        elif isinstance(event, HealStarted):
+            heal = Span("heal", event.time,
+                        {"malicious": ", ".join(event.malicious)})
+            root.children.append(heal)
+            ops = []
+        elif heal is None:
+            continue
+        elif isinstance(event, TaskUndone):
+            if not event.disposition:
+                ops.append(("undo", event.time))
+        elif isinstance(event, TaskRedone):
+            ops.append(("redo", event.time))
+        elif isinstance(event, HealFinished):
+            heal.end = event.time
+            heal.set_attribute("undone", event.undone)
+            heal.set_attribute("redone", event.redone)
+            heal.children = _operation_spans(ops, event.time)
+            heal = None
+    if heal is not None:  # crashed mid-heal: keep it, unfinished
+        heal.children = _operation_spans(ops, None)
     return [root]
+
+
+def _operation_spans(ops: List[Tuple[str, float]],
+                     finished: Optional[float]) -> List[Span]:
+    """The ``undo`` and ``redo`` children of one heal: each covers its
+    kind's first operation to the end of its last, where an operation
+    ends when the next one starts (or the heal finishes at
+    ``finished``; ``None`` leaves the last one open)."""
+    ends = [t for _, t in ops[1:]] + [finished]
+    spans: List[Span] = []
+    for name in ("undo", "redo"):
+        mine = [(t, end) for (kind, t), end in zip(ops, ends)
+                if kind == name]
+        if mine:
+            span = Span(name, mine[0][0], {"tasks": len(mine)})
+            span.end = mine[-1][1]
+            spans.append(span)
+    return spans

@@ -2,10 +2,11 @@
 
 An incident — one burst of alerts through detect → scan → plan → undo →
 redo — is naturally a tree of timed spans.  :class:`Span` is one node of
-such a tree; the incident driver (:mod:`repro.obs.runner`) and the
-flight-log replayer (:mod:`repro.obs.provenance`) build trees of them
-directly, timed by a :class:`ManualClock` or by event timestamps, and
-:func:`render_span_tree` prints them.
+such a tree; the flight-log replayer
+(:func:`repro.obs.provenance.build_span_tree`) derives the tree from a
+recorded run's event timestamps, and :func:`render_span_tree` prints
+it.  Runs driven on simulated time stamp their events with a
+:class:`ManualClock`.
 """
 
 from __future__ import annotations

@@ -76,25 +76,6 @@ class TestBoundedQueue:
         q.offer("b")  # lost
         assert q.high_water == 1
 
-    def test_hook_sees_offer_lost_and_pop(self):
-        calls = []
-        q = BoundedQueue(1)
-        q.set_hook(lambda op, queue: calls.append((op, len(queue))))
-        q.offer("a")
-        q.offer("b")  # rejected: full
-        q.pop()
-        assert calls == [("offer", 1), ("lost", 1), ("pop", 0)]
-
-    def test_set_hook_installs_and_removes(self):
-        q = BoundedQueue(2)
-        calls = []
-        q.offer("before")  # no hook yet: unobserved
-        q.set_hook(lambda op, queue: calls.append(op))
-        q.offer("a")
-        q.set_hook(None)
-        q.offer("b")
-        assert calls == ["offer"]
-
 
 def by_digit(item):
     """Priority class of a test item like ``"2:x"`` → 2."""
@@ -204,14 +185,6 @@ class TestPriorityBoundedQueue:
         assert [d.priority for d in drops] == [2, 2, 2]
         assert [d.queue for d in drops] == ["central"] * 3
         assert drops[-1].lost_total == 3 == q.lost
-
-    def test_hook_sees_eviction_as_lost(self):
-        calls = []
-        q = self.make(capacity=1)
-        q.set_hook(lambda op, queue: calls.append(op))
-        q.offer("2:a")
-        q.offer("0:b")  # evicts 2:a: lost + offer
-        assert calls == ["offer", "lost", "offer"]
 
     def test_priority_class_out_of_range_raises(self):
         q = self.make(capacity=2)

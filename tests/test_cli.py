@@ -179,8 +179,25 @@ class TestObs:
         assert "alert queue high-water" in out
         assert "alert loss fraction" in out
         assert "Incident span tree:" in out
-        assert "- incident" in out
+        assert "- run" in out and "- detect" in out
         assert "undo" in out and "redo" in out
+
+    def test_report_and_trace_show_the_same_tree(self, capsys):
+        """Both views derive their spans from the flight log: the
+        report's tree lists the trace's complete events, in order."""
+        import json
+        import re
+
+        assert main(["obs"]) == 0
+        tree = capsys.readouterr().out.split("Incident span tree:\n")[1]
+        rendered = [re.match(r" *- (\S+) \(", line).group(1)
+                    for line in tree.strip().splitlines()]
+        assert main(["obs", "trace"]) == 0
+        spans = [e["name"] for e in
+                 json.loads(capsys.readouterr().out)["traceEvents"]
+                 if e["ph"] == "X"]
+        assert rendered == spans
+        assert {"detect", "scan", "heal", "undo", "redo"} <= set(spans)
 
     def test_figure1_span_tree_matches_readme(self, capsys):
         """The report's incident tree is the README's, character for
@@ -219,19 +236,21 @@ class TestObs:
         assert "repro_state_dwell_time_bucket" in out
 
     def test_events_to_stdout(self, capsys):
+        """The run's events go out as JSONL in the one event format,
+        the flight log."""
         import json
 
-        assert main(["obs", "--events", "-"]) == 0
+        assert main(["obs", "record", "--log", "-"]) == 0
         out = capsys.readouterr().out
-        jsonl = out.split("Event log (JSONL):\n", 1)[1].strip()
-        events = [json.loads(line) for line in jsonl.splitlines()]
+        records = [json.loads(line) for line in out.splitlines()]
+        events = [r for r in records if r["record"] == "event"]
         assert events[0]["event"] == "AlertEnqueued"
         assert any(e["event"] == "HealFinished" for e in events)
 
     def test_events_to_file(self, capsys, tmp_path):
         path = tmp_path / "events.jsonl"
-        assert main(["obs", "--events", str(path)]) == 0
-        assert "events written to" in capsys.readouterr().out
+        assert main(["obs", "record", "--log", str(path)]) == 0
+        assert "flight-log records written to" in capsys.readouterr().out
         assert path.read_text().count("\n") > 10
 
 
@@ -376,11 +395,19 @@ class TestObsFlightVerbs:
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith('{"label":"figure1"')
 
-    def test_record_gillespie_rejected(self, capsys):
-        code = main(["obs", "record", "--scenario", "gillespie"])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert "no recovery pipeline to record" in captured.err
+    def test_record_gillespie(self, capsys, tmp_path):
+        path = tmp_path / "gillespie.jsonl"
+        assert main(["obs", "record", "--scenario", "gillespie",
+                     "--horizon", "50", "--log", str(path)]) == 0
+        capsys.readouterr()
+        from repro.obs.recorder import load_flight_log
+
+        log = load_flight_log(str(path))
+        assert log.label == "gillespie"
+        assert log.meta["horizon"] == 50.0 and log.meta["seed"] == 0
+        assert log.mark("finalize")["time"] == 50.0
+        assert main(["obs", "replay", "--log", str(path)]) == 0
+        assert "Replayed pipeline metrics" in capsys.readouterr().out
 
     def test_explain_fresh_run(self, capsys):
         assert main(["obs", "explain", "wf1/t6#1"]) == 0

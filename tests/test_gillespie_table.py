@@ -16,6 +16,7 @@ it is the independent oracle for the exact product-chain loss of
 from __future__ import annotations
 
 import hashlib
+import json
 import pickle
 import random
 from typing import Dict, Optional, Tuple
@@ -334,31 +335,52 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _stripped_events_sha256(path) -> str:
+    """Digest of a flight log's event records with the ``record`` key
+    dropped, one compact JSON object per line: the bytes the retired
+    ``obs --events`` file held for the same run."""
+    lines = []
+    for line in path.read_text().splitlines():
+        record = json.loads(line)
+        if record.pop("record") == "event":
+            lines.append(json.dumps(record, sort_keys=True,
+                                    separators=(",", ":")))
+    return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+
+
 class TestPinnedEventFiles:
-    """Event files of seeded ``obs`` runs, taken before the loop was
-    table-driven; any change to draws or event order moves them."""
+    """Flight logs of seeded ``obs record`` runs.  The stripped-event
+    digests were taken from ``obs --events`` files before the loop was
+    table-driven (and before the flight log became the one event
+    format); any change to draws or event order moves them."""
 
     def test_health_run(self, tmp_path, capsys):
-        events = tmp_path / "events.jsonl"
-        main(["obs", "--scenario", "gillespie", "--health", "--lam", "6",
-              "--buffer", "4", "--horizon", "200", "--seed", "9",
-              "--events", str(events)])
+        log = tmp_path / "run.jsonl"
+        main(["obs", "record", "--scenario", "gillespie", "--health",
+              "--lam", "6", "--buffer", "4", "--horizon", "200",
+              "--seed", "9", "--log", str(log)])
         capsys.readouterr()
-        assert len(events.read_text().splitlines()) == 3119
-        assert _sha256(events) == (
+        assert len(log.read_text().splitlines()) == 3122  # 3,119 events
+        assert _stripped_events_sha256(log) == (
             "9cb6410038f99bdf657d60a129ad4cb9"
             "44066b98d10dea79f298cd56af84436f")
+        assert _sha256(log) == (
+            "f209f18f704996f4e33a6854938ae4a7"
+            "6804693c5dd8497d37362d3b575cf735")
 
     def test_plain_run(self, tmp_path, capsys):
-        events = tmp_path / "events.jsonl"
-        main(["obs", "--scenario", "gillespie", "--lam", "3", "--buffer",
-              "5", "--horizon", "300", "--seed", "4", "--events",
-              str(events)])
+        log = tmp_path / "run.jsonl"
+        main(["obs", "record", "--scenario", "gillespie", "--lam", "3",
+              "--buffer", "5", "--horizon", "300", "--seed", "4",
+              "--log", str(log)])
         capsys.readouterr()
-        assert len(events.read_text().splitlines()) == 3670
-        assert _sha256(events) == (
+        assert len(log.read_text().splitlines()) == 3673  # 3,670 events
+        assert _stripped_events_sha256(log) == (
             "5b038a104ffd43af3c96724304e4b230"
             "50fe8e05f95cddce016c6d6f79d6bfb2")
+        assert _sha256(log) == (
+            "7ce019c2378bfe28d65644ae27c44317"
+            "dce7e637dfc3a5ff72b07ec75ab293fc")
 
 
 # -- the MMPP loop ---------------------------------------------------------------

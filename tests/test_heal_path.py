@@ -160,12 +160,37 @@ class TestDemoFlightLogs:
     @pytest.mark.parametrize("name", ["figure1", "travel", "web-app"])
     def test_recorded_heal_replays_conformant(self, tmp_path, capsys,
                                               name):
+        """The log replays with no LTLf violation, and the plan
+        verifier finds every execution covered by a decision."""
         path = tmp_path / f"{name}.jsonl"
         assert main(["demo", name, "--flight-log", str(path)]) == 0
         assert "strictly correct: True" in capsys.readouterr().out
         assert main(["obs", "replay", "--log", str(path),
                      "--conformance"]) == 0
         assert ", 0 violation(s)" in capsys.readouterr().out
+        assert main(["lint", "plan", str(path)]) == 0
+        assert "0 finding(s): 0 error" in capsys.readouterr().out
+
+    def test_settle_time_stale_reads_are_decided(self, tmp_path, capsys):
+        """The travel heal finds stale reads that no scan flagged; the
+        healer publishes their Theorem 1 condition 4 decision before
+        the undo, so the plan verifier sees every execution covered."""
+        from repro.obs.events import TaskUndone, UndoDecision
+        from repro.obs.recorder import load_flight_log
+
+        path = tmp_path / "travel.jsonl"
+        assert main(["demo", "travel", "--flight-log", str(path)]) == 0
+        capsys.readouterr()
+        log = load_flight_log(str(path))
+        stale = [e.uid for e in log.events if isinstance(e, TaskUndone)
+                 and e.reason == "stale-read"]
+        assert "booking_b0/charge#1" in stale
+        decided = {e.uid: e for e in log.events
+                   if isinstance(e, UndoDecision)}
+        for uid in stale:
+            assert decided[uid].condition == "T1.4"
+            assert decided[uid].objects  # the reads that went stale
+        assert decided["booking_b0/charge#1"].objects == ("revenue",)
 
     @pytest.mark.parametrize("name", ["banking", "supply-chain"])
     def test_forged_runs_are_refused(self, tmp_path, capsys, name):

@@ -261,7 +261,7 @@ def recorded_figure1_lines():
     from repro.obs.runner import run_figure1_observed
 
     flight = FlightRecorder(label="figure1")
-    run_figure1_observed(flight=flight)
+    run_figure1_observed(flight)
     flight.close()
     return [line for line in flight.text().splitlines() if line.strip()]
 

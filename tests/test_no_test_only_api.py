@@ -14,7 +14,9 @@ are matched bare, so the guard errs toward finding a caller.
 A bare match proves nothing for a name that ``str``, ``list``,
 ``dict`` or ``set`` methods also carry (``.count`` on a list is no
 caller of ``LintReport.count``), so a definition by such a name needs
-a ``CALLERS`` entry citing one real caller as ``path:line``.
+a ``CALLERS`` entry citing one real caller as ``path::Qualname``: the
+function that reads the property or calls the method, so an edit
+elsewhere in the file leaves the citation valid.
 
 Dunders are exempt, and so are methods that override or are dispatched
 by a base class from outside ``repro`` (``ast.NodeVisitor.visit_*``,
@@ -96,26 +98,36 @@ BUILTIN_METHOD_NAMES = frozenset(
     name for kind in (str, bytes, list, tuple, dict, set, frozenset)
     for name in dir(kind) if not name.startswith("_"))
 
-#: One real caller, ``path:line`` from the repository root, of each
-#: public definition named like a builtin method (a property is read
-#: there, a method called).
+#: One real caller, ``path::Qualname`` of the calling function from the
+#: repository root, of each public definition named like a builtin
+#: method (a property is read there, a method called).
 CALLERS: Dict[str, str] = {
-    "repro.core.axioms:HistoryReplay.extend": "src/repro/core/axioms.py:300",
-    "repro.ids.alerts:BoundedQueue.pop": "src/repro/system.py:219",
+    "repro.core.axioms:HistoryReplay.extend":
+        "src/repro/core/axioms.py::audit_strict_correctness",
+    "repro.ids.alerts:BoundedQueue.pop":
+        "src/repro/system.py::SelfHealingSystem.scan_step",
     "repro.lint.diagnostics:LintReport.count":
-        "src/repro/lint/diagnostics.py:279",
-    "repro.obs.metrics:Histogram.count": "src/repro/obs/export.py:137",
+        "src/repro/lint/diagnostics.py::LintReport.render_text",
+    "repro.obs.metrics:Histogram.count":
+        "src/repro/obs/export.py::render_prometheus",
     "repro.obs.metrics:MetricsRegistry.get":
-        "src/repro/obs/provenance.py:150",
-    "repro.obs.perf:PhaseStat.add": "src/repro/obs/perf.py:243",
-    "repro.obs.windows:SlidingWindow.add": "src/repro/obs/windows.py:112",
+        "src/repro/obs/provenance.py::replay",
+    "repro.obs.perf:PhaseStat.add":
+        "src/repro/obs/perf.py::PhaseProfiler.add_external",
+    "repro.obs.windows:SlidingWindow.add":
+        "src/repro/obs/windows.py::RateWindow.observe",
     "repro.obs.windows:SlidingWindow.values":
-        "src/repro/obs/windows.py:123",
-    "repro.obs.windows:RateWindow.count": "src/repro/obs/health.py:693",
-    "repro.obs.windows:Cusum.update": "src/repro/obs/health.py:619",
-    "repro.obs.windows:PageHinkley.update": "src/repro/obs/health.py:642",
-    "repro.report.series:Series.add": "benchmarks/bench_fig5_lambda.py:47",
-    "repro.workflow.log:SystemLog.get": "src/repro/workflow/log.py:172",
+        "src/repro/obs/windows.py::RateWindow.count",
+    "repro.obs.windows:RateWindow.count":
+        "src/repro/obs/health.py::HealthMonitor._evaluate_loss",
+    "repro.obs.windows:Cusum.update":
+        "src/repro/obs/health.py::HealthMonitor._on_arrival",
+    "repro.obs.windows:PageHinkley.update":
+        "src/repro/obs/health.py::HealthMonitor._note_alert_depth",
+    "repro.report.series:Series.add":
+        "benchmarks/bench_fig5_lambda.py::compute_fig5_lambda",
+    "repro.workflow.log:SystemLog.get":
+        "src/repro/workflow/log.py::SystemLog.position",
 }
 
 
@@ -248,31 +260,59 @@ def test_every_allow_list_entry_has_a_reason():
     assert all(reason.strip() for reason in ALLOWED.values())
 
 
+def _function(path: Path, qualname: str):
+    """The ``def`` node at dotted ``qualname`` (through classes and
+    enclosing functions) in ``path``, or ``None``."""
+    node: ast.AST = ast.parse(path.read_text(encoding="utf-8"))
+    for part in qualname.split("."):
+        node = next((
+            child for child in getattr(node, "body", ())
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+            and child.name == part), None)
+        if node is None:
+            return None
+    return node if not isinstance(node, ast.ClassDef) else None
+
+
+def _reads_or_calls(function: ast.AST, name: str, call: bool) -> bool:
+    """Whether ``function`` calls ``.name(...)`` (``call``) or reads
+    ``.name`` anywhere in its body."""
+    for node in ast.walk(function):
+        if call:
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == name):
+                return True
+        elif isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+    return False
+
+
 def test_every_cited_caller_uses_its_definition():
     """Each ``CALLERS`` entry names a definition by a builtin method
-    name, and its cited line, outside ``tests/`` and outside the
-    definition's own body, reads that property or calls that method."""
+    name, and its cited function, outside ``tests/`` and other than
+    the definition itself, reads that property or calls that method."""
     nodes = {
-        f"{_module_name(path)}:{qualname}": (path, node)
+        f"{_module_name(path)}:{qualname}": (path, qualname, node)
         for path in SRC.rglob("*.py")
         for qualname, node, _ in _definitions(path)
     }
     wrong = []
     for key, where in sorted(CALLERS.items()):
         name = key.rsplit(".", 1)[-1]
-        defined_in, node = nodes.get(key, (None, None))
-        path, line = where.rsplit(":", 1)
-        text = (ROOT / path).read_text(encoding="utf-8").splitlines()
-        cited = text[int(line) - 1] if int(line) <= len(text) else ""
+        defined_in, defined_as, node = nodes.get(key, (None, None, None))
+        path, qualname = where.split("::", 1)
+        caller = (_function(ROOT / path, qualname)
+                  if (ROOT / path).is_file() else None)
         is_property = node is not None and any(
             isinstance(d, ast.Name) and d.id == "property"
             for d in node.decorator_list)
-        use = f".{name}" if is_property else f".{name}("
-        own = (node is not None and ROOT / path == defined_in
-               and node.lineno <= int(line) <= node.end_lineno)
+        own = ROOT / path == defined_in and qualname == defined_as
         if (node is None or name not in BUILTIN_METHOD_NAMES or own
-                or path.startswith("tests/") or use not in cited):
-            wrong.append(f"{key} -> {where}: {cited.strip()!r}")
+                or path.startswith("tests/") or caller is None
+                or not _reads_or_calls(caller, name, not is_property)):
+            wrong.append(f"{key} -> {where}")
     assert wrong == [], "stale or wrong CALLERS entries:\n" + "\n".join(
         wrong)
 

@@ -2,12 +2,14 @@
 
 The acceptance check for the obs subsystem: one calibrated overloaded
 configuration is simulated exactly (Gillespie), *measured through the
-event bus and pipeline metrics* — not through the simulator's own
-counters — and the measured quantities must agree with the analytic
-steady state.  Because arrivals are Poisson, PASTA makes the fraction of
+event bus, the flight log and the pipeline metrics of its replay* —
+not through the simulator's own counters — and the measured quantities
+must agree with the analytic steady state.  Because arrivals are Poisson, PASTA makes the fraction of
 arrivals lost equal (in the limit) to the steady-state probability of
 the loss states, i.e. Definition 3's loss probability.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,8 +18,8 @@ from repro.markov.metrics import category_probabilities, loss_probability
 from repro.markov.steady_state import steady_state
 from repro.markov.stg import RecoverySTG, StateCategory
 from repro.obs.events import EventBus
-from repro.obs.metrics import PipelineMetrics
-from repro.obs.runner import ObsRun
+from repro.obs.provenance import replay
+from repro.obs.recorder import FlightRecorder, read_flight_log
 from repro.sim.ctmc_sim import run_replication
 
 # Calibrated overloaded configuration: lambda = 4 against mu1 = 6,
@@ -37,13 +39,15 @@ TOLERANCE = 0.02
 
 @pytest.fixture(scope="module")
 def observed():
-    """One trajectory measured by pipeline metrics on its event bus."""
+    """One trajectory recorded from its event bus and measured by the
+    pipeline metrics of the log's replay."""
     bus = EventBus()
-    metrics = PipelineMetrics().attach(bus)
-    metrics.start(0.0, state="NORMAL")
+    flight = FlightRecorder(label="gillespie").attach(bus)
+    flight.mark("start", 0.0, state="NORMAL")
     result = run_replication(STG, HORIZON, SEED, bus=bus)
-    metrics.finalize(HORIZON)
-    return ObsRun(metrics=metrics, result=result)
+    flight.mark("finalize", HORIZON)
+    metrics = replay(read_flight_log(flight.text())).metrics
+    return SimpleNamespace(metrics=metrics, result=result)
 
 
 @pytest.fixture(scope="module")

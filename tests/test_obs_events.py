@@ -118,9 +118,11 @@ class TestEventRecorder:
     def test_records_in_order_and_filters_by_type(self):
         bus = EventBus()
         rec = EventRecorder().attach(bus)
+        alerts = EventRecorder()
+        bus.subscribe(alerts, types=[AlertEnqueued])
         bus.publish(AlertEnqueued(0.0, uid="a", queue_depth=1))
         bus.publish(TaskUndone(1.0, uid="b"))
         bus.publish(AlertEnqueued(2.0, uid="c", queue_depth=2))
         assert [e.kind for e in rec.events] == [
             "AlertEnqueued", "TaskUndone", "AlertEnqueued"]
-        assert [e.uid for e in rec.of_type(AlertEnqueued)] == ["a", "c"]
+        assert [e.uid for e in alerts.events] == ["a", "c"]

@@ -3,31 +3,40 @@
 import json
 
 from repro.obs.events import AlertEnqueued, AlertLost, HealStarted
-from repro.obs.export import events_to_jsonl, metrics_table, render_prometheus
+from repro.obs.export import metrics_table, render_prometheus
 from repro.obs.metrics import MetricsRegistry, PipelineMetrics
+from repro.obs.recorder import FlightRecorder
+
+
+def event_lines(events):
+    """The event records a flight recorder writes for ``events``, with
+    the header line dropped."""
+    flight = FlightRecorder()
+    for event in events:
+        flight(event)
+    return flight.text().splitlines()[1:]
 
 
 class TestEventsToJsonl:
+    """The flight log is the one JSON-lines event format."""
+
     def test_one_compact_object_per_line(self):
-        text = events_to_jsonl([
+        lines = event_lines([
             AlertEnqueued(0.5, uid="w/t1#1", queue_depth=1),
             AlertLost(1.0, uid="w/t2#1", queue_depth=8),
         ])
-        lines = text.splitlines()
         assert len(lines) == 2
         first = json.loads(lines[0])
-        assert first == {"event": "AlertEnqueued", "time": 0.5,
-                         "uid": "w/t1#1", "queue_depth": 1}
+        assert first == {"record": "event", "event": "AlertEnqueued",
+                         "time": 0.5, "uid": "w/t1#1", "queue_depth": 1}
         assert " " not in lines[0]  # compact separators
 
     def test_tuple_fields_serialize_as_lists(self):
-        (line,) = events_to_jsonl(
-            [HealStarted(2.0, malicious=("a", "b"))]
-        ).splitlines()
+        (line,) = event_lines([HealStarted(2.0, malicious=("a", "b"))])
         assert json.loads(line)["malicious"] == ["a", "b"]
 
     def test_empty_stream(self):
-        assert events_to_jsonl([]) == ""
+        assert event_lines([]) == []
 
 
 class TestRenderPrometheus:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.ids.alerts import BoundedQueue
 from repro.obs.events import (
     AlertEnqueued,
     AlertLost,
@@ -186,17 +185,6 @@ class TestPipelineMetrics:
         m = PipelineMetrics().attach(bus)
         bus.publish(AlertEnqueued(0.0, uid="a", queue_depth=1))
         assert m.alerts_enqueued.value == 1
-
-    def test_bind_queue_drives_depth_gauge(self):
-        m = PipelineMetrics()
-        q = BoundedQueue(2)
-        m.bind_queue(q, "alert")
-        q.offer("a")
-        q.offer("b")
-        assert m.alert_depth.value == 2
-        q.pop()
-        assert m.alert_depth.value == 1
-        assert m.alert_depth.high_water == 2
 
     def test_summary_rows_cover_headline_quantities(self):
         m = PipelineMetrics()

@@ -1,14 +1,16 @@
 """Integration tests for observed runs.
 
 ``run_figure1_observed`` drives the paper's Figure 1 attack through the
-Figure 2 architecture with the full observability harness attached; the
-assertions here pin the headline quantities the ``repro obs`` report
-prints — per-state dwell times, queue high-water marks, loss counts,
-and the incident span tree — against the scenario's known ground truth.
-The simulators are observed as the ``repro obs`` report observes them:
-their ordinary ``run_replication`` with pipeline metrics and an event
-recorder on the bus.
+Figure 2 architecture into a flight recorder; the assertions here pin
+the headline quantities the ``repro obs`` report prints — per-state
+dwell times, queue high-water marks, loss counts, and the incident
+span tree — against the scenario's known ground truth.  Like the
+report, they read everything from a replay of the recorded log.  The
+simulators are observed the same way: their ordinary
+``run_replication`` with a flight recorder on the bus.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,14 +18,14 @@ from repro.errors import RecoveryError
 from repro.obs.events import (
     AlertEnqueued,
     EventBus,
-    EventRecorder,
     HealFinished,
     ScanStep,
     StateTransition,
     TaskRedone,
     TaskUndone,
 )
-from repro.obs.metrics import PipelineMetrics
+from repro.obs.provenance import build_span_tree, replay
+from repro.obs.recorder import FlightRecorder, read_flight_log
 from repro.obs.runner import run_figure1_observed
 from repro.obs.tracing import render_span_tree
 
@@ -31,21 +33,32 @@ SCAN_TIME = 1.0 / 15.0
 TASK_TIME = 1.0 / 20.0
 
 
+def observe_figure1(**kwargs):
+    """A recorded Figure 1 incident: the replayed ``metrics``, the
+    logged ``events``, the ``spans`` tree and the heal ``result``."""
+    flight = FlightRecorder(label="figure1")
+    report = run_figure1_observed(flight, **kwargs)
+    flight.close()
+    log = read_flight_log(flight.text())
+    return SimpleNamespace(metrics=replay(log).metrics, events=log.events,
+                           spans=build_span_tree(log), result=report)
+
+
 def observe(run_replication, model, horizon, seed):
-    """``run_replication`` on a bus carrying pipeline metrics and an
-    event recorder; returns ``(metrics, events, result)``."""
+    """``run_replication`` recorded on a bus; returns the replayed
+    ``(metrics, events, result)``."""
     bus = EventBus()
-    metrics = PipelineMetrics().attach(bus)
-    recorder = EventRecorder().attach(bus)
-    metrics.start(0.0, state="NORMAL")
+    flight = FlightRecorder().attach(bus)
+    flight.mark("start", 0.0, state="NORMAL")
     result = run_replication(model, horizon, seed, bus=bus)
-    metrics.finalize(horizon)
-    return metrics, recorder.events, result
+    flight.mark("finalize", horizon)
+    log = read_flight_log(flight.text())
+    return replay(log).metrics, log.events, result
 
 
 @pytest.fixture(scope="module")
 def fig1():
-    return run_figure1_observed()
+    return observe_figure1()
 
 
 class TestFigure1Observed:
@@ -93,23 +106,53 @@ class TestFigure1Observed:
         assert sum(occ.values()) == pytest.approx(1.0)
 
     def test_span_tree_shape(self, fig1):
-        (incident,) = fig1.spans
-        assert incident.name == "incident" and incident.finished
-        names = [c.name for c in incident.children]
+        (run,) = fig1.spans
+        assert run.name == "run" and run.finished
+        incident = [c for c in run.children
+                    if not c.name.startswith("state:")]
+        names = [c.name for c in incident]
         assert names == ["detect", "scan", "scan", "scan", "heal"]
-        heal = incident.children[-1]
+        heal = incident[-1]
         assert [c.name for c in heal.children] == ["undo", "redo"]
         undo, redo = heal.children
         assert undo.attributes["tasks"] == 7
         assert redo.attributes["tasks"] == 6
-        # undo and redo interleave in the healer's settle pass, so only
-        # containment (not exact sub-durations) is stable.
-        for child in incident.children + heal.children:
+        for child in incident + heal.children:
             assert child.finished and child.duration > 0
-            assert child.start >= incident.start
-            assert child.end <= incident.end + 1e-9
+            assert child.start >= run.start
+            assert child.end <= run.end + 1e-9
         text = render_span_tree(fig1.spans)
-        assert "- incident" in text and "undo" in text
+        assert "- run" in text and "undo" in text
+
+    def test_incident_span_times(self, fig1):
+        """Incident spans are timed on the run's sim-time clock: detect
+        ends when the first scan starts, each scan ends when its unit
+        is queued, and undo and redo run from their first task to the
+        end of their last (each task lasting TASK_TIME)."""
+        (run,) = fig1.spans
+        got = [(c.name, c.start, c.end) for c in run.children
+               if not c.name.startswith("state:")]
+        heal = run.children[-1]
+        got += [(c.name, c.start, c.end) for c in heal.children]
+        scans = [0.1, 0.1 + SCAN_TIME, 0.1 + 3 * SCAN_TIME,
+                 0.1 + 6 * SCAN_TIME]
+        heal_end = scans[-1] + 13 * TASK_TIME
+        want = [
+            ("detect", 0.0, 0.1),
+            ("scan", scans[0], scans[1]),
+            ("scan", scans[1], scans[2]),
+            ("scan", scans[2], scans[3]),
+            ("heal", scans[3], heal_end),
+            # 5 closure undos from the heal's start; the last undo (the
+            # stale-read t6, after 4 redos and t3's abandonment) is the
+            # 11th task.
+            ("undo", scans[3], scans[3] + 11 * TASK_TIME),
+            ("redo", scans[3] + 5 * TASK_TIME, heal_end),
+        ]
+        assert [n for n, _, _ in got] == [n for n, _, _ in want]
+        for (_, start, end), (_, want_start, want_end) in zip(got, want):
+            assert start == pytest.approx(want_start, abs=1e-12)
+            assert end == pytest.approx(want_end, abs=1e-12)
 
     def test_event_stream_is_time_ordered_and_complete(self, fig1):
         times = [e.time for e in fig1.events]
@@ -131,12 +174,12 @@ class TestFigure1Observed:
 
     def test_undersized_recovery_buffer_blocks_analyzer(self):
         with pytest.raises(RecoveryError, match="analyzer blocked"):
-            run_figure1_observed(false_alarms=3, alert_buffer=8,
-                                 recovery_buffer=1)
+            run_figure1_observed(FlightRecorder(), false_alarms=3,
+                                 alert_buffer=8, recovery_buffer=1)
 
     def test_alert_overflow_counts_losses(self):
-        run = run_figure1_observed(false_alarms=4, alert_buffer=2,
-                                   recovery_buffer=8)
+        run = observe_figure1(false_alarms=4, alert_buffer=2,
+                              recovery_buffer=8)
         m = run.metrics
         assert m.alerts_lost.value == 3  # 5 offered into capacity 2
         assert m.loss_fraction == pytest.approx(3 / 5)

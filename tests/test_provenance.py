@@ -8,6 +8,7 @@ schema-valid; and ``explain`` walks a real causal chain.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,16 +16,15 @@ from repro.errors import ObsError
 from repro.obs.events import (
     ActionDispatched,
     EventBus,
-    EventRecorder,
     OrderConstraint,
     RedoDecision,
     UndoDecision,
 )
 from repro.obs.export import render_prometheus, spans_to_chrome_trace
-from repro.obs.metrics import PipelineMetrics
+from repro.obs.metrics import Gauge, PipelineMetrics
 from repro.obs.provenance import build_span_tree, explain, replay
 from repro.obs.recorder import FlightRecorder, read_flight_log
-from repro.obs.runner import ObsRun, run_figure1_observed
+from repro.obs.runner import run_figure1_observed
 from repro.sim.fullstack import (
     FullStackConfig,
     flight_log_meta,
@@ -35,29 +35,50 @@ BURSTY = FullStackConfig(arrival_rate=4.0, alert_buffer=3,
                          recovery_buffer=3)
 
 
+class LiveRecorder(FlightRecorder):
+    """A flight recorder that also feeds every event and mark, in
+    memory, to a live pipeline-metrics collector: the independent
+    observer each replay is held against."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.live = SimpleNamespace(metrics=PipelineMetrics(), events=[])
+
+    def __call__(self, event) -> None:
+        super().__call__(event)
+        self.live.metrics(event)
+        self.live.events.append(event)
+
+    def mark(self, name, time, **fields) -> None:
+        super().mark(name, time, **fields)
+        metrics = self.live.metrics
+        if name == "start":
+            metrics.start(time, state=fields["state"])
+        elif name == "finalize":
+            metrics.finalize(time)
+            for gauge, value in fields.get("gauges", {}).items():
+                metric = metrics.registry.get(gauge)
+                assert isinstance(metric, Gauge)
+                metric.set(value)
+
+
 def record_figure1():
-    flight = FlightRecorder(label="figure1", meta={"false_alarms": 2})
-    run = run_figure1_observed(flight=flight)
+    flight = LiveRecorder(label="figure1", meta={"false_alarms": 2})
+    run_figure1_observed(flight)
     flight.close()
-    return read_flight_log(flight.text()), run
+    return read_flight_log(flight.text()), flight.live
 
 
 def record_fullstack(config=BURSTY, horizon=30.0, seed=3):
     bus = EventBus()
-    metrics = PipelineMetrics().attach(bus)
-    recorder = EventRecorder().attach(bus)
-    flight = FlightRecorder(
+    flight = LiveRecorder(
         label="fullstack", meta=flight_log_meta(config, horizon, seed),
     ).attach(bus)
     flight.mark("start", 0.0, state="NORMAL")
-    metrics.start(0.0, state="NORMAL")
-    result = run_replication(config, horizon, seed, bus=bus)
-    metrics.finalize(horizon)
+    run_replication(config, horizon, seed, bus=bus)
     flight.mark("finalize", horizon)
     flight.close()
-    run = ObsRun(metrics=metrics, events=list(recorder.events),
-                 result=result)
-    return read_flight_log(flight.text()), run
+    return read_flight_log(flight.text()), flight.live
 
 
 class TestRoundTrip:
