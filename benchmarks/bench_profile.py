@@ -17,6 +17,12 @@ Emits ``BENCH_profile.json``: one profiled run per scenario of the
   and plan phases of damage analysis, and the parallel batch's fan-out
   overhead (ROADMAP item 3, the <1 speedup), as real numbers, not
   prose;
+- **store names touched per heal** — λ=1 fullstack runs at a short and
+  a long horizon count the store objects that heals (reconcile, the
+  epoch's baseline roll) and audits (the judge) visit, through the
+  ``store_names_touched`` counter.  A heal and its audit should touch
+  only the names written since the last one, so the per-heal count must
+  not grow with the horizon (ROADMAP item 1);
 - **the conformance monitor on its own** — one seeded fullstack run is
   recorded off a bus and the Definition 2 LTLf pack replays it twice
   (:func:`repro.obs.monitor.replay_conformance`): events, monitor wall
@@ -31,7 +37,8 @@ Run as a script::
 ``benchmarks/check_regression.py`` gates the output: attribution
 floors, digest stability, the presence of the closure, plan-phase and
 fan-out line items, a closure rebuild rate of at most 0.1 per alert, at
-most 1.5 edge walks per planned action and
+most 1.5 edge walks per planned action, store names touched per heal
+at the long horizon at most 1.5 times the short horizon's, and
 a conformance row with zero violations are hard failures; the
 wall-time columns are informational
 (cross-machine timing comparisons are noise).
@@ -51,16 +58,17 @@ from typing import Dict, List, Optional
 from repro.fleet import FleetConfig, FleetControlPlane
 from repro.obs.events import EventBus, EventRecorder
 from repro.obs.monitor import replay_conformance
-from repro.obs.perf import PhaseProfiler, recording
+from repro.obs.perf import PhaseProfiler, counter_snapshot, recording
 from repro.sim.batch import run_fullstack_batch
 from repro.sim.fullstack import FullStackConfig, run_replication
 
 #: Scenario shapes: (fullstack horizon, batch replications/horizon,
-#: fleet tenants/duration).  Quick shrinks everything for CI smoke.
+#: fleet tenants/duration, the short and long store-scaling horizons).
+#: Quick shrinks everything for CI smoke.
 FULL = {"horizon": 60.0, "reps": 4, "batch_horizon": 20.0,
-        "tenants": 6, "duration": 40.0}
+        "tenants": 6, "duration": 40.0, "scaling": (75.0, 300.0)}
 QUICK = {"horizon": 30.0, "reps": 2, "batch_horizon": 8.0,
-         "tenants": 4, "duration": 15.0}
+         "tenants": 4, "duration": 15.0, "scaling": (20.0, 80.0)}
 
 
 def _row_map(report) -> Dict[str, dict]:
@@ -201,6 +209,44 @@ def profile_fleet(tenants: int, duration: float,
     }]
 
 
+def profile_store_scaling(horizons, seed: int) -> List[dict]:
+    """Store names that heals and audits touch, per heal, at a short and
+    a long horizon of one λ=1 replication (the store grows by about an
+    object per attack, so a walk over the store grows with the
+    horizon)."""
+    config = FullStackConfig(arrival_rate=1.0, alert_buffer=8,
+                             recovery_buffer=8)
+    points = []
+    t0 = time.perf_counter()
+    for horizon in horizons:
+        before = counter_snapshot().get("store_names_touched", 0)
+        result = run_replication(config, horizon=horizon, seed=seed)
+        touched = counter_snapshot().get("store_names_touched", 0) - before
+        points.append({
+            "horizon": horizon,
+            "heals": result.heals,
+            "names_touched": touched,
+            "names_touched_per_heal": touched / (result.heals or 1),
+        })
+    short, long = points[0], points[-1]
+    return [{
+        "scenario": "store-scaling",
+        "params": {"horizons": list(horizons), "seed": seed,
+                   "arrival_rate": 1.0, "buffer": 8},
+        "total_wall_s": time.perf_counter() - t0,
+        "attribution": None,
+        "attribution_floor": None,
+        "digest": None,
+        "digest_stable": True,
+        "counters": {},
+        "line_items": {
+            "points": points,
+            "short_per_heal": short["names_touched_per_heal"],
+            "long_per_heal": long["names_touched_per_heal"],
+        },
+    }]
+
+
 def profile_conformance(horizon: float, seed: int) -> List[dict]:
     """The LTLf monitor alone: replay one recorded fullstack run's
     events through a fresh monitor, twice, and keep the faster wall
@@ -259,6 +305,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              args.seed)
     results += profile_fleet(shape["tenants"], shape["duration"],
                              args.seed)
+    results += profile_store_scaling(shape["scaling"], args.seed)
     results += profile_conformance(shape["horizon"], args.seed)
     for row in results:
         floor = row["attribution_floor"]

@@ -19,7 +19,9 @@ the committed baselines at the repository root and fails (exit 1) when:
   (``closure_recomputations_per_alert`` above
   ``MAX_CLOSURE_PER_ALERT``) or walking an action's Theorem 3 edges
   more than once per epoch (``analyses_per_action`` above
-  ``MAX_ANALYSES_PER_ACTION``);
+  ``MAX_ANALYSES_PER_ACTION``), or its heals and audits touching more
+  store names per heal at the long horizon than
+  ``MAX_STORE_SCALING`` times the short horizon's;
 - on rows present in *both* files (matched by ``buffer`` for the CTMC
   sweep, ``replications`` for the simulation batch, ``(tenants,
   duration)`` for the fleet sweep), a speedup or the fleet's alert
@@ -54,6 +56,12 @@ MAX_CLOSURE_PER_ALERT = 0.1
 #: walk per scan makes it the mean number of plans an action is in
 #: (3.2 on the profile's fullstack row, 7.1 on perfbench's overload).
 MAX_ANALYSES_PER_ACTION = 1.5
+
+#: ROADMAP item 1's store gate: a heal and its audit touch the store
+#: names written since the last one, so names touched per heal at the
+#: long horizon stay within this factor of the short horizon's (a walk
+#: over the whole store grows with it).
+MAX_STORE_SCALING = 1.5
 
 
 def _load(path: pathlib.Path, expected_benchmark: str) -> dict:
@@ -205,6 +213,27 @@ def check_fleet(fresh: dict, baseline: Optional[dict],
     return failures
 
 
+def _check_store_scaling(row: Optional[dict]) -> List[str]:
+    """The store-scaling row exists, measured a non-zero count, and its
+    per-heal count does not grow with the horizon."""
+    if row is None:
+        return ["profile: no store-scaling row — store names touched per "
+                "heal are no longer measured"]
+    items = row.get("line_items", {})
+    short = items.get("short_per_heal") or 0.0
+    long = items.get("long_per_heal") or 0.0
+    if short <= 0:
+        return ["profile store-scaling: no store names touched at the "
+                "short horizon — the store_names_touched counter is not "
+                "bumped"]
+    if long > MAX_STORE_SCALING * short:
+        return [f"profile store-scaling: {long:.1f} store names touched "
+                f"per heal at the long horizon against {short:.1f} at the "
+                f"short one (> {MAX_STORE_SCALING}x) — heals or audits walk "
+                "the whole store again (ROADMAP 1)"]
+    return []
+
+
 def check_profile(fresh: dict, baseline: Optional[dict],
                   attribution_slack: float = 0.05) -> List[str]:
     """Failures found in the profiling-layer benchmark.
@@ -214,7 +243,8 @@ def check_profile(fresh: dict, baseline: Optional[dict],
     runs, the fullstack row names closure recomputation as a measured
     line item at no more than ``MAX_CLOSURE_PER_ALERT`` per alert,
     ``analyses_per_action`` at no more than ``MAX_ANALYSES_PER_ACTION``
-    and the plan-phase wall as ``plan_wall_s``, the parallel-batch row
+    and the plan-phase wall as ``plan_wall_s``, the store-scaling row
+    stays within ``MAX_STORE_SCALING``, the parallel-batch row
     names fan-out overhead as one, and the conformance row exists and
     found no violations on its honest run.  Baseline comparison (tolerated
     absent — the profile
@@ -274,6 +304,7 @@ def check_profile(fresh: dict, baseline: Optional[dict],
                 "analyze.plan phase (Theorem 3/4 ordering and the "
                 "cross-unit check) is no longer measured"
             )
+    failures += _check_store_scaling(by_scenario.get("store-scaling"))
     parallel = by_scenario.get("batch-parallel")
     if parallel is None:
         failures.append("profile: no batch-parallel row")

@@ -408,6 +408,12 @@ def _obs_run(args, path: Optional[str] = None):
     from repro.obs.events import EventBus
     from repro.obs.recorder import FlightRecorder
 
+    if args.health and args.scenario != "fullstack":
+        raise ObsError(
+            f"--health rides a health monitor on a fullstack run; the "
+            f"{args.scenario} scenario has none (use --scenario "
+            "fullstack, or 'obs watch' for the Gillespie monitor)"
+        )
     if args.scenario == "figure1":
         from repro.obs.runner import run_figure1_observed
 
@@ -1327,7 +1333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--health", action="store_true",
                    help="ride a health monitor on the run and record "
                         "its SLO/drift verdicts into the flight log "
-                        "(record/report, fullstack scenario)")
+                        "(record/report, fullstack scenario only)")
     p.add_argument("--conformance", action="store_true",
                    help="re-derive the LTLf strict-correctness "
                         "verdicts from the replayed event stream "

@@ -15,11 +15,14 @@ re-derive the world from the original initial data.
   the epoch: the healed log is retired, a fresh empty log begins, and
   the current (healed) store versions become the next epoch's trusted
   baseline — later heals measure damage against them, exactly as the
-  first heal measures damage against the initial data;
+  first heal measures damage against the initial data.  The roll
+  drains the store's write journal and updates the baseline only for
+  the names written in the epoch;
 - a combined history across all epochs supports end-to-end
   strict-correctness audits against the original initial data; the
   audit keeps one resumable replay, so each audit replays only the
-  steps healed since the previous one.
+  steps healed since the previous one and re-judges only the objects
+  the replay or the store changed since then.
 
 One consequence of rolling: alerts naming instances of an already-rolled
 epoch are ignored by later heals (their log is retired).  Process every
@@ -38,18 +41,43 @@ the full-stack simulator, the fleet and the fuzzer all heal through
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.axioms import CorrectnessReport, HistoryReplay, HistoryStep
 from repro.core.healer import HealReport, Healer
 from repro.errors import RecoveryError
 from repro.obs.events import HealFinished, HealStarted
+from repro.obs.perf import bump
 from repro.workflow.data import DataStore
 from repro.workflow.engine import WorkflowRun
 from repro.workflow.log import SystemLog
 from repro.workflow.spec import WorkflowSpec
 
 __all__ = ["EpochManager"]
+
+
+class _LiveValues(Mapping[str, Any]):
+    """The store's current values as a read-only mapping, read on
+    access (the audit judges a few names; a snapshot copies all)."""
+
+    __slots__ = ("_store",)
+
+    def __init__(self, store: DataStore) -> None:
+        self._store = store
+
+    def __getitem__(self, name: str) -> Any:
+        if name not in self._store:
+            raise KeyError(name)
+        return self._store.read(name)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._store
+
+    def __iter__(self) -> Iterator[str]:
+        return self._store.names()
+
+    def __len__(self) -> int:
+        return sum(1 for __ in self._store.names())
 
 
 class EpochManager:
@@ -77,6 +105,10 @@ class EpochManager:
         #: Definition 2 replay of ``_combined_history[:steps]``, extended
         #: lazily by :meth:`audit`.
         self._replay = HistoryReplay(self._specs, self._initial_data)
+        #: Names the store changed since the last audit, drained from
+        #: its journal at each roll (every name at first).
+        self._unaudited: Dict[str, None] = dict.fromkeys(store.names())
+        self._live = _LiveValues(store)
 
     # -- running workflows ---------------------------------------------------
 
@@ -183,10 +215,18 @@ class EpochManager:
         self._log = SystemLog()
         # The current (healed) store versions become the next epoch's
         # trusted baseline ("the last version before the next attack").
-        self._baseline = {
-            name: self._store.latest(name).number
-            for name in self._store.names()
-        }
+        # Only the names written since the last roll moved.
+        store = self._store
+        written = store.drain_written()
+        if self._baseline is None:
+            # The first roll replaces the initial-version default.
+            self._baseline = {}
+            written = list(store.names())
+        baseline = self._baseline
+        for name in written:
+            baseline[name] = store.latest(name).number
+        bump("store_names_touched", len(written))
+        self._unaudited.update(dict.fromkeys(written))
         self._epoch += 1
 
     # -- auditing ---------------------------------------------------------------
@@ -201,10 +241,14 @@ class EpochManager:
         initial data (Definition 2, end to end across epochs).
 
         Replays only the steps healed since the previous audit, then
-        judges the whole replay against the live store; the report
-        equals :func:`~repro.core.axioms.audit_strict_correctness` over
-        :attr:`combined_history`.
+        re-judges against the live store only the objects the replay or
+        the store changed since then; the report equals
+        :func:`~repro.core.axioms.audit_strict_correctness` over
+        :attr:`combined_history` and the store's snapshot.
         """
         self._replay.extend(
             self._combined_history[self._replay.steps:])
-        return self._replay.judge(self._store.snapshot())
+        changed = self._unaudited
+        changed.update(dict.fromkeys(self._store.written()))
+        self._unaudited = {}
+        return self._replay.judge(self._live, changed=changed)

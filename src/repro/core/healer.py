@@ -42,7 +42,9 @@ orders after it, nor a write that is doomed to be undone.
 view (restoring "the last version before the attack" for objects whose
 surviving value predates the damage), so that after ``heal()`` returns,
 ``store.read(x)`` equals the healed history's final value for every
-object — Definition 2's "no incorrect data exists".
+object — Definition 2's "no incorrect data exists".  Only objects
+written since the baseline can differ from the view, so Phase C visits
+the names in the store's write journal, not the whole store.
 
 Scope note: ``heal()`` treats the log's *normal* records as the
 authoritative history.  Heal once per log epoch; to recover from attacks
@@ -74,7 +76,7 @@ from repro.core.axioms import HistoryStep
 from repro.core.undo_redo import UndoAnalysis, find_undo_tasks
 from repro.errors import ExecutionError, RecoveryError
 from repro.obs.events import EventBus, TaskRedone, TaskUndone, UndoDecision
-from repro.obs.perf import phase
+from repro.obs.perf import bump, phase
 from repro.workflow.data import TOMBSTONE, DataStore
 from repro.workflow.dependency import DependencyAnalyzer
 from repro.workflow.log import LogRecord, RecordKind, SystemLog
@@ -189,7 +191,8 @@ class _SettledView:
     ``(version number, value)`` it holds in the settled prefix, starting
     from the epoch *baseline*: the version each object had before the
     epoch's first normal record (by default, the object's initial
-    pre-log version).
+    pre-log version).  Baseline entries are read from the store on first
+    use, so building the view costs nothing per object.
     """
 
     def __init__(
@@ -198,40 +201,51 @@ class _SettledView:
         baseline: Optional[Mapping[str, int]] = None,
     ) -> None:
         self._store = store
+        self._baseline = baseline
         self._current: Dict[str, Tuple[int, Any]] = {}
-        if baseline is not None:
-            for name, ver in baseline.items():
-                self._current[name] = (ver, store.version(name, ver).value)
-        else:
-            for name in store.names():
-                history = store.history(name)
-                if history and history[0].writer is None:
-                    self._current[name] = (
-                        history[0].number, history[0].value
-                    )
+
+    def _base(self, name: str) -> Optional[Tuple[int, Any]]:
+        """The baseline ``(version, value)`` of ``name``, if it has one."""
+        store = self._store
+        if self._baseline is not None:
+            ver = self._baseline.get(name)
+            if ver is None:
+                return None
+            return ver, store.version(name, ver).value
+        if name not in store:
+            return None
+        first = store.version(name, 0)
+        if first.writer is not None:
+            return None
+        return first.number, first.value
+
+    def get(self, name: str) -> Optional[Tuple[int, Any]]:
+        """Settled ``(version, value)`` of ``name``, or None."""
+        settled = self._current.get(name)
+        if settled is None:
+            settled = self._base(name)
+            if settled is not None:
+                self._current[name] = settled
+        return settled
 
     def read(self, name: str) -> Tuple[int, Any]:
         """Settled ``(version, value)`` of ``name``."""
-        try:
-            return self._current[name]
-        except KeyError:
+        settled = self.get(name)
+        if settled is None:
             raise RecoveryError(
                 f"object {name!r} has no value in the healed history "
                 "(it was created only by undone tasks)"
-            ) from None
+            )
+        return settled
 
     def has(self, name: str) -> bool:
         """Does ``name`` have a settled value?"""
-        return name in self._current
+        return self.get(name) is not None
 
     def set(self, name: str, version: int, value: Any) -> None:
         """Record that the settled prefix now leaves ``name`` at
         ``(version, value)``."""
         self._current[name] = (version, value)
-
-    def items(self) -> Iterable[Tuple[str, Tuple[int, Any]]]:
-        """Iterate over settled ``name → (version, value)`` entries."""
-        return self._current.items()
 
 
 class Healer:
@@ -253,7 +267,10 @@ class Healer:
         (pre-log, writer-less) version.  Used by
         :class:`~repro.core.epochs.EpochManager` so that a heal of a
         later epoch measures damage against the previous epoch's healed
-        values instead of the original initial data.
+        values instead of the original initial data.  Either way the
+        store's write journal must name every object written since
+        that state (a baseline is taken where the journal is drained):
+        Phase C visits only those objects.
     bus:
         Optional :class:`repro.obs.events.EventBus`; when attached, each
         undo/redo publishes a :class:`~repro.obs.events.TaskUndone` /
@@ -278,8 +295,8 @@ class Healer:
     ) -> None:
         self._store = store
         self._log = log
-        self._specs = dict(specs_by_instance)
-        self._baseline = dict(baseline) if baseline is not None else None
+        self._specs = specs_by_instance
+        self._baseline = baseline
         self._bus = bus if bus is not None and bus.active else None
         self._clock = clock if clock is not None else _time.monotonic  # lint: allow[DET001] injectable clock; wall time is the live default
 
@@ -669,30 +686,22 @@ class Healer:
         return chosen
 
     def _reconcile(self, view: _SettledView) -> None:
-        """Phase C: make the physical store equal the settled view."""
+        """Phase C: make the physical store equal the settled view.
+
+        Only objects written since the baseline can differ from it: the
+        store's write journal names them (the baseline is the store as
+        of the journal's last drain, or its initial load)."""
         store = self._store
-        settled = dict(view.items())
-        for name in list(store.names()):
+        names = list(store.written())
+        bump("store_names_touched", len(names))
+        for name in names:
             latest = store.latest(name)
-            if name in settled:
-                version, value = settled[name]
+            settled = view.get(name)
+            if settled is not None:
+                version, value = settled
                 if latest.number != version and latest.value != value:
                     store.write(name, value, writer="heal:reconcile")
-            else:
-                # Object exists only through undone writes; restore its
-                # trusted baseline value if one exists, else mark it
-                # removed.
-                if self._baseline is not None and name in self._baseline:
-                    base = store.version(name, self._baseline[name])
-                    if latest.value != base.value:
-                        store.write(name, base.value,
-                                    writer="heal:reconcile")
-                    continue
-                history = store.history(name)
-                if self._baseline is None and history[0].writer is None:
-                    if latest.value != history[0].value:
-                        store.write(
-                            name, history[0].value, writer="heal:reconcile"
-                        )
-                elif latest.value is not TOMBSTONE:
-                    store.write(name, TOMBSTONE, writer="heal:reconcile")
+            elif latest.value is not TOMBSTONE:
+                # Only undone writes ever produced it, and it has no
+                # trusted baseline value: mark it removed.
+                store.write(name, TOMBSTONE, writer="heal:reconcile")

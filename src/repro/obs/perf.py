@@ -125,6 +125,7 @@ KNOWN_COUNTERS: Tuple[str, ...] = (
     "pickle_bytes",
     "plan_memo_fills",
     "queue_evictions",
+    "store_names_touched",
 )
 
 

@@ -6,12 +6,16 @@ workflow management system" (Section III-A).  We therefore keep a full
 version history per data object.  Every object has *one current copy*
 (the assumption behind Theorem 4: a write destroys the previous value for
 readers), plus a history used exclusively by recovery.
+
+The store also keeps a *write journal*: the names written since it was
+last drained.  Recovery and the audit read it so that their cost
+follows what was written, not the size of the store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, KeysView, List, Mapping, Optional, Tuple
 
 from repro.errors import DataStoreError, VersionNotFoundError
 
@@ -67,11 +71,15 @@ class DataStore:
 
     Reads always observe the latest version (one copy per object); the
     history exists so that recovery can restore "the last version before
-    the attack".
+    the attack".  Version numbers equal positions in the history, so a
+    historical version is one index away.
     """
 
     def __init__(self, initial: Optional[Mapping[str, Any]] = None) -> None:
         self._history: Dict[str, List[Version]] = {}
+        #: Names written since the last :meth:`drain_written`, in first
+        #: write order (a dict used as an ordered set).
+        self._written: Dict[str, None] = {}
         if initial:
             for name, value in initial.items():
                 self._history[name] = [Version(0, value, None)]
@@ -96,9 +104,12 @@ class DataStore:
 
     def version(self, name: str, number: int) -> Version:
         """A specific historical version of ``name``."""
-        for v in self.history(name):
-            if v.number == number:
-                return v
+        try:
+            versions = self._history[name]
+        except KeyError:
+            raise DataStoreError(f"unknown data object {name!r}") from None
+        if 0 <= number < len(versions):
+            return versions[number]
         raise VersionNotFoundError(f"{name!r} has no version {number}")
 
     def history(self, name: str) -> Tuple[Version, ...]:
@@ -119,6 +130,18 @@ class DataStore:
         """Current value of every object (a plain dict copy)."""
         return {name: vs[-1].value for name, vs in self._history.items()}
 
+    def written(self) -> KeysView[str]:
+        """Names written since the journal was last drained (a live
+        view, in first-write order)."""
+        return self._written.keys()
+
+    def drain_written(self) -> List[str]:
+        """Names written since the last drain, in first-write order;
+        empties the journal."""
+        names = list(self._written)
+        self._written.clear()
+        return names
+
     # -- writing -------------------------------------------------------------
 
     def write(self, name: str, value: Any, writer: Optional[str] = None) -> int:
@@ -128,8 +151,9 @@ class DataStore:
         initial value existed, mirroring a task that creates an object).
         """
         versions = self._history.setdefault(name, [])
-        number = versions[-1].number + 1 if versions else 0
+        number = len(versions)
         versions.append(Version(number, value, writer))
+        self._written[name] = None
         return number
 
     def restore(self, name: str, number: int,

@@ -19,6 +19,7 @@ in the test suite.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -79,28 +80,24 @@ class ControlDependencies:
     ``t_i →c t_j`` iff ``t_j`` is not unavoidable, ``t_i`` is a branch node
     (outdegree > 1), and ``t_i`` dominates ``t_j``.  With the dominator
     formulation the relation is already transitively closed, matching the
-    paper's statement that ``→c`` is transitive.
+    paper's statement that ``→c`` is transitive.  The model keeps no
+    reference to its spec, so the analyzers' shared models (one per
+    spec object) keep no spec alive.
     """
 
     def __init__(self, spec: WorkflowSpec) -> None:
-        self._spec = spec
-        self._unavoidable = unavoidable_nodes(spec)
+        unavoidable = unavoidable_nodes(spec)
         doms = dominators(spec)
         branches = spec.branch_nodes
         controllers: Dict[str, FrozenSet[str]] = {}
         for node in spec.tasks:
-            if node in self._unavoidable:
+            if node in unavoidable:
                 controllers[node] = frozenset()
             else:
                 controllers[node] = frozenset(
                     d for d in doms[node] if d != node and d in branches
                 )
         self._controllers = controllers
-
-    @property
-    def spec(self) -> WorkflowSpec:
-        """The workflow specification analyzed."""
-        return self._spec
 
     def controllers_of(self, task_id: str) -> FrozenSet[str]:
         """All ``t_i`` with ``t_i →c task_id`` (transitively closed)."""
@@ -115,6 +112,24 @@ class ControlDependencies:
         return frozenset(
             t for t, ctrl in self._controllers.items() if task_id in ctrl
         )
+
+
+#: Control models shared by every analyzer, keyed by spec object: a
+#: spec is immutable and serves many instances, and the scan's and the
+#: heal's analyzers ask for the same specs.  Each entry holds a weak
+#: reference to its spec whose callback drops the entry with the spec.
+_CONTROL_MODELS: Dict[int, Tuple[weakref.ref, ControlDependencies]] = {}
+
+
+def _control_model_of(spec: WorkflowSpec) -> ControlDependencies:
+    key = id(spec)
+    entry = _CONTROL_MODELS.get(key)
+    if entry is None:
+        entry = _CONTROL_MODELS[key] = (
+            weakref.ref(spec, lambda _ref: _CONTROL_MODELS.pop(key, None)),
+            ControlDependencies(spec),
+        )
+    return entry[1]
 
 
 class DependencyAnalyzer:
@@ -172,7 +187,6 @@ class DependencyAnalyzer:
         self._log = log
         self._specs: Mapping[str, WorkflowSpec] = \
             specs if specs is not None else {}
-        self._control_cache: Dict[str, ControlDependencies] = {}
         #: Log positions (records of every kind) indexed so far.
         self._indexed = 0
         self._records: List[LogRecord] = []
@@ -283,17 +297,17 @@ class DependencyAnalyzer:
         return tuple(self._traces.get(workflow_instance, ()))
 
     def control_model(self, workflow_instance: str) -> ControlDependencies:
-        """Control-dependency model for the spec run by ``workflow_instance``."""
-        if workflow_instance not in self._control_cache:
-            try:
-                spec = self._specs[workflow_instance]
-            except KeyError:
-                raise RecoveryError(
-                    f"no workflow spec registered for instance "
-                    f"{workflow_instance!r}"
-                ) from None
-            self._control_cache[workflow_instance] = ControlDependencies(spec)
-        return self._control_cache[workflow_instance]
+        """Control-dependency model for the spec run by
+        ``workflow_instance`` (one model per spec object, shared by all
+        analyzers)."""
+        try:
+            spec = self._specs[workflow_instance]
+        except KeyError:
+            raise RecoveryError(
+                f"no workflow spec registered for instance "
+                f"{workflow_instance!r}"
+            ) from None
+        return _control_model_of(spec)
 
     # -- version-based data dependences (primary) -------------------------------
 
@@ -579,7 +593,7 @@ class DependencyAnalyzer:
         if hit is not None and hit[0] == len(trace):
             return hit[1]
         model = self.control_model(wf)
-        spec = model.spec
+        spec = self._specs[wf]
         executed = {r.instance.task_id for r in trace}
         task = record.instance.task_id
         found = tuple(

@@ -3,9 +3,11 @@ a linear scan of the log, an index extended chunk by chunk equals one
 built at once, a recovery analyzer reused across scans plans exactly like
 a fresh one, and the provenance it emits stays pinned byte for byte."""
 
+import gc
 import hashlib
 import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -230,7 +232,24 @@ class TestQueriesAgainstLinearScan:
         dep = DependencyAnalyzer(log, specs)
         log.commit(TaskInstance("late", "t2"), reads={}, writes={})
         specs["late"] = BRANCHING
-        assert dep.control_model("late").spec is BRANCHING
+        # The one model of BRANCHING, shared with every other analyzer.
+        other = DependencyAnalyzer(SystemLog(), {"other": BRANCHING})
+        assert dep.control_model("late") is other.control_model("other")
+
+    def test_control_model_is_shared_per_spec_and_dropped_with_it(self):
+        spec = (workflow("solo").task("a", choose=lambda d: "b")
+                .task("b").task("c").edge("a", "b").edge("a", "c")
+                .build())
+        scan = DependencyAnalyzer(SystemLog(), {"wf1": spec, "wf2": spec})
+        heal = DependencyAnalyzer(SystemLog(), {"wf1": spec})
+        model = scan.control_model("wf1")
+        assert scan.control_model("wf2") is model
+        assert heal.control_model("wf1") is model
+        assert model.controllers_of("b") == frozenset({"a"})
+        collected = weakref.ref(model)
+        del spec, scan, heal, model
+        gc.collect()
+        assert collected() is None
 
 
 def cross_unit_reference(log, order, outstanding):
@@ -549,7 +568,14 @@ def gated_profile(per_alert=0.05, per_action=1.0, plan_wall=True):
          "line_items": {"fan_out_overhead_s": 0.0}},
         {"scenario": "conformance", "digest_stable": True,
          "line_items": {"violations": 0}},
+        STORE_SCALING_ROW,
     ]}
+
+
+#: A store-scaling profile row that passes its gate.
+STORE_SCALING_ROW = {
+    "scenario": "store-scaling", "digest_stable": True,
+    "line_items": {"short_per_heal": 12.0, "long_per_heal": 11.0}}
 
 
 class TestClosureGate:
@@ -597,7 +623,59 @@ class TestClosureGate:
              "line_items": {"fan_out_overhead_s": 0.0}},
             {"scenario": "conformance", "digest_stable": True,
              "line_items": {"violations": 0}},
+            STORE_SCALING_ROW,
         ]}
         failures = check_profile(doc, None)
         assert len(failures) == 1
         assert "plan_wall_s" in failures[0]
+
+
+class TestStoreScalingGate:
+    @staticmethod
+    def profile(short, long):
+        doc = gated_profile()
+        doc["results"][-1] = {
+            "scenario": "store-scaling", "digest_stable": True,
+            "line_items": {"short_per_heal": short, "long_per_heal": long}}
+        return doc
+
+    def test_flat_per_heal_count_passes(self):
+        from benchmarks.check_regression import (
+            MAX_STORE_SCALING,
+            check_profile,
+        )
+
+        assert check_profile(self.profile(10.0, 10.0), None) == []
+        assert check_profile(
+            self.profile(10.0, 10.0 * MAX_STORE_SCALING), None) == []
+
+    @pytest.mark.parametrize("short, long, shown", [
+        (10.0, 40.0, "40.0 store names touched per heal"),
+        (0.0, 0.0, "no store names touched"),
+    ])
+    def test_growth_or_no_count_fails(self, short, long, shown):
+        from benchmarks.check_regression import check_profile
+
+        failures = check_profile(self.profile(short, long), None)
+        assert len(failures) == 1
+        assert shown in failures[0]
+
+    def test_missing_row_fails(self):
+        from benchmarks.check_regression import check_profile
+
+        doc = gated_profile()
+        doc["results"].pop()
+        failures = check_profile(doc, None)
+        assert len(failures) == 1
+        assert "no store-scaling row" in failures[0]
+
+    def test_profile_row_is_flat_in_the_horizon(self):
+        from benchmarks.bench_profile import profile_store_scaling
+        from benchmarks.check_regression import MAX_STORE_SCALING
+
+        (row,) = profile_store_scaling((10.0, 40.0), seed=3)
+        short, long = row["line_items"]["points"]
+        assert short["heals"] < long["heals"]
+        assert row["line_items"]["short_per_heal"] > 0
+        assert (row["line_items"]["long_per_heal"]
+                <= MAX_STORE_SCALING * row["line_items"]["short_per_heal"])

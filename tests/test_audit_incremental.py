@@ -1,6 +1,7 @@
 """The resumable Definition 2 audit: equal to a from-scratch replay after
 every heal, independent of the healed store, linear in the history, and
-leaving no per-run garbage behind."""
+leaving no per-run garbage behind.  The epoch roll's incremental
+baseline equals a full rebuild after every heal."""
 
 import dataclasses
 import gc
@@ -18,9 +19,10 @@ from repro.core.axioms import (
 from repro.core.epochs import EpochManager
 from repro.errors import DataStoreError
 from repro.ids.attacks import AttackCampaign
-from repro.scenarios.fuzz import replay_corpus
+from repro.scenarios.fuzz import replay_corpus, run_campaign
+from repro.scenarios.generate import generate_campaign
 from repro.sim.fullstack import FullStackConfig, run_replication
-from repro.workflow.data import DataStore
+from repro.workflow.data import TOMBSTONE, DataStore
 from repro.workflow.log import SystemLog
 from repro.workflow.spec import workflow
 
@@ -56,18 +58,28 @@ def fresh_audit(manager):
     )
 
 
+def rebuilt_baseline(manager):
+    """The next epoch's baseline built from scratch: every object's
+    latest version."""
+    store = manager.store
+    return {name: store.latest(name).number for name in store.names()}
+
+
 @pytest.fixture
 def audited_after_every_heal(monkeypatch):
     """Audit after every ``EpochManager.heal`` (on top of the caller's
     own audits) and compare the report with a from-scratch replay field
-    for field; returns the list of compared reports."""
+    for field, and the rolled baseline with a full rebuild; returns the
+    list of compared reports."""
     compared = []
     heal = EpochManager.heal
 
     def checked_heal(self, *args, **kwargs):
         report = heal(self, *args, **kwargs)
+        assert self._baseline == rebuilt_baseline(self)
         incremental = self.audit()
         assert incremental == fresh_audit(self)
+        assert incremental.ok == (incremental.problems == [])
         compared.append(incremental)
         return report
 
@@ -117,6 +129,16 @@ class TestEquivalence:
             assert campaign.ok, (path, campaign.violations)
         assert audited_after_every_heal
 
+    @pytest.mark.parametrize("index", range(8))
+    def test_generated_campaigns_every_heal(self, audited_after_every_heal,
+                                            index):
+        # Every fourth campaign is a fleet campaign: its tenants heal
+        # through the same manager.
+        outcome = run_campaign(
+            generate_campaign(5, index=index, multi_tenant_every=4))
+        assert outcome.ok, outcome.violations
+        assert audited_after_every_heal
+
     def test_split_extend_equals_whole(self, manager):
         attacked_epochs(manager, 3)
         history = manager.combined_history
@@ -139,10 +161,69 @@ class TestIndependence:
         assert not report.ok
         assert report == fresh_audit(manager)
         assert any("'counter'" in p for p in report.problems)
+        # Nothing changed since: the mismatch stays reported.
+        assert manager.audit() == report
         # Object problems are judged afresh: repairing the value clears
         # them.
         manager.store.write("counter", good, writer="admin")
         assert manager.audit().ok
+
+    @pytest.mark.parametrize("target, value", [
+        ("out_c0", 12345),      # last written two epochs ago
+        ("out_p2", TOMBSTONE),  # removed behind recovery's back
+    ])
+    def test_direct_write_matches_fresh_audit_until_repaired(
+            self, manager, target, value):
+        attacked_epochs(manager, 3)
+        good = manager.store.read(target)
+        manager.store.write(target, value, writer="intruder")
+        report = manager.audit()
+        assert not report.ok
+        assert report == fresh_audit(manager)
+        assert len(report.problems) == 1 and repr(target) in \
+            report.problems[0]
+        # Nothing changed since: the mismatch stays reported.
+        assert manager.audit() == report
+        manager.store.write(target, good, writer="admin")
+        assert manager.audit().ok
+
+    def test_direct_write_mid_epoch_is_judged_and_healed(self, manager):
+        attacked_epochs(manager, 2)
+        manager.run_workflow(accumulator_spec("late", 1))
+        manager.store.write("out_c0", TOMBSTONE, writer="intruder")
+        mid = manager.audit()
+        # The unhealed workflow's writes and the tombstone both show.
+        assert mid == fresh_audit(manager)
+        assert len(mid.problems) == 3
+        assert manager.audit() == mid
+        manager.heal([])
+        # The heal's reconcile restores the baseline value of the
+        # untouched object and the workflow joins the healed history.
+        assert manager.store.read("out_c0") != TOMBSTONE
+        after = manager.audit()
+        assert after.ok and after == fresh_audit(manager)
+
+    def test_replayed_write_the_store_never_saw_is_judged(self, manager,
+                                                            monkeypatch):
+        attacked_epochs(manager, 2)
+        # A registered instance the healer claims it settled but never
+        # ran: the replay writes ``out_ghost``, the store has no such
+        # object and its write journal never names it.
+        manager.new_run(accumulator_spec("ghost", 5), name="ghost")
+        heal = epochs_mod.Healer.heal
+
+        def claiming_heal(self, *args, **kwargs):
+            report = heal(self, *args, **kwargs)
+            return dataclasses.replace(
+                report, final_history=report.final_history
+                + (HistoryStep("ghost", "add", 1),))
+
+        monkeypatch.setattr(epochs_mod.Healer, "heal", claiming_heal)
+        manager.heal([])
+        report = manager.audit()
+        assert report == fresh_audit(manager)
+        assert "object 'out_ghost' missing from healed store" in \
+            report.problems
 
     def test_step_problem_persists_in_later_reports(self, manager,
                                                     monkeypatch):

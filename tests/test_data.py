@@ -42,6 +42,28 @@ class TestDataStore:
         with pytest.raises(VersionNotFoundError):
             store.version("x", 9)
 
+    def test_version_is_indexed_by_number(self):
+        store = DataStore({"x": 0})
+        for value in range(1, 5):
+            store.write("x", value, writer=f"w{value}")
+        for number in range(5):
+            version = store.version("x", number)
+            assert (version.number, version.value) == (number, number)
+
+    @pytest.mark.parametrize("number", [-1, -2, 2, 100])
+    def test_version_out_of_range_raises_version_not_found(self, number):
+        store = DataStore({"x": 0})
+        store.write("x", 1)
+        with pytest.raises(VersionNotFoundError, match="no version"):
+            store.version("x", number)
+
+    def test_version_of_unknown_object_raises_data_store_error(self):
+        store = DataStore({"x": 0})
+        with pytest.raises(DataStoreError) as info:
+            store.version("ghost", 0)
+        assert not isinstance(info.value, VersionNotFoundError)
+        assert "unknown data object" in str(info.value)
+
     def test_restore_writes_new_version(self):
         store = DataStore({"x": 10})
         store.write("x", 99, writer="bad")
@@ -60,6 +82,29 @@ class TestDataStore:
         store = DataStore({"x": 1})
         assert "x" in store and "y" not in store
         assert list(store.names()) == ["x"]
+
+
+class TestWriteJournal:
+    def test_initial_load_is_not_journaled(self):
+        store = DataStore({"x": 1, "y": 2})
+        assert list(store.written()) == []
+
+    def test_every_write_is_journaled_once_in_first_write_order(self):
+        store = DataStore({"x": 1, "y": 2})
+        store.write("y", 3, writer="t")
+        store.write("new", 4)
+        store.write("y", 5)
+        store.restore("x", 0, writer="undo")
+        assert list(store.written()) == ["y", "new", "x"]
+
+    def test_drain_returns_and_empties_the_journal(self):
+        store = DataStore({"x": 1})
+        store.write("x", 2)
+        written = store.written()
+        assert store.drain_written() == ["x"]
+        assert list(written) == [] and store.drain_written() == []
+        store.write("x", 3)
+        assert list(written) == ["x"]
 
 
 class TestTombstone:

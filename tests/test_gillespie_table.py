@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import main
+from repro.cli import EXIT_DOMAIN_ERROR, main
 from repro.errors import SimulationError
 from repro.markov.degradation import power_law
 from repro.markov.stg import RecoverySTG, State, StateCategory
@@ -355,18 +355,17 @@ class TestPinnedEventFiles:
     format); any change to draws or event order moves them."""
 
     def test_health_run(self, tmp_path, capsys):
+        # --health rides a monitor on fullstack runs only: a gillespie
+        # record refuses it instead of silently recording a plain run.
         log = tmp_path / "run.jsonl"
-        main(["obs", "record", "--scenario", "gillespie", "--health",
-              "--lam", "6", "--buffer", "4", "--horizon", "200",
-              "--seed", "9", "--log", str(log)])
-        capsys.readouterr()
-        assert len(log.read_text().splitlines()) == 3122  # 3,119 events
-        assert _stripped_events_sha256(log) == (
-            "9cb6410038f99bdf657d60a129ad4cb9"
-            "44066b98d10dea79f298cd56af84436f")
-        assert _sha256(log) == (
-            "f209f18f704996f4e33a6854938ae4a7"
-            "6804693c5dd8497d37362d3b575cf735")
+        code = main(["obs", "record", "--scenario", "gillespie", "--health",
+                     "--lam", "6", "--buffer", "4", "--horizon", "200",
+                     "--seed", "9", "--log", str(log)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DOMAIN_ERROR
+        assert err.startswith("error: --health ")
+        assert "gillespie scenario has none" in err
+        assert not log.exists()
 
     def test_plain_run(self, tmp_path, capsys):
         log = tmp_path / "run.jsonl"

@@ -613,6 +613,9 @@ class TestConformanceProfileGate:
                             "plan_wall_s": 0.0}},
             {"scenario": "batch-parallel", "digest_stable": True,
              "line_items": {"fan_out_overhead_s": 0.0}},
+            {"scenario": "store-scaling", "digest_stable": True,
+             "line_items": {"short_per_heal": 12.0,
+                            "long_per_heal": 11.0}},
         ]
         if conformance is not None:
             rows.append({"scenario": "conformance", "digest_stable": True,
