@@ -5,14 +5,17 @@ their actual analyzing/scheduling algorithms before any buffer sizing.
 This bench does exactly that for this repository's implementation:
 
 1. measure the real recovery analyzer's alert-processing rate and the
-   real healer's unit-execution rate at growing batch sizes;
+   real batch heal's unit rate at growing batch sizes;
 2. fit ``rate_k = r₁ / k^α`` power laws (the CTMC's degradation family);
-3. instantiate the CTMC with the *fitted shapes* (bases normalized to
-   the paper's μ₁=15, ξ₁=20 scale so results are comparable) and run
-   the Section VI design procedure on it.
+3. instantiate the CTMC with the *fitted shapes*, α clamped to
+   [0, 1.5] (bases normalized to the paper's μ₁=15, ξ₁=20 scale so
+   results are comparable), and run the Section VI design procedure on
+   it.
 
-Asserted: both fitted schedules degrade (α > 0) — the empirical
-justification for the paper's decreasing μ_k/ξ_k assumption — and the
+The fitted exponents are printed, not asserted: the analyzer orders no
+unit against another and the heal merges its batch, so neither does
+per-unit work that grows with the batch, and a wall-clock α near zero
+(or below it) has either sign by timing noise.  Asserted: the
 calibrated model admits a feasible design at λ=1.
 """
 
@@ -28,6 +31,11 @@ from repro.markov.design import design_system
 from repro.report.tables import Table
 
 BATCHES = (1, 2, 4, 8)
+
+
+def clamp_alpha(alpha):
+    """A fitted exponent as a CTMC degradation exponent in [0, 1.5]."""
+    return min(max(alpha, 0.0), 1.5)
 
 
 def calibrate():
@@ -57,18 +65,16 @@ def test_calibrated_model(save_table, benchmark):
         f"(rms {recovery_fit.residual:.3f})"
     )
 
-    # Both real algorithms degrade with queue size — the paper's
-    # assumption, measured.
-    assert scan_fit.alpha > 0.0
-    assert recovery_fit.alpha > 0.0
+    print(f"fitted alphas: scan {scan_fit.alpha:.3f}, "
+          f"recovery {recovery_fit.alpha:.3f}")
 
     # Instantiate the model with the fitted *shapes* at the paper's
     # rate scale and size a system for lambda=1, epsilon=1e-2.
     result = design_system(
         arrival_rate=1.0,
         epsilon=1e-2,
-        scan=power_law(15.0, min(scan_fit.alpha, 1.5)),
-        recovery=power_law(20.0, min(recovery_fit.alpha, 1.5)),
+        scan=power_law(15.0, clamp_alpha(scan_fit.alpha)),
+        recovery=power_law(20.0, clamp_alpha(recovery_fit.alpha)),
         max_buffer=30,
     )
     assert result.feasible, result.summary()

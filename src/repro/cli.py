@@ -575,7 +575,7 @@ def _cmd_obs_replay(args) -> int:
         print(f"  redo candidates    : "
               f"{' '.join(sorted(run.redo_candidates))}")
     print(f"  order edges: {len(run.order_edges)}  "
-          f"schedule: {len(run.schedule)} dispatches")
+          f"schedule: {len(run.schedule)} realized actions")
     if run.schedule:
         print("  realized schedule: " + " -> ".join(run.schedule))
     _replay_verdict_check(log, run)

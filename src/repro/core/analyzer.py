@@ -7,33 +7,22 @@ module is that component: it consumes IDS alerts and produces
 tasks per alert.
 
 The analyzer is purely analytical — it never executes anything and never
-mutates the log or store.  Its cost grows with the number of recovery
-tasks already outstanding (it must check dependences against all of
-them), which is exactly the ``μ_k`` degradation the CTMC models; see
-:func:`RecoveryAnalyzer.analysis_cost`.
+mutates the log or store.  A batch heal merges every queued unit, so the
+analyzer orders no unit against another; the count of outstanding units
+only feeds :func:`RecoveryAnalyzer.analysis_cost`, the modelled ``μ_k``
+degradation the CTMC assumes, not work the analyzer does.
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import replace
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Callable, List, Mapping, Optional, Sequence, Set, Union
 
 from repro.core.actions import Action
 from repro.core.partial_orders import recovery_partial_order
-from repro.core.plan import CrossUnitRow, RecoveryPlan
+from repro.core.plan import RecoveryPlan
 from repro.core.undo_redo import find_redo_tasks, find_undo_tasks
-from repro.errors import RecoveryError
 from repro.ids.alerts import Alert
 from repro.obs.events import (
     EventBus,
@@ -86,8 +75,8 @@ class RecoveryAnalyzer:
         ``time.monotonic``).
 
     Under a recording profiler, :meth:`analyze` records the phases
-    ``analyze.closure`` (Theorems 1/2) and ``analyze.plan`` (Theorems
-    3/4 and the cross-unit checks).
+    ``analyze.closure`` (Theorems 1/2) and ``analyze.plan`` (Theorem
+    3).
     """
 
     def __init__(
@@ -122,7 +111,7 @@ class RecoveryAnalyzer:
     def analyze(
         self,
         alerts: Sequence[Union[Alert, str]],
-        outstanding: Sequence[RecoveryPlan] = (),
+        outstanding_units: int = 0,
     ) -> RecoveryPlan:
         """Process a batch of alerts into one recovery plan.
 
@@ -132,15 +121,11 @@ class RecoveryAnalyzer:
             IDS alerts (or bare instance uids).  Alerts naming instances
             absent from the log are counted but contribute no actions
             (false alarms about uncommitted tasks).
-        outstanding:
-            Recovery units already queued but not yet executed.  "The
-            analyzer needs to check all dependence relations among
-            existing recovery tasks to generate a correct recovery
-            scheme after a new IDS alert arrives" (Section V-A): every
-            action of the new plan is checked against every outstanding
-            action, and conflicts become cross-unit ordering
-            constraints.  This check is the linear-in-queue-length work
-            behind the CTMC's decreasing ``μ_k``.
+        outstanding_units:
+            Recovery units already queued but not yet executed.  Only
+            stamped on the :class:`~repro.obs.events.ScanStep` with its
+            modelled :meth:`analysis_cost`: the batch heal merges the
+            queued units, so no cross-unit order is computed.
         """
         uids: List[str] = []
         for alert in alerts:
@@ -166,8 +151,6 @@ class RecoveryAnalyzer:
                 trace=order_trace,
             )
             order.check_acyclic()
-            cross_actions, cross_rows = self._cross_unit_constraints(
-                analyzer, order, outstanding)
         # Once per epoch: each distinct action's Theorem 3 edge walk is
         # one memo fill, so the ratio of these counters stays at 1.
         planned = len(self._planned)
@@ -181,15 +164,6 @@ class RecoveryAnalyzer:
             # ordered), then the ScanStep that closes the analysis.
             for decision in undo_trace + redo_trace + order_trace:
                 self._bus.publish(replace(decision, time=now))
-            names = [str(action) for action in cross_actions]
-            for prior, hits in cross_rows:
-                before = str(prior)
-                row = names if hits is None else [names[i] for i in hits]
-                for after in row:
-                    self._bus.publish(OrderConstraint(
-                        now, rule="XU", before=before, after=after,
-                    ))
-            outstanding_units = sum(p.units for p in outstanding)
             self._bus.publish(ScanStep(
                 now,
                 uid=uids[0] if uids else "",
@@ -202,90 +176,19 @@ class RecoveryAnalyzer:
             redo_analysis=redo_analysis,
             order=order,
             units=len(uids),
-            cross_unit_actions=cross_actions,
-            cross_unit_rows=cross_rows,
         )
 
-    def _cross_unit_constraints(
-        self,
-        analyzer: DependencyAnalyzer,
-        order,
-        outstanding: Sequence[RecoveryPlan],
-    ) -> Tuple[Tuple[Action, ...], Tuple[CrossUnitRow, ...]]:
-        """Order the new plan's actions after every conflicting action
-        of every outstanding unit (FIFO across units).
-
-        Two actions conflict when they share an instance or one writes
-        an object the other reads or writes.  The result is factored:
-        the new actions sorted, and one ``(prior, hits)`` row per
-        conflicting prior action, unit by unit and prior actions sorted,
-        where ``hits`` is the sorted indices of the new actions it
-        conflicts with or ``None`` for all of them.  Expanding the rows
-        gives the pairs in the order a pair-by-pair check would list
-        them (:attr:`RecoveryPlan.cross_unit_constraints`), without
-        allocating one tuple per pair.
-        """
-        new_actions = tuple(sorted(order.elements()))
-        if not outstanding or not new_actions:
-            return (), ()
-        n = len(new_actions)
-        # Indices into new_actions: of the actions on each instance, of
-        # those reading or writing each object, of those writing it.
-        on_uid: Dict[str, List[int]] = {}
-        touching: Dict[str, List[int]] = {}
-        writing: Dict[str, List[int]] = {}
-        for i, action in enumerate(new_actions):
-            reads, writes = analyzer.object_names(action.uid)
-            on_uid.setdefault(action.uid, []).append(i)
-            for name in reads | writes:
-                touching.setdefault(name, []).append(i)
-            for name in writes:
-                writing.setdefault(name, []).append(i)
-        # Objects whose writer, or whose reader, conflicts with all of
-        # new_actions.
-        touched_by_all = {name for name, idx in touching.items()
-                          if len(idx) == n}
-        written_by_all = {name for name, idx in writing.items()
-                          if len(idx) == n}
-        # A prior action's hits depend only on its instance, so the
-        # undo and redo of one instance share them; () means no row.
-        hits_of: Dict[str, Optional[Tuple[int, ...]]] = {}
-        rows: List[CrossUnitRow] = []
-        for plan in outstanding:
-            for prior in plan.actions:
-                uid = prior.uid
-                if uid in hits_of:
-                    hits = hits_of[uid]
-                else:
-                    try:
-                        reads, writes = analyzer.object_names(uid)
-                    except RecoveryError:
-                        hits_of[uid] = ()  # unit from an older log epoch
-                        continue
-                    if (not touched_by_all.isdisjoint(writes)
-                            or not written_by_all.isdisjoint(reads)):
-                        hits = None
-                    else:
-                        found = set(on_uid.get(uid, ()))
-                        for name in writes:
-                            found.update(touching.get(name, ()))
-                        for name in reads:
-                            found.update(writing.get(name, ()))
-                        hits = tuple(sorted(found))
-                    hits_of[uid] = hits
-                if hits != ():
-                    rows.append((prior, hits))
-        return new_actions, tuple(rows)
-
     def analysis_cost(self, outstanding_units: int) -> int:
-        """Dependence checks needed to admit one more alert when
-        ``outstanding_units`` recovery units are already queued.
+        """Modelled dependence checks needed to admit one more alert
+        when ``outstanding_units`` recovery units are already queued.
 
-        The analyzer compares the new alert's damage against every
-        outstanding recovery task — a linear factor that makes the
-        per-alert processing rate fall as the queue grows.  This is the
-        paper's motivation for ``μ_k = f(μ_1, k)`` with ``μ_k``
+        The paper's analyzer compares the new alert's damage against
+        every outstanding recovery task (Section V-A) — a linear factor
+        that makes the per-alert processing rate fall as the queue
+        grows, the motivation for ``μ_k = f(μ_1, k)`` with ``μ_k``
         decreasing in ``k``; the default CTMC family ``μ_k = μ_1 / k``
-        corresponds to this linear cost.
+        corresponds to this linear cost.  This analyzer does no such
+        check (the batch heal merges the queued units), so the cost is
+        the model's, stamped on each :class:`ScanStep`.
         """
         return max(1, outstanding_units) * max(1, len(self._log))

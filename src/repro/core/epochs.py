@@ -183,8 +183,8 @@ class EpochManager:
         (fleet sweeps, fuzz backlog drains, the fullstack simulator's
         ``commit_repairs``) opt in so the conformance monitor sees every
         undo/redo inside a heal bracket;
-        ``SelfHealingSystem.recovery_step``, which publishes its
-        dispatch schedule inside its own bracket, keeps the default.
+        ``SelfHealingSystem.recovery_step``, which publishes its own
+        bracket, keeps the default.
         """
         publish = (bracket and bus is not None and bus.active)
         started = clock() if (publish and clock is not None) else 0.0

@@ -360,16 +360,8 @@ class Healer:
                 closure, key=lambda u: analyzer.record(u).seq,
                 reverse=True,
             ):
-                record = analyzer.record(uid)
-                undone.append(uid)
-                actions.append(Action.undo(uid))
-                self._note_undo(uid, reason="closure")
-                log.commit(
-                    record.instance,
-                    reads={},
-                    writes=dict(record.writes),  # versions invalidated
-                    kind=RecordKind.UNDO,
-                )
+                self._undo(analyzer.record(uid), "closure", undone,
+                           actions)
 
         # ---- Phase B: settle pass -------------------------------------------
         with phase("heal.settle"):
@@ -516,17 +508,9 @@ class Healer:
                     self._clock(), uid=uid, condition="T1.4",
                     objects=tuple(self._stale_reads(record, dirty, view)),
                 ))
-            undone.append(uid)
-            actions.append(Action.undo(uid))
-            self._note_undo(uid, reason="stale-read")
             for name, ver in record.writes.items():
                 dirty.add((name, ver))
-            self._log.commit(
-                record.instance,
-                reads={},
-                writes=dict(record.writes),
-                kind=RecordKind.UNDO,
-            )
+            self._undo(record, "stale-read", undone, actions)
         instance = record.instance
         chosen = self._execute(instance, view, kind=RecordKind.REDO)
         walker.consume(instance.task_id)
@@ -538,6 +522,29 @@ class Healer:
             HistoryStep(
                 instance.workflow_instance, instance.task_id, instance.number
             )
+        )
+
+    def _undo(
+        self,
+        record: LogRecord,
+        reason: str,
+        undone: List[str],
+        actions: List[Action],
+    ) -> None:
+        """Account ``undo(record)`` in the heal's order and commit it."""
+        undone.append(record.uid)
+        actions.append(Action.undo(record.uid))
+        self._commit_undo(record, reason)
+
+    def _commit_undo(self, record: LogRecord, reason: str) -> None:
+        """Publish and commit the UNDO record that invalidates the
+        versions ``record`` wrote."""
+        self._note_undo(record.uid, reason=reason)
+        self._log.commit(
+            record.instance,
+            reads={},
+            writes=dict(record.writes),  # versions invalidated
+            kind=RecordKind.UNDO,
         )
 
     def _abandon(

@@ -5,7 +5,10 @@ batch of IDS alerts: the Theorem 1/2 undo and redo sets (definite +
 candidate), and the Theorem 3 partial order over the definite recovery
 actions.  The plan corresponds to the paper's "unit of recovery tasks"
 (one unit per alert) queued between the recovery analyzer and the
-scheduler in Figure 2.
+scheduler in Figure 2.  The queue only counts units: a batch heal
+merges every queued unit and realizes one Theorem 3 order of its own,
+and the plan's published order is what that heal's undos and redos are
+checked against.
 
 The plan is *static*: candidates are listed, not resolved.  Resolution —
 which requires executing redos and re-deciding branches — is the
@@ -17,18 +20,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import List, Optional, Tuple
 
 from repro.core.actions import Action
 from repro.core.undo_redo import RedoAnalysis, UndoAnalysis
 from repro.workflow.precedence import PartialOrder
 
-__all__ = ["CrossUnitRow", "RecoveryPlan"]
-
-#: One prior action and the sorted indices of the new actions it
-#: conflicts with, ``None`` meaning every one of them.
-CrossUnitRow = Tuple[Action, Optional[Tuple[int, ...]]]
+__all__ = ["RecoveryPlan"]
 
 
 @dataclass
@@ -46,17 +44,6 @@ class RecoveryPlan:
     units:
         Number of recovery-task units (= number of alerts; the CTMC's
         queue items).
-    cross_unit_actions, cross_unit_rows:
-        Ordering constraints against *previously queued* recovery units,
-        stored factored: ``cross_unit_actions`` is this plan's actions,
-        sorted, and each row ``(prior, hits)`` names one earlier unit's
-        action that conflicts (shared instance or overlapping data
-        objects) with the new actions at the sorted indices ``hits`` —
-        or with all of them when ``hits`` is ``None``.  The analyzer
-        computes these by checking each new alert against all
-        outstanding units — the work that makes the alert-processing
-        rate ``μ_k`` fall as the recovery queue grows (Section IV-D).
-        :attr:`cross_unit_constraints` expands them into pairs.
     """
 
     alert_uids: Tuple[str, ...]
@@ -64,20 +51,6 @@ class RecoveryPlan:
     redo_analysis: RedoAnalysis
     order: PartialOrder[Action]
     units: int
-    cross_unit_actions: Tuple[Action, ...] = ()
-    cross_unit_rows: Tuple[CrossUnitRow, ...] = ()
-
-    @property
-    def cross_unit_constraints(self) -> Tuple[Tuple[Action, Action], ...]:
-        """``(earlier unit's action, this plan's action)`` for every
-        cross-unit conflict: rows in order, new actions sorted within
-        each row.  Built on each read from the factored rows."""
-        actions = self.cross_unit_actions
-        pairs: List[Tuple[Action, Action]] = []
-        for prior, hits in self.cross_unit_rows:
-            row = actions if hits is None else [actions[i] for i in hits]
-            pairs.extend(zip(repeat(prior), row))
-        return tuple(pairs)
 
     @cached_property
     def actions(self) -> Tuple[Action, ...]:

@@ -196,14 +196,14 @@ RULES: Dict[str, RuleInfo] = {r.rule: r for r in [
        "narrows recovery."),
     # -- plan verifier (flight logs) ---------------------------------------
     _r("PLAN020", Severity.ERROR, "recorded order edges contain a cycle",
-       "The flight log's Theorem 3/4 edge set admits no schedule; the "
-       "recorded run cannot have dispatched it soundly."),
+       "The flight log's Theorem 3 edge set admits no schedule; the "
+       "recorded run cannot have healed in an order that honours it."),
     _r("PLAN021", Severity.ERROR, "undo≺redo edge missing in log",
        "Theorem 3.3: every instance both undone and redone must carry "
        "the undo-before-redo constraint in the recorded order."),
     _r("PLAN022", Severity.ERROR, "realized schedule violates an edge",
-       "A dispatch order contradicting a recorded ordering edge means "
-       "the scheduler ignored the plan it claimed to execute."),
+       "An undo/redo order of the healer contradicting a recorded "
+       "ordering edge means the heal broke Theorem 3."),
     _r("PLAN023", Severity.ERROR, "executed action never planned",
        "The healer undid/redid an instance that appears in no "
        "recorded Theorem 1/2 decision — recovery outside the plan."),

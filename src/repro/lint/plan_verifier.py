@@ -29,7 +29,7 @@ Checks performed by :func:`verify_plan` against a live
 
 :func:`verify_flight_log` applies the subset of checks a flight log
 supports (the raw store/log are not recorded): internal consistency
-of the recorded decisions, edges, schedule and executions.
+of the recorded decisions, edges and the healer's undos and redos.
 """
 
 from __future__ import annotations
@@ -512,13 +512,14 @@ def verify_plan(
 def verify_flight_log(flight: FlightLog) -> List[Diagnostic]:
     """Consistency-check the recovery provenance in a flight log.
 
-    A flight log records decisions, edges, the realized schedule and
-    executions — but not the raw store or log — so the checks here
-    are the internal-consistency subset of :func:`verify_plan`:
-    recorded edges acyclic (PLAN020), Theorem 3.3 edges present
-    (PLAN021), the realized schedule a linear extension of the
-    recorded edges (PLAN022), no executions outside the recorded plan
-    (PLAN023), and definite redos inside definite undos (PLAN024).
+    A flight log records decisions, edges and the healer's undos and
+    redos — but not the raw store or log — so the checks here are the
+    internal-consistency subset of :func:`verify_plan`: recorded edges
+    acyclic (PLAN020), Theorem 3.3 edges present (PLAN021), the
+    realized schedule (the healer's undos and redos, in log order)
+    consistent with the recorded edges (PLAN022), no executions
+    outside the recorded plan (PLAN023), and definite redos inside
+    definite undos (PLAN024).
     """
     from repro.obs.provenance import replay
 
@@ -552,7 +553,8 @@ def verify_flight_log(flight: FlightLog) -> List[Diagnostic]:
                     "mandatory edge",
             ))
 
-    # PLAN022: realized dispatch order respects every recorded edge.
+    # PLAN022: the healer's realized undo/redo order respects every
+    # recorded edge between actions it realized exactly once.
     counts: Dict[str, int] = {}
     for action in run.schedule:
         counts[action] = counts.get(action, 0) + 1
@@ -565,10 +567,10 @@ def verify_flight_log(flight: FlightLog) -> List[Diagnostic]:
             if position[before] >= position[after]:
                 diags.append(_diag(
                     "PLAN022", where,
-                    f"schedule dispatched {after} (slot "
+                    f"healer realized {after} (slot "
                     f"{position[after]}) before {before} (slot "
                     f"{position[before]}) against a recorded edge",
-                    fix="scheduler and plan disagree — replay the "
+                    fix="healer and plan disagree — replay the "
                         "log and bisect",
                 ))
 

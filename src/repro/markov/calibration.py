@@ -8,8 +8,9 @@ module *measures* them on the implementation:
 - :func:`measure_scan_rates` times the recovery analyzer on alert
   batches of growing size — the processing rate with ``k`` queued
   alerts is ``k / (time to analyze a k-batch)``;
-- :func:`measure_recovery_rates` times the healer over incidents with
-  growing numbers of recovery units;
+- :func:`measure_recovery_rates` times one batch heal
+  (:meth:`~repro.core.epochs.EpochManager.heal`) of incidents with
+  growing numbers of recovery units — ``k / (time to heal k units)``;
 - :func:`fit_power_law` fits ``rate_k = r₁ / k^α`` by least squares in
   log-log space; ``power_law(fit.base, fit.alpha)`` is the schedule
   :class:`~repro.markov.stg.RecoverySTG` takes.
@@ -24,7 +25,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence
 
 import numpy as np
 
@@ -86,38 +87,37 @@ def fit_power_law(rates: Mapping[int, float]) -> PowerLawFit:
     )
 
 
-def _timed(fn: Callable[[], None], repeats: int) -> float:
-    best = float("inf")
-    for __ in range(repeats):
-        start = time.perf_counter()  # lint: allow[DET001] host benchmark timing, not simulated time
-        fn()
-        best = min(best, time.perf_counter() - start)  # lint: allow[DET001] host benchmark timing, not simulated time
-    return best
+def _timed(fn: Callable[[], object]) -> float:
+    """Wall seconds of one call of ``fn``."""
+    start = time.perf_counter()  # lint: allow[DET001] host benchmark timing, not simulated time
+    fn()
+    return time.perf_counter() - start  # lint: allow[DET001] host benchmark timing, not simulated time
 
 
-# Building an attacked pipeline (generate a workload, run it with a
-# campaign, collect the log) dominates calibration time, and sweeps
-# call measure_scan_rates / measure_recovery_rates repeatedly with the
-# same seed.  The result is memoized per (seed, n_attacks, tasks); the
-# cached log/specs are only *read* by the analyzers built on top.
-_PIPELINE_CACHE: Dict[Tuple[int, int, int], Tuple[object, object]] = {}
+def _attacked_pipeline(seed: int, batch: int):
+    """A freshly attacked pipeline with room for ``batch`` alerts.
 
-
-def _attacked_pipeline(seed: int, n_attacks: int, tasks: int = 10):
-    key = (seed, n_attacks, tasks)
-    cached = _PIPELINE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    Twice as many tasks are tampered with as alerts are needed: some
+    sit on branches the run never takes, and so never execute."""
     gen = WorkloadGenerator(
-        WorkloadConfig(n_workflows=4, tasks_per_workflow=tasks,
+        WorkloadConfig(n_workflows=4, tasks_per_workflow=14,
                        branch_probability=0.3),
         random.Random(seed),
     )
     workload = gen.generate()
-    campaign = gen.pick_attacks(workload, n_attacks=n_attacks)
-    result = run_pipeline(workload, campaign, seed=seed)
-    _PIPELINE_CACHE[key] = (workload, result)
-    return workload, result
+    campaign = gen.pick_attacks(workload, n_attacks=2 * batch)
+    return run_pipeline(workload, campaign, seed=seed)
+
+
+def _alerts(attacked, k: int) -> List[str]:
+    """The first ``k`` malicious uids of an attacked pipeline, sorted."""
+    alerts = sorted(attacked.malicious_ground_truth)
+    if len(alerts) < k:
+        raise ModelError(
+            f"attacked pipeline produced {len(alerts)} malicious uids, "
+            f"fewer than the batch size {k}"
+        )
+    return alerts[:k]
 
 
 def measure_scan_rates(
@@ -125,36 +125,23 @@ def measure_scan_rates(
     seed: int = 0,
     repeats: int = 3,
 ) -> Dict[int, float]:
-    """Alert-processing rate (alerts per second) with ``k`` items of
-    work in the system.
+    """Alert-processing rate (alerts per second) with ``k`` alerts
+    queued: ``k / (time to analyze the k-batch)``.
 
-    The rate ``μ_k`` is the speed of admitting one alert while ``k−1``
-    recovery units are already queued: the analyzer must cross-check
-    the new unit against every outstanding one (Section V-A), so the
-    per-alert rate falls as the queue grows.
+    Each timed call runs a fresh analyzer, so it builds the dependency
+    index and the Theorem 1–3 analysis from scratch; the attacked log
+    is built once, outside the timer, and only read.
     """
-    workload, attacked = _attacked_pipeline(
-        seed, n_attacks=max(max(batch_sizes), 4), tasks=14
-    )
-    analyzer = RecoveryAnalyzer(attacked.log, attacked.specs_by_instance)
-    alerts = list(attacked.malicious_ground_truth)
-    if not alerts:
-        raise ModelError("attacked pipeline produced no malicious uids")
-    # One fixed outstanding unit, replicated, so that only the queue
-    # *length* varies between measurements — not the unit contents.
-    base_unit = analyzer.analyze([alerts[0]])
-    new_alert = alerts[1 % len(alerts)]
-    analyzer.analyze([new_alert], outstanding=[base_unit])  # warm-up
+    attacked = _attacked_pipeline(seed, max(batch_sizes))
     rates: Dict[int, float] = {}
     for k in batch_sizes:
-        queued = [base_unit] * (k - 1)
-        seconds = _timed(
-            lambda q=queued: analyzer.analyze(
-                [new_alert], outstanding=q
-            ),
-            repeats,
-        )
-        rates[k] = 1.0 / seconds if seconds > 0 else float("inf")
+        alerts = _alerts(attacked, k)
+        best = float("inf")
+        for __ in range(repeats):
+            analyzer = RecoveryAnalyzer(attacked.log,
+                                        attacked.specs_by_instance)
+            best = min(best, _timed(lambda: analyzer.analyze(alerts)))
+        rates[k] = k / best if best > 0 else float("inf")
     return rates
 
 
@@ -163,55 +150,20 @@ def measure_recovery_rates(
     seed: int = 0,
     repeats: int = 2,
 ) -> Dict[int, float]:
-    """Recovery-task dispatch rate (actions per second) vs queue size.
+    """Recovery rate (units per second) of one batch heal of ``k``
+    units: ``k / (time of one EpochManager.heal of a k-alert
+    incident)``.
 
-    "The scheduler needs to check dependence relations to all items in
-    queues": dispatching ``minimal(S, ≺)`` means finding an action with
-    no pending predecessor, which costs more the more units are queued.
-    The measurement times one scheduler dispatch from a partial order
-    holding ``k`` units' worth of recovery actions (identical unit
-    contents, so only the queue length varies).
+    A heal repairs its store and rolls its epoch, so every repeat heals
+    a freshly attacked pipeline, built outside the timer.
     """
-    from repro.core.actions import Action
-    from repro.workflow.precedence import PartialOrder
-    from repro.workflow.scheduler import PartialOrderScheduler
-
-    workload, attacked = _attacked_pipeline(seed, n_attacks=4, tasks=14)
-    analyzer = RecoveryAnalyzer(attacked.log, attacked.specs_by_instance)
-    alerts = list(attacked.malicious_ground_truth)
-    if not alerts:
-        raise ModelError("attacked pipeline produced no malicious uids")
-    unit = analyzer.analyze(alerts[:1])
-    unit_actions = sorted(unit.order.elements())
-
-    def build_order(k: int) -> PartialOrder:
-        """A queue of k units: each unit's actions, chained FIFO."""
-        order: PartialOrder = PartialOrder()
-        previous: list = []
-        for i in range(k):
-            current = []
-            for action in unit_actions:
-                tagged = Action(action.kind, f"u{i}:{action.uid}")
-                order.add_element(tagged)
-                current.append(tagged)
-            for before, after in unit.order.edges():
-                order.add_edge(
-                    Action(before.kind, f"u{i}:{before.uid}"),
-                    Action(after.kind, f"u{i}:{after.uid}"),
-                )
-            for prior in previous:
-                order.add_edge(prior, current[0])  # FIFO across units
-            previous = current
-        return order
-
     rates: Dict[int, float] = {}
     for k in unit_counts:
-        order = build_order(k)
-
-        def dispatch_one(o=order):
-            PartialOrderScheduler(o, lambda a: None).step()
-
-        dispatch_one()  # warm-up
-        seconds = _timed(dispatch_one, repeats)
-        rates[k] = 1.0 / seconds if seconds > 0 else float("inf")
+        best = float("inf")
+        for __ in range(repeats):
+            attacked = _attacked_pipeline(seed, max(unit_counts))
+            alerts = _alerts(attacked, k)
+            best = min(best, _timed(
+                lambda: attacked.manager.heal(alerts)))
+        rates[k] = k / best if best > 0 else float("inf")
     return rates

@@ -9,8 +9,7 @@ This package provides the measurement layer:
   event per pipeline happening (alert enqueued/lost, scan step, unit
   emitted, state transition, heal started/finished, task undone/redone,
   normal task refused) plus the provenance events (Theorem 1/2
-  undo/redo decisions, Theorem 3/4 order constraints, scheduler
-  dispatches);
+  undo/redo decisions, Theorem 3 order constraints);
 - :mod:`repro.obs.metrics` — counters, gauges (with high-water marks),
   and fixed-bucket histograms, plus :class:`PipelineMetrics`, a bus
   subscriber that derives the paper's quantities from the event stream;
@@ -51,7 +50,6 @@ is attached.
 """
 
 from repro.obs.events import (
-    ActionDispatched,
     AlertEnqueued,
     AlertLost,
     DriftDetected,
@@ -138,7 +136,6 @@ __all__ = [
     "UndoDecision",
     "RedoDecision",
     "OrderConstraint",
-    "ActionDispatched",
     "QueueItemDropped",
     "SloTransition",
     "DriftDetected",

@@ -30,7 +30,7 @@ __all__ = [
     "UndoDecision",
     "RedoDecision",
     "OrderConstraint",
-    "ActionDispatched",
+    "realized_action",
     "QueueItemDropped",
     "SloTransition",
     "DriftDetected",
@@ -240,10 +240,10 @@ class RedoDecision(ObsEvent):
 class OrderConstraint(ObsEvent):
     """One Theorem 3 edge materialized into a recovery partial order.
 
-    ``rule`` is the clause tag (``"T3.1"``–``"T3.5"``, or ``"XU"`` for a
-    cross-unit FIFO constraint against an already-queued recovery
-    unit); ``before``/``after`` are the action strings
-    (``"undo(wf1/t2#1)"``) the edge orders.
+    ``rule`` is the clause tag (``"T3.1"``–``"T3.5"``);
+    ``before``/``after`` are the action strings (``"undo(wf1/t2#1)"``)
+    the edge orders.  The healer's own undo and redo events are the
+    realized order checked against it (:func:`realized_action`).
     """
 
     rule: str
@@ -251,18 +251,20 @@ class OrderConstraint(ObsEvent):
     after: str
 
 
-@dataclass(frozen=True)
-class ActionDispatched(ObsEvent):
-    """The partial-order scheduler dispatched one recovery action.
+def realized_action(event: ObsEvent) -> Optional[str]:
+    """The recovery action a healer event realizes, as an action string.
 
-    ``position`` is the 0-based slot in the realized linear extension;
-    ``satisfied`` lists the direct-predecessor actions whose completion
-    made this dispatch legal (the constraints actually applied).
+    ``undo(uid)`` for a :class:`TaskUndone` undo operation and
+    ``redo(uid)`` for a :class:`TaskRedone` re-execution at the
+    record's log position; ``None`` for disposition-only notes,
+    new-path executions (they have no planned action) and every other
+    event.  In log order these strings are the realized schedule.
     """
-
-    action: str
-    position: int
-    satisfied: Tuple[str, ...] = ()
+    if isinstance(event, TaskUndone):
+        return None if event.disposition else f"undo({event.uid})"
+    if isinstance(event, TaskRedone) and event.mode == "redo":
+        return f"redo({event.uid})"
+    return None
 
 
 @dataclass(frozen=True)
@@ -355,7 +357,7 @@ EVENT_TYPES: Dict[str, Type[ObsEvent]] = {
         AlertEnqueued, AlertLost, ScanStep, UnitEmitted, StateTransition,
         HealStarted, HealFinished, TaskUndone, TaskRedone,
         NormalTaskRefused, UndoDecision, RedoDecision, OrderConstraint,
-        ActionDispatched, QueueItemDropped, SloTransition, DriftDetected,
+        QueueItemDropped, SloTransition, DriftDetected,
         ConformanceViolation,
     )
 }

@@ -44,7 +44,6 @@ from typing import (
 
 from repro.errors import ObsError
 from repro.obs.events import (
-    ActionDispatched,
     AlertEnqueued,
     AlertLost,
     ConformanceViolation,
@@ -407,7 +406,7 @@ class HealthMonitor:
         AlertEnqueued, AlertLost, ScanStep, UnitEmitted,
         StateTransition, HealFinished,
         HealStarted, TaskUndone, TaskRedone, NormalTaskRefused,
-        UndoDecision, RedoDecision, OrderConstraint, ActionDispatched,
+        UndoDecision, RedoDecision, OrderConstraint,
     )
 
     def __init__(

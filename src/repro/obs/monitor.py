@@ -5,7 +5,7 @@ safety, normal-service safety, spec consistency) is checked after the
 fact by the epoch audit (:mod:`repro.core.axioms`) and before queuing by
 the static plan verifier (:mod:`repro.lint`).  Both leave a gap: a run
 that *violates* strict correctness mid-recovery — a heal that undoes a
-task outside any heal bracket, a redo dispatched before its undo, a
+task outside any heal bracket, a redo committed before its undo, a
 corrupted-region task the executed plan silently dropped — is invisible
 until the run ends.  This module closes that gap with runtime
 verification: Definition 2 is encoded as **finite-trace linear temporal
@@ -33,10 +33,11 @@ Three layers:
 
 2. **The Definition 2 property pack** (:func:`strict_property_pack`) —
    heal-bracket alternation, per-task undo/redo lifecycle obligations,
-   Theorem 3 dispatch-order consistency, claimed-vs-decided blast
-   radius, and the normal-service gate, each a :class:`LtlProperty` or
-   a parametric :class:`SlicedLtlProperty` (one automaton per task uid
-   or per order edge — classic trace slicing).
+   Theorem 3 order consistency of the healer's realized undos and
+   redos, claimed-vs-decided blast radius, and the normal-service
+   gate, each a :class:`LtlProperty` or a parametric
+   :class:`SlicedLtlProperty` (one automaton per task uid or per order
+   edge — classic trace slicing).
 
 3. **The wiring** — :class:`ConformanceMonitor` subscribes the pack to
    an :class:`~repro.obs.events.EventBus`, emits one typed
@@ -96,7 +97,6 @@ from typing import (
 )
 
 from repro.obs.events import (
-    ActionDispatched,
     ConformanceViolation,
     EventBus,
     HealFinished,
@@ -109,6 +109,7 @@ from repro.obs.events import (
     TaskUndone,
     UndoDecision,
     UnitEmitted,
+    realized_action,
 )
 
 __all__ = [
@@ -996,22 +997,29 @@ def _undo_before_redo() -> SlicedLtlProperty:
 
 
 class _OrderConsistency(SlicedLtlProperty):
-    """Theorem 3/4 edges vs the realized dispatch order.
+    """Theorem 3 edges vs the order the healer realized.
 
     One slice per published :class:`OrderConstraint` edge, keyed
-    ``"before < after"``.  Action strings are *not* plan-qualified: a
-    batch heal dispatches several queued plans in FIFO order, and an
-    earlier plan may legitimately dispatch an action with the same
-    string as a later plan's ``after`` (the same instance re-touched by
-    two plans), so the naive ``¬after W before`` would false-positive
-    on honest batches.  The alias-robust encoding instead demands that
-    *some* ``before`` dispatch is (weakly) followed by *some* ``after``
-    dispatch — or that ``after`` never dispatches at all:
-    ``G ¬after ∨ F(before ∧ F after)``.  A reversed edge (the
-    ``reverse-edge`` fault injection) leaves every ``after`` strictly
+    ``"before < after"``.  The realized schedule is the healer's own
+    undo operations and log-position redos
+    (:func:`~repro.obs.events.realized_action`); disposition notes and
+    new-path executions are not actions of any plan.  Action strings
+    are *not* heal-qualified: a long run heals many batches, and an
+    earlier heal may legitimately realize an action with the same
+    string as a later edge's ``after``, so the naive ``¬after W
+    before`` would false-positive.  The alias-robust encoding instead
+    demands that *some* ``before`` is (weakly) followed by *some*
+    ``after`` — or that one of the two never happens at all:
+    ``G ¬before ∨ G ¬after ∨ F(before ∧ F after)``.  An edge whose
+    ``before`` is never realized orders nothing: a unit analyzed alone
+    may definitely redo a task that the batch heal, merging another
+    unit's damage, abandons (Theorem 2's negative case), and a missing
+    undo or redo is the completeness properties' finding, not this
+    one's.  A heal that commits an undo after its redo (the
+    ``reverse-edge`` fault injection) leaves the ``after`` strictly
     ahead of every ``before`` and resolves to ``finally-violated`` when
     the trace closes.  An index from action string to edge keys keeps
-    routing linear in the dispatches actually constrained.
+    routing linear in the actions actually constrained.
     """
 
     def __init__(self) -> None:
@@ -1019,14 +1027,15 @@ class _OrderConsistency(SlicedLtlProperty):
         super().__init__(
             "order-consistency",
             lor(
+                always(lnot(before)),
                 always(lnot(after)),
                 eventually(land(before, eventually(after))),
             ),
             self._route_event,
-            (OrderConstraint, ActionDispatched),
+            (OrderConstraint, TaskUndone, TaskRedone),
             finally_detail=(
-                "a constrained action was dispatched, and no dispatch "
-                "of it ever followed its required predecessor"
+                "both actions of the edge were realized, and no "
+                "realization of the later one ever followed the earlier"
             ),
         )
         self._edges: Dict[str, Tuple[str, str]] = {}
@@ -1041,16 +1050,17 @@ class _OrderConsistency(SlicedLtlProperty):
                 if event.after != event.before:
                     self._by_action.setdefault(event.after, []).append(key)
             return (key,), ()
-        if isinstance(event, ActionDispatched):
-            steps = []
-            for key in self._by_action.get(event.action, ()):
-                before, after = self._edges[key]
-                steps.append((key, {
-                    "before": event.action == before,
-                    "after": event.action == after,
-                }))
-            return (), steps
-        return (), ()
+        action = realized_action(event)
+        if action is None:
+            return (), ()
+        steps = []
+        for key in self._by_action.get(action, ()):
+            before, after = self._edges[key]
+            steps.append((key, {
+                "before": action == before,
+                "after": action == after,
+            }))
+        return (), steps
 
 
 def strict_property_pack() -> List[Any]:
@@ -1066,8 +1076,8 @@ def strict_property_pack() -> List[Any]:
     undo-completeness           per decided uid: ``F undone``
     redo-follow-through         per T2.1 uid: ``F (redone ∨ abandoned)``
     undo-before-redo            per uid: ``¬redo W undone``
-    order-consistency           per T3/XU edge: ``G ¬after ∨
-                                F(before ∧ F after)``
+    order-consistency           per T3 edge: ``G ¬before ∨ G ¬after
+                                ∨ F(before ∧ F after)``
     claim-consistency           per scan window: ``G ¬missing ∧
                                 G ¬unjustified``
     ==========================  ============================================
@@ -1117,7 +1127,7 @@ class ConformanceMonitor:
     CONSUMES = (
         HealStarted, HealFinished, TaskUndone, TaskRedone,
         NormalTaskRefused, UndoDecision, RedoDecision, OrderConstraint,
-        ActionDispatched, UnitEmitted,
+        UnitEmitted,
     )
 
     def __init__(self) -> None:

@@ -2,8 +2,8 @@
 
 A flight log (:mod:`repro.obs.recorder`) contains everything the
 pipeline decided and did: which Theorem 1/2 condition fired per
-undo/redo decision, which Theorem 3/4 rule added each ordering edge,
-which slot each action took in the realized schedule, and the raw
+undo/redo decision, which Theorem 3 rule added each ordering edge,
+every undo and redo the healer realized, in order, and the raw
 pipeline events the metrics collector consumes.  This module turns a
 log back into:
 
@@ -13,8 +13,8 @@ log back into:
   numbers every ``obs`` report prints;
 - :func:`explain` — the causal chain for one task instance: alert →
   Theorem 1 condition (with the dependency path that carried the
-  infection) → Theorem 2 decision → ordering constraints → schedule
-  position → execution outcome;
+  infection) → Theorem 2 decision → ordering constraints → realized
+  schedule slot → execution outcome;
 - :func:`build_span_tree` — the run's span tree (state dwells, and
   the detect → scan → heal(undo, redo) incident spans) reconstructed
   from the event timeline, for the ``obs`` report and the
@@ -28,7 +28,6 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import ObsError
 from repro.obs.events import (
-    ActionDispatched,
     AlertEnqueued,
     AlertLost,
     DriftDetected,
@@ -44,6 +43,7 @@ from repro.obs.events import (
     TaskUndone,
     UndoDecision,
     UnitEmitted,
+    realized_action,
 )
 from repro.obs.metrics import Gauge, PipelineMetrics
 from repro.obs.recorder import FlightLog
@@ -65,7 +65,7 @@ class ReplayedRun:
         The log's header record (schema, label, meta).
     events:
         The typed event stream, in log order.
-    undo_decisions / redo_decisions / order_constraints / dispatches:
+    undo_decisions / redo_decisions / order_constraints:
         The provenance events, in decision order.
     plan_undo / plan_redo:
         The *definite* undo and redo sets of the reconstructed recovery
@@ -73,10 +73,12 @@ class ReplayedRun:
     undo_candidates / redo_candidates:
         Instances whose undo/redo was conditional (T1.2/T1.4; T2.2).
     order_edges:
-        The Theorem 3/4 partial order as ``(rule, before, after)``
+        The Theorem 3 partial order as ``(rule, before, after)``
         triples over action strings.
     schedule:
-        Action strings in realized dispatch order.
+        The realized schedule: the action strings of the healer's undo
+        operations and log-position redos, in log order
+        (:func:`~repro.obs.events.realized_action`).
     executed_undone / executed_redone:
         ``uid → reason`` / ``uid → mode`` for what the healer actually
         did (a candidate may be resolved either way).
@@ -98,7 +100,6 @@ class ReplayedRun:
     undo_decisions: List[UndoDecision] = field(default_factory=list)
     redo_decisions: List[RedoDecision] = field(default_factory=list)
     order_constraints: List[OrderConstraint] = field(default_factory=list)
-    dispatches: List[ActionDispatched] = field(default_factory=list)
     plan_undo: FrozenSet[str] = frozenset()
     plan_redo: FrozenSet[str] = frozenset()
     undo_candidates: FrozenSet[str] = frozenset()
@@ -136,8 +137,6 @@ def replay(log: FlightLog) -> ReplayedRun:
             run.redo_decisions.append(event)
         elif isinstance(event, OrderConstraint):
             run.order_constraints.append(event)
-        elif isinstance(event, ActionDispatched):
-            run.dispatches.append(event)
         elif isinstance(event, TaskUndone):
             run.executed_undone[event.uid] = event.reason
         elif isinstance(event, TaskRedone):
@@ -172,9 +171,10 @@ def replay(log: FlightLog) -> ReplayedRun:
     run.order_edges = frozenset(
         (c.rule, c.before, c.after) for c in run.order_constraints
     )
-    # Log order is dispatch order (positions restart per recovery unit,
-    # so sorting by position would interleave units incorrectly).
-    run.schedule = tuple(d.action for d in run.dispatches)
+    run.schedule = tuple(
+        action for action in map(realized_action, run.events)
+        if action is not None
+    )
     return run
 
 
@@ -189,7 +189,7 @@ def explain(log: FlightLog, uid: str) -> str:
 
     Walks the provenance captured in ``log``: the triggering alert (or
     the dependency path back to one), every Theorem 1/2 condition that
-    fired for ``uid``, every Theorem 3/4 ordering edge touching its
+    fired for ``uid``, every Theorem 3 ordering edge touching its
     actions, its slot(s) in the realized schedule, and what the healer
     finally did.  Raises :class:`~repro.errors.ObsError` when the log
     never mentions ``uid``.
@@ -241,14 +241,10 @@ def explain(log: FlightLog, uid: str) -> str:
     for c in edges:
         lines.append(f"  order[{c.rule}]: {c.before} < {c.after}")
 
-    slots = [
-        d for d in run.dispatches if _mentions(d.action, uid)
-    ]
-    for d in slots:
-        line = f"  scheduled: {d.action} at position {d.position}"
-        if d.satisfied:
-            line += " after " + ", ".join(d.satisfied)
-        lines.append(line)
+    for slot, action in enumerate(run.schedule):
+        if _mentions(action, uid):
+            lines.append(f"  scheduled: {action} at slot {slot} of the "
+                         "realized schedule")
 
     if uid in run.executed_undone:
         reason = run.executed_undone[uid]
@@ -263,7 +259,7 @@ def explain(log: FlightLog, uid: str) -> str:
         raise ObsError(
             f"flight log never mentions instance {uid!r} — nothing to "
             "explain (known instances appear in undo/redo decisions, "
-            "order constraints, dispatches, or task events)"
+            "order constraints, or task events)"
         )
     return "\n".join(lines)
 

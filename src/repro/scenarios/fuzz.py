@@ -22,10 +22,11 @@ and checks every run against a composite oracle:
 
 Counterexamples are shrunk greedily over the campaign DSL and written
 as replayable corpus files (plain campaign JSON plus a ``found_by``
-annotation).  The *fault-injection* mode mutates every analyzer plan
-with one of the seeded :data:`~repro.scenarios.generate.MUTATIONS` and
-demands the oracle catch it — an end-to-end sensitivity proof that a
-buggy analyzer cannot slip a wrong plan past the verifier.
+annotation).  The *fault-injection* mode runs every campaign with one
+of the seeded :data:`~repro.scenarios.generate.MUTATIONS` — a mutated
+analyzer plan, or a heal that commits an undo after its redo — and
+demands the oracle catch it: an end-to-end sensitivity proof that a
+buggy analyzer or healer cannot slip past the runtime monitor.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import time as _time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterator,
@@ -50,6 +52,8 @@ from typing import (
 
 from repro.core.analyzer import RecoveryAnalyzer
 from repro.core.epochs import EpochManager
+from repro.core.healer import Healer
+from repro.core.undo_redo import find_redo_tasks, find_undo_tasks
 from repro.errors import GenerationError
 from repro.fleet.control import FleetConfig, FleetControlPlane, FleetReport
 from repro.fleet.workload import GeneratedTenantProfile
@@ -74,6 +78,7 @@ from repro.sim.fullstack import FullStackConfig
 from repro.sim.workload import Workload
 from repro.system import SelfHealingSystem, SystemState
 from repro.workflow.data import DataStore
+from repro.workflow.dependency import DependencyAnalyzer
 
 __all__ = [
     "ORACLES",
@@ -157,13 +162,20 @@ def _prediction(config: FullStackConfig) -> ModelPrediction:
 def inject_mutation(
     kind: Optional[str], counter: Optional[Dict[str, int]] = None
 ) -> Iterator[Dict[str, int]]:
-    """Patch the analyzer so every emitted plan carries one seeded
-    fault (:func:`~repro.scenarios.generate.mutate_plan`).
+    """Patch the pipeline so it carries one seeded fault.
 
-    ``counter["applied"]`` counts the plans actually modified —
-    inapplicable mutations (nothing to drop / flip) leave the plan
-    intact and are not counted, so callers can distinguish a genuine
-    oracle miss from a vacuous one.  ``kind=None`` is a no-op.
+    ``drop-undo`` and ``extra-redo`` patch the analyzer: every emitted
+    plan is mutated (:func:`~repro.scenarios.generate.mutate_plan`).
+    ``reverse-edge`` patches the healer: for each heal's first sorted
+    definite redo ``t``, the UNDO record of ``undo(t)`` is committed
+    (and announced) right after ``redo(t)`` instead of in Phase A — a
+    heal that breaks Theorem 3.3 in the log it writes.
+
+    ``counter["applied"]`` counts the plans (for ``reverse-edge``, the
+    heals) actually modified — inapplicable mutations (nothing to drop
+    or reverse) leave them intact and are not counted, so callers can
+    distinguish a genuine oracle miss from a vacuous one.
+    ``kind=None`` is a no-op.
     """
     stats = counter if counter is not None else {"applied": 0}
     stats.setdefault("applied", 0)
@@ -175,10 +187,14 @@ def inject_mutation(
             f"unknown plan mutation {kind!r}; expected one of "
             f"{', '.join(MUTATIONS)}"
         )
+    if kind == "reverse-edge":
+        with _undo_after_redo(stats):
+            yield stats
+        return
     original = RecoveryAnalyzer.analyze
 
-    def analyze(self, alerts, outstanding=()):
-        plan = original(self, alerts, outstanding=outstanding)
+    def analyze(self, alerts, outstanding_units=0):
+        plan = original(self, alerts, outstanding_units=outstanding_units)
         mutated = mutate_plan(plan, kind, self._log)
         if mutated is None:
             return plan
@@ -190,6 +206,50 @@ def inject_mutation(
         yield stats
     finally:
         RecoveryAnalyzer.analyze = original  # type: ignore[method-assign]
+
+
+@contextmanager
+def _undo_after_redo(stats: Dict[str, int]) -> Iterator[None]:
+    """The heal-side ``reverse-edge`` fault of :func:`inject_mutation`."""
+    heal, commit_undo, redo = Healer.heal, Healer._commit_undo, Healer._redo
+    #: The faulted uid of the running heal, and its held-back record.
+    fault: Dict[str, Any] = {"uid": None, "held": None}
+
+    def faulty_heal(self, malicious, forged_runs=()):
+        analyzer = DependencyAnalyzer(self._log, self._specs)
+        closure = find_undo_tasks(
+            analyzer, [u for u in malicious if u in self._log]).definite
+        redos = sorted(find_redo_tasks(analyzer, closure).definite)
+        fault["uid"] = redos[0] if redos else None
+        report = heal(self, malicious, forged_runs=forged_runs)
+        held, fault["uid"], fault["held"] = fault["held"], None, None
+        if held is not None:  # never redone: the undo comes last
+            commit_undo(self, held, "closure")
+        return report
+
+    def faulty_commit_undo(self, record, reason):
+        if record.uid == fault["uid"] and reason == "closure":
+            fault["held"] = record
+            stats["applied"] += 1
+        else:
+            commit_undo(self, record, reason)
+
+    def faulty_redo(self, record, *args):
+        redo(self, record, *args)
+        held = fault["held"]
+        if held is not None and held.uid == record.uid:
+            fault["held"] = None
+            commit_undo(self, held, "closure")
+
+    Healer.heal = faulty_heal  # type: ignore[method-assign]
+    Healer._commit_undo = faulty_commit_undo  # type: ignore[method-assign]
+    Healer._redo = faulty_redo  # type: ignore[method-assign]
+    try:
+        yield
+    finally:
+        Healer.heal = heal  # type: ignore[method-assign]
+        Healer._commit_undo = commit_undo  # type: ignore[method-assign]
+        Healer._redo = redo  # type: ignore[method-assign]
 
 
 # --------------------------------------------------------------------------
@@ -602,9 +662,8 @@ def run_campaign(
     Single-tenant campaigns run *twice* (the determinism oracle
     compares flight logs byte for byte); multi-tenant campaigns run
     through the fleet control plane.  ``mutation`` injects a seeded
-    analyzer fault for the whole run (single-tenant only — the fleet
-    path heals from alert uids, so a mutated plan analysis never
-    reaches its healer and only the plan verifier can see it).
+    fault for the whole run (:func:`inject_mutation`; single-tenant
+    only).
     """
     if campaign.tenants > 1:
         if mutation is not None:
@@ -873,9 +932,9 @@ def fuzz(
 
     With neither ``budget_seconds`` nor ``max_campaigns``, 200
     campaigns run.  ``inject`` puts the whole run in fault-injection
-    mode: every analyzer plan is mutated, campaigns are forced
-    single-tenant (see :func:`run_campaign`), and the report counts
-    mutated plans caught vs. missed.  Counterexamples are shrunk (first
+    mode (:func:`inject_mutation`): campaigns are forced single-tenant
+    (see :func:`run_campaign`), and the report counts faulted campaigns
+    caught vs. missed.  Counterexamples are shrunk (first
     ``max_corpus_files`` findings only — shrinking re-runs campaigns)
     and written to ``corpus_dir``.
     """

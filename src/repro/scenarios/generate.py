@@ -28,10 +28,13 @@ spread with correlated cross-tenant seeds.  Serialized campaigns are
 the fuzzer's corpus format — a counterexample written by the harness
 replays bit-identically from its JSON file.
 
-Also here: the seeded *plan mutations* (dropped undo, extra redo,
-reversed Theorem 3 edge) used both by the verifier sensitivity tests
-and by the harness's fault-injection mode, which proves end to end
-that a buggy analyzer cannot slip a wrong plan past the oracle.
+Also here: the seeded *plan mutations* (dropped undo, extra redo) used
+both by the verifier sensitivity tests and by the harness's
+fault-injection mode, which proves end to end that a buggy analyzer
+cannot slip a wrong plan past the oracle.  The third fault kind, a
+reversed Theorem 3.3 edge, is injected into the healer instead
+(:func:`repro.scenarios.fuzz.inject_mutation`), because the heal, not
+the plan, realizes the recovery order.
 """
 
 from __future__ import annotations
@@ -40,13 +43,11 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.actions import Action
 from repro.core.analyzer import RecoveryAnalyzer
 from repro.core.plan import RecoveryPlan
 from repro.errors import GenerationError
 from repro.sim.workload import Workload, WorkloadConfig, WorkloadGenerator
 from repro.workflow.log import SystemLog
-from repro.workflow.precedence import PartialOrder
 
 __all__ = [
     "CAMPAIGN_FORMAT",
@@ -488,7 +489,8 @@ def generate_campaign(
 # Plan mutations (verifier sensitivity / fault injection)
 # --------------------------------------------------------------------------
 
-#: Seeded analyzer faults the verifier must catch.
+#: Seeded faults ``fuzz --inject`` takes: two analyzer-plan mutations
+#: (:func:`mutate_plan`) and the heal-side ``reverse-edge``.
 MUTATIONS = ("drop-undo", "extra-redo", "reverse-edge")
 
 
@@ -497,10 +499,10 @@ def mutate_plan(
 ) -> Optional[RecoveryPlan]:
     """Apply one seeded fault to an analyzer plan.
 
-    Returns the mutated plan, or ``None`` when the mutation is not
-    applicable (nothing to drop / no clean instance to inject / no
-    redo edge to flip) — callers skip inapplicable cases rather than
-    reporting vacuous catches.
+    ``kind`` is ``"drop-undo"`` or ``"extra-redo"``.  Returns the
+    mutated plan, or ``None`` when the mutation is not applicable
+    (nothing to drop / no clean instance to inject) — callers skip
+    inapplicable cases rather than reporting vacuous catches.
     """
     if kind == "drop-undo":
         ua = plan.undo_analysis
@@ -523,24 +525,9 @@ def mutate_plan(
         return replace(plan, redo_analysis=replace(
             ra, definite=ra.definite | {outsiders[0]}
         ))
-    if kind == "reverse-edge":
-        redos = sorted(plan.redo_analysis.definite)
-        if not redos:
-            return None
-        uid = redos[0]
-        target = (Action.undo(uid), Action.redo(uid))
-        order: PartialOrder[Action] = PartialOrder()
-        for element in plan.order.elements():
-            order.add_element(element)
-        for before, after in plan.order.edges():
-            if (before, after) == target:
-                order.add_edge(after, before)
-            else:
-                order.add_edge(before, after)
-        return replace(plan, order=order)
     raise GenerationError(
-        f"unknown plan mutation {kind!r}; expected one of "
-        f"{', '.join(MUTATIONS)}"
+        f"unknown plan mutation {kind!r}; expected drop-undo or "
+        "extra-redo"
     )
 
 

@@ -34,7 +34,6 @@ from typing import Dict, List, Optional
 
 from repro.core.analyzer import RecoveryAnalyzer
 from repro.core.epochs import EpochManager
-from repro.core.plan import RecoveryPlan
 from repro.errors import SimulationError
 from repro.ids.attacks import AttackCampaign
 from repro.markov.stg import StateCategory
@@ -157,7 +156,7 @@ class FullStackConfig:
     scan_time:
         Base simulated duration of analyzing one alert with an empty
         recovery queue; each queued unit adds one more ``scan_time``
-        (the measured linear cross-check cost).
+        (the paper's linear cross-check cost, modelled).
     unit_recovery_time:
         Simulated duration of executing one recovery unit; draining
         ``k`` units takes ``k × unit_recovery_time``.
@@ -309,7 +308,7 @@ class FullStackSimulator:
         analyzer: Optional[RecoveryAnalyzer] = None
 
         alert_queue: List[str] = []          # uids awaiting analysis
-        unit_queue: List[RecoveryPlan] = []  # units awaiting execution
+        unit_queue: List[str] = []           # alert uid of each queued unit
         executed_uids: List[str] = []        # drained, not yet committed
         lost_backlog: List[str] = []         # lost alerts (admin reports)
         scanning = False
@@ -441,7 +440,7 @@ class FullStackSimulator:
             # Whole body under "analyze" (the closure/plan split comes
             # from the analyzer's own sub-phases).  dispatch() cannot
             # commit here — the unit queue is never empty after the
-            # plan is appended.
+            # unit is appended.
             nonlocal scanning, analyzer
             with phase("analyze"):
                 if prof is not None:
@@ -469,13 +468,14 @@ class FullStackSimulator:
                         manager.log, manager.specs_by_instance, bus=bus,
                         clock=lambda: min(sim.now, horizon),
                     )
-                plan = analyzer.analyze([uid],
-                                        outstanding=list(unit_queue))
-                unit_queue.append(plan)
+                # Only the unit count is kept: the plan is freed here,
+                # inside the phase, not when the callback returns.
+                units = analyzer.analyze(
+                    [uid], outstanding_units=len(unit_queue)).units
+                unit_queue.append(uid)
                 if bus is not None:
                     bus.publish(UnitEmitted(
-                        now, units=plan.units,
-                        queue_depth=len(unit_queue),
+                        now, units=units, queue_depth=len(unit_queue),
                     ))
                 dispatch()
                 note_state()
@@ -498,23 +498,7 @@ class FullStackSimulator:
                                       calls=0)
                 account()
                 recovering = False
-                if bus is not None:
-                    # Realized dispatch order of the drained units,
-                    # FIFO across units, Theorem 3 order within each.
-                    from repro.workflow.scheduler import (
-                        PartialOrderScheduler,
-                    )
-
-                    now = min(sim.now, horizon)
-                    for plan in unit_queue:
-                        PartialOrderScheduler(
-                            plan.order, executor=lambda action: None,
-                            bus=bus, clock=lambda: now,
-                        ).run()
-                # A generator, so no local keeps the last plan alive
-                # and the drained plans are freed inside this phase.
-                executed_uids.extend(
-                    uid for plan in unit_queue for uid in plan.alert_uids)
+                executed_uids.extend(unit_queue)
                 unit_queue.clear()
             dispatch()
             note_state()
@@ -528,8 +512,7 @@ class FullStackSimulator:
             # Final sweep: heal everything still anywhere in the pipeline.
             executed_uids.extend(alert_queue)
             alert_queue.clear()
-            for plan in unit_queue:
-                executed_uids.extend(plan.alert_uids)
+            executed_uids.extend(unit_queue)
             unit_queue.clear()
             scanning = recovering = False
             commit_repairs()

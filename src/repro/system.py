@@ -29,7 +29,10 @@ currently holds and repairs through ``manager.heal``, which heals one
 log epoch and then rolls to the next; the system therefore executes all
 queued recovery units in one batch when RECOVERY begins (the paper
 likewise requires the alert queue to drain before recovery runs), and
-keeps working across attack waves.
+keeps working across attack waves.  The batch heal realizes one
+Theorem 3 order of its own; its ``TaskUndone``/``TaskRedone`` events
+are the realized schedule that the conformance monitor and
+``lint plan`` hold against the scans' published edges.
 """
 
 from __future__ import annotations
@@ -103,9 +106,9 @@ class SelfHealingSystem:
         alert).
 
     Under a recording profiler (:mod:`repro.obs.perf`) the pipeline
-    records the phases ``analyze`` (and ``analyze.verify``),
-    ``schedule`` and ``heal``, and each alert's queue dwell as the
-    sim-time ``buffer-wait`` line item.
+    records the phases ``analyze`` (and ``analyze.verify``) and
+    ``heal``, and each alert's queue dwell as the sim-time
+    ``buffer-wait`` line item.
     """
 
     def __init__(
@@ -235,7 +238,7 @@ class SelfHealingSystem:
                 )
                 self._analyzer_epoch = manager.epoch
             plan = self._analyzer.analyze(
-                [alert], outstanding=list(self._plans)
+                [alert], outstanding_units=self.recovery_units_queued
             )
             if self._verify:
                 self._check_plan(plan)
@@ -294,18 +297,13 @@ class SelfHealingSystem:
         if self.state is not SystemState.RECOVERY:
             return None
         uids: List[str] = []
-        plans: List[RecoveryPlan] = []
         while self._plans:
-            plan = self._plans.pop()
-            plans.append(plan)
-            uids.extend(plan.alert_uids)
+            uids.extend(self._plans.pop().alert_uids)
         uids.extend(extra_uids)
         observed = self._bus is not None and self._bus.active
         started = self._clock() if observed else 0.0
         if observed:
             self._bus.publish(HealStarted(started, malicious=tuple(uids)))
-            with phase("schedule"):
-                self._publish_schedule(plans)
         with phase("heal"):
             # The manager heals against its epoch baseline and rolls the
             # epoch, so the system keeps protecting the post-heal world.
@@ -326,24 +324,6 @@ class SelfHealingSystem:
             ))
             self._note_state()
         return report
-
-    def _publish_schedule(self, plans: List[RecoveryPlan]) -> None:
-        """Emit the realized dispatch order of the batch's recovery
-        actions as :class:`~repro.obs.events.ActionDispatched` events.
-
-        Each plan's Theorem 3 order is driven through the instrumented
-        :class:`~repro.workflow.scheduler.PartialOrderScheduler` with a
-        no-op executor (units dispatch FIFO, respecting the cross-unit
-        constraints); deterministic tie-breaking makes the published
-        schedule a pure function of the plans.
-        """
-        from repro.workflow.scheduler import PartialOrderScheduler
-
-        for plan in plans:
-            PartialOrderScheduler(
-                plan.order, executor=lambda action: None,
-                bus=self._bus, clock=self._clock,
-            ).run()
 
     def normal_task_admissible(self) -> bool:
         """May a normal task run right now?

@@ -38,7 +38,6 @@ from repro.workflow.log import LogRecord, SystemLog
 from repro.workflow.segments import LogSegment, SegmentedLog
 from repro.workflow.serialize import TaskDocument, WorkflowDocument
 from repro.workflow.precedence import PartialOrder, minimal
-from repro.workflow.scheduler import PartialOrderScheduler
 from repro.workflow.spec import WorkflowSpec, workflow
 from repro.workflow.task import TaskInstance, TaskSpec
 
@@ -63,7 +62,6 @@ __all__ = [
     "dominators",
     "unavoidable_nodes",
     "branch_nodes",
-    "PartialOrderScheduler",
     "Expr",
     "ExprError",
     "compile_expr",

@@ -210,8 +210,6 @@ class DependencyAnalyzer:
         self._alternatives: Optional[
             Dict[str, Tuple[int, Tuple[Tuple[str, FrozenSet[str]],
                                        ...]]]] = None
-        self._names: Optional[Dict[str, Tuple[FrozenSet[str],
-                                              FrozenSet[str]]]] = None
         self._object_readers: Optional[Dict[str, List[LogRecord]]] = None
         self._object_readers_indexed = 0
         #: Theorem 3 edge walks computed from scratch: one per undo
@@ -274,20 +272,6 @@ class DependencyAnalyzer:
             if record is None:
                 raise RecoveryError(f"uid {uid!r} not in analyzed log")
         return record
-
-    def object_names(self, uid: str) -> Tuple[FrozenSet[str],
-                                             FrozenSet[str]]:
-        """The names of the objects ``uid`` read and of those it wrote,
-        memoised."""
-        names = self._names
-        if names is None:
-            names = self._names = {}
-        hit = names.get(uid)
-        if hit is None:
-            record = self.record(uid)
-            hit = names[uid] = (frozenset(record.reads),
-                                frozenset(record.writes))
-        return hit
 
     def trace(self, workflow_instance: str) -> Tuple[LogRecord, ...]:
         """Normal records of one workflow instance, in commit order

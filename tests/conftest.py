@@ -89,3 +89,40 @@ def diamond_spec() -> WorkflowSpec:
         .edge("c", "e").edge("d", "e")
         .build()
     )
+
+
+def reversed_t31_events():
+    """One heal whose redos run against a published T3.1 edge: the
+    scan decides ``wf/a#1`` and ``wf/b#1`` (a precedes b in the log),
+    the heal undoes both, then redoes b before a.  Every redo follows
+    its own undo, so only the realized order is wrong."""
+    from repro.obs.events import (
+        HealFinished,
+        HealStarted,
+        OrderConstraint,
+        RedoDecision,
+        TaskRedone,
+        TaskUndone,
+        UndoDecision,
+    )
+
+    a, b = "wf/a#1", "wf/b#1"
+    return [
+        UndoDecision(1.0, uid=a, condition="T1.1"),
+        UndoDecision(1.0, uid=b, condition="T1.3", via=(a,)),
+        RedoDecision(1.0, uid=a, condition="T2.1"),
+        RedoDecision(1.0, uid=b, condition="T2.1"),
+        OrderConstraint(1.0, rule="T3.3", before=f"undo({a})",
+                        after=f"redo({a})"),
+        OrderConstraint(1.0, rule="T3.3", before=f"undo({b})",
+                        after=f"redo({b})"),
+        OrderConstraint(1.0, rule="T3.1", before=f"redo({a})",
+                        after=f"redo({b})"),
+        HealStarted(2.0, malicious=(a,)),
+        TaskUndone(2.0, uid=b, reason="closure"),
+        TaskUndone(2.0, uid=a, reason="closure"),
+        TaskRedone(2.0, uid=b),
+        TaskRedone(2.0, uid=a),
+        HealFinished(3.0, undone=2, redone=2, kept=0, abandoned=0,
+                     new_executions=0, duration=1.0),
+    ]

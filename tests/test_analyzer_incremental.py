@@ -19,7 +19,7 @@ from repro.core.analyzer import RecoveryAnalyzer
 from repro.core.partial_orders import recovery_partial_order
 from repro.core.undo_redo import find_redo_tasks, find_undo_tasks
 from repro.core.epochs import EpochManager
-from repro.errors import LogError, RecoveryError
+from repro.errors import RecoveryError
 from repro.fleet import FleetConfig, FleetControlPlane
 from repro.ids.attacks import AttackCampaign
 from repro.scenarios.figure1 import build_figure1
@@ -252,28 +252,6 @@ class TestQueriesAgainstLinearScan:
         assert collected() is None
 
 
-def cross_unit_reference(log, order, outstanding):
-    """Today's P×N cross-unit check over the log's normal records."""
-    new_actions = sorted(order.elements())
-    if not outstanding or not new_actions:
-        return ()
-    pairs = []
-    for plan in outstanding:
-        for prior in sorted(plan.order.elements()):
-            try:
-                p = log.get(prior.uid)
-            except LogError:
-                continue
-            for action in new_actions:
-                a = log.get(action.uid)
-                if (action.uid == prior.uid
-                        or set(p.writes) & set(a.reads)
-                        or set(p.reads) & set(a.writes)
-                        or set(p.writes) & set(a.writes)):
-                    pairs.append((prior, action))
-    return tuple(pairs)
-
-
 def insertion_order(order):
     """The order's elements and each one's successor and predecessor
     sets, as iterated: equal only when built by the same inserts."""
@@ -298,30 +276,25 @@ def assert_plans_equal(plan, fresh):
     assert plan.order.elements() == fresh.order.elements()
     assert plan.order.edges() == fresh.order.edges()
     assert insertion_order(plan.order) == insertion_order(fresh.order)
-    assert plan.cross_unit_actions == fresh.cross_unit_actions
-    assert plan.cross_unit_rows == fresh.cross_unit_rows
 
 
 @pytest.fixture
 def checked_scans(monkeypatch):
     """Every scan also runs on a fresh analyzer over the same log; the
     two plans must be equal, down to the insertion order of the
-    partial order and the provenance each would publish, and the
-    cross-unit tuple must equal the reference in order.  Yields the
+    partial order and the provenance each would publish.  Yields the
     analyzers that ran the scans."""
     original = RecoveryAnalyzer.analyze
     analyzers = []
 
-    def analyze(self, alerts, outstanding=()):
-        plan = original(self, alerts, outstanding)
+    def analyze(self, alerts, outstanding_units=0):
+        plan = original(self, alerts, outstanding_units)
         fresh = original(RecoveryAnalyzer(self._log, self._specs),
-                         alerts, outstanding)
+                         alerts, outstanding_units)
         assert_plans_equal(plan, fresh)
         assert traced_analysis(self._dep, plan.alert_uids) == \
             traced_analysis(DependencyAnalyzer(self._log, self._specs),
                             plan.alert_uids)
-        assert plan.cross_unit_constraints == cross_unit_reference(
-            self._log, plan.order, outstanding)
         analyzers.append(self)
         return plan
 
@@ -393,7 +366,7 @@ memo_steps = st.lists(
     st.one_of(
         st.tuples(st.just("commit"), st.sampled_from(MEMO_INSTANCES),
                   st.integers(0, 5)),
-        st.tuples(st.just("scan"), st.integers(0, 63), st.integers(0, 3)),
+        st.tuples(st.just("scan"), st.integers(0, 63)),
     ),
     min_size=4, max_size=40,
 )
@@ -412,7 +385,7 @@ def drive_interleaved(steps):
     specs = MEMO_SPECS
     log, visits, versions = SystemLog(), {}, {}
     reused = RecoveryAnalyzer(log, specs)
-    outstanding, committed = [], []
+    committed = []
     seen = {}
     stats = {"control": 0, "stale": 0, "reopened": 0}
     for step in steps:
@@ -431,13 +404,12 @@ def drive_interleaved(steps):
             continue
         if not committed:
             continue
-        _, pick, queued = step
+        _, pick = step
         alerts = [committed[pick % len(committed)]]
-        prior = outstanding[-queued:] if queued else []
-        plan = reused.analyze(alerts, outstanding=prior)
+        plan = reused.analyze(alerts)
         fresh_dep = DependencyAnalyzer(log, specs)
         assert_plans_equal(plan, RecoveryAnalyzer(log, specs).analyze(
-            alerts, outstanding=prior))
+            alerts))
         assert traced_analysis(reused._dep, alerts) == \
             traced_analysis(fresh_dep, alerts)
         for uid in committed:
@@ -450,14 +422,11 @@ def drive_interleaved(steps):
                 seen[(query, uid)] = got
             assert reused._dep.flow_closure([uid]) == \
                 fresh_dep.flow_closure([uid])
-            reads, writes = log.get(uid).reads, log.get(uid).writes
+            writes = log.get(uid).writes
             assert reused._dep.readers_of(writes) == \
                 fresh_dep.readers_of(writes)
-            assert reused._dep.object_names(uid) == \
-                (frozenset(reads), frozenset(writes))
         stats["control"] += bool(plan.undo_analysis.control_candidates)
         stats["stale"] += bool(plan.undo_analysis.stale_read_candidates)
-        outstanding.append(plan)
     return stats
 
 
@@ -480,7 +449,7 @@ class TestMemosUnderInterleavedCommits:
                 steps.append(("commit", rng.choice(MEMO_INSTANCES),
                               rng.randrange(6)))
             else:
-                steps.append(("scan", rng.randrange(64), rng.randrange(4)))
+                steps.append(("scan", rng.randrange(64)))
         stats = drive_interleaved(steps)
         assert stats["control"] and stats["stale"] and stats["reopened"]
 
@@ -517,17 +486,17 @@ class TestIndexLivesWithTheAnalyzer:
 
 class TestPinnedProvenance:
     #: sha256 of ``obs record --scenario fullstack --lam 8 --buffer 8
-    #: --horizon 5 --seed 3``: 28,930 records, 26,840 of them XU
-    #: cross-unit constraints, plus every T1–T3 decision in order.
+    #: --horizon 5 --seed 3``: 1,998 records, every T1–T3 decision in
+    #: order among them.
     OVERLOAD_LOG_SHA256 = (
-        "04f3aff21a02db1e7c0abd95829fbe0770fd5e3ae0d42f23477274e6ba32a34e")
+        "238c53a9a795faf3b11f5ea44d716f5786eacbad3589c1503c0bc63e4b3afc78")
 
     def test_overload_flight_log_digest(self, tmp_path, capsys):
         path = tmp_path / "overload.jsonl"
         assert main(["obs", "record", "--scenario", "fullstack",
                      "--lam", "8", "--buffer", "8", "--horizon", "5",
                      "--seed", "3", "--log", str(path)]) == 0
-        assert "28930 flight-log records" in capsys.readouterr().out
+        assert "1998 flight-log records" in capsys.readouterr().out
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.OVERLOAD_LOG_SHA256
 

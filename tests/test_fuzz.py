@@ -6,7 +6,8 @@ Three concerns:
   fleet campaigns alike) pass the composite oracle — the acceptance
   bar the CI smoke job enforces at larger scale;
 - **fault injection**: a mutated analyzer is *caught* by the
-  plan-verifier oracle, and the counterexample shrinks to a small
+  plan-verifier oracle, a heal that commits an undo after its redo by
+  the runtime monitor, and the counterexample shrinks to a small
   campaign that is persisted as a replayable corpus file;
 - **mechanics**: determinism of outcomes, shrinking semantics, and
   the report's machine-parseable summary line.
@@ -83,13 +84,53 @@ def test_small_fuzz_run_is_clean(tmp_path):
 # --------------------------------------------------------------------------
 
 
+#: The oracle that must catch each injected fault: the analyzer-plan
+#: mutations are the plan verifier's, the heal-side reversed edge the
+#: runtime monitor's.
+EXPECTED_ORACLE = {"drop-undo": "plan-verifier",
+                   "extra-redo": "plan-verifier",
+                   "reverse-edge": "conformance"}
+
+
 @pytest.mark.parametrize("kind", ["drop-undo", "extra-redo",
                                   "reverse-edge"])
 def test_injected_mutation_is_caught(kind):
     campaign = generate_campaign(1, index=0)
     outcome = run_campaign(campaign, mutation=kind)
     assert outcome.mutated_plans > 0
-    assert any(v.oracle == "plan-verifier" for v in outcome.violations)
+    assert any(v.oracle == EXPECTED_ORACLE[kind]
+               for v in outcome.violations)
+    assert outcome.conformance_violations > 0
+
+
+def test_reverse_edge_commits_the_undo_after_the_redo():
+    """The heal-side fault changes the log the healer writes, not only
+    the events it publishes; the Definition 2 audit of the healed
+    history cannot see it, the monitor can."""
+    from repro.core.undo_redo import find_redo_tasks, find_undo_tasks
+    from repro.scenarios.figure1 import build_figure1
+    from repro.workflow.dependency import DependencyAnalyzer
+    from repro.workflow.log import RecordKind
+
+    def committed(sc):
+        return [(r.kind, r.uid) for r in sc.log.records()
+                if r.kind != RecordKind.NORMAL]
+
+    honest, faulted = build_figure1(), build_figure1()
+    dep = DependencyAnalyzer(honest.log, honest.specs_by_instance)
+    closure = find_undo_tasks(dep, [honest.malicious_uid]).definite
+    target = sorted(find_redo_tasks(dep, closure).definite)[0]
+    honest.heal_now()
+    with inject_mutation("reverse-edge") as stats:
+        faulted.heal_now()
+    assert stats["applied"] == 1
+    undo = (RecordKind.UNDO, target)
+    redo = (RecordKind.REDO, target)
+    order, faulty_order = committed(honest), committed(faulted)
+    assert order.index(undo) < order.index(redo)
+    assert faulty_order.index(redo) < faulty_order.index(undo)
+    assert sorted(order) == sorted(faulty_order)
+    assert faulted.audit.ok
 
 
 def test_injected_mutation_shrinks_to_corpus_file(tmp_path):
@@ -113,11 +154,16 @@ def test_injected_mutation_shrinks_to_corpus_file(tmp_path):
 
 def test_inject_mutation_restores_the_analyzer():
     from repro.core.analyzer import RecoveryAnalyzer
+    from repro.core.healer import Healer
 
     original = RecoveryAnalyzer.analyze
     with inject_mutation("drop-undo"):
         assert RecoveryAnalyzer.analyze is not original
     assert RecoveryAnalyzer.analyze is original
+    healer = (Healer.heal, Healer._commit_undo, Healer._redo)
+    with inject_mutation("reverse-edge"):
+        assert Healer.heal is not healer[0]
+    assert (Healer.heal, Healer._commit_undo, Healer._redo) == healer
     with pytest.raises(GenerationError):
         with inject_mutation("unknown-kind"):
             pass  # pragma: no cover

@@ -22,6 +22,7 @@ from repro.obs.recorder import FlightRecorder, read_flight_log
 from repro.scenarios.figure1 import build_figure1
 from repro.system import SelfHealingSystem
 from repro.workflow.precedence import PartialOrder
+from tests.conftest import reversed_t31_events
 
 
 def figure1_case():
@@ -237,8 +238,9 @@ class TestSystemVerifyHook:
         system = SelfHealingSystem(sc.manager, verify=True)
         real_analyze = RecoveryAnalyzer.analyze
 
-        def corrupt_analyze(analyzer, alerts, outstanding=()):
-            plan = real_analyze(analyzer, alerts, outstanding=outstanding)
+        def corrupt_analyze(analyzer, alerts, outstanding_units=0):
+            plan = real_analyze(analyzer, alerts,
+                                outstanding_units=outstanding_units)
             ua = plan.undo_analysis
             return replace(plan, undo_analysis=replace(
                 ua, infected=ua.infected - {sorted(ua.infected)[-1]}
@@ -298,27 +300,32 @@ class TestFlightLogVerification:
         assert "PLAN020" in rules_of(diags)
 
     def test_schedule_violating_edge_flagged(self, lines):
-        # Swap the dispatched actions of an undo/redo pair for one
-        # instance: positions stay, actions trade places, so the
+        # Swap the healer's undo and redo events of one instance: the
         # realized schedule now contradicts the T3.3 edge.
         uid = next(
             json.loads(line)["uid"] for line in lines
             if '"RedoDecision"' in line
         )
-        undo, redo = f"undo({uid})", f"redo({uid})"
-        tampered = []
-        for line in lines:
-            if '"ActionDispatched"' in line:
-                record = json.loads(line)
-                if record["action"] == undo:
-                    record["action"] = redo
-                    line = json.dumps(record)
-                elif record["action"] == redo:
-                    record["action"] = undo
-                    line = json.dumps(record)
-            tampered.append(line)
+        undo = next(i for i, line in enumerate(lines)
+                    if '"TaskUndone"' in line and f'"{uid}"' in line)
+        redo = next(i for i, line in enumerate(lines)
+                    if '"TaskRedone"' in line and f'"{uid}"' in line)
+        assert undo < redo
+        tampered = list(lines)
+        tampered[undo], tampered[redo] = lines[redo], lines[undo]
         diags = verify_flight_log(log_from(tampered))
         assert "PLAN022" in rules_of(diags)
+
+    def test_realized_t31_reversal_flagged(self):
+        """Redos realized against a recorded T3.1 edge: PLAN022, though
+        every redo follows its own undo (the log is the one
+        ``test_monitor`` feeds the conformance monitor)."""
+        flight = FlightRecorder(label="reversed")
+        for event in reversed_t31_events():
+            flight(event)
+        flight.close()
+        diags = verify_flight_log(read_flight_log(flight.text()))
+        assert rules_of(diags) == ["PLAN022"]
 
     def test_unplanned_execution_flagged(self, lines):
         ghost = json.dumps({

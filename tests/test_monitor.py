@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.events import (
-    ActionDispatched,
     ConformanceViolation,
     EventBus,
     EventRecorder,
@@ -38,6 +37,7 @@ from repro.obs.events import (
     TaskUndone,
     UndoDecision,
     UnitEmitted,
+    realized_action,
 )
 from repro.obs.monitor import (
     FALSE,
@@ -74,6 +74,7 @@ from repro.obs.monitor import (
     weak_until,
     wnext,
 )
+from tests.conftest import reversed_t31_events
 
 
 # --------------------------------------------------------------------------
@@ -389,37 +390,80 @@ class TestInjectionAnalogues:
         assert violations == []
 
     def test_reverse_edge_breaks_order_consistency(self):
+        # The heal-side fault: undo(t) committed after redo(t).
         edge = OrderConstraint(1.0, rule="T3.3",
                                before="undo(wf/t1#1)",
                                after="redo(wf/t1#1)")
         honest = [
             edge,
-            ActionDispatched(2.0, action="undo(wf/t1#1)", position=0),
-            ActionDispatched(2.0, action="redo(wf/t1#1)", position=1),
+            HealStarted(2.0, malicious=("wf/t1#1",)),
+            TaskUndone(2.0, uid="wf/t1#1", reason="closure"),
+            TaskRedone(2.0, uid="wf/t1#1"),
+            *heal_bracket(2.0)[1:],
         ]
         _, violations = run_monitor(honest)
         assert violations == []
         reversed_ = [
             edge,
-            ActionDispatched(2.0, action="redo(wf/t1#1)", position=0),
-            ActionDispatched(2.0, action="undo(wf/t1#1)", position=1),
+            HealStarted(2.0, malicious=("wf/t1#1",)),
+            TaskRedone(2.0, uid="wf/t1#1"),
+            TaskUndone(2.0, uid="wf/t1#1", reason="closure"),
+            *heal_bracket(2.0)[1:],
         ]
         _, violations = run_monitor(reversed_)
         assert [(v.property, v.verdict) for v in violations] == [
-            ("order-consistency", "finally-violated")
+            ("undo-before-redo", "violated"),
+            ("order-consistency", "finally-violated"),
         ]
 
+    def test_reversed_t31_redos_trip_only_order_consistency(self):
+        _, violations = run_monitor(reversed_t31_events())
+        assert [(v.property, v.verdict, v.instance)
+                for v in violations] == [
+            ("order-consistency", "finally-violated",
+             "redo(wf/a#1) < redo(wf/b#1)"),
+        ]
+
+    def test_disposition_notes_and_new_paths_are_not_slots(self):
+        # Were either note a realized ``undo(a)`` / ``redo(a)``, it
+        # would be an ``after`` realized ahead of its ``before``.
+        events = [
+            OrderConstraint(1.0, rule="T3.5", before="undo(wf/b#1)",
+                            after="undo(wf/a#1)"),
+            OrderConstraint(1.0, rule="T3.4", before="undo(wf/b#1)",
+                            after="redo(wf/a#1)"),
+            HealStarted(2.0, malicious=("wf/b#1",)),
+            TaskUndone(2.0, uid="wf/a#1", reason="abandoned",
+                       disposition=True),
+            TaskRedone(2.0, uid="wf/a#1", mode="new"),
+            TaskUndone(2.0, uid="wf/b#1", reason="closure"),
+            *heal_bracket(2.0)[1:],
+        ]
+        assert [realized_action(e) for e in events] == [
+            None, None, None, None, None, "undo(wf/b#1)", None]
+        _, violations = run_monitor(events)
+        assert violations == []
+        for slot in (TaskUndone(2.0, uid="wf/a#1", reason="abandoned"),
+                     TaskRedone(2.0, uid="wf/a#1")):
+            _, violations = run_monitor([*events[:3], slot, *events[5:]])
+            assert "order-consistency" in {v.property for v in violations}
+
     def test_aliased_dispatches_do_not_false_positive(self):
-        # A batch may dispatch the same action string for an earlier
-        # plan before this edge's own before/after pair runs.
-        edge = OrderConstraint(1.0, rule="XU",
+        # An earlier heal may realize the same action string before
+        # this edge's own before/after pair runs.
+        edge = OrderConstraint(1.0, rule="T3.3",
                                before="undo(wf/t4#1)",
                                after="redo(wf/t4#1)")
         _, violations = run_monitor([
             edge,
-            ActionDispatched(2.0, action="redo(wf/t4#1)", position=0),
-            ActionDispatched(2.0, action="undo(wf/t4#1)", position=1),
-            ActionDispatched(2.0, action="redo(wf/t4#1)", position=2),
+            HealStarted(2.0, malicious=("wf/t4#1",)),
+            TaskUndone(2.0, uid="wf/t4#1"),
+            TaskRedone(2.0, uid="wf/t4#1"),
+            *heal_bracket(2.0)[1:],
+            HealStarted(4.0, malicious=("wf/t4#1",)),
+            TaskUndone(4.0, uid="wf/t4#1"),
+            TaskRedone(4.0, uid="wf/t4#1"),
+            *heal_bracket(4.0)[1:],
         ])
         assert violations == []
 
@@ -437,7 +481,8 @@ event_st = st.one_of(
               duration=st.just(0.0)),
     st.builds(TaskUndone, st.just(0.0),
               uid=st.sampled_from(["u1", "u2"]),
-              reason=st.sampled_from(["", "closure", "abandoned"])),
+              reason=st.sampled_from(["", "closure", "abandoned"]),
+              disposition=st.booleans()),
     st.builds(TaskRedone, st.just(0.0),
               uid=st.sampled_from(["u1", "u2"]),
               mode=st.sampled_from(["redo", "new"])),
@@ -450,9 +495,6 @@ event_st = st.one_of(
     st.builds(OrderConstraint, st.just(0.0), rule=st.just("T3.1"),
               before=st.sampled_from(["undo(u1)", "redo(u1)"]),
               after=st.sampled_from(["undo(u1)", "redo(u1)"])),
-    st.builds(ActionDispatched, st.just(0.0),
-              action=st.sampled_from(["undo(u1)", "redo(u1)"]),
-              position=st.integers(0, 3)),
     st.builds(NormalTaskRefused, st.just(0.0),
               state=st.sampled_from(["NORMAL", "SCAN", "RECOVERY"])),
     st.builds(UnitEmitted, st.just(0.0), units=st.just(1),

@@ -74,13 +74,15 @@ ALLOWED: Dict[str, str] = {
         "Section II-B precedence: the direct successors of an element",
     "repro.workflow.precedence:PartialOrder.comparable":
         "Section II-B precedence: whether two elements are ordered",
+    "repro.workflow.precedence:PartialOrder.direct_predecessors":
+        "Section II-B precedence: the direct predecessors of an element",
+    "repro.workflow.precedence:minimal":
+        "Section II-B's minimal(S, ≺), the element a scheduler may run next",
     "repro.workflow.log:SystemLog.writers_of":
         "the writers of an object behind Definition 1",
     # References that tests check the fast paths against.
     "repro.markov.transient:transient_probabilities_expm":
         "expm reference for the uniformised transient solver",
-    "repro.core.plan:RecoveryPlan.cross_unit_constraints":
-        "pair view of the factored Theorem 3 rows",
     # Paper claims.
     "repro.markov.design:cost_effective_rate":
         "the Section V cost-effective range of recovery rates",

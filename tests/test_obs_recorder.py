@@ -152,9 +152,8 @@ class TestEventRegistry:
             EVENT_TYPES["OrderConstraint"](
                 0.3, rule="T3.2", before="undo(b)", after="undo(a)"
             ),
-            EVENT_TYPES["ActionDispatched"](
-                0.4, action="redo(a)", position=3,
-                satisfied=("undo(a)",),
+            EVENT_TYPES["TaskUndone"](
+                0.4, uid="a", reason="abandoned", disposition=True,
             ),
         ]
         for event in samples:

@@ -2,7 +2,7 @@
 
 The contract under test (ISSUE 3): for the Figure 1 scenario and a
 bursty full-stack run, ``replay(record(run))`` reproduces the recovery
-plan, the Theorem 3/4 partial order, and the final metrics snapshot
+plan, the Theorem 3 partial order, and the final metrics snapshot
 **bit-for-bit** from the log alone; the exported Chrome-trace JSON is
 schema-valid; and ``explain`` walks a real causal chain.
 """
@@ -14,11 +14,11 @@ import pytest
 
 from repro.errors import ObsError
 from repro.obs.events import (
-    ActionDispatched,
     EventBus,
     OrderConstraint,
     RedoDecision,
     UndoDecision,
+    realized_action,
 )
 from repro.obs.export import render_prometheus, spans_to_chrome_trace
 from repro.obs.metrics import Gauge, PipelineMetrics
@@ -108,8 +108,8 @@ class TestRoundTrip:
                      if isinstance(e, RedoDecision)]
         live_edges = {(e.rule, e.before, e.after) for e in live.events
                       if isinstance(e, OrderConstraint)}
-        live_schedule = tuple(e.action for e in live.events
-                              if isinstance(e, ActionDispatched))
+        live_schedule = tuple(a for a in map(realized_action, live.events)
+                              if a is not None)
         assert replayed.undo_decisions == live_undo
         assert replayed.redo_decisions == live_redo
         assert replayed.order_edges == live_edges
@@ -126,10 +126,10 @@ class TestRoundTrip:
         assert run.order_edges and run.schedule
         # Definite undos were all executed; log and plan agree.
         assert run.plan_undo <= set(run.executed_undone)
-        # Single heal, no task reuse: the realized schedule respects
-        # every replayed Theorem 3/4 edge (across multiple heals the
-        # same action string can recur, so this global check is only
-        # sound here).
+        # Single heal, no task reuse: the healer's realized order
+        # respects every replayed Theorem 3 edge whose actions it
+        # realized (across multiple heals the same action string can
+        # recur, so this global check is only sound here).
         position = {a: i for i, a in enumerate(run.schedule)}
         constrained = 0
         for _, before, after in run.order_edges:
