@@ -11,12 +11,14 @@ Emits ``BENCH_profile.json``: one profiled run per scenario of the
   sim totals, counters — everything but the wall times);
 - **named line items** — the measured cost drivers the paper's scaling
   embarrassments hide behind: Theorem 1/2 closure rebuilds per alert
-  (ROADMAP item 1(c); one per log epoch), Theorem 3 edge walks per
-  distinct action planned in an epoch (one when each action is planned
-  once per epoch), the wall time of the closure
-  and plan phases of damage analysis, and the parallel batch's fan-out
-  overhead (ROADMAP item 3, the <1 speedup), as real numbers, not
-  prose;
+  (ROADMAP item 1(c); one per log epoch), the wall time of the closure
+  phase, the Theorem 3 orders that unobserved scans build (none: an
+  order is built on its first read), and, on a second fullstack row
+  whose run an event bus records, the plan phase's wall time and calls
+  and the Theorem 3 edge walks per distinct action planned in an epoch
+  (one when each action is planned once per epoch), and the parallel
+  batch's fan-out overhead (ROADMAP item 3, the <1 speedup), as real
+  numbers, not prose;
 - **store names touched per heal** — λ=1 fullstack runs at a short and
   a long horizon count the store objects that heals (reconcile, the
   epoch's baseline roll) and audits (the judge) visit, through the
@@ -36,8 +38,9 @@ Run as a script::
 
 ``benchmarks/check_regression.py`` gates the output: attribution
 floors, digest stability, the presence of the closure, plan-phase and
-fan-out line items, a closure rebuild rate of at most 0.1 per alert, at
-most 1.5 edge walks per planned action, store names touched per heal
+fan-out line items, a closure rebuild rate of at most 0.1 per alert, no
+order built by an unobserved scan, at least one observed plan phase
+and at most 1.5 edge walks per planned action, store names touched per heal
 at the long horizon at most 1.5 times the short horizon's, and
 a conformance row with zero violations are hard failures; the
 wall-time columns are informational
@@ -76,53 +79,78 @@ def _row_map(report) -> Dict[str, dict]:
 
 
 def profile_fullstack(horizon: float, seed: int) -> List[dict]:
-    """One instrumented replication, twice (digest stability)."""
+    """One instrumented replication, twice (digest stability), first
+    unobserved, then with a recording event bus.
 
-    def once():
-        config = FullStackConfig(arrival_rate=6.0, alert_buffer=4,
-                                 recovery_buffer=4)
+    Unobserved scans build no Theorem 3 order (``actions_planned`` is
+    0); the observed run's scans build each order to publish its edges,
+    so the plan phase is measured on that row."""
+    config = FullStackConfig(arrival_rate=6.0, alert_buffer=4,
+                             recovery_buffer=4)
+
+    def once(observed):
+        bus = None
+        if observed:
+            bus = EventBus()
+            EventRecorder().attach(bus)
         prof = PhaseProfiler().start()
         with recording(prof):
-            run_replication(config, horizon=horizon, seed=seed)
+            run_replication(config, horizon=horizon, seed=seed, bus=bus)
         prof.stop()
-        return prof.report("fullstack")
+        return prof.report("fullstack-observed" if observed
+                           else "fullstack")
 
-    first, second = once(), once()
-    rows = _row_map(first)
-    alerts = rows.get("analyze", {}).get("calls", 0) or 1
-    closure = first.counters.get("closure_recomputations", 0)
-    return [{
-        "scenario": "fullstack",
-        "params": {"horizon": horizon, "seed": seed,
-                   "arrival_rate": 6.0},
-        "total_wall_s": first.total_wall,
-        "attribution": first.attribution,
-        "attribution_floor": 0.95,
-        "digest": first.structure_digest(),
-        "digest_stable": (first.structure_digest()
-                          == second.structure_digest()),
-        "counters": first.counters,
-        "line_items": {
-            # ROADMAP item 1(c): the closure is built once per log
-            # epoch and extended across its scans; check_regression
-            # gates the per-alert rebuild rate at 0.1.
-            "closure_recomputations": closure,
-            "closure_recomputations_per_alert": closure / alerts,
-            "closure_wall_s": rows.get(
-                "analyze;analyze.closure", {}).get("wall", 0.0),
-            # Theorem 3/4 ordering and the cross-unit check; gated for
-            # presence so the plan phase stays measured.
-            "plan_wall_s": rows.get(
-                "analyze;analyze.plan", {}).get("wall", 0.0),
-            # Theorem 3 edge walks per distinct action planned in an
-            # epoch: 1 when each action is planned once per epoch, the
-            # mean number of plans an action is in when every scan
-            # walks again; check_regression gates it.
-            "analyses_per_action": (
-                first.counters.get("plan_memo_fills", 0)
-                / (first.counters.get("actions_planned", 0) or 1)),
-        },
-    }]
+    out: List[dict] = []
+    for observed in (False, True):
+        first, second = once(observed), once(observed)
+        rows = _row_map(first)
+        counters = first.counters
+        if observed:
+            line_items = {
+                # Theorem 3 ordering, built where an observed scan
+                # publishes its edges; gated for presence and calls so
+                # the plan phase stays measured.
+                "plan_wall_s": rows.get(
+                    "analyze;analyze.plan", {}).get("wall", 0.0),
+                "plan_calls": rows.get(
+                    "analyze;analyze.plan", {}).get("calls", 0),
+                # Theorem 3 edge walks per distinct action planned in
+                # an epoch: 1 when each action is planned once per
+                # epoch, the mean number of plans an action is in when
+                # every scan walks again; check_regression gates it.
+                "analyses_per_action": (
+                    counters.get("plan_memo_fills", 0)
+                    / (counters.get("actions_planned", 0) or 1)),
+            }
+        else:
+            alerts = rows.get("analyze", {}).get("calls", 0) or 1
+            closure = counters.get("closure_recomputations", 0)
+            line_items = {
+                # ROADMAP item 1(c): the closure is built once per log
+                # epoch and extended across its scans; check_regression
+                # gates the per-alert rebuild rate at 0.1.
+                "closure_recomputations": closure,
+                "closure_recomputations_per_alert": closure / alerts,
+                "closure_wall_s": rows.get(
+                    "analyze;analyze.closure", {}).get("wall", 0.0),
+                # Orders built by scans nothing observes or verifies:
+                # check_regression requires 0.
+                "actions_planned": counters.get("actions_planned", 0),
+            }
+        out.append({
+            "scenario": first.scenario,
+            "params": {"horizon": horizon, "seed": seed,
+                       "arrival_rate": 6.0},
+            "total_wall_s": first.total_wall,
+            "attribution": first.attribution,
+            "attribution_floor": None if observed else 0.95,
+            "digest": first.structure_digest(),
+            "digest_stable": (first.structure_digest()
+                              == second.structure_digest()),
+            "counters": counters,
+            "line_items": line_items,
+        })
+    return out
 
 
 def profile_batch(replications: int, horizon: float,

@@ -17,10 +17,12 @@ the committed baselines at the repository root and fails (exit 1) when:
   structure digest, or a fullstack profile rebuilding the dependency
   closure for more than one alert in ten
   (``closure_recomputations_per_alert`` above
-  ``MAX_CLOSURE_PER_ALERT``) or walking an action's Theorem 3 edges
-  more than once per epoch (``analyses_per_action`` above
-  ``MAX_ANALYSES_PER_ACTION``), or its heals and audits touching more
-  store names per heal at the long horizon than
+  ``MAX_CLOSURE_PER_ALERT``) or building a Theorem 3 order that nothing
+  reads (``actions_planned`` above 0 on the unobserved run), an
+  observed fullstack profile with no plan phase or walking an action's
+  Theorem 3 edges more than once per epoch (``analyses_per_action``
+  above ``MAX_ANALYSES_PER_ACTION``), or the heals and audits touching
+  more store names per heal at the long horizon than
   ``MAX_STORE_SCALING`` times the short horizon's;
 - on rows present in *both* files (matched by ``buffer`` for the CTMC
   sweep, ``replications`` for the simulation batch, ``(tenants,
@@ -52,9 +54,10 @@ CTMC_OPS = ("steady_state", "transient", "passage", "cumulative")
 MAX_CLOSURE_PER_ALERT = 0.1
 
 #: ROADMAP item 1's gate: Theorem 3 edge walks per distinct action
-#: planned in an epoch.  The analyzer's memos make it exactly 1; a
-#: walk per scan makes it the mean number of plans an action is in
-#: (3.2 on the profile's fullstack row, 7.1 on perfbench's overload).
+#: planned in an epoch, on the observed run (unobserved scans build no
+#: order).  The analyzer's memos make it exactly 1; a walk per scan
+#: makes it the mean number of plans an action is in (3.2 on the
+#: profile's fullstack row, 7.1 on perfbench's overload).
 MAX_ANALYSES_PER_ACTION = 1.5
 
 #: ROADMAP item 1's store gate: a heal and its audit touch the store
@@ -241,9 +244,12 @@ def check_profile(fresh: dict, baseline: Optional[dict],
     Hard invariants (always): every row with an ``attribution_floor``
     meets it, every row's structure digest was stable across its two
     runs, the fullstack row names closure recomputation as a measured
-    line item at no more than ``MAX_CLOSURE_PER_ALERT`` per alert,
-    ``analyses_per_action`` at no more than ``MAX_ANALYSES_PER_ACTION``
-    and the plan-phase wall as ``plan_wall_s``, the store-scaling row
+    line item at no more than ``MAX_CLOSURE_PER_ALERT`` per alert and
+    builds no Theorem 3 order (``actions_planned`` 0: nothing observes
+    its scans), the fullstack-observed row names the plan-phase wall as
+    ``plan_wall_s`` with at least one ``analyze;analyze.plan`` call and
+    ``analyses_per_action`` at no more than
+    ``MAX_ANALYSES_PER_ACTION``, the store-scaling row
     stays within ``MAX_STORE_SCALING``, the parallel-batch row
     names fan-out overhead as one, and the conformance row exists and
     found no violations on its honest run.  Baseline comparison (tolerated
@@ -290,19 +296,35 @@ def check_profile(fresh: dict, baseline: Optional[dict],
                 "dependency closure is rebuilt per alert again instead "
                 "of extended per epoch (ROADMAP 1(c))"
             )
+        planned = items.get("actions_planned")
+        if planned != 0:
+            failures.append(
+                f"profile fullstack: actions_planned {planned} on an "
+                "unobserved run — scans build Theorem 3 orders that "
+                "nothing reads (ROADMAP 1)"
+            )
+    observed = by_scenario.get("fullstack-observed")
+    if observed is None:
+        failures.append(
+            "profile: no fullstack-observed row — the analyze.plan "
+            "phase (Theorem 3 ordering) is no longer measured"
+        )
+    else:
+        items = observed.get("line_items", {})
         per_action = items.get("analyses_per_action")
         if per_action is None or per_action > MAX_ANALYSES_PER_ACTION:
             failures.append(
-                f"profile fullstack: analyses_per_action {per_action} "
-                f"above {MAX_ANALYSES_PER_ACTION} — recovery actions are "
-                "planned again on every scan instead of once per epoch "
-                "(ROADMAP 1)"
+                f"profile fullstack-observed: analyses_per_action "
+                f"{per_action} above {MAX_ANALYSES_PER_ACTION} — recovery "
+                "actions are planned again on every scan instead of "
+                "once per epoch (ROADMAP 1)"
             )
-        if "plan_wall_s" not in items:
+        if "plan_wall_s" not in items or not items.get("plan_calls"):
             failures.append(
-                "profile fullstack: plan_wall_s line item missing — the "
-                "analyze.plan phase (Theorem 3/4 ordering and the "
-                "cross-unit check) is no longer measured"
+                "profile fullstack-observed: plan_wall_s line item "
+                "missing or analyze;analyze.plan has 0 calls — the "
+                "analyze.plan phase (Theorem 3 ordering) is no longer "
+                "measured"
             )
     failures += _check_store_scaling(by_scenario.get("store-scaling"))
     parallel = by_scenario.get("batch-parallel")

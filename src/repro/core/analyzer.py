@@ -11,13 +11,31 @@ mutates the log or store.  A batch heal merges every queued unit, so the
 analyzer orders no unit against another; the count of outstanding units
 only feeds :func:`RecoveryAnalyzer.analysis_cost`, the modelled ``μ_k``
 degradation the CTMC assumes, not work the analyzer does.
+
+The heal realizes Theorem 3 by how it runs and never reads a plan's
+order, so a scan decides the Theorem 1/2 sets and leaves the "related
+partial orders" to be worked out on the first read of
+:attr:`RecoveryPlan.order <repro.core.plan.RecoveryPlan.order>`.  An
+observed scan reads it at once, to publish its edges; so do the
+independent plan verifier and the tests.  An unobserved scan that
+nothing verifies builds no order.
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import replace
-from typing import Callable, List, Mapping, Optional, Sequence, Set, Union
+from functools import cache
+from typing import (
+    Callable,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Union,
+)
 
 from repro.core.actions import Action
 from repro.core.partial_orders import recovery_partial_order
@@ -34,6 +52,7 @@ from repro.obs.events import (
 from repro.obs.perf import bump, phase
 from repro.workflow.dependency import DependencyAnalyzer
 from repro.workflow.log import SystemLog
+from repro.workflow.precedence import PartialOrder
 from repro.workflow.spec import WorkflowSpec
 
 __all__ = ["RecoveryAnalyzer"]
@@ -74,9 +93,11 @@ class RecoveryAnalyzer:
         Timestamp source for published events (default
         ``time.monotonic``).
 
-    Under a recording profiler, :meth:`analyze` records the phases
-    ``analyze.closure`` (Theorems 1/2) and ``analyze.plan`` (Theorem
-    3).
+    Under a recording profiler, :meth:`analyze` records the phase
+    ``analyze.closure`` (Theorems 1/2), and the build of a plan's
+    order records ``analyze.plan`` (Theorem 3) wherever it is first
+    read.  The ``actions_planned`` and ``plan_memo_fills`` counters
+    count the orders built.
     """
 
     def __init__(
@@ -143,22 +164,18 @@ class RecoveryAnalyzer:
             redo_analysis = find_redo_tasks(
                 analyzer, undo_analysis.definite, trace=redo_trace
             )
-        with phase("analyze.plan"):
-            order = recovery_partial_order(
-                analyzer,
-                undo_set=undo_analysis.definite,
-                redo_set=redo_analysis.definite,
-                trace=order_trace,
-            )
-            order.check_acyclic()
-        # Once per epoch: each distinct action's Theorem 3 edge walk is
-        # one memo fill, so the ratio of these counters stays at 1.
-        planned = len(self._planned)
-        self._planned.update(order)
-        bump("actions_planned", len(self._planned) - planned)
-        bump("plan_memo_fills", analyzer.memo_fills - self._fills_counted)
-        self._fills_counted = analyzer.memo_fills
+        plan = RecoveryPlan(
+            alert_uids=tuple(uids),
+            undo_analysis=undo_analysis,
+            redo_analysis=redo_analysis,
+            units=len(uids),
+            order_of=self._order_of(analyzer, undo_analysis.definite,
+                                    redo_analysis.definite, order_trace),
+        )
         if tracing:
+            # The published edges need the order, so an observed scan
+            # builds it here.
+            plan.order
             now = self._clock()
             # Provenance first (why each action exists and how it is
             # ordered), then the ScanStep that closes the analysis.
@@ -170,13 +187,40 @@ class RecoveryAnalyzer:
                 outstanding_units=outstanding_units,
                 cost=self.analysis_cost(outstanding_units),
             ))
-        return RecoveryPlan(
-            alert_uids=tuple(uids),
-            undo_analysis=undo_analysis,
-            redo_analysis=redo_analysis,
-            order=order,
-            units=len(uids),
-        )
+        return plan
+
+    def _order_of(
+        self,
+        analyzer: DependencyAnalyzer,
+        undos: FrozenSet[str],
+        redos: FrozenSet[str],
+        trace: Optional[List[OrderConstraint]],
+    ) -> Callable[[], PartialOrder[Action]]:
+        """The Theorem 3 order of one plan, built on the first call.
+
+        Later calls, from the plan or from a copy of it, return the
+        same object.  A later build sees the same order: every action
+        is a record of the scanned log, and what the log gains later
+        (records of later scans, the heal's UNDO and REDO records) is
+        neither in these sets nor between two of their records.
+        """
+        @cache
+        def order() -> PartialOrder[Action]:
+            with phase("analyze.plan"):
+                built = recovery_partial_order(
+                    analyzer, undo_set=undos, redo_set=redos, trace=trace,
+                )
+                built.check_acyclic()
+            # Once per epoch: each distinct action's Theorem 3 edge walk
+            # is one memo fill, so the ratio of these counters stays at 1.
+            planned = len(self._planned)
+            self._planned.update(built)
+            bump("actions_planned", len(self._planned) - planned)
+            bump("plan_memo_fills", analyzer.memo_fills - self._fills_counted)
+            self._fills_counted = analyzer.memo_fills
+            return built
+
+        return order
 
     def analysis_cost(self, outstanding_units: int) -> int:
         """Modelled dependence checks needed to admit one more alert

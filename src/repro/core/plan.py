@@ -6,9 +6,11 @@ candidate), and the Theorem 3 partial order over the definite recovery
 actions.  The plan corresponds to the paper's "unit of recovery tasks"
 (one unit per alert) queued between the recovery analyzer and the
 scheduler in Figure 2.  The queue only counts units: a batch heal
-merges every queued unit and realizes one Theorem 3 order of its own,
-and the plan's published order is what that heal's undos and redos are
-checked against.
+merges every queued unit and realizes Theorem 3 by how it runs (undos
+newest first, then the settle pass in log order), so it never reads a
+plan's order.  The order is a published claim, built on its first
+read: by an observed scan, which publishes its edges for the checks,
+by the independent plan verifier, or by a test.
 
 The plan is *static*: candidates are listed, not resolved.  Resolution —
 which requires executing redos and re-deciding branches — is the
@@ -18,9 +20,9 @@ which requires executing redos and re-deciding branches — is the
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.actions import Action
 from repro.core.undo_redo import RedoAnalysis, UndoAnalysis
@@ -39,18 +41,28 @@ class RecoveryPlan:
         The malicious instances this plan responds to (one per alert).
     undo_analysis, redo_analysis:
         Static Theorem 1 / Theorem 2 results.
-    order:
-        Theorem 3 partial order over the definite undo/redo actions.
     units:
         Number of recovery-task units (= number of alerts; the CTMC's
         queue items).
+    order_of:
+        The analyzer's builder of :attr:`order`: it builds the order on
+        its first call and returns that one object after.  A copy of
+        the plan (``dataclasses.replace``) shares it, so a mutated copy
+        keeps the analyzer's own order.
     """
 
     alert_uids: Tuple[str, ...]
     undo_analysis: UndoAnalysis
     redo_analysis: RedoAnalysis
-    order: PartialOrder[Action]
     units: int
+    order_of: Callable[[], PartialOrder[Action]] = field(
+        repr=False, compare=False)
+
+    @property
+    def order(self) -> PartialOrder[Action]:
+        """Theorem 3 partial order over the definite undo/redo actions
+        the analyzer decided, built on the first read."""
+        return self.order_of()
 
     @cached_property
     def actions(self) -> Tuple[Action, ...]:

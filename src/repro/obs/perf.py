@@ -82,6 +82,7 @@ PHASES: Tuple[str, ...] = (
     "heal.settle",
     "heal.reconcile",
     "audit",
+    "teardown",
     # replication runner
     "batch.spawn",
     "batch.fan-out",

@@ -365,19 +365,21 @@ class FullStackSimulator:
             now = min(sim.now, horizon)
             with phase("heal"):
                 # Commits are instantaneous in sim time: the bracket's
-                # HealFinished carries duration 0.
-                report = manager.heal(uids, bus=bus, clock=lambda: now,
-                                      bracket=True)
+                # HealFinished carries duration 0.  Only the undo count
+                # is kept, so the report is freed inside the phase.
+                repaired += len(manager.heal(
+                    uids, bus=bus, clock=lambda: now, bracket=True).undone)
+                heals += 1
                 analyzer = None  # the epoch rolled; free its index
-            heals += 1
-            repaired += len(report.undone)
             with phase("audit"):
                 audits_ok = audits_ok and manager.audit().ok
 
-        def dispatch() -> None:
+        def dispatch() -> bool:
+            """Start the next service; ``True`` when the pipeline is
+            quiescent, so the drained repairs are due."""
             nonlocal scanning, recovering
             if scanning or recovering:
-                return
+                return False
             blocked = len(unit_queue) >= cfg.recovery_buffer
             if alert_queue and not blocked:
                 scanning = True
@@ -389,15 +391,13 @@ class FullStackSimulator:
                 duration = cfg.unit_recovery_time * len(unit_queue)
                 pending_service["recovery"] = duration
                 sim.schedule(duration, recovery_done)
-            elif not alert_queue and not unit_queue:
-                commit_repairs()  # quiescent: repairs take effect
+            return not alert_queue and not unit_queue
 
         def attack() -> None:
             # Whole body under "detect": the attacked run, the alert
             # admission decision and the (cheap) dispatch.  dispatch()
-            # cannot reach commit_repairs here — the alert queue is
-            # never empty after an arrival — so heal/audit stay
-            # top-level phases.
+            # is never quiescent here — the alert queue is never empty
+            # after an arrival.
             nonlocal attacks, alerts_lost
             with phase("detect"):
                 account()
@@ -438,10 +438,10 @@ class FullStackSimulator:
 
         def scan_done() -> None:
             # Whole body under "analyze" (the closure/plan split comes
-            # from the analyzer's own sub-phases).  dispatch() cannot
-            # commit here — the unit queue is never empty after the
+            # from the analyzer's own sub-phases).  dispatch() is never
+            # quiescent here — the unit queue is never empty after the
             # unit is appended.
-            nonlocal scanning, analyzer
+            nonlocal scanning
             with phase("analyze"):
                 if prof is not None:
                     # Filed beside (not inside) "analyze", at whatever
@@ -461,29 +461,34 @@ class FullStackSimulator:
                                       calls=0)
                 account()
                 scanning = False
-                uid = alert_queue.pop(0)
-                now = min(sim.now, horizon)
-                if analyzer is None:
-                    analyzer = RecoveryAnalyzer(
-                        manager.log, manager.specs_by_instance, bus=bus,
-                        clock=lambda: min(sim.now, horizon),
-                    )
-                # Only the unit count is kept: the plan is freed here,
-                # inside the phase, not when the callback returns.
-                units = analyzer.analyze(
-                    [uid], outstanding_units=len(unit_queue)).units
-                unit_queue.append(uid)
-                if bus is not None:
-                    bus.publish(UnitEmitted(
-                        now, units=units, queue_depth=len(unit_queue),
-                    ))
+                scan_next()
                 dispatch()
                 note_state()
 
+        def scan_next() -> None:
+            """Analyze the oldest queued alert and queue its unit."""
+            nonlocal analyzer
+            uid = alert_queue.pop(0)
+            now = min(sim.now, horizon)
+            if analyzer is None:
+                analyzer = RecoveryAnalyzer(
+                    manager.log, manager.specs_by_instance, bus=bus,
+                    clock=lambda: min(sim.now, horizon),
+                )
+            # Only the unit count is kept: the plan is freed here,
+            # inside the caller's phase, not when the callback returns.
+            units = analyzer.analyze(
+                [uid], outstanding_units=len(unit_queue)).units
+            unit_queue.append(uid)
+            if bus is not None:
+                bus.publish(UnitEmitted(
+                    now, units=units, queue_depth=len(unit_queue),
+                ))
+
         def recovery_done() -> None:
-            # The drain itself is "schedule"; dispatch() stays OUTSIDE
-            # the phase because quiescence commits repairs here, and
-            # the heal/audit phases must stay top-level for honest
+            # The drain and the next dispatch are "schedule"; the
+            # repairs a quiescent dispatch makes due commit after the
+            # phase, so the heal/audit phases stay top-level for honest
             # single-count attribution.
             nonlocal recovering
             with phase("schedule"):
@@ -500,7 +505,9 @@ class FullStackSimulator:
                 recovering = False
                 executed_uids.extend(unit_queue)
                 unit_queue.clear()
-            dispatch()
+                quiescent = dispatch()
+            if quiescent:
+                commit_repairs()
             note_state()
 
         if cfg.arrival_rate > 0:
@@ -509,9 +516,12 @@ class FullStackSimulator:
             sim.run_until(horizon)
             account()
 
-            # Final sweep: heal everything still anywhere in the pipeline.
-            executed_uids.extend(alert_queue)
-            alert_queue.clear()
+            # Final sweep: scan the alerts still queued, so every uid it
+            # heals carries the analyzer's Theorem 1/2 decisions, then
+            # heal everything still anywhere in the pipeline.
+            while alert_queue:
+                with phase("analyze"):
+                    scan_next()
             executed_uids.extend(unit_queue)
             unit_queue.clear()
             scanning = recovering = False
@@ -520,10 +530,13 @@ class FullStackSimulator:
         finally:
             # The callbacks reach each other, and the simulator whose
             # heap still holds the next arrival, through closure cells.
-            # Emptying those cells breaks the cycle, so the run's
-            # store, logs and specs are freed by reference counting
-            # instead of waiting for a full garbage collection.
-            del sim, attack, dispatch, scan_done, recovery_done
+            # Emptying those cells breaks the cycle, and emptying the
+            # manager's frees the run's store, logs and specs by
+            # reference counting, here, instead of at a later full
+            # garbage collection or when this frame returns.
+            with phase("teardown"):
+                del sim, attack, dispatch, scan_done, scan_next, \
+                    recovery_done, manager
 
         return FullStackResult(
             horizon=horizon,

@@ -486,17 +486,18 @@ class TestIndexLivesWithTheAnalyzer:
 
 class TestPinnedProvenance:
     #: sha256 of ``obs record --scenario fullstack --lam 8 --buffer 8
-    #: --horizon 5 --seed 3``: 1,998 records, every T1–T3 decision in
-    #: order among them.
+    #: --horizon 5 --seed 3``: 2,670 records, every T1–T3 decision in
+    #: order among them, the final sweep's scans of the alerts still
+    #: queued at the horizon included.
     OVERLOAD_LOG_SHA256 = (
-        "238c53a9a795faf3b11f5ea44d716f5786eacbad3589c1503c0bc63e4b3afc78")
+        "7775475a6997fcd282757611115d459bc2b7fa996242bec18a0b524df705094a")
 
     def test_overload_flight_log_digest(self, tmp_path, capsys):
         path = tmp_path / "overload.jsonl"
         assert main(["obs", "record", "--scenario", "fullstack",
                      "--lam", "8", "--buffer", "8", "--horizon", "5",
                      "--seed", "3", "--log", str(path)]) == 0
-        assert "1998 flight-log records" in capsys.readouterr().out
+        assert "2670 flight-log records" in capsys.readouterr().out
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.OVERLOAD_LOG_SHA256
 
@@ -520,19 +521,25 @@ class TestPinnedProvenance:
             undo_b.uid = "other"
 
 
-def gated_profile(per_alert=0.05, per_action=1.0, plan_wall=True):
-    """A profile document whose fullstack row carries the given closure
-    and plan line items (``per_action=None`` leaves that item out)."""
-    items = {"closure_recomputations": 3,
-             "closure_recomputations_per_alert": per_alert,
-             "analyses_per_action": per_action}
+def gated_profile(per_alert=0.05, per_action=1.0, plan_wall=True,
+                  plan_calls=4, planned=0):
+    """A profile document whose fullstack rows carry the given closure
+    and plan line items (``per_action=None`` leaves that item out):
+    ``planned`` is the unobserved row's ``actions_planned``, the plan
+    items sit on the observed row."""
+    observed = {"analyses_per_action": per_action,
+                "plan_calls": plan_calls}
     if per_action is None:
-        del items["analyses_per_action"]
+        del observed["analyses_per_action"]
     if plan_wall:
-        items["plan_wall_s"] = 0.0
+        observed["plan_wall_s"] = 0.0
     return {"results": [
         {"scenario": "fullstack", "digest_stable": True,
-         "line_items": items},
+         "line_items": {"closure_recomputations": 3,
+                        "closure_recomputations_per_alert": per_alert,
+                        "actions_planned": planned}},
+        {"scenario": "fullstack-observed", "digest_stable": True,
+         "line_items": observed},
         {"scenario": "batch-parallel", "digest_stable": True,
          "line_items": {"fan_out_overhead_s": 0.0}},
         {"scenario": "conformance", "digest_stable": True,
@@ -576,27 +583,41 @@ class TestClosureGate:
     def test_profile_row_plans_each_action_once(self):
         from benchmarks.bench_profile import profile_fullstack
 
-        (row,) = profile_fullstack(horizon=15.0, seed=1)
-        assert row["counters"]["actions_planned"] > 0
-        assert row["line_items"]["analyses_per_action"] == 1.0
+        unobserved, observed = profile_fullstack(horizon=15.0, seed=1)
+        # Nothing reads an unobserved scan's order, so none is built.
+        assert unobserved["counters"]["actions_planned"] == 0
+        assert unobserved["line_items"]["actions_planned"] == 0
+        assert observed["scenario"] == "fullstack-observed"
+        assert observed["counters"]["actions_planned"] > 0
+        assert observed["line_items"]["plan_calls"] > 0
+        assert observed["line_items"]["analyses_per_action"] == 1.0
 
     def test_missing_plan_wall_fails_the_profile_gate(self):
         from benchmarks.check_regression import check_profile
 
-        doc = {"results": [
-            {"scenario": "fullstack", "digest_stable": True,
-             "line_items": {"closure_recomputations": 3,
-                            "closure_recomputations_per_alert": 0.05,
-                            "analyses_per_action": 1.0}},
-            {"scenario": "batch-parallel", "digest_stable": True,
-             "line_items": {"fan_out_overhead_s": 0.0}},
-            {"scenario": "conformance", "digest_stable": True,
-             "line_items": {"violations": 0}},
-            STORE_SCALING_ROW,
-        ]}
+        for doc in (gated_profile(plan_wall=False),
+                    gated_profile(plan_calls=0)):
+            failures = check_profile(doc, None)
+            assert len(failures) == 1
+            assert "plan_wall_s" in failures[0]
+            assert "0 calls" in failures[0]
+
+    def test_unobserved_planning_fails_the_profile_gate(self):
+        from benchmarks.check_regression import check_profile
+
+        for bad in (12, None):
+            failures = check_profile(gated_profile(planned=bad), None)
+            assert len(failures) == 1
+            assert f"actions_planned {bad}" in failures[0]
+
+    def test_missing_observed_row_fails_the_profile_gate(self):
+        from benchmarks.check_regression import check_profile
+
+        doc = gated_profile()
+        del doc["results"][1]
         failures = check_profile(doc, None)
         assert len(failures) == 1
-        assert "plan_wall_s" in failures[0]
+        assert "no fullstack-observed row" in failures[0]
 
 
 class TestStoreScalingGate:

@@ -85,6 +85,6 @@ def test_verifier_rejects_reversed_t33_edge(seed, n_attacks,
             order.add_edge(after, before)
         else:
             order.add_edge(before, after)
-    mutated = replace(plan, order=order)
+    mutated = replace(plan, order_of=lambda: order)
     rules = {d.rule for d in verify_plan(log, specs, mutated)}
     assert "PLAN005" in rules and "PLAN006" in rules

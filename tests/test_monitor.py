@@ -651,8 +651,10 @@ class TestConformanceProfileGate:
             {"scenario": "fullstack", "digest_stable": True,
              "line_items": {"closure_recomputations": 3,
                             "closure_recomputations_per_alert": 0.05,
-                            "analyses_per_action": 1.0,
-                            "plan_wall_s": 0.0}},
+                            "actions_planned": 0}},
+            {"scenario": "fullstack-observed", "digest_stable": True,
+             "line_items": {"analyses_per_action": 1.0,
+                            "plan_wall_s": 0.0, "plan_calls": 4}},
             {"scenario": "batch-parallel", "digest_stable": True,
              "line_items": {"fan_out_overhead_s": 0.0}},
             {"scenario": "store-scaling", "digest_stable": True,
