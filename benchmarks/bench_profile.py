@@ -50,6 +50,7 @@ wall-time columns are informational
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import pathlib
@@ -59,19 +60,30 @@ import time
 from typing import Dict, List, Optional
 
 from repro.fleet import FleetConfig, FleetControlPlane
+from repro.fleet.workload import prediction_for
 from repro.obs.events import EventBus, EventRecorder
+from repro.obs.health import replay_verdicts
 from repro.obs.monitor import replay_conformance
 from repro.obs.perf import PhaseProfiler, counter_snapshot, recording
 from repro.sim.batch import run_fullstack_batch
 from repro.sim.fullstack import FullStackConfig, run_replication
 
 #: Scenario shapes: (fullstack horizon, batch replications/horizon,
-#: fleet tenants/duration, the short and long store-scaling horizons).
-#: Quick shrinks everything for CI smoke.
+#: fleet tenants/duration, the short and long store-scaling horizons,
+#: the fleet-observe tenants/duration).  Quick shrinks everything for
+#: CI smoke but the fleet-observe row, whose share of a shorter run is
+#: too noisy to gate.
 FULL = {"horizon": 60.0, "reps": 4, "batch_horizon": 20.0,
-        "tenants": 6, "duration": 40.0, "scaling": (75.0, 300.0)}
+        "tenants": 6, "duration": 40.0, "scaling": (75.0, 300.0),
+        "observe_tenants": 50, "observe_duration": 50.0}
 QUICK = {"horizon": 30.0, "reps": 2, "batch_horizon": 8.0,
-         "tenants": 4, "duration": 15.0, "scaling": (20.0, 80.0)}
+         "tenants": 4, "duration": 15.0, "scaling": (20.0, 80.0),
+         "observe_tenants": 50, "observe_duration": 50.0}
+
+
+#: Timed passes of the fleet-observe run and replay (the fastest is
+#: kept: one pass of the quick shape lasts under a tenth of a second).
+PASSES = 5
 
 
 def _row_map(report) -> Dict[str, dict]:
@@ -313,6 +325,74 @@ def profile_conformance(horizon: float, seed: int) -> List[dict]:
     }]
 
 
+def profile_fleet_observe(tenants: int, duration: float,
+                          seed: int) -> List[dict]:
+    """What observing costs the fleet: a seeded fleet run records each
+    tenant's events off its shard bus, and every tenant's stream is
+    replayed through a fresh health monitor (SLO estimators, drift
+    detectors and the Definition 2 LTLf pack).  The run and the replay
+    each go ``PASSES`` times, and the fastest of each is kept; the
+    online verdicts must equal every replay's.
+
+    Line items: events published per healed alert (deterministic), the
+    replay's microseconds per event, and the replay wall as a share of
+    the run's wall (both walls on this machine, so the share carries
+    little of its speed).  The collector runs before each timed pass,
+    so no pass pays for the garbage of the one before.
+    """
+    def run():
+        gc.collect()
+        plane = FleetControlPlane(FleetConfig(tenants=tenants,
+                                              duration=duration, seed=seed))
+        recorders = [EventRecorder().attach(shard.bus)
+                     for shard in plane.shards]
+        t0 = time.perf_counter()
+        report = plane.run()
+        wall = time.perf_counter() - t0
+        streams = [(recorder.events, prediction_for(shard.profile),
+                    shard.monitor.emitted)
+                   for recorder, shard in zip(recorders, plane.shards)]
+        healed = sum(len(t.latencies) for t in report.health.tenants)
+        return streams, healed, wall
+
+    def replay(streams):
+        gc.collect()
+        t0 = time.perf_counter()
+        verdicts = [replay_verdicts(stream, prediction, finalize=True)
+                    for stream, prediction, _ in streams]
+        return verdicts, time.perf_counter() - t0
+
+    # Runs and replays alternate, so both see the machine in one state.
+    streams, healed, run_wall = run()
+    passes = [replay(streams)]
+    for _ in range(PASSES - 1):
+        run_wall = min(run_wall, run()[2])
+        passes.append(replay(streams))
+    wall = min(w for _, w in passes)
+    events = sum(len(stream) for stream, _, _ in streams)
+    online = [emitted for _, _, emitted in streams]
+    return [{
+        "scenario": "fleet-observe",
+        "params": {"tenants": tenants, "duration": duration,
+                   "seed": seed},
+        "total_wall_s": run_wall + wall,
+        "attribution": None,
+        "attribution_floor": None,
+        "digest": None,
+        "digest_stable": all(verdicts == online for verdicts, _ in passes),
+        "counters": {},
+        "line_items": {
+            "events": events,
+            "healed_alerts": healed,
+            "events_per_healed_alert": events / healed if healed else 0.0,
+            "run_wall_s": run_wall,
+            "replay_wall_s": wall,
+            "replay_us_per_event": 1e6 * wall / events if events else 0.0,
+            "replay_share": wall / run_wall if run_wall > 0 else 0.0,
+        },
+    }]
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Profiling-layer benchmark (JSON output)")
@@ -335,6 +415,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                              args.seed)
     results += profile_store_scaling(shape["scaling"], args.seed)
     results += profile_conformance(shape["horizon"], args.seed)
+    results += profile_fleet_observe(shape["observe_tenants"],
+                                     shape["observe_duration"], args.seed)
     for row in results:
         floor = row["attribution_floor"]
         attribution = (f"attribution {row['attribution']:.3f}"

@@ -23,7 +23,11 @@ the committed baselines at the repository root and fails (exit 1) when:
   Theorem 3 edges more than once per epoch (``analyses_per_action``
   above ``MAX_ANALYSES_PER_ACTION``), or the heals and audits touching
   more store names per heal at the long horizon than
-  ``MAX_STORE_SCALING`` times the short horizon's;
+  ``MAX_STORE_SCALING`` times the short horizon's, or the fleet-observe
+  row missing, replaying its tenants' events for more than
+  ``MAX_OBSERVE_SHARE`` of its run's wall, or publishing more than
+  ``MAX_EVENTS_PER_HEALED_ALERT`` events per healed alert (or more than
+  the committed row of the same shape);
 - on rows present in *both* files (matched by ``buffer`` for the CTMC
   sweep, ``replications`` for the simulation batch, ``(tenants,
   duration)`` for the fleet sweep), a speedup or the fleet's alert
@@ -65,6 +69,19 @@ MAX_ANALYSES_PER_ACTION = 1.5
 #: long horizon stay within this factor of the short horizon's (a walk
 #: over the whole store grows with it).
 MAX_STORE_SCALING = 1.5
+
+#: ROADMAP item 4's gate: the fleet-observe row's replay wall (every
+#: tenant's events through fresh health monitors) as a share of its
+#: fleet run's wall.  Measured on a 2-CPU VM, six processes each: 0.16
+#: to 0.21 with the per-event isinstance dispatch and a letter dict per
+#: property step, 0.12 to 0.13 with the typed dispatch and the compiled
+#: property pack.
+MAX_OBSERVE_SHARE = 0.15
+
+#: Events a fleet publishes per healed alert: 19.60 on the row's shape.
+#: More means a new event, or a second copy of one, on the observed
+#: path.
+MAX_EVENTS_PER_HEALED_ALERT = 19.61
 
 
 def _load(path: pathlib.Path, expected_benchmark: str) -> dict:
@@ -237,6 +254,34 @@ def _check_store_scaling(row: Optional[dict]) -> List[str]:
     return []
 
 
+def _check_fleet_observe(row: Optional[dict],
+                         baseline: Dict[str, dict]) -> List[str]:
+    """The fleet-observe row: present, observing within its budget, and
+    publishing no more events per healed alert than before."""
+    if row is None:
+        return ["profile: no fleet-observe row — what observing costs "
+                "the fleet is no longer measured"]
+    items = row.get("line_items", {})
+    failures = []
+    share = items.get("replay_share")
+    if share is None or share > MAX_OBSERVE_SHARE:
+        failures.append(
+            f"profile fleet-observe: replay_share {share} above "
+            f"{MAX_OBSERVE_SHARE} — replaying the tenants' events costs "
+            "more of the run than the typed dispatch did (ROADMAP 4)")
+    per_heal = items.get("events_per_healed_alert")
+    base = baseline.get("fleet-observe")
+    limit = MAX_EVENTS_PER_HEALED_ALERT
+    if base is not None and base.get("params") == row.get("params"):
+        limit = min(limit, base.get("line_items", {}).get(
+            "events_per_healed_alert", limit))
+    if per_heal is None or per_heal > limit:
+        failures.append(
+            f"profile fleet-observe: {per_heal} events per healed alert, "
+            f"above {limit} — the observed path publishes more events")
+    return failures
+
+
 def check_profile(fresh: dict, baseline: Optional[dict],
                   attribution_slack: float = 0.05) -> List[str]:
     """Failures found in the profiling-layer benchmark.
@@ -251,8 +296,9 @@ def check_profile(fresh: dict, baseline: Optional[dict],
     ``analyses_per_action`` at no more than
     ``MAX_ANALYSES_PER_ACTION``, the store-scaling row
     stays within ``MAX_STORE_SCALING``, the parallel-batch row
-    names fan-out overhead as one, and the conformance row exists and
-    found no violations on its honest run.  Baseline comparison (tolerated
+    names fan-out overhead as one, the conformance row exists and
+    found no violations on its honest run, and the fleet-observe row
+    passes :func:`_check_fleet_observe`.  Baseline comparison (tolerated
     absent — the profile
     benchmark is the newest of the set) matches rows by scenario with
     identical ``params`` and fails only when attribution dropped more
@@ -349,6 +395,10 @@ def check_profile(fresh: dict, baseline: Optional[dict],
             "violation(s) on an honest fullstack run (Definition 2 "
             "monitor or pipeline regressed)"
         )
+    failures += _check_fleet_observe(
+        by_scenario.get("fleet-observe"),
+        {row["scenario"]: row for row in baseline["results"]}
+        if baseline is not None else {})
     compared = 0
     if baseline is not None:
         base_by_scenario = {row["scenario"]: row

@@ -330,7 +330,7 @@ def cmd_simulate(args) -> int:
 
     from repro.sim.ctmc_sim import run_replication
 
-    monitor = None
+    monitor = bus = None
     if args.serve is not None:
         from repro.obs.events import EventBus
         from repro.obs.health import HealthMonitor, ModelPrediction
@@ -339,11 +339,12 @@ def cmd_simulate(args) -> int:
         prediction = ModelPrediction.from_stg(
             stg, backend=backend, with_convergence=True,
         )
+        bus = EventBus()
         monitor = HealthMonitor(
             prediction, args.slo_loss, registry=MetricsRegistry(),
-        ).attach(EventBus())
+        ).attach(bus)
     result = run_replication(stg, horizon=args.horizon, seed=args.seed,
-                             bus=monitor.bus if monitor else None)
+                             bus=bus)
     table = Table(
         f"Gillespie simulation of {stg!r} (horizon {args.horizon:g}, "
         f"seed {args.seed})",

@@ -24,8 +24,6 @@ nothing verifies builds no order.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import replace
-from functools import cache
 from typing import (
     Callable,
     FrozenSet,
@@ -44,6 +42,7 @@ from repro.core.undo_redo import find_redo_tasks, find_undo_tasks
 from repro.ids.alerts import Alert
 from repro.obs.events import (
     EventBus,
+    EventTrace,
     OrderConstraint,
     RedoDecision,
     ScanStep,
@@ -91,7 +90,8 @@ class RecoveryAnalyzer:
         cost.  No-op when ``None``.
     clock:
         Timestamp source for published events (default
-        ``time.monotonic``).
+        ``time.monotonic``), read once per observed scan, before the
+        analysis: every event the scan publishes carries that time.
 
     Under a recording profiler, :meth:`analyze` records the phase
     ``analyze.closure`` (Theorems 1/2), and the build of a plan's
@@ -153,10 +153,14 @@ class RecoveryAnalyzer:
             uid = alert.uid if isinstance(alert, Alert) else alert
             uids.append(uid)
         tracing = self._bus is not None and self._bus.active
-        undo_trace: Optional[List[UndoDecision]] = [] if tracing else None
-        redo_trace: Optional[List[RedoDecision]] = [] if tracing else None
-        order_trace: Optional[List[OrderConstraint]] = \
-            [] if tracing else None
+        # Provenance is built once, stamped with its publish time.
+        now = self._clock() if tracing else 0.0
+        undo_trace: Optional[EventTrace[UndoDecision]] = \
+            EventTrace(now) if tracing else None
+        redo_trace: Optional[EventTrace[RedoDecision]] = \
+            EventTrace(now) if tracing else None
+        order_trace: Optional[EventTrace[OrderConstraint]] = \
+            EventTrace(now) if tracing else None
         with phase("analyze.closure"):
             analyzer = self._dependency_analyzer()
             undo_analysis = find_undo_tasks(analyzer, uids,
@@ -176,12 +180,13 @@ class RecoveryAnalyzer:
             # The published edges need the order, so an observed scan
             # builds it here.
             plan.order
-            now = self._clock()
             # Provenance first (why each action exists and how it is
             # ordered), then the ScanStep that closes the analysis.
-            for decision in undo_trace + redo_trace + order_trace:
-                self._bus.publish(replace(decision, time=now))
-            self._bus.publish(ScanStep(
+            publish = self._bus.publish
+            for trace in (undo_trace, redo_trace, order_trace):
+                for decision in trace:
+                    publish(decision)
+            publish(ScanStep(
                 now,
                 uid=uids[0] if uids else "",
                 outstanding_units=outstanding_units,
@@ -204,8 +209,11 @@ class RecoveryAnalyzer:
         (records of later scans, the heal's UNDO and REDO records) is
         neither in these sets nor between two of their records.
         """
-        @cache
+        memo: List[PartialOrder[Action]] = []
+
         def order() -> PartialOrder[Action]:
+            if memo:
+                return memo[0]
             with phase("analyze.plan"):
                 built = recovery_partial_order(
                     analyzer, undo_set=undos, redo_set=redos, trace=trace,
@@ -218,6 +226,7 @@ class RecoveryAnalyzer:
             bump("actions_planned", len(self._planned) - planned)
             bump("plan_memo_fills", analyzer.memo_fills - self._fills_counted)
             self._fills_counted = analyzer.memo_fills
+            memo.append(built)
             return built
 
         return order

@@ -32,8 +32,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
-from repro.core.actions import Action
-from repro.obs.events import OrderConstraint
+from repro.core.actions import Action, ActionKind
+from repro.obs.events import OrderConstraint, trace_time
 from repro.workflow.dependency import DependencyAnalyzer
 from repro.workflow.precedence import PartialOrder
 
@@ -61,7 +61,9 @@ def recovery_partial_order(
         Optional provenance sink: one
         :class:`~repro.obs.events.OrderConstraint` per edge added,
         tagged with the Theorem 3 rule (``"T3.1"``/``"T3.3"``/
-        ``"T3.4"``/``"T3.5"``) that required it.
+        ``"T3.4"``/``"T3.5"``) that required it and stamped with the
+        sink's time (:class:`~repro.obs.events.EventTrace`; ``0.0`` in
+        a plain list).
 
     Returns
     -------
@@ -75,53 +77,49 @@ def recovery_partial_order(
     undos = frozenset(undo_set)
     redos = frozenset(redo_set)
     # Each action once per plan, looked up by uid below.
-    undo_of = {uid: Action.undo(uid) for uid in sorted(undos)}
-    redo_of = {uid: Action.redo(uid) for uid in sorted(redos)}
+    undo_of = {uid: Action(ActionKind.UNDO, uid) for uid in sorted(undos)}
+    redo_of = {uid: Action(ActionKind.REDO, uid) for uid in sorted(redos)}
     order: PartialOrder[Action] = PartialOrder(undo_of.values())
     order.add_elements(redo_of.values())
-    edges: List[Tuple[Action, Action]] = []
-
-    def add_edge(rule: str, before: Action, after: Action) -> None:
-        edges.append((before, after))
-        if trace is not None:
-            trace.append(OrderConstraint(
-                0.0, rule=rule, before=str(before), after=str(after),
-            ))
 
     # T3.3: undo(t) ≺ redo(t).  Edges go in batches, in the order
     # they are found: the order's sets keep insertion order.
-    for uid in sorted(undos & redos):
-        add_edge("T3.3", undo_of[uid], redo_of[uid])
-    order.add_edges(edges)
-    edges.clear()
+    both = sorted(undos & redos)
+    order.add_edges([(undo_of[uid], redo_of[uid]) for uid in both])
 
     # T3.1: log precedence between redo pairs, all r(r-1)/2 of them in
-    # one insert; the trace lists them pair by pair in the same order.
-    redo_chain = [redo_of[u] for u in
-                  sorted(redos, key=lambda u: analyzer.record(u).seq)]
-    order.add_chain(redo_chain)
-    if trace is not None:
-        names = [str(action) for action in redo_chain]
-        for i, earlier in enumerate(names):
-            for later in names[i + 1:]:
-                trace.append(OrderConstraint(
-                    0.0, rule="T3.1", before=earlier, after=later,
-                ))
+    # one insert.
+    chain = sorted(redos, key=lambda u: analyzer.record(u).seq)
+    order.add_chain([redo_of[uid] for uid in chain])
 
     # T3.2, T3.4, T3.5 from the log's data dependences: flow and
     # control are covered by the T3.1 edges (dependences imply ≺); anti
     # and output add undo-side constraints.
+    data: List[Tuple[str, Action, Action]] = []
     for uid in sorted(undos | redos):
         if uid in redos:
             # t_i →a t_j: t_j modified data t_i read.
             for dst in analyzer.anti_successors(uid):
                 if dst in undos:
-                    add_edge("T3.4", undo_of[dst], redo_of[uid])
+                    data.append(("T3.4", undo_of[dst], redo_of[uid]))
         if uid in undos:
             # t_i →o t_j: both wrote the same object, t_j later.
             for dst in analyzer.output_successors(uid):
                 if dst in undos:
-                    add_edge("T3.5", undo_of[dst], undo_of[uid])
-    order.add_edges(edges)
-    return order
+                    data.append(("T3.5", undo_of[dst], undo_of[uid]))
+    order.add_edges([(before, after) for _, before, after in data])
 
+    if trace is not None:
+        # The edges in the order they were added, T3.1 pair by pair.
+        stamp = trace_time(trace)
+        for uid in both:
+            trace.append(OrderConstraint(
+                stamp, "T3.3", f"undo({uid})", f"redo({uid})"))
+        names = [f"redo({uid})" for uid in chain]
+        for i, earlier in enumerate(names):
+            for later in names[i + 1:]:
+                trace.append(OrderConstraint(stamp, "T3.1", earlier, later))
+        for rule, before, after in data:
+            trace.append(OrderConstraint(stamp, rule, str(before),
+                                         str(after)))
+    return order

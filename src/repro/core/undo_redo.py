@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.obs.events import RedoDecision, UndoDecision
+from repro.obs.events import RedoDecision, UndoDecision, trace_time
 from repro.workflow.dependency import DependencyAnalyzer
 
 __all__ = [
@@ -132,6 +132,7 @@ def _traced_flow_closure(
     only the bookkeeping differs.
     """
     parents: Dict[str, str] = {}
+    stamp = trace_time(trace)
     infected = analyzer.flow_closure(seeds, parents) - seeds
     for uid in sorted(infected):
         chain: List[str] = []
@@ -142,7 +143,7 @@ def _traced_flow_closure(
             if cur in seeds:
                 break
         trace.append(UndoDecision(
-            0.0, uid=uid, condition="T1.3",
+            stamp, uid=uid, condition="T1.3",
             via=tuple(reversed(chain)),
             objects=tuple(sorted(
                 analyzer.flow_objects(parents[uid], uid))),
@@ -166,18 +167,20 @@ def find_undo_tasks(
         Uids of the instances reported malicious (the set ``B``).
     trace:
         Optional provenance sink: when given, one
-        :class:`~repro.obs.events.UndoDecision` (time ``0.0`` — the
-        publisher stamps it) is appended per ``(instance, condition)``
-        that fired, carrying the dependency path and objects that
-        triggered it.  ``None`` (default) records nothing and costs
+        :class:`~repro.obs.events.UndoDecision` is appended per
+        ``(instance, condition)`` that fired, carrying the dependency
+        path and objects that triggered it, and stamped with the
+        sink's time (:class:`~repro.obs.events.EventTrace`; ``0.0`` in
+        a plain list).  ``None`` (default) records nothing and costs
         nothing.
     """
     log = analyzer.log
     bad_in_log = frozenset(u for u in malicious if u in log)
+    stamp = trace_time(trace)
 
     if trace is not None:
         for bad in sorted(bad_in_log):
-            trace.append(UndoDecision(0.0, uid=bad, condition="T1.1"))
+            trace.append(UndoDecision(stamp, uid=bad, condition="T1.1"))
 
     # Condition 3: flow closure of B.
     if trace is not None:
@@ -194,7 +197,7 @@ def find_undo_tasks(
             control_candidates.add((bad, dep))
             if trace is not None:
                 trace.append(UndoDecision(
-                    0.0, uid=dep, condition="T1.2", via=(bad,),
+                    stamp, uid=dep, condition="T1.2", via=(bad,),
                 ))
 
     # Condition 4: readers of data an unexecuted alternative-path task
@@ -216,7 +219,7 @@ def find_undo_tasks(
                 stale.add(StaleReadCandidate(bad, t_k, uid, objs))
                 if trace is not None:
                     trace.append(UndoDecision(
-                        0.0, uid=uid, condition="T1.4",
+                        stamp, uid=uid, condition="T1.4",
                         via=(bad, t_k),
                         objects=tuple(sorted(objs)),
                     ))
@@ -228,7 +231,7 @@ def find_undo_tasks(
                 )
                 if trace is not None:
                     trace.append(UndoDecision(
-                        0.0, uid=uid, condition="T1.4",
+                        stamp, uid=uid, condition="T1.4",
                         via=(bad, t_k),
                     ))
     return UndoAnalysis(
@@ -257,9 +260,11 @@ def find_redo_tasks(
         Optional provenance sink: one
         :class:`~repro.obs.events.RedoDecision` per instance, naming
         the Theorem 2 condition (and for T2.2 the controlling bad
-        instances) that decided it.
+        instances) that decided it, stamped as in
+        :func:`find_undo_tasks`.
     """
     bad = frozenset(undo_set)
+    stamp = trace_time(trace)
     definite: Set[str] = set()
     candidates: Set[Tuple[str, str]] = set()
     for uid in sorted(bad):
@@ -268,13 +273,14 @@ def find_redo_tasks(
         if not controllers:
             definite.add(uid)  # condition 1
             if trace is not None:
-                trace.append(RedoDecision(0.0, uid=uid, condition="T2.1"))
+                trace.append(RedoDecision(stamp, uid=uid,
+                                          condition="T2.1"))
         else:
             for ctrl in sorted(controllers):
                 candidates.add((ctrl, uid))  # condition 2
             if trace is not None:
                 trace.append(RedoDecision(
-                    0.0, uid=uid, condition="T2.2",
+                    stamp, uid=uid, condition="T2.2",
                     via=tuple(sorted(controllers)),
                 ))
     return RedoAnalysis(

@@ -48,6 +48,28 @@ PRIORITY_OF_VERDICT: Dict[SloState, int] = {
 }
 
 
+class _DetectToHeal:
+    """Detect→heal latency of each accepted alert, closed by the
+    :class:`~repro.obs.events.HealStarted` that names its uid.
+
+    Subscribed to the shard's bus on its own: it holds neither the
+    shard nor the bus, so the bus's handler list makes no reference
+    cycle and a finished shard is freed by refcount.
+    """
+
+    __slots__ = ("pending", "latencies")
+
+    def __init__(self) -> None:
+        self.pending: Dict[str, float] = {}
+        self.latencies: List[float] = []
+
+    def __call__(self, event: HealStarted) -> None:
+        for uid in event.malicious:
+            detected = self.pending.pop(uid, None)
+            if detected is not None:
+                self.latencies.append(event.time - detected)
+
+
 class TenantShard:
     """One tenant's sharded self-healing world (see module docstring).
 
@@ -93,17 +115,18 @@ class TenantShard:
             if profile.arrival_rate > 0 else None
         )
         self._attack_seq = 0
+        detect_to_heal = _DetectToHeal()
         #: detected_at per accepted-but-unhealed alert uid.
-        self._pending_detect: Dict[str, float] = {}
+        self._pending_detect = detect_to_heal.pending
         #: Detect→heal latencies (sim time), in heal order.
-        self.latencies: List[float] = []
+        self.latencies = detect_to_heal.latencies
         #: Lost alerts awaiting an administrator report (Section IV-D).
         self._admin_backlog: List[str] = []
         self.attacks = 0
         self.heals = 0
         self.scans = 0
         self.audits_ok = True
-        self.bus.subscribe(self._on_heal_started, types=[HealStarted])
+        self.bus.subscribe(detect_to_heal, types=[HealStarted])
 
     # -- verdicts ----------------------------------------------------------
 
@@ -121,12 +144,6 @@ class TenantShard:
     def alerts_lost(self) -> int:
         """Alerts dropped by the tenant's bounded queue (true loss)."""
         return self.system.alerts_lost
-
-    def _on_heal_started(self, event: HealStarted) -> None:
-        for uid in event.malicious:
-            detected = self._pending_detect.pop(uid, None)
-            if detected is not None:
-                self.latencies.append(event.time - detected)
 
     # -- serial phase ------------------------------------------------------
 

@@ -13,7 +13,17 @@ check per site.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    Type,
+    TypeVar,
+)
 
 __all__ = [
     "ObsEvent",
@@ -31,6 +41,8 @@ __all__ = [
     "RedoDecision",
     "OrderConstraint",
     "realized_action",
+    "EventTrace",
+    "trace_time",
     "QueueItemDropped",
     "SloTransition",
     "DriftDetected",
@@ -265,6 +277,32 @@ def realized_action(event: ObsEvent) -> Optional[str]:
     if isinstance(event, TaskRedone) and event.mode == "redo":
         return f"redo({event.uid})"
     return None
+
+
+_E = TypeVar("_E", bound=ObsEvent)
+
+
+class EventTrace(List[_E]):
+    """A provenance sink whose events are built at their publish time.
+
+    The analyzer passes one as the ``trace=`` of
+    :func:`~repro.core.undo_redo.find_undo_tasks`,
+    :func:`~repro.core.undo_redo.find_redo_tasks` and
+    :func:`~repro.core.partial_orders.recovery_partial_order`: each
+    decision and edge is built once, stamped :attr:`time`, and
+    published as it is.  A plain list collects the same events stamped
+    ``0.0``.
+    """
+
+    def __init__(self, time: float) -> None:
+        super().__init__()
+        self.time = time
+
+
+def trace_time(trace: Optional[List[Any]]) -> float:
+    """The stamp of the events collected in ``trace``:
+    :attr:`EventTrace.time`, or ``0.0`` for a plain list."""
+    return getattr(trace, "time", 0.0)
 
 
 @dataclass(frozen=True)

@@ -25,21 +25,33 @@ history bit for bit.  Per-replication :class:`ConformanceReport`
 snapshots are plain data and merge order-independently
 (:func:`merge_conformance`), which keeps batch runs bit-identical at
 any worker count.
+
+Routing: one table, event type → handler, serves both the bus and
+replays.  :meth:`HealthMonitor.attach` subscribes each entry for its
+own type, so the bus's type lookup is the only dispatch an event takes
+to its handler; :meth:`HealthMonitor.handle` looks the same table up.
+Types only the LTLf pack reads go straight to
+:meth:`ConformanceMonitor.consume <repro.obs.monitor.ConformanceMonitor.consume>`,
+which routes them by type once more to the properties that read them.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     List,
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.errors import ObsError
@@ -358,8 +370,10 @@ def resolved_loss_objective(
 _CATEGORY_LEVEL = {"NORMAL": 0, "SCAN": 1, "RECOVERY": 2}
 
 
+@lru_cache(maxsize=1024)
 def _parse_state(name: str) -> Optional[Tuple[int, int]]:
-    """Decode a full STG state string into ``(alerts, units)``.
+    """Decode a full STG state string into ``(alerts, units)``
+    (memoized: a run names few states, once per transition).
 
     Understands the :class:`~repro.markov.stg.State` renderings ``"N"``,
     ``"S:a/r"``, ``"R:r"``; returns ``None`` for category-only names
@@ -416,7 +430,7 @@ class HealthMonitor:
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.prediction = prediction
-        self._bus: Optional[EventBus] = None
+        self._bus: Optional["weakref.ReferenceType[EventBus]"] = None
 
         # -- estimators ---------------------------------------------------
         self._arrivals = RateWindow(WINDOW)
@@ -515,8 +529,20 @@ class HealthMonitor:
 
     @property
     def bus(self) -> Optional[EventBus]:
-        """The bus this monitor rides (``None`` before :meth:`attach`)."""
-        return self._bus
+        """The bus this monitor rides (``None`` before :meth:`attach`).
+
+        Raises :class:`~repro.errors.ObsError` when the bus was freed:
+        the monitor holds it weakly (see :meth:`attach`), so a bus
+        nobody else holds is gone, and a run driven on ``None`` would
+        go unobserved without a word.
+        """
+        if self._bus is None:
+            return None
+        bus = self._bus()
+        if bus is None:
+            raise ObsError("the health monitor's bus was freed: keep a "
+                           "reference to the bus passed to attach()")
+        return bus
 
     @property
     def registry(self) -> Optional[MetricsRegistry]:
@@ -526,9 +552,17 @@ class HealthMonitor:
 
     def attach(self, bus: EventBus) -> "HealthMonitor":
         """Subscribe to ``bus`` (typed — never sees its own events) and
-        publish verdicts back onto it; returns self for chaining."""
-        self._bus = bus
-        bus.subscribe(self.handle, types=self.CONSUMES)
+        publish verdicts back onto it; returns self for chaining.
+
+        Each consumed type subscribes its own handler, so the bus's
+        type lookup is the only dispatch an event takes to reach the
+        estimators and the compiled property pack.  The monitor holds
+        the bus weakly (the bus holds the monitor's handlers, so a
+        strong reference would be a cycle); the caller keeps it alive.
+        """
+        self._bus = weakref.ref(bus)
+        for cls, handler in _HANDLERS.items():
+            bus.subscribe(handler.__get__(self), types=(cls,))
         return self
 
     # -- event handling ----------------------------------------------------
@@ -536,34 +570,49 @@ class HealthMonitor:
     def handle(self, event: ObsEvent) -> None:
         """Fold one event into the estimators and re-evaluate.
 
-        Public so replays can drive the monitor without a bus.
+        Public so replays can drive the monitor without a bus: it takes
+        the same per-type handler the bus would have called.  An event
+        of a type the monitor does not consume only advances
+        :attr:`now`.
         """
+        handler = _HANDLERS.get(type(event))
+        if handler is not None:
+            handler(self, event)
+        elif event.time > self.now:
+            self.now = event.time
+
+    def _on_conformance(self, event: ObsEvent) -> None:
+        """The property pack's share of an event."""
         if event.time > self.now:
             self.now = event.time
-        if isinstance(event, ConformanceMonitor.CONSUMES):
-            self._conformance_step(
-                event.time, self.conformance.consume(event)
-            )
-        if isinstance(event, AlertEnqueued):
-            self._on_arrival(event.time, lost=False)
-            self._note_alert_depth(event.time, event.queue_depth)
-        elif isinstance(event, AlertLost):
-            self._on_arrival(event.time, lost=True)
-            self._note_alert_depth(event.time, event.queue_depth)
-        elif isinstance(event, UnitEmitted):
-            self.total_scans += 1
-            self._scans.observe(event.time)
-            self._unit_occ.set_level(event.time, event.queue_depth)
-        elif isinstance(event, ScanStep):
-            pass  # scan work cost; rate comes from UnitEmitted
-        elif isinstance(event, StateTransition):
-            self._on_transition(event)
-        elif isinstance(event, HealFinished):
-            # The operational system heals in one batch; count it as
-            # one recovery completion (the Gillespie path counts exact
-            # unit-decrease jumps via StateTransition instead).
-            self.total_recoveries += 1
-            self._recoveries.observe(event.time)
+        found = self.conformance.consume(event)
+        if found:
+            self._conformance_step(event.time, found)
+
+    def _on_alert(self, event: Union[AlertEnqueued, AlertLost]) -> None:
+        if event.time > self.now:
+            self.now = event.time
+        self._on_arrival(event.time, lost=type(event) is AlertLost)
+        self._note_alert_depth(event.time, event.queue_depth)
+
+    def _on_unit(self, event: UnitEmitted) -> None:
+        self._on_conformance(event)
+        self.total_scans += 1
+        self._scans.observe(event.time)
+        self._unit_occ.set_level(event.time, event.queue_depth)
+
+    def _on_scan(self, event: ScanStep) -> None:
+        # Scan work cost; the scan rate comes from UnitEmitted.
+        if event.time > self.now:
+            self.now = event.time
+
+    def _on_heal_finished(self, event: HealFinished) -> None:
+        self._on_conformance(event)
+        # The operational system heals in one batch; count it as one
+        # recovery completion (the Gillespie path counts exact
+        # unit-decrease jumps via StateTransition instead).
+        self.total_recoveries += 1
+        self._recoveries.observe(event.time)
 
     def finalize(self, time: Optional[float] = None) -> None:
         """Close the monitored trace: unresolved LTLf obligations become
@@ -643,6 +692,8 @@ class HealthMonitor:
                         self._ph.threshold, "occupancy-shift")
 
     def _on_transition(self, event: StateTransition) -> None:
+        if event.time > self.now:
+            self.now = event.time
         level = _CATEGORY_LEVEL.get(event.category_to)
         if level is not None:
             self._category_occ.set_level(event.time, level)
@@ -660,8 +711,9 @@ class HealthMonitor:
 
     def _publish(self, event: ObsEvent) -> None:
         self.emitted.append(event)
-        if self._bus is not None:
-            self._bus.publish(event)
+        bus = self._bus() if self._bus is not None else None
+        if bus is not None:
+            bus.publish(event)
 
     def _drift(self, time: float, detector: str, statistic: float,
                threshold: float, signal: str) -> None:
@@ -868,6 +920,23 @@ class HealthMonitor:
             ),
             violations=self.conformance.violation_count,
         )
+
+
+#: Event type -> the :class:`HealthMonitor` handler it takes, the one
+#: table behind both :meth:`HealthMonitor.attach` (one typed
+#: subscription per entry) and :meth:`HealthMonitor.handle` (replay).
+#: Types only the property pack reads go straight to it.
+_HANDLERS: Dict[type, Callable[[HealthMonitor, Any], None]] = {
+    AlertEnqueued: HealthMonitor._on_alert,
+    AlertLost: HealthMonitor._on_alert,
+    ScanStep: HealthMonitor._on_scan,
+    UnitEmitted: HealthMonitor._on_unit,
+    StateTransition: HealthMonitor._on_transition,
+    HealFinished: HealthMonitor._on_heal_finished,
+    **{cls: HealthMonitor._on_conformance
+       for cls in ConformanceMonitor.CONSUMES
+       if cls not in (UnitEmitted, HealFinished)},
+}
 
 
 @dataclass(frozen=True)

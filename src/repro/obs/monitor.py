@@ -25,7 +25,8 @@ Three layers:
    into the obligation on the remaining suffix, and memoizing the
    rewrite per (state, letter) *is* the automaton's transition table
    (:class:`MonitorDfa`: int states, bitmask letters, one table per
-   formula per process).
+   formula per process; the pack's formulas are built once per
+   process, :func:`pack_formulas`).
    Verdicts are the four RV-LTL values (:class:`Verdict`): a state of
    ``TRUE``/``FALSE`` is irrevocably satisfied/violated; otherwise the
    empty-suffix evaluation (:func:`eval_empty`) splits the undecided
@@ -47,6 +48,13 @@ Three layers:
    pinned by tests).  :class:`~repro.obs.health.HealthMonitor` embeds a
    ConformanceMonitor and surfaces its verdict as the third
    ``conformance`` SLO.
+
+Routing is compiled once per monitor: each property gives its handlers
+by event type (``routes()``), each stepping its shared table on a
+letter masked when the pack was built, and the monitor merges them
+into one table, event type → handlers in pack order.  An event is
+looked up by ``type(event)`` once and runs only its type's handlers;
+an honest event builds no letter and allocates nothing.
 
 The monitor is a pure function of the event sequence: it never reads a
 clock, never draws randomness, and stamps every violation with the
@@ -81,8 +89,10 @@ plan level (claimed vs decided, above) and end-to-end by the audit.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache, partial
 from typing import (
     Any,
     Callable,
@@ -94,6 +104,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.obs.events import (
@@ -139,6 +150,7 @@ __all__ = [
     "SlicedLtlProperty",
     "ClaimConsistencyProperty",
     "strict_property_pack",
+    "pack_formulas",
     "ConformanceMonitor",
     "replay_conformance",
     "DEFINITE_UNDO_CONDITIONS",
@@ -499,10 +511,13 @@ class MonitorDfa:
     is the formula :attr:`states` ``[i]``, with its verdict, its
     end-of-trace verdict and its decided flag precomputed in
     :attr:`verdicts`, :attr:`final` and :attr:`decided`.  A letter
-    becomes a bitmask over the sorted atom alphabet (atoms outside it
-    are ignored), and ``state * 2**len(alphabet) + mask`` indexes the
-    transition.  A miss fills the entry by calling :func:`progress` on
-    the state's formula, so the table never disagrees with progression.
+    is a bitmask over the sorted atom alphabet (:meth:`mask`; atoms
+    outside it are ignored), and ``state * 2**len(alphabet) + mask``
+    indexes the transition.  The property pack masks its letters once,
+    when it is built, so a step is one table lookup.  A miss fills the
+    entry by calling :func:`progress` on the state's formula and the
+    mask's letter (:meth:`letter`), so the table never disagrees with
+    progression.
 
     One table serves every automaton and slice of its formula in the
     process (:func:`monitor_dfa`), across tenants.
@@ -534,12 +549,17 @@ class MonitorDfa:
                 mask |= bit
         return mask
 
-    def step(self, state: int, letter: Mapping[str, bool]) -> int:
-        """The successor of state id ``state`` on ``letter``."""
-        key = state * self._width + self.mask(letter)
+    def letter(self, mask: int) -> Dict[str, bool]:
+        """The letter of ``mask``: each alphabet atom's truth value."""
+        return {atom: bool(mask & bit) for atom, bit in self._bits}
+
+    def step(self, state: int, mask: int) -> int:
+        """The successor of state id ``state`` on the letter ``mask``."""
+        key = state * self._width + mask
         nxt_state = self._table.get(key)
         if nxt_state is None:
-            nxt_state = self._intern(progress(self.states[state], letter))
+            nxt_state = self._intern(
+                progress(self.states[state], self.letter(mask)))
             self._table[key] = nxt_state
         return nxt_state
 
@@ -576,7 +596,7 @@ def monitor_dfa(formula: Formula) -> MonitorDfa:
 
 class MonitorAutomaton:
     """One run of a formula's monitor: its shared :class:`MonitorDfa`
-    and the current state id.
+    (given, or looked up by the formula) and the current state id.
 
     Every automaton of a formula steps the same per-process table, so a
     property pays for each (state, letter) progression once per process
@@ -586,8 +606,9 @@ class MonitorAutomaton:
 
     __slots__ = ("dfa", "sid")
 
-    def __init__(self, formula: Formula) -> None:
-        self.dfa = monitor_dfa(formula)
+    def __init__(self, formula: Union[Formula, MonitorDfa]) -> None:
+        self.dfa = (formula if isinstance(formula, MonitorDfa)
+                    else monitor_dfa(formula))
         self.sid = self.dfa.initial
 
     @property
@@ -611,7 +632,11 @@ class MonitorAutomaton:
 
     def step(self, letter: Mapping[str, bool]) -> Verdict:
         """Consume one trace letter; returns the updated verdict."""
-        self.sid = self.dfa.step(self.sid, letter)
+        return self.step_mask(self.dfa.mask(letter))
+
+    def step_mask(self, mask: int) -> Verdict:
+        """Consume one letter given as its :meth:`MonitorDfa.mask`."""
+        self.sid = self.dfa.step(self.sid, mask)
         return self.dfa.verdicts[self.sid]
 
     def finalize(self) -> Verdict:
@@ -643,45 +668,150 @@ class Finding:
     detail: str
 
 
-class LtlProperty:
-    """One LTLf formula evaluated over a projection of the stream.
+@cache
+def pack_formulas() -> Dict[str, Formula]:
+    """The LTLf formula of each pack property, by name, built once per
+    process: a fleet builds one pack per tenant, and building and
+    hashing the formulas would cost more than the pack's tables."""
+    hs, hf, act = prop("hs"), prop("hf"), prop("act")
+    before, after = prop("before"), prop("after")
+    return {
+        "heal-alternation": land(
+            # No finish before the first start...
+            weak_until(lnot(hf), hs),
+            # ...every start is eventually finished, with no nested
+            # start;
+            always(implies(hs, nxt(until(lnot(hs), hf)))),
+            # ...and after a finish, no second finish before the next
+            # start.
+            always(implies(hf, wnext(weak_until(lnot(hf), hs)))),
+        ),
+        "task-within-heal": land(
+            weak_until(lnot(act), hs),
+            always(implies(hf, wnext(weak_until(lnot(act), hs)))),
+        ),
+        "normal-refusal": always(lnot(prop("bad"))),
+        "undo-completeness": eventually(prop("undone")),
+        "redo-follow-through": eventually(prop("done")),
+        "undo-before-redo": weak_until(lnot(prop("redo")), prop("undone")),
+        "order-consistency": lor(
+            always(lnot(before)),
+            always(lnot(after)),
+            eventually(land(before, eventually(after))),
+        ),
+        "undo-claim-consistency": always(lnot(prop("missing"))),
+        "redo-claim-consistency": always(lnot(prop("unjustified"))),
+    }
 
-    ``extract`` maps an event either to a trace letter (a dict of atom
-    truth values) or to ``None`` — events outside the property's
-    alphabet are skipped entirely, so each property reads its own
-    subsequence of the run (projection semantics; identical online and
-    offline).  A violated property reports once and goes quiet.
-    ``reads`` names the event types ``extract`` can map to a letter;
-    :class:`ConformanceMonitor` routes only those types here.
+
+@cache
+def _pack_dfa(name: str) -> MonitorDfa:
+    """The shared table of one pack property's formula, found once per
+    process (a formula's hash walks all of it)."""
+    return monitor_dfa(pack_formulas()[name])
+
+
+#: One handler of the compiled pack: ``None`` (the honest-run case,
+#: which allocates nothing) or the findings the event triggered.
+Handler = Callable[[ObsEvent], Optional[List[Finding]]]
+
+
+class _Property:
+    """What the pack's properties share: a name, and one handler per
+    event type they read.
+
+    :meth:`routes` is the property's compiled form.  Each handler knows
+    its event type, so it reads the fields it needs and steps its
+    automaton on a letter masked when the property was built; nothing
+    is tested or allocated per event on an honest run.  The dict is
+    built on each call and held by the caller, so a property never
+    references its own bound methods (no reference cycle per tenant).
+    """
+
+    name: str
+
+    def routes(self) -> Dict[type, Handler]:
+        """Event type → this property's handler for it."""
+        raise NotImplementedError
+
+    @property
+    def reads(self) -> Tuple[type, ...]:
+        """The event types this property reads (:meth:`routes`'s
+        keys); :class:`ConformanceMonitor` routes only those here."""
+        return tuple(self.routes())
+
+    def consume(self, event: ObsEvent) -> List[Finding]:
+        """Feed one event of any type: the property's findings on it,
+        through the same handler the monitor routes it to."""
+        handler = self.routes().get(type(event))
+        found = handler(event) if handler is not None else None
+        return list(found) if found else []
+
+    def finalize(self) -> List[Finding]:
+        """Close the trace: the findings of unresolved obligations."""
+        raise NotImplementedError
+
+
+class LtlProperty(_Property):
+    """One LTLf formula (given by its shared table ``dfa``) evaluated
+    over a projection of the stream.
+
+    ``letters`` maps each event type the property reads to its trace
+    letter: a dict of atom truth values, masked once here, or a
+    function of the event that returns one (for letters that depend on
+    a field).  Events of other types are skipped entirely, so each
+    property reads its own subsequence of the run (projection
+    semantics; identical online and offline).  A violated property
+    reports once and goes quiet.
     """
 
     def __init__(
         self,
         name: str,
-        formula: Formula,
-        extract: Callable[[ObsEvent], Optional[Dict[str, bool]]],
-        reads: Tuple[type, ...],
+        dfa: MonitorDfa,
+        letters: Mapping[
+            type,
+            Union[Mapping[str, bool],
+                  Callable[[ObsEvent], Mapping[str, bool]]],
+        ],
         describe: Optional[Callable[[ObsEvent], str]] = None,
     ) -> None:
         self.name = name
-        self.reads = reads
-        self.automaton = MonitorAutomaton(formula)
-        self._extract = extract
+        self.automaton = MonitorAutomaton(dfa)
+        self._masks = {
+            cls: letter if callable(letter) else dfa.mask(letter)
+            for cls, letter in letters.items()
+        }
         self._describe = describe
         self.violated = False
 
-    def consume(self, event: ObsEvent) -> List[Finding]:
+    def routes(self) -> Dict[type, Handler]:
+        return {
+            cls: partial(self._step_on if callable(mask) else self._step,
+                         mask)
+            for cls, mask in self._masks.items()
+        }
+
+    def _step_on(self, letter_of: Callable[[ObsEvent], Mapping[str, bool]],
+                 event: ObsEvent) -> Optional[List[Finding]]:
+        return self._step(self.automaton.dfa.mask(letter_of(event)), event)
+
+    def _step(self, mask: int, event: ObsEvent) -> Optional[List[Finding]]:
         if self.violated:
-            return []
-        letter = self._extract(event)
-        if letter is None:
-            return []
-        if self.automaton.step(letter) is Verdict.VIOLATED:
-            self.violated = True
-            detail = (self._describe(event) if self._describe
-                      else f"{event.kind} at t={event.time:g}")
-            return [Finding(self.name, Verdict.VIOLATED.value, "", detail)]
-        return []
+            return None
+        automaton = self.automaton
+        dfa = automaton.dfa
+        # MonitorDfa.step, inlined: the hit is one lookup.
+        sid = dfa._table.get(automaton.sid * dfa._width + mask)
+        if sid is None:
+            sid = dfa.step(automaton.sid, mask)
+        automaton.sid = sid
+        if dfa.verdicts[sid] is not Verdict.VIOLATED:
+            return None
+        self.violated = True
+        detail = (self._describe(event) if self._describe
+                  else f"{event.kind} at t={event.time:g}")
+        return [Finding(self.name, Verdict.VIOLATED.value, "", detail)]
 
     def finalize(self) -> List[Finding]:
         if self.violated:
@@ -695,73 +825,66 @@ class LtlProperty:
         return []
 
 
-class SlicedLtlProperty:
+class SlicedLtlProperty(_Property):
     """A parametric property: one state per *slice* (task uid, order
-    edge, ...) of the formula's shared :class:`MonitorDfa`.
+    edge, ...) of the formula's shared :class:`MonitorDfa` ``dfa``.
 
     A slice is just its current state id in :attr:`slices`; spawning one
     stores :attr:`MonitorDfa.initial`, so slices of every tenant step
-    one per-process table and nothing is built per slice.  ``reads``
-    names the event types ``route`` acts on (see :class:`LtlProperty`).
+    one per-process table and nothing is built per slice.  Subclasses
+    give the handlers (:meth:`routes`), which spawn slices
+    (:meth:`_spawn`, ignored when the key is already live or decided)
+    and step them on masked letters (:meth:`_step`).
 
-    ``route`` maps an event to ``(spawn, steps)``: slice keys to create
-    (ignored when already live or decided) and ``(key, letter)`` pairs
-    to step.  A slice that reaches a *decided* verdict stays decided
-    for the rest of the trace — a satisfied obligation cannot be
-    re-opened by a later event that would respawn its key (a task
-    undone-then-redone in one heal must not start a fresh
-    redo-before-undo slice when a later heal redoes it again), and a
-    violated slice reports exactly once.  At finalize, every still-live
-    slice resolves by its empty-suffix verdict.
+    A slice that reaches a *decided* verdict stays decided for the rest
+    of the trace — a satisfied obligation cannot be re-opened by a
+    later event that would respawn its key (a task undone-then-redone
+    in one heal must not start a fresh redo-before-undo slice when a
+    later heal redoes it again), and a violated slice reports exactly
+    once.  At finalize, every still-live slice resolves by its
+    empty-suffix verdict.
     """
 
     def __init__(
         self,
         name: str,
-        formula: Formula,
-        route: Callable[
-            [ObsEvent],
-            Tuple[Sequence[str], Sequence[Tuple[str, Dict[str, bool]]]],
-        ],
-        reads: Tuple[type, ...],
+        dfa: MonitorDfa,
         finally_detail: str = "unresolved obligation at end of trace",
     ) -> None:
         self.name = name
-        self.formula = formula
-        self.reads = reads
-        self._route = route
-        self._dfa = monitor_dfa(formula)
+        self._dfa = dfa
+        self.formula = dfa.formula
         #: Live slice key -> state id of :attr:`_dfa`.
         self.slices: Dict[str, int] = {}
         self._decided: set = set()
         self._finally_detail = finally_detail
         self.violations = 0
 
-    def consume(self, event: ObsEvent) -> List[Finding]:
-        spawn, steps = self._route(event)
+    def _spawn(self, key: str) -> None:
+        if key not in self.slices and key not in self._decided:
+            self.slices[key] = self._dfa.initial
+
+    def _step(self, key: str, mask: int,
+              event: ObsEvent) -> Optional[List[Finding]]:
         slices = self.slices
+        state = slices.get(key)
+        if state is None:
+            return None
         dfa = self._dfa
-        for key in spawn:
-            if key not in slices and key not in self._decided:
-                slices[key] = dfa.initial
-        out: List[Finding] = []
-        for key, letter in steps:
-            state = slices.get(key)
-            if state is None:
-                continue
-            state = dfa.step(state, letter)
-            if not dfa.decided[state]:
-                slices[key] = state
-                continue
-            del slices[key]
-            self._decided.add(key)
-            if dfa.verdicts[state] is Verdict.VIOLATED:
-                self.violations += 1
-                out.append(Finding(
-                    self.name, Verdict.VIOLATED.value, key,
-                    f"{event.kind} at t={event.time:g}",
-                ))
-        return out
+        # MonitorDfa.step, inlined: the hit is one lookup.
+        nxt_state = dfa._table.get(state * dfa._width + mask)
+        state = (nxt_state if nxt_state is not None
+                 else dfa.step(state, mask))
+        if not dfa.decided[state]:
+            slices[key] = state
+            return None
+        del slices[key]
+        self._decided.add(key)
+        if dfa.verdicts[state] is not Verdict.VIOLATED:
+            return None
+        self.violations += 1
+        return [Finding(self.name, Verdict.VIOLATED.value, key,
+                        f"{event.kind} at t={event.time:g}")]
 
     def finalize(self) -> List[Finding]:
         out: List[Finding] = []
@@ -778,7 +901,7 @@ class SlicedLtlProperty:
         return out
 
 
-class ClaimConsistencyProperty:
+class ClaimConsistencyProperty(_Property):
     """Plan-level blast radius: claimed definite sets vs decisions.
 
     The analyzer publishes an :class:`UndoDecision`/:class:`RedoDecision`
@@ -796,60 +919,70 @@ class ClaimConsistencyProperty:
     UNDO = "undo-claim-consistency"
     REDO = "redo-claim-consistency"
 
-    reads = (UndoDecision, RedoDecision, UnitEmitted)
-
     def __init__(self) -> None:
         self.name = "claim-consistency"
-        self._undo = MonitorAutomaton(always(lnot(prop("missing"))))
-        self._redo = MonitorAutomaton(always(lnot(prop("unjustified"))))
+        self._undo = MonitorAutomaton(_pack_dfa(self.UNDO))
+        self._redo = MonitorAutomaton(_pack_dfa(self.REDO))
+        self._missing = self._undo.dfa.mask({"missing": True})
+        self._unjustified = self._redo.dfa.mask({"unjustified": True})
         self._decided_undo: set = set()
         self._decided_redo: set = set()
         self.violations = 0
 
-    def consume(self, event: ObsEvent) -> List[Finding]:
-        if isinstance(event, UndoDecision):
-            if event.condition in DEFINITE_UNDO_CONDITIONS:
-                self._decided_undo.add(event.uid)
-            return []
-        if isinstance(event, RedoDecision):
-            if event.condition in DEFINITE_REDO_CONDITIONS:
-                self._decided_redo.add(event.uid)
-            return []
-        if not isinstance(event, UnitEmitted) or not event.claimed:
-            return []
+    def routes(self) -> Dict[type, Handler]:
+        return {UndoDecision: self._on_undo, RedoDecision: self._on_redo,
+                UnitEmitted: self._on_unit}
+
+    def _on_undo(self, event: UndoDecision) -> None:
+        if event.condition in DEFINITE_UNDO_CONDITIONS:
+            self._decided_undo.add(event.uid)
+
+    def _on_redo(self, event: RedoDecision) -> None:
+        if event.condition in DEFINITE_REDO_CONDITIONS:
+            self._decided_redo.add(event.uid)
+
+    def _on_unit(self, event: UnitEmitted) -> Optional[List[Finding]]:
+        if not event.claimed:
+            return None
         claimed_undo = set(event.claimed_undo)
         claimed_redo = set(event.claimed_redo)
-        missing = sorted(
-            (self._decided_undo - claimed_undo)
-            | (self._decided_redo - claimed_redo)
-        )
-        unjustified = sorted(
-            (claimed_undo - self._decided_undo)
-            | (claimed_redo - self._decided_redo)
-        )
+        if (claimed_undo == self._decided_undo
+                and claimed_redo == self._decided_redo):
+            missing: List[str] = []
+            unjustified: List[str] = []
+        else:
+            missing = sorted(
+                (self._decided_undo - claimed_undo)
+                | (self._decided_redo - claimed_redo)
+            )
+            unjustified = sorted(
+                (claimed_undo - self._decided_undo)
+                | (claimed_redo - self._decided_redo)
+            )
         self._decided_undo.clear()
         self._decided_redo.clear()
-        out: List[Finding] = []
-        if (self._undo.state is not FALSE
-                and self._undo.step({"missing": bool(missing)})
+        out: Optional[List[Finding]] = None
+        if (self._undo.verdict is not Verdict.VIOLATED
+                and self._undo.step_mask(self._missing if missing else 0)
                 is Verdict.VIOLATED):
             self.violations += 1
-            out.append(Finding(
+            out = [Finding(
                 self.UNDO, Verdict.VIOLATED.value,
                 " ".join(missing),
                 f"plan at t={event.time:g} omits decided definite "
                 f"uid(s): {' '.join(missing)}",
-            ))
-        if (self._redo.state is not FALSE
-                and self._redo.step({"unjustified": bool(unjustified)})
+            )]
+        if (self._redo.verdict is not Verdict.VIOLATED
+                and self._redo.step_mask(
+                    self._unjustified if unjustified else 0)
                 is Verdict.VIOLATED):
             self.violations += 1
-            out.append(Finding(
+            out = (out or []) + [Finding(
                 self.REDO, Verdict.VIOLATED.value,
                 " ".join(unjustified),
                 f"plan at t={event.time:g} claims undecided uid(s): "
                 f"{' '.join(unjustified)}",
-            ))
+            )]
         return out
 
     def finalize(self) -> List[Finding]:
@@ -860,31 +993,10 @@ class ClaimConsistencyProperty:
         return []
 
 
-def _one_hot(event: ObsEvent, **flags: bool) -> Dict[str, bool]:
-    return dict(flags)
-
-
 def _heal_alternation() -> LtlProperty:
-    hs, hf = prop("hs"), prop("hf")
-    formula = land(
-        # No finish before the first start...
-        weak_until(lnot(hf), hs),
-        # ...every start is eventually finished, with no nested start;
-        always(implies(hs, nxt(until(lnot(hs), hf)))),
-        # ...and after a finish, no second finish before the next start.
-        always(implies(hf, wnext(weak_until(lnot(hf), hs)))),
-    )
-
-    def extract(event: ObsEvent) -> Optional[Dict[str, bool]]:
-        if isinstance(event, HealStarted):
-            return {"hs": True, "hf": False}
-        if isinstance(event, HealFinished):
-            return {"hs": False, "hf": True}
-        return None
-
     return LtlProperty(
-        "heal-alternation", formula, extract,
-        (HealStarted, HealFinished),
+        "heal-alternation", _pack_dfa("heal-alternation"),
+        {HealStarted: {"hs": True}, HealFinished: {"hf": True}},
         describe=lambda e: (
             f"{e.kind} at t={e.time:g} breaks the "
             f"HealStarted/HealFinished alternation"
@@ -893,24 +1005,10 @@ def _heal_alternation() -> LtlProperty:
 
 
 def _task_within_heal() -> LtlProperty:
-    hs, act = prop("hs"), prop("act")
-    formula = land(
-        weak_until(lnot(act), hs),
-        always(implies(prop("hf"), wnext(weak_until(lnot(act), hs)))),
-    )
-
-    def extract(event: ObsEvent) -> Optional[Dict[str, bool]]:
-        if isinstance(event, HealStarted):
-            return {"hs": True, "hf": False, "act": False}
-        if isinstance(event, HealFinished):
-            return {"hs": False, "hf": True, "act": False}
-        if isinstance(event, (TaskUndone, TaskRedone)):
-            return {"hs": False, "hf": False, "act": True}
-        return None
-
     return LtlProperty(
-        "task-within-heal", formula, extract,
-        (HealStarted, HealFinished, TaskUndone, TaskRedone),
+        "task-within-heal", _pack_dfa("task-within-heal"),
+        {HealStarted: {"hs": True}, HealFinished: {"hf": True},
+         TaskUndone: {"act": True}, TaskRedone: {"act": True}},
         describe=lambda e: (
             f"{e.kind}({getattr(e, 'uid', '?')}) at t={e.time:g} "
             f"outside any HealStarted/HealFinished bracket"
@@ -919,15 +1017,9 @@ def _task_within_heal() -> LtlProperty:
 
 
 def _normal_refusal() -> LtlProperty:
-    formula = always(lnot(prop("bad")))
-
-    def extract(event: ObsEvent) -> Optional[Dict[str, bool]]:
-        if isinstance(event, NormalTaskRefused):
-            return {"bad": event.state == "NORMAL"}
-        return None
-
     return LtlProperty(
-        "normal-refusal", formula, extract, (NormalTaskRefused,),
+        "normal-refusal", _pack_dfa("normal-refusal"),
+        {NormalTaskRefused: lambda e: {"bad": e.state == "NORMAL"}},
         describe=lambda e: (
             f"normal task refused at t={e.time:g} while the system "
             f"reports NORMAL — Theorem 4's gate fired without cause"
@@ -935,65 +1027,84 @@ def _normal_refusal() -> LtlProperty:
     )
 
 
-def _undo_completeness() -> SlicedLtlProperty:
-    formula = eventually(prop("undone"))
+class _UndoCompleteness(SlicedLtlProperty):
+    """Per uid decided definitely undone (T1.1/T1.3): ``F undone``."""
 
-    def route(event: ObsEvent):
-        if (isinstance(event, UndoDecision)
-                and event.condition in DEFINITE_UNDO_CONDITIONS):
-            return (event.uid,), ()
-        if isinstance(event, TaskUndone):
-            return (), ((event.uid, {"undone": True}),)
-        return (), ()
+    def __init__(self) -> None:
+        super().__init__(
+            "undo-completeness", _pack_dfa("undo-completeness"),
+            finally_detail=(
+                "uid decided definitely-undone (Theorem 1.1/1.3) was "
+                "never undone before the trace ended"
+            ),
+        )
+        self._undone = self._dfa.mask({"undone": True})
 
-    return SlicedLtlProperty(
-        "undo-completeness", formula, route, (UndoDecision, TaskUndone),
-        finally_detail=(
-            "uid decided definitely-undone (Theorem 1.1/1.3) was never "
-            "undone before the trace ended"
-        ),
-    )
+    def routes(self) -> Dict[type, Handler]:
+        return {UndoDecision: self._on_decision, TaskUndone: self._on_undone}
 
+    def _on_decision(self, event: UndoDecision) -> None:
+        if event.condition in DEFINITE_UNDO_CONDITIONS:
+            self._spawn(event.uid)
 
-def _redo_follow_through() -> SlicedLtlProperty:
-    formula = eventually(prop("done"))
-
-    def route(event: ObsEvent):
-        if (isinstance(event, RedoDecision)
-                and event.condition in DEFINITE_REDO_CONDITIONS):
-            return (event.uid,), ()
-        if isinstance(event, TaskRedone):
-            return (), ((event.uid, {"done": True}),)
-        if isinstance(event, TaskUndone) and event.reason == "abandoned":
-            return (), ((event.uid, {"done": True}),)
-        return (), ()
-
-    return SlicedLtlProperty(
-        "redo-follow-through", formula, route,
-        (RedoDecision, TaskRedone, TaskUndone),
-        finally_detail=(
-            "uid decided definitely-redone (Theorem 2.1) was neither "
-            "redone nor abandoned before the trace ended"
-        ),
-    )
+    def _on_undone(self, event: TaskUndone) -> Optional[List[Finding]]:
+        return self._step(event.uid, self._undone, event)
 
 
-def _undo_before_redo() -> SlicedLtlProperty:
-    formula = weak_until(lnot(prop("redo")), prop("undone"))
+class _RedoFollowThrough(SlicedLtlProperty):
+    """Per uid decided definitely redone (T2.1): ``F (redone ∨
+    abandoned)``."""
 
-    def route(event: ObsEvent):
-        if isinstance(event, TaskUndone):
-            return ((event.uid,),
-                    ((event.uid, {"redo": False, "undone": True}),))
-        if isinstance(event, TaskRedone) and event.mode == "redo":
-            return ((event.uid,),
-                    ((event.uid, {"redo": True, "undone": False}),))
-        return (), ()
+    def __init__(self) -> None:
+        super().__init__(
+            "redo-follow-through", _pack_dfa("redo-follow-through"),
+            finally_detail=(
+                "uid decided definitely-redone (Theorem 2.1) was neither "
+                "redone nor abandoned before the trace ended"
+            ),
+        )
+        self._done = self._dfa.mask({"done": True})
 
-    return SlicedLtlProperty(
-        "undo-before-redo", formula, route, (TaskUndone, TaskRedone),
-        finally_detail="re-execution without a prior undo",
-    )
+    def routes(self) -> Dict[type, Handler]:
+        return {RedoDecision: self._on_decision,
+                TaskRedone: self._on_redone, TaskUndone: self._on_undone}
+
+    def _on_decision(self, event: RedoDecision) -> None:
+        if event.condition in DEFINITE_REDO_CONDITIONS:
+            self._spawn(event.uid)
+
+    def _on_redone(self, event: TaskRedone) -> Optional[List[Finding]]:
+        return self._step(event.uid, self._done, event)
+
+    def _on_undone(self, event: TaskUndone) -> Optional[List[Finding]]:
+        if event.reason != "abandoned":
+            return None
+        return self._step(event.uid, self._done, event)
+
+
+class _UndoBeforeRedo(SlicedLtlProperty):
+    """Per uid: ``¬redo W undone`` — no re-execution before an undo."""
+
+    def __init__(self) -> None:
+        super().__init__(
+            "undo-before-redo", _pack_dfa("undo-before-redo"),
+            finally_detail="re-execution without a prior undo",
+        )
+        self._undone = self._dfa.mask({"undone": True})
+        self._redo = self._dfa.mask({"redo": True})
+
+    def routes(self) -> Dict[type, Handler]:
+        return {TaskUndone: self._on_undone, TaskRedone: self._on_redone}
+
+    def _on_undone(self, event: TaskUndone) -> Optional[List[Finding]]:
+        self._spawn(event.uid)
+        return self._step(event.uid, self._undone, event)
+
+    def _on_redone(self, event: TaskRedone) -> Optional[List[Finding]]:
+        if event.mode != "redo":
+            return None
+        self._spawn(event.uid)
+        return self._step(event.uid, self._redo, event)
 
 
 class _OrderConsistency(SlicedLtlProperty):
@@ -1018,49 +1129,55 @@ class _OrderConsistency(SlicedLtlProperty):
     one's.  A heal that commits an undo after its redo (the
     ``reverse-edge`` fault injection) leaves the ``after`` strictly
     ahead of every ``before`` and resolves to ``finally-violated`` when
-    the trace closes.  An index from action string to edge keys keeps
-    routing linear in the actions actually constrained.
+    the trace closes.  An index from action string to its edges' keys
+    and letters keeps routing linear in the actions actually
+    constrained.
     """
 
     def __init__(self) -> None:
-        before, after = prop("before"), prop("after")
         super().__init__(
-            "order-consistency",
-            lor(
-                always(lnot(before)),
-                always(lnot(after)),
-                eventually(land(before, eventually(after))),
-            ),
-            self._route_event,
-            (OrderConstraint, TaskUndone, TaskRedone),
+            "order-consistency", _pack_dfa("order-consistency"),
             finally_detail=(
                 "both actions of the edge were realized, and no "
                 "realization of the later one ever followed the earlier"
             ),
         )
-        self._edges: Dict[str, Tuple[str, str]] = {}
-        self._by_action: Dict[str, List[str]] = {}
+        mask = self._dfa.mask
+        self._before = mask({"before": True})
+        self._after = mask({"after": True})
+        self._both = mask({"before": True, "after": True})
+        self._edges: set = set()
+        #: Action string -> (edge key, the action's letter on it).
+        self._by_action: Dict[str, List[Tuple[str, int]]] = {}
 
-    def _route_event(self, event: ObsEvent):
-        if isinstance(event, OrderConstraint):
-            key = f"{event.before} < {event.after}"
-            if key not in self._edges:
-                self._edges[key] = (event.before, event.after)
-                self._by_action.setdefault(event.before, []).append(key)
-                if event.after != event.before:
-                    self._by_action.setdefault(event.after, []).append(key)
-            return (key,), ()
-        action = realized_action(event)
-        if action is None:
-            return (), ()
-        steps = []
-        for key in self._by_action.get(action, ()):
-            before, after = self._edges[key]
-            steps.append((key, {
-                "before": action == before,
-                "after": action == after,
-            }))
-        return (), steps
+    def routes(self) -> Dict[type, Handler]:
+        return {OrderConstraint: self._on_edge,
+                TaskUndone: self._on_action, TaskRedone: self._on_action}
+
+    def _on_edge(self, event: OrderConstraint) -> None:
+        key = f"{event.before} < {event.after}"
+        if key not in self._edges:
+            self._edges.add(key)
+            index = self._by_action
+            if event.after == event.before:
+                index.setdefault(event.before, []).append((key, self._both))
+            else:
+                index.setdefault(event.before, []).append(
+                    (key, self._before))
+                index.setdefault(event.after, []).append((key, self._after))
+        if key not in self.slices and key not in self._decided:
+            self.slices[key] = self._dfa.initial  # _spawn, inlined
+
+    def _on_action(self, event: ObsEvent) -> Optional[List[Finding]]:
+        edges = self._by_action.get(realized_action(event))  # type: ignore[arg-type]
+        if not edges:
+            return None
+        out: Optional[List[Finding]] = None
+        for key, mask in edges:
+            found = self._step(key, mask, event)
+            if found:
+                out = found if out is None else out + found
+        return out
 
 
 def strict_property_pack() -> List[Any]:
@@ -1089,9 +1206,9 @@ def strict_property_pack() -> List[Any]:
         _heal_alternation(),
         _task_within_heal(),
         _normal_refusal(),
-        _undo_completeness(),
-        _redo_follow_through(),
-        _undo_before_redo(),
+        _UndoCompleteness(),
+        _RedoFollowThrough(),
+        _UndoBeforeRedo(),
         _OrderConsistency(),
         ClaimConsistencyProperty(),
     ]
@@ -1116,9 +1233,12 @@ class ConformanceMonitor:
     The monitor is deterministic and clock-free: the violation stream
     is a pure function of the event sequence, which is what makes
     online and offline (:func:`replay_conformance`) verdicts
-    bit-identical.  Each event goes only to the properties whose
-    ``reads`` include its type, in pack order, so the violation order is
-    the same as feeding every property every event.
+    bit-identical.  The pack is compiled once per monitor into one
+    table, event type → the handlers of the properties that read it
+    (:meth:`_Property.routes`), in pack order, so the violation order
+    is the same as feeding every property every event.  :meth:`consume`
+    looks an event's type up once and calls those handlers, and an
+    honest event allocates nothing.
     """
 
     #: Event types the property pack reads; subscription is typed so an
@@ -1136,9 +1256,17 @@ class ConformanceMonitor:
         self.now = 0.0
         self.events_seen = 0
         self.finalized = False
-        self._bus: Optional[EventBus] = None
-        #: Event type -> the properties that read it, in pack order.
-        self._routes: Dict[type, List[Any]] = {}
+        #: The bus it publishes on, held weakly: the bus holds
+        #: :meth:`handle`, so a strong reference would be a cycle.
+        self._bus: Optional["weakref.ReferenceType[EventBus]"] = None
+        routes: Dict[type, List[Handler]] = {}
+        for prop_ in self.properties:
+            for cls, handler in prop_.routes().items():
+                routes.setdefault(cls, []).append(handler)
+        #: Event type -> the handlers that read it, in pack order.
+        self._routes: Dict[type, Tuple[Handler, ...]] = {
+            cls: tuple(handlers) for cls, handlers in routes.items()
+        }
 
     @property
     def violation_count(self) -> int:
@@ -1147,33 +1275,30 @@ class ConformanceMonitor:
 
     def attach(self, bus: EventBus) -> "ConformanceMonitor":
         """Subscribe to ``bus`` and publish violations back onto it;
-        returns self for chaining."""
-        self._bus = bus
+        returns self for chaining.  The caller keeps the bus alive."""
+        self._bus = weakref.ref(bus)
         bus.subscribe(self.handle, types=self.CONSUMES)
         return self
 
     def handle(self, event: ObsEvent) -> None:
         """Bus entry point: consume and publish any violations."""
+        bus = self._bus() if self._bus is not None else None
         for violation in self.consume(event):
-            if self._bus is not None:
-                self._bus.publish(violation)
+            if bus is not None:
+                bus.publish(violation)
 
-    def consume(self, event: ObsEvent) -> List[ConformanceViolation]:
-        """Feed one event through every property; returns (and records)
-        the violations it triggered."""
-        if event.time > self.now:
-            self.now = event.time
+    def consume(self, event: ObsEvent) -> Sequence[ConformanceViolation]:
+        """Feed one event through every property that reads its type;
+        returns (and records) the violations it triggered."""
+        time = event.time
+        if time > self.now:
+            self.now = time
         self.events_seen += 1
-        cls = type(event)
-        routed = self._routes.get(cls)
-        if routed is None:
-            routed = self._routes[cls] = [
-                p for p in self.properties if issubclass(cls, p.reads)
-            ]
-        out: List[ConformanceViolation] = []
-        for prop_ in routed:
-            for finding in prop_.consume(event):
-                out.append(self._violation(event.time, finding))
+        out: Sequence[ConformanceViolation] = ()
+        for handler in self._routes.get(type(event), ()):
+            found = handler(event)
+            if found:
+                out = [*out, *(self._violation(time, f) for f in found)]
         return out
 
     def finalize(
@@ -1185,13 +1310,14 @@ class ConformanceMonitor:
             return []
         self.finalized = True
         stamp = self.now if time is None else time
+        bus = self._bus() if self._bus is not None else None
         out: List[ConformanceViolation] = []
         for prop_ in self.properties:
             for finding in prop_.finalize():
                 violation = self._violation(stamp, finding)
                 out.append(violation)
-                if self._bus is not None:
-                    self._bus.publish(violation)
+                if bus is not None:
+                    bus.publish(violation)
         return out
 
     def _violation(

@@ -82,7 +82,7 @@ class ControlDependencies:
     formulation the relation is already transitively closed, matching the
     paper's statement that ``→c`` is transitive.  The model keeps no
     reference to its spec, so the analyzers' shared models (one per
-    spec object) keep no spec alive.
+    graph shape) keep no spec alive.
     """
 
     def __init__(self, spec: WorkflowSpec) -> None:
@@ -114,22 +114,49 @@ class ControlDependencies:
         )
 
 
-#: Control models shared by every analyzer, keyed by spec object: a
-#: spec is immutable and serves many instances, and the scan's and the
-#: heal's analyzers ask for the same specs.  Each entry holds a weak
-#: reference to its spec whose callback drops the entry with the spec.
-_CONTROL_MODELS: Dict[int, Tuple[weakref.ref, ControlDependencies]] = {}
+class _SharedModel:
+    """One graph shape's control model and its count of live specs."""
+
+    __slots__ = ("model", "specs")
+
+    def __init__(self, model: ControlDependencies) -> None:
+        self.model = model
+        self.specs = 0
+
+
+#: Control models shared by every analyzer, keyed by graph shape: the
+#: task ids in declaration order and the edges, all that
+#: :class:`ControlDependencies` reads.  A fleet or fullstack attack
+#: builds a fresh spec object, but of a handful of shapes.  A weak
+#: reference per spec counts it out when it dies, and the shape's entry
+#: goes with its last spec.
+_Shape = Tuple[Tuple[str, ...], FrozenSet[Tuple[str, str]]]
+_CONTROL_MODELS: Dict[_Shape, _SharedModel] = {}
+#: Per live spec object: its weak reference and its shape's model (the
+#: fast path of the lookup, taken on every control query).
+_SPEC_MODELS: Dict[int, Tuple[weakref.ref, ControlDependencies]] = {}
 
 
 def _control_model_of(spec: WorkflowSpec) -> ControlDependencies:
     key = id(spec)
-    entry = _CONTROL_MODELS.get(key)
-    if entry is None:
-        entry = _CONTROL_MODELS[key] = (
-            weakref.ref(spec, lambda _ref: _CONTROL_MODELS.pop(key, None)),
-            ControlDependencies(spec),
-        )
-    return entry[1]
+    entry = _SPEC_MODELS.get(key)
+    if entry is not None:
+        return entry[1]
+    shape: _Shape = (tuple(spec.tasks), spec.edges)
+    shared = _CONTROL_MODELS.get(shape)
+    if shared is None:
+        shared = _CONTROL_MODELS[shape] = _SharedModel(
+            ControlDependencies(spec))
+    shared.specs += 1
+
+    def release(_ref: weakref.ref) -> None:
+        _SPEC_MODELS.pop(key, None)
+        shared.specs -= 1
+        if not shared.specs:
+            _CONTROL_MODELS.pop(shape, None)
+
+    _SPEC_MODELS[key] = (weakref.ref(spec, release), shared.model)
+    return shared.model
 
 
 class DependencyAnalyzer:
@@ -282,8 +309,8 @@ class DependencyAnalyzer:
 
     def control_model(self, workflow_instance: str) -> ControlDependencies:
         """Control-dependency model for the spec run by
-        ``workflow_instance`` (one model per spec object, shared by all
-        analyzers)."""
+        ``workflow_instance`` (one model per graph shape, shared by all
+        analyzers and specs of that shape)."""
         try:
             spec = self._specs[workflow_instance]
         except KeyError:
@@ -369,8 +396,10 @@ class DependencyAnalyzer:
                     output: bool) -> Tuple[str, ...]:
         """The first later writer of each object ``uid`` read (or, with
         ``output``, wrote), distinct and in commit order."""
-        self._extend()
         entry = memo.get(uid)
+        if entry is not None and not entry.pending:
+            return entry.dsts  # complete: later records add nothing
+        self._extend()
         if entry is None:
             src = self.record(uid)
             self.memo_fills += 1

@@ -98,11 +98,11 @@ class PartialOrder(Generic[T]):
         if len(set(seq)) != len(seq):
             raise CyclicOrderError(
                 f"chain of {len(seq)} repeats an element: reflexive ≺")
-        for element in seq:
-            self.add_element(element)
+        self.add_elements(seq)
+        succ, pred = self._succ, self._pred
         for i, element in enumerate(seq):
-            self._succ[element].update(seq[i + 1:])
-            self._pred[element].update(seq[:i])
+            succ[element].update(seq[i + 1:])
+            pred[element].update(seq[:i])
 
     # -- queries ------------------------------------------------------------
 

@@ -544,8 +544,15 @@ def gated_profile(per_alert=0.05, per_action=1.0, plan_wall=True,
          "line_items": {"fan_out_overhead_s": 0.0}},
         {"scenario": "conformance", "digest_stable": True,
          "line_items": {"violations": 0}},
+        FLEET_OBSERVE_ROW,
         STORE_SCALING_ROW,
     ]}
+
+
+#: A fleet-observe profile row that passes its gate.
+FLEET_OBSERVE_ROW = {
+    "scenario": "fleet-observe", "digest_stable": True,
+    "line_items": {"replay_share": 0.1, "events_per_healed_alert": 19.0}}
 
 
 #: A store-scaling profile row that passes its gate.

@@ -95,9 +95,10 @@ class TestConformantRuns:
             assert report.verdict is SloState.OK
 
     def test_predicted_loss_within_ci(self, paper_stg, paper_prediction):
-        monitor = HealthMonitor(paper_prediction).attach(EventBus())
+        bus = EventBus()
+        monitor = HealthMonitor(paper_prediction).attach(bus)
         GillespieSimulator(
-            paper_stg, random.Random(0), bus=monitor.bus
+            paper_stg, random.Random(0), bus=bus
         ).run(600.0)
         loss = monitor.summary()["loss"]
         low, high = wilson_interval(loss["total_losses"],
@@ -123,9 +124,10 @@ class TestStepChangeDetection:
         and breach the conformance SLO within 10 time units."""
         attack = RecoverySTG.paper_default(arrival_rate=8.0)
         for seed in range(3):
-            monitor = HealthMonitor(paper_prediction).attach(EventBus())
+            live = EventBus()
+            monitor = HealthMonitor(paper_prediction).attach(live)
             GillespieSimulator(
-                paper_stg, random.Random(seed), bus=monitor.bus
+                paper_stg, random.Random(seed), bus=live
             ).run(200.0)
             assert monitor.report().drift_count == 0
             bus = EventBus()
@@ -146,9 +148,10 @@ class TestStepChangeDetection:
     def test_rate_decrease_also_detected(self, paper_stg,
                                          paper_prediction):
         quiet = RecoverySTG.paper_default(arrival_rate=0.2)
-        monitor = HealthMonitor(paper_prediction).attach(EventBus())
+        bus = EventBus()
+        monitor = HealthMonitor(paper_prediction).attach(bus)
         GillespieSimulator(
-            paper_stg, random.Random(0), bus=monitor.bus
+            paper_stg, random.Random(0), bus=bus
         ).run(200.0)
         bus = EventBus()
         recorder = EventRecorder().attach(bus)

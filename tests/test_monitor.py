@@ -660,6 +660,9 @@ class TestConformanceProfileGate:
             {"scenario": "store-scaling", "digest_stable": True,
              "line_items": {"short_per_heal": 12.0,
                             "long_per_heal": 11.0}},
+            {"scenario": "fleet-observe", "digest_stable": True,
+             "line_items": {"replay_share": 0.1,
+                            "events_per_healed_alert": 19.0}},
         ]
         if conformance is not None:
             rows.append({"scenario": "conformance", "digest_stable": True,
@@ -688,6 +691,71 @@ class TestConformanceProfileGate:
         failures = check_profile(self.profile(items), None)
         assert len(failures) == 1
         assert "profile conformance" in failures[0]
+
+
+class TestFleetObserveGate:
+    """``check_regression.py`` gates what observing costs the fleet."""
+
+    @staticmethod
+    def profile(items, params=None):
+        doc = TestConformanceProfileGate.profile({"violations": 0})
+        row = doc["results"][-2]
+        assert row["scenario"] == "fleet-observe"
+        if items is None:
+            doc["results"].remove(row)
+        else:
+            row["line_items"] = items
+            row["params"] = params
+        return doc
+
+    def test_row_within_budget_passes(self):
+        from benchmarks.check_regression import (
+            MAX_EVENTS_PER_HEALED_ALERT,
+            MAX_OBSERVE_SHARE,
+            check_profile,
+        )
+
+        assert check_profile(self.profile({
+            "replay_share": MAX_OBSERVE_SHARE,
+            "events_per_healed_alert": MAX_EVENTS_PER_HEALED_ALERT,
+        }), None) == []
+
+    @pytest.mark.parametrize("items, shown", [
+        ({"replay_share": 0.21, "events_per_healed_alert": 19.0},
+         "replay_share 0.21"),
+        ({"events_per_healed_alert": 19.0}, "replay_share None"),
+        ({"replay_share": 0.1, "events_per_healed_alert": 21.5},
+         "21.5 events per healed alert"),
+        ({"replay_share": 0.1}, "None events per healed alert"),
+    ])
+    def test_over_budget_or_missing_item_fails(self, items, shown):
+        from benchmarks.check_regression import check_profile
+
+        failures = check_profile(self.profile(items), None)
+        assert len(failures) == 1
+        assert shown in failures[0]
+
+    def test_missing_row_fails(self):
+        from benchmarks.check_regression import check_profile
+
+        failures = check_profile(self.profile(None), None)
+        assert len(failures) == 1
+        assert "no fleet-observe row" in failures[0]
+
+    def test_more_events_than_the_committed_row_fails(self):
+        from benchmarks.check_regression import check_profile
+
+        params = {"tenants": 20, "duration": 25.0, "seed": 7}
+        base = self.profile({"replay_share": 0.1,
+                             "events_per_healed_alert": 19.0}, params)
+        fresh = self.profile({"replay_share": 0.1,
+                              "events_per_healed_alert": 19.2}, params)
+        failures = check_profile(fresh, base)
+        assert len(failures) == 1
+        assert "19.2 events per healed alert, above 19.0" in failures[0]
+        other = dict(params, tenants=21)
+        fresh["results"][-2]["params"] = other
+        assert check_profile(fresh, base) == []
 
 
 class TestCampaignReplayIdentity:

@@ -76,6 +76,8 @@ ALLOWED: Dict[str, str] = {
         "Section II-B precedence: whether two elements are ordered",
     "repro.workflow.precedence:PartialOrder.direct_predecessors":
         "Section II-B precedence: the direct predecessors of an element",
+    "repro.workflow.precedence:PartialOrder.add_edge":
+        "Section II-B precedence: one constraint t_i ≺ t_j",
     "repro.workflow.precedence:minimal":
         "Section II-B's minimal(S, ≺), the element a scheduler may run next",
     "repro.workflow.log:SystemLog.writers_of":

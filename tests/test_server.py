@@ -35,10 +35,11 @@ def monitored_server():
     """A server over a short conformant paper-workload run."""
     stg = RecoverySTG.paper_default()
     registry = MetricsRegistry()
+    bus = EventBus()
     monitor = HealthMonitor(
         ModelPrediction.from_stg(stg), registry=registry
-    ).attach(EventBus())
-    GillespieSimulator(stg, random.Random(0), bus=monitor.bus).run(150.0)
+    ).attach(bus)
+    GillespieSimulator(stg, random.Random(0), bus=bus).run(150.0)
     with TelemetryServer(registry=registry, monitor=monitor) as server:
         yield server, monitor
 
@@ -138,11 +139,11 @@ class TestMonitoredEndpoints:
         # An impossible loss objective over a lossy calibrated run:
         # the loss SLO breaches, and the probe must go unhealthy.
         stg = RecoverySTG.paper_default(arrival_rate=6.0, buffer_size=3)
+        bus = EventBus()
         monitor = HealthMonitor(
             ModelPrediction.from_stg(stg), loss_objective=1e-6,
-        ).attach(EventBus())
-        GillespieSimulator(stg, random.Random(1),
-                           bus=monitor.bus).run(150.0)
+        ).attach(bus)
+        GillespieSimulator(stg, random.Random(1), bus=bus).run(150.0)
         assert monitor.verdict.value == "BREACH"
         with TelemetryServer(monitor=monitor) as server:
             status, _, body = _get(server.url + "/healthz")
