@@ -172,21 +172,16 @@ class EpochManager:
     # -- healing ----------------------------------------------------------------
 
     def heal(self, malicious, forged_runs=(), bus=None,
-             clock=None, bracket: bool = False) -> HealReport:
+             clock=None) -> HealReport:
         """Heal the current epoch, then roll to the next one.
 
         ``bus``/``clock`` are forwarded to the underlying
         :class:`~repro.core.healer.Healer` for per-task undo/redo
-        observability (no-ops when ``None``).  ``bracket=True``
-        additionally publishes the ``HealStarted``/``HealFinished``
-        pair around the heal — callers that drive the manager directly
-        (fleet sweeps, fuzz backlog drains, the fullstack simulator's
-        ``commit_repairs``) opt in so the conformance monitor sees every
-        undo/redo inside a heal bracket;
-        ``SelfHealingSystem.recovery_step``, which publishes its own
-        bracket, keeps the default.
+        observability (no-ops when ``None``).  On an active bus the heal
+        is bracketed by a ``HealStarted``/``HealFinished`` pair, so the
+        conformance monitor sees every undo/redo inside a heal bracket.
         """
-        publish = (bracket and bus is not None and bus.active)
+        publish = bus is not None and bus.active
         started = clock() if (publish and clock is not None) else 0.0
         if publish:
             bus.publish(HealStarted(started, malicious=tuple(malicious)))

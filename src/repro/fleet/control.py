@@ -25,8 +25,8 @@ Time is simulated, advanced in **tick rounds** of three phases:
    *not* a loss — then drain the queue in priority order into
    per-tenant grant counts;
 3. *process* (grant order): each granted shard scans its grants
-   through the real analyzer and batch-heals when its alert queue
-   drains.
+   through the real analyzer and runs the recovery its
+   :class:`~repro.system.SelfHealingSystem` says is due.
 
 Every phase runs in the caller's thread, so a run is a deterministic
 function of its config: ``FleetConfig.workers`` is accepted for
@@ -364,26 +364,14 @@ class FleetControlPlane:
         grants: List[Tuple[int, int]],
         tick_end: float,
     ) -> None:
-        """Serve granted shards in grant order; re-queue unserved
-        grants."""
+        """Serve granted shards in grant order."""
 
-        def serve(grant: Tuple[int, int]) -> Tuple[int, int]:
+        def serve(grant: Tuple[int, int]) -> None:
             index, count = grant
-            shard = self.shards[index]
-            leftover = shard.process(count, tick_end)
-            self._m_scans.inc(count - leftover)
-            return index, leftover
+            self.shards[index].process(count, tick_end)
+            self._m_scans.inc(count)
 
-        results = pool.map(serve, grants)
-        for index, leftover in results:
-            if leftover:
-                # Analyzer blocked mid-grant: the unserved alerts are
-                # still at the front of the tenant queue; put them back
-                # at the front of the unscheduled FIFO too.
-                shard = self.shards[index]
-                queued = list(shard.system.alert_queue)
-                for alert in reversed(queued[:leftover]):
-                    self._unscheduled[index].appendleft(alert)
+        pool.map(serve, grants)
 
     def _harvest_serial(self) -> None:
         """Fold per-shard deltas into fleet metrics (serial phase, so
@@ -500,29 +488,25 @@ class FleetControlPlane:
         for _ in range(max(ticks, 1)):
             self.run_tick(pool)
         # Drain-down: keep scheduling rounds — without new ingest —
-        # until every accepted alert has been granted and served, or no
-        # round can make progress any more (shards whose analyzer is
-        # blocked by a full recovery queue with alerts still pending:
-        # the paper's deadlock-by-overflow, resolved only by the
-        # sweep's administrator path below).
+        # until every accepted alert has been granted and served.  A
+        # shard whose recovery queue fills drains it (the system's
+        # rule), so every round with alerts pending serves at least one.
         with recording(prof), phase("drain"):
-            guard = 0
             while any(self._unscheduled) or any(
                     s.system.alerts_queued for s in self.shards):
-                guard += 1
-                if guard > 100_000:
-                    raise FleetError("fleet drain-down did not quiesce")
-                before = sum(s.scans + s.heals for s in self.shards)
+                before = sum(s.scans for s in self.shards)
                 self._ticks += 1
                 end = self._ticks * cfg.tick
                 self.clock.set(max(end, self.clock.now))
                 grants = self._schedule_round()
                 self._process_round(pool, grants, end)
                 self._harvest_serial()
-                if sum(s.scans + s.heals for s in self.shards) == before:
-                    break  # only blocked shards; sweep resolves
-        # Final per-shard sweep: heal stragglers (blocked shards, admin
-        # backlog) and audit end to end.
+                if sum(s.scans for s in self.shards) == before:
+                    raise FleetError(
+                        "fleet drain-down made no progress with alerts "
+                        "pending")
+        # Final per-shard sweep: heal what is still in flight and audit
+        # end to end.
         sweep_at = self.clock.now
 
         def sweep(shard: TenantShard) -> None:

@@ -13,14 +13,17 @@ The shard's lifecycle is driven by the control plane in tick rounds:
 - :meth:`ingest` (serial phase) draws this tick's Poisson attack
   arrivals, executes each attacked workflow for real, and offers the
   IDS alert to the tenant's bounded alert queue — a full queue is a
-  *true loss* (the paper's Definition 3, per tenant); lost uids join
-  the administrator backlog (Section IV-D) healed at the next commit;
-- :meth:`process` (process phase, grant order) consumes centrally granted alerts
-  through the real analyzer, advancing the shard clock by the modeled
-  service times, and — once the tenant's alert queue is drained — runs
-  the batch heal, which rolls the tenant's epoch;
-- :meth:`sweep` heals everything still in flight at end of run so the
+  *true loss* (the paper's Definition 3, per tenant), and the system
+  keeps the lost uid for the administrator (Section IV-D);
+- :meth:`process` (process phase, grant order) consumes centrally
+  granted alerts through the real analyzer and runs the recovery the
+  system says is due, advancing the shard clock by the modeled service
+  times;
+- :meth:`sweep` settles everything still in flight at end of run so the
   final strict-correctness audit covers the whole history.
+
+The pipeline's rules are :class:`~repro.system.SelfHealingSystem`'s;
+the shard owns only its clock and service times.
 """
 
 from __future__ import annotations
@@ -120,8 +123,6 @@ class TenantShard:
         self._pending_detect = detect_to_heal.pending
         #: Detect→heal latencies (sim time), in heal order.
         self.latencies = detect_to_heal.latencies
-        #: Lost alerts awaiting an administrator report (Section IV-D).
-        self._admin_backlog: List[str] = []
         self.attacks = 0
         self.heals = 0
         self.scans = 0
@@ -153,7 +154,7 @@ class TenantShard:
         Runs the attacked workflow, offers the alert to the tenant
         queue, and returns the *accepted* alerts (candidates for the
         central scheduling queue).  Rejected alerts are true losses,
-        queued for the administrator backlog.
+        left to the system's administrator backlog.
         """
         accepted: List[Alert] = []
         with recording(self.profiler), phase("detect"):
@@ -182,94 +183,53 @@ class TenantShard:
             if self.system.submit_alert(alert):
                 self._pending_detect[uid] = arrival
                 accepted.append(alert)
-            else:
-                self._admin_backlog.append(uid)
 
     # -- process phase -----------------------------------------------------
 
-    def process(self, granted: int, until: float) -> int:
-        """Serve ``granted`` centrally scheduled alerts, then heal if
-        the alert queue drained.
+    def process(self, granted: int, until: float) -> None:
+        """Serve ``granted`` centrally scheduled alerts, running each
+        recovery the system says is due.
 
         Advances the shard clock by the modeled service times (scan:
-        ``scan_time × (1 + outstanding units)``; heal: ``unit_time ×
-        units``).  Returns the number of granted alerts *not* served —
-        the analyzer blocks when the recovery queue fills (Section
-        IV-E), and unserved grants return to the central backlog.
+        ``scan_time × (1 + outstanding units)``; recovery: ``unit_time ×
+        units``).  A full recovery queue blocks the analyzer (Section
+        IV-E), so the queued units are drained before the next scan.
         """
         with recording(self.profiler):
             self.clock.set(max(until, self.clock.now))
-            served = 0
             for _ in range(granted):
-                outstanding = len(self.system.recovery_queue)
-                if self.system.recovery_queue.full:
-                    break  # analyzer blocked; remaining grants deferred
+                self._recover_if_due()
                 self.clock.advance(
-                    self.profile.scan_time * (1 + outstanding)
+                    self.profile.scan_time
+                    * (1 + len(self.system.recovery_queue))
                 )
                 if self.system.scan_step() is None:
                     raise RecoveryError(
                         f"tenant {self.tenant}: granted alert missing "
                         "from the tenant queue (grant/queue desync)"
                     )
-                served += 1
                 self.scans += 1
-            self._maybe_heal()
-            return granted - served
+            self._recover_if_due()
 
-    def _maybe_heal(self) -> None:
-        """Batch-heal once the alert queue is empty (the paper's
-        discipline), folding in administrator reports for lost alerts
-        so they are repaired before their epoch archives."""
-        if self.system.alerts_queued or not self.system.recovery_units_queued:
+    def _recover_if_due(self) -> None:
+        """Run the queued units if the system says a drain is due."""
+        if not self.system.recovery_due:
             return
-        units = self.system.recovery_units_queued
-        self.clock.advance(self.profile.unit_recovery_time * units)
-        backlog = tuple(self._admin_backlog)
-        report = self.system.recovery_step(extra_uids=backlog)
-        if report is not None:
-            del self._admin_backlog[:len(backlog)]
+        self.clock.advance(
+            self.profile.unit_recovery_time
+            * self.system.recovery_units_queued
+        )
+        if self.system.recovery_step() is not None:
             self.heals += 1
 
     # -- end of run --------------------------------------------------------
 
     def sweep(self, until: float) -> None:
-        """Drain everything still in flight at end of run: scan every
-        queued alert, heal, and fold in any remaining administrator
-        backlog — then audit the whole multi-epoch history."""
+        """Settle everything still in flight at end of run, then audit
+        the whole multi-epoch history."""
         with recording(self.profiler):
             self.clock.set(max(until, self.clock.now))
-            guard = 0
-            while (self.system.alerts_queued
-                   or self.system.recovery_units_queued
-                   or self._admin_backlog):
-                guard += 1
-                if guard > 100_000:
-                    raise RecoveryError(f"tenant {self.tenant}: final "
-                                        "sweep did not quiesce")
-                if self.system.alerts_queued:
-                    leftover = self.process(self.system.alerts_queued,
-                                            self.clock.now)
-                    if leftover:
-                        # Analyzer blocked with alerts pending (the
-                        # paper's deadlock-by-overflow): at end of run
-                        # the queued alerts become administrator reports
-                        # folded into the heal of the planned units.
-                        while self.system.alert_queue:
-                            alert = self.system.alert_queue.pop()
-                            self._admin_backlog.append(alert.uid)
-                        self._maybe_heal()
-                elif self.system.recovery_units_queued:
-                    self._maybe_heal()
-                else:
-                    # Only lost-alert reports remain: an administrator
-                    # heal commits them (and rolls the epoch).
-                    backlog = tuple(self._admin_backlog)
-                    with phase("heal"):
-                        self.manager.heal(backlog, bus=self.bus,
-                                          clock=self.clock, bracket=True)
-                    del self._admin_backlog[:len(backlog)]
-                    self.heals += 1
+            self.heals += len(self.system.sweep())
             # Close the monitored trace: unresolved LTLf obligations
             # (an undo decided but never executed, a heal never
             # finished) become conformance violations.

@@ -73,10 +73,9 @@ Soundness notes (why an honest run is monitor-clean):
   decision events are re-derived from the same traversal, so claimed
   and decided agree exactly unless the plan was tampered with between
   analysis and queuing (precisely the ``--inject`` fault model);
-- heals are bracketed by ``HealStarted``/``HealFinished`` at every
-  instrumented site (``SelfHealingSystem.recovery_step``, the fullstack
-  simulator's ``commit_repairs``, and the direct epoch heals which opt
-  in via ``EpochManager.heal(bracket=True)``).
+- heals are bracketed by ``HealStarted``/``HealFinished``:
+  ``EpochManager.heal`` publishes the pair whenever its bus is active,
+  so every heal the system commits is bracketed.
 
 Deliberately *not* monitored at runtime: the full Theorem 1 blast
 radius of the *executed* closure.  Scan/recovery-timed workloads can

@@ -47,14 +47,6 @@ def fresh_system():
     return store, log, Engine(store, log)
 
 
-def quiesce(system):
-    """Scan every queued alert, then heal the batch (helper, not a
-    fixture); returns the heal report."""
-    while system.alerts_queued:
-        assert system.scan_step() is not None, "analyzer blocked"
-    return system.recovery_step()
-
-
 def make_workload(seed: int = 0, **overrides):
     """Build a deterministic random workload (helper, not a fixture)."""
     defaults = dict(

@@ -37,8 +37,6 @@ from repro.workflow.log import RecordKind, SystemLog
 from repro.workflow.spec import workflow
 from repro.workflow.task import TaskInstance
 
-from tests.conftest import quiesce
-
 #: t1 → t2 (branch) → t3 | t4 → t5: t3 and t4 are control dependent on t2.
 BRANCHING = (
     workflow("branching")
@@ -343,7 +341,7 @@ class TestReusedAnalyzerPlansLikeFresh:
                 manager.run_workflow_attacked(victim(name), campaign,
                                               name=name)
                 system.submit_alert(campaign.malicious_uids[0])
-            quiesce(system)
+            system.sweep()
         assert manager.epoch == 3
         assert len(checked_scans) == 9
         assert len({id(a) for a in checked_scans}) == 3
@@ -478,7 +476,7 @@ class TestIndexLivesWithTheAnalyzer:
             manager.run_workflow_attacked(victim(name), campaign, name=name)
             retired.append(manager.log)
             system.submit_alert(campaign.malicious_uids[0])
-            quiesce(system)
+            system.sweep()
         assert manager.epoch == 2
         for log in retired + [manager.log]:
             assert set(vars(log)) == {"_records", "_by_uid", "_next_seq"}
@@ -486,18 +484,18 @@ class TestIndexLivesWithTheAnalyzer:
 
 class TestPinnedProvenance:
     #: sha256 of ``obs record --scenario fullstack --lam 8 --buffer 8
-    #: --horizon 5 --seed 3``: 2,670 records, every T1–T3 decision in
+    #: --horizon 5 --seed 3``: 2,683 records, every T1–T3 decision in
     #: order among them, the final sweep's scans of the alerts still
     #: queued at the horizon included.
     OVERLOAD_LOG_SHA256 = (
-        "7775475a6997fcd282757611115d459bc2b7fa996242bec18a0b524df705094a")
+        "452935eac452b0f8f92bdb9dc01cae44335bae2afc67d4d986fd73d5162e6011")
 
     def test_overload_flight_log_digest(self, tmp_path, capsys):
         path = tmp_path / "overload.jsonl"
         assert main(["obs", "record", "--scenario", "fullstack",
                      "--lam", "8", "--buffer", "8", "--horizon", "5",
                      "--seed", "3", "--log", str(path)]) == 0
-        assert "2670 flight-log records" in capsys.readouterr().out
+        assert "2683 flight-log records" in capsys.readouterr().out
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.OVERLOAD_LOG_SHA256
 

@@ -14,8 +14,8 @@ import os
 
 import pytest
 
+from repro.obs.events import AlertLost, EventBus, HealStarted
 from repro.scenarios.fuzz import load_campaign, run_campaign
-from repro.system import SelfHealingSystem
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
@@ -53,28 +53,25 @@ def test_corpus_file_replays_clean(path):
 
 def test_lost_alerts_are_healed_as_administrator_reports(monkeypatch):
     """Section IV-D: an alert lost at a full alert queue is reported by
-    the administrator and folded into the next batch heal."""
-    lost, folded = [], []
-    submit = SelfHealingSystem.submit_alert
-    recover = SelfHealingSystem.recovery_step
+    the administrator and healed: every ``AlertLost`` uid of the
+    campaign's own event stream is named by a later ``HealStarted``."""
+    events = []
+    publish = EventBus.publish
 
-    def counting_submit(self, alert):
-        accepted = submit(self, alert)
-        if not accepted:
-            lost.append(alert)
-        return accepted
+    def recording_publish(self, event):
+        events.append(event)
+        return publish(self, event)
 
-    def counting_recover(self, extra_uids=()):
-        folded.extend(extra_uids)
-        return recover(self, extra_uids=extra_uids)
-
-    monkeypatch.setattr(SelfHealingSystem, "submit_alert", counting_submit)
-    monkeypatch.setattr(SelfHealingSystem, "recovery_step", counting_recover)
+    monkeypatch.setattr(EventBus, "publish", recording_publish)
     outcome = run_campaign(load_campaign(
         os.path.join(CORPUS_DIR, "false-alarm-flood-buffer1.json")))
     assert outcome.ok, [v.render() for v in outcome.violations]
-    assert len(lost) >= 1
-    assert len(folded) >= 1
+    lost = [(i, e.uid) for i, e in enumerate(events)
+            if isinstance(e, AlertLost)]
+    assert lost
+    for i, uid in lost:
+        assert any(isinstance(e, HealStarted) and uid in e.malicious
+                   for e in events[i + 1:]), uid
 
 
 def test_corpus_covers_triggers_and_kinds():

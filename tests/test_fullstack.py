@@ -1,12 +1,20 @@
 """Tests for the full-stack timed simulation (real heals under load)."""
 
+import heapq
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.markov.stg import StateCategory
-from repro.sim.fullstack import FullStackConfig, FullStackSimulator
+from repro.sim.fullstack import (
+    FullStackConfig,
+    FullStackSimulator,
+    run_replication,
+)
 
 
 def run(lam, horizon=60.0, seed=1, **overrides):
@@ -85,3 +93,87 @@ class TestCorrectnessUnderLoad:
         b = run(lam=2.0, seed=9)
         assert a.attacks == b.attacks
         assert a.category_occupancy == b.category_occupancy
+
+
+def operating_rule(lam, scan_time, unit_time, alert_buffer,
+                   recovery_buffer, horizon, seed):
+    """``(attacks, alerts_lost, heals)`` of a full-stack run from the
+    operating rule alone — no workflow, analyzer or healer.
+
+    One server runs one service at a time.  It scans the oldest alert
+    unless the analyzer is blocked by ``recovery_buffer`` queued units;
+    it drains every queued unit when no alert waits or the analyzer is
+    blocked; the drained units commit as one batch heal, with the lost
+    alerts, when a drain ends and no alert waits.  At the horizon one
+    last heal commits whatever is left.  Arrivals come from the same
+    seeded exponential stream as the simulator's.
+    """
+    rng = random.Random(seed)
+    heap, order = [], itertools.count()
+    alerts = units = drained = lost_unhealed = 0
+    attacks = lost = heals = 0
+    busy = False
+
+    def at(when, kind):
+        heapq.heappush(heap, (when, next(order), kind))
+
+    def serve(now):
+        nonlocal busy
+        if busy:
+            return
+        blocked = units >= recovery_buffer
+        if alerts and not blocked:
+            busy = True
+            at(now + scan_time * (1 + units), "scan")
+        elif units and (not alerts or blocked):
+            busy = True
+            at(now + unit_time * units, "drain")
+
+    if lam > 0:
+        at(rng.expovariate(lam), "attack")
+    while heap and heap[0][0] <= horizon:
+        now, _, kind = heapq.heappop(heap)
+        if kind == "attack":
+            attacks += 1
+            if alerts < alert_buffer:
+                alerts += 1
+            else:
+                lost += 1
+                lost_unhealed += 1
+            at(now + rng.expovariate(lam), "attack")
+        elif kind == "scan":
+            busy = False
+            alerts, units = alerts - 1, units + 1
+        else:
+            busy = False
+            drained, units = drained + units, 0
+            if not alerts:
+                heals += 1
+                drained = lost_unhealed = 0
+        serve(now)
+    if alerts or units or drained or lost_unhealed:
+        heals += 1
+    return attacks, lost, heals
+
+
+class TestOperatingRule:
+    """The simulator runs the system's one rule: its counts equal the
+    rule's restatement, blocked regimes (buffers of 1–4 at λ up to 12)
+    included."""
+
+    @given(lam=st.floats(0.5, 12.0), alert_buffer=st.integers(1, 4),
+           recovery_buffer=st.integers(1, 4), horizon=st.floats(0.5, 20.0),
+           seed=st.integers(0, 2**16))
+    @example(lam=8.0, alert_buffer=1, recovery_buffer=1, horizon=20.0,
+             seed=3)
+    @settings(max_examples=25, deadline=None)
+    def test_counts_equal_the_rule(self, lam, alert_buffer, recovery_buffer,
+                                   horizon, seed):
+        cfg = FullStackConfig(arrival_rate=lam, alert_buffer=alert_buffer,
+                              recovery_buffer=recovery_buffer)
+        result = run_replication(cfg, horizon, seed)
+        assert (result.attacks, result.alerts_lost, result.heals) == \
+            operating_rule(lam, cfg.scan_time, cfg.unit_recovery_time,
+                           alert_buffer, recovery_buffer, horizon, seed)
+        assert result.all_heals_audited_ok
+        assert result.repaired_instances >= result.attacks

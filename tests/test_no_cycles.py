@@ -18,7 +18,6 @@ from repro.obs.health import HealthMonitor, ModelPrediction
 from repro.markov.stg import RecoverySTG
 from repro.scenarios.figure1 import build_figure1
 from repro.system import SelfHealingSystem
-from tests.conftest import quiesce
 
 
 def cyclic_repro_garbage(build):
@@ -66,7 +65,7 @@ class TestFreedByRefcount:
             system = SelfHealingSystem(scenario.manager, bus=bus)
             monitor = HealthMonitor(prediction).attach(bus)
             assert system.submit_alert(Alert(0.0, scenario.malicious_uid))
-            assert quiesce(system) is not None
+            assert system.sweep()
             monitor.finalize()
             assert monitor.conformance.violation_count == 0
             assert monitor.conformance.events_seen > 0

@@ -4,13 +4,11 @@ import pytest
 
 from repro.core.strategies import RecoveryStrategy
 from repro.ids.alerts import Alert
-from repro.obs.events import EventBus, NormalTaskRefused
+from repro.obs.events import EventBus, HealStarted, NormalTaskRefused
 from repro.obs.monitor import ConformanceMonitor
 from repro.obs.tracing import ManualClock
 from repro.scenarios.figure1 import build_figure1
 from repro.system import SelfHealingSystem, SystemState
-
-from tests.conftest import quiesce
 
 
 def make_system(**kwargs):
@@ -50,7 +48,7 @@ class TestStates:
     def test_run_to_quiescence_heals(self):
         sc, system = make_system()
         system.submit_alert(sc.malicious_uid)
-        report = quiesce(system)
+        (report,) = system.sweep()
         assert system.state is SystemState.NORMAL
         # The Figure 1 damage was actually repaired.
         assert len(report.undone) == 7 and len(report.redone) == 5
@@ -68,8 +66,8 @@ class TestAlertChannelFaults:
     def heal(alerts, alert_buffer=15):
         """Heal ``alerts`` (``None`` = the malicious uid) on a fresh
         attacked Figure 1 under a conformance monitor. Alerts lost to a
-        full queue arrive as administrator reports folded into the
-        batch."""
+        full queue are the system's administrator reports, folded into
+        the batch."""
         sc = build_figure1(attacked=True)
         bus, clock = EventBus(), ManualClock(0.0)
         monitor = ConformanceMonitor().attach(bus)
@@ -84,7 +82,7 @@ class TestAlertChannelFaults:
         clock.advance(0.5)
         while system.alerts_queued:
             assert system.scan_step() is not None, "analyzer blocked"
-        report = system.recovery_step(extra_uids=tuple(lost))
+        report = system.recovery_step()
         sc.record_heal(report)
         monitor.finalize(clock.now)
         return sc, report, monitor, lost
@@ -127,6 +125,68 @@ class TestQueueLimits:
         assert system.recovery_units_queued == 1
 
 
+class TestOneRule:
+    """The scheduler drains every queued unit when no alert waits or the
+    analyzer is blocked; the drained units commit as one batch heal with
+    the administrator backlog once the alert queue is empty."""
+
+    FALSE_ALARMS = TestAlertChannelFaults.INNOCENT
+
+    def observed(self, **kwargs):
+        bus, started = EventBus(), []
+        bus.subscribe(started.append, types=[HealStarted])
+        sc, system = make_system(bus=bus, clock=lambda: 0.0, **kwargs)
+        return sc, system, started, bus
+
+    def test_blocked_step_drains_then_one_commit_heals_all(self):
+        sc, system, started, _bus = self.observed(alert_buffer=2,
+                                                  recovery_buffer=1)
+        first, second = self.FALSE_ALARMS
+        assert system.submit_alert(first)
+        assert system.submit_alert(sc.malicious_uid)
+        assert not system.submit_alert(second)      # lost: admin report
+        assert system.scan_step() is not None
+        assert system.scan_step() is None           # analyzer blocked
+        assert system.recovery_due
+        assert system.recovery_step() is None       # drained, no heal
+        assert (system.recovery_units_queued, system.alerts_queued) == (0, 1)
+        assert started == [] and sc.manager.epoch == 0
+        assert system.scan_step() is not None
+        assert system.recovery_due
+        report = system.recovery_step()
+        assert report is not None
+        assert [e.malicious for e in started] == [
+            (first, sc.malicious_uid, second)]
+        assert sc.manager.epoch == 1 and sc.manager.audit().ok
+        assert set(self.FALSE_ALARMS) <= set(report.redone)
+        assert system.sweep() == []
+
+    def test_no_drain_while_an_alert_can_be_scanned(self):
+        sc, system, _started, _bus = self.observed()
+        system.submit_alert(sc.malicious_uid)
+        system.scan_step()
+        system.submit_alert(self.FALSE_ALARMS[0])
+        assert not system.recovery_due
+        system.scan_step()
+        assert system.recovery_due
+
+    def test_sweep_heals_once_then_rolls_normal_records(self):
+        sc, system, started, _bus = self.observed(recovery_buffer=1)
+        for uid in (sc.malicious_uid, *self.FALSE_ALARMS):
+            assert system.submit_alert(uid)
+        (report,) = system.sweep()
+        assert [e.malicious for e in started] == [
+            (sc.malicious_uid, *self.FALSE_ALARMS)]
+        assert system.state is SystemState.NORMAL
+        # Later commits with no alert: the sweep rolls them into the
+        # audited history with a heal of nothing.
+        sc.manager.run_workflow(_chain_spec(), "after")
+        (roll,) = system.sweep()
+        assert started[-1].malicious == ()
+        assert roll.undone == () and sc.manager.epoch == 2
+        assert not sc.manager.log.normal_records()
+
+
 class TestStrictGate:
     def test_refused_in_scan_and_recovery(self):
         """Strict correctness (Theorem 4): no normal task runs while an
@@ -142,7 +202,7 @@ class TestStrictGate:
         system.scan_step()
         assert system.state is SystemState.RECOVERY
         assert not system.normal_task_admissible()
-        quiesce(system)
+        system.sweep()
         assert system.normal_task_admissible()
         assert [e.state for e in refused] == ["SCAN", "RECOVERY"]
 
@@ -172,8 +232,13 @@ class TestNoAlerts:
         assert system.scan_step() is None
 
     def test_quiescence_trivial_when_normal(self):
-        __, system = make_system()
-        assert quiesce(system) is None
+        """No alert, no backlog: the sweep heals nothing and rolls the
+        epoch's normal records into the audited history."""
+        sc, system = make_system()
+        (roll,) = system.sweep()
+        assert roll.undone == () and roll.redone == ()
+        assert sc.manager.epoch == 1 and not sc.manager.log.normal_records()
+        assert system.sweep() == []
         assert system.state is SystemState.NORMAL
 
 
@@ -215,7 +280,7 @@ class TestManagerMode:
                                   y=999)
             manager.run_workflow_attacked(spec, campaign, f"v{wave}")
             assert system.submit_alert(campaign.malicious_uids[0])
-            assert quiesce(system) is not None
+            assert system.sweep()
             assert system.state is SystemState.NORMAL
         assert manager.epoch == 3
         assert manager.audit().ok
@@ -232,6 +297,6 @@ class TestManagerMode:
                                   y=777)
             manager.run_workflow_attacked(spec, campaign, f"n{wave}")
             system.submit_alert(campaign.malicious_uids[0])
-            quiesce(system)
+            system.sweep()
         assert manager.epoch == 2
         assert manager.audit().ok
