@@ -10,10 +10,12 @@ Emits ``BENCH_profile.json``: one profiled run per scenario of the
   the identical structure digest (phase paths, ordering, call counts,
   sim totals, counters — everything but the wall times);
 - **named line items** — the measured cost drivers the paper's scaling
-  embarrassments hide behind: Theorem 1/2 closure rebuilds per alert
-  (ROADMAP item 1(c); one per log epoch), the wall time of the closure
-  phase, the Theorem 3 orders that unobserved scans build (none: an
-  order is built on its first read), and, on a second fullstack row
+  embarrassments hide behind: dependency index builds per alert
+  (ROADMAP item 1(c); one per log epoch), the wall time of the batch
+  heal's closure (its Phase A, ``heal.undo``), the Theorem 3 orders
+  that unobserved scans build (none: an order is built on its first
+  read), the Theorem 1 computations per heal (one: an unobserved
+  scan's sets are decided only on read), and, on a second fullstack row
   whose run an event bus records, the plan phase's wall time and calls
   and the Theorem 3 edge walks per distinct action planned in an epoch
   (one when each action is planned once per epoch), and the parallel
@@ -39,7 +41,8 @@ Run as a script::
 ``benchmarks/check_regression.py`` gates the output: attribution
 floors, digest stability, the presence of the closure, plan-phase and
 fan-out line items, a closure rebuild rate of at most 0.1 per alert, no
-order built by an unobserved scan, at least one observed plan phase
+order built by an unobserved scan, at most one Theorem 1 computation
+per heal on it, at least one observed plan phase
 and at most 1.5 edge walks per planned action, store names touched per heal
 at the long horizon at most 1.5 times the short horizon's, and
 a conformance row with zero violations are hard failures; the
@@ -94,9 +97,11 @@ def profile_fullstack(horizon: float, seed: int) -> List[dict]:
     """One instrumented replication, twice (digest stability), first
     unobserved, then with a recording event bus.
 
-    Unobserved scans build no Theorem 3 order (``actions_planned`` is
-    0); the observed run's scans build each order to publish its edges,
-    so the plan phase is measured on that row."""
+    Unobserved scans decide no Theorem 1/2 sets and build no Theorem 3
+    order (``actions_planned`` is 0, one ``undo_analyses`` per heal):
+    the batch closure is the heal's ``heal.undo`` phase.  The observed
+    run's scans decide their sets and build each order to publish
+    them, so the plan phase is measured on that row."""
     config = FullStackConfig(arrival_rate=6.0, alert_buffer=4,
                              recovery_buffer=4)
 
@@ -136,18 +141,26 @@ def profile_fullstack(horizon: float, seed: int) -> List[dict]:
             }
         else:
             alerts = rows.get("analyze", {}).get("calls", 0) or 1
+            heals = rows.get("heal", {}).get("calls", 0) or 1
             closure = counters.get("closure_recomputations", 0)
             line_items = {
-                # ROADMAP item 1(c): the closure is built once per log
-                # epoch and extended across its scans; check_regression
-                # gates the per-alert rebuild rate at 0.1.
+                # ROADMAP item 1(c): the dependency index is built once
+                # per log epoch; check_regression gates the per-alert
+                # rebuild rate at 0.1.
                 "closure_recomputations": closure,
                 "closure_recomputations_per_alert": closure / alerts,
+                # The batch closure: the heal's Phase A, the one place
+                # an unobserved run decides Theorem 1.
                 "closure_wall_s": rows.get(
-                    "analyze;analyze.closure", {}).get("wall", 0.0),
+                    "heal;heal.undo", {}).get("wall", 0.0),
                 # Orders built by scans nothing observes or verifies:
                 # check_regression requires 0.
                 "actions_planned": counters.get("actions_planned", 0),
+                # Theorem 1 computations per heal: the heal's own, and
+                # none by a scan nothing reads; check_regression
+                # requires at most 1.
+                "undo_analyses_per_heal": (
+                    counters.get("undo_analyses", 0) / heals),
             }
         out.append({
             "scenario": first.scenario,

@@ -18,7 +18,9 @@ the committed baselines at the repository root and fails (exit 1) when:
   closure for more than one alert in ten
   (``closure_recomputations_per_alert`` above
   ``MAX_CLOSURE_PER_ALERT``) or building a Theorem 3 order that nothing
-  reads (``actions_planned`` above 0 on the unobserved run), an
+  reads (``actions_planned`` above 0 on the unobserved run) or
+  deciding Theorem 1 more than once per heal (``undo_analyses_per_heal``
+  above ``MAX_UNDO_ANALYSES_PER_HEAL``), an
   observed fullstack profile with no plan phase or walking an action's
   Theorem 3 edges more than once per epoch (``analyses_per_action``
   above ``MAX_ANALYSES_PER_ACTION``), or the heals and audits touching
@@ -56,6 +58,14 @@ CTMC_OPS = ("steady_state", "transient", "passage", "cumulative")
 #: dependency closure for at most one alert in ten (once per log epoch,
 #: not once per alert).
 MAX_CLOSURE_PER_ALERT = 0.1
+
+#: ROADMAP item 7's count gate: Theorem 1 computations
+#: (``find_undo_tasks`` calls) per heal on the unobserved fullstack run.
+#: The batch heal derives its closure once and nothing reads an
+#: unobserved scan's sets, so it is exactly 1; scans that decide their
+#: sets eagerly add one per alert (17.5 on the full profile's row, 15.1
+#: on the quick one).
+MAX_UNDO_ANALYSES_PER_HEAL = 1.0
 
 #: ROADMAP item 1's gate: Theorem 3 edge walks per distinct action
 #: planned in an epoch, on the observed run (unobserved scans build no
@@ -289,9 +299,11 @@ def check_profile(fresh: dict, baseline: Optional[dict],
     Hard invariants (always): every row with an ``attribution_floor``
     meets it, every row's structure digest was stable across its two
     runs, the fullstack row names closure recomputation as a measured
-    line item at no more than ``MAX_CLOSURE_PER_ALERT`` per alert and
+    line item at no more than ``MAX_CLOSURE_PER_ALERT`` per alert,
     builds no Theorem 3 order (``actions_planned`` 0: nothing observes
-    its scans), the fullstack-observed row names the plan-phase wall as
+    its scans) and decides Theorem 1 at most
+    ``MAX_UNDO_ANALYSES_PER_HEAL`` times per heal, the
+    fullstack-observed row names the plan-phase wall as
     ``plan_wall_s`` with at least one ``analyze;analyze.plan`` call and
     ``analyses_per_action`` at no more than
     ``MAX_ANALYSES_PER_ACTION``, the store-scaling row
@@ -348,6 +360,13 @@ def check_profile(fresh: dict, baseline: Optional[dict],
                 f"profile fullstack: actions_planned {planned} on an "
                 "unobserved run — scans build Theorem 3 orders that "
                 "nothing reads (ROADMAP 1)"
+            )
+        per_heal = items.get("undo_analyses_per_heal")
+        if per_heal is None or per_heal > MAX_UNDO_ANALYSES_PER_HEAL:
+            failures.append(
+                f"profile fullstack: undo_analyses_per_heal {per_heal} "
+                f"above {MAX_UNDO_ANALYSES_PER_HEAL} — unobserved scans "
+                "decide Theorem 1 sets that nothing reads (ROADMAP 1, 7)"
             )
     observed = by_scenario.get("fullstack-observed")
     if observed is None:

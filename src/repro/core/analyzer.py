@@ -12,13 +12,20 @@ analyzer orders no unit against another; the count of outstanding units
 only feeds :func:`RecoveryAnalyzer.analysis_cost`, the modelled ``μ_k``
 degradation the CTMC assumes, not work the analyzer does.
 
-The heal realizes Theorem 3 by how it runs and never reads a plan's
-order, so a scan decides the Theorem 1/2 sets and leaves the "related
-partial orders" to be worked out on the first read of
-:attr:`RecoveryPlan.order <repro.core.plan.RecoveryPlan.order>`.  An
-observed scan reads it at once, to publish its edges; so do the
-independent plan verifier and the tests.  An unobserved scan that
-nothing verifies builds no order.
+A scan decides nothing until something reads its plan.  The batch heal
+derives the merged batch's Theorem 1 closure again, on the epoch's
+dependency index, because a unit's "definite" sets are not definite for
+the batch (a T2.1 redo one scan decides can fall off the path when the
+batch also heals an earlier task of its workflow), and it realizes
+Theorem 3 by how it runs.  So a plan's Theorem 1/2 sets are decided on
+the first read of :attr:`RecoveryPlan.undo_analysis
+<repro.core.plan.RecoveryPlan.undo_analysis>` or ``redo_analysis``, and
+its "related partial orders" on the first read of :attr:`RecoveryPlan.order
+<repro.core.plan.RecoveryPlan.order>`.  An observed scan reads both at
+once, to publish its provenance, claimed sets and edges; so do
+``verify=True``, the fuzz episode's plan verifier and the tests.  An
+unobserved scan that nothing verifies decides nothing: its unit only
+waits in the queue.
 """
 
 from __future__ import annotations
@@ -26,19 +33,24 @@ from __future__ import annotations
 import time as _time
 from typing import (
     Callable,
-    FrozenSet,
     List,
     Mapping,
     Optional,
     Sequence,
     Set,
+    Tuple,
     Union,
 )
 
 from repro.core.actions import Action
 from repro.core.partial_orders import recovery_partial_order
 from repro.core.plan import RecoveryPlan
-from repro.core.undo_redo import find_redo_tasks, find_undo_tasks
+from repro.core.undo_redo import (
+    RedoAnalysis,
+    UndoAnalysis,
+    find_redo_tasks,
+    find_undo_tasks,
+)
 from repro.ids.alerts import Alert
 from repro.obs.events import (
     EventBus,
@@ -76,10 +88,11 @@ class RecoveryAnalyzer:
     Parameters
     ----------
     log:
-        The system log to analyze.  Its dependency index is built on
-        the first scan and extended with later commits on each next
-        one; drivers whose log rolls with every heal hold one analyzer
-        per epoch.
+        The system log to analyze.  Its dependency index
+        (:meth:`dependency_index`) is built on the first read of a
+        plan's sets, or by the heal, and extended with later commits on
+        each next read; drivers whose log rolls with every heal hold
+        one analyzer per epoch.
     specs_by_instance:
         Spec executed by each workflow instance in the log, read live
         (instances registered later are seen by later scans).
@@ -93,11 +106,11 @@ class RecoveryAnalyzer:
         ``time.monotonic``), read once per observed scan, before the
         analysis: every event the scan publishes carries that time.
 
-    Under a recording profiler, :meth:`analyze` records the phase
-    ``analyze.closure`` (Theorems 1/2), and the build of a plan's
-    order records ``analyze.plan`` (Theorem 3) wherever it is first
-    read.  The ``actions_planned`` and ``plan_memo_fills`` counters
-    count the orders built.
+    Under a recording profiler, the decision of a plan's sets records
+    the phase ``analyze.closure`` (Theorems 1/2) and the build of its
+    order ``analyze.plan`` (Theorem 3), wherever each is first read.
+    The ``actions_planned`` and ``plan_memo_fills`` counters count the
+    orders built.
     """
 
     def __init__(
@@ -118,13 +131,20 @@ class RecoveryAnalyzer:
         self._bus = bus
         self._clock = clock if clock is not None else _time.monotonic  # lint: allow[DET001] injectable clock; wall time is the live default
 
-    def _dependency_analyzer(self) -> DependencyAnalyzer:
+    def dependency_index(self) -> DependencyAnalyzer:
+        """The dependency index of this analyzer's log, built on the
+        first call and extended with later commits by each query.
+
+        A scan that decides its sets builds it; otherwise the batch
+        heal of the epoch does (:meth:`SelfHealingSystem._commit
+        <repro.system.SelfHealingSystem>` hands it to the healer), so
+        an epoch builds one index either way.
+        """
         if self._dep is None:
             # The one index-and-memo build of this analyzer's log
-            # (ROADMAP item 1(c)): later scans reuse it, and extend it
-            # only with what was committed since.  Drivers hold one
-            # analyzer per log epoch, so the counter reads builds per
-            # epoch, not per alert.
+            # (ROADMAP item 1(c)): later reads reuse it.  Drivers hold
+            # one analyzer per log epoch, so the counter reads builds
+            # per epoch, not per alert.
             bump("closure_recomputations")
             self._dep = DependencyAnalyzer(self._log, self._specs)
         return self._dep
@@ -161,24 +181,18 @@ class RecoveryAnalyzer:
             EventTrace(now) if tracing else None
         order_trace: Optional[EventTrace[OrderConstraint]] = \
             EventTrace(now) if tracing else None
-        with phase("analyze.closure"):
-            analyzer = self._dependency_analyzer()
-            undo_analysis = find_undo_tasks(analyzer, uids,
-                                            trace=undo_trace)
-            redo_analysis = find_redo_tasks(
-                analyzer, undo_analysis.definite, trace=redo_trace
-            )
+        sets_of = self._sets_of(tuple(uids), undo_trace, redo_trace)
         plan = RecoveryPlan(
             alert_uids=tuple(uids),
-            undo_analysis=undo_analysis,
-            redo_analysis=redo_analysis,
             units=len(uids),
-            order_of=self._order_of(analyzer, undo_analysis.definite,
-                                    redo_analysis.definite, order_trace),
+            sets_of=sets_of,
+            order_of=self._order_of(sets_of, order_trace),
         )
         if tracing:
-            # The published edges need the order, so an observed scan
-            # builds it here.
+            # The published provenance, the claimed sets and the edges
+            # need the sets and the order, so an observed scan decides
+            # both here.
+            sets_of()
             plan.order
             # Provenance first (why each action exists and how it is
             # ordered), then the ScanStep that closes the analysis.
@@ -194,29 +208,66 @@ class RecoveryAnalyzer:
             ))
         return plan
 
+    def _sets_of(
+        self,
+        uids: Tuple[str, ...],
+        undo_trace: Optional[List[UndoDecision]],
+        redo_trace: Optional[List[RedoDecision]],
+    ) -> Callable[[], Tuple[UndoAnalysis, RedoAnalysis]]:
+        """The Theorem 1/2 sets of one plan, decided on the first call.
+
+        Later calls, from the plan or from a copy of it, return the
+        same pair.  The sets are decided against the log as of that
+        first call.  The log only grows, and what it gains after a scan
+        is later than every record the scan saw: a later writer, reader
+        or trace step adds members but is never a control source of an
+        earlier record.  So a late first read gives a superset of every
+        set a read at scan time would have given, and equals a fresh
+        analyzer's sets over the log as it is then.
+        """
+        memo: List[Tuple[UndoAnalysis, RedoAnalysis]] = []
+
+        def sets() -> Tuple[UndoAnalysis, RedoAnalysis]:
+            if memo:
+                return memo[0]
+            with phase("analyze.closure"):
+                analyzer = self.dependency_index()
+                undo_analysis = find_undo_tasks(analyzer, uids,
+                                                trace=undo_trace)
+                redo_analysis = find_redo_tasks(
+                    analyzer, undo_analysis.definite, trace=redo_trace
+                )
+            memo.append((undo_analysis, redo_analysis))
+            return memo[0]
+
+        return sets
+
     def _order_of(
         self,
-        analyzer: DependencyAnalyzer,
-        undos: FrozenSet[str],
-        redos: FrozenSet[str],
+        sets_of: Callable[[], Tuple[UndoAnalysis, RedoAnalysis]],
         trace: Optional[List[OrderConstraint]],
     ) -> Callable[[], PartialOrder[Action]]:
-        """The Theorem 3 order of one plan, built on the first call.
+        """The Theorem 3 order of one plan's decided sets, built on the
+        first call.
 
         Later calls, from the plan or from a copy of it, return the
         same object.  A later build sees the same order: every action
-        is a record of the scanned log, and what the log gains later
-        (records of later scans, the heal's UNDO and REDO records) is
-        neither in these sets nor between two of their records.
+        is a record of the log the sets were decided on, and what the
+        log gains later (records of later scans, the heal's UNDO and
+        REDO records) is neither in these sets nor between two of their
+        records.
         """
         memo: List[PartialOrder[Action]] = []
 
         def order() -> PartialOrder[Action]:
             if memo:
                 return memo[0]
+            undo_analysis, redo_analysis = sets_of()
+            analyzer = self.dependency_index()
             with phase("analyze.plan"):
                 built = recovery_partial_order(
-                    analyzer, undo_set=undos, redo_set=redos, trace=trace,
+                    analyzer, undo_set=undo_analysis.definite,
+                    redo_set=redo_analysis.definite, trace=trace,
                 )
                 built.check_acyclic()
             # Once per epoch: each distinct action's Theorem 3 edge walk

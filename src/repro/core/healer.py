@@ -11,7 +11,9 @@ Given the malicious set ``B`` (from IDS alerts) and any attacker-forged
 workflow runs:
 
 **Phase A — undo analysis.**  Compute the flow closure of ``B`` (Theorem
-1, conditions 1 and 3).  Every version written by a closure instance is
+1, conditions 1 and 3) of the whole batch, on the epoch's dependency
+index when the caller passes one (a scan's sets are not definite for
+the batch).  Every version written by a closure instance is
 *dirty*; one ``undo`` record per closure instance is committed (newest
 first, honoring rule T3.5's reverse-output-dependence order), realizing
 rule T3.3 (``undo(t) ≺ redo(t)``).
@@ -279,6 +281,11 @@ class Healer:
     clock:
         Timestamp source for published events (default
         ``time.monotonic``).
+    dependencies:
+        Optional dependency index of ``log`` and ``specs_by_instance``
+        (the epoch's one index, which the scans' analyzer owns); the
+        heal extends it with the records committed since and derives
+        the closure on it.  ``None`` (the default) builds one per heal.
 
     Under a recording profiler, :meth:`heal` records its Phases A–C as
     ``heal.undo`` / ``heal.settle`` / ``heal.reconcile``.
@@ -292,9 +299,11 @@ class Healer:
         baseline: Optional[Mapping[str, int]] = None,
         bus: Optional[EventBus] = None,
         clock: Optional[Callable[[], float]] = None,
+        dependencies: Optional[DependencyAnalyzer] = None,
     ) -> None:
         self._store = store
         self._log = log
+        self._dependencies = dependencies
         self._specs = specs_by_instance
         self._baseline = baseline
         self._bus = bus if bus is not None and bus.active else None
@@ -339,7 +348,9 @@ class Healer:
 
         # ---- Phase A: undo records for the closure -------------------------
         with phase("heal.undo"):
-            analyzer = DependencyAnalyzer(log, self._specs)
+            analyzer = self._dependencies
+            if analyzer is None:
+                analyzer = DependencyAnalyzer(log, self._specs)
 
             bad: Set[str] = {u for u in malicious if u in log}
             for record in log.normal_records():

@@ -6,11 +6,15 @@ candidate), and the Theorem 3 partial order over the definite recovery
 actions.  The plan corresponds to the paper's "unit of recovery tasks"
 (one unit per alert) queued between the recovery analyzer and the
 scheduler in Figure 2.  The queue only counts units: a batch heal
-merges every queued unit and realizes Theorem 3 by how it runs (undos
-newest first, then the settle pass in log order), so it never reads a
-plan's order.  The order is a published claim, built on its first
-read: by an observed scan, which publishes its edges for the checks,
-by the independent plan verifier, or by a test.
+merges every queued unit, derives the batch's Theorem 1 closure again
+(a unit's definite sets are not definite for the merged batch) and
+realizes Theorem 3 by how it runs (undos newest first, then the settle
+pass in log order), so it reads neither a plan's sets nor its order.
+Both are published claims, decided on their first read: by an observed
+scan, which publishes its provenance, claimed sets and edges for the
+checks, by the independent plan verifier, or by a test.  The sets are
+decided against the log as of that read; the log only grows, so a late
+read gives a superset of what a read at scan time would have given.
 
 The plan is *static*: candidates are listed, not resolved.  Resolution —
 which requires executing redos and re-deciding branches — is the
@@ -22,13 +26,36 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.actions import Action
 from repro.core.undo_redo import RedoAnalysis, UndoAnalysis
 from repro.workflow.precedence import PartialOrder
 
 __all__ = ["RecoveryPlan"]
+
+
+class _Decided:
+    """A plan's Theorem 1 (``index`` 0) or Theorem 2 (1) analysis: the
+    value the plan was built with, else the one its analyzer decides on
+    the first read (:attr:`RecoveryPlan.sets_of`)."""
+
+    def __init__(self, index: int) -> None:
+        self._index = index
+        self._slot = ""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._slot = "_" + name
+
+    def __get__(self, plan: Optional["RecoveryPlan"],
+                owner: Optional[type] = None) -> Any:
+        if plan is None:
+            return None  # the field's default: decided on read
+        value = plan.__dict__.get(self._slot)
+        return value if value is not None else plan.sets_of()[self._index]
+
+    def __set__(self, plan: "RecoveryPlan", value: Any) -> None:
+        plan.__dict__[self._slot] = value
 
 
 @dataclass
@@ -39,24 +66,32 @@ class RecoveryPlan:
     ----------
     alert_uids:
         The malicious instances this plan responds to (one per alert).
-    undo_analysis, redo_analysis:
-        Static Theorem 1 / Theorem 2 results.
     units:
         Number of recovery-task units (= number of alerts; the CTMC's
         queue items).
+    sets_of:
+        The analyzer's builder of the Theorem 1/2 sets: it decides them
+        on its first call and returns that one pair after.
     order_of:
-        The analyzer's builder of :attr:`order`: it builds the order on
-        its first call and returns that one object after.  A copy of
-        the plan (``dataclasses.replace``) shares it, so a mutated copy
-        keeps the analyzer's own order.
+        The analyzer's builder of :attr:`order`: it builds the order of
+        the builder's sets on its first call and returns that one
+        object after.  A copy of the plan (``dataclasses.replace``)
+        shares both builders, so a mutated copy keeps the analyzer's
+        own order.
+    undo_analysis, redo_analysis:
+        Static Theorem 1 / Theorem 2 results: the values given, else
+        the builder's, read from it on each access.  A copy made with
+        ``dataclasses.replace`` reads both, so it holds them as values.
     """
 
     alert_uids: Tuple[str, ...]
-    undo_analysis: UndoAnalysis
-    redo_analysis: RedoAnalysis
     units: int
+    sets_of: Callable[[], Tuple[UndoAnalysis, RedoAnalysis]] = field(
+        repr=False, compare=False)
     order_of: Callable[[], PartialOrder[Action]] = field(
         repr=False, compare=False)
+    undo_analysis: UndoAnalysis = _Decided(0)  # type: ignore[assignment]
+    redo_analysis: RedoAnalysis = _Decided(1)  # type: ignore[assignment]
 
     @property
     def order(self) -> PartialOrder[Action]:

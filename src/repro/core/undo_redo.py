@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.obs.events import RedoDecision, UndoDecision, trace_time
+from repro.obs.perf import bump
 from repro.workflow.dependency import DependencyAnalyzer
 
 __all__ = [
@@ -173,7 +174,11 @@ def find_undo_tasks(
         sink's time (:class:`~repro.obs.events.EventTrace`; ``0.0`` in
         a plain list).  ``None`` (default) records nothing and costs
         nothing.
+
+    Each call bumps the ``undo_analyses`` counter, so a profile counts
+    the Theorem 1 computations per heal.
     """
+    bump("undo_analyses")
     log = analyzer.log
     bad_in_log = frozenset(u for u in malicious if u in log)
     stamp = trace_time(trace)

@@ -73,10 +73,13 @@ class BoundedQueue(Generic[T]):
     losses).
 
     Storage is accessed only through the ``_store`` / ``_take`` /
-    ``_size`` / ``_iter_items`` primitives, so
+    ``_iter_items`` primitives, so
     subclasses (:class:`PriorityBoundedQueue`) can change the queueing
     discipline without touching the capacity, loss-accounting,
-    high-water, or drop-event machinery.
+    high-water, or drop-event machinery.  The queue keeps its size as a
+    running count, which :meth:`offer`, :meth:`pop` and an eviction
+    (:meth:`_make_room`) maintain: ``len``, truth tests and
+    :attr:`full` read it without visiting the storage.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -84,6 +87,7 @@ class BoundedQueue(Generic[T]):
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._capacity = capacity
         self._items: Deque[T] = deque()
+        self._count = 0
         self._lost = 0
         self._accepted = 0
         self._high_water = 0
@@ -93,9 +97,6 @@ class BoundedQueue(Generic[T]):
 
     # -- storage primitives (the only methods touching the backing
     # -- container; subclasses override these) ----------------------------
-
-    def _size(self) -> int:
-        return len(self._items)
 
     def _store(self, item: T) -> None:
         self._items.append(item)
@@ -114,7 +115,8 @@ class BoundedQueue(Generic[T]):
         """Try to make room for ``item`` when at capacity.
 
         The base FIFO queue never evicts; subclasses may (priority
-        preemption).  Returns ``True`` when a slot was freed.
+        preemption).  Returns ``True`` when a slot was freed, and then
+        has taken the evicted item off the running count.
         """
         return False
 
@@ -163,19 +165,20 @@ class BoundedQueue(Generic[T]):
         if self._bus is not None and self._clock is not None:
             self._bus.publish(QueueItemDropped(
                 self._clock(), queue=self._name,
-                depth=self._size(), lost_total=self._lost,
+                depth=self._count, lost_total=self._lost,
                 priority=self._class_of(item),
             ))
 
     def offer(self, item: T) -> bool:
         """Enqueue ``item`` if capacity allows; count a loss otherwise."""
-        if self._size() >= self._capacity and not self._make_room(item):
+        if self._count >= self._capacity and not self._make_room(item):
             self._note_lost(item)
             return False
         self._store(item)
+        self._count += 1
         self._accepted += 1
-        if self._size() > self._high_water:
-            self._high_water = self._size()
+        if self._count > self._high_water:
+            self._high_water = self._count
         return True
 
     def push(self, item: T) -> None:
@@ -185,7 +188,7 @@ class BoundedQueue(Generic[T]):
         priority queues (callers that want preemption use
         :meth:`offer`).
         """
-        if self._size() >= self._capacity:
+        if self._count >= self._capacity:
             # push's failure is an error, not a loss
             raise QueueFullError(
                 f"queue full (capacity {self._capacity})"
@@ -195,25 +198,27 @@ class BoundedQueue(Generic[T]):
     def pop(self) -> T:
         """Dequeue the next item (oldest; for priority queues, oldest
         of the most urgent class)."""
-        return self._take()
+        item = self._take()
+        self._count -= 1
+        return item
 
     @property
     def full(self) -> bool:
         """True when at capacity."""
-        return self._size() >= self._capacity
+        return self._count >= self._capacity
 
     def __len__(self) -> int:
-        return self._size()
+        return self._count
 
     def __bool__(self) -> bool:
-        return self._size() > 0
+        return self._count > 0
 
     def __iter__(self) -> Iterator[T]:
         return self._iter_items()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"{type(self).__name__}({self._size()}/{self._capacity}, "
+            f"{type(self).__name__}({self._count}/{self._capacity}, "
             f"lost={self._lost})"
         )
 
@@ -250,9 +255,6 @@ class PriorityBoundedQueue(BoundedQueue[T]):
 
     # -- storage primitives ------------------------------------------------
 
-    def _size(self) -> int:
-        return sum(len(lane) for lane in self._lanes)
-
     def _class_of(self, item: T) -> int:
         cls = self._priority_of(item) if self._priority_of else 0
         if not 0 <= cls < PRIORITY_CLASSES:
@@ -284,6 +286,7 @@ class PriorityBoundedQueue(BoundedQueue[T]):
             lane = self._lanes[victim_cls]
             if lane:
                 victim = lane.pop()  # newest of the class: least regret
+                self._count -= 1
                 self._note_lost(victim)
                 return True
         return False

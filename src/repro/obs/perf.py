@@ -68,6 +68,7 @@ __all__ = [
 #: entered first.
 PHASES: Tuple[str, ...] = (
     # one alert's life (system pipeline)
+    "setup",
     "detect",
     "buffer-wait",
     "central-queue-wait",
@@ -127,6 +128,7 @@ KNOWN_COUNTERS: Tuple[str, ...] = (
     "plan_memo_fills",
     "queue_evictions",
     "store_names_touched",
+    "undo_analyses",
 )
 
 
@@ -350,15 +352,17 @@ class _Phase:
     __slots__ = ("_prof", "_name", "_path", "_w0", "_s0")
 
     def __init__(self, prof: PhaseProfiler, name: str) -> None:
+        # The wall clock is read first here and last on exit, so this
+        # occurrence's own bookkeeping (its construction and entry
+        # included) lands inside the phase: only the final
+        # accumulation is left un-attributed.  ``phase()`` is only
+        # ever entered where it is built.
+        self._w0 = prof._wall_clock()
         self._prof = prof
         self._name = name
 
     def __enter__(self) -> None:
-        # The clocks are read before and after this occurrence's own
-        # bookkeeping, so that cost lands inside the phase: only the
-        # final accumulation is left un-attributed.
         prof = self._prof
-        self._w0 = prof._wall_clock()
         self._s0 = prof._sim()
         prof._stack.append(self._name)
         self._path = tuple(prof._stack)

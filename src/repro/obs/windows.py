@@ -15,7 +15,7 @@ wall time, and replaying a flight log reproduces every estimate
 exactly.
 
 - :class:`SlidingWindow` — ring buffer of ``(time, value)`` samples
-  evicted by age, with its mean;
+  evicted by age, with their running total;
 - :class:`RateWindow` — event-rate estimator (``λ̂``) with a Poisson
   confidence interval;
 - :class:`OccupancyWindow` — time-weighted occupancy histogram over
@@ -72,11 +72,18 @@ class SlidingWindow:
             maxlen=max_samples
         )
         self._now = 0.0
+        self._total = 0.0
 
     def add(self, time: float, value: float) -> None:
         """Record ``value`` at ``time`` (times must not decrease)."""
         self.advance(time)
-        self._samples.append((time, float(value)))
+        samples = self._samples
+        value = float(value)
+        if len(samples) == samples.maxlen:
+            # The ring drops its oldest sample to make room.
+            self._total -= samples[0][1]
+        samples.append((time, value))
+        self._total += value
 
     def advance(self, now: float) -> None:
         """Move the window edge to ``now``, evicting aged-out samples."""
@@ -85,7 +92,14 @@ class SlidingWindow:
         edge = self._now - self.horizon
         samples = self._samples
         while samples and samples[0][0] < edge:
-            samples.popleft()
+            self._total -= samples.popleft()[1]
+
+    @property
+    def total(self) -> float:
+        """Sum of the retained sample values, kept as samples enter and
+        leave: equal to ``sum()`` over them while they are whole
+        numbers, as event weights are (``0`` when none is retained)."""
+        return self._total if self._samples else 0
 
     def values(self) -> List[float]:
         """The retained sample values, oldest first."""
@@ -119,8 +133,9 @@ class RateWindow:
 
     @property
     def count(self) -> float:
-        """Weighted event count inside the window."""
-        return sum(self._window.values())
+        """Weighted event count inside the window (a running total:
+        every caller observes whole events, so it is exact)."""
+        return self._window.total
 
     def span(self, now: float) -> float:
         """The window span actually covered at ``now``."""

@@ -293,35 +293,37 @@ class FullStackSimulator:
             raise SimulationError(f"horizon must be > 0, got {horizon}")
         cfg, rng = self._config, self._rng
         prof = active()
-        sim = Simulator()
+        with phase("setup"):
+            sim = Simulator()
 
-        def clock() -> float:
-            return min(sim.now, horizon)
+            def clock() -> float:
+                return min(sim.now, horizon)
 
-        #: Simulated duration of the service that just completed, set at
-        #: dispatch — the sim-time side of the analyze/heal phases.
-        pending_service = {"scan": 0.0, "recovery": 0.0}
+            #: Simulated duration of the service that just completed,
+            #: set at dispatch — the sim-time side of the analyze/heal
+            #: phases.
+            pending_service = {"scan": 0.0, "recovery": 0.0}
 
-        initial = {"balance": 100}
-        manager = EpochManager(DataStore(initial), initial)
-        system = SelfHealingSystem(
-            manager, alert_buffer=cfg.alert_buffer,
-            recovery_buffer=cfg.recovery_buffer, bus=self._bus,
-            clock=clock,
-        )
-        plans = system.recovery_queue
-        scanning = False
-        recovering = False
-        attacks = 0
-        heals = 0
-        repaired = 0
-        audits_ok = True
+            initial = {"balance": 100}
+            manager = EpochManager(DataStore(initial), initial)
+            system = SelfHealingSystem(
+                manager, alert_buffer=cfg.alert_buffer,
+                recovery_buffer=cfg.recovery_buffer, bus=self._bus,
+                clock=clock,
+            )
+            plans = system.recovery_queue
+            scanning = False
+            recovering = False
+            attacks = 0
+            heals = 0
+            repaired = 0
+            audits_ok = True
 
-        time_in: Dict[StateCategory, float] = {
-            c: 0.0 for c in StateCategory
-        }
-        last = 0.0
-        held = StateCategory.NORMAL
+            time_in: Dict[StateCategory, float] = {
+                c: 0.0 for c in StateCategory
+            }
+            last = 0.0
+            held = StateCategory.NORMAL
 
         def account() -> None:
             """Bill the time since the last call to the state held
@@ -437,20 +439,21 @@ class FullStackSimulator:
             # Emptying those cells breaks the cycle, and emptying the
             # manager's frees the run's store, logs and specs by
             # reference counting, here, instead of at a later full
-            # garbage collection or when this frame returns.
-            alerts_lost = system.alerts_lost
+            # garbage collection or when this frame returns.  The
+            # result is built in the same phase.
             with phase("teardown"):
+                alerts_lost = system.alerts_lost
                 del sim, attack, dispatch, scan_done, recovery_done, \
                     audited, system, plans, manager
-
-        return FullStackResult(
-            horizon=horizon,
-            category_occupancy={
-                c: t / horizon for c, t in time_in.items()
-            },
-            attacks=attacks,
-            alerts_lost=alerts_lost,
-            heals=heals,
-            all_heals_audited_ok=audits_ok,
-            repaired_instances=repaired,
-        )
+                result = FullStackResult(
+                    horizon=horizon,
+                    category_occupancy={
+                        c: t / horizon for c, t in time_in.items()
+                    },
+                    attacks=attacks,
+                    alerts_lost=alerts_lost,
+                    heals=heals,
+                    all_heals_audited_ok=audits_ok,
+                    repaired_instances=repaired,
+                )
+        return result

@@ -40,10 +40,18 @@ recovery services and call these three.
 The system protects whatever its :class:`~repro.core.epochs.EpochManager`
 currently holds and repairs through ``manager.heal``, which heals one
 log epoch and then rolls to the next, so the system keeps working
-across attack waves.  The batch heal realizes one Theorem 3 order of
-its own; its ``TaskUndone``/``TaskRedone`` events are the realized
-schedule that the conformance monitor and ``lint plan`` hold against
-the scans' published edges.
+across attack waves.  The batch heal derives the batch's Theorem 1
+closure again, on the epoch's one dependency index, and realizes one
+Theorem 3 order of its own; its ``TaskUndone``/``TaskRedone`` events
+are the realized schedule that the conformance monitor and ``lint
+plan`` hold against the scans' published edges.  It trusts no scan's
+sets: a unit's "definite" sets are not definite for the merged batch
+(a T2.1 redo one scan decides can fall off the path when the batch also
+heals an earlier task of its workflow).  So a scan's sets are published
+claims, decided on their first read: an observed scan decides them for
+its provenance and its ``UnitEmitted`` claim, ``verify=True`` for the
+independent check, and an unobserved scan only pops its alert and
+queues its unit.
 """
 
 from __future__ import annotations
@@ -67,6 +75,7 @@ from repro.obs.events import (
     UnitEmitted,
 )
 from repro.obs.perf import active, phase
+from repro.workflow.dependency import DependencyAnalyzer
 
 __all__ = ["SystemState", "SelfHealingSystem"]
 
@@ -352,6 +361,16 @@ class SelfHealingSystem:
         while self._plans:
             self._drained.extend(self._plans.pop().alert_uids)
 
+    def _epoch_index(self) -> Optional[DependencyAnalyzer]:
+        """The dependency index of the current epoch for the heal to
+        derive the batch's closure on: the scans' index, built here if
+        no scan decided its sets, or ``None`` (the healer builds one)
+        when no scan ran in this epoch."""
+        if (self._analyzer is None
+                or self._analyzer_epoch != self._manager.epoch):
+            return None
+        return self._analyzer.dependency_index()
+
     def _commit(self) -> HealReport:
         """Drain the queued units, then heal every drained unit and
         the backlog as one batch."""
@@ -361,8 +380,9 @@ class SelfHealingSystem:
             self._drained, self._backlog = [], []
             # The manager heals against its epoch baseline and rolls the
             # epoch, so the system keeps protecting the post-heal world.
-            report = self._manager.heal(uids, bus=self._bus,
-                                        clock=self._clock)
+            report = self._manager.heal(
+                uids, bus=self._bus, clock=self._clock,
+                dependencies=self._epoch_index())
             # Release the archived epoch's analyzer and its index.
             self._analyzer = None
         if self._bus is not None and self._bus.active:

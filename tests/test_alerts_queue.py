@@ -1,6 +1,8 @@
 """Unit tests for alerts and the bounded queues of the architecture."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import QueueFullError
 from repro.ids.alerts import Alert, BoundedQueue, PriorityBoundedQueue
@@ -190,3 +192,74 @@ class TestPriorityBoundedQueue:
         q = self.make(capacity=2)
         with pytest.raises(ValueError):
             q.offer("3:x")
+
+
+#: Mixed queue operations: offer (may evict in a priority queue), push
+#: (may raise), pop (may find the queue empty).
+queue_ops = st.lists(
+    st.tuples(st.sampled_from(("offer", "push", "pop")),
+              st.integers(0, 2)),
+    max_size=60,
+)
+
+
+class TestRunningCount:
+    """``len``, truth tests and ``full`` read a running count that
+    ``offer``, ``pop`` and an eviction keep equal to a recount of the
+    storage."""
+
+    @staticmethod
+    def check(q):
+        stored = len(list(q))
+        assert len(q) == stored
+        assert bool(q) is (stored > 0)
+        assert q.full is (stored >= q.capacity)
+        assert q.high_water >= stored
+
+    def drive(self, q, ops):
+        peak = pops = rejected = 0
+        for i, (op, cls) in enumerate(ops):
+            item = f"{cls}:{i}"
+            if op == "offer":
+                rejected += not q.offer(item)
+            elif op == "push":
+                try:
+                    q.push(item)
+                except QueueFullError:
+                    pass
+            else:
+                try:
+                    q.pop()
+                    pops += 1
+                except IndexError:
+                    pass
+            self.check(q)
+            peak = max(peak, len(list(q)))
+            # Stored = accepted − popped − evicted (losses not rejected).
+            evicted = q.lost - rejected
+            assert q.accepted - pops - evicted == len(list(q))
+        assert q.high_water == peak
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=queue_ops, capacity=st.integers(1, 5))
+    def test_fifo_queue(self, ops, capacity):
+        self.drive(BoundedQueue(capacity), ops)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=queue_ops, capacity=st.integers(1, 5))
+    def test_priority_queue_with_evictions(self, ops, capacity):
+        self.drive(PriorityBoundedQueue(capacity, priority_of=by_digit),
+                   ops)
+
+    def test_eviction_keeps_the_count_and_the_published_depth(self):
+        bus, depths = EventBus(), []
+        bus.subscribe(lambda e: depths.append(e.depth),
+                      types=[QueueItemDropped])
+        q = PriorityBoundedQueue(2, priority_of=by_digit)
+        q.instrument("q", bus, ManualClock(0.0))
+        q.offer("2:a")
+        q.offer("2:b")
+        assert q.offer("0:c")  # evicts 2:b: one slot freed, then taken
+        assert len(q) == 2 and list(q) == ["0:c", "2:a"]
+        assert not q.offer("2:d")  # rejected at capacity
+        assert depths == [1, 2]

@@ -520,22 +520,27 @@ class TestPinnedProvenance:
 
 
 def gated_profile(per_alert=0.05, per_action=1.0, plan_wall=True,
-                  plan_calls=4, planned=0):
+                  plan_calls=4, planned=0, per_heal=1.0):
     """A profile document whose fullstack rows carry the given closure
     and plan line items (``per_action=None`` leaves that item out):
-    ``planned`` is the unobserved row's ``actions_planned``, the plan
-    items sit on the observed row."""
+    ``planned`` and ``per_heal`` are the unobserved row's
+    ``actions_planned`` and ``undo_analyses_per_heal`` (``None`` leaves
+    the latter out), the plan items sit on the observed row."""
     observed = {"analyses_per_action": per_action,
                 "plan_calls": plan_calls}
     if per_action is None:
         del observed["analyses_per_action"]
     if plan_wall:
         observed["plan_wall_s"] = 0.0
+    unobserved = {"closure_recomputations": 3,
+                  "closure_recomputations_per_alert": per_alert,
+                  "actions_planned": planned,
+                  "undo_analyses_per_heal": per_heal}
+    if per_heal is None:
+        del unobserved["undo_analyses_per_heal"]
     return {"results": [
         {"scenario": "fullstack", "digest_stable": True,
-         "line_items": {"closure_recomputations": 3,
-                        "closure_recomputations_per_alert": per_alert,
-                        "actions_planned": planned}},
+         "line_items": unobserved},
         {"scenario": "fullstack-observed", "digest_stable": True,
          "line_items": observed},
         {"scenario": "batch-parallel", "digest_stable": True,
@@ -596,6 +601,11 @@ class TestClosureGate:
         assert observed["counters"]["actions_planned"] > 0
         assert observed["line_items"]["plan_calls"] > 0
         assert observed["line_items"]["analyses_per_action"] == 1.0
+        # Nothing reads its sets either: Theorem 1 runs once per heal,
+        # while the observed run's scans decide theirs to publish them.
+        assert unobserved["line_items"]["undo_analyses_per_heal"] == 1.0
+        assert observed["counters"]["undo_analyses"] > \
+            unobserved["counters"]["undo_analyses"]
 
     def test_missing_plan_wall_fails_the_profile_gate(self):
         from benchmarks.check_regression import check_profile
@@ -614,6 +624,19 @@ class TestClosureGate:
             failures = check_profile(gated_profile(planned=bad), None)
             assert len(failures) == 1
             assert f"actions_planned {bad}" in failures[0]
+
+    def test_scan_time_undo_analyses_fail_the_profile_gate(self):
+        from benchmarks.check_regression import (
+            MAX_UNDO_ANALYSES_PER_HEAL,
+            check_profile,
+        )
+
+        assert MAX_UNDO_ANALYSES_PER_HEAL == 1.0
+        assert check_profile(gated_profile(per_heal=1.0), None) == []
+        for bad, shown in ((1.05, "1.05"), (3.8, "3.8"), (None, "None")):
+            failures = check_profile(gated_profile(per_heal=bad), None)
+            assert len(failures) == 1
+            assert f"undo_analyses_per_heal {shown}" in failures[0]
 
     def test_missing_observed_row_fails_the_profile_gate(self):
         from benchmarks.check_regression import check_profile

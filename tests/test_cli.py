@@ -717,7 +717,7 @@ class TestProfile:
         assert "structure digest" in out
         import json as _json
         folded = flame.read_text().splitlines()
-        assert any(line.startswith("repro;analyze;analyze.closure ")
+        assert any(line.startswith("repro;heal;heal.undo ")
                    for line in folded)
         trace = _json.loads(chrome.read_text())
         assert trace["traceEvents"]

@@ -651,7 +651,8 @@ class TestConformanceProfileGate:
             {"scenario": "fullstack", "digest_stable": True,
              "line_items": {"closure_recomputations": 3,
                             "closure_recomputations_per_alert": 0.05,
-                            "actions_planned": 0}},
+                            "actions_planned": 0,
+                            "undo_analyses_per_heal": 1.0}},
             {"scenario": "fullstack-observed", "digest_stable": True,
              "line_items": {"analyses_per_action": 1.0,
                             "plan_wall_s": 0.0, "plan_calls": 4}},

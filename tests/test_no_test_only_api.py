@@ -85,6 +85,8 @@ ALLOWED: Dict[str, str] = {
     # References that tests check the fast paths against.
     "repro.markov.transient:transient_probabilities_expm":
         "expm reference for the uniformised transient solver",
+    "repro.obs.windows:SlidingWindow.values":
+        "the retained samples, the recount of the window's running total",
     # Paper claims.
     "repro.markov.design:cost_effective_rate":
         "the Section V cost-effective range of recovery rates",
@@ -120,8 +122,6 @@ CALLERS: Dict[str, str] = {
         "src/repro/obs/perf.py::PhaseProfiler.add_external",
     "repro.obs.windows:SlidingWindow.add":
         "src/repro/obs/windows.py::RateWindow.observe",
-    "repro.obs.windows:SlidingWindow.values":
-        "src/repro/obs/windows.py::RateWindow.count",
     "repro.obs.windows:RateWindow.count":
         "src/repro/obs/health.py::HealthMonitor._evaluate_loss",
     "repro.obs.windows:Cusum.update":

@@ -8,6 +8,8 @@ false-positive and detection-delay bounds they pin are deterministic.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ObsError
 from repro.obs.windows import (
@@ -57,6 +59,44 @@ class TestRateWindow:
             w.observe(i * 0.1)
         busy = w.rate(10.0)
         assert w.rate(25.0) < busy / 2
+
+    def test_count_is_a_running_total(self):
+        """The count equals a recount of the window, through age
+        eviction (advance) and ring overflow (``max_samples``)."""
+        w = RateWindow(horizon=10.0, max_samples=4)
+        assert w.count == 0 and isinstance(w.count, int)
+        for t in (0.0, 1.0, 2.0, 3.0, 4.0, 5.0):  # the ring drops 0, 1
+            w.observe(t)
+            assert w.count == sum(w._window.values())
+        assert w.count == 4.0
+        w.advance(13.5)  # ages out t=2 and t=3
+        assert w.count == sum(w._window.values()) == 2.0
+        w.advance(100.0)
+        assert w.count == 0 and isinstance(w.count, int)
+        w.observe(100.0)
+        assert w.count == 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(st.sampled_from(("observe", "advance")),
+                      st.floats(0.0, 8.0, allow_nan=False)),
+            max_size=80),
+        horizon=st.floats(0.5, 20.0),
+        max_samples=st.integers(1, 12),
+    )
+    def test_count_equals_the_sum_of_the_window(self, steps, horizon,
+                                                 max_samples):
+        w = RateWindow(horizon=horizon, max_samples=max_samples)
+        now = 0.0
+        for op, dt in steps:
+            now += dt
+            if op == "observe":
+                w.observe(now)
+            else:
+                w.advance(now)
+            assert w.count == sum(w._window.values())
+            assert w.count == len(w._window.values())
 
 
 class TestOccupancyWindow:
