@@ -39,11 +39,11 @@ Run as a script::
     PYTHONPATH=src python benchmarks/bench_profile.py --out-dir benchmarks/results
 
 ``benchmarks/check_regression.py`` gates the output: attribution
-floors, digest stability, the presence of the closure, plan-phase and
+floors, digest stability, the presence of the closure, order-phase and
 fan-out line items, a closure rebuild rate of at most 0.1 per alert, no
-order built by an unobserved scan, at most one Theorem 1 computation
-per heal on it, at least one observed plan phase
-and at most 1.5 edge walks per planned action, store names touched per heal
+order built on an unobserved run, at most one Theorem 1 computation
+per heal on it, at least one observed heal order phase
+and at most one order per heal, store names touched per heal
 at the long horizon at most 1.5 times the short horizon's, and
 a conformance row with zero violations are hard failures; the
 wall-time columns are informational
@@ -97,11 +97,12 @@ def profile_fullstack(horizon: float, seed: int) -> List[dict]:
     """One instrumented replication, twice (digest stability), first
     unobserved, then with a recording event bus.
 
-    Unobserved scans decide no Theorem 1/2 sets and build no Theorem 3
-    order (``actions_planned`` is 0, one ``undo_analyses`` per heal):
-    the batch closure is the heal's ``heal.undo`` phase.  The observed
-    run's scans decide their sets and build each order to publish
-    them, so the plan phase is measured on that row."""
+    Unobserved scans decide no Theorem 1/2 sets and the unobserved heal
+    builds no Theorem 3 order (``actions_planned`` is 0, one
+    ``undo_analyses`` per heal): the batch closure is the heal's
+    ``heal.undo`` phase.  The observed run's scans decide their sets to
+    publish them and each heal builds its batch's order, so the order
+    phase is measured on that row."""
     config = FullStackConfig(arrival_rate=6.0, alert_buffer=4,
                              recovery_buffer=4)
 
@@ -123,21 +124,19 @@ def profile_fullstack(horizon: float, seed: int) -> List[dict]:
         rows = _row_map(first)
         counters = first.counters
         if observed:
+            order = rows.get("heal;heal.undo;heal.order", {})
             line_items = {
-                # Theorem 3 ordering, built where an observed scan
+                # Theorem 3 ordering, built where an observed heal
                 # publishes its edges; gated for presence and calls so
-                # the plan phase stays measured.
-                "plan_wall_s": rows.get(
-                    "analyze;analyze.plan", {}).get("wall", 0.0),
-                "plan_calls": rows.get(
-                    "analyze;analyze.plan", {}).get("calls", 0),
-                # Theorem 3 edge walks per distinct action planned in
-                # an epoch: 1 when each action is planned once per
-                # epoch, the mean number of plans an action is in when
-                # every scan walks again; check_regression gates it.
-                "analyses_per_action": (
-                    counters.get("plan_memo_fills", 0)
-                    / (counters.get("actions_planned", 0) or 1)),
+                # the order phase stays measured.
+                "plan_wall_s": order.get("wall", 0.0),
+                "plan_calls": order.get("calls", 0),
+                # Orders per heal: 1 when each heal builds the one
+                # order of its batch, more when anything else builds
+                # orders too; check_regression gates it.
+                "orders_per_heal": (
+                    order.get("calls", 0)
+                    / (rows.get("heal", {}).get("calls", 0) or 1)),
             }
         else:
             alerts = rows.get("analyze", {}).get("calls", 0) or 1
@@ -153,7 +152,7 @@ def profile_fullstack(horizon: float, seed: int) -> List[dict]:
                 # an unobserved run decides Theorem 1.
                 "closure_wall_s": rows.get(
                     "heal;heal.undo", {}).get("wall", 0.0),
-                # Orders built by scans nothing observes or verifies:
+                # Orders built on a run nothing observes:
                 # check_regression requires 0.
                 "actions_planned": counters.get("actions_planned", 0),
                 # Theorem 1 computations per heal: the heal's own, and

@@ -21,9 +21,9 @@ the committed baselines at the repository root and fails (exit 1) when:
   reads (``actions_planned`` above 0 on the unobserved run) or
   deciding Theorem 1 more than once per heal (``undo_analyses_per_heal``
   above ``MAX_UNDO_ANALYSES_PER_HEAL``), an
-  observed fullstack profile with no plan phase or walking an action's
-  Theorem 3 edges more than once per epoch (``analyses_per_action``
-  above ``MAX_ANALYSES_PER_ACTION``), or the heals and audits touching
+  observed fullstack profile with no heal order phase or building more
+  than one Theorem 3 order per heal (``orders_per_heal`` above
+  ``MAX_ORDERS_PER_HEAL``), or the heals and audits touching
   more store names per heal at the long horizon than
   ``MAX_STORE_SCALING`` times the short horizon's, or the fleet-observe
   row missing, replaying its tenants' events for more than
@@ -67,12 +67,11 @@ MAX_CLOSURE_PER_ALERT = 0.1
 #: on the quick one).
 MAX_UNDO_ANALYSES_PER_HEAL = 1.0
 
-#: ROADMAP item 1's gate: Theorem 3 edge walks per distinct action
-#: planned in an epoch, on the observed run (unobserved scans build no
-#: order).  The analyzer's memos make it exactly 1; a walk per scan
-#: makes it the mean number of plans an action is in (3.2 on the
-#: profile's fullstack row, 7.1 on perfbench's overload).
-MAX_ANALYSES_PER_ACTION = 1.5
+#: ROADMAP item 1's gate: Theorem 3 orders built per heal on the
+#: observed run (an unobserved heal builds none).  The heal builds the
+#: one order of its batch, so it is exactly 1; an order per scan makes
+#: it the mean number of scans per heal.
+MAX_ORDERS_PER_HEAL = 1.0
 
 #: ROADMAP item 1's store gate: a heal and its audit touch the store
 #: names written since the last one, so names touched per heal at the
@@ -301,12 +300,12 @@ def check_profile(fresh: dict, baseline: Optional[dict],
     runs, the fullstack row names closure recomputation as a measured
     line item at no more than ``MAX_CLOSURE_PER_ALERT`` per alert,
     builds no Theorem 3 order (``actions_planned`` 0: nothing observes
-    its scans) and decides Theorem 1 at most
+    its heals) and decides Theorem 1 at most
     ``MAX_UNDO_ANALYSES_PER_HEAL`` times per heal, the
-    fullstack-observed row names the plan-phase wall as
-    ``plan_wall_s`` with at least one ``analyze;analyze.plan`` call and
-    ``analyses_per_action`` at no more than
-    ``MAX_ANALYSES_PER_ACTION``, the store-scaling row
+    fullstack-observed row names the order-phase wall as
+    ``plan_wall_s`` with at least one ``heal;heal.undo;heal.order``
+    call and ``orders_per_heal`` at no more than
+    ``MAX_ORDERS_PER_HEAL``, the store-scaling row
     stays within ``MAX_STORE_SCALING``, the parallel-batch row
     names fan-out overhead as one, the conformance row exists and
     found no violations on its honest run, and the fleet-observe row
@@ -358,7 +357,7 @@ def check_profile(fresh: dict, baseline: Optional[dict],
         if planned != 0:
             failures.append(
                 f"profile fullstack: actions_planned {planned} on an "
-                "unobserved run — scans build Theorem 3 orders that "
+                "unobserved run — Theorem 3 orders are built that "
                 "nothing reads (ROADMAP 1)"
             )
         per_heal = items.get("undo_analyses_per_heal")
@@ -371,24 +370,24 @@ def check_profile(fresh: dict, baseline: Optional[dict],
     observed = by_scenario.get("fullstack-observed")
     if observed is None:
         failures.append(
-            "profile: no fullstack-observed row — the analyze.plan "
+            "profile: no fullstack-observed row — the heal.order "
             "phase (Theorem 3 ordering) is no longer measured"
         )
     else:
         items = observed.get("line_items", {})
-        per_action = items.get("analyses_per_action")
-        if per_action is None or per_action > MAX_ANALYSES_PER_ACTION:
+        per_heal = items.get("orders_per_heal")
+        if per_heal is None or per_heal > MAX_ORDERS_PER_HEAL:
             failures.append(
-                f"profile fullstack-observed: analyses_per_action "
-                f"{per_action} above {MAX_ANALYSES_PER_ACTION} — recovery "
-                "actions are planned again on every scan instead of "
-                "once per epoch (ROADMAP 1)"
+                f"profile fullstack-observed: orders_per_heal "
+                f"{per_heal} above {MAX_ORDERS_PER_HEAL} — Theorem 3 "
+                "orders are built beside the heal's one order of its "
+                "batch (ROADMAP 1)"
             )
         if "plan_wall_s" not in items or not items.get("plan_calls"):
             failures.append(
                 "profile fullstack-observed: plan_wall_s line item "
-                "missing or analyze;analyze.plan has 0 calls — the "
-                "analyze.plan phase (Theorem 3 ordering) is no longer "
+                "missing or heal;heal.undo;heal.order has 0 calls — the "
+                "heal.order phase (Theorem 3 ordering) is no longer "
                 "measured"
             )
     failures += _check_store_scaling(by_scenario.get("store-scaling"))

@@ -73,7 +73,6 @@ def main() -> None:
     print(f"Plan: {plan.summary()}")
     print(f"  definite undo: {sorted(plan.undo_analysis.definite)}")
     print(f"  candidates   : {sorted(plan.undo_analysis.candidates)}")
-    print(f"  schedule     : {[str(a) for a in plan.schedule()]}")
 
     # 5. Heal: re-execute the genuine code, re-decide the branch.
     healer = Healer(store, log, engine.specs_by_instance)
@@ -81,6 +80,7 @@ def main() -> None:
     print(f"\n{report.summary()}")
     print(f"  abandoned (wrong path): {sorted(report.abandoned)}")
     print(f"  new executions        : {sorted(report.new_executions)}")
+    print(f"  actions (in order)    : {[str(a) for a in report.actions]}")
 
     # 6. Verify Definition 2: the healed state equals a clean execution.
     audit = audit_strict_correctness(

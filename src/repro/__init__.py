@@ -27,7 +27,6 @@ from repro.core import (
     audit_strict_correctness,
     find_redo_tasks,
     find_undo_tasks,
-    recovery_partial_order,
 )
 from repro.errors import ReproError
 from repro.ids import Alert, AttackCampaign
@@ -79,7 +78,6 @@ __all__ = [
     "ActionKind",
     "find_undo_tasks",
     "find_redo_tasks",
-    "recovery_partial_order",
     "RecoveryPlan",
     "RecoveryAnalyzer",
     "Healer",

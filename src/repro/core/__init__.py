@@ -7,8 +7,8 @@ This package implements Section III (theories of recovery) and Section IV
 - :mod:`repro.core.undo_redo` — Theorem 1 (undo tasks) and Theorem 2
   (redo tasks), including the *candidate* sets resolved only after redos;
 - :mod:`repro.core.partial_orders` — Theorem 3 (orders among recovery
-  tasks);
-- :mod:`repro.core.plan` — a schedulable recovery plan;
+  tasks), built by the healer for each observed batch;
+- :mod:`repro.core.plan` — one alert's recovery unit;
 - :mod:`repro.core.analyzer` — the recovery analyzer of Figure 2, turning
   IDS alerts into recovery plans;
 - :mod:`repro.core.healer` — the operational self-healing executor that
@@ -28,7 +28,6 @@ from repro.core.axioms import (
 )
 from repro.core.epochs import EpochManager
 from repro.core.healer import HealReport, Healer
-from repro.core.partial_orders import recovery_partial_order
 from repro.core.plan import RecoveryPlan
 from repro.core.strategies import RecoveryStrategy
 from repro.core.undo_redo import (
@@ -45,7 +44,6 @@ __all__ = [
     "RedoAnalysis",
     "find_undo_tasks",
     "find_redo_tasks",
-    "recovery_partial_order",
     "RecoveryPlan",
     "RecoveryAnalyzer",
     "Healer",

@@ -2,28 +2,31 @@
 
 "The recovery analyzer generates recovery tasks, works out related
 partial orders, and puts them in the queue of recovery tasks."  This
-module is that component: it consumes IDS alerts and produces
-:class:`~repro.core.plan.RecoveryPlan` objects, one unit of recovery
-tasks per alert.
+module is that component, but for the orders: it consumes IDS alerts
+and produces :class:`~repro.core.plan.RecoveryPlan` objects, one unit
+of recovery tasks per alert, and the heal that runs the queued units
+works out their one partial order.
 
 The analyzer is purely analytical — it never executes anything and never
 mutates the log or store.  A batch heal merges every queued unit, so the
-analyzer orders no unit against another; the count of outstanding units
-only feeds :func:`RecoveryAnalyzer.analysis_cost`, the modelled ``μ_k``
-degradation the CTMC assumes, not work the analyzer does.
+analyzer orders no action, within a unit or across units; the count of
+outstanding units only feeds :func:`RecoveryAnalyzer.analysis_cost`, the
+modelled ``μ_k`` degradation the CTMC assumes, not work the analyzer
+does.
 
-A scan decides nothing until something reads its plan.  The batch heal
-derives the merged batch's Theorem 1 closure again, on the epoch's
-dependency index, because a unit's "definite" sets are not definite for
-the batch (a T2.1 redo one scan decides can fall off the path when the
-batch also heals an earlier task of its workflow), and it realizes
-Theorem 3 by how it runs.  So a plan's Theorem 1/2 sets are decided on
-the first read of :attr:`RecoveryPlan.undo_analysis
-<repro.core.plan.RecoveryPlan.undo_analysis>` or ``redo_analysis``, and
-its "related partial orders" on the first read of :attr:`RecoveryPlan.order
-<repro.core.plan.RecoveryPlan.order>`.  An observed scan reads both at
-once, to publish its provenance, claimed sets and edges; so do
-``verify=True``, the fuzz episode's plan verifier and the tests.  An
+A scan decides nothing until something reads its plan, and it builds
+no order.  The batch heal derives the merged batch's Theorem 1 closure
+again, on the epoch's dependency index, because a unit's "definite"
+sets are not definite for the batch (a T2.1 redo one scan decides can
+fall off the path when the batch also heals an earlier task of its
+workflow).  For the same reason the "related partial orders" are the
+heal's: on an observed run the heal builds and publishes the one
+Theorem 3 order of the batch it runs (:mod:`repro.core.healer`).  So a
+plan's Theorem 1/2 sets are decided on the first read of
+:attr:`RecoveryPlan.undo_analysis
+<repro.core.plan.RecoveryPlan.undo_analysis>` or ``redo_analysis``.  An
+observed scan reads them at once, to publish its provenance and claimed
+sets; so do the fuzz episode's plan verifier and the tests.  An
 unobserved scan that nothing verifies decides nothing: its unit only
 waits in the queue.
 """
@@ -31,19 +34,8 @@ waits in the queue.
 from __future__ import annotations
 
 import time as _time
-from typing import (
-    Callable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.core.actions import Action
-from repro.core.partial_orders import recovery_partial_order
 from repro.core.plan import RecoveryPlan
 from repro.core.undo_redo import (
     RedoAnalysis,
@@ -55,7 +47,6 @@ from repro.ids.alerts import Alert
 from repro.obs.events import (
     EventBus,
     EventTrace,
-    OrderConstraint,
     RedoDecision,
     ScanStep,
     UndoDecision,
@@ -63,7 +54,6 @@ from repro.obs.events import (
 from repro.obs.perf import bump, phase
 from repro.workflow.dependency import DependencyAnalyzer
 from repro.workflow.log import SystemLog
-from repro.workflow.precedence import PartialOrder
 from repro.workflow.spec import WorkflowSpec
 
 __all__ = ["RecoveryAnalyzer"]
@@ -82,8 +72,8 @@ class RecoveryAnalyzer:
     its control sources are fixed at commit, while its control
     dependents and its Theorem 1 condition-4 alternatives change only
     with the length of its trace; and an object's readers (condition
-    4's direct stale reads) only gain later records.  Each plan, its
-    provenance and its order are the same as a fresh analyzer's.
+    4's direct stale reads) only gain later records.  Each plan and
+    its provenance are the same as a fresh analyzer's.
 
     Parameters
     ----------
@@ -107,10 +97,8 @@ class RecoveryAnalyzer:
         analysis: every event the scan publishes carries that time.
 
     Under a recording profiler, the decision of a plan's sets records
-    the phase ``analyze.closure`` (Theorems 1/2) and the build of its
-    order ``analyze.plan`` (Theorem 3), wherever each is first read.
-    The ``actions_planned`` and ``plan_memo_fills`` counters count the
-    orders built.
+    the phase ``analyze.closure`` (Theorems 1/2), wherever they are
+    first read.
     """
 
     def __init__(
@@ -123,11 +111,6 @@ class RecoveryAnalyzer:
         self._log = log
         self._specs = specs_by_instance
         self._dep: Optional[DependencyAnalyzer] = None
-        #: Distinct actions planned in this epoch, and the analyzer's
-        #: memo fills already counted (the ``actions_planned`` and
-        #: ``plan_memo_fills`` counters).
-        self._planned: Set[Action] = set()
-        self._fills_counted = 0
         self._bus = bus
         self._clock = clock if clock is not None else _time.monotonic  # lint: allow[DET001] injectable clock; wall time is the live default
 
@@ -179,25 +162,16 @@ class RecoveryAnalyzer:
             EventTrace(now) if tracing else None
         redo_trace: Optional[EventTrace[RedoDecision]] = \
             EventTrace(now) if tracing else None
-        order_trace: Optional[EventTrace[OrderConstraint]] = \
-            EventTrace(now) if tracing else None
         sets_of = self._sets_of(tuple(uids), undo_trace, redo_trace)
-        plan = RecoveryPlan(
-            alert_uids=tuple(uids),
-            units=len(uids),
-            sets_of=sets_of,
-            order_of=self._order_of(sets_of, order_trace),
-        )
+        plan = RecoveryPlan(alert_uids=tuple(uids), sets_of=sets_of)
         if tracing:
-            # The published provenance, the claimed sets and the edges
-            # need the sets and the order, so an observed scan decides
-            # both here.
+            # The published provenance and the claimed sets need the
+            # sets, so an observed scan decides them here.
             sets_of()
-            plan.order
-            # Provenance first (why each action exists and how it is
-            # ordered), then the ScanStep that closes the analysis.
+            # Provenance first (why each action exists), then the
+            # ScanStep that closes the analysis.
             publish = self._bus.publish
-            for trace in (undo_trace, redo_trace, order_trace):
+            for trace in (undo_trace, redo_trace):
                 for decision in trace:
                     publish(decision)
             publish(ScanStep(
@@ -241,46 +215,6 @@ class RecoveryAnalyzer:
             return memo[0]
 
         return sets
-
-    def _order_of(
-        self,
-        sets_of: Callable[[], Tuple[UndoAnalysis, RedoAnalysis]],
-        trace: Optional[List[OrderConstraint]],
-    ) -> Callable[[], PartialOrder[Action]]:
-        """The Theorem 3 order of one plan's decided sets, built on the
-        first call.
-
-        Later calls, from the plan or from a copy of it, return the
-        same object.  A later build sees the same order: every action
-        is a record of the log the sets were decided on, and what the
-        log gains later (records of later scans, the heal's UNDO and
-        REDO records) is neither in these sets nor between two of their
-        records.
-        """
-        memo: List[PartialOrder[Action]] = []
-
-        def order() -> PartialOrder[Action]:
-            if memo:
-                return memo[0]
-            undo_analysis, redo_analysis = sets_of()
-            analyzer = self.dependency_index()
-            with phase("analyze.plan"):
-                built = recovery_partial_order(
-                    analyzer, undo_set=undo_analysis.definite,
-                    redo_set=redo_analysis.definite, trace=trace,
-                )
-                built.check_acyclic()
-            # Once per epoch: each distinct action's Theorem 3 edge walk
-            # is one memo fill, so the ratio of these counters stays at 1.
-            planned = len(self._planned)
-            self._planned.update(built)
-            bump("actions_planned", len(self._planned) - planned)
-            bump("plan_memo_fills", analyzer.memo_fills - self._fills_counted)
-            self._fills_counted = analyzer.memo_fills
-            memo.append(built)
-            return built
-
-        return order
 
     def analysis_cost(self, outstanding_units: int) -> int:
         """Modelled dependence checks needed to admit one more alert

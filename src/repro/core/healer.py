@@ -16,7 +16,12 @@ index when the caller passes one (a scan's sets are not definite for
 the batch).  Every version written by a closure instance is
 *dirty*; one ``undo`` record per closure instance is committed (newest
 first, honoring rule T3.5's reverse-output-dependence order), realizing
-rule T3.3 (``undo(t) ≺ redo(t)``).
+rule T3.3 (``undo(t) ≺ redo(t)``).  On an active event bus the heal
+first builds the batch's one Theorem 3 order
+(:func:`~repro.core.partial_orders.recovery_partial_order` over the
+closure and its Theorem 2 definite redos) and publishes its edges, so
+the order a flight log holds is the order of the heal that runs; the
+phases below realize it.  An unobserved heal builds no order.
 
 **Phase B — settle pass.**  Walk the original log in commit order (rule
 T3.1: redos follow log precedence).  Each workflow instance owns a
@@ -75,13 +80,22 @@ from typing import (
 
 from repro.core.actions import Action
 from repro.core.axioms import HistoryStep
-from repro.core.undo_redo import UndoAnalysis, find_undo_tasks
+from repro.core.partial_orders import recovery_partial_order
+from repro.core.undo_redo import UndoAnalysis, find_redo_tasks, find_undo_tasks
 from repro.errors import ExecutionError, RecoveryError
-from repro.obs.events import EventBus, TaskRedone, TaskUndone, UndoDecision
+from repro.obs.events import (
+    EventBus,
+    EventTrace,
+    OrderConstraint,
+    TaskRedone,
+    TaskUndone,
+    UndoDecision,
+)
 from repro.obs.perf import bump, phase
 from repro.workflow.data import TOMBSTONE, DataStore
 from repro.workflow.dependency import DependencyAnalyzer
 from repro.workflow.log import LogRecord, RecordKind, SystemLog
+from repro.workflow.precedence import PartialOrder
 from repro.workflow.spec import WorkflowSpec
 from repro.workflow.task import TaskInstance
 
@@ -122,8 +136,9 @@ class HealReport:
         Every ``(object, version)`` judged incorrect during the heal; no
         redo record may have read one of these (rule T3.4's semantic
         audit).
-    undo_analysis:
-        The static Theorem 1 analysis computed before healing.
+    order:
+        The Theorem 3 order the heal built and published before its
+        first undo; ``None`` when nothing observed the heal.
     """
 
     malicious: FrozenSet[str] = frozenset()
@@ -135,7 +150,7 @@ class HealReport:
     final_history: Tuple[HistoryStep, ...] = ()
     actions: Tuple[Action, ...] = ()
     dirty_versions: FrozenSet[Tuple[str, int]] = frozenset()
-    undo_analysis: Optional[UndoAnalysis] = None
+    order: Optional[PartialOrder[Action]] = None
 
     @property
     def touched(self) -> int:
@@ -288,7 +303,9 @@ class Healer:
         the closure on it.  ``None`` (the default) builds one per heal.
 
     Under a recording profiler, :meth:`heal` records its Phases A–C as
-    ``heal.undo`` / ``heal.settle`` / ``heal.reconcile``.
+    ``heal.undo`` / ``heal.settle`` / ``heal.reconcile``, and the
+    build of an observed heal's order as ``heal.order`` inside
+    ``heal.undo``.
     """
 
     def __init__(
@@ -363,6 +380,10 @@ class Healer:
             for uid in closure:
                 for name, ver in analyzer.record(uid).writes.items():
                     dirty.add((name, ver))
+
+            order = None
+            if self._bus is not None:
+                order = self._publish_order(analyzer, closure, forged)
 
             undone: List[str] = []
             actions: List[Action] = []
@@ -447,10 +468,41 @@ class Healer:
             final_history=tuple(history),
             actions=tuple(actions),
             dirty_versions=frozenset(dirty),
-            undo_analysis=undo_analysis,
+            order=order,
         )
 
     # -- internals -------------------------------------------------------------
+
+    def _publish_order(
+        self,
+        analyzer: DependencyAnalyzer,
+        closure: Set[str],
+        forged: Set[str],
+    ) -> PartialOrder[Action]:
+        """Build the batch's Theorem 3 order and publish its edges.
+
+        The order holds one undo per closure instance and one redo per
+        Theorem 2 definite redo of the closure; a forged run's records
+        are never redone, so they have no redo.  Phase A commits the
+        undos newest first (T3.5) and Phase B redoes in log order
+        (T3.1) after every undo (T3.3, T3.4).  A definite redo can
+        still be abandoned when a stale-read redo re-decides a branch
+        that controls it, so an edge's ``before`` may go unrealized.
+        """
+        with phase("heal.order"):
+            redos = [
+                uid for uid in find_redo_tasks(analyzer, closure).definite
+                if analyzer.record(uid).instance.workflow_instance
+                not in forged
+            ]
+            trace: EventTrace[OrderConstraint] = EventTrace(self._clock())
+            order = recovery_partial_order(analyzer, closure, redos,
+                                           trace=trace)
+            order.check_acyclic()
+        bump("actions_planned", len(order))
+        for edge in trace:
+            self._bus.publish(edge)
+        return order
 
     def _stale_reads(
         self,

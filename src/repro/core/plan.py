@@ -2,19 +2,18 @@
 
 A :class:`RecoveryPlan` bundles the outcome of damage analysis for one
 batch of IDS alerts: the Theorem 1/2 undo and redo sets (definite +
-candidate), and the Theorem 3 partial order over the definite recovery
-actions.  The plan corresponds to the paper's "unit of recovery tasks"
-(one unit per alert) queued between the recovery analyzer and the
-scheduler in Figure 2.  The queue only counts units: a batch heal
+candidate).  The plan corresponds to the paper's "unit of recovery
+tasks" (one unit per alert) queued between the recovery analyzer and
+the scheduler in Figure 2.  The queue only counts units: a batch heal
 merges every queued unit, derives the batch's Theorem 1 closure again
 (a unit's definite sets are not definite for the merged batch) and
-realizes Theorem 3 by how it runs (undos newest first, then the settle
-pass in log order), so it reads neither a plan's sets nor its order.
-Both are published claims, decided on their first read: by an observed
-scan, which publishes its provenance, claimed sets and edges for the
-checks, by the independent plan verifier, or by a test.  The sets are
-decided against the log as of that read; the log only grows, so a late
-read gives a superset of what a read at scan time would have given.
+builds and publishes the one Theorem 3 order of the batch it runs, so
+it reads neither a plan's sets nor any order of a plan.  A plan's sets
+are published claims, decided on their first read: by an observed
+scan, which publishes its provenance and claimed sets for the checks,
+by the independent plan verifier, or by a test.  The sets are decided
+against the log as of that read; the log only grows, so a late read
+gives a superset of what a read at scan time would have given.
 
 The plan is *static*: candidates are listed, not resolved.  Resolution —
 which requires executing redos and re-deciding branches — is the
@@ -23,14 +22,10 @@ which requires executing redos and re-deciding branches — is the
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
-from repro.core.actions import Action
 from repro.core.undo_redo import RedoAnalysis, UndoAnalysis
-from repro.workflow.precedence import PartialOrder
 
 __all__ = ["RecoveryPlan"]
 
@@ -66,18 +61,10 @@ class RecoveryPlan:
     ----------
     alert_uids:
         The malicious instances this plan responds to (one per alert).
-    units:
-        Number of recovery-task units (= number of alerts; the CTMC's
-        queue items).
     sets_of:
         The analyzer's builder of the Theorem 1/2 sets: it decides them
-        on its first call and returns that one pair after.
-    order_of:
-        The analyzer's builder of :attr:`order`: it builds the order of
-        the builder's sets on its first call and returns that one
-        object after.  A copy of the plan (``dataclasses.replace``)
-        shares both builders, so a mutated copy keeps the analyzer's
-        own order.
+        on its first call and returns that one pair after.  A copy of
+        the plan (``dataclasses.replace``) shares it.
     undo_analysis, redo_analysis:
         Static Theorem 1 / Theorem 2 results: the values given, else
         the builder's, read from it on each access.  A copy made with
@@ -85,34 +72,16 @@ class RecoveryPlan:
     """
 
     alert_uids: Tuple[str, ...]
-    units: int
     sets_of: Callable[[], Tuple[UndoAnalysis, RedoAnalysis]] = field(
-        repr=False, compare=False)
-    order_of: Callable[[], PartialOrder[Action]] = field(
         repr=False, compare=False)
     undo_analysis: UndoAnalysis = _Decided(0)  # type: ignore[assignment]
     redo_analysis: RedoAnalysis = _Decided(1)  # type: ignore[assignment]
 
     @property
-    def order(self) -> PartialOrder[Action]:
-        """Theorem 3 partial order over the definite undo/redo actions
-        the analyzer decided, built on the first read."""
-        return self.order_of()
-
-    @cached_property
-    def actions(self) -> Tuple[Action, ...]:
-        """The order's actions, sorted; cached, as the order is not
-        changed once the analyzer returns the plan."""
-        return tuple(sorted(self.order.elements()))
-
-    def schedule(self, rng: Optional[random.Random] = None) -> List[Action]:
-        """A linear extension of the plan's partial order.
-
-        The scheduler "is supposed to choose the ``minimal(S, ≺)`` to
-        execute"; ties are broken randomly with ``rng`` or
-        deterministically without.
-        """
-        return self.order.topological_order(tiebreak=rng)
+    def units(self) -> int:
+        """Number of recovery-task units: one per alert (the CTMC's
+        queue items)."""
+        return len(self.alert_uids)
 
     def summary(self) -> str:
         """One-line human-readable account of the plan."""
@@ -122,6 +91,5 @@ class RecoveryPlan:
             f"{len(ua.definite)} definite undo "
             f"(+{len(ua.candidates)} candidates), "
             f"{len(ra.definite)} definite redo "
-            f"(+{len(ra.candidate_uids)} candidates), "
-            f"{len(self.order.edges())} order constraints"
+            f"(+{len(ra.candidate_uids)} candidates)"
         )

@@ -13,8 +13,9 @@ records renderable as text, JSON and SARIF 2.1.0:
   hotspots, Theorem 1 condition 4 ambiguity, blast radius);
 - :mod:`repro.lint.plan_verifier` — an independent re-derivation
   checker for :class:`~repro.core.plan.RecoveryPlan` objects
-  (Theorem 1/2 membership, Theorem 3 edge soundness, acyclicity),
-  with no imports from the code that generated the plan;
+  (Theorem 1/2 membership) and for a heal's Theorem 3 order (edge
+  soundness, acyclicity), with no imports from the code that
+  generated them;
 - :mod:`repro.lint.determinism` — a stdlib-``ast`` pass flagging
   calls poisonous to seeded replay (wall clocks, module-level
   ``random``, set-iteration order), with an allowlist pragma
@@ -35,7 +36,11 @@ from repro.lint.diagnostics import (
     Severity,
 )
 from repro.lint.determinism import lint_paths, lint_source
-from repro.lint.plan_verifier import verify_flight_log, verify_plan
+from repro.lint.plan_verifier import (
+    verify_flight_log,
+    verify_order,
+    verify_plan,
+)
 from repro.lint.spec_rules import (
     SpecLintConfig,
     config_from_document,
@@ -56,5 +61,6 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "verify_flight_log",
+    "verify_order",
     "verify_plan",
 ]

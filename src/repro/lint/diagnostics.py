@@ -187,9 +187,9 @@ RULES: Dict[str, RuleInfo] = {r.rule: r for r in [
     _r("PLAN007", Severity.ERROR, "recovery partial order is cyclic",
        "A cyclic order has no linear extension; the scheduler's "
        "minimal(S, ≺) selector would stall."),
-    _r("PLAN008", Severity.ERROR, "order elements disagree with plan sets",
-       "The actions in the partial order must be exactly one undo per "
-       "definite undo and one redo per definite redo."),
+    _r("PLAN008", Severity.ERROR, "order elements disagree with the sets",
+       "The actions in a heal's partial order must be exactly one undo "
+       "per definite undo and one redo per definite redo of its batch."),
     _r("PLAN009", Severity.ERROR, "candidate sets disagree",
        "Theorem 1 cond. 2/4 and Theorem 2 cond. 2 candidates decide "
        "what the healer re-examines; a mismatch silently widens or "
@@ -199,8 +199,8 @@ RULES: Dict[str, RuleInfo] = {r.rule: r for r in [
        "The flight log's Theorem 3 edge set admits no schedule; the "
        "recorded run cannot have healed in an order that honours it."),
     _r("PLAN021", Severity.ERROR, "undo≺redo edge missing in log",
-       "Theorem 3.3: every instance both undone and redone must carry "
-       "the undo-before-redo constraint in the recorded order."),
+       "Theorem 3.3: every redo the recorded order holds must carry "
+       "the undo-before-redo constraint of its instance."),
     _r("PLAN022", Severity.ERROR, "realized schedule violates an edge",
        "An undo/redo order of the healer contradicting a recorded "
        "ordering edge means the heal broke Theorem 3."),

@@ -1,8 +1,10 @@
-"""Independent re-derivation checker for recovery plans.
+"""Independent re-derivation checker for recovery plans and orders.
 
-The recovery analyzer (:mod:`repro.core.analyzer`) *generates* plans;
-this module *verifies* them from first principles, sharing **no code**
-with the generator: it never imports :mod:`repro.core.analyzer`,
+The recovery analyzer (:mod:`repro.core.analyzer`) *generates* plans
+and the healer (:mod:`repro.core.healer`) the Theorem 3 order of each
+batch it runs; this module *verifies* them from first principles,
+sharing **no code** with the generators: it never imports
+:mod:`repro.core.analyzer`,
 :mod:`repro.core.partial_orders`, or the shared
 :class:`~repro.workflow.dependency.DependencyAnalyzer` substrate they
 are built on.  Every relation is re-derived directly from the raw
@@ -20,12 +22,22 @@ Checks performed by :func:`verify_plan` against a live
   ``B ∩ L`` plus the flow closure of ``B`` (conditions 1 and 3), and
   the candidate set equals the re-derived condition 2/4 members;
 - **Theorem 2 membership** — definite redos are exactly the undone
-  instances with no bad controller; candidates match condition 2;
+  instances with no bad controller; candidates match condition 2.
+
+Checks performed by :func:`verify_order` against a heal's order
+(:attr:`HealReport.order <repro.core.healer.HealReport.order>`) and
+the epoch log it healed:
+
+- **elements** — one undo per re-derived Theorem 1 definite member of
+  the batch and one redo per Theorem 2 definite redo;
 - **Theorem 3 edges** — the partial order carries *exactly* the
   T3.1/T3.3/T3.4/T3.5 edges the log requires: any missing edge is
   unsound (dirty reads possible), any extra edge is unjustified
   (over-constraint, potential deadlock);
 - **acyclicity** — re-checked with an independent topological sort.
+
+Both read only the log's normal records, which a heal never rewrites,
+so either holds before and after the heal.
 
 :func:`verify_flight_log` applies the subset of checks a flight log
 supports (the raw store/log are not recorded): internal consistency
@@ -51,9 +63,10 @@ from repro.core.plan import RecoveryPlan
 from repro.lint.diagnostics import Diagnostic, RULES
 from repro.obs.recorder import FlightLog
 from repro.workflow.log import LogRecord, SystemLog
+from repro.workflow.precedence import PartialOrder
 from repro.workflow.spec import WorkflowSpec
 
-__all__ = ["verify_plan", "verify_flight_log"]
+__all__ = ["verify_plan", "verify_order", "verify_flight_log"]
 
 
 def _diag(rule: str, where: str, message: str, fix: str = "") -> Diagnostic:
@@ -364,9 +377,8 @@ def verify_plan(
     log: SystemLog,
     specs_by_instance: Mapping[str, WorkflowSpec],
     plan: RecoveryPlan,
-    malicious: Optional[Sequence[str]] = None,
 ) -> List[Diagnostic]:
-    """Re-derive Theorems 1–3 from the raw log and diff the plan.
+    """Re-derive Theorems 1–2 from the raw log and diff the plan.
 
     Parameters
     ----------
@@ -375,16 +387,14 @@ def verify_plan(
     specs_by_instance:
         Spec executed by each workflow instance in the log.
     plan:
-        The plan under verification.
-    malicious:
-        The alert set ``B``; defaults to ``plan.alert_uids``.
+        The plan under verification; its alerts are the set ``B``.
 
     Returns an empty list when the plan is exactly what the theorems
     demand; otherwise one :class:`~repro.lint.diagnostics.Diagnostic`
     per discrepancy (all ERROR severity).
     """
     derive = _Derivation(log, specs_by_instance)
-    bad = tuple(malicious if malicious is not None else plan.alert_uids)
+    bad = plan.alert_uids
     where = f"plan for alerts ({', '.join(bad) or '-'})"
     diags: List[Diagnostic] = []
 
@@ -449,12 +459,54 @@ def verify_plan(
             fix="regenerate the plan",
         ))
 
+    return diags
+
+
+def verify_order(
+    log: SystemLog,
+    specs_by_instance: Mapping[str, WorkflowSpec],
+    order: PartialOrder[Action],
+    malicious: Sequence[str],
+    forged_runs: Iterable[str] = (),
+) -> List[Diagnostic]:
+    """Re-derive Theorem 3 from the raw log and diff a heal's order.
+
+    Parameters
+    ----------
+    log:
+        The epoch log the heal ran on (before or after the heal).
+    specs_by_instance:
+        Spec executed by each workflow instance in the log.
+    order:
+        The order the heal published.
+    malicious:
+        The heal's malicious set (:attr:`HealReport.malicious
+        <repro.core.healer.HealReport.malicious>`).
+    forged_runs:
+        Workflow instances the heal treated as forged: their records
+        are undone and never redone, so they carry no redo.
+
+    Returns an empty list when the order is exactly what Theorem 3
+    demands of the batch; otherwise one
+    :class:`~repro.lint.diagnostics.Diagnostic` per discrepancy (all
+    ERROR severity).
+    """
+    derive = _Derivation(log, specs_by_instance)
+    where = f"heal order for ({', '.join(sorted(malicious)) or '-'})"
+    diags: List[Diagnostic] = []
+    undo_want = derive.undo_definite(malicious)
+    forged = frozenset(forged_runs)
+    redo_want = frozenset(
+        uid for uid in derive.redo_definite(undo_want)
+        if derive.record(uid).instance.workflow_instance not in forged
+    )
+
     # Order elements: exactly one action per definite set member.
     expected_elements = (
         {Action.undo(u) for u in undo_want}
         | {Action.redo(u) for u in redo_want}
     )
-    actual_elements = set(plan.order.elements())
+    actual_elements = set(order.elements())
     if expected_elements != actual_elements:
         missing = ", ".join(
             sorted(str(a) for a in expected_elements - actual_elements)
@@ -471,7 +523,7 @@ def verify_plan(
 
     # Theorem 3 edge soundness and completeness.
     required = derive.required_edges(undo_want, redo_want)
-    actual_edges = set(plan.order.edges())
+    actual_edges = set(order.edges())
     for (before, after), rule in sorted(
         required.items(), key=lambda kv: (kv[1], str(kv[0]))
     ):
@@ -479,7 +531,7 @@ def verify_plan(
             diags.append(_diag(
                 "PLAN005", where,
                 f"rule {rule} requires {before} ≺ {after} but the "
-                "plan's order lacks the edge",
+                "order lacks the edge",
                 fix="add the edge; schedules violating it read dirty "
                     "or stale versions",
             ))
@@ -490,7 +542,7 @@ def verify_plan(
             "PLAN006", where,
             f"edge {before} ≺ {after} is justified by no Theorem 3 "
             "rule over this log",
-            fix="drop the edge; it over-constrains the scheduler",
+            fix="drop the edge; it over-constrains the heal",
         ))
 
     # Acyclicity, re-checked independently.
@@ -499,9 +551,9 @@ def verify_plan(
         sample = ", ".join(str(a) for a in residue[:4])
         diags.append(_diag(
             "PLAN007", where,
-            f"the plan's partial order is cyclic among "
+            f"the partial order is cyclic among "
             f"{len(residue)} action(s), e.g. {sample}",
-            fix="no linear extension exists; the scheduler would stall",
+            fix="no linear extension exists; no heal can realize it",
         ))
     return diags
 
@@ -514,8 +566,9 @@ def verify_flight_log(flight: FlightLog) -> List[Diagnostic]:
 
     A flight log records decisions, edges and the healer's undos and
     redos — but not the raw store or log — so the checks here are the
-    internal-consistency subset of :func:`verify_plan`: recorded edges
-    acyclic (PLAN020), Theorem 3.3 edges present (PLAN021), the
+    internal-consistency subset of :func:`verify_plan` and
+    :func:`verify_order`: recorded edges acyclic (PLAN020), a Theorem
+    3.3 edge for every redo the recorded edges name (PLAN021), the
     realized schedule (the healer's undos and redos, in log order)
     consistent with the recorded edges (PLAN022), no executions
     outside the recorded plan (PLAN023), and definite redos inside
@@ -541,14 +594,19 @@ def verify_flight_log(flight: FlightLog) -> List[Diagnostic]:
             fix="the recorded run cannot have scheduled this soundly",
         ))
 
-    # PLAN021: T3.3 for every instance both undone and redone.
+    # PLAN021: T3.3 for every redo the recorded order holds.  Every
+    # redo of an order is of an undone instance (a forged run's records
+    # are never redone), so its redo needs its undo first.  The order
+    # is read, not the scans' decisions: a batch can demote a redo one
+    # scan decided definite, and then orders no redo of it.
     edge_pairs = {(before, after) for before, after in edges}
-    for uid in sorted(run.plan_undo & run.plan_redo):
+    redone = {a[len("redo("):-1] for a in elements if a.startswith("redo(")}
+    for uid in sorted(redone):
         if (f"undo({uid})", f"redo({uid})") not in edge_pairs:
             diags.append(_diag(
                 "PLAN021", where,
-                f"'{uid}' is both undone and redone but the log "
-                "records no undo≺redo constraint for it (Theorem 3.3)",
+                f"the recorded order redoes '{uid}' but records no "
+                "undo≺redo constraint for it (Theorem 3.3)",
                 fix="the plan that produced this log dropped a "
                     "mandatory edge",
             ))

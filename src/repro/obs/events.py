@@ -250,7 +250,7 @@ class RedoDecision(ObsEvent):
 
 @dataclass(frozen=True)
 class OrderConstraint(ObsEvent):
-    """One Theorem 3 edge materialized into a recovery partial order.
+    """One Theorem 3 edge of the order a heal builds for its batch.
 
     ``rule`` is the clause tag (``"T3.1"``–``"T3.5"``);
     ``before``/``after`` are the action strings (``"undo(wf1/t2#1)"``)
@@ -286,10 +286,10 @@ class EventTrace(List[_E]):
     """A provenance sink whose events are built at their publish time.
 
     The analyzer passes one as the ``trace=`` of
-    :func:`~repro.core.undo_redo.find_undo_tasks`,
-    :func:`~repro.core.undo_redo.find_redo_tasks` and
-    :func:`~repro.core.partial_orders.recovery_partial_order`: each
-    decision and edge is built once, stamped :attr:`time`, and
+    :func:`~repro.core.undo_redo.find_undo_tasks` and
+    :func:`~repro.core.undo_redo.find_redo_tasks`, and the healer as
+    that of :func:`~repro.core.partial_orders.recovery_partial_order`:
+    each decision and edge is built once, stamped :attr:`time`, and
     published as it is.  A plain list collects the same events stamped
     ``0.0``.
     """

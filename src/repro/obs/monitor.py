@@ -75,7 +75,11 @@ Soundness notes (why an honest run is monitor-clean):
   analysis and queuing (precisely the ``--inject`` fault model);
 - heals are bracketed by ``HealStarted``/``HealFinished``:
   ``EpochManager.heal`` publishes the pair whenever its bus is active,
-  so every heal the system commits is bracketed.
+  so every heal the system commits is bracketed;
+- the Theorem 3 edges are the heal's own: it publishes the order of
+  the batch it runs before its first undo, so every edge names actions
+  of that heal, which realizes them in Phase A (undos newest first)
+  and Phase B (redos in log order).
 
 Deliberately *not* monitored at runtime: the full Theorem 1 blast
 radius of the *executed* closure.  Scan/recovery-timed workloads can
@@ -1110,22 +1114,27 @@ class _OrderConsistency(SlicedLtlProperty):
     """Theorem 3 edges vs the order the healer realized.
 
     One slice per published :class:`OrderConstraint` edge, keyed
-    ``"before < after"``.  The realized schedule is the healer's own
-    undo operations and log-position redos
-    (:func:`~repro.obs.events.realized_action`); disposition notes and
-    new-path executions are not actions of any plan.  Action strings
-    are *not* heal-qualified: a long run heals many batches, and an
-    earlier heal may legitimately realize an action with the same
-    string as a later edge's ``after``, so the naive ``¬after W
-    before`` would false-positive.  The alias-robust encoding instead
-    demands that *some* ``before`` is (weakly) followed by *some*
-    ``after`` — or that one of the two never happens at all:
-    ``G ¬before ∨ G ¬after ∨ F(before ∧ F after)``.  An edge whose
-    ``before`` is never realized orders nothing: a unit analyzed alone
-    may definitely redo a task that the batch heal, merging another
-    unit's damage, abandons (Theorem 2's negative case), and a missing
-    undo or redo is the completeness properties' finding, not this
-    one's.  A heal that commits an undo after its redo (the
+    ``"before < after"``.  Each heal publishes the edges of its own
+    batch's order inside its ``HealStarted`` bracket, before its first
+    undo, and a slice steps only on actions after its edge arrived.
+    The realized schedule is the healer's own undo operations and
+    log-position redos (:func:`~repro.obs.events.realized_action`);
+    disposition notes and new-path executions are not actions of any
+    order.  Action strings are *not* heal-qualified: a long run heals
+    many batches, and an earlier heal may legitimately realize an
+    action with the same string as a later edge's ``after``, so the
+    naive ``¬after W before`` would false-positive.  The alias-robust
+    encoding instead demands that *some* ``before`` is (weakly)
+    followed by *some* ``after`` — or that one of the two never
+    happens at all: ``G ¬before ∨ G ¬after ∨ F(before ∧ F after)``.
+    An edge whose ``before`` is never realized orders nothing, and an
+    honest heal can leave one so: a definite redo of its batch (no bad
+    controller in the closure) is abandoned when a stale-read redo
+    (Theorem 1 condition 4) of a task outside the closure re-decides
+    the branch that controls it, so the redo's T3.1 edges name a
+    ``before`` the heal never runs.  A missing undo or redo is the
+    completeness properties' finding, not this one's.  A heal that
+    commits an undo after its redo (the
     ``reverse-edge`` fault injection) leaves the ``after`` strictly
     ahead of every ``before`` and resolves to ``finally-violated`` when
     the trace closes.  An index from action string to its edges' keys

@@ -75,11 +75,10 @@ PHASES: Tuple[str, ...] = (
     "grant",
     "analyze",
     "analyze.closure",
-    "analyze.plan",
-    "analyze.verify",
     "schedule",
     "heal",
     "heal.undo",
+    "heal.order",
     "heal.settle",
     "heal.reconcile",
     "audit",
@@ -125,7 +124,6 @@ KNOWN_COUNTERS: Tuple[str, ...] = (
     "closure_recomputations",
     "ctmc_solver_calls",
     "pickle_bytes",
-    "plan_memo_fills",
     "queue_evictions",
     "store_names_touched",
     "undo_analyses",

@@ -7,8 +7,9 @@ episodes; this module *executes* them against the real system
 and checks every run against a composite oracle:
 
 - **plan-verifier** (O1): every plan the analyzer emits must pass the
-  independent checker :func:`repro.lint.verify_plan` — the N-version
-  cross-check of the Theorem 1–3 analyses;
+  independent checker :func:`repro.lint.verify_plan`, and every heal's
+  Theorem 3 order :func:`repro.lint.verify_order` against the epoch log
+  it healed — the N-version cross-check of the Theorem 1–3 analyses;
 - **audit** (O2): after the last stage, the accumulated healed history
   must satisfy the Definition 2 strict-correctness audit
   (:meth:`~repro.core.epochs.EpochManager.audit`);
@@ -59,7 +60,7 @@ from repro.fleet.control import FleetConfig, FleetControlPlane, FleetReport
 from repro.fleet.workload import GeneratedTenantProfile
 from repro.ids.alerts import Alert
 from repro.ids.attacks import AttackCampaign
-from repro.lint.plan_verifier import verify_plan
+from repro.lint.plan_verifier import verify_order, verify_plan
 from repro.obs.events import EventBus
 from repro.obs.health import HealthMonitor, ModelPrediction, SloState
 from repro.obs.recorder import FlightRecorder, read_flight_log
@@ -304,9 +305,10 @@ def _run_single_episode(campaign: CampaignSpec) -> _EpisodeResult:
     Stages run in sequence; each stage executes a fresh generated
     workload under its attack steps, feeds the IDS alerts through the
     bounded queues at Poisson times, and drives the Figure 2 loop until
-    quiescence — checking each emitted plan against the independent
-    verifier — then sweeps the system, so the administrator backlog
-    (Section IV-D) is healed and the epoch rolls before the next stage.
+    quiescence — checking each emitted plan and each heal's order
+    against the independent verifier — then sweeps the system, so the
+    administrator backlog (Section IV-D) is healed and the epoch rolls
+    before the next stage.
     """
     config = FullStackConfig(
         arrival_rate=campaign.arrival_rate,
@@ -398,6 +400,22 @@ def _run_single_episode(campaign: CampaignSpec) -> _EpisodeResult:
                 picked.append(uid)
         return picked
 
+    def check(stage: int, findings, what: str = "") -> None:
+        """O1: every verifier finding is a violation."""
+        if findings:
+            detail = "; ".join(
+                f"{f.rule}: {f.message}" for f in findings[:3]
+            )
+            violations.append(Violation(
+                "plan-verifier", f"stage {stage}: {what}{detail}"
+            ))
+
+    def check_order(stage: int, log, report) -> None:
+        """O1 on a heal: its Theorem 3 order against its epoch log."""
+        check(stage, verify_order(log, manager.specs_by_instance,
+                                  report.order, report.malicious),
+              "heal order: ")
+
     def fire_timed(i: int, j: int, step) -> None:
         """Fire one scan/recovery-timed step at the current clock."""
         if step.kind == "false-alarm":
@@ -451,24 +469,19 @@ def _run_single_episode(campaign: CampaignSpec) -> _EpisodeResult:
                 clock.advance(
                     config.unit_recovery_time * system.recovery_units_queued
                 )
-                if system.recovery_step() is not None:
+                log = manager.log
+                report = system.recovery_step()
+                if report is not None:
                     heals += 1
+                    check_order(i, log, report)
             elif system.alerts_queued:
                 clock.advance(
                     config.scan_time * (1 + len(system.recovery_queue))
                 )
                 plan = system.scan_step()
                 plans_checked += 1
-                findings = verify_plan(
-                    manager.log, manager.specs_by_instance, plan
-                )
-                if findings:
-                    detail = "; ".join(
-                        f"{f.rule}: {f.message}" for f in findings[:3]
-                    )
-                    violations.append(Violation(
-                        "plan-verifier", f"stage {i}: {detail}"
-                    ))
+                check(i, verify_plan(
+                    manager.log, manager.specs_by_instance, plan))
                 while pending_scan:
                     j, step = pending_scan.pop(0)
                     fire_timed(i, j, step)
@@ -488,7 +501,12 @@ def _run_single_episode(campaign: CampaignSpec) -> _EpisodeResult:
         # Lost alerts' administrator reports, and commits after the last
         # heal (or a stage whose corruption never executed), so the
         # epoch rolls before the next stage and the audit covers them.
-        heals += len(system.sweep())
+        # A sweep heals at most once (a heal rolls to an empty epoch),
+        # so its heal ran on the log of now.
+        log = manager.log
+        for report in system.sweep():
+            heals += 1
+            check_order(i, log, report)
 
     audit = manager.audit()
     if not audit.ok:

@@ -41,17 +41,17 @@ The system protects whatever its :class:`~repro.core.epochs.EpochManager`
 currently holds and repairs through ``manager.heal``, which heals one
 log epoch and then rolls to the next, so the system keeps working
 across attack waves.  The batch heal derives the batch's Theorem 1
-closure again, on the epoch's one dependency index, and realizes one
-Theorem 3 order of its own; its ``TaskUndone``/``TaskRedone`` events
+closure again, on the epoch's one dependency index.  On an observed
+run it publishes the one Theorem 3 order of the batch inside its
+``HealStarted`` bracket, and its ``TaskUndone``/``TaskRedone`` events
 are the realized schedule that the conformance monitor and ``lint
-plan`` hold against the scans' published edges.  It trusts no scan's
-sets: a unit's "definite" sets are not definite for the merged batch
-(a T2.1 redo one scan decides can fall off the path when the batch also
-heals an earlier task of its workflow).  So a scan's sets are published
-claims, decided on their first read: an observed scan decides them for
-its provenance and its ``UnitEmitted`` claim, ``verify=True`` for the
-independent check, and an unobserved scan only pops its alert and
-queues its unit.
+plan`` hold against those edges.  It trusts no scan's sets: a unit's
+"definite" sets are not definite for the merged batch (a T2.1 redo one
+scan decides can fall off the path when the batch also heals an earlier
+task of its workflow).  So a scan's sets are published claims, decided
+on their first read: an observed scan decides them for its provenance
+and its ``UnitEmitted`` claim, and an unobserved scan only pops its
+alert and queues its unit.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from repro.core.analyzer import RecoveryAnalyzer
 from repro.core.epochs import EpochManager
 from repro.core.healer import HealReport
 from repro.core.plan import RecoveryPlan
-from repro.errors import RecoveryError
 from repro.ids.alerts import Alert, BoundedQueue
 from repro.obs.events import (
     AlertEnqueued,
@@ -114,20 +113,11 @@ class SelfHealingSystem:
         ``time.monotonic``.  Inject a
         :class:`repro.obs.tracing.ManualClock` to stamp events with
         simulated time.
-    verify:
-        Opt-in N-version safety net: when ``True``, every plan the
-        analyzer emits is re-derived from first principles by the
-        independent checker (:func:`repro.lint.verify_plan` — shares no
-        code with the analyzer) before it is queued; a discrepancy
-        raises :class:`~repro.errors.RecoveryError` instead of healing
-        from a wrong plan.  Off by default (it re-traverses the log per
-        alert).
 
     Under a recording profiler (:mod:`repro.obs.perf`) the pipeline
-    records the phases ``analyze`` (and ``analyze.verify``),
-    ``schedule`` (a drain that does not commit) and ``heal``, and each
-    alert's queue dwell as the sim-time ``buffer-wait`` line item beside
-    them.
+    records the phases ``analyze``, ``schedule`` (a drain that does not
+    commit) and ``heal``, and each alert's queue dwell as the sim-time
+    ``buffer-wait`` line item beside them.
     """
 
     def __init__(
@@ -137,7 +127,6 @@ class SelfHealingSystem:
         recovery_buffer: int = 15,
         bus: Optional[EventBus] = None,
         clock: Optional[Callable[[], float]] = None,
-        verify: bool = False,
     ) -> None:
         self._manager = manager
         self._alerts: BoundedQueue[Alert] = BoundedQueue(alert_buffer)
@@ -153,7 +142,6 @@ class SelfHealingSystem:
         # scan_step builds one per epoch.
         self._analyzer: Optional[RecoveryAnalyzer] = None
         self._analyzer_epoch = -1  # epoch of self._analyzer
-        self._verify = verify
         self._last_state = self.state
         #: uid → clock time at enqueue, for buffer-wait attribution.
         self._enqueued_at: Dict[str, float] = {}
@@ -277,8 +265,6 @@ class SelfHealingSystem:
             plan = self._analyzer.analyze(
                 [alert], outstanding_units=self.recovery_units_queued
             )
-            if self._verify:
-                self._check_plan(plan)
             self._plans.push(plan)
             if self._bus is not None and self._bus.active:
                 # Stamp the queued plan's claimed blast radius so the
@@ -294,27 +280,6 @@ class SelfHealingSystem:
                 ))
                 self._note_state()
         return plan
-
-    def _check_plan(self, plan: RecoveryPlan) -> None:
-        """Run the independent plan verifier; raise on any discrepancy.
-
-        Imported lazily so the lint package stays optional on the hot
-        path — constructing the system with ``verify=False`` (the
-        default) never touches it.
-        """
-        from repro.lint.plan_verifier import verify_plan
-
-        with phase("analyze.verify"):
-            findings = verify_plan(self._manager.log,
-                                   self._manager.specs_by_instance, plan)
-        if findings:
-            detail = "; ".join(
-                f"{d.rule}: {d.message}" for d in findings[:3]
-            )
-            raise RecoveryError(
-                f"independent plan verification failed with "
-                f"{len(findings)} finding(s) — {detail}"
-            )
 
     def recovery_step(self) -> Optional[HealReport]:
         """The scheduler's turn: drain every queued unit, then commit

@@ -239,10 +239,6 @@ class DependencyAnalyzer:
                                        ...]]]] = None
         self._object_readers: Optional[Dict[str, List[LogRecord]]] = None
         self._object_readers_indexed = 0
-        #: Theorem 3 edge walks computed from scratch: one per undo
-        #: (:meth:`output_successors`) and redo (:meth:`anti_successors`)
-        #: action while the memos hold, whatever the number of scans.
-        self.memo_fills = 0
         self._extend()
 
     def _extend(self) -> None:
@@ -402,7 +398,6 @@ class DependencyAnalyzer:
         self._extend()
         if entry is None:
             src = self.record(uid)
-            self.memo_fills += 1
             entry = memo[uid] = _Successors(
                 0, (), [(name, bisect_right(self._writer_seqs[name],
                                             src.seq)

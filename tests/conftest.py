@@ -84,10 +84,11 @@ def diamond_spec() -> WorkflowSpec:
 
 
 def reversed_t31_events():
-    """One heal whose redos run against a published T3.1 edge: the
+    """One heal whose redos run against its published T3.1 edge: the
     scan decides ``wf/a#1`` and ``wf/b#1`` (a precedes b in the log),
-    the heal undoes both, then redoes b before a.  Every redo follows
-    its own undo, so only the realized order is wrong."""
+    the heal publishes its order, undoes both, then redoes b before a.
+    Every redo follows its own undo, so only the realized order is
+    wrong."""
     from repro.obs.events import (
         HealFinished,
         HealStarted,
@@ -104,13 +105,13 @@ def reversed_t31_events():
         UndoDecision(1.0, uid=b, condition="T1.3", via=(a,)),
         RedoDecision(1.0, uid=a, condition="T2.1"),
         RedoDecision(1.0, uid=b, condition="T2.1"),
-        OrderConstraint(1.0, rule="T3.3", before=f"undo({a})",
-                        after=f"redo({a})"),
-        OrderConstraint(1.0, rule="T3.3", before=f"undo({b})",
-                        after=f"redo({b})"),
-        OrderConstraint(1.0, rule="T3.1", before=f"redo({a})",
-                        after=f"redo({b})"),
         HealStarted(2.0, malicious=(a,)),
+        OrderConstraint(2.0, rule="T3.3", before=f"undo({a})",
+                        after=f"redo({a})"),
+        OrderConstraint(2.0, rule="T3.3", before=f"undo({b})",
+                        after=f"redo({b})"),
+        OrderConstraint(2.0, rule="T3.1", before=f"redo({a})",
+                        after=f"redo({b})"),
         TaskUndone(2.0, uid=b, reason="closure"),
         TaskUndone(2.0, uid=a, reason="closure"),
         TaskRedone(2.0, uid=b),
@@ -118,3 +119,20 @@ def reversed_t31_events():
         HealFinished(3.0, undone=2, redone=2, kept=0, abandoned=0,
                      new_executions=0, duration=1.0),
     ]
+
+
+def observed_heal(scenario):
+    """Heal a scenario's reported damage on an active bus and audit it;
+    returns the report (its ``order`` built) and the
+    :class:`~repro.obs.events.OrderConstraint` events the heal
+    published."""
+    from repro.obs.events import EventBus, OrderConstraint
+
+    bus = EventBus()
+    edges = []
+    bus.subscribe(edges.append, types=[OrderConstraint])
+    malicious, forged_runs = scenario.reported()
+    report = scenario.manager.heal(malicious, forged_runs=forged_runs,
+                                   bus=bus)
+    scenario.record_heal(report)
+    return report, edges

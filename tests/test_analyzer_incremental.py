@@ -258,30 +258,28 @@ def insertion_order(order):
 
 
 def traced_analysis(dep, uids):
-    """The T1/T2/T3 provenance lists of one analysis on ``dep``."""
+    """The T1/T2/T3 provenance lists of one analysis on ``dep``, and
+    the insertion order of its Theorem 3 order."""
     undo_trace, redo_trace, order_trace = [], [], []
     undo = find_undo_tasks(dep, uids, trace=undo_trace)
     redo = find_redo_tasks(dep, undo.definite, trace=redo_trace)
-    recovery_partial_order(dep, undo.definite, redo.definite,
-                           trace=order_trace)
-    return undo_trace, redo_trace, order_trace
+    order = recovery_partial_order(dep, undo.definite, redo.definite,
+                                   trace=order_trace)
+    return undo_trace, redo_trace, order_trace, insertion_order(order)
 
 
 def assert_plans_equal(plan, fresh):
     assert plan.alert_uids == fresh.alert_uids
     assert plan.undo_analysis == fresh.undo_analysis
     assert plan.redo_analysis == fresh.redo_analysis
-    assert plan.order.elements() == fresh.order.elements()
-    assert plan.order.edges() == fresh.order.edges()
-    assert insertion_order(plan.order) == insertion_order(fresh.order)
 
 
 @pytest.fixture
 def checked_scans(monkeypatch):
     """Every scan also runs on a fresh analyzer over the same log; the
-    two plans must be equal, down to the insertion order of the
-    partial order and the provenance each would publish.  Yields the
-    analyzers that ran the scans."""
+    two plans must be equal, down to the provenance each would publish
+    and the Theorem 3 order each index would build over the plan's
+    sets.  Yields the analyzers that ran the scans."""
     original = RecoveryAnalyzer.analyze
     analyzers = []
 
@@ -484,18 +482,18 @@ class TestIndexLivesWithTheAnalyzer:
 
 class TestPinnedProvenance:
     #: sha256 of ``obs record --scenario fullstack --lam 8 --buffer 8
-    #: --horizon 5 --seed 3``: 2,683 records, every T1–T3 decision in
+    #: --horizon 5 --seed 3``: 1,374 records, every T1/T2 decision in
     #: order among them, the final sweep's scans of the alerts still
-    #: queued at the horizon included.
+    #: queued at the horizon included, and each heal's T3 edges.
     OVERLOAD_LOG_SHA256 = (
-        "452935eac452b0f8f92bdb9dc01cae44335bae2afc67d4d986fd73d5162e6011")
+        "2d459ebb453c081a3fd4e44468a6ebb34ac69d0b4d1993e122b05c283c2196da")
 
     def test_overload_flight_log_digest(self, tmp_path, capsys):
         path = tmp_path / "overload.jsonl"
         assert main(["obs", "record", "--scenario", "fullstack",
                      "--lam", "8", "--buffer", "8", "--horizon", "5",
                      "--seed", "3", "--log", str(path)]) == 0
-        assert "2683 flight-log records" in capsys.readouterr().out
+        assert "1374 flight-log records" in capsys.readouterr().out
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.OVERLOAD_LOG_SHA256
 
@@ -519,17 +517,16 @@ class TestPinnedProvenance:
             undo_b.uid = "other"
 
 
-def gated_profile(per_alert=0.05, per_action=1.0, plan_wall=True,
+def gated_profile(per_alert=0.05, orders=1.0, plan_wall=True,
                   plan_calls=4, planned=0, per_heal=1.0):
     """A profile document whose fullstack rows carry the given closure
-    and plan line items (``per_action=None`` leaves that item out):
-    ``planned`` and ``per_heal`` are the unobserved row's
+    and order line items (``orders=None`` leaves ``orders_per_heal``
+    out): ``planned`` and ``per_heal`` are the unobserved row's
     ``actions_planned`` and ``undo_analyses_per_heal`` (``None`` leaves
-    the latter out), the plan items sit on the observed row."""
-    observed = {"analyses_per_action": per_action,
-                "plan_calls": plan_calls}
-    if per_action is None:
-        del observed["analyses_per_action"]
+    the latter out), the order items sit on the observed row."""
+    observed = {"orders_per_heal": orders, "plan_calls": plan_calls}
+    if orders is None:
+        del observed["orders_per_heal"]
     if plan_wall:
         observed["plan_wall_s"] = 0.0
     unobserved = {"closure_recomputations": 3,
@@ -579,28 +576,30 @@ class TestClosureGate:
 
     def test_per_scan_plans_fail_the_profile_gate(self):
         from benchmarks.check_regression import (
-            MAX_ANALYSES_PER_ACTION,
+            MAX_ORDERS_PER_HEAL,
             check_profile,
         )
 
-        assert check_profile(
-            gated_profile(per_action=MAX_ANALYSES_PER_ACTION), None) == []
+        assert MAX_ORDERS_PER_HEAL == 1.0
+        assert check_profile(gated_profile(orders=1.0), None) == []
         for bad, shown in ((7.9, "7.9"), (None, "None")):
-            failures = check_profile(gated_profile(per_action=bad), None)
+            failures = check_profile(gated_profile(orders=bad), None)
             assert len(failures) == 1
-            assert f"analyses_per_action {shown}" in failures[0]
+            assert f"orders_per_heal {shown}" in failures[0]
 
     def test_profile_row_plans_each_action_once(self):
         from benchmarks.bench_profile import profile_fullstack
 
         unobserved, observed = profile_fullstack(horizon=15.0, seed=1)
-        # Nothing reads an unobserved scan's order, so none is built.
+        # Nothing observes an unobserved heal, so it builds no order.
         assert unobserved["counters"]["actions_planned"] == 0
         assert unobserved["line_items"]["actions_planned"] == 0
         assert observed["scenario"] == "fullstack-observed"
         assert observed["counters"]["actions_planned"] > 0
         assert observed["line_items"]["plan_calls"] > 0
-        assert observed["line_items"]["analyses_per_action"] == 1.0
+        # One order per heal: each action is planned once, by the heal
+        # that runs it.
+        assert observed["line_items"]["orders_per_heal"] == 1.0
         # Nothing reads its sets either: Theorem 1 runs once per heal,
         # while the observed run's scans decide theirs to publish them.
         assert unobserved["line_items"]["undo_analyses_per_heal"] == 1.0

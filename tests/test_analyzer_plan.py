@@ -1,4 +1,5 @@
-"""Tests for the recovery analyzer and recovery plans."""
+"""Tests for the recovery analyzer, recovery plans and the order of the
+heal that runs them."""
 
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from repro.core.actions import ActionKind
 from repro.core.analyzer import RecoveryAnalyzer
 from repro.ids.alerts import Alert
+from tests.conftest import observed_heal
 
 
 @pytest.fixture
@@ -19,17 +21,15 @@ def fig1_plan(figure1):
 class TestRecoveryAnalyzer:
     def test_plan_covers_definite_damage(self, fig1_plan):
         figure1, analyzer, plan = fig1_plan
-        undo_uids = {a.uid for a in plan.actions if a.kind == ActionKind.UNDO}
-        assert undo_uids == {
+        assert plan.undo_analysis.definite == {
             "wf1/t1#1", "wf1/t2#1", "wf1/t4#1", "wf2/t8#1", "wf2/t10#1"
         }
 
     def test_plan_redo_actions_definite_only(self, fig1_plan):
         figure1, analyzer, plan = fig1_plan
-        redo_uids = {a.uid for a in plan.actions if a.kind == ActionKind.REDO}
         # t4 is a candidate redo (control dependent on bad t2), so it is
-        # not in the definite schedule.
-        assert redo_uids == {
+        # not a definite redo.
+        assert plan.redo_analysis.definite == {
             "wf1/t1#1", "wf1/t2#1", "wf2/t8#1", "wf2/t10#1"
         }
 
@@ -60,24 +60,33 @@ class TestRecoveryAnalyzer:
 
 
 class TestRecoveryPlan:
-    def test_schedule_is_linear_extension(self, fig1_plan):
-        figure1, analyzer, plan = fig1_plan
-        schedule = plan.schedule()
-        assert set(schedule) == set(plan.order.elements())
-        for before, after in plan.order.edges():
+    def test_schedule_is_linear_extension(self, figure1):
+        # The heal's realized undos and redos run its own order.
+        report, _ = observed_heal(figure1)
+        schedule = [a for a in report.actions if a in report.order]
+        assert set(schedule) == set(report.order.elements())
+        for before, after in report.order.edges():
             assert schedule.index(before) < schedule.index(after)
 
-    def test_schedule_random_tiebreak_still_valid(self, fig1_plan):
-        figure1, analyzer, plan = fig1_plan
+    def test_schedule_random_tiebreak_still_valid(self, figure1):
+        # Any linear extension of the heal's order is a valid schedule,
+        # whichever minimal action a random tie-break picks.
+        report, _ = observed_heal(figure1)
         for seed in range(5):
-            schedule = plan.schedule(rng=random.Random(seed))
-            for before, after in plan.order.edges():
+            schedule = report.order.topological_order(
+                tiebreak=random.Random(seed))
+            for before, after in report.order.edges():
                 assert schedule.index(before) < schedule.index(after)
 
     def test_total_actions_and_summary(self, fig1_plan):
         figure1, analyzer, plan = fig1_plan
-        assert len(plan.actions) == len(plan.order)
-        assert {a.kind for a in plan.actions} == {ActionKind.UNDO,
-                                                  ActionKind.REDO}
         text = plan.summary()
         assert "1 alerts" in text and "definite undo" in text
+        assert "order" not in text
+        report, edges = observed_heal(figure1)
+        actions = set(report.order.elements())
+        assert {a.uid for a in actions if a.kind is ActionKind.UNDO} == \
+            plan.undo_analysis.definite
+        assert {a.uid for a in actions if a.kind is ActionKind.REDO} == \
+            plan.redo_analysis.definite
+        assert len(edges) == len(report.order.edges())

@@ -2,8 +2,8 @@
 
 An unobserved scan only pops its alert and queues its unit; the batch
 heal derives the batch's closure again, on the epoch's one dependency
-index.  An observed scan, ``verify=True`` and the fuzz episode's plan
-verifier read the sets at scan time, so they see what an eager analyzer
+index.  An observed scan and a plan verified as it is queued (the fuzz
+episode's plan verifier) read the sets at scan time, so they see what an eager analyzer
 would have decided then.  A late first read decides the sets against
 the grown log: a fresh analyzer's sets over that log, a superset of
 the scan-time ones.
@@ -14,6 +14,7 @@ import pytest
 from repro.core.epochs import EpochManager
 from repro.core.undo_redo import find_redo_tasks, find_undo_tasks
 from repro.ids.attacks import AttackCampaign
+from repro.lint import verify_plan
 from repro.obs.events import EventBus, EventRecorder, UnitEmitted
 from repro.obs.perf import counter_snapshot
 from repro.sim.fullstack import FullStackConfig, ledger_spec, run_replication
@@ -98,12 +99,14 @@ class TestScanTimeReads:
         assert undo_analyses() == before + 1
 
     def test_verify_decides_at_scan_time(self):
-        manager, system = new_system(verify=True)
+        manager, system = new_system()
         uid = attack(manager, "a")
         system.submit_alert(uid)
         expected = eager(manager, [uid])
         before = undo_analyses()
         plan = system.scan_step()
+        assert verify_plan(manager.log, manager.specs_by_instance,
+                           plan) == []
         assert undo_analyses() == before + 1
         # More damage commits before the first read by anyone else:
         # the sets are those of the scan.
@@ -127,7 +130,7 @@ class TestLateRead:
         assert_superset(late, at_scan)
         assert late[0].definite > at_scan[0].definite
 
-    def test_replace_keeps_the_decided_sets_and_the_order(self):
+    def test_replace_keeps_the_decided_sets(self):
         from dataclasses import replace
 
         manager, system = new_system()
@@ -140,7 +143,7 @@ class TestLateRead:
         assert not mutated.undo_analysis.definite
         assert mutated.redo_analysis == plan.redo_analysis
         assert plan.undo_analysis is ua
-        assert mutated.order is plan.order
+        assert mutated.sets_of is plan.sets_of
 
 
 class CountedIndexes:

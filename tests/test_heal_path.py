@@ -104,17 +104,19 @@ class TestScenariosHealThroughTheManager:
 class TestFlightLogPins:
     """Digests of the Figure 2 pipeline's flight logs: the figure1
     incident (``obs record``) and the hijacked web shop (``demo web-app
-    --flight-log``)."""
+    --flight-log``).  Each heal publishes its batch's Theorem 3 edges
+    after its ``HealStarted``."""
 
-    #: ``obs record --scenario figure1``: 57 records.
+    #: ``obs record --scenario figure1``: 57 records, 10 of them edges.
     FIGURE1_SHA256 = (
-        "23c53465aaf0ab81904b6725740c8cfe160e91a4f23d695b91d58968279ed9b1")
-    #: ``obs record --scenario figure1 --false-alarms 0``: 49 records.
+        "5d543003b859e79cbce2a7e0520bf079ab5791fd3ee64c665bbcbffbe243c70b")
+    #: ``obs record --scenario figure1 --false-alarms 0``: 49 records,
+    #: 10 of them edges.
     FIGURE1_NO_NOISE_SHA256 = (
-        "2b3640a46859a2213e3cdb40488c5691d7a6f78023a6e13b52b5e8273e145520")
-    #: ``demo web-app --flight-log FILE``: 85 records.
+        "d2b839707e960538421ddc4d5605c48e8ba2c9c365800533916525a54b1b36a0")
+    #: ``demo web-app --flight-log FILE``: 85 records, 15 of them edges.
     WEB_APP_SHA256 = (
-        "e3bf94662a030f3f8d395ab989bcaed10242472229f4a25f0392ce18d0f25445")
+        "cf346ea600120a27f6bf77c51cfe2f5bd87179cdff6631a1046ff893b3b38e52")
 
     @pytest.mark.parametrize("extra, records, digest", [
         ([], 57, FIGURE1_SHA256),

@@ -1,25 +1,27 @@
-"""A plan's Theorem 3 order is built on its first read.
+"""A Theorem 3 order is built only when something observes the heal.
 
-The batch heal realizes Theorem 3 by how it runs and never reads
-``RecoveryPlan.order``; only observed scans (which publish its edges),
-the independent plan verifier and tests do.  These tests pin that the
-lazily built order is the order an eager scan built, whenever it is
-first read, and that nothing builds one when nothing reads it.
+Scans build no order.  A heal on an active bus builds the one order of
+the batch it runs, on the epoch's shared dependency index, and
+publishes its edges before its first undo; an unobserved heal builds
+none.  These tests pin that each heal's order is the order an eager
+build on a fresh index over the epoch log gives, whatever the scans
+extended the shared index with first, and that nothing builds an order
+when nothing observes.
 """
-
-from dataclasses import replace
 
 import pytest
 
-from repro.core.analyzer import RecoveryAnalyzer
+import repro.core.healer as healer_module
+from repro.core.healer import Healer
 from repro.core.partial_orders import recovery_partial_order
-from repro.lint import verify_plan
-from repro.obs.events import EventBus, EventRecorder
+from repro.core.undo_redo import find_redo_tasks
+from repro.obs.events import EventBus, EventRecorder, OrderConstraint
 from repro.obs.perf import PhaseProfiler, counter_snapshot, recording
-from repro.scenarios.fuzz import fuzz, run_campaign
-from repro.scenarios.generate import generate_campaign, mutate_plan
+from repro.scenarios.fuzz import fuzz, inject_mutation, run_campaign
+from repro.scenarios.generate import generate_campaign
 from repro.sim.fullstack import FullStackConfig, run_replication
 from repro.workflow.dependency import DependencyAnalyzer
+from tests.conftest import observed_heal
 from tests.test_analyzer_incremental import insertion_order
 from tests.test_fuzz import EXPECTED_ORACLE
 
@@ -37,115 +39,118 @@ def shape(order):
 
 
 @pytest.fixture
-def eager_scans(monkeypatch):
-    """Every scan's plan, paired with the shape of the order an eager
-    scan built: a fresh dependency analyzer over the log as it stood
-    at the scan.  The plan's own order is left unread."""
-    original = RecoveryAnalyzer.analyze
-    scans = []
+def eager_heals(monkeypatch):
+    """Every built heal order, paired with the shape of the order an
+    eager build gives: a fresh dependency index over the epoch log as
+    it stood at the heal, the batch's closure and its definite redos
+    (a forged run's records left out)."""
+    original = Healer._publish_order
+    heals = []
 
-    def analyze(self, alerts, outstanding_units=0):
-        plan = original(self, alerts, outstanding_units)
-        eager = recovery_partial_order(
-            DependencyAnalyzer(self._log, self._specs),
-            undo_set=plan.undo_analysis.definite,
-            redo_set=plan.redo_analysis.definite,
-        )
+    def publish_order(self, analyzer, closure, forged):
+        fresh = DependencyAnalyzer(self._log, self._specs)
+        redos = [
+            uid for uid in find_redo_tasks(fresh, closure).definite
+            if fresh.record(uid).instance.workflow_instance not in forged
+        ]
+        eager = recovery_partial_order(fresh, closure, redos)
         eager.check_acyclic()
-        scans.append((plan, shape(eager)))
-        return plan
+        built = original(self, analyzer, closure, forged)
+        heals.append((built, shape(eager)))
+        return built
 
-    monkeypatch.setattr(RecoveryAnalyzer, "analyze", analyze)
-    return scans
+    monkeypatch.setattr(Healer, "_publish_order", publish_order)
+    return heals
+
+
+def observed_bus():
+    bus = EventBus()
+    EventRecorder().attach(bus)
+    return bus
 
 
 class TestFirstReadIsTheEagerOrder:
+    """A heal's one build of its order equals an eager build."""
+
     @pytest.mark.parametrize("index", range(8))
-    def test_generated_campaign(self, eager_scans, index):
+    def test_generated_campaign(self, eager_heals, index):
         outcome = run_campaign(generate_campaign(5, index=index))
         assert outcome.ok, outcome.violations
-        assert eager_scans
-        for plan, eager in eager_scans:
-            assert shape(plan.order) == eager
+        assert eager_heals
+        for built, eager in eager_heals:
+            assert shape(built) == eager
 
-    def test_overload_scans_read_after_later_scans_and_heals(
-            self, eager_scans):
-        # Unobserved: no scan reads its order, so every first read
-        # below comes after later scans extended the epoch's analyzer
-        # and after the heals committed their UNDO and REDO records.
-        result = run_replication(OVERLOAD, horizon=5.0, seed=3)
+    def test_overload_heals_order_on_the_extended_index(self, eager_heals):
+        # Many scans extend the epoch's index before its heal orders
+        # the batch on it.
+        result = run_replication(OVERLOAD, horizon=5.0, seed=3,
+                                 bus=observed_bus())
         assert result.heals >= 1 and result.all_heals_audited_ok
-        assert len(eager_scans) > 8
-        for plan, eager in eager_scans:
-            assert shape(plan.order) == eager
+        assert len(eager_heals) == result.heals
+        for built, eager in eager_heals:
+            assert shape(built) == eager
 
-    def test_observed_overload_scans(self, eager_scans):
-        bus = EventBus()
-        EventRecorder().attach(bus)
+    def test_observed_overload_scans(self, eager_heals):
+        bus = observed_bus()
+        edges = []
+        bus.subscribe(edges.append, types=[OrderConstraint])
         run_replication(OVERLOAD, horizon=5.0, seed=3, bus=bus)
-        assert eager_scans
-        for plan, eager in eager_scans:
-            assert shape(plan.order) == eager
+        assert eager_heals
+        # Every published edge is a heal's: scans publish none.
+        assert len(edges) == sum(len(built.edges())
+                                 for built, _ in eager_heals)
 
-    def test_later_reads_return_the_first(self, figure1):
-        analyzer = RecoveryAnalyzer(figure1.log, figure1.specs_by_instance)
-        plan = analyzer.analyze([figure1.malicious_uid])
-        first = plan.order
-        analyzer.analyze(["wf2/t7#1"])
-        figure1.heal_now()
-        assert plan.order is first
-        assert replace(plan, units=2).order is first
+    def test_report_holds_the_published_order(self, figure1):
+        report, edges = observed_heal(figure1)
+        published = [(e.before, e.after) for e in edges]
+        assert len(published) == len(set(published))
+        assert set(published) == {
+            (str(b), str(a)) for b, a in report.order.edges()}
+        report.order.check_acyclic()
 
 
 class TestNothingReadsNothingIsBuilt:
     def test_unobserved_fullstack_run_builds_no_order(self, monkeypatch):
-        import repro.core.analyzer as analyzer_module
-
         builds = []
-        original = analyzer_module.recovery_partial_order
+        original = healer_module.recovery_partial_order
         monkeypatch.setattr(
-            analyzer_module, "recovery_partial_order",
+            healer_module, "recovery_partial_order",
             lambda *a, **k: builds.append(1) or original(*a, **k))
         prof = PhaseProfiler().start()
         with recording(prof):
-            run_replication(OVERLOAD, horizon=5.0, seed=3)
+            result = run_replication(OVERLOAD, horizon=5.0, seed=3)
         prof.stop()
         report = prof.report("fullstack")
+        assert result.heals >= 1
         assert builds == []
         assert report.counters["actions_planned"] == 0
-        assert report.counters["plan_memo_fills"] == 0
-        assert not any(r["path"].endswith("analyze.plan")
+        assert not any(r["path"].endswith("heal.order")
                        for r in report.rows)
         assert report.counters["closure_recomputations"] >= 1
 
     def test_first_read_counts_the_build_once(self, figure1):
-        analyzer = RecoveryAnalyzer(figure1.log, figure1.specs_by_instance)
-        plan = analyzer.analyze([figure1.malicious_uid])
         before = counter_snapshot().get("actions_planned", 0)
-        size = len(plan.order)
-        assert len(plan.order) == size
-        assert counter_snapshot()["actions_planned"] - before == size
+        report, _ = observed_heal(figure1)
+        assert len(report.order) > 0
+        assert counter_snapshot()["actions_planned"] - before == \
+            len(report.order)
 
 
 class TestMutatedPlansKeepTheAnalyzersOrder:
     @pytest.mark.parametrize("kind", ["drop-undo", "extra-redo"])
-    def test_mutation_changes_the_sets_not_the_order(self, figure1,
+    def test_mutation_changes_the_sets_not_the_order(self, eager_heals,
                                                      kind):
-        analyzer = RecoveryAnalyzer(figure1.log, figure1.specs_by_instance)
-        plan = analyzer.analyze([figure1.malicious_uid])
-        mutated = mutate_plan(plan, kind, figure1.log)
-        # The mutated copy reads first; it builds the analyzer's order.
-        order = mutated.order
-        assert plan.order is order
-        eager = recovery_partial_order(
-            DependencyAnalyzer(figure1.log, figure1.specs_by_instance),
-            undo_set=plan.undo_analysis.definite,
-            redo_set=plan.redo_analysis.definite,
-        )
-        assert shape(order) == shape(eager)
-        rules = {d.rule for d in verify_plan(
-            figure1.log, figure1.specs_by_instance, mutated)}
-        assert rules & {"PLAN001", "PLAN004"}
+        # The heal reads no plan: a mutated plan leaves every heal's
+        # order what an honest run builds.
+        campaign = generate_campaign(0, index=0)
+        honest = run_campaign(campaign)
+        assert honest.ok
+        orders = [shape(built) for built, _ in eager_heals]
+        eager_heals.clear()
+        with inject_mutation(kind) as stats:
+            mutated = run_campaign(campaign)
+        assert stats["applied"] > 0 and not mutated.ok
+        assert [shape(built) for built, _ in eager_heals] == orders
 
     @pytest.mark.parametrize("kind", sorted(EXPECTED_ORACLE))
     def test_every_injected_campaign_is_caught_by_its_oracle(self, kind):

@@ -1,8 +1,9 @@
 """Tests for the independent plan verifier.
 
-The verifier must (a) accept every plan the real analyzer produces,
-(b) reject seeded mutations of those plans with the right rule ids, and
-(c) genuinely share no code with the analyzer stack it is checking.
+The verifier must (a) accept every plan the real analyzer produces and
+every order the real heal publishes, (b) reject seeded mutations of
+those plans and orders with the right rule ids, and (c) genuinely share
+no code with the analyzer stack it is checking.
 """
 
 import ast
@@ -15,14 +16,15 @@ import pytest
 import repro.lint.plan_verifier as plan_verifier_module
 from repro.core.actions import Action
 from repro.core.analyzer import RecoveryAnalyzer
-from repro.errors import RecoveryError
-from repro.lint import verify_flight_log, verify_plan
+from repro.lint import verify_flight_log, verify_order, verify_plan
 from repro.lint.diagnostics import Severity
+from repro.obs.events import OrderConstraint, RedoDecision
+from repro.obs.monitor import replay_conformance
 from repro.obs.recorder import FlightRecorder, read_flight_log
 from repro.scenarios.figure1 import build_figure1
 from repro.system import SelfHealingSystem
 from repro.workflow.precedence import PartialOrder
-from tests.conftest import reversed_t31_events
+from tests.conftest import observed_heal, reversed_t31_events
 
 
 def figure1_case():
@@ -38,32 +40,50 @@ def rules_of(diags):
     return sorted({d.rule for d in diags})
 
 
-def with_order(plan, order):
-    """A copy of the plan that claims ``order`` as its Theorem 3 order."""
-    return replace(plan, order_of=lambda: order)
+def order_findings(sc, order, report):
+    """The verifier's Theorem 3 findings on ``order`` as the order of
+    the heal ``report`` of scenario ``sc``."""
+    return verify_order(sc.log, sc.specs_by_instance, order,
+                        report.malicious, sc.reported()[1])
 
 
-def rebuilt_order(plan, drop=(), add=(), flip=()):
-    """A copy of the plan's order with edges dropped/added/reversed."""
-    order = PartialOrder()
-    for element in plan.order.elements():
-        order.add_element(element)
-    for before, after in plan.order.edges():
+def assert_heal_order_clean(sc):
+    """Heal ``sc`` on an active bus: its order verifies clean against
+    the epoch log, after the heal appended its UNDO and REDO records."""
+    report, _ = observed_heal(sc)
+    assert sc.audit.ok
+    assert order_findings(sc, report.order, report) == []
+
+
+def figure1_order():
+    """Healed figure1 scenario with its heal's report."""
+    sc = build_figure1(attacked=True)
+    report, _ = observed_heal(sc)
+    return sc, report
+
+
+def rebuilt_order(order, drop=(), add=(), flip=()):
+    """A copy of ``order`` with edges dropped/added/reversed."""
+    copy = PartialOrder()
+    for element in order.elements():
+        copy.add_element(element)
+    for before, after in order.edges():
         if (before, after) in drop:
             continue
         if (before, after) in flip:
-            order.add_edge(after, before)
+            copy.add_edge(after, before)
         else:
-            order.add_edge(before, after)
+            copy.add_edge(before, after)
     for before, after in add:
-        order.add_edge(before, after)
-    return order
+        copy.add_edge(before, after)
+    return copy
 
 
 class TestAcceptsAnalyzerPlans:
     def test_figure1(self):
         sc, plan = figure1_case()
         assert verify_plan(sc.log, sc.specs_by_instance, plan) == []
+        assert_heal_order_clean(sc)
 
     def test_travel(self):
         from repro.scenarios.travel import build_travel
@@ -73,6 +93,7 @@ class TestAcceptsAnalyzerPlans:
             [sc.malicious_uid]
         )
         assert verify_plan(sc.log, sc.specs_by_instance, plan) == []
+        assert_heal_order_clean(sc)
 
     def test_supply_chain(self):
         from repro.scenarios.supply_chain import build_supply_chain
@@ -82,6 +103,7 @@ class TestAcceptsAnalyzerPlans:
             [sc.malicious_uid]
         )
         assert verify_plan(sc.log, sc.specs_by_instance, plan) == []
+        assert_heal_order_clean(sc)
 
     def test_banking_forged_run(self):
         from repro.scenarios.banking import build_banking
@@ -95,6 +117,12 @@ class TestAcceptsAnalyzerPlans:
             forged
         )
         assert verify_plan(sc.log, sc.specs_by_instance, plan) == []
+        # The forged run is undone and never redone, so the heal's
+        # order holds its undos and no redo of it.
+        report, _ = observed_heal(sc)
+        assert not any(a.uid in forged and a.kind.value == "redo"
+                       for a in report.order.elements())
+        assert order_findings(sc, report.order, report) == []
 
 
 class TestSeededMutations:
@@ -150,45 +178,52 @@ class TestSeededMutations:
         assert "PLAN004" in rules_of(diags)
 
     def test_mutation_dropped_t33_edge(self):
-        sc, plan = figure1_case()
-        uid = sorted(plan.redo_analysis.definite)[0]
+        sc, report = figure1_order()
+        uid = sorted(a.uid for a in report.order.elements()
+                     if a.kind.value == "redo")[0]
         dropped = (Action.undo(uid), Action.redo(uid))
-        mutated = with_order(plan, rebuilt_order(plan, drop=[dropped]))
-        diags = verify_plan(sc.log, sc.specs_by_instance, mutated)
+        mutated = rebuilt_order(report.order, drop=[dropped])
+        diags = order_findings(sc, mutated, report)
         assert "PLAN005" in rules_of(diags)
         assert any("T3.3" in d.message for d in diags)
 
     def test_mutation_reversed_edge(self):
-        sc, plan = figure1_case()
-        uid = sorted(plan.redo_analysis.definite)[0]
+        sc, report = figure1_order()
+        uid = sorted(a.uid for a in report.order.elements()
+                     if a.kind.value == "redo")[0]
         flipped = (Action.undo(uid), Action.redo(uid))
-        mutated = with_order(plan, rebuilt_order(plan, flip=[flipped]))
-        rules = rules_of(verify_plan(sc.log, sc.specs_by_instance, mutated))
+        mutated = rebuilt_order(report.order, flip=[flipped])
+        rules = rules_of(order_findings(sc, mutated, report))
         assert "PLAN005" in rules  # required direction now missing
         assert "PLAN006" in rules  # reversed direction is unjustified
 
     def test_mutation_spurious_edge(self):
-        sc, plan = figure1_case()
+        sc, report = figure1_order()
         # No Theorem 3 rule ever orders a redo before another
         # instance's undo, so this edge is unjustified by construction.
-        redo_uid = sorted(plan.redo_analysis.definite)[0]
-        undo_uid = sorted(plan.undo_analysis.definite - {redo_uid})[0]
-        extra = (Action.redo(redo_uid), Action.undo(undo_uid))
-        assert extra not in set(plan.order.edges())
-        mutated = with_order(plan, rebuilt_order(plan, add=[extra]))
-        rules = rules_of(verify_plan(sc.log, sc.specs_by_instance, mutated))
-        assert "PLAN006" in rules
+        redos = sorted(a.uid for a in report.order.elements()
+                       if a.kind.value == "redo")
+        undos = sorted(a.uid for a in report.order.elements()
+                       if a.kind.value == "undo")
+        extra = (Action.redo(redos[0]),
+                 Action.undo(next(u for u in undos if u != redos[0])))
+        assert extra not in set(report.order.edges())
+        mutated = rebuilt_order(report.order, add=[extra])
+        assert "PLAN006" in rules_of(order_findings(sc, mutated, report))
 
     def test_mutation_cycle(self):
-        sc, plan = figure1_case()
+        sc, report = figure1_order()
         before, after = sorted(
-            plan.order.edges(), key=lambda e: (str(e[0]), str(e[1]))
+            report.order.edges(), key=lambda e: (str(e[0]), str(e[1]))
         )[0]
-        mutated = with_order(plan, rebuilt_order(
-            plan, add=[(after, before)]
-        ))
-        rules = rules_of(verify_plan(sc.log, sc.specs_by_instance, mutated))
-        assert "PLAN007" in rules
+        mutated = rebuilt_order(report.order, add=[(after, before)])
+        assert "PLAN007" in rules_of(order_findings(sc, mutated, report))
+
+    def test_mutation_order_elements(self):
+        sc, report = figure1_order()
+        mutated = rebuilt_order(report.order)
+        mutated.add_element(Action.redo("wf2/t7#1"))
+        assert "PLAN008" in rules_of(order_findings(sc, mutated, report))
 
     def test_mutation_candidate_tampering(self):
         sc, plan = figure1_case()
@@ -233,14 +268,15 @@ class TestIndependence:
 class TestSystemVerifyHook:
     def test_verified_scan_step_accepts_sound_plan(self):
         sc = build_figure1(attacked=True)
-        system = SelfHealingSystem(sc.manager, verify=True)
+        system = SelfHealingSystem(sc.manager)
         assert system.submit_alert(sc.malicious_uid)
-        assert system.scan_step() is not None
+        plan = system.scan_step()
+        assert verify_plan(sc.log, sc.specs_by_instance, plan) == []
         assert system.recovery_units_queued == 1
 
-    def test_corrupt_plan_raises_before_queuing(self, monkeypatch):
+    def test_corrupt_plan_is_flagged_at_scan_time(self, monkeypatch):
         sc = build_figure1(attacked=True)
-        system = SelfHealingSystem(sc.manager, verify=True)
+        system = SelfHealingSystem(sc.manager)
         real_analyze = RecoveryAnalyzer.analyze
 
         def corrupt_analyze(analyzer, alerts, outstanding_units=0):
@@ -253,14 +289,25 @@ class TestSystemVerifyHook:
 
         monkeypatch.setattr(RecoveryAnalyzer, "analyze", corrupt_analyze)
         system.submit_alert(sc.malicious_uid)
-        with pytest.raises(RecoveryError, match="PLAN001"):
-            system.scan_step()
-        assert system.recovery_units_queued == 0
+        plan = system.scan_step()
+        assert "PLAN001" in rules_of(
+            verify_plan(sc.log, sc.specs_by_instance, plan))
 
-    def test_default_is_unverified(self):
+    def test_default_is_unverified(self, monkeypatch):
+        # The pipeline never runs the verifier: checking is the
+        # caller's (the fuzzer's), so the lint package stays off the
+        # hot path.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pipeline ran the plan verifier")
+
+        monkeypatch.setattr(plan_verifier_module, "verify_plan", refuse)
+        monkeypatch.setattr(plan_verifier_module, "verify_order", refuse)
         sc = build_figure1(attacked=True)
         system = SelfHealingSystem(sc.manager)
-        assert system._verify is False
+        system.submit_alert(sc.malicious_uid)
+        assert system.scan_step() is not None
+        assert system.recovery_step() is not None
+        assert sc.manager.audit().ok
 
 
 def recorded_figure1_lines():
@@ -348,3 +395,39 @@ class TestFlightLogVerification:
         })
         diags = verify_flight_log(log_from(lines + [ghost]))
         assert "PLAN024" in rules_of(diags)
+
+
+#: ``obs record --scenario figure1`` as recorded before heals published
+#: their own orders: each observed scan published the order of its
+#: unit, ahead of the heal.
+SCAN_ORDER_LOG = Path(__file__).parent / "data" / "figure1_scan_orders.jsonl"
+
+
+class TestHealOrders:
+    def test_scan_order_log_still_replays_clean(self):
+        text = SCAN_ORDER_LOG.read_text(encoding="utf-8")
+        assert len(text.splitlines()) == 57
+        flight = read_flight_log(text)
+        assert verify_flight_log(flight) == []
+        assert replay_conformance(flight.events).violations == []
+
+    def test_batch_demoting_a_scan_redo_lints_clean(self):
+        # The scan of s1w0_t3 decides it a definite (T2.1) redo, but
+        # the batch also heals s1w0_t1, whose redo abandons t3: the
+        # heal's order holds no redo of t3.
+        from repro.scenarios.fuzz import _run_single_episode
+        from repro.scenarios.generate import generate_campaign
+
+        episode = _run_single_episode(generate_campaign(0, index=3))
+        assert episode.violations == []
+        flight = read_flight_log(episode.flight_text)
+        uid = "s1w0.run/s1w0_t3#1"
+        decided = [e for e in flight.events
+                   if isinstance(e, RedoDecision) and e.uid == uid]
+        assert any(e.condition == "T2.1" for e in decided)
+        edges = [e for e in flight.events if isinstance(e, OrderConstraint)]
+        assert edges
+        assert not any(f"redo({uid})" in (e.before, e.after)
+                       for e in edges)
+        assert verify_flight_log(flight) == []
+        assert replay_conformance(flight.events).violations == []

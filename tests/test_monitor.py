@@ -654,7 +654,7 @@ class TestConformanceProfileGate:
                             "actions_planned": 0,
                             "undo_analyses_per_heal": 1.0}},
             {"scenario": "fullstack-observed", "digest_stable": True,
-             "line_items": {"analyses_per_action": 1.0,
+             "line_items": {"orders_per_heal": 1.0,
                             "plan_wall_s": 0.0, "plan_calls": 4}},
             {"scenario": "batch-parallel", "digest_stable": True,
              "line_items": {"fan_out_overhead_s": 0.0}},

@@ -142,12 +142,12 @@ class TestPhaseAlgebra:
         clock = FakeClock()
         prof = PhaseProfiler(wall_clock=clock).start()
         with recording(prof), phase("analyze"):
-            with phase("analyze.plan"):
+            with phase("analyze.closure"):
                 clock.advance(0.002)
         prof.stop()
         lines = prof.report().collapsed().splitlines()
         assert lines[0] == "repro;analyze 0"
-        assert lines[1] == "repro;analyze;analyze.plan 2000"
+        assert lines[1] == "repro;analyze;analyze.closure 2000"
 
 
 class TestRecording:

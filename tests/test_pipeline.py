@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from repro.core.actions import ActionKind
 from repro.core.analyzer import RecoveryAnalyzer
 from repro.sim.recovery_sim import run_pipeline
 from repro.sim.workload import WorkloadConfig, WorkloadGenerator
@@ -80,6 +79,4 @@ class TestDetectorIntegration:
         plan = RecoveryAnalyzer(result.log, result.specs_by_instance
                                 ).analyze(result.malicious_ground_truth)
         report = result.heal_now()
-        plan_undos = {a.uid for a in plan.actions
-                      if a.kind == ActionKind.UNDO}
-        assert plan_undos <= set(report.undone)
+        assert plan.undo_analysis.definite <= set(report.undone)

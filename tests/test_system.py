@@ -288,8 +288,9 @@ class TestManagerMode:
 
     def test_verify_mode_checks_plans_against_current_epoch(self):
         from repro.ids.attacks import AttackCampaign
+        from repro.lint import verify_plan
 
-        manager, system = self.make_managed(verify=True)
+        manager, system = self.make_managed()
         spec = _chain_spec()
         for wave in range(2):
             campaign = AttackCampaign()
@@ -297,6 +298,9 @@ class TestManagerMode:
                                   y=777)
             manager.run_workflow_attacked(spec, campaign, f"n{wave}")
             system.submit_alert(campaign.malicious_uids[0])
+            plan = system.scan_step()
+            assert verify_plan(manager.log, manager.specs_by_instance,
+                               plan) == []
             system.sweep()
         assert manager.epoch == 2
         assert manager.audit().ok
