@@ -23,10 +23,10 @@ records only the work each rate times, which every machine reproduces.
 
 from __future__ import annotations
 
-from repro.core.analyzer import RecoveryAnalyzer
 from repro.markov.calibration import (
     _alerts,
     _attacked_pipeline,
+    _decided,
     fit_power_law,
     measure_recovery_rates,
     measure_scan_rates,
@@ -58,11 +58,9 @@ def batch_work(k):
     redos of its heal, on the pipelines the measurements time."""
     attacked = _attacked_pipeline(0, max(BATCHES))
     alerts = _alerts(attacked, k)
-    plan = RecoveryAnalyzer(attacked.log,
-                            attacked.specs_by_instance).analyze(alerts)
+    undo_analysis, redo_analysis = _decided(attacked, alerts)
     report = attacked.manager.heal(alerts)
-    return (len(plan.undo_analysis.definite),
-            len(plan.redo_analysis.definite),
+    return (len(undo_analysis.definite), len(redo_analysis.definite),
             len(report.undone), len(report.redone))
 
 

@@ -13,12 +13,11 @@ Emits ``BENCH_profile.json``: one profiled run per scenario of the
   embarrassments hide behind: dependency index builds per alert
   (ROADMAP item 1(c); one per log epoch), the wall time of the batch
   heal's closure (its Phase A, ``heal.undo``), the Theorem 3 orders
-  that unobserved scans build (none: an order is built on its first
-  read), the Theorem 1 computations per heal (one: an unobserved
-  scan's sets are decided only on read), and, on a second fullstack row
-  whose run an event bus records, the plan phase's wall time and calls
-  and the Theorem 3 edge walks per distinct action planned in an epoch
-  (one when each action is planned once per epoch), and the parallel
+  that an unobserved run builds (none), the Theorem 1 computations per
+  heal (one: a scan decides nothing), and, on a second fullstack row
+  whose run an event bus records, the order phase's wall time and
+  calls, the orders per heal and the Theorem 1 computations per heal
+  (one each: the heal decides and orders its batch), and the parallel
   batch's fan-out overhead (ROADMAP item 3, the <1 speedup), as real
   numbers, not prose;
 - **store names touched per heal** — λ=1 fullstack runs at a short and
@@ -42,8 +41,8 @@ Run as a script::
 floors, digest stability, the presence of the closure, order-phase and
 fan-out line items, a closure rebuild rate of at most 0.1 per alert, no
 order built on an unobserved run, at most one Theorem 1 computation
-per heal on it, at least one observed heal order phase
-and at most one order per heal, store names touched per heal
+per heal on either fullstack row, at least one observed heal order
+phase and at most one order per heal, store names touched per heal
 at the long horizon at most 1.5 times the short horizon's, and
 a conformance row with zero violations are hard failures; the
 wall-time columns are informational
@@ -97,12 +96,12 @@ def profile_fullstack(horizon: float, seed: int) -> List[dict]:
     """One instrumented replication, twice (digest stability), first
     unobserved, then with a recording event bus.
 
-    Unobserved scans decide no Theorem 1/2 sets and the unobserved heal
-    builds no Theorem 3 order (``actions_planned`` is 0, one
-    ``undo_analyses`` per heal): the batch closure is the heal's
-    ``heal.undo`` phase.  The observed run's scans decide their sets to
-    publish them and each heal builds its batch's order, so the order
-    phase is measured on that row."""
+    Scans decide nothing and the unobserved heal builds no Theorem 3
+    order (``actions_planned`` is 0, one ``undo_analyses`` per heal):
+    the batch closure is the heal's ``heal.undo`` phase.  On the
+    observed run each heal decides and publishes its batch's Theorem
+    1/2 sets (still one ``undo_analyses`` per heal) and builds its
+    order, so the order phase is measured on that row."""
     config = FullStackConfig(arrival_rate=6.0, alert_buffer=4,
                              recovery_buffer=4)
 
@@ -136,6 +135,12 @@ def profile_fullstack(horizon: float, seed: int) -> List[dict]:
                 # orders too; check_regression gates it.
                 "orders_per_heal": (
                     order.get("calls", 0)
+                    / (rows.get("heal", {}).get("calls", 0) or 1)),
+                # Theorem 1 computations per heal: the heal's own
+                # decisions, and none by a scan; check_regression
+                # requires at most 1.
+                "undo_analyses_per_heal": (
+                    counters.get("undo_analyses", 0)
                     / (rows.get("heal", {}).get("calls", 0) or 1)),
             }
         else:

@@ -20,7 +20,8 @@ the committed baselines at the repository root and fails (exit 1) when:
   ``MAX_CLOSURE_PER_ALERT``) or building a Theorem 3 order that nothing
   reads (``actions_planned`` above 0 on the unobserved run) or
   deciding Theorem 1 more than once per heal (``undo_analyses_per_heal``
-  above ``MAX_UNDO_ANALYSES_PER_HEAL``), an
+  above ``MAX_UNDO_ANALYSES_PER_HEAL``, on the unobserved and the
+  observed run), an
   observed fullstack profile with no heal order phase or building more
   than one Theorem 3 order per heal (``orders_per_heal`` above
   ``MAX_ORDERS_PER_HEAL``), or the heals and audits touching
@@ -60,11 +61,11 @@ CTMC_OPS = ("steady_state", "transient", "passage", "cumulative")
 MAX_CLOSURE_PER_ALERT = 0.1
 
 #: ROADMAP item 7's count gate: Theorem 1 computations
-#: (``find_undo_tasks`` calls) per heal on the unobserved fullstack run.
-#: The batch heal derives its closure once and nothing reads an
-#: unobserved scan's sets, so it is exactly 1; scans that decide their
-#: sets eagerly add one per alert (17.5 on the full profile's row, 15.1
-#: on the quick one).
+#: (``find_undo_tasks`` calls) per heal on the fullstack runs, unobserved
+#: and observed.  The batch heal decides its batch once and a scan
+#: decides nothing, so it is exactly 1; scans that decide their sets add
+#: one per alert (17.5 on the full profile's unobserved row, 15.1 on the
+#: quick one, when scans decided them eagerly).
 MAX_UNDO_ANALYSES_PER_HEAL = 1.0
 
 #: ROADMAP item 1's gate: Theorem 3 orders built per heal on the
@@ -87,10 +88,11 @@ MAX_STORE_SCALING = 1.5
 #: property pack.
 MAX_OBSERVE_SHARE = 0.15
 
-#: Events a fleet publishes per healed alert: 19.60 on the row's shape.
-#: More means a new event, or a second copy of one, on the observed
-#: path.
-MAX_EVENTS_PER_HEALED_ALERT = 19.61
+#: Events a fleet publishes per healed alert: 18.82 on the row's shape
+#: (9,356 events for 497 healed alerts), since scans stopped publishing
+#: Theorem 1/2 decisions and each heal publishes its batch's.  More
+#: means a new event, or a second copy of one, on the observed path.
+MAX_EVENTS_PER_HEALED_ALERT = 18.83
 
 
 def _load(path: pathlib.Path, expected_benchmark: str) -> dict:
@@ -304,8 +306,9 @@ def check_profile(fresh: dict, baseline: Optional[dict],
     ``MAX_UNDO_ANALYSES_PER_HEAL`` times per heal, the
     fullstack-observed row names the order-phase wall as
     ``plan_wall_s`` with at least one ``heal;heal.undo;heal.order``
-    call and ``orders_per_heal`` at no more than
-    ``MAX_ORDERS_PER_HEAL``, the store-scaling row
+    call, ``orders_per_heal`` at no more than
+    ``MAX_ORDERS_PER_HEAL`` and decides Theorem 1 at most
+    ``MAX_UNDO_ANALYSES_PER_HEAL`` times per heal, the store-scaling row
     stays within ``MAX_STORE_SCALING``, the parallel-batch row
     names fan-out overhead as one, the conformance row exists and
     found no violations on its honest run, and the fleet-observe row
@@ -389,6 +392,14 @@ def check_profile(fresh: dict, baseline: Optional[dict],
                 "missing or heal;heal.undo;heal.order has 0 calls — the "
                 "heal.order phase (Theorem 3 ordering) is no longer "
                 "measured"
+            )
+        per_heal = items.get("undo_analyses_per_heal")
+        if per_heal is None or per_heal > MAX_UNDO_ANALYSES_PER_HEAL:
+            failures.append(
+                f"profile fullstack-observed: undo_analyses_per_heal "
+                f"{per_heal} above {MAX_UNDO_ANALYSES_PER_HEAL} — "
+                "observed scans decide Theorem 1 sets beside the heal's "
+                "decisions of its batch (ROADMAP 1, 7)"
             )
     failures += _check_store_scaling(by_scenario.get("store-scaling"))
     parallel = by_scenario.get("batch-parallel")

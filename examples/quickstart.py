@@ -7,7 +7,7 @@ Walks through the full public API in one small scenario:
 2. execute it under an attack that forges one task's output;
 3. report the malicious instance (the attack's ground truth stands in
    for the IDS);
-4. analyze the damage (Theorems 1–2) and inspect the plan;
+4. analyze the damage (Theorems 1–2) and inspect the undo/redo sets;
 5. heal (undo/redo with candidate resolution);
 6. audit strict correctness (Definition 2).
 
@@ -17,11 +17,13 @@ Run:  python examples/quickstart.py
 from repro import (
     AttackCampaign,
     DataStore,
+    DependencyAnalyzer,
     Engine,
     Healer,
-    RecoveryAnalyzer,
     SystemLog,
     audit_strict_correctness,
+    find_redo_tasks,
+    find_undo_tasks,
     workflow,
 )
 
@@ -68,11 +70,14 @@ def main() -> None:
     print(f"\nIDS alerts: {alerts}")
 
     # 4. Damage analysis: Theorems 1 and 2.
-    analyzer = RecoveryAnalyzer(log, engine.specs_by_instance)
-    plan = analyzer.analyze(alerts)
-    print(f"Plan: {plan.summary()}")
-    print(f"  definite undo: {sorted(plan.undo_analysis.definite)}")
-    print(f"  candidates   : {sorted(plan.undo_analysis.candidates)}")
+    index = DependencyAnalyzer(log, engine.specs_by_instance)
+    undo = find_undo_tasks(index, alerts)
+    redo = find_redo_tasks(index, undo.definite)
+    print(f"Plan: {len(alerts)} alerts, {len(undo.definite)} definite undo "
+          f"(+{len(undo.candidates)} candidates), {len(redo.definite)} "
+          f"definite redo (+{len(redo.candidate_uids)} candidates)")
+    print(f"  definite undo: {sorted(undo.definite)}")
+    print(f"  candidates   : {sorted(undo.candidates)}")
 
     # 5. Heal: re-execute the genuine code, re-decide the branch.
     healer = Healer(store, log, engine.specs_by_instance)

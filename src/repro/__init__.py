@@ -22,7 +22,6 @@ from repro.core import (
     HealReport,
     Healer,
     RecoveryAnalyzer,
-    RecoveryPlan,
     RecoveryStrategy,
     audit_strict_correctness,
     find_redo_tasks,
@@ -78,7 +77,6 @@ __all__ = [
     "ActionKind",
     "find_undo_tasks",
     "find_redo_tasks",
-    "RecoveryPlan",
     "RecoveryAnalyzer",
     "Healer",
     "HealReport",

@@ -1017,11 +1017,11 @@ def _budget_seconds(text: str) -> float:
 def cmd_fuzz(args) -> int:
     """Adversarial campaign fuzzing: run generated attack campaigns
     (single-tenant full-stack episodes and multi-tenant fleets) through
-    the composite oracle — plan verifier, strict-correctness audit,
+    the composite oracle — heal verifier, strict-correctness audit,
     flight-log determinism, health-monitor conformance — shrinking and
     persisting any counterexample as a replayable corpus file.  With
-    --inject, every analyzer plan is mutated and the run checks the
-    plan verifier catches it (exit 0 only when nothing slips through);
+    --inject, every observed heal carries a seeded fault and the run
+    checks the oracle catches it (exit 0 only when nothing slips through);
     with --replay, corpus files are re-run instead of fuzzing."""
     from repro.scenarios.fuzz import fuzz, replay_corpus
 
@@ -1029,7 +1029,7 @@ def cmd_fuzz(args) -> int:
         failures = 0
         for path, outcome in replay_corpus(args.replay):
             if outcome.ok:
-                print(f"{path}: ok ({outcome.plans_checked} plans, "
+                print(f"{path}: ok ({outcome.scans} scans, "
                       f"{outcome.heals} heals)")
             else:
                 failures += 1
@@ -1062,8 +1062,8 @@ def cmd_fuzz(args) -> int:
     for path in report.corpus_files:
         print(f"corpus: {path}")
     if args.inject:
-        # Fault-injection mode: success means the verifier caught every
-        # campaign's mutated plans and none slipped through.
+        # Fault-injection mode: success means the oracle caught every
+        # campaign's faulted heals and none slipped through.
         return 0 if report.caught > 0 and report.missed == 0 else 1
     return 0 if report.violations == 0 else 1
 
@@ -1106,7 +1106,8 @@ def cmd_profile(args) -> int:
     Runs one scenario with a :class:`~repro.obs.perf.PhaseProfiler`
     wired through the whole pipeline and prints the attributed phase
     breakdown: where every alert's life went (detect → buffer wait →
-    analyze closure/plan/verify → schedule → heal → audit), in both
+    analyze → schedule → heal (undo, order, settle, reconcile) →
+    audit), in both
     wall and simulated time, plus the cost-driver counters (CTMC solver
     calls, closure recomputations, pickle bytes, queue evictions).
 
@@ -1412,8 +1413,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: 0)")
     p.add_argument("--inject", default=None,
                    choices=["drop-undo", "extra-redo", "reverse-edge"],
-                   help="fault-injection mode: mutate every analyzer "
-                        "plan and check the verifier catches it")
+                   help="fault-injection mode: fault every heal and "
+                        "check the oracle catches it")
     p.add_argument("--corpus-dir", default="fuzz-corpus",
                    help="directory for shrunk counterexamples "
                         "(default: fuzz-corpus)")

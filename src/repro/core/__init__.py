@@ -8,9 +8,9 @@ This package implements Section III (theories of recovery) and Section IV
   (redo tasks), including the *candidate* sets resolved only after redos;
 - :mod:`repro.core.partial_orders` — Theorem 3 (orders among recovery
   tasks), built by the healer for each observed batch;
-- :mod:`repro.core.plan` — one alert's recovery unit;
 - :mod:`repro.core.analyzer` — the recovery analyzer of Figure 2, turning
-  IDS alerts into recovery plans;
+  IDS alerts into units of recovery tasks, and the one place a batch
+  heal decides Theorems 1–2;
 - :mod:`repro.core.healer` — the operational self-healing executor that
   resolves candidates by re-execution and repairs the store and log;
 - :mod:`repro.core.axioms` — Axiom 1 and the strict-correctness audit of
@@ -28,7 +28,6 @@ from repro.core.axioms import (
 )
 from repro.core.epochs import EpochManager
 from repro.core.healer import HealReport, Healer
-from repro.core.plan import RecoveryPlan
 from repro.core.strategies import RecoveryStrategy
 from repro.core.undo_redo import (
     RedoAnalysis,
@@ -44,7 +43,6 @@ __all__ = [
     "RedoAnalysis",
     "find_undo_tasks",
     "find_redo_tasks",
-    "RecoveryPlan",
     "RecoveryAnalyzer",
     "Healer",
     "HealReport",

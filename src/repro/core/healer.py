@@ -10,18 +10,22 @@ Algorithm
 Given the malicious set ``B`` (from IDS alerts) and any attacker-forged
 workflow runs:
 
-**Phase A — undo analysis.**  Compute the flow closure of ``B`` (Theorem
-1, conditions 1 and 3) of the whole batch, on the epoch's dependency
-index when the caller passes one (a scan's sets are not definite for
-the batch).  Every version written by a closure instance is
-*dirty*; one ``undo`` record per closure instance is committed (newest
-first, honoring rule T3.5's reverse-output-dependence order), realizing
-rule T3.3 (``undo(t) ≺ redo(t)``).  On an active event bus the heal
-first builds the batch's one Theorem 3 order
+**Phase A — undo analysis.**  Decide the batch's Theorem 1 closure of
+``B`` (conditions 1 and 3) through
+:func:`~repro.core.analyzer.decide_batch`, on the epoch's dependency
+index when the caller passes one (a scan decides nothing: a unit's
+sets are not definite for the batch).  Every version written by a
+closure instance is *dirty*; one ``undo`` record per closure instance
+is committed (newest first, honoring rule T3.5's
+reverse-output-dependence order), realizing rule T3.3 (``undo(t) ≺
+redo(t)``).  On an active event bus the heal first decides Theorem 2
+too, publishes its Theorem 1/2 decisions, then builds the batch's one
+Theorem 3 order
 (:func:`~repro.core.partial_orders.recovery_partial_order` over the
 closure and its Theorem 2 definite redos) and publishes its edges, so
-the order a flight log holds is the order of the heal that runs; the
-phases below realize it.  An unobserved heal builds no order.
+the decisions and the order a flight log holds are those of the heal
+that runs; the phases below realize them.  An unobserved heal decides
+Theorem 1 only and builds no order.
 
 **Phase B — settle pass.**  Walk the original log in commit order (rule
 T3.1: redos follow log precedence).  Each workflow instance owns a
@@ -79,9 +83,10 @@ from typing import (
 )
 
 from repro.core.actions import Action
+from repro.core.analyzer import decide_batch
 from repro.core.axioms import HistoryStep
 from repro.core.partial_orders import recovery_partial_order
-from repro.core.undo_redo import UndoAnalysis, find_redo_tasks, find_undo_tasks
+from repro.core.undo_redo import RedoAnalysis, UndoAnalysis
 from repro.errors import ExecutionError, RecoveryError
 from repro.obs.events import (
     EventBus,
@@ -136,6 +141,10 @@ class HealReport:
         Every ``(object, version)`` judged incorrect during the heal; no
         redo record may have read one of these (rule T3.4's semantic
         audit).
+    undo_analysis, redo_analysis:
+        The heal's Theorem 1 and Theorem 2 decisions over ``malicious``
+        (the batch closure is ``undo_analysis.definite``);
+        ``redo_analysis`` is ``None`` when nothing observed the heal.
     order:
         The Theorem 3 order the heal built and published before its
         first undo; ``None`` when nothing observed the heal.
@@ -150,6 +159,8 @@ class HealReport:
     final_history: Tuple[HistoryStep, ...] = ()
     actions: Tuple[Action, ...] = ()
     dirty_versions: FrozenSet[Tuple[str, int]] = frozenset()
+    undo_analysis: Optional[UndoAnalysis] = None
+    redo_analysis: Optional[RedoAnalysis] = None
     order: Optional[PartialOrder[Action]] = None
 
     @property
@@ -305,7 +316,8 @@ class Healer:
     Under a recording profiler, :meth:`heal` records its Phases A–C as
     ``heal.undo`` / ``heal.settle`` / ``heal.reconcile``, and the
     build of an observed heal's order as ``heal.order`` inside
-    ``heal.undo``.
+    ``heal.undo``.  On an active bus the heal publishes its Theorem 1/2
+    decisions, then its order's edges, before its first undo.
     """
 
     def __init__(
@@ -373,7 +385,10 @@ class Healer:
             for record in log.normal_records():
                 if record.instance.workflow_instance in forged:
                     bad.add(record.uid)
-            undo_analysis = find_undo_tasks(analyzer, bad)
+            bus = self._bus
+            now = self._clock() if bus is not None else None
+            undo_analysis, redo_analysis, decisions = decide_batch(
+                analyzer, bad, now)
             closure: Set[str] = set(undo_analysis.definite)
 
             dirty: Set[Tuple[str, int]] = set()
@@ -382,8 +397,11 @@ class Healer:
                     dirty.add((name, ver))
 
             order = None
-            if self._bus is not None:
-                order = self._publish_order(analyzer, closure, forged)
+            if bus is not None:
+                for decision in decisions:
+                    bus.publish(decision)
+                order = self._publish_order(analyzer, closure,
+                                            redo_analysis, forged, now)
 
             undone: List[str] = []
             actions: List[Action] = []
@@ -468,6 +486,8 @@ class Healer:
             final_history=tuple(history),
             actions=tuple(actions),
             dirty_versions=frozenset(dirty),
+            undo_analysis=undo_analysis,
+            redo_analysis=redo_analysis,
             order=order,
         )
 
@@ -477,25 +497,29 @@ class Healer:
         self,
         analyzer: DependencyAnalyzer,
         closure: Set[str],
+        redo_analysis: RedoAnalysis,
         forged: Set[str],
+        now: float,
     ) -> PartialOrder[Action]:
-        """Build the batch's Theorem 3 order and publish its edges.
+        """Build the batch's Theorem 3 order and publish its edges,
+        stamped ``now``.
 
         The order holds one undo per closure instance and one redo per
-        Theorem 2 definite redo of the closure; a forged run's records
-        are never redone, so they have no redo.  Phase A commits the
-        undos newest first (T3.5) and Phase B redoes in log order
-        (T3.1) after every undo (T3.3, T3.4).  A definite redo can
-        still be abandoned when a stale-read redo re-decides a branch
-        that controls it, so an edge's ``before`` may go unrealized.
+        Theorem 2 definite redo of the closure (``redo_analysis``); a
+        forged run's records are never redone, so they have no redo.
+        Phase A commits the undos newest first (T3.5) and Phase B
+        redoes in log order (T3.1) after every undo (T3.3, T3.4).  A
+        definite redo can still be abandoned when a stale-read redo
+        re-decides a branch that controls it, so an edge's ``before``
+        may go unrealized.
         """
         with phase("heal.order"):
             redos = [
-                uid for uid in find_redo_tasks(analyzer, closure).definite
+                uid for uid in redo_analysis.definite
                 if analyzer.record(uid).instance.workflow_instance
                 not in forged
             ]
-            trace: EventTrace[OrderConstraint] = EventTrace(self._clock())
+            trace: EventTrace[OrderConstraint] = EventTrace(now)
             order = recovery_partial_order(analyzer, closure, redos,
                                            trace=trace)
             order.check_acyclic()

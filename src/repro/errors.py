@@ -157,6 +157,6 @@ class GenerationError(ReproError):
     """A campaign document or generator request is invalid.
 
     Raised for malformed corpus files (unknown format tags, bad step
-    kinds/triggers, non-JSON input) and for unknown plan-mutation or
+    kinds/triggers, non-JSON input) and for unknown heal-fault or
     fuzzing-mode names — the CLI's exit-3 path for the ``fuzz`` verb.
     """

@@ -1,9 +1,10 @@
-"""Static verification of workflow specs, recovery plans, and
+"""Static verification of workflow specs, batch heals, and
 replay-critical code.
 
-The recovery analyzer *produces* plans; this package *checks* them —
-with code that shares nothing with the producer (the N-version /
-independent-checker discipline of recovery systems).  Three analysis
+The batch heal *decides* its Theorem 1/2 sets and orders them; this
+package *checks* them — with code that shares nothing with the
+producer (the N-version / independent-checker discipline of recovery
+systems).  Three analysis
 passes, all emitting typed :class:`~repro.lint.diagnostics.Diagnostic`
 records renderable as text, JSON and SARIF 2.1.0:
 
@@ -12,10 +13,9 @@ records renderable as text, JSON and SARIF 2.1.0:
   sets (unreachable structure, dead data, Theorem 4 contention
   hotspots, Theorem 1 condition 4 ambiguity, blast radius);
 - :mod:`repro.lint.plan_verifier` — an independent re-derivation
-  checker for :class:`~repro.core.plan.RecoveryPlan` objects
-  (Theorem 1/2 membership) and for a heal's Theorem 3 order (edge
-  soundness, acyclicity), with no imports from the code that
-  generated them;
+  checker for a heal's Theorem 1/2 sets (membership) and its Theorem
+  3 order (edge soundness, acyclicity), with no imports from the code
+  that generated them;
 - :mod:`repro.lint.determinism` — a stdlib-``ast`` pass flagging
   calls poisonous to seeded replay (wall clocks, module-level
   ``random``, set-iteration order), with an allowlist pragma
@@ -38,8 +38,7 @@ from repro.lint.diagnostics import (
 from repro.lint.determinism import lint_paths, lint_source
 from repro.lint.plan_verifier import (
     verify_flight_log,
-    verify_order,
-    verify_plan,
+    verify_heal,
 )
 from repro.lint.spec_rules import (
     SpecLintConfig,
@@ -61,6 +60,5 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "verify_flight_log",
-    "verify_order",
-    "verify_plan",
+    "verify_heal",
 ]

@@ -67,7 +67,7 @@ class Diagnostic:
         Human-readable statement of the defect.
     where:
         Logical location — ``"workflow 'wf1' task 't3'"``,
-        ``"plan for alerts (u1,)"`` — always present.
+        ``"heal of (u1)"`` — always present.
     file, line:
         Physical location when the finding points into source code
         (determinism lint) or a document file.
@@ -164,12 +164,12 @@ RULES: Dict[str, RuleInfo] = {r.rule: r for r in [
        "amplification over workflow/analysis.py) from this task "
        "covers a large fraction of the system; one IDS alert on it "
        "implies a near-global recovery."),
-    # -- plan verifier (live plans) ---------------------------------------
+    # -- plan verifier (live heals) ---------------------------------------
     _r("PLAN001", Severity.ERROR, "undo set missing an instance",
        "Theorem 1: the instance is malicious or flow-infected but the "
-       "plan does not undo it; healing would leave corrupt data."),
+       "heal does not undo it; healing would leave corrupt data."),
     _r("PLAN002", Severity.ERROR, "undo set has a spurious instance",
-       "The plan undoes an instance no Theorem 1 condition covers; "
+       "The heal undoes an instance no Theorem 1 condition covers; "
        "clean work would be destroyed."),
     _r("PLAN003", Severity.ERROR, "redo set missing an instance",
        "Theorem 2 cond. 1: the undone instance is not control "

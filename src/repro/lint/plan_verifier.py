@@ -1,10 +1,10 @@
-"""Independent re-derivation checker for recovery plans and orders.
+"""Independent re-derivation checker for batch heals.
 
-The recovery analyzer (:mod:`repro.core.analyzer`) *generates* plans
-and the healer (:mod:`repro.core.healer`) the Theorem 3 order of each
-batch it runs; this module *verifies* them from first principles,
-sharing **no code** with the generators: it never imports
-:mod:`repro.core.analyzer`,
+Each batch heal (:mod:`repro.core.healer`) *decides* its Theorem 1/2
+sets (:func:`repro.core.analyzer.decide_batch`) and, when observed,
+builds its Theorem 3 order; this module *verifies* them from first
+principles, sharing **no code** with the generators: it never imports
+:mod:`repro.core.analyzer`, :mod:`repro.core.undo_redo`,
 :mod:`repro.core.partial_orders`, or the shared
 :class:`~repro.workflow.dependency.DependencyAnalyzer` substrate they
 are built on.  Every relation is re-derived directly from the raw
@@ -15,29 +15,24 @@ of iterative dominator sets; Kahn's algorithm over explicit edge
 lists) — the N-version discipline: a bug must now appear twice, in
 different code, to ship silently.
 
-Checks performed by :func:`verify_plan` against a live
-:class:`~repro.core.plan.RecoveryPlan`:
+Checks performed by :func:`verify_heal` against a heal's
+:class:`~repro.core.healer.HealReport` and the epoch log it healed:
 
-- **Theorem 1 membership** — the plan's definite undo set equals
+- **Theorem 1 membership** — the heal's definite undo set equals
   ``B ∩ L`` plus the flow closure of ``B`` (conditions 1 and 3), and
-  the candidate set equals the re-derived condition 2/4 members;
+  its candidate set equals the re-derived condition 2/4 members;
 - **Theorem 2 membership** — definite redos are exactly the undone
-  instances with no bad controller; candidates match condition 2.
-
-Checks performed by :func:`verify_order` against a heal's order
-(:attr:`HealReport.order <repro.core.healer.HealReport.order>`) and
-the epoch log it healed:
-
-- **elements** — one undo per re-derived Theorem 1 definite member of
-  the batch and one redo per Theorem 2 definite redo;
+  instances with no bad controller; candidates match condition 2;
+- **order elements** — one undo per re-derived Theorem 1 definite
+  member of the batch and one redo per Theorem 2 definite redo;
 - **Theorem 3 edges** — the partial order carries *exactly* the
   T3.1/T3.3/T3.4/T3.5 edges the log requires: any missing edge is
   unsound (dirty reads possible), any extra edge is unjustified
   (over-constraint, potential deadlock);
 - **acyclicity** — re-checked with an independent topological sort.
 
-Both read only the log's normal records, which a heal never rewrites,
-so either holds before and after the heal.
+The checks read only the log's normal records, which a heal never
+rewrites, so they hold before and after the heal.
 
 :func:`verify_flight_log` applies the subset of checks a flight log
 supports (the raw store/log are not recorded): internal consistency
@@ -47,26 +42,28 @@ of the recorded decisions, edges and the healer's undos and redos.
 from __future__ import annotations
 
 from typing import (
+    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Iterable,
     List,
     Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
 
 from repro.core.actions import Action
-from repro.core.plan import RecoveryPlan
 from repro.lint.diagnostics import Diagnostic, RULES
 from repro.obs.recorder import FlightLog
 from repro.workflow.log import LogRecord, SystemLog
 from repro.workflow.precedence import PartialOrder
 from repro.workflow.spec import WorkflowSpec
 
-__all__ = ["verify_plan", "verify_order", "verify_flight_log"]
+if TYPE_CHECKING:  # the report is read, never built, here
+    from repro.core.healer import HealReport
+
+__all__ = ["verify_heal", "verify_flight_log"]
 
 
 def _diag(rule: str, where: str, message: str, fix: str = "") -> Diagnostic:
@@ -370,106 +367,16 @@ def _find_cycle(
     )
 
 
-# -- entry point: live plans ----------------------------------------------------
+# -- entry point: heals ---------------------------------------------------------
 
 
-def verify_plan(
+def verify_heal(
     log: SystemLog,
     specs_by_instance: Mapping[str, WorkflowSpec],
-    plan: RecoveryPlan,
-) -> List[Diagnostic]:
-    """Re-derive Theorems 1–2 from the raw log and diff the plan.
-
-    Parameters
-    ----------
-    log:
-        The (pre-recovery) system log the plan was computed against.
-    specs_by_instance:
-        Spec executed by each workflow instance in the log.
-    plan:
-        The plan under verification; its alerts are the set ``B``.
-
-    Returns an empty list when the plan is exactly what the theorems
-    demand; otherwise one :class:`~repro.lint.diagnostics.Diagnostic`
-    per discrepancy (all ERROR severity).
-    """
-    derive = _Derivation(log, specs_by_instance)
-    bad = plan.alert_uids
-    where = f"plan for alerts ({', '.join(bad) or '-'})"
-    diags: List[Diagnostic] = []
-
-    # Theorem 1 membership.
-    undo_want = derive.undo_definite(bad)
-    undo_have = frozenset(plan.undo_analysis.definite)
-    for uid in sorted(undo_want - undo_have):
-        diags.append(_diag(
-            "PLAN001", where,
-            f"instance '{uid}' is malicious or flow-infected "
-            "(Theorem 1 cond. 1/3) but the plan does not undo it",
-            fix="regenerate the plan; corrupt data would survive",
-        ))
-    for uid in sorted(undo_have - undo_want):
-        diags.append(_diag(
-            "PLAN002", where,
-            f"plan undoes '{uid}' but no Theorem 1 condition 1/3 "
-            "grounds exist in the log",
-            fix="drop the undo; clean work would be destroyed",
-        ))
-
-    # Theorem 2 membership (derived from the *re-derived* undo set, so
-    # a planner bug in Theorem 1 cannot mask one in Theorem 2).
-    redo_want = derive.redo_definite(undo_want)
-    redo_have = frozenset(plan.redo_analysis.definite)
-    for uid in sorted(redo_want - redo_have):
-        diags.append(_diag(
-            "PLAN003", where,
-            f"undone instance '{uid}' has no bad controller "
-            "(Theorem 2 cond. 1) but the plan never re-executes it",
-            fix="add the redo; the workflow would lose the instance",
-        ))
-    for uid in sorted(redo_have - redo_want):
-        diags.append(_diag(
-            "PLAN004", where,
-            f"plan definitely redoes '{uid}' but Theorem 2 cond. 1 "
-            "does not apply (bad controller exists, or not undone)",
-            fix="demote it to a candidate resolved by re-execution",
-        ))
-
-    # Candidate membership (Theorem 1 cond. 2/4; Theorem 2 cond. 2).
-    cand_want = derive.undo_candidates(bad)
-    cand_have = frozenset(plan.undo_analysis.candidates)
-    if cand_want != cand_have:
-        missing = ", ".join(sorted(cand_want - cand_have)) or "-"
-        extra = ", ".join(sorted(cand_have - cand_want)) or "-"
-        diags.append(_diag(
-            "PLAN009", where,
-            f"undo candidate set mismatch (Theorem 1 cond. 2/4): "
-            f"missing {{{missing}}}, spurious {{{extra}}}",
-            fix="regenerate the plan",
-        ))
-    redo_cand_want = derive.redo_candidates(undo_want)
-    redo_cand_have = frozenset(plan.redo_analysis.candidate_uids)
-    if redo_cand_want != redo_cand_have:
-        missing = ", ".join(sorted(redo_cand_want - redo_cand_have)) or "-"
-        extra = ", ".join(sorted(redo_cand_have - redo_cand_want)) or "-"
-        diags.append(_diag(
-            "PLAN009", where,
-            f"redo candidate set mismatch (Theorem 2 cond. 2): "
-            f"missing {{{missing}}}, spurious {{{extra}}}",
-            fix="regenerate the plan",
-        ))
-
-    return diags
-
-
-def verify_order(
-    log: SystemLog,
-    specs_by_instance: Mapping[str, WorkflowSpec],
-    order: PartialOrder[Action],
-    malicious: Sequence[str],
+    report: "HealReport",
     forged_runs: Iterable[str] = (),
 ) -> List[Diagnostic]:
-    """Re-derive Theorem 3 from the raw log and diff a heal's order.
+    """Re-derive Theorems 1–3 from the raw log and diff one heal.
 
     Parameters
     ----------
@@ -477,25 +384,98 @@ def verify_order(
         The epoch log the heal ran on (before or after the heal).
     specs_by_instance:
         Spec executed by each workflow instance in the log.
-    order:
-        The order the heal published.
-    malicious:
-        The heal's malicious set (:attr:`HealReport.malicious
-        <repro.core.healer.HealReport.malicious>`).
+    report:
+        The heal under verification: its malicious set is ``B``, and
+        its Theorem 1 decisions are checked, and its Theorem 2
+        decisions and Theorem 3 order when an event bus observed the
+        heal (an unobserved heal decides neither).
     forged_runs:
         Workflow instances the heal treated as forged: their records
-        are undone and never redone, so they carry no redo.
+        are undone and never redone, so its order has no redo of them.
 
-    Returns an empty list when the order is exactly what Theorem 3
-    demands of the batch; otherwise one
+    Returns an empty list when the heal decided and ordered exactly
+    what the theorems demand of its batch; otherwise one
     :class:`~repro.lint.diagnostics.Diagnostic` per discrepancy (all
     ERROR severity).
     """
     derive = _Derivation(log, specs_by_instance)
-    where = f"heal order for ({', '.join(sorted(malicious)) or '-'})"
+    bad = sorted(report.malicious)
+    where = f"heal of ({', '.join(bad) or '-'})"
     diags: List[Diagnostic] = []
-    undo_want = derive.undo_definite(malicious)
-    forged = frozenset(forged_runs)
+
+    # Theorem 1 membership.
+    undo = report.undo_analysis
+    undo_want = derive.undo_definite(bad)
+    for uid in sorted(undo_want - undo.definite):
+        diags.append(_diag(
+            "PLAN001", where,
+            f"instance '{uid}' is malicious or flow-infected "
+            "(Theorem 1 cond. 1/3) but the heal does not undo it",
+            fix="corrupt data would survive",
+        ))
+    for uid in sorted(undo.definite - undo_want):
+        diags.append(_diag(
+            "PLAN002", where,
+            f"the heal undoes '{uid}' but no Theorem 1 condition 1/3 "
+            "grounds exist in the log",
+            fix="clean work would be destroyed",
+        ))
+    _diff_candidates(diags, where, derive.undo_candidates(bad),
+                     undo.candidates, "undo", "Theorem 1 cond. 2/4")
+
+    # Theorem 2 membership (derived from the *re-derived* undo set, so
+    # a bug in Theorem 1 cannot mask one in Theorem 2).
+    redo = report.redo_analysis
+    if redo is not None:
+        redo_want = derive.redo_definite(undo_want)
+        for uid in sorted(redo_want - redo.definite):
+            diags.append(_diag(
+                "PLAN003", where,
+                f"undone instance '{uid}' has no bad controller "
+                "(Theorem 2 cond. 1) but the heal never definitely "
+                "re-executes it",
+                fix="the workflow would lose the instance",
+            ))
+        for uid in sorted(redo.definite - redo_want):
+            diags.append(_diag(
+                "PLAN004", where,
+                f"the heal definitely redoes '{uid}' but Theorem 2 "
+                "cond. 1 does not apply (bad controller exists, or not "
+                "undone)",
+                fix="it is a candidate resolved by re-execution",
+            ))
+        _diff_candidates(diags, where, derive.redo_candidates(undo_want),
+                         redo.candidate_uids, "redo", "Theorem 2 cond. 2")
+    if report.order is not None:
+        diags += _verify_order(derive, where, report.order, undo_want,
+                               frozenset(forged_runs))
+    return diags
+
+
+def _diff_candidates(diags: List[Diagnostic], where: str,
+                     want: FrozenSet[str], have: FrozenSet[str],
+                     kind: str, clause: str) -> None:
+    """PLAN009 when a candidate set differs from the re-derived one."""
+    if want != have:
+        missing = ", ".join(sorted(want - have)) or "-"
+        extra = ", ".join(sorted(have - want)) or "-"
+        diags.append(_diag(
+            "PLAN009", where,
+            f"{kind} candidate set mismatch ({clause}): "
+            f"missing {{{missing}}}, spurious {{{extra}}}",
+            fix="the heal's decisions disagree with the log",
+        ))
+
+
+def _verify_order(
+    derive: _Derivation,
+    where: str,
+    order: PartialOrder[Action],
+    undo_want: FrozenSet[str],
+    forged: FrozenSet[str],
+) -> List[Diagnostic]:
+    """PLAN005–PLAN008: a heal's Theorem 3 order against the log."""
+    diags: List[Diagnostic] = []
     redo_want = frozenset(
         uid for uid in derive.redo_definite(undo_want)
         if derive.record(uid).instance.workflow_instance not in forged
@@ -566,8 +546,8 @@ def verify_flight_log(flight: FlightLog) -> List[Diagnostic]:
 
     A flight log records decisions, edges and the healer's undos and
     redos — but not the raw store or log — so the checks here are the
-    internal-consistency subset of :func:`verify_plan` and
-    :func:`verify_order`: recorded edges acyclic (PLAN020), a Theorem
+    internal-consistency subset of :func:`verify_heal`: recorded edges
+    acyclic (PLAN020), a Theorem
     3.3 edge for every redo the recorded edges name (PLAN021), the
     realized schedule (the healer's undos and redos, in log order)
     consistent with the recorded edges (PLAN022), no executions
@@ -597,8 +577,8 @@ def verify_flight_log(flight: FlightLog) -> List[Diagnostic]:
     # PLAN021: T3.3 for every redo the recorded order holds.  Every
     # redo of an order is of an undone instance (a forged run's records
     # are never redone), so its redo needs its undo first.  The order
-    # is read, not the scans' decisions: a batch can demote a redo one
-    # scan decided definite, and then orders no redo of it.
+    # is read, not the decisions: logs written when scans decided
+    # carry decisions of units a batch heal did not order as decided.
     edge_pairs = {(before, after) for before, after in edges}
     redone = {a[len("redo("):-1] for a in elements if a.startswith("redo(")}
     for uid in sorted(redone):
@@ -607,7 +587,7 @@ def verify_flight_log(flight: FlightLog) -> List[Diagnostic]:
                 "PLAN021", where,
                 f"the recorded order redoes '{uid}' but records no "
                 "undo≺redo constraint for it (Theorem 3.3)",
-                fix="the plan that produced this log dropped a "
+                fix="the heal that produced this log dropped a "
                     "mandatory edge",
             ))
 

@@ -19,8 +19,8 @@ This package provides the measurement layer:
   append-only JSONL capture of a full run, loadable back into typed
   events — the one record every ``obs`` view renders from;
 - :mod:`repro.obs.provenance` — deterministic replay of a flight log
-  (plan, partial order, schedule, metrics snapshot, span tree) and
-  per-task causal explanation;
+  (decided sets, partial order, schedule, metrics snapshot, span tree)
+  and per-task causal explanation;
 - :mod:`repro.obs.export` — Prometheus-style text rendering,
   Chrome-trace/Perfetto JSON, and summary tables via
   :mod:`repro.report.tables`;

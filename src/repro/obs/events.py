@@ -94,7 +94,7 @@ class AlertLost(ObsEvent):
 
 @dataclass(frozen=True)
 class ScanStep(ObsEvent):
-    """The analyzer processed one alert into a recovery plan.
+    """The analyzer processed one alert into a unit of recovery tasks.
 
     ``cost`` is the analyzer's dependence-check count (the linear
     ``μ_k`` work of Section V-A); ``outstanding_units`` the recovery
@@ -108,23 +108,16 @@ class ScanStep(ObsEvent):
 
 @dataclass(frozen=True)
 class UnitEmitted(ObsEvent):
-    """A recovery plan entered the recovery-task queue.
+    """Units of recovery tasks entered the recovery-task queue.
 
-    When the publisher is the real analyzer pipeline it also stamps the
-    plan's **claimed** blast radius: ``claimed_undo``/``claimed_redo``
-    are the sorted definite undo/redo sets of the queued plan and
-    ``claimed`` is ``True``.  The conformance monitor compares the claim
-    against the Theorem 1/2 decision events of the same scan window —
-    a mismatch means the plan was altered between analysis and queuing.
-    Abstract simulators that only track unit *counts* leave the default
-    ``claimed=False``, which the monitor treats as "no claim made".
+    A scan decides nothing, so the event carries counts only: the batch
+    heal publishes the Theorem 1/2 decisions it runs.  Flight logs
+    written when scans still claimed sets carry ``claimed*`` fields,
+    which loading ignores.
     """
 
     units: int
     queue_depth: int
-    claimed: bool = False
-    claimed_undo: Tuple[str, ...] = ()
-    claimed_redo: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -218,7 +211,8 @@ class NormalTaskRefused(ObsEvent):
 
 @dataclass(frozen=True)
 class UndoDecision(ObsEvent):
-    """Theorem 1 marked one instance for undo.
+    """Theorem 1 marked one instance for undo, in the batch heal that
+    runs it.
 
     ``condition`` names the clause that fired (``"T1.1"`` directly
     malicious, ``"T1.2"`` control candidate, ``"T1.3"`` infected via
@@ -235,7 +229,8 @@ class UndoDecision(ObsEvent):
 
 @dataclass(frozen=True)
 class RedoDecision(ObsEvent):
-    """Theorem 2 marked one undone instance for redo.
+    """Theorem 2 marked one undone instance for redo, in the batch heal
+    that runs it.
 
     ``condition`` is ``"T2.1"`` (not control dependent on another bad
     instance — definitely redone) or ``"T2.2"`` (candidate, resolved by
@@ -285,9 +280,10 @@ _E = TypeVar("_E", bound=ObsEvent)
 class EventTrace(List[_E]):
     """A provenance sink whose events are built at their publish time.
 
-    The analyzer passes one as the ``trace=`` of
+    An observed heal's decisions pass one as the ``trace=`` of
     :func:`~repro.core.undo_redo.find_undo_tasks` and
-    :func:`~repro.core.undo_redo.find_redo_tasks`, and the healer as
+    :func:`~repro.core.undo_redo.find_redo_tasks`
+    (:func:`~repro.core.analyzer.decide_batch`), and the healer as
     that of :func:`~repro.core.partial_orders.recovery_partial_order`:
     each decision and edge is built once, stamped :attr:`time`, and
     published as it is.  A plain list collects the same events stamped

@@ -596,7 +596,8 @@ class HealthMonitor:
         self._note_alert_depth(event.time, event.queue_depth)
 
     def _on_unit(self, event: UnitEmitted) -> None:
-        self._on_conformance(event)
+        if event.time > self.now:
+            self.now = event.time
         self.total_scans += 1
         self._scans.observe(event.time)
         self._unit_occ.set_level(event.time, event.queue_depth)
@@ -934,8 +935,7 @@ _HANDLERS: Dict[type, Callable[[HealthMonitor, Any], None]] = {
     StateTransition: HealthMonitor._on_transition,
     HealFinished: HealthMonitor._on_heal_finished,
     **{cls: HealthMonitor._on_conformance
-       for cls in ConformanceMonitor.CONSUMES
-       if cls not in (UnitEmitted, HealFinished)},
+       for cls in ConformanceMonitor.CONSUMES if cls is not HealFinished},
 }
 
 

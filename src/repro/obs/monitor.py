@@ -2,17 +2,17 @@
 
 The paper's Definition 2 (strict correctness: completeness, recovery
 safety, normal-service safety, spec consistency) is checked after the
-fact by the epoch audit (:mod:`repro.core.axioms`) and before queuing by
-the static plan verifier (:mod:`repro.lint`).  Both leave a gap: a run
-that *violates* strict correctness mid-recovery — a heal that undoes a
-task outside any heal bracket, a redo committed before its undo, a
-corrupted-region task the executed plan silently dropped — is invisible
-until the run ends.  This module closes that gap with runtime
-verification: Definition 2 is encoded as **finite-trace linear temporal
-logic** (LTLf, after "An LTL Semantics of Business Workflows with
-Recovery", PAPERS.md) and evaluated *online* over the typed
-:mod:`repro.obs.events` stream, and *offline* over flight logs with
-bit-identical verdicts.
+fact by the epoch audit (:mod:`repro.core.axioms`) and, in the fuzzer,
+by the independent heal verifier (:mod:`repro.lint`).  Both leave a
+gap: a run that *violates* strict correctness mid-recovery — a heal
+that undoes a task outside any heal bracket, a redo committed before
+its undo, a corrupted-region task the heal decided and silently left
+standing — is invisible until the run ends.  This module closes that
+gap with runtime verification: Definition 2 is encoded as
+**finite-trace linear temporal logic** (LTLf, after "An LTL Semantics
+of Business Workflows with Recovery", PAPERS.md) and evaluated
+*online* over the typed :mod:`repro.obs.events` stream, and *offline*
+over flight logs with bit-identical verdicts.
 
 Three layers:
 
@@ -33,10 +33,10 @@ Three layers:
    states into presumably-true / presumably-false.
 
 2. **The Definition 2 property pack** (:func:`strict_property_pack`) —
-   heal-bracket alternation, per-task undo/redo lifecycle obligations,
-   Theorem 3 order consistency of the healer's realized undos and
-   redos, claimed-vs-decided blast radius, and the normal-service
-   gate, each a :class:`LtlProperty` or a parametric
+   heal-bracket alternation, per-task undo/redo lifecycle obligations
+   on the heal's own Theorem 1/2 decisions, Theorem 3 order
+   consistency of the healer's realized undos and redos, and the
+   normal-service gate, each a :class:`LtlProperty` or a parametric
    :class:`SlicedLtlProperty` (one automaton per task uid or per order
    edge — classic trace slicing).
 
@@ -64,30 +64,27 @@ bus or offline from a flight log — always produces the same verdicts.
 
 Soundness notes (why an honest run is monitor-clean):
 
-- scan-time decisions are *monotone*: the Theorem 1/2 closure only
-  grows as the log grows, so every uid decided definite at scan time is
-  contained in the closure the batch heal executes — ``F undone`` is
-  honest-run-safe;
-- the system publishes a plan's **claimed** definite sets on its
-  :class:`~repro.obs.events.UnitEmitted`, and the analyzer's own
-  decision events are re-derived from the same traversal, so claimed
-  and decided agree exactly unless the plan was tampered with between
-  analysis and queuing (precisely the ``--inject`` fault model);
+- the Theorem 1/2 decisions are the heal's own: a scan decides nothing,
+  and the batch heal publishes the decisions of the closure it executes
+  inside its ``HealStarted`` bracket, before its first undo.  Every uid
+  it decides definitely undone (T1.1/T1.3) is a closure member, undone
+  in Phase A, so ``F undone`` holds; every uid it decides definitely
+  redone (T2.1) is a closure member that Phase B either redoes at its
+  log position or abandons (a forged run's record, or a record a
+  stale-read redo's re-decided branch no longer reaches), so
+  ``F (redone ∨ abandoned)`` holds;
 - heals are bracketed by ``HealStarted``/``HealFinished``:
   ``EpochManager.heal`` publishes the pair whenever its bus is active,
   so every heal the system commits is bracketed;
 - the Theorem 3 edges are the heal's own: it publishes the order of
-  the batch it runs before its first undo, so every edge names actions
-  of that heal, which realizes them in Phase A (undos newest first)
-  and Phase B (redos in log order).
+  the batch it runs right after its decisions, so every edge names
+  actions of that heal, which realizes them in Phase A (undos newest
+  first) and Phase B (redos in log order).
 
-Deliberately *not* monitored at runtime: the full Theorem 1 blast
-radius of the *executed* closure.  Scan/recovery-timed workloads can
-legitimately commit between an alert's scan and its batch heal and be
-swept into the executed closure without any plan having claimed them —
-the run is strictly correct (the end-to-end audit proves it) but no
-online claim can anticipate it.  Blast radius is therefore checked at
-plan level (claimed vs decided, above) and end-to-end by the audit.
+So the executed closure's blast radius is monitored: a heal that
+decides a member and never undoes it, or decides a redo it never runs
+(the ``--inject drop-undo``/``extra-redo`` faults), is caught by the
+lifecycle properties, online, and end to end by the audit.
 """
 
 from __future__ import annotations
@@ -122,7 +119,6 @@ from repro.obs.events import (
     TaskRedone,
     TaskUndone,
     UndoDecision,
-    UnitEmitted,
     realized_action,
 )
 
@@ -151,7 +147,6 @@ __all__ = [
     "MonitorAutomaton",
     "LtlProperty",
     "SlicedLtlProperty",
-    "ClaimConsistencyProperty",
     "strict_property_pack",
     "pack_formulas",
     "ConformanceMonitor",
@@ -589,7 +584,7 @@ _DFAS: Dict[Formula, MonitorDfa] = {}
 def monitor_dfa(formula: Formula) -> MonitorDfa:
     """The process-wide :class:`MonitorDfa` of ``formula`` (structurally
     equal formulas share one).  Tables live as long as the process: the
-    property pack has nine formulas, and each table holds only the
+    property pack has seven formulas, and each table holds only the
     states its traces reached."""
     dfa = _DFAS.get(formula)
     if dfa is None:
@@ -702,8 +697,6 @@ def pack_formulas() -> Dict[str, Formula]:
             always(lnot(after)),
             eventually(land(before, eventually(after))),
         ),
-        "undo-claim-consistency": always(lnot(prop("missing"))),
-        "redo-claim-consistency": always(lnot(prop("unjustified"))),
     }
 
 
@@ -902,98 +895,6 @@ class SlicedLtlProperty(_Property):
         self._decided.update(self.slices)
         self.slices.clear()
         return out
-
-
-class ClaimConsistencyProperty(_Property):
-    """Plan-level blast radius: claimed definite sets vs decisions.
-
-    The analyzer publishes an :class:`UndoDecision`/:class:`RedoDecision`
-    per Theorem 1/2 clause it fires, and the system stamps the *plan's*
-    claimed definite sets onto the claimed :class:`UnitEmitted` that
-    queues it.  Within one scan window (the events between claimed unit
-    emissions) the two must agree exactly — a dropped undo or an
-    injected redo between analysis and queuing is visible right here,
-    before any heal runs.  Stateful set bookkeeping feeds two atoms
-    into ``G ¬missing-claim`` / ``G ¬unjustified-claim``; abstract
-    simulators publish ``claimed=False`` units, which never open a
-    window, so the property is vacuous for them by construction.
-    """
-
-    UNDO = "undo-claim-consistency"
-    REDO = "redo-claim-consistency"
-
-    def __init__(self) -> None:
-        self.name = "claim-consistency"
-        self._undo = MonitorAutomaton(_pack_dfa(self.UNDO))
-        self._redo = MonitorAutomaton(_pack_dfa(self.REDO))
-        self._missing = self._undo.dfa.mask({"missing": True})
-        self._unjustified = self._redo.dfa.mask({"unjustified": True})
-        self._decided_undo: set = set()
-        self._decided_redo: set = set()
-        self.violations = 0
-
-    def routes(self) -> Dict[type, Handler]:
-        return {UndoDecision: self._on_undo, RedoDecision: self._on_redo,
-                UnitEmitted: self._on_unit}
-
-    def _on_undo(self, event: UndoDecision) -> None:
-        if event.condition in DEFINITE_UNDO_CONDITIONS:
-            self._decided_undo.add(event.uid)
-
-    def _on_redo(self, event: RedoDecision) -> None:
-        if event.condition in DEFINITE_REDO_CONDITIONS:
-            self._decided_redo.add(event.uid)
-
-    def _on_unit(self, event: UnitEmitted) -> Optional[List[Finding]]:
-        if not event.claimed:
-            return None
-        claimed_undo = set(event.claimed_undo)
-        claimed_redo = set(event.claimed_redo)
-        if (claimed_undo == self._decided_undo
-                and claimed_redo == self._decided_redo):
-            missing: List[str] = []
-            unjustified: List[str] = []
-        else:
-            missing = sorted(
-                (self._decided_undo - claimed_undo)
-                | (self._decided_redo - claimed_redo)
-            )
-            unjustified = sorted(
-                (claimed_undo - self._decided_undo)
-                | (claimed_redo - self._decided_redo)
-            )
-        self._decided_undo.clear()
-        self._decided_redo.clear()
-        out: Optional[List[Finding]] = None
-        if (self._undo.verdict is not Verdict.VIOLATED
-                and self._undo.step_mask(self._missing if missing else 0)
-                is Verdict.VIOLATED):
-            self.violations += 1
-            out = [Finding(
-                self.UNDO, Verdict.VIOLATED.value,
-                " ".join(missing),
-                f"plan at t={event.time:g} omits decided definite "
-                f"uid(s): {' '.join(missing)}",
-            )]
-        if (self._redo.verdict is not Verdict.VIOLATED
-                and self._redo.step_mask(
-                    self._unjustified if unjustified else 0)
-                is Verdict.VIOLATED):
-            self.violations += 1
-            out = (out or []) + [Finding(
-                self.REDO, Verdict.VIOLATED.value,
-                " ".join(unjustified),
-                f"plan at t={event.time:g} claims undecided uid(s): "
-                f"{' '.join(unjustified)}",
-            )]
-        return out
-
-    def finalize(self) -> List[Finding]:
-        # G-safety: nothing left to resolve at end of trace.  Decisions
-        # whose plan never queued (a verifier rejection aborted the
-        # scan) are deliberately not judged — there is no claim to
-        # compare against.
-        return []
 
 
 def _heal_alternation() -> LtlProperty:
@@ -1203,12 +1104,10 @@ def strict_property_pack() -> List[Any]:
     undo-before-redo            per uid: ``¬redo W undone``
     order-consistency           per T3 edge: ``G ¬before ∨ G ¬after
                                 ∨ F(before ∧ F after)``
-    claim-consistency           per scan window: ``G ¬missing ∧
-                                G ¬unjustified``
     ==========================  ============================================
 
     Strict correctness is the one Section III-D strategy the system
-    runs, so every monitor checks all eight properties.
+    runs, so every monitor checks all seven properties.
     """
     return [
         _heal_alternation(),
@@ -1218,7 +1117,6 @@ def strict_property_pack() -> List[Any]:
         _RedoFollowThrough(),
         _UndoBeforeRedo(),
         _OrderConsistency(),
-        ClaimConsistencyProperty(),
     ]
 
 
@@ -1255,7 +1153,6 @@ class ConformanceMonitor:
     CONSUMES = (
         HealStarted, HealFinished, TaskUndone, TaskRedone,
         NormalTaskRefused, UndoDecision, RedoDecision, OrderConstraint,
-        UnitEmitted,
     )
 
     def __init__(self) -> None:

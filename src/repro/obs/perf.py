@@ -4,8 +4,8 @@ The paper's headline quantities — detection delay, recovery time, loss
 probability — are latencies, and the rest of the observability layer
 measures them in *simulated* time only.  This module adds the wall
 side: a :class:`PhaseProfiler` decomposes a run into attributed phases
-(detect → buffer wait → central-queue wait → grant → analyze
-closure/plan/verify → schedule → heal → audit, plus runner and fleet
+(detect → buffer wait → central-queue wait → grant → analyze →
+schedule → heal → audit, plus runner and fleet
 tick phases) in **both** sim-time and wall-time, and counts the cost
 drivers behind them (CTMC solver calls, Theorem 1/2 closure
 recomputations, pickle bytes shipped to replication workers, queue
@@ -74,7 +74,6 @@ PHASES: Tuple[str, ...] = (
     "central-queue-wait",
     "grant",
     "analyze",
-    "analyze.closure",
     "schedule",
     "heal",
     "heal.undo",
@@ -167,8 +166,8 @@ class PhaseStat:
 class PhaseProfiler:
     """Stack-based dual-clock (wall + sim) phase accumulator.
 
-    Phases nest: entering ``analyze`` then ``analyze.closure`` records
-    time under the path ``("analyze", "analyze.closure")`` as well as
+    Phases nest: entering ``heal`` then ``heal.undo`` records time
+    under the path ``("heal", "heal.undo")`` as well as
     inside its parent, which is what the collapsed-stack export and the
     self-time split need.  Single-owner — see the module docstring.
 

@@ -2,13 +2,13 @@
 
 A flight log (:mod:`repro.obs.recorder`) contains everything the
 pipeline decided and did: which Theorem 1/2 condition fired per
-undo/redo decision, which Theorem 3 rule added each ordering edge,
-every undo and redo the healer realized, in order, and the raw
-pipeline events the metrics collector consumes.  This module turns a
-log back into:
+undo/redo decision of each batch heal, which Theorem 3 rule added each
+ordering edge of its order, every undo and redo the healer realized, in
+order, and the raw pipeline events the metrics collector consumes.
+This module turns a log back into:
 
-- :func:`replay` — the reconstructed run: recovery plan (undo/redo
-  sets), partial order (rule-tagged edge set), realized schedule, and a
+- :func:`replay` — the reconstructed run: the heals' decided undo/redo
+  sets, partial order (rule-tagged edge set), realized schedule, and a
   freshly rebuilt :class:`~repro.obs.metrics.PipelineMetrics` — the
   numbers every ``obs`` report prints;
 - :func:`explain` — the causal chain for one task instance: alert →
@@ -68,8 +68,8 @@ class ReplayedRun:
     undo_decisions / redo_decisions / order_constraints:
         The provenance events, in decision order.
     plan_undo / plan_redo:
-        The *definite* undo and redo sets of the reconstructed recovery
-        plan (Theorem 1 conditions 1/3; Theorem 2 condition 1).
+        The *definite* undo and redo sets the heals decided (Theorem 1
+        conditions 1/3; Theorem 2 condition 1).
     undo_candidates / redo_candidates:
         Instances whose undo/redo was conditional (T1.2/T1.4; T2.2).
     order_edges:

@@ -5,8 +5,8 @@ published event, plus explicit lifecycle *marks*, as one compact JSON
 object per line.  The log is versioned (:data:`SCHEMA_VERSION` in the
 header record) and self-contained: :func:`read_flight_log` rebuilds the
 typed event stream from the text alone, and
-:func:`repro.obs.provenance.replay` reconstructs the recovery plan,
-partial order, and metrics snapshot from it deterministically.
+:func:`repro.obs.provenance.replay` reconstructs the heals' decided
+sets, partial order, and metrics snapshot from it deterministically.
 
 Record shapes (all JSON objects, discriminated by ``"record"``):
 

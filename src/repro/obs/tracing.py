@@ -1,7 +1,7 @@
 """Timed spans on a simulated clock.
 
-An incident — one burst of alerts through detect → scan → plan → undo →
-redo — is naturally a tree of timed spans.  :class:`Span` is one node of
+An incident — one burst of alerts through detect → scan → heal (undo,
+redo) — is naturally a tree of timed spans.  :class:`Span` is one node of
 such a tree; the flight-log replayer
 (:func:`repro.obs.provenance.build_span_tree`) derives the tree from a
 recorded run's event timestamps, and :func:`render_span_tree` prints

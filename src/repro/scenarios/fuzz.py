@@ -6,10 +6,10 @@ episodes; this module *executes* them against the real system
 :class:`~repro.fleet.control.FleetControlPlane` for multi-tenant ones)
 and checks every run against a composite oracle:
 
-- **plan-verifier** (O1): every plan the analyzer emits must pass the
-  independent checker :func:`repro.lint.verify_plan`, and every heal's
-  Theorem 3 order :func:`repro.lint.verify_order` against the epoch log
-  it healed — the N-version cross-check of the Theorem 1–3 analyses;
+- **plan-verifier** (O1): every heal's Theorem 1/2 decisions and
+  Theorem 3 order must pass the independent checker
+  :func:`repro.lint.verify_heal` against the epoch log it healed — the
+  N-version cross-check of the Theorem 1–3 analyses;
 - **audit** (O2): after the last stage, the accumulated healed history
   must satisfy the Definition 2 strict-correctness audit
   (:meth:`~repro.core.epochs.EpochManager.audit`);
@@ -24,10 +24,11 @@ and checks every run against a composite oracle:
 Counterexamples are shrunk greedily over the campaign DSL and written
 as replayable corpus files (plain campaign JSON plus a ``found_by``
 annotation).  The *fault-injection* mode runs every campaign with one
-of the seeded :data:`~repro.scenarios.generate.MUTATIONS` — a mutated
-analyzer plan, or a heal that commits an undo after its redo — and
-demands the oracle catch it: an end-to-end sensitivity proof that a
-buggy analyzer or healer cannot slip past the runtime monitor.
+of the seeded :data:`~repro.scenarios.generate.MUTATIONS` — a heal that
+skips an undo it decided, decides a redo it never runs, or commits an
+undo after its redo — and demands the oracle catch it: an end-to-end
+sensitivity proof that a broken heal cannot slip past the runtime
+monitor.
 """
 
 from __future__ import annotations
@@ -51,17 +52,16 @@ from typing import (
     Tuple,
 )
 
-from repro.core.analyzer import RecoveryAnalyzer
+import repro.core.healer as healer_module
 from repro.core.epochs import EpochManager
 from repro.core.healer import Healer
-from repro.core.undo_redo import find_redo_tasks, find_undo_tasks
 from repro.errors import GenerationError
 from repro.fleet.control import FleetConfig, FleetControlPlane, FleetReport
 from repro.fleet.workload import GeneratedTenantProfile
 from repro.ids.alerts import Alert
 from repro.ids.attacks import AttackCampaign
-from repro.lint.plan_verifier import verify_order, verify_plan
-from repro.obs.events import EventBus
+from repro.lint.plan_verifier import verify_heal
+from repro.obs.events import EventBus, RedoDecision
 from repro.obs.health import HealthMonitor, ModelPrediction, SloState
 from repro.obs.recorder import FlightRecorder, read_flight_log
 from repro.obs.tracing import ManualClock
@@ -72,14 +72,12 @@ from repro.scenarios.generate import (
     SpecShape,
     generate_campaign,
     generate_workload,
-    mutate_plan,
     stable_seed,
 )
 from repro.sim.fullstack import FullStackConfig
 from repro.sim.workload import Workload
 from repro.system import SelfHealingSystem, SystemState
 from repro.workflow.data import DataStore
-from repro.workflow.dependency import DependencyAnalyzer
 
 __all__ = [
     "ORACLES",
@@ -126,10 +124,11 @@ class CampaignOutcome:
 
     campaign: CampaignSpec
     violations: Tuple[Violation, ...] = ()
-    plans_checked: int = 0
+    scans: int = 0
     heals: int = 0
     alerts: int = 0
-    mutated_plans: int = 0
+    #: Heals the injected fault changed.
+    mutated_heals: int = 0
     fleet: bool = False
     verdict: str = ""
     #: LTLf strict-correctness violations the runtime monitor raised
@@ -163,20 +162,27 @@ def _prediction(config: FullStackConfig) -> ModelPrediction:
 def inject_mutation(
     kind: Optional[str], counter: Optional[Dict[str, int]] = None
 ) -> Iterator[Dict[str, int]]:
-    """Patch the pipeline so it carries one seeded fault.
+    """Patch the healer so it carries one seeded fault.
 
-    ``drop-undo`` and ``extra-redo`` patch the analyzer: every emitted
-    plan is mutated (:func:`~repro.scenarios.generate.mutate_plan`).
-    ``reverse-edge`` patches the healer: for each heal's first sorted
-    definite redo ``t``, the UNDO record of ``undo(t)`` is committed
-    (and announced) right after ``redo(t)`` instead of in Phase A — a
-    heal that breaks Theorem 3.3 in the log it writes.
+    Each kind reads the heal's own Theorem 1/2 decisions
+    (:func:`~repro.core.analyzer.decide_batch`, as the healer calls
+    it), so only a heal an event bus observes (one that decides
+    Theorem 2) is faulted.  With ``t`` the heal's first sorted definite
+    (T2.1) redo:
 
-    ``counter["applied"]`` counts the plans (for ``reverse-edge``, the
-    heals) actually modified — inapplicable mutations (nothing to drop
-    or reverse) leave them intact and are not counted, so callers can
-    distinguish a genuine oracle miss from a vacuous one.
-    ``kind=None`` is a no-op.
+    - ``drop-undo``: the heal never undoes ``t`` — neither in Phase A
+      nor before it redoes ``t`` — although it decided ``t``'s undo;
+    - ``extra-redo``: the heal also publishes a T2.1 redo decision of
+      a clean instance outside its batch (:func:`_outsider`), which it
+      never runs;
+    - ``reverse-edge``: the UNDO record of ``undo(t)`` is committed
+      (and announced) right after ``redo(t)`` instead of in Phase A — a
+      heal that breaks Theorem 3.3 in the log it writes.
+
+    ``counter["applied"]`` counts the heals actually faulted —
+    inapplicable faults (nothing to undo or redo) leave the
+    heal intact and are not counted, so callers can distinguish a
+    genuine oracle miss from a vacuous one.  ``kind=None`` is a no-op.
     """
     stats = counter if counter is not None else {"applied": 0}
     stats.setdefault("applied", 0)
@@ -185,53 +191,44 @@ def inject_mutation(
         return
     if kind not in MUTATIONS:
         raise GenerationError(
-            f"unknown plan mutation {kind!r}; expected one of "
+            f"unknown heal fault {kind!r}; expected one of "
             f"{', '.join(MUTATIONS)}"
         )
-    if kind == "reverse-edge":
-        with _undo_after_redo(stats):
-            yield stats
-        return
-    original = RecoveryAnalyzer.analyze
-
-    def analyze(self, alerts, outstanding_units=0):
-        plan = original(self, alerts, outstanding_units=outstanding_units)
-        mutated = mutate_plan(plan, kind, self._log)
-        if mutated is None:
-            return plan
-        stats["applied"] += 1
-        return mutated
-
-    RecoveryAnalyzer.analyze = analyze  # type: ignore[method-assign]
-    try:
-        yield stats
-    finally:
-        RecoveryAnalyzer.analyze = original  # type: ignore[method-assign]
-
-
-@contextmanager
-def _undo_after_redo(stats: Dict[str, int]) -> Iterator[None]:
-    """The heal-side ``reverse-edge`` fault of :func:`inject_mutation`."""
-    heal, commit_undo, redo = Healer.heal, Healer._commit_undo, Healer._redo
-    #: The faulted uid of the running heal, and its held-back record.
+    decide = healer_module.decide_batch
+    heal, undo = Healer.heal, Healer._undo
+    commit_undo, redo = Healer._commit_undo, Healer._redo
+    #: The running heal's faulted uid, and its held-back record.
     fault: Dict[str, Any] = {"uid": None, "held": None}
 
+    def faulty_decide(index, bad, time=None):
+        undo_analysis, redo_analysis, decisions = decide(index, bad, time)
+        if redo_analysis is None:
+            return undo_analysis, redo_analysis, decisions
+        if kind == "extra-redo":
+            if undo_analysis.definite:
+                stats["applied"] += 1
+                decisions = decisions + [RedoDecision(
+                    time, uid=_outsider(index.log, undo_analysis),
+                    condition="T2.1")]
+        elif redo_analysis.definite:
+            stats["applied"] += 1
+            fault["uid"] = min(redo_analysis.definite)
+        return undo_analysis, redo_analysis, decisions
+
     def faulty_heal(self, malicious, forged_runs=()):
-        analyzer = DependencyAnalyzer(self._log, self._specs)
-        closure = find_undo_tasks(
-            analyzer, [u for u in malicious if u in self._log]).definite
-        redos = sorted(find_redo_tasks(analyzer, closure).definite)
-        fault["uid"] = redos[0] if redos else None
         report = heal(self, malicious, forged_runs=forged_runs)
         held, fault["uid"], fault["held"] = fault["held"], None, None
         if held is not None:  # never redone: the undo comes last
             commit_undo(self, held, "closure")
         return report
 
+    def faulty_undo(self, record, *args):
+        if record.uid != fault["uid"]:
+            undo(self, record, *args)
+
     def faulty_commit_undo(self, record, reason):
         if record.uid == fault["uid"] and reason == "closure":
             fault["held"] = record
-            stats["applied"] += 1
         else:
             commit_undo(self, record, reason)
 
@@ -242,15 +239,38 @@ def _undo_after_redo(stats: Dict[str, int]) -> Iterator[None]:
             fault["held"] = None
             commit_undo(self, held, "closure")
 
-    Healer.heal = faulty_heal  # type: ignore[method-assign]
-    Healer._commit_undo = faulty_commit_undo  # type: ignore[method-assign]
-    Healer._redo = faulty_redo  # type: ignore[method-assign]
+    patches: List[Tuple[Any, str, Any]] = [
+        (healer_module, "decide_batch", faulty_decide),
+        (Healer, "heal", faulty_heal),
+    ]
+    if kind == "drop-undo":
+        patches.append((Healer, "_undo", faulty_undo))
+    elif kind == "reverse-edge":
+        patches += [(Healer, "_commit_undo", faulty_commit_undo),
+                    (Healer, "_redo", faulty_redo)]
+    originals = [(owner, name, getattr(owner, name))
+                 for owner, name, _ in patches]
+    for owner, name, patched in patches:
+        setattr(owner, name, patched)
     try:
-        yield
+        yield stats
     finally:
-        Healer.heal = heal  # type: ignore[method-assign]
-        Healer._commit_undo = commit_undo  # type: ignore[method-assign]
-        Healer._redo = redo  # type: ignore[method-assign]
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+
+
+def _outsider(log, undo_analysis) -> str:
+    """A clean instance outside a heal's batch: the first sorted record
+    of ``log`` outside its closure (one no redo can reach, no Theorem 1
+    candidate, first) or, when the closure holds the whole log, visit 0
+    of its first member's task, which no run ever commits."""
+    outsiders = sorted(
+        {r.uid for r in log.normal_records()} - undo_analysis.definite,
+        key=lambda uid: (uid in undo_analysis.candidates, uid))
+    if outsiders:
+        return outsiders[0]
+    first = log.get(min(undo_analysis.definite)).instance
+    return f"{first.workflow_instance}/{first.task_id}#0"
 
 
 # --------------------------------------------------------------------------
@@ -261,7 +281,7 @@ def _undo_after_redo(stats: Dict[str, int]) -> Iterator[None]:
 @dataclass
 class _EpisodeResult:
     violations: List[Violation]
-    plans_checked: int
+    scans: int
     heals: int
     alerts: int
     flight_text: str
@@ -305,8 +325,8 @@ def _run_single_episode(campaign: CampaignSpec) -> _EpisodeResult:
     Stages run in sequence; each stage executes a fresh generated
     workload under its attack steps, feeds the IDS alerts through the
     bounded queues at Poisson times, and drives the Figure 2 loop until
-    quiescence — checking each emitted plan and each heal's order
-    against the independent verifier — then sweeps the system, so the
+    quiescence — checking each heal's decisions and order against the
+    independent verifier — then sweeps the system, so the
     administrator backlog (Section IV-D) is healed and the epoch rolls
     before the next stage.
     """
@@ -372,7 +392,7 @@ def _run_single_episode(campaign: CampaignSpec) -> _EpisodeResult:
     )
     rng = random.Random(stable_seed(campaign.seed, 7))
     violations: List[Violation] = []
-    plans_checked = 0
+    scans = 0
     heals = 0
     alerts = 0
     t = 0.0
@@ -400,21 +420,17 @@ def _run_single_episode(campaign: CampaignSpec) -> _EpisodeResult:
                 picked.append(uid)
         return picked
 
-    def check(stage: int, findings, what: str = "") -> None:
-        """O1: every verifier finding is a violation."""
+    def check_heal(stage: int, log, report) -> None:
+        """O1: a heal's decisions and order against its epoch log;
+        every verifier finding is a violation."""
+        findings = verify_heal(log, manager.specs_by_instance, report)
         if findings:
             detail = "; ".join(
                 f"{f.rule}: {f.message}" for f in findings[:3]
             )
             violations.append(Violation(
-                "plan-verifier", f"stage {stage}: {what}{detail}"
+                "plan-verifier", f"stage {stage}: heal: {detail}"
             ))
-
-    def check_order(stage: int, log, report) -> None:
-        """O1 on a heal: its Theorem 3 order against its epoch log."""
-        check(stage, verify_order(log, manager.specs_by_instance,
-                                  report.order, report.malicious),
-              "heal order: ")
 
     def fire_timed(i: int, j: int, step) -> None:
         """Fire one scan/recovery-timed step at the current clock."""
@@ -473,15 +489,13 @@ def _run_single_episode(campaign: CampaignSpec) -> _EpisodeResult:
                 report = system.recovery_step()
                 if report is not None:
                     heals += 1
-                    check_order(i, log, report)
+                    check_heal(i, log, report)
             elif system.alerts_queued:
                 clock.advance(
                     config.scan_time * (1 + len(system.recovery_queue))
                 )
-                plan = system.scan_step()
-                plans_checked += 1
-                check(i, verify_plan(
-                    manager.log, manager.specs_by_instance, plan))
+                system.scan_step()
+                scans += 1
                 while pending_scan:
                     j, step = pending_scan.pop(0)
                     fire_timed(i, j, step)
@@ -506,7 +520,7 @@ def _run_single_episode(campaign: CampaignSpec) -> _EpisodeResult:
         log = manager.log
         for report in system.sweep():
             heals += 1
-            check_order(i, log, report)
+            check_heal(i, log, report)
 
     audit = manager.audit()
     if not audit.ok:
@@ -528,7 +542,7 @@ def _run_single_episode(campaign: CampaignSpec) -> _EpisodeResult:
     flight.close()
     return _EpisodeResult(
         violations=violations,
-        plans_checked=plans_checked,
+        scans=scans,
         heals=heals,
         alerts=alerts,
         flight_text=flight.text(),
@@ -630,7 +644,7 @@ def _run_fleet_campaign(campaign: CampaignSpec) -> CampaignOutcome:
     return CampaignOutcome(
         campaign=campaign,
         violations=tuple(violations),
-        plans_checked=report.scans,
+        scans=report.scans,
         heals=report.heals,
         alerts=report.alerts_accepted + report.alerts_lost,
         fleet=True,
@@ -658,7 +672,7 @@ def run_campaign(
     if campaign.tenants > 1:
         if mutation is not None:
             raise GenerationError(
-                "plan mutations require a single-tenant campaign"
+                "heal faults require a single-tenant campaign"
             )
         return _run_fleet_campaign(campaign)
 
@@ -699,10 +713,10 @@ def run_campaign(
     return CampaignOutcome(
         campaign=campaign,
         violations=tuple(violations),
-        plans_checked=first.plans_checked if first else 0,
+        scans=first.scans if first else 0,
         heals=first.heals if first else 0,
         alerts=first.alerts if first else 0,
-        mutated_plans=counter["applied"],
+        mutated_heals=counter["applied"],
         fleet=False,
         verdict=first.verdict.value if first else "",
         conformance_violations=(
@@ -873,14 +887,14 @@ class FuzzReport:
     campaigns: int = 0
     single: int = 0
     fleet: int = 0
-    plans_checked: int = 0
+    scans: int = 0
     heals: int = 0
-    mutated_plans: int = 0
+    mutated_heals: int = 0
     caught: int = 0
     missed: int = 0
     #: Campaigns where the *runtime* LTLf monitor flagged at least one
     #: violation — the subset of ``caught`` attributable to online
-    #: conformance monitoring rather than the static plan verifier.
+    #: conformance monitoring rather than the heal verifier.
     monitor_caught: int = 0
     elapsed: float = 0.0
     findings: List[Tuple[CampaignSpec, Tuple[Violation, ...]]] = field(
@@ -897,9 +911,9 @@ class FuzzReport:
         """One machine-parseable line (the CI smoke job greps it)."""
         return (
             f"fuzz: campaigns={self.campaigns} single={self.single} "
-            f"fleet={self.fleet} plans={self.plans_checked} "
+            f"fleet={self.fleet} scans={self.scans} "
             f"heals={self.heals} violations={self.violations} "
-            f"mutated={self.mutated_plans} caught={self.caught} "
+            f"mutated={self.mutated_heals} caught={self.caught} "
             f"missed={self.missed} "
             f"monitor_caught={self.monitor_caught} "
             f"elapsed={self.elapsed:.1f}s "
@@ -930,7 +944,7 @@ def fuzz(
     """
     if inject is not None and inject not in MUTATIONS:
         raise GenerationError(
-            f"unknown plan mutation {inject!r}; expected one of "
+            f"unknown heal fault {inject!r}; expected one of "
             f"{', '.join(MUTATIONS)}"
         )
     start = _time.monotonic()  # lint: allow[DET001] wall-clock fuzz budget
@@ -958,10 +972,10 @@ def fuzz(
             report.fleet += 1
         else:
             report.single += 1
-        report.plans_checked += outcome.plans_checked
+        report.scans += outcome.scans
         report.heals += outcome.heals
-        report.mutated_plans += outcome.mutated_plans
-        if inject is not None and outcome.mutated_plans:
+        report.mutated_heals += outcome.mutated_heals
+        if inject is not None and outcome.mutated_heals:
             if outcome.violations:
                 report.caught += 1
             else:

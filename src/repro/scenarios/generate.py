@@ -28,26 +28,23 @@ spread with correlated cross-tenant seeds.  Serialized campaigns are
 the fuzzer's corpus format — a counterexample written by the harness
 replays bit-identically from its JSON file.
 
-Also here: the seeded *plan mutations* (dropped undo, extra redo) used
-both by the verifier sensitivity tests and by the harness's
-fault-injection mode, which proves end to end that a buggy analyzer
-cannot slip a wrong plan past the oracle.  The third fault kind, a
-reversed Theorem 3.3 edge, is injected into the healer instead
-(:func:`repro.scenarios.fuzz.inject_mutation`), because the heal, not
-the plan, realizes the recovery order.
+Also here: the names of the seeded heal faults (:data:`MUTATIONS`:
+a dropped undo, an extra redo, a reversed Theorem 3.3 edge) that the
+harness's fault-injection mode puts into the healer
+(:func:`repro.scenarios.fuzz.inject_mutation`), proving end to end that
+a broken heal cannot slip past the oracle.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.analyzer import RecoveryAnalyzer
-from repro.core.plan import RecoveryPlan
+from repro.core.undo_redo import find_redo_tasks, find_undo_tasks
 from repro.errors import GenerationError
 from repro.sim.workload import Workload, WorkloadConfig, WorkloadGenerator
-from repro.workflow.log import SystemLog
+from repro.workflow.dependency import DependencyAnalyzer
 
 __all__ = [
     "CAMPAIGN_FORMAT",
@@ -60,7 +57,6 @@ __all__ = [
     "generate_campaign",
     "random_attacked_case",
     "MUTATIONS",
-    "mutate_plan",
 ]
 
 #: Corpus / wire format tag for serialized campaigns.
@@ -373,9 +369,12 @@ def random_attacked_case(
     n_workflows: int = 3,
     tasks_per_workflow: int = 8,
 ):
-    """``(log, specs_by_instance, plan)`` for a random attacked
-    workload, analyzed but *not* healed — the shared fixture of the
-    verifier property tests.  ``None`` when no attack landed on a
+    """``(attacked, alerts, undo_analysis, redo_analysis)`` for a
+    random attacked workload, *not* healed — the shared fixture of the
+    verifier property tests: the attacked
+    :class:`~repro.scenarios.base.Scenario`, its alerts (the malicious
+    uids it committed) and their Theorem 1/2 sets, decided on a fresh
+    dependency index of its log.  ``None`` when no attack landed on a
     committed instance (e.g. the corrupted task was on an unexecuted
     branch arm)."""
     from repro.sim.recovery_sim import run_pipeline
@@ -395,10 +394,10 @@ def random_attacked_case(
     alerts = [u for u in result.malicious_ground_truth if u in result.log]
     if not alerts:
         return None
-    plan = RecoveryAnalyzer(
-        result.log, result.specs_by_instance
-    ).analyze(alerts)
-    return result.log, result.specs_by_instance, plan
+    index = DependencyAnalyzer(result.log, result.specs_by_instance)
+    undo_analysis = find_undo_tasks(index, alerts)
+    return (result, alerts, undo_analysis,
+            find_redo_tasks(index, undo_analysis.definite))
 
 
 #: Arrival rates / buffer sizes drawn by the campaign generator — a
@@ -486,49 +485,12 @@ def generate_campaign(
 
 
 # --------------------------------------------------------------------------
-# Plan mutations (verifier sensitivity / fault injection)
+# Heal faults (fault injection)
 # --------------------------------------------------------------------------
 
-#: Seeded faults ``fuzz --inject`` takes: two analyzer-plan mutations
-#: (:func:`mutate_plan`) and the heal-side ``reverse-edge``.
+#: Seeded heal faults ``fuzz --inject`` takes
+#: (:func:`repro.scenarios.fuzz.inject_mutation`).
 MUTATIONS = ("drop-undo", "extra-redo", "reverse-edge")
-
-
-def mutate_plan(
-    plan: RecoveryPlan, kind: str, log: SystemLog
-) -> Optional[RecoveryPlan]:
-    """Apply one seeded fault to an analyzer plan.
-
-    ``kind`` is ``"drop-undo"`` or ``"extra-redo"``.  Returns the
-    mutated plan, or ``None`` when the mutation is not applicable
-    (nothing to drop / no clean instance to inject) — callers skip
-    inapplicable cases rather than reporting vacuous catches.
-    """
-    if kind == "drop-undo":
-        ua = plan.undo_analysis
-        if not ua.definite:
-            return None
-        victim = sorted(ua.definite)[-1]
-        return replace(plan, undo_analysis=replace(
-            ua,
-            malicious=ua.malicious - {victim},
-            infected=ua.infected - {victim},
-        ))
-    if kind == "extra-redo":
-        outsiders = sorted(
-            {r.uid for r in log.normal_records()}
-            - plan.undo_analysis.definite
-        )
-        if not outsiders:
-            return None
-        ra = plan.redo_analysis
-        return replace(plan, redo_analysis=replace(
-            ra, definite=ra.definite | {outsiders[0]}
-        ))
-    raise GenerationError(
-        f"unknown plan mutation {kind!r}; expected drop-undo or "
-        "extra-redo"
-    )
 
 
 # --------------------------------------------------------------------------

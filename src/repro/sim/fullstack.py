@@ -386,9 +386,8 @@ class FullStackSimulator:
                 account()
 
         def scan_done() -> None:
-            # The scan runs under the system's own "analyze" phase (the
-            # closure/plan split comes from the analyzer's sub-phases);
-            # the bookkeeping and the next dispatch are "schedule".
+            # The scan runs under the system's own "analyze" phase; the
+            # bookkeeping and the next dispatch are "schedule".
             nonlocal scanning
             system.scan_step()
             with phase("schedule"):

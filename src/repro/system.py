@@ -40,30 +40,27 @@ recovery services and call these three.
 The system protects whatever its :class:`~repro.core.epochs.EpochManager`
 currently holds and repairs through ``manager.heal``, which heals one
 log epoch and then rolls to the next, so the system keeps working
-across attack waves.  The batch heal derives the batch's Theorem 1
-closure again, on the epoch's one dependency index.  On an observed
-run it publishes the one Theorem 3 order of the batch inside its
-``HealStarted`` bracket, and its ``TaskUndone``/``TaskRedone`` events
-are the realized schedule that the conformance monitor and ``lint
-plan`` hold against those edges.  It trusts no scan's sets: a unit's
+across attack waves.  A scan decides nothing: it pops its alert and
+queues its unit, the alert's uid.  The batch heal decides the batch's
+Theorems 1–2 on the epoch's one dependency index, because a unit's
 "definite" sets are not definite for the merged batch (a T2.1 redo one
-scan decides can fall off the path when the batch also heals an earlier
-task of its workflow).  So a scan's sets are published claims, decided
-on their first read: an observed scan decides them for its provenance
-and its ``UnitEmitted`` claim, and an unobserved scan only pops its
-alert and queues its unit.
+scan would decide can fall off the path when the batch also heals an
+earlier task of its workflow).  On an observed run the heal publishes
+those Theorem 1/2 decisions and the one Theorem 3 order of the batch
+inside its ``HealStarted`` bracket, and its ``TaskUndone``/
+``TaskRedone`` events are the realized schedule that the conformance
+monitor and ``lint plan`` hold against them.
 """
 
 from __future__ import annotations
 
 import time as _time
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.analyzer import RecoveryAnalyzer
 from repro.core.epochs import EpochManager
 from repro.core.healer import HealReport
-from repro.core.plan import RecoveryPlan
 from repro.ids.alerts import Alert, BoundedQueue
 from repro.obs.events import (
     AlertEnqueued,
@@ -130,14 +127,16 @@ class SelfHealingSystem:
     ) -> None:
         self._manager = manager
         self._alerts: BoundedQueue[Alert] = BoundedQueue(alert_buffer)
-        self._plans: BoundedQueue[RecoveryPlan] = BoundedQueue(recovery_buffer)
+        #: Units of recovery tasks: each scan's alert uids.
+        self._units: BoundedQueue[Tuple[str, ...]] = BoundedQueue(
+            recovery_buffer)
         self._bus = bus
         self._clock = clock if clock is not None else _time.monotonic  # lint: allow[DET001] injectable clock; wall time is the live default
         # The queues publish their own typed drop events, so rejections
         # are observable with their clock time even on call paths that
         # never reach the system-level AlertLost instrumentation.
         self._alerts.instrument("alert", bus, self._clock)
-        self._plans.instrument("recovery", bus, self._clock)
+        self._units.instrument("recovery", bus, self._clock)
         # One analyzer per log: the log rolls with every heal, so
         # scan_step builds one per epoch.
         self._analyzer: Optional[RecoveryAnalyzer] = None
@@ -162,7 +161,7 @@ class SelfHealingSystem:
         """Current state per Section IV-C."""
         if self._alerts:
             return SystemState.SCAN
-        if self._plans:
+        if self._units:
             return SystemState.RECOVERY
         return SystemState.NORMAL
 
@@ -174,15 +173,15 @@ class SelfHealingSystem:
     @property
     def recovery_units_queued(self) -> int:
         """Units of recovery tasks waiting for the scheduler: one per
-        queued plan, since each scan analyzes one alert."""
-        return len(self._plans)
+        scan, since each scan analyzes one alert."""
+        return len(self._units)
 
     @property
     def recovery_due(self) -> bool:
         """Should the scheduler drain the queued units now?  Yes when
         units are queued and no alert waits, or the analyzer is blocked
         by a full recovery queue (Section IV-E)."""
-        return bool(self._plans) and (not self._alerts or self._plans.full)
+        return bool(self._units) and (not self._alerts or self._units.full)
 
     @property
     def alerts_lost(self) -> int:
@@ -196,9 +195,9 @@ class SelfHealingSystem:
 
     @property
     def recovery_queue(self) -> BoundedQueue:
-        """The bounded recovery-plan queue (read access for
-        instrumentation)."""
-        return self._plans
+        """The bounded recovery-task queue of scanned units (read
+        access for instrumentation)."""
+        return self._units
 
     # -- instrumentation ----------------------------------------------------
 
@@ -234,14 +233,14 @@ class SelfHealingSystem:
             self._note_state()
         return accepted
 
-    def scan_step(self) -> Optional[RecoveryPlan]:
+    def scan_step(self) -> Optional[Tuple[str, ...]]:
         """Let the analyzer process one queued alert.
 
-        Returns the produced recovery unit, or ``None`` when there is
-        nothing to scan or the analyzer is blocked by a full recovery
-        queue (Section IV-E).
+        Returns the queued recovery unit (the alert's uid), or ``None``
+        when there is nothing to scan or the analyzer is blocked by a
+        full recovery queue (Section IV-E).
         """
-        if not self._alerts or self._plans.full:
+        if not self._alerts or self._units.full:
             return None
         with phase("analyze"):
             alert = self._alerts.pop()
@@ -262,24 +261,17 @@ class SelfHealingSystem:
                     bus=self._bus, clock=self._clock,
                 )
                 self._analyzer_epoch = manager.epoch
-            plan = self._analyzer.analyze(
+            unit = self._analyzer.analyze(
                 [alert], outstanding_units=self.recovery_units_queued
             )
-            self._plans.push(plan)
+            self._units.push(unit)
             if self._bus is not None and self._bus.active:
-                # Stamp the queued plan's claimed blast radius so the
-                # conformance monitor can hold it against the Theorem
-                # 1/2 decision events of this same scan
-                # (claim-consistency).
                 self._bus.publish(UnitEmitted(
-                    self._clock(), units=plan.units,
-                    queue_depth=len(self._plans),
-                    claimed=True,
-                    claimed_undo=tuple(sorted(plan.undo_analysis.definite)),
-                    claimed_redo=tuple(sorted(plan.redo_analysis.definite)),
+                    self._clock(), units=1,
+                    queue_depth=len(self._units),
                 ))
                 self._note_state()
-        return plan
+        return unit
 
     def recovery_step(self) -> Optional[HealReport]:
         """The scheduler's turn: drain every queued unit, then commit
@@ -296,7 +288,7 @@ class SelfHealingSystem:
             with phase("schedule"):
                 self._drain()
             return None
-        if not (self._plans or self._drained):
+        if not (self._units or self._drained):
             return None
         return self._commit()
 
@@ -304,18 +296,18 @@ class SelfHealingSystem:
         """Settle the pipeline at the end of a run; advances no clock.
 
         Scans every alert still queued (draining whenever the analyzer
-        blocks), so each healed uid carries its Theorem 1/2 decisions;
-        commits everything drained plus the administrator backlog as
-        one heal; then rolls an epoch that still holds unhealed normal
-        records, so an audit covers them.  Returns the heal reports, in
+        blocks), so each healed uid was scanned; commits everything
+        drained plus the administrator backlog as one heal; then rolls
+        an epoch that still holds unhealed normal records, so an audit
+        covers them.  Returns the heal reports, in
         commit order.
         """
         while self._alerts:
-            if self._plans.full:
+            if self._units.full:
                 self._drain()
             self.scan_step()
         reports = []
-        if self._plans or self._drained or self._backlog:
+        if self._units or self._drained or self._backlog:
             reports.append(self._commit())
         if self._manager.log.normal_records():
             reports.append(self._commit())
@@ -323,14 +315,13 @@ class SelfHealingSystem:
 
     def _drain(self) -> None:
         """Move every queued unit's alert uids to the drained batch."""
-        while self._plans:
-            self._drained.extend(self._plans.pop().alert_uids)
+        while self._units:
+            self._drained.extend(self._units.pop())
 
     def _epoch_index(self) -> Optional[DependencyAnalyzer]:
         """The dependency index of the current epoch for the heal to
-        derive the batch's closure on: the scans' index, built here if
-        no scan decided its sets, or ``None`` (the healer builds one)
-        when no scan ran in this epoch."""
+        decide the batch on: the scans' analyzer's, or ``None`` (the
+        healer builds one) when no scan ran in this epoch."""
         if (self._analyzer is None
                 or self._analyzer_epoch != self._manager.epoch):
             return None

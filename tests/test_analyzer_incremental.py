@@ -1,7 +1,8 @@
 """The indexed, incremental damage analysis: every dependence query equals
 a linear scan of the log, an index extended chunk by chunk equals one
-built at once, a recovery analyzer reused across scans plans exactly like
-a fresh one, and the provenance it emits stays pinned byte for byte."""
+built at once, an epoch's dependency index reused across scans decides
+exactly like a fresh one, and the provenance it emits stays pinned byte
+for byte."""
 
 import gc
 import hashlib
@@ -258,41 +259,34 @@ def insertion_order(order):
 
 
 def traced_analysis(dep, uids):
-    """The T1/T2/T3 provenance lists of one analysis on ``dep``, and
-    the insertion order of its Theorem 3 order."""
+    """The Theorem 1/2 sets of one analysis on ``dep``, their T1/T2/T3
+    provenance lists, and the insertion order of its Theorem 3 order."""
     undo_trace, redo_trace, order_trace = [], [], []
     undo = find_undo_tasks(dep, uids, trace=undo_trace)
     redo = find_redo_tasks(dep, undo.definite, trace=redo_trace)
     order = recovery_partial_order(dep, undo.definite, redo.definite,
                                    trace=order_trace)
-    return undo_trace, redo_trace, order_trace, insertion_order(order)
-
-
-def assert_plans_equal(plan, fresh):
-    assert plan.alert_uids == fresh.alert_uids
-    assert plan.undo_analysis == fresh.undo_analysis
-    assert plan.redo_analysis == fresh.redo_analysis
+    return (undo, redo, undo_trace, redo_trace, order_trace,
+            insertion_order(order))
 
 
 @pytest.fixture
 def checked_scans(monkeypatch):
-    """Every scan also runs on a fresh analyzer over the same log; the
-    two plans must be equal, down to the provenance each would publish
-    and the Theorem 3 order each index would build over the plan's
-    sets.  Yields the analyzers that ran the scans."""
+    """At every scan, the analysis of its unit on the scans' analyzer's
+    index (the one the epoch's heal decides on) must equal a fresh
+    index's, down to the provenance each would publish and the Theorem
+    3 order each would build over the sets.  Yields the analyzers that
+    ran the scans."""
     original = RecoveryAnalyzer.analyze
     analyzers = []
 
     def analyze(self, alerts, outstanding_units=0):
-        plan = original(self, alerts, outstanding_units)
-        fresh = original(RecoveryAnalyzer(self._log, self._specs),
-                         alerts, outstanding_units)
-        assert_plans_equal(plan, fresh)
-        assert traced_analysis(self._dep, plan.alert_uids) == \
+        unit = original(self, alerts, outstanding_units)
+        assert traced_analysis(self.dependency_index(), unit) == \
             traced_analysis(DependencyAnalyzer(self._log, self._specs),
-                            plan.alert_uids)
+                            unit)
         analyzers.append(self)
-        return plan
+        return unit
 
     monkeypatch.setattr(RecoveryAnalyzer, "analyze", analyze)
     return analyzers
@@ -375,7 +369,7 @@ MEMO_QUERIES = ("anti_successors", "output_successors",
 def drive_interleaved(steps):
     """Commit spec tasks (each reading the current versions of its
     reads and writing the next ones) interleaved with scans on one
-    reused analyzer; every scan must plan like a fresh analyzer, and
+    reused analyzer; every scan must decide like a fresh index, and
     every memoised query must answer like a fresh index.  Returns how
     often each case the memos must handle came up."""
     specs = MEMO_SPECS
@@ -402,12 +396,10 @@ def drive_interleaved(steps):
             continue
         _, pick = step
         alerts = [committed[pick % len(committed)]]
-        plan = reused.analyze(alerts)
+        assert reused.analyze(alerts) == tuple(alerts)
         fresh_dep = DependencyAnalyzer(log, specs)
-        assert_plans_equal(plan, RecoveryAnalyzer(log, specs).analyze(
-            alerts))
-        assert traced_analysis(reused._dep, alerts) == \
-            traced_analysis(fresh_dep, alerts)
+        analysis = traced_analysis(reused.dependency_index(), alerts)
+        assert analysis == traced_analysis(fresh_dep, alerts)
         for uid in committed:
             for query in MEMO_QUERIES:
                 got = getattr(reused._dep, query)(uid)
@@ -421,8 +413,8 @@ def drive_interleaved(steps):
             writes = log.get(uid).writes
             assert reused._dep.readers_of(writes) == \
                 fresh_dep.readers_of(writes)
-        stats["control"] += bool(plan.undo_analysis.control_candidates)
-        stats["stale"] += bool(plan.undo_analysis.stale_read_candidates)
+        stats["control"] += bool(analysis[0].control_candidates)
+        stats["stale"] += bool(analysis[0].stale_read_candidates)
     return stats
 
 
@@ -482,18 +474,18 @@ class TestIndexLivesWithTheAnalyzer:
 
 class TestPinnedProvenance:
     #: sha256 of ``obs record --scenario fullstack --lam 8 --buffer 8
-    #: --horizon 5 --seed 3``: 1,374 records, every T1/T2 decision in
-    #: order among them, the final sweep's scans of the alerts still
-    #: queued at the horizon included, and each heal's T3 edges.
+    #: --horizon 5 --seed 3``: 986 records, each heal's T1/T2 decisions
+    #: and T3 edges in order among them, the final sweep's heal of the
+    #: alerts still queued at the horizon included.
     OVERLOAD_LOG_SHA256 = (
-        "2d459ebb453c081a3fd4e44468a6ebb34ac69d0b4d1993e122b05c283c2196da")
+        "cf19429d08657363fca97ad58763baf6766e0f7f1769029c49d74ed2d0d39418")
 
     def test_overload_flight_log_digest(self, tmp_path, capsys):
         path = tmp_path / "overload.jsonl"
         assert main(["obs", "record", "--scenario", "fullstack",
                      "--lam", "8", "--buffer", "8", "--horizon", "5",
                      "--seed", "3", "--log", str(path)]) == 0
-        assert "1374 flight-log records" in capsys.readouterr().out
+        assert "986 flight-log records" in capsys.readouterr().out
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.OVERLOAD_LOG_SHA256
 
@@ -518,15 +510,20 @@ class TestPinnedProvenance:
 
 
 def gated_profile(per_alert=0.05, orders=1.0, plan_wall=True,
-                  plan_calls=4, planned=0, per_heal=1.0):
+                  plan_calls=4, planned=0, per_heal=1.0,
+                  observed_per_heal=1.0):
     """A profile document whose fullstack rows carry the given closure
     and order line items (``orders=None`` leaves ``orders_per_heal``
     out): ``planned`` and ``per_heal`` are the unobserved row's
     ``actions_planned`` and ``undo_analyses_per_heal`` (``None`` leaves
-    the latter out), the order items sit on the observed row."""
-    observed = {"orders_per_heal": orders, "plan_calls": plan_calls}
+    the latter out), the order items and ``observed_per_heal``, its
+    ``undo_analyses_per_heal``, sit on the observed row."""
+    observed = {"orders_per_heal": orders, "plan_calls": plan_calls,
+                "undo_analyses_per_heal": observed_per_heal}
     if orders is None:
         del observed["orders_per_heal"]
+    if observed_per_heal is None:
+        del observed["undo_analyses_per_heal"]
     if plan_wall:
         observed["plan_wall_s"] = 0.0
     unobserved = {"closure_recomputations": 3,
@@ -552,7 +549,7 @@ def gated_profile(per_alert=0.05, orders=1.0, plan_wall=True,
 #: A fleet-observe profile row that passes its gate.
 FLEET_OBSERVE_ROW = {
     "scenario": "fleet-observe", "digest_stable": True,
-    "line_items": {"replay_share": 0.1, "events_per_healed_alert": 19.0}}
+    "line_items": {"replay_share": 0.1, "events_per_healed_alert": 18.0}}
 
 
 #: A store-scaling profile row that passes its gate.
@@ -600,11 +597,10 @@ class TestClosureGate:
         # One order per heal: each action is planned once, by the heal
         # that runs it.
         assert observed["line_items"]["orders_per_heal"] == 1.0
-        # Nothing reads its sets either: Theorem 1 runs once per heal,
-        # while the observed run's scans decide theirs to publish them.
+        # Scans decide nothing: Theorem 1 runs once per heal, the
+        # heal's own decisions, observed or not.
         assert unobserved["line_items"]["undo_analyses_per_heal"] == 1.0
-        assert observed["counters"]["undo_analyses"] > \
-            unobserved["counters"]["undo_analyses"]
+        assert observed["line_items"]["undo_analyses_per_heal"] == 1.0
 
     def test_missing_plan_wall_fails_the_profile_gate(self):
         from benchmarks.check_regression import check_profile
@@ -633,9 +629,14 @@ class TestClosureGate:
         assert MAX_UNDO_ANALYSES_PER_HEAL == 1.0
         assert check_profile(gated_profile(per_heal=1.0), None) == []
         for bad, shown in ((1.05, "1.05"), (3.8, "3.8"), (None, "None")):
-            failures = check_profile(gated_profile(per_heal=bad), None)
-            assert len(failures) == 1
-            assert f"undo_analyses_per_heal {shown}" in failures[0]
+            for row, doc in (
+                    ("fullstack", gated_profile(per_heal=bad)),
+                    ("fullstack-observed",
+                     gated_profile(observed_per_heal=bad))):
+                failures = check_profile(doc, None)
+                assert len(failures) == 1
+                assert failures[0].startswith(
+                    f"profile {row}: undo_analyses_per_heal {shown}")
 
     def test_missing_observed_row_fails_the_profile_gate(self):
         from benchmarks.check_regression import check_profile

@@ -1,5 +1,5 @@
-"""Tests for the recovery analyzer, recovery plans and the order of the
-heal that runs them."""
+"""Tests for the recovery analyzer, the Theorem 1/2 decisions of the
+heal that runs its units, and the heal's order."""
 
 import random
 
@@ -13,38 +13,38 @@ from tests.conftest import observed_heal
 
 @pytest.fixture
 def fig1_plan(figure1):
-    analyzer = RecoveryAnalyzer(figure1.log, figure1.specs_by_instance)
-    plan = analyzer.analyze([Alert(0.0, figure1.malicious_uid)])
-    return figure1, analyzer, plan
+    """Figure 1 healed on an active bus, with the heal's report: its
+    Theorem 1/2 decisions and its order."""
+    report, edges = observed_heal(figure1)
+    return figure1, report, edges
 
 
 class TestRecoveryAnalyzer:
     def test_plan_covers_definite_damage(self, fig1_plan):
-        figure1, analyzer, plan = fig1_plan
-        assert plan.undo_analysis.definite == {
+        figure1, report, _ = fig1_plan
+        assert report.undo_analysis.definite == {
             "wf1/t1#1", "wf1/t2#1", "wf1/t4#1", "wf2/t8#1", "wf2/t10#1"
         }
 
     def test_plan_redo_actions_definite_only(self, fig1_plan):
-        figure1, analyzer, plan = fig1_plan
+        figure1, report, _ = fig1_plan
         # t4 is a candidate redo (control dependent on bad t2), so it is
         # not a definite redo.
-        assert plan.redo_analysis.definite == {
+        assert report.redo_analysis.definite == {
             "wf1/t1#1", "wf1/t2#1", "wf2/t8#1", "wf2/t10#1"
         }
 
     def test_units_count_alerts(self, figure1):
         analyzer = RecoveryAnalyzer(figure1.log, figure1.specs_by_instance)
-        plan = analyzer.analyze(
+        unit = analyzer.analyze(
             [Alert(0.0, figure1.malicious_uid), Alert(1.0, "wf2/t7#1")]
         )
-        assert plan.units == 2
-        assert plan.alert_uids == (figure1.malicious_uid, "wf2/t7#1")
+        assert unit == (figure1.malicious_uid, "wf2/t7#1")
 
     def test_accepts_bare_uids(self, figure1):
         analyzer = RecoveryAnalyzer(figure1.log, figure1.specs_by_instance)
-        plan = analyzer.analyze([figure1.malicious_uid])
-        assert plan.units == 1
+        assert analyzer.analyze([figure1.malicious_uid]) == \
+            (figure1.malicious_uid,)
 
     def test_analysis_cost_grows_with_queue(self, figure1):
         analyzer = RecoveryAnalyzer(figure1.log, figure1.specs_by_instance)
@@ -79,14 +79,12 @@ class TestRecoveryPlan:
                 assert schedule.index(before) < schedule.index(after)
 
     def test_total_actions_and_summary(self, fig1_plan):
-        figure1, analyzer, plan = fig1_plan
-        text = plan.summary()
-        assert "1 alerts" in text and "definite undo" in text
-        assert "order" not in text
-        report, edges = observed_heal(figure1)
+        figure1, report, edges = fig1_plan
+        text = report.summary()
+        assert "1 malicious" in text and "7 undone" in text
         actions = set(report.order.elements())
         assert {a.uid for a in actions if a.kind is ActionKind.UNDO} == \
-            plan.undo_analysis.definite
+            report.undo_analysis.definite
         assert {a.uid for a in actions if a.kind is ActionKind.REDO} == \
-            plan.redo_analysis.definite
+            report.redo_analysis.definite
         assert len(edges) == len(report.order.edges())

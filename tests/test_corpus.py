@@ -43,7 +43,7 @@ def test_corpus_file_replays_clean(path):
     campaign = load_campaign(path)
     outcome = run_campaign(campaign)
     assert outcome.ok, [v.render() for v in outcome.violations]
-    assert outcome.plans_checked >= 1 or campaign.tenants > 1
+    assert outcome.scans >= 1 or campaign.tenants > 1
     assert outcome.heals >= 1
     # The runtime LTLf conformance monitor must stay silent on every
     # honest corpus campaign (its violations would also fail `ok`

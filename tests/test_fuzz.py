@@ -5,8 +5,8 @@ Three concerns:
 - **clean runs**: generated campaigns (single-tenant episodes and
   fleet campaigns alike) pass the composite oracle — the acceptance
   bar the CI smoke job enforces at larger scale;
-- **fault injection**: a mutated analyzer is *caught* by the
-  plan-verifier oracle, a heal that commits an undo after its redo by
+- **fault injection**: a heal that skips an undo it decided, decides a
+  redo it never runs, or commits an undo after its redo is *caught* by
   the runtime monitor, and the counterexample shrinks to a small
   campaign that is persisted as a replayable corpus file;
 - **mechanics**: determinism of outcomes, shrinking semantics, and
@@ -47,7 +47,7 @@ def test_campaign_outcomes_are_deterministic():
     campaign = generate_campaign(3, index=1)
     first = run_campaign(campaign)
     second = run_campaign(campaign)
-    assert first.plans_checked == second.plans_checked
+    assert first.scans == second.scans
     assert first.heals == second.heals
     assert first.alerts == second.alerts
 
@@ -72,7 +72,7 @@ def test_small_fuzz_run_is_clean(tmp_path):
                   corpus_dir=str(tmp_path / "corpus"))
     assert report.campaigns == 12
     assert report.violations == 0
-    assert report.plans_checked > 0
+    assert report.scans > 0
     assert report.heals > 0
     assert report.corpus_files == []
     line = report.summary()
@@ -80,15 +80,15 @@ def test_small_fuzz_run_is_clean(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# Fault injection: the harness must catch a broken analyzer
+# Fault injection: the harness must catch a broken heal
 # --------------------------------------------------------------------------
 
 
-#: The oracle that must catch each injected fault: the analyzer-plan
-#: mutations are the plan verifier's, the heal-side reversed edge the
-#: runtime monitor's.
-EXPECTED_ORACLE = {"drop-undo": "plan-verifier",
-                   "extra-redo": "plan-verifier",
+#: The oracle that must catch each injected fault: the heal's decisions
+#: are sound, what it runs is not, so the runtime monitor catches all
+#: three.
+EXPECTED_ORACLE = {"drop-undo": "conformance",
+                   "extra-redo": "conformance",
                    "reverse-edge": "conformance"}
 
 
@@ -97,7 +97,7 @@ EXPECTED_ORACLE = {"drop-undo": "plan-verifier",
 def test_injected_mutation_is_caught(kind):
     campaign = generate_campaign(1, index=0)
     outcome = run_campaign(campaign, mutation=kind)
-    assert outcome.mutated_plans > 0
+    assert outcome.mutated_heals > 0
     assert any(v.oracle == EXPECTED_ORACLE[kind]
                for v in outcome.violations)
     assert outcome.conformance_violations > 0
@@ -106,23 +106,21 @@ def test_injected_mutation_is_caught(kind):
 def test_reverse_edge_commits_the_undo_after_the_redo():
     """The heal-side fault changes the log the healer writes, not only
     the events it publishes; the Definition 2 audit of the healed
-    history cannot see it, the monitor can."""
-    from repro.core.undo_redo import find_redo_tasks, find_undo_tasks
+    history cannot see it, the monitor can.  The victim is the first
+    definite redo the observed heal decides."""
     from repro.scenarios.figure1 import build_figure1
-    from repro.workflow.dependency import DependencyAnalyzer
     from repro.workflow.log import RecordKind
+    from tests.conftest import observed_heal
 
     def committed(sc):
         return [(r.kind, r.uid) for r in sc.log.records()
                 if r.kind != RecordKind.NORMAL]
 
     honest, faulted = build_figure1(), build_figure1()
-    dep = DependencyAnalyzer(honest.log, honest.specs_by_instance)
-    closure = find_undo_tasks(dep, [honest.malicious_uid]).definite
-    target = sorted(find_redo_tasks(dep, closure).definite)[0]
-    honest.heal_now()
+    report, _ = observed_heal(honest)
+    target = min(report.redo_analysis.definite)
     with inject_mutation("reverse-edge") as stats:
-        faulted.heal_now()
+        observed_heal(faulted)
     assert stats["applied"] == 1
     undo = (RecordKind.UNDO, target)
     redo = (RecordKind.REDO, target)
@@ -153,21 +151,28 @@ def test_injected_mutation_shrinks_to_corpus_file(tmp_path):
 
 
 def test_inject_mutation_restores_the_analyzer():
-    from repro.core.analyzer import RecoveryAnalyzer
+    """The faults patch the healer's binding of the analyzer's
+    :func:`~repro.core.analyzer.decide_batch` and its own steps, and
+    restore both."""
+    import repro.core.healer as healer_module
+    from repro.core.analyzer import decide_batch
     from repro.core.healer import Healer
 
-    original = RecoveryAnalyzer.analyze
-    with inject_mutation("drop-undo"):
-        assert RecoveryAnalyzer.analyze is not original
-    assert RecoveryAnalyzer.analyze is original
-    healer = (Healer.heal, Healer._commit_undo, Healer._redo)
-    with inject_mutation("reverse-edge"):
-        assert Healer.heal is not healer[0]
-    assert (Healer.heal, Healer._commit_undo, Healer._redo) == healer
+    def patched():
+        return (healer_module.decide_batch, Healer.heal, Healer._undo,
+                Healer._commit_undo, Healer._redo)
+
+    original = patched()
+    assert original[0] is decide_batch
+    for kind in ("drop-undo", "extra-redo", "reverse-edge"):
+        with inject_mutation(kind):
+            assert healer_module.decide_batch is not decide_batch
+            assert Healer.heal is not original[1]
+        assert patched() == original
     with pytest.raises(GenerationError):
         with inject_mutation("unknown-kind"):
             pass  # pragma: no cover
-    assert RecoveryAnalyzer.analyze is original
+    assert patched() == original
 
 
 def test_fuzz_rejects_unknown_mutation():

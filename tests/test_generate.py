@@ -22,7 +22,6 @@ from repro.scenarios.generate import (
     SpecShape,
     generate_campaign,
     generate_workload,
-    mutate_plan,
     random_attacked_case,
     stable_seed,
 )
@@ -82,10 +81,9 @@ def test_attacked_case_plans_are_reproducible():
     first = random_attacked_case(42, n_attacks=2)
     second = random_attacked_case(42, n_attacks=2)
     assert first is not None and second is not None
-    assert first[2].undo_analysis.definite == \
-        second[2].undo_analysis.definite
-    assert first[2].redo_analysis.definite == \
-        second[2].redo_analysis.definite
+    assert first[1] == second[1]
+    assert first[2].definite == second[2].definite
+    assert first[3].definite == second[3].definite
 
 
 # --------------------------------------------------------------------------
@@ -163,14 +161,6 @@ def test_generated_specs_have_no_lint_errors(seed):
         if d.severity is Severity.ERROR
     ]
     assert errors == [], [d.render() for d in errors[:5]]
-
-
-def test_mutate_plan_rejects_unknown_kind():
-    case = random_attacked_case(42)
-    assert case is not None
-    log, _specs, plan = case
-    with pytest.raises(GenerationError):
-        mutate_plan(plan, "swap-everything", log)
 
 
 # --------------------------------------------------------------------------

@@ -352,7 +352,8 @@ class TestPinnedEventFiles:
     """Flight logs of seeded ``obs record`` runs.  The stripped-event
     digests were taken from ``obs --events`` files before the loop was
     table-driven (and before the flight log became the one event
-    format); any change to draws or event order moves them."""
+    format), and re-taken when ``UnitEmitted`` lost its claim fields;
+    any change to draws or event order moves them."""
 
     def test_health_run(self, tmp_path, capsys):
         # --health rides a monitor on fullstack runs only: a gillespie
@@ -375,11 +376,11 @@ class TestPinnedEventFiles:
         capsys.readouterr()
         assert len(log.read_text().splitlines()) == 3673  # 3,670 events
         assert _stripped_events_sha256(log) == (
-            "5b038a104ffd43af3c96724304e4b230"
-            "50fe8e05f95cddce016c6d6f79d6bfb2")
+            "cd95704bee9081cd6c833f5d7b639001"
+            "0a1771f75b561a8b76d671208206754a")
         assert _sha256(log) == (
-            "7ce019c2378bfe28d65644ae27c44317"
-            "dce7e637dfc3a5ff72b07ec75ab293fc")
+            "5b14e646334905ce99843dfc0c03e2b0"
+            "0f7fe732d76861f58e2c40a4907123a0")
 
 
 # -- the MMPP loop ---------------------------------------------------------------

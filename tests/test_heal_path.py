@@ -104,24 +104,25 @@ class TestScenariosHealThroughTheManager:
 class TestFlightLogPins:
     """Digests of the Figure 2 pipeline's flight logs: the figure1
     incident (``obs record``) and the hijacked web shop (``demo web-app
-    --flight-log``).  Each heal publishes its batch's Theorem 3 edges
-    after its ``HealStarted``."""
+    --flight-log``).  Each heal publishes its batch's Theorem 1/2
+    decisions, then its Theorem 3 edges, after its ``HealStarted``;
+    scans publish no decisions."""
 
     #: ``obs record --scenario figure1``: 57 records, 10 of them edges.
     FIGURE1_SHA256 = (
-        "5d543003b859e79cbce2a7e0520bf079ab5791fd3ee64c665bbcbffbe243c70b")
+        "9aa8c9746b73769ee67ec6005eb66293c81b700d2c2aa1b912804df8790a3783")
     #: ``obs record --scenario figure1 --false-alarms 0``: 49 records,
     #: 10 of them edges.
     FIGURE1_NO_NOISE_SHA256 = (
-        "d2b839707e960538421ddc4d5605c48e8ba2c9c365800533916525a54b1b36a0")
+        "b4811f98d282b7579e8a35a742f2765098a4f67dbc12234743329c06099f35f9")
     #: ``demo web-app --flight-log FILE``: 85 records, 15 of them edges.
     WEB_APP_SHA256 = (
-        "cf346ea600120a27f6bf77c51cfe2f5bd87179cdff6631a1046ff893b3b38e52")
+        "ecf5b8f263aff6c7cd7f1f8f64d9162c28171c4378be5b70bb6f648b2572d970")
 
     @pytest.mark.parametrize("extra, records, digest", [
         ([], 57, FIGURE1_SHA256),
         (["--false-alarms", "0"], 49, FIGURE1_NO_NOISE_SHA256),
-    ])
+    ], ids=["default", "no-false-alarms"])
     def test_figure1_flight_log_digest(self, tmp_path, capsys, extra,
                                        records, digest):
         path = tmp_path / "figure1.jsonl"

@@ -3,10 +3,9 @@
 Scans build no order.  A heal on an active bus builds the one order of
 the batch it runs, on the epoch's shared dependency index, and
 publishes its edges before its first undo; an unobserved heal builds
-none.  These tests pin that each heal's order is the order an eager
-build on a fresh index over the epoch log gives, whatever the scans
-extended the shared index with first, and that nothing builds an order
-when nothing observes.
+none.  These tests pin that each heal's Theorem 2 decisions and order
+are those an eager build on a fresh index over the epoch log gives, and
+that nothing builds an order when nothing observes.
 """
 
 import pytest
@@ -47,15 +46,18 @@ def eager_heals(monkeypatch):
     original = Healer._publish_order
     heals = []
 
-    def publish_order(self, analyzer, closure, forged):
+    def publish_order(self, analyzer, closure, redo_analysis, forged,
+                      now):
         fresh = DependencyAnalyzer(self._log, self._specs)
+        assert redo_analysis == find_redo_tasks(fresh, closure)
         redos = [
             uid for uid in find_redo_tasks(fresh, closure).definite
             if fresh.record(uid).instance.workflow_instance not in forged
         ]
         eager = recovery_partial_order(fresh, closure, redos)
         eager.check_acyclic()
-        built = original(self, analyzer, closure, forged)
+        built = original(self, analyzer, closure, redo_analysis, forged,
+                         now)
         heals.append((built, shape(eager)))
         return built
 
@@ -81,8 +83,8 @@ class TestFirstReadIsTheEagerOrder:
             assert shape(built) == eager
 
     def test_overload_heals_order_on_the_extended_index(self, eager_heals):
-        # Many scans extend the epoch's index before its heal orders
-        # the batch on it.
+        # The epoch log grows across many scans before its heal
+        # decides and orders the batch.
         result = run_replication(OVERLOAD, horizon=5.0, seed=3,
                                  bus=observed_bus())
         assert result.heals >= 1 and result.all_heals_audited_ok
@@ -140,8 +142,10 @@ class TestMutatedPlansKeepTheAnalyzersOrder:
     @pytest.mark.parametrize("kind", ["drop-undo", "extra-redo"])
     def test_mutation_changes_the_sets_not_the_order(self, eager_heals,
                                                      kind):
-        # The heal reads no plan: a mutated plan leaves every heal's
-        # order what an honest run builds.
+        # A fault changes the sets the heal undoes (drop-undo) or the
+        # redo decisions it publishes (extra-redo), not the order it
+        # builds over its sound Theorem 1/2 sets: every heal orders
+        # what an honest run orders.
         campaign = generate_campaign(0, index=0)
         honest = run_campaign(campaign)
         assert honest.ok

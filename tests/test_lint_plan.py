@@ -1,9 +1,9 @@
-"""Tests for the independent plan verifier.
+"""Tests for the independent heal verifier.
 
-The verifier must (a) accept every plan the real analyzer produces and
-every order the real heal publishes, (b) reject seeded mutations of
-those plans and orders with the right rule ids, and (c) genuinely share
-no code with the analyzer stack it is checking.
+The verifier must (a) accept every heal the real healer runs — its
+Theorem 1/2 decisions and the order it publishes — (b) reject seeded
+mutations of those decisions and orders with the right rule ids, and
+(c) genuinely share no code with the analysis stack it is checking.
 """
 
 import ast
@@ -13,12 +13,17 @@ from pathlib import Path
 
 import pytest
 
+import repro.core.healer as healer_module
 import repro.lint.plan_verifier as plan_verifier_module
 from repro.core.actions import Action
-from repro.core.analyzer import RecoveryAnalyzer
-from repro.lint import verify_flight_log, verify_order, verify_plan
+from repro.lint import verify_flight_log, verify_heal
 from repro.lint.diagnostics import Severity
-from repro.obs.events import OrderConstraint, RedoDecision
+from repro.obs.events import (
+    EventBus,
+    EventRecorder,
+    OrderConstraint,
+    RedoDecision,
+)
 from repro.obs.monitor import replay_conformance
 from repro.obs.recorder import FlightRecorder, read_flight_log
 from repro.scenarios.figure1 import build_figure1
@@ -27,36 +32,28 @@ from repro.workflow.precedence import PartialOrder
 from tests.conftest import observed_heal, reversed_t31_events
 
 
-def figure1_case():
-    """Unhealed figure1 scenario with its (verified-clean) plan."""
-    sc = build_figure1(attacked=True)
-    plan = RecoveryAnalyzer(sc.log, sc.specs_by_instance).analyze(
-        [sc.malicious_uid]
-    )
-    return sc, plan
-
-
 def rules_of(diags):
     return sorted({d.rule for d in diags})
 
 
-def order_findings(sc, order, report):
-    """The verifier's Theorem 3 findings on ``order`` as the order of
-    the heal ``report`` of scenario ``sc``."""
-    return verify_order(sc.log, sc.specs_by_instance, order,
-                        report.malicious, sc.reported()[1])
+def heal_findings(sc, report):
+    """The verifier's findings on ``report`` as a heal of scenario
+    ``sc`` (its epoch log, after the heal appended its records)."""
+    return verify_heal(sc.log, sc.specs_by_instance, report,
+                       sc.reported()[1])
 
 
-def assert_heal_order_clean(sc):
-    """Heal ``sc`` on an active bus: its order verifies clean against
-    the epoch log, after the heal appended its UNDO and REDO records."""
+def assert_heal_clean(sc):
+    """Heal ``sc`` on an active bus: its decisions and order verify
+    clean against the epoch log."""
     report, _ = observed_heal(sc)
     assert sc.audit.ok
-    assert order_findings(sc, report.order, report) == []
+    assert heal_findings(sc, report) == []
+    return report
 
 
-def figure1_order():
-    """Healed figure1 scenario with its heal's report."""
+def figure1_heal():
+    """Healed figure1 scenario with its observed heal's report."""
     sc = build_figure1(attacked=True)
     report, _ = observed_heal(sc)
     return sc, report
@@ -79,31 +76,25 @@ def rebuilt_order(order, drop=(), add=(), flip=()):
     return copy
 
 
+def order_findings(sc, order, report):
+    """The verifier's findings on ``report`` with ``order`` as its
+    order."""
+    return heal_findings(sc, replace(report, order=order))
+
+
 class TestAcceptsAnalyzerPlans:
     def test_figure1(self):
-        sc, plan = figure1_case()
-        assert verify_plan(sc.log, sc.specs_by_instance, plan) == []
-        assert_heal_order_clean(sc)
+        assert_heal_clean(build_figure1(attacked=True))
 
     def test_travel(self):
         from repro.scenarios.travel import build_travel
 
-        sc = build_travel()
-        plan = RecoveryAnalyzer(sc.log, sc.specs_by_instance).analyze(
-            [sc.malicious_uid]
-        )
-        assert verify_plan(sc.log, sc.specs_by_instance, plan) == []
-        assert_heal_order_clean(sc)
+        assert_heal_clean(build_travel())
 
     def test_supply_chain(self):
         from repro.scenarios.supply_chain import build_supply_chain
 
-        sc = build_supply_chain()
-        plan = RecoveryAnalyzer(sc.log, sc.specs_by_instance).analyze(
-            [sc.malicious_uid]
-        )
-        assert verify_plan(sc.log, sc.specs_by_instance, plan) == []
-        assert_heal_order_clean(sc)
+        assert_heal_clean(build_supply_chain())
 
     def test_banking_forged_run(self):
         from repro.scenarios.banking import build_banking
@@ -113,72 +104,63 @@ class TestAcceptsAnalyzerPlans:
             r.uid for r in sc.log.normal_records()
             if r.instance.workflow_instance == sc.forged_run
         ]
-        plan = RecoveryAnalyzer(sc.log, sc.specs_by_instance).analyze(
-            forged
-        )
-        assert verify_plan(sc.log, sc.specs_by_instance, plan) == []
+        report = assert_heal_clean(sc)
         # The forged run is undone and never redone, so the heal's
         # order holds its undos and no redo of it.
-        report, _ = observed_heal(sc)
+        assert set(forged) <= report.undo_analysis.definite
         assert not any(a.uid in forged and a.kind.value == "redo"
                        for a in report.order.elements())
-        assert order_findings(sc, report.order, report) == []
 
 
 class TestSeededMutations:
-    """≥5 distinct planner-bug classes, each caught by the right rule."""
+    """≥5 distinct heal-bug classes, each caught by the right rule."""
 
     def test_mutation_dropped_undo(self):
-        sc, plan = figure1_case()
-        ua = plan.undo_analysis
+        sc, report = figure1_heal()
+        ua = report.undo_analysis
         victim = sorted(ua.infected)[-1]
-        mutated = replace(plan, undo_analysis=replace(
+        mutated = replace(report, undo_analysis=replace(
             ua, infected=ua.infected - {victim}
         ))
-        diags = verify_plan(sc.log, sc.specs_by_instance, mutated)
+        diags = heal_findings(sc, mutated)
         assert "PLAN001" in rules_of(diags)
         assert all(d.severity is Severity.ERROR for d in diags)
 
     def test_mutation_spurious_undo(self):
-        sc, plan = figure1_case()
-        ua = plan.undo_analysis
+        sc, report = figure1_heal()
+        ua = report.undo_analysis
         outsider = sorted(
             {r.uid for r in sc.log.normal_records()} - ua.definite
             - ua.candidates
         )[0]
-        mutated = replace(plan, undo_analysis=replace(
+        mutated = replace(report, undo_analysis=replace(
             ua, infected=ua.infected | {outsider}
         ))
-        assert "PLAN002" in rules_of(
-            verify_plan(sc.log, sc.specs_by_instance, mutated)
-        )
+        assert "PLAN002" in rules_of(heal_findings(sc, mutated))
 
     def test_mutation_dropped_redo(self):
-        sc, plan = figure1_case()
-        ra = plan.redo_analysis
+        sc, report = figure1_heal()
+        ra = report.redo_analysis
         victim = sorted(ra.definite)[0]
-        mutated = replace(plan, redo_analysis=replace(
+        mutated = replace(report, redo_analysis=replace(
             ra, definite=ra.definite - {victim}
         ))
-        assert "PLAN003" in rules_of(
-            verify_plan(sc.log, sc.specs_by_instance, mutated)
-        )
+        assert "PLAN003" in rules_of(heal_findings(sc, mutated))
 
     def test_mutation_extra_redo(self):
-        sc, plan = figure1_case()
-        ra = plan.redo_analysis
+        sc, report = figure1_heal()
+        ra = report.redo_analysis
         outsider = sorted(
             {r.uid for r in sc.log.normal_records()}
-            - plan.undo_analysis.definite
+            - report.undo_analysis.definite
         )[0]
-        mutated = replace(plan, redo_analysis=replace(
+        mutated = replace(report, redo_analysis=replace(
             ra, definite=ra.definite | {outsider}
         ))
-        diags = verify_plan(sc.log, sc.specs_by_instance, mutated)
-        assert "PLAN004" in rules_of(diags)
+        assert "PLAN004" in rules_of(heal_findings(sc, mutated))
 
     def test_mutation_dropped_t33_edge(self):
-        sc, report = figure1_order()
+        sc, report = figure1_heal()
         uid = sorted(a.uid for a in report.order.elements()
                      if a.kind.value == "redo")[0]
         dropped = (Action.undo(uid), Action.redo(uid))
@@ -188,7 +170,7 @@ class TestSeededMutations:
         assert any("T3.3" in d.message for d in diags)
 
     def test_mutation_reversed_edge(self):
-        sc, report = figure1_order()
+        sc, report = figure1_heal()
         uid = sorted(a.uid for a in report.order.elements()
                      if a.kind.value == "redo")[0]
         flipped = (Action.undo(uid), Action.redo(uid))
@@ -198,7 +180,7 @@ class TestSeededMutations:
         assert "PLAN006" in rules  # reversed direction is unjustified
 
     def test_mutation_spurious_edge(self):
-        sc, report = figure1_order()
+        sc, report = figure1_heal()
         # No Theorem 3 rule ever orders a redo before another
         # instance's undo, so this edge is unjustified by construction.
         redos = sorted(a.uid for a in report.order.elements()
@@ -212,7 +194,7 @@ class TestSeededMutations:
         assert "PLAN006" in rules_of(order_findings(sc, mutated, report))
 
     def test_mutation_cycle(self):
-        sc, report = figure1_order()
+        sc, report = figure1_heal()
         before, after = sorted(
             report.order.edges(), key=lambda e: (str(e[0]), str(e[1]))
         )[0]
@@ -220,20 +202,30 @@ class TestSeededMutations:
         assert "PLAN007" in rules_of(order_findings(sc, mutated, report))
 
     def test_mutation_order_elements(self):
-        sc, report = figure1_order()
+        sc, report = figure1_heal()
         mutated = rebuilt_order(report.order)
         mutated.add_element(Action.redo("wf2/t7#1"))
         assert "PLAN008" in rules_of(order_findings(sc, mutated, report))
 
     def test_mutation_candidate_tampering(self):
-        sc, plan = figure1_case()
-        ua = plan.undo_analysis
+        sc, report = figure1_heal()
+        ua = report.undo_analysis
         assert ua.control_candidates  # figure1 has abandoned branches
-        mutated = replace(plan, undo_analysis=replace(
+        mutated = replace(report, undo_analysis=replace(
             ua, control_candidates=frozenset()
         ))
-        rules = rules_of(verify_plan(sc.log, sc.specs_by_instance, mutated))
-        assert "PLAN009" in rules
+        assert "PLAN009" in rules_of(heal_findings(sc, mutated))
+
+    def test_unobserved_heal_checks_theorem_1_only(self):
+        sc = build_figure1(attacked=True)
+        report = sc.heal_now()
+        assert report.redo_analysis is None and report.order is None
+        assert heal_findings(sc, report) == []
+        ua = report.undo_analysis
+        mutated = replace(report, undo_analysis=replace(
+            ua, infected=ua.infected - {sorted(ua.infected)[-1]}
+        ))
+        assert rules_of(heal_findings(sc, mutated)) == ["PLAN001"]
 
 
 class TestIndependence:
@@ -266,44 +258,47 @@ class TestIndependence:
 
 
 class TestSystemVerifyHook:
+    def observed_system(self, sc):
+        bus = EventBus()
+        EventRecorder().attach(bus)
+        return bus, SelfHealingSystem(sc.manager, bus=bus)
+
     def test_verified_scan_step_accepts_sound_plan(self):
+        # The scanned unit's heal, the plan that runs, verifies clean.
         sc = build_figure1(attacked=True)
-        system = SelfHealingSystem(sc.manager)
+        bus, system = self.observed_system(sc)
         assert system.submit_alert(sc.malicious_uid)
-        plan = system.scan_step()
-        assert verify_plan(sc.log, sc.specs_by_instance, plan) == []
+        assert system.scan_step() == (sc.malicious_uid,)
         assert system.recovery_units_queued == 1
+        report = system.recovery_step()
+        assert heal_findings(sc, report) == []
 
-    def test_corrupt_plan_is_flagged_at_scan_time(self, monkeypatch):
+    def test_corrupt_heal_decisions_are_flagged(self, monkeypatch):
         sc = build_figure1(attacked=True)
-        system = SelfHealingSystem(sc.manager)
-        real_analyze = RecoveryAnalyzer.analyze
+        bus, system = self.observed_system(sc)
+        real_decide = healer_module.decide_batch
 
-        def corrupt_analyze(analyzer, alerts, outstanding_units=0):
-            plan = real_analyze(analyzer, alerts,
-                                outstanding_units=outstanding_units)
-            ua = plan.undo_analysis
-            return replace(plan, undo_analysis=replace(
-                ua, infected=ua.infected - {sorted(ua.infected)[-1]}
-            ))
+        def corrupt_decide(index, bad, time=None):
+            ua, ra, decisions = real_decide(index, bad, time)
+            return replace(ua, infected=ua.infected - {
+                sorted(ua.infected)[-1]}), ra, decisions
 
-        monkeypatch.setattr(RecoveryAnalyzer, "analyze", corrupt_analyze)
+        monkeypatch.setattr(healer_module, "decide_batch", corrupt_decide)
         system.submit_alert(sc.malicious_uid)
-        plan = system.scan_step()
-        assert "PLAN001" in rules_of(
-            verify_plan(sc.log, sc.specs_by_instance, plan))
+        system.scan_step()
+        report = system.recovery_step()
+        assert "PLAN001" in rules_of(heal_findings(sc, report))
 
     def test_default_is_unverified(self, monkeypatch):
         # The pipeline never runs the verifier: checking is the
         # caller's (the fuzzer's), so the lint package stays off the
         # hot path.
         def refuse(*args, **kwargs):
-            raise AssertionError("the pipeline ran the plan verifier")
+            raise AssertionError("the pipeline ran the heal verifier")
 
-        monkeypatch.setattr(plan_verifier_module, "verify_plan", refuse)
-        monkeypatch.setattr(plan_verifier_module, "verify_order", refuse)
+        monkeypatch.setattr(plan_verifier_module, "verify_heal", refuse)
         sc = build_figure1(attacked=True)
-        system = SelfHealingSystem(sc.manager)
+        bus, system = self.observed_system(sc)
         system.submit_alert(sc.malicious_uid)
         assert system.scan_step() is not None
         assert system.recovery_step() is not None
@@ -412,9 +407,10 @@ class TestHealOrders:
         assert replay_conformance(flight.events).violations == []
 
     def test_batch_demoting_a_scan_redo_lints_clean(self):
-        # The scan of s1w0_t3 decides it a definite (T2.1) redo, but
-        # the batch also heals s1w0_t1, whose redo abandons t3: the
-        # heal's order holds no redo of t3.
+        # A scan of s1w0_t3 alone would decide it a definite (T2.1)
+        # redo, but the batch also heals s1w0_t1, which controls t3:
+        # the heal decides t3 a T2.2 candidate only, its order holds no
+        # redo of t3, and t1's redo abandons t3.
         from repro.scenarios.fuzz import _run_single_episode
         from repro.scenarios.generate import generate_campaign
 
@@ -422,9 +418,9 @@ class TestHealOrders:
         assert episode.violations == []
         flight = read_flight_log(episode.flight_text)
         uid = "s1w0.run/s1w0_t3#1"
-        decided = [e for e in flight.events
+        decided = [e.condition for e in flight.events
                    if isinstance(e, RedoDecision) and e.uid == uid]
-        assert any(e.condition == "T2.1" for e in decided)
+        assert decided == ["T2.2"]
         edges = [e for e in flight.events if isinstance(e, OrderConstraint)]
         assert edges
         assert not any(f"redo({uid})" in (e.before, e.after)

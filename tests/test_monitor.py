@@ -242,11 +242,10 @@ class TestPropertyPack:
     def test_honest_heal_cycle_is_clean(self):
         uid = "wf/t1#1"
         events = [
-            UndoDecision(1.0, uid=uid, condition="T1.1"),
-            RedoDecision(1.0, uid=uid, condition="T2.1"),
-            UnitEmitted(1.0, units=1, queue_depth=1, claimed=True,
-                        claimed_undo=(uid,), claimed_redo=(uid,)),
+            UnitEmitted(1.0, units=1, queue_depth=1),
             HealStarted(2.0, malicious=(uid,)),
+            UndoDecision(2.0, uid=uid, condition="T1.1"),
+            RedoDecision(2.0, uid=uid, condition="T2.1"),
             TaskUndone(2.0, uid=uid, reason="closure"),
             TaskRedone(2.5, uid=uid),
             HealFinished(3.0, undone=1, redone=1, kept=0, abandoned=0,
@@ -360,34 +359,40 @@ class TestInjectionAnalogues:
     """Monitor-level analogues of the three ``--inject`` mutations."""
 
     def test_drop_undo_is_a_missing_claim(self):
+        # The heal claims uid's undo and redo in its decisions, skips
+        # the undo and redoes it anyway.
         uid = "wf/t1#1"
         _, violations = run_monitor([
+            HealStarted(1.0, malicious=(uid,)),
             UndoDecision(1.0, uid=uid, condition="T1.1"),
-            UnitEmitted(1.0, units=1, queue_depth=1, claimed=True,
-                        claimed_undo=(), claimed_redo=()),
-        ], finalize=False)
-        assert [v.property for v in violations] == [
-            "undo-claim-consistency"
-        ]
-        assert uid in violations[0].detail
+            RedoDecision(1.0, uid=uid, condition="T2.1"),
+            TaskRedone(1.5, uid=uid),
+            HealFinished(2.0, undone=0, redone=1, kept=0, abandoned=0,
+                         new_executions=0, duration=1.0),
+        ])
+        assert [(v.property, v.verdict, v.instance) for v in violations] \
+            == [("undo-before-redo", "violated", uid),
+                ("undo-completeness", "finally-violated", uid)]
 
     def test_extra_redo_is_an_unjustified_claim(self):
+        # The heal claims a definite redo it never runs.
         _, violations = run_monitor([
-            UnitEmitted(1.0, units=1, queue_depth=1, claimed=True,
-                        claimed_undo=(), claimed_redo=("wf/t9#1",)),
-        ], finalize=False)
-        assert [v.property for v in violations] == [
-            "redo-claim-consistency"
-        ]
+            HealStarted(1.0, malicious=("wf/t1#1",)),
+            RedoDecision(1.0, uid="wf/t9#1", condition="T2.1"),
+            HealFinished(2.0, undone=0, redone=0, kept=0, abandoned=0,
+                         new_executions=0, duration=1.0),
+        ])
+        assert [(v.property, v.verdict, v.instance) for v in violations] \
+            == [("redo-follow-through", "finally-violated", "wf/t9#1")]
 
     def test_unclaimed_unit_makes_no_claim(self):
-        # Abstract simulators emit count-only UnitEmitted events; the
-        # claim window must ignore them.
+        # A queued unit carries counts only: the heal, not the scan,
+        # decides, so the monitor reads no UnitEmitted.
         _, violations = run_monitor([
-            UndoDecision(1.0, uid="wf/t1#1", condition="T1.1"),
             UnitEmitted(1.0, units=1, queue_depth=1),
-        ], finalize=False)
+        ])
         assert violations == []
+        assert UnitEmitted not in ConformanceMonitor.CONSUMES
 
     def test_reverse_edge_breaks_order_consistency(self):
         # The heal-side fault: undo(t) committed after redo(t).
@@ -497,10 +502,6 @@ event_st = st.one_of(
               after=st.sampled_from(["undo(u1)", "redo(u1)"])),
     st.builds(NormalTaskRefused, st.just(0.0),
               state=st.sampled_from(["NORMAL", "SCAN", "RECOVERY"])),
-    st.builds(UnitEmitted, st.just(0.0), units=st.just(1),
-              queue_depth=st.just(1), claimed=st.booleans(),
-              claimed_undo=st.sampled_from([(), ("u1",)]),
-              claimed_redo=st.sampled_from([(), ("u1",)])),
 )
 
 
@@ -655,7 +656,8 @@ class TestConformanceProfileGate:
                             "undo_analyses_per_heal": 1.0}},
             {"scenario": "fullstack-observed", "digest_stable": True,
              "line_items": {"orders_per_heal": 1.0,
-                            "plan_wall_s": 0.0, "plan_calls": 4}},
+                            "plan_wall_s": 0.0, "plan_calls": 4,
+                            "undo_analyses_per_heal": 1.0}},
             {"scenario": "batch-parallel", "digest_stable": True,
              "line_items": {"fan_out_overhead_s": 0.0}},
             {"scenario": "store-scaling", "digest_stable": True,
@@ -663,7 +665,7 @@ class TestConformanceProfileGate:
                             "long_per_heal": 11.0}},
             {"scenario": "fleet-observe", "digest_stable": True,
              "line_items": {"replay_share": 0.1,
-                            "events_per_healed_alert": 19.0}},
+                            "events_per_healed_alert": 18.0}},
         ]
         if conformance is not None:
             rows.append({"scenario": "conformance", "digest_stable": True,
@@ -722,9 +724,9 @@ class TestFleetObserveGate:
         }), None) == []
 
     @pytest.mark.parametrize("items, shown", [
-        ({"replay_share": 0.21, "events_per_healed_alert": 19.0},
+        ({"replay_share": 0.21, "events_per_healed_alert": 18.0},
          "replay_share 0.21"),
-        ({"events_per_healed_alert": 19.0}, "replay_share None"),
+        ({"events_per_healed_alert": 18.0}, "replay_share None"),
         ({"replay_share": 0.1, "events_per_healed_alert": 21.5},
          "21.5 events per healed alert"),
         ({"replay_share": 0.1}, "None events per healed alert"),
@@ -748,12 +750,12 @@ class TestFleetObserveGate:
 
         params = {"tenants": 20, "duration": 25.0, "seed": 7}
         base = self.profile({"replay_share": 0.1,
-                             "events_per_healed_alert": 19.0}, params)
+                             "events_per_healed_alert": 18.0}, params)
         fresh = self.profile({"replay_share": 0.1,
-                              "events_per_healed_alert": 19.2}, params)
+                              "events_per_healed_alert": 18.2}, params)
         failures = check_profile(fresh, base)
         assert len(failures) == 1
-        assert "19.2 events per healed alert, above 19.0" in failures[0]
+        assert "18.2 events per healed alert, above 18.0" in failures[0]
         other = dict(params, tenants=21)
         fresh["results"][-2]["params"] = other
         assert check_profile(fresh, base) == []
@@ -797,7 +799,7 @@ class TestCampaignReplayIdentity:
                     if isinstance(e, ConformanceViolation)]
         offline = replay_conformance(log.events, finalize=True)
         assert offline.violations == recorded
-        assert "undo-claim-consistency" in {
+        assert "undo-completeness" in {
             v.property for v in offline.violations
         }
 
@@ -808,11 +810,11 @@ class TestCampaignReplayIdentity:
 
 
 class TestPipelineIntegration:
-    def test_pack_is_the_eight_definition_2_properties(self):
+    def test_pack_is_the_seven_definition_2_properties(self):
         assert [p.name for p in ConformanceMonitor().properties] == [
             "heal-alternation", "task-within-heal", "normal-refusal",
             "undo-completeness", "redo-follow-through",
-            "undo-before-redo", "order-consistency", "claim-consistency",
+            "undo-before-redo", "order-consistency",
         ]
         assert set(ConformanceMonitor().summary()) == {
             "violations", "by_property", "pending_obligations",

@@ -27,7 +27,6 @@ from repro.obs.events import (
     TaskRedone,
     TaskUndone,
     UndoDecision,
-    UnitEmitted,
 )
 from repro.obs.health import replay_verdicts
 from repro.obs.monitor import (
@@ -65,13 +64,13 @@ class Whole:
         self.state = pack_formulas()[name]
         self.violated = False
 
-    def step(self, letter, time, out, instance=""):
+    def step(self, letter, time, out):
         if self.violated:
             return
         self.state = progress(self.state, letter)
         if self.state is FALSE:
             self.violated = True
-            out.append((self.name, "violated", instance, time))
+            out.append((self.name, "violated", "", time))
 
     def finalize(self, time, out):
         if not self.violated and finally_violated(self.state):
@@ -121,10 +120,7 @@ def reference_stream(events, finalize):
     redo_done = Sliced("redo-follow-through")
     undo_first = Sliced("undo-before-redo")
     ordered = Sliced("order-consistency")
-    claims = {"missing": Whole("undo-claim-consistency"),
-              "unjustified": Whole("redo-claim-consistency")}
     edges = []
-    decided_undo, decided_redo = set(), set()
     out = []
     now = 0.0
     for event in events:
@@ -175,28 +171,9 @@ def reference_stream(events, finalize):
                     ordered.step(f"{before} < {after}",
                                  {"before": action == before,
                                   "after": action == after}, t, out)
-        if isinstance(event, UndoDecision):
-            if event.condition in DEFINITE_UNDO_CONDITIONS:
-                decided_undo.add(event.uid)
-        if isinstance(event, RedoDecision):
-            if event.condition in DEFINITE_REDO_CONDITIONS:
-                decided_redo.add(event.uid)
-        if isinstance(event, UnitEmitted) and event.claimed:
-            undo, redo = set(event.claimed_undo), set(event.claimed_redo)
-            found = {
-                "missing": sorted((decided_undo - undo)
-                                  | (decided_redo - redo)),
-                "unjustified": sorted((undo - decided_undo)
-                                      | (redo - decided_redo)),
-            }
-            decided_undo.clear()
-            decided_redo.clear()
-            for atom, prop_ in claims.items():
-                prop_.step({atom: bool(found[atom])}, t, out,
-                           instance=" ".join(found[atom]))
     if finalize:
         for prop_ in (alternation, within, refusal, undo_done, redo_done,
-                      undo_first, ordered, *claims.values()):
+                      undo_first, ordered):
             prop_.finalize(now, out)
     return out
 
@@ -204,8 +181,6 @@ def reference_stream(events, finalize):
 # -- random streams over every consumed type ---------------------------------
 
 uid_st = st.sampled_from(UIDS)
-claimed_st = st.lists(uid_st, unique=True, max_size=2).map(
-    lambda uids: tuple(sorted(uids)))
 
 kind_st = st.one_of(
     st.builds(lambda: (HealStarted, {"malicious": ("u1",)})),
@@ -230,10 +205,6 @@ kind_st = st.one_of(
         st.sampled_from(ACTIONS), st.sampled_from(ACTIONS)),
     st.builds(lambda state: (NormalTaskRefused, {"state": state}),
               st.sampled_from(["NORMAL", "SCAN", "RECOVERY"])),
-    st.builds(lambda claimed, undo, redo: (UnitEmitted, {
-        "units": 1, "queue_depth": 1, "claimed": claimed,
-        "claimed_undo": undo, "claimed_redo": redo}),
-        st.booleans(), claimed_st, claimed_st),
 )
 
 #: Streams with nondecreasing times, so a finding's stamp tells which
@@ -276,8 +247,7 @@ class TestCompiledPack:
             RedoDecision(3.0, uid="u3", condition="T2.1"),
             OrderConstraint(3.0, rule="T3.3", before="undo(u3)",
                             after="redo(u3)"),
-            UnitEmitted(4.0, units=1, queue_depth=1, claimed=True,
-                        claimed_undo=(), claimed_redo=("u1",)),
+            RedoDecision(4.0, uid="u4", condition="T2.1"),
             TaskRedone(5.0, uid="u3"),
             TaskUndone(6.0, uid="u3"),
         ]
@@ -285,7 +255,7 @@ class TestCompiledPack:
         assert names == {
             "heal-alternation", "task-within-heal", "normal-refusal",
             "undo-completeness", "undo-before-redo", "order-consistency",
-            "undo-claim-consistency", "redo-claim-consistency",
+            "redo-follow-through",
         }
         assert pack_stream(events, True) == reference_stream(events, True)
 

@@ -32,8 +32,8 @@ class TestStates:
     def test_scan_moves_to_recovery(self):
         sc, system = make_system()
         system.submit_alert(sc.malicious_uid)
-        plan = system.scan_step()
-        assert plan is not None and plan.units == 1
+        unit = system.scan_step()
+        assert unit == (sc.malicious_uid,)
         assert system.state is SystemState.RECOVERY
         assert not system.normal_task_admissible()
 
@@ -288,7 +288,7 @@ class TestManagerMode:
 
     def test_verify_mode_checks_plans_against_current_epoch(self):
         from repro.ids.attacks import AttackCampaign
-        from repro.lint import verify_plan
+        from repro.lint import verify_heal
 
         manager, system = self.make_managed()
         spec = _chain_spec()
@@ -298,9 +298,13 @@ class TestManagerMode:
                                   y=777)
             manager.run_workflow_attacked(spec, campaign, f"n{wave}")
             system.submit_alert(campaign.malicious_uids[0])
-            plan = system.scan_step()
-            assert verify_plan(manager.log, manager.specs_by_instance,
-                               plan) == []
-            system.sweep()
+            system.scan_step()
+            log = manager.log
+            reports = system.sweep()
+            assert reports
+            for report in reports:
+                # Each heal decided on the epoch it healed.
+                assert verify_heal(log, manager.specs_by_instance,
+                                   report) == []
         assert manager.epoch == 2
         assert manager.audit().ok
