@@ -53,7 +53,8 @@ def measure_scaling():
             attacked.log.normal_records()[0].uid
         ]
         # The first analysis builds the log's dependency index; the
-        # batches reuse it, as the heals of one epoch do.
+        # batches then decide on it too, so their per-alert times leave
+        # out the build (a heal builds its one index before deciding).
         t0 = time.perf_counter()
         index = DependencyAnalyzer(attacked.log,
                                    attacked.specs_by_instance)

@@ -17,7 +17,9 @@ the committed baselines at the repository root and fails (exit 1) when:
   structure digest, or a fullstack profile rebuilding the dependency
   closure for more than one alert in ten
   (``closure_recomputations_per_alert`` above
-  ``MAX_CLOSURE_PER_ALERT``) or building a Theorem 3 order that nothing
+  ``MAX_CLOSURE_PER_ALERT``) or building other than one dependency
+  index per heal (``index_builds_per_heal`` not
+  ``INDEX_BUILDS_PER_HEAL``) or building a Theorem 3 order that nothing
   reads (``actions_planned`` above 0 on the unobserved run) or
   deciding Theorem 1 more than once per heal (``undo_analyses_per_heal``
   above ``MAX_UNDO_ANALYSES_PER_HEAL``, on the unobserved and the
@@ -56,9 +58,16 @@ from typing import Dict, List, Optional, Tuple
 CTMC_OPS = ("steady_state", "transient", "passage", "cumulative")
 
 #: ROADMAP item 1(c)'s gate: the fullstack profile may rebuild the
-#: dependency closure for at most one alert in ten (once per log epoch,
-#: not once per alert).
+#: dependency closure for at most one alert in ten (once per heal, not
+#: once per alert).
 MAX_CLOSURE_PER_ALERT = 0.1
+
+#: ROADMAP item 7's count gate: dependency indexes built per heal on the
+#: unobserved fullstack run.  Each heal builds the one index it decides
+#: on and counts it in ``closure_recomputations``, so it is exactly 1;
+#: fewer means a build the counter misses, more a build beside the
+#: heal's.
+INDEX_BUILDS_PER_HEAL = 1.0
 
 #: ROADMAP item 7's count gate: Theorem 1 computations
 #: (``find_undo_tasks`` calls) per heal on the fullstack runs, unobserved
@@ -300,8 +309,8 @@ def check_profile(fresh: dict, baseline: Optional[dict],
     Hard invariants (always): every row with an ``attribution_floor``
     meets it, every row's structure digest was stable across its two
     runs, the fullstack row names closure recomputation as a measured
-    line item at no more than ``MAX_CLOSURE_PER_ALERT`` per alert,
-    builds no Theorem 3 order (``actions_planned`` 0: nothing observes
+    line item at no more than ``MAX_CLOSURE_PER_ALERT`` per alert and
+    at ``INDEX_BUILDS_PER_HEAL`` per heal, builds no Theorem 3 order (``actions_planned`` 0: nothing observes
     its heals) and decides Theorem 1 at most
     ``MAX_UNDO_ANALYSES_PER_HEAL`` times per heal, the
     fullstack-observed row names the order-phase wall as
@@ -354,7 +363,15 @@ def check_profile(fresh: dict, baseline: Optional[dict],
                 f"profile fullstack: closure_recomputations_per_alert "
                 f"{per_alert} above {MAX_CLOSURE_PER_ALERT} — the "
                 "dependency closure is rebuilt per alert again instead "
-                "of extended per epoch (ROADMAP 1(c))"
+                "of built once per heal (ROADMAP 1(c))"
+            )
+        builds = items.get("index_builds_per_heal")
+        if builds != INDEX_BUILDS_PER_HEAL:
+            failures.append(
+                f"profile fullstack: index_builds_per_heal {builds} is "
+                f"not {INDEX_BUILDS_PER_HEAL} — a heal builds no counted "
+                "dependency index, or indexes are built beside the "
+                "heal's one (ROADMAP 1, 7)"
             )
         planned = items.get("actions_planned")
         if planned != 0:

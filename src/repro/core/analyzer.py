@@ -10,11 +10,11 @@ analyzer's share of that sentence is split:
   decides nothing: a unit's "definite" sets are not definite for the
   merged batch (a T2.1 redo one scan would decide can fall off the path
   when the batch also heals an earlier task of its workflow);
-- the batch heal decides the batch's Theorems 1–2 through
-  :func:`decide_batch`, on the epoch's one dependency index
-  (:meth:`RecoveryAnalyzer.dependency_index`), and on an observed run
-  publishes those decisions and builds the batch's one Theorem 3 order
-  (:mod:`repro.core.healer`).
+- the batch heal builds the one dependency index of its epoch's log
+  (:func:`epoch_index`) at the start of Phase A, decides the batch's
+  Theorems 1–2 on it through :func:`decide_batch`, and on an observed
+  run publishes those decisions and builds the batch's one Theorem 3
+  order (:mod:`repro.core.healer`).
 
 So :func:`decide_batch` is the one place the pipeline decides Theorems
 1–2, and the provenance a flight log holds is that of the heal that
@@ -51,7 +51,17 @@ from repro.workflow.dependency import DependencyAnalyzer
 from repro.workflow.log import SystemLog
 from repro.workflow.spec import WorkflowSpec
 
-__all__ = ["RecoveryAnalyzer", "decide_batch"]
+__all__ = ["RecoveryAnalyzer", "decide_batch", "epoch_index"]
+
+
+def epoch_index(
+    log: SystemLog, specs: Mapping[str, WorkflowSpec],
+) -> DependencyAnalyzer:
+    """The dependency index a batch heal decides on: a snapshot of
+    ``log``'s normal records, built once per heal and counted in
+    ``closure_recomputations``."""
+    bump("closure_recomputations")
+    return DependencyAnalyzer(log, specs)
 
 
 def decide_batch(
@@ -79,30 +89,13 @@ def decide_batch(
 
 
 class RecoveryAnalyzer:
-    """Turns IDS alerts into units of recovery tasks, and holds the
-    epoch's dependency index the batch heal decides on.
-
-    Consecutive heals of one epoch's scans condemn mostly the same
-    instances, so each instance's facts are computed once per epoch, in
-    the :class:`~repro.workflow.dependency.DependencyAnalyzer`'s memos,
-    and each later query only extends them with the records committed
-    since.  That equals a rebuild because a log only grows at its end
-    and each fact is monotone in it: an instance's readers are later
-    records; the first later writer of an object, once there, never
-    changes; its control sources are fixed at commit, while its control
-    dependents and its Theorem 1 condition-4 alternatives change only
-    with the length of its trace; and an object's readers (condition
-    4's direct stale reads) only gain later records.
+    """Turns IDS alerts into units of recovery tasks.
 
     Parameters
     ----------
     log:
-        The system log to analyze.  Its dependency index
-        (:meth:`dependency_index`) is built by the heal; drivers whose
-        log rolls with every heal hold one analyzer per epoch.
-    specs_by_instance:
-        Spec executed by each workflow instance in the log, read live
-        (instances registered later are seen by later queries).
+        The system log the alerts name; its length sizes the modelled
+        :meth:`analysis_cost`.
     bus:
         Optional :class:`repro.obs.events.EventBus`; when attached, each
         :meth:`analyze` call publishes a
@@ -116,33 +109,12 @@ class RecoveryAnalyzer:
     def __init__(
         self,
         log: SystemLog,
-        specs_by_instance: Mapping[str, WorkflowSpec],
         bus: Optional[EventBus] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self._log = log
-        self._specs = specs_by_instance
-        self._dep: Optional[DependencyAnalyzer] = None
         self._bus = bus
         self._clock = clock if clock is not None else _time.monotonic  # lint: allow[DET001] injectable clock; wall time is the live default
-
-    def dependency_index(self) -> DependencyAnalyzer:
-        """The dependency index of this analyzer's log, built on the
-        first call and extended with later commits by each query.
-
-        The batch heal of the epoch builds it
-        (:meth:`SelfHealingSystem._commit
-        <repro.system.SelfHealingSystem>` hands it to the healer), so an
-        epoch builds one index.
-        """
-        if self._dep is None:
-            # The one index-and-memo build of this analyzer's log
-            # (ROADMAP item 1(c)): later reads reuse it.  Drivers hold
-            # one analyzer per log epoch, so the counter reads builds
-            # per epoch, not per alert.
-            bump("closure_recomputations")
-            self._dep = DependencyAnalyzer(self._log, self._specs)
-        return self._dep
 
     def analyze(
         self,

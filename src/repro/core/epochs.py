@@ -172,17 +172,14 @@ class EpochManager:
     # -- healing ----------------------------------------------------------------
 
     def heal(self, malicious, forged_runs=(), bus=None,
-             clock=None, dependencies=None) -> HealReport:
+             clock=None) -> HealReport:
         """Heal the current epoch, then roll to the next one.
 
         ``bus``/``clock`` are forwarded to the underlying
         :class:`~repro.core.healer.Healer` for per-task undo/redo
-        observability (no-ops when ``None``), and so is
-        ``dependencies``, a dependency index of the current epoch's log
-        to heal on (``None``: the healer builds its own).  On an active
-        bus the heal is bracketed by a ``HealStarted``/``HealFinished``
-        pair, so the conformance monitor sees every undo/redo inside a
-        heal bracket.
+        observability (no-ops when ``None``).  On an active bus the heal
+        is bracketed by a ``HealStarted``/``HealFinished`` pair, so the
+        conformance monitor sees every undo/redo inside a heal bracket.
         """
         publish = bus is not None and bus.active
         started = clock() if (publish and clock is not None) else 0.0
@@ -190,7 +187,7 @@ class EpochManager:
             bus.publish(HealStarted(started, malicious=tuple(malicious)))
         healer = Healer(
             self._store, self._log, self._specs, baseline=self._baseline,
-            bus=bus, clock=clock, dependencies=dependencies,
+            bus=bus, clock=clock,
         )
         report = healer.heal(malicious, forged_runs=forged_runs)
         if publish:

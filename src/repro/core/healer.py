@@ -10,12 +10,12 @@ Algorithm
 Given the malicious set ``B`` (from IDS alerts) and any attacker-forged
 workflow runs:
 
-**Phase A — undo analysis.**  Decide the batch's Theorem 1 closure of
-``B`` (conditions 1 and 3) through
-:func:`~repro.core.analyzer.decide_batch`, on the epoch's dependency
-index when the caller passes one (a scan decides nothing: a unit's
-sets are not definite for the batch).  Every version written by a
-closure instance is *dirty*; one ``undo`` record per closure instance
+**Phase A — undo analysis.**  Build the heal's one dependency index of
+the log (:func:`~repro.core.analyzer.epoch_index`) and decide the
+batch's Theorem 1 closure of ``B`` (conditions 1 and 3) on it through
+:func:`~repro.core.analyzer.decide_batch` (a scan decides nothing: a
+unit's sets are not definite for the batch).  Every version written by
+a closure instance is *dirty*; one ``undo`` record per closure instance
 is committed (newest first, honoring rule T3.5's
 reverse-output-dependence order), realizing rule T3.3 (``undo(t) ≺
 redo(t)``).  On an active event bus the heal first decides Theorem 2
@@ -83,7 +83,7 @@ from typing import (
 )
 
 from repro.core.actions import Action
-from repro.core.analyzer import decide_batch
+from repro.core.analyzer import decide_batch, epoch_index
 from repro.core.axioms import HistoryStep
 from repro.core.partial_orders import recovery_partial_order
 from repro.core.undo_redo import RedoAnalysis, UndoAnalysis
@@ -307,11 +307,6 @@ class Healer:
     clock:
         Timestamp source for published events (default
         ``time.monotonic``).
-    dependencies:
-        Optional dependency index of ``log`` and ``specs_by_instance``
-        (the epoch's one index, which the scans' analyzer owns); the
-        heal extends it with the records committed since and derives
-        the closure on it.  ``None`` (the default) builds one per heal.
 
     Under a recording profiler, :meth:`heal` records its Phases A–C as
     ``heal.undo`` / ``heal.settle`` / ``heal.reconcile``, and the
@@ -328,11 +323,9 @@ class Healer:
         baseline: Optional[Mapping[str, int]] = None,
         bus: Optional[EventBus] = None,
         clock: Optional[Callable[[], float]] = None,
-        dependencies: Optional[DependencyAnalyzer] = None,
     ) -> None:
         self._store = store
         self._log = log
-        self._dependencies = dependencies
         self._specs = specs_by_instance
         self._baseline = baseline
         self._bus = bus if bus is not None and bus.active else None
@@ -377,9 +370,7 @@ class Healer:
 
         # ---- Phase A: undo records for the closure -------------------------
         with phase("heal.undo"):
-            analyzer = self._dependencies
-            if analyzer is None:
-                analyzer = DependencyAnalyzer(log, self._specs)
+            analyzer = epoch_index(log, self._specs)
 
             bad: Set[str] = {u for u in malicious if u in log}
             for record in log.normal_records():

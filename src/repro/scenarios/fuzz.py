@@ -677,12 +677,16 @@ def run_campaign(
         return _run_fleet_campaign(campaign)
 
     counter: Dict[str, int] = {"applied": 0}
+    mutated = 0
     violations: List[Violation] = []
     first: Optional[_EpisodeResult] = None
     second: Optional[_EpisodeResult] = None
     with inject_mutation(mutation, counter):
         try:
             first = _run_single_episode(campaign)
+            # The second pass only checks determinism: its faulted heals
+            # are counted no more than its scans and heals are.
+            mutated = counter["applied"]
             second = _run_single_episode(campaign)
         except Exception as exc:  # noqa: BLE001 - any escape is a finding
             violations.append(Violation(
@@ -716,7 +720,7 @@ def run_campaign(
         scans=first.scans if first else 0,
         heals=first.heals if first else 0,
         alerts=first.alerts if first else 0,
-        mutated_heals=counter["applied"],
+        mutated_heals=mutated,
         fleet=False,
         verdict=first.verdict.value if first else "",
         conformance_violations=(

@@ -41,15 +41,15 @@ The system protects whatever its :class:`~repro.core.epochs.EpochManager`
 currently holds and repairs through ``manager.heal``, which heals one
 log epoch and then rolls to the next, so the system keeps working
 across attack waves.  A scan decides nothing: it pops its alert and
-queues its unit, the alert's uid.  The batch heal decides the batch's
-Theorems 1–2 on the epoch's one dependency index, because a unit's
-"definite" sets are not definite for the merged batch (a T2.1 redo one
-scan would decide can fall off the path when the batch also heals an
-earlier task of its workflow).  On an observed run the heal publishes
-those Theorem 1/2 decisions and the one Theorem 3 order of the batch
-inside its ``HealStarted`` bracket, and its ``TaskUndone``/
-``TaskRedone`` events are the realized schedule that the conformance
-monitor and ``lint plan`` hold against them.
+queues its unit, the alert's uid.  The batch heal builds the one
+dependency index of the epoch's log and decides the batch's Theorems
+1–2 on it, because a unit's "definite" sets are not definite for the
+merged batch (a T2.1 redo one scan would decide can fall off the path
+when the batch also heals an earlier task of its workflow).  On an
+observed run the heal publishes those Theorem 1/2 decisions and the one
+Theorem 3 order of the batch inside its ``HealStarted`` bracket, and
+its ``TaskUndone``/``TaskRedone`` events are the realized schedule that
+the conformance monitor and ``lint plan`` hold against them.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ from repro.obs.events import (
     UnitEmitted,
 )
 from repro.obs.perf import active, phase
-from repro.workflow.dependency import DependencyAnalyzer
 
 __all__ = ["SystemState", "SelfHealingSystem"]
 
@@ -137,10 +136,6 @@ class SelfHealingSystem:
         # never reach the system-level AlertLost instrumentation.
         self._alerts.instrument("alert", bus, self._clock)
         self._units.instrument("recovery", bus, self._clock)
-        # One analyzer per log: the log rolls with every heal, so
-        # scan_step builds one per epoch.
-        self._analyzer: Optional[RecoveryAnalyzer] = None
-        self._analyzer_epoch = -1  # epoch of self._analyzer
         self._last_state = self.state
         #: uid → clock time at enqueue, for buffer-wait attribution.
         self._enqueued_at: Dict[str, float] = {}
@@ -254,14 +249,9 @@ class SelfHealingSystem:
                     # so the wall side stays zero.
                     prof.add_external("buffer-wait", 0.0,
                                       sim=self._clock() - queued_at)
-            manager = self._manager
-            if self._analyzer_epoch != manager.epoch:
-                self._analyzer = RecoveryAnalyzer(
-                    manager.log, manager.specs_by_instance,
-                    bus=self._bus, clock=self._clock,
-                )
-                self._analyzer_epoch = manager.epoch
-            unit = self._analyzer.analyze(
+            analyzer = RecoveryAnalyzer(self._manager.log, bus=self._bus,
+                                        clock=self._clock)
+            unit = analyzer.analyze(
                 [alert], outstanding_units=self.recovery_units_queued
             )
             self._units.push(unit)
@@ -318,15 +308,6 @@ class SelfHealingSystem:
         while self._units:
             self._drained.extend(self._units.pop())
 
-    def _epoch_index(self) -> Optional[DependencyAnalyzer]:
-        """The dependency index of the current epoch for the heal to
-        decide the batch on: the scans' analyzer's, or ``None`` (the
-        healer builds one) when no scan ran in this epoch."""
-        if (self._analyzer is None
-                or self._analyzer_epoch != self._manager.epoch):
-            return None
-        return self._analyzer.dependency_index()
-
     def _commit(self) -> HealReport:
         """Drain the queued units, then heal every drained unit and
         the backlog as one batch."""
@@ -336,11 +317,8 @@ class SelfHealingSystem:
             self._drained, self._backlog = [], []
             # The manager heals against its epoch baseline and rolls the
             # epoch, so the system keeps protecting the post-heal world.
-            report = self._manager.heal(
-                uids, bus=self._bus, clock=self._clock,
-                dependencies=self._epoch_index())
-            # Release the archived epoch's analyzer and its index.
-            self._analyzer = None
+            report = self._manager.heal(uids, bus=self._bus,
+                                        clock=self._clock)
         if self._bus is not None and self._bus.active:
             self._note_state()
         return report

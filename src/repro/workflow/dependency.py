@@ -36,7 +36,7 @@ from typing import (
 
 from repro.errors import RecoveryError
 from repro.workflow.dominators import dominators, unavoidable_nodes
-from repro.workflow.log import LogRecord, RecordKind, SystemLog
+from repro.workflow.log import LogRecord, SystemLog
 from repro.workflow.spec import WorkflowSpec
 
 __all__ = [
@@ -162,38 +162,20 @@ def _control_model_of(spec: WorkflowSpec) -> ControlDependencies:
 class DependencyAnalyzer:
     """Log-level dependence analysis across all workflows in the system.
 
-    The analyzer indexes the log's normal records — version → writer,
-    writer → readers, object → writers in commit order, workflow
-    instance → trace — and every query first indexes the records
-    committed since the previous one.  One analyzer therefore serves a
-    growing log, and each query costs in proportion to the edges it
-    returns, not to the length of the log.
+    The analyzer is a snapshot: it indexes the log's normal records
+    once, when it is built — version → writer, writer → readers,
+    object → writers in commit order, workflow instance → trace — and
+    every query answers from that index, so each costs in proportion
+    to the edges it returns, not to the length of the log.  Normal
+    records committed after the build are not seen.  A batch heal
+    builds its index at the start of Phase A and commits only UNDO and
+    REDO records after that, so one index serves the whole heal.
 
     The per-record facts that recovery planning asks for again and
-    again are computed once per analyzer and then only extended with
-    the records committed since.  A log only grows at its end, and
-    each fact is monotone in it, so an extended memo equals a rebuild:
-
-    1. *Reads-from.*  A record's readers are records committed after
-       it, so the writer → readers adjacency behind
-       :meth:`flow_dependents` and :meth:`flow_closure` only gains
-       entries at the end of each list.
-    2. *Anti and output edges* (T3.4/T3.5).  Once an object has a
-       writer after ``t``, the first such writer never changes; an
-       object with no later writer yet is re-checked only when its
-       writer count grows (:meth:`anti_successors`,
-       :meth:`output_successors`).
-    3. *Control.*  :meth:`control_sources` of ``t`` lies in its trace
-       before it and is fixed at commit.  :meth:`control_dependents`
-       and Theorem 1 condition 4's unexecuted controlled writers
-       (:meth:`unexecuted_controlled_writers`) change only when ``t``'s
-       workflow trace grows, so they are keyed by its length.
-    4. *Condition-4 readers.*  The readers of an object only gain later
-       records, so the object → readers index behind :meth:`readers_of`
-       is extended, and a merge of its lists is in commit order.
-
-    The memos are allocated on first use: an analyzer that answers one
-    query pays for no others.
+    again — first later writers, control sources and dependents and
+    Theorem 1 condition 4's alternatives — are memoised on first use,
+    and the object → readers index behind :meth:`readers_of` is built
+    on its first call.
 
     Parameters
     ----------
@@ -214,9 +196,7 @@ class DependencyAnalyzer:
         self._log = log
         self._specs: Mapping[str, WorkflowSpec] = \
             specs if specs is not None else {}
-        #: Log positions (records of every kind) indexed so far.
-        self._indexed = 0
-        self._records: List[LogRecord] = []
+        self._records = log.normal_records()
         self._by_uid: Dict[str, LogRecord] = {}
         #: (object, version) → its latest writer; earlier writers of a
         #: version written twice (hand-built logs only) in _rewritten.
@@ -228,33 +208,19 @@ class DependencyAnalyzer:
         self._writers: Dict[str, List[str]] = {}
         self._writer_seqs: Dict[str, List[int]] = {}
         self._traces: Dict[str, List[LogRecord]] = {}
-        # Per-record memos (see the class docstring), built on first use.
-        self._anti: Optional[Dict[str, _Successors]] = None
-        self._output: Optional[Dict[str, _Successors]] = None
-        self._sources: Optional[Dict[str, Tuple[str, ...]]] = None
-        self._dependents: Optional[
-            Dict[str, Tuple[int, Tuple[str, ...]]]] = None
-        self._alternatives: Optional[
-            Dict[str, Tuple[int, Tuple[Tuple[str, FrozenSet[str]],
-                                       ...]]]] = None
+        # Per-record memos (see the class docstring), filled on first use.
+        self._anti: Dict[str, Tuple[str, ...]] = {}
+        self._output: Dict[str, Tuple[str, ...]] = {}
+        self._sources: Dict[str, Tuple[str, ...]] = {}
+        self._dependents: Dict[str, Tuple[str, ...]] = {}
+        self._alternatives: Dict[
+            str, Tuple[Tuple[str, FrozenSet[str]], ...]] = {}
         self._object_readers: Optional[Dict[str, List[LogRecord]]] = None
-        self._object_readers_indexed = 0
-        self._extend()
-
-    def _extend(self) -> None:
-        """Index the normal records committed since the last call."""
-        if len(self._log) == self._indexed:
-            return
-        new = self._log.since(self._indexed)
-        self._indexed += len(new)
         writer_of_version = self._writer_of_version
         rewritten = self._rewritten
         readers = self._readers
-        for r in new:
-            if r.kind != RecordKind.NORMAL:
-                continue
+        for r in self._records:
             uid = r.uid
-            self._records.append(r)
             self._by_uid[uid] = r
             # Reads before writes: a record is never its own reader.
             for key in r.reads.items():
@@ -286,21 +252,16 @@ class DependencyAnalyzer:
         return self._log
 
     def record(self, uid: str) -> LogRecord:
-        """Normal log record for ``uid`` (a committed record never
-        changes, so an indexed one is returned without re-indexing)."""
+        """Normal log record for ``uid``."""
         record = self._by_uid.get(uid)
         if record is None:
-            self._extend()
-            record = self._by_uid.get(uid)
-            if record is None:
-                raise RecoveryError(f"uid {uid!r} not in analyzed log")
+            raise RecoveryError(f"uid {uid!r} not in analyzed log")
         return record
 
     def trace(self, workflow_instance: str) -> Tuple[LogRecord, ...]:
         """Normal records of one workflow instance, in commit order
         (:meth:`SystemLog.trace <repro.workflow.log.SystemLog.trace>`
         from the index)."""
-        self._extend()
         return tuple(self._traces.get(workflow_instance, ()))
 
     def control_model(self, workflow_instance: str) -> ControlDependencies:
@@ -325,7 +286,6 @@ class DependencyAnalyzer:
         have no source edge.
         """
         dst = self.record(uid)
-        self._extend()
         by_src: Dict[str, Set[str]] = {}
         for name, ver in dst.reads.items():
             src = self._writer_of_version.get((name, ver))
@@ -339,7 +299,6 @@ class DependencyAnalyzer:
     def flow_dependents(self, uid: str) -> Tuple[DependencyEdge, ...]:
         """Edges ``uid →f t_j``: instances that read versions ``uid`` wrote."""
         self.record(uid)  # an unknown uid raises
-        self._extend()
         return tuple(
             DependencyEdge(uid, dst, DependencyKind.FLOW,
                            self.flow_objects(uid, dst))
@@ -360,7 +319,6 @@ class DependencyAnalyzer:
         """Edges ``uid →a t_j``: the *first* later writer of each object
         ``uid`` read."""
         src = self.record(uid)
-        self._extend()
         return self._edges(uid, DependencyKind.ANTI,
                            self._next_writers(src, src.reads))
 
@@ -368,57 +326,30 @@ class DependencyAnalyzer:
         """Edges ``uid →o t_j``: the *next* writer of each object ``uid``
         wrote."""
         src = self.record(uid)
-        self._extend()
         return self._edges(uid, DependencyKind.OUTPUT,
                            self._next_writers(src, src.writes))
 
     def anti_successors(self, uid: str) -> Tuple[str, ...]:
         """Destinations of :meth:`anti_edges_from`, in commit order,
-        memoised (fact 2 of the class docstring)."""
-        memo = self._anti
-        if memo is None:
-            memo = self._anti = {}
-        return self._successors(uid, memo, False)
+        memoised."""
+        return self._successors(uid, self._anti, False)
 
     def output_successors(self, uid: str) -> Tuple[str, ...]:
         """Destinations of :meth:`output_edges_from`, in commit order,
-        memoised (fact 2 of the class docstring)."""
-        memo = self._output
-        if memo is None:
-            memo = self._output = {}
-        return self._successors(uid, memo, True)
+        memoised."""
+        return self._successors(uid, self._output, True)
 
-    def _successors(self, uid: str, memo: Dict[str, "_Successors"],
+    def _successors(self, uid: str, memo: Dict[str, Tuple[str, ...]],
                     output: bool) -> Tuple[str, ...]:
         """The first later writer of each object ``uid`` read (or, with
         ``output``, wrote), distinct and in commit order."""
-        entry = memo.get(uid)
-        if entry is not None and not entry.pending:
-            return entry.dsts  # complete: later records add nothing
-        self._extend()
-        if entry is None:
+        found = memo.get(uid)
+        if found is None:
             src = self.record(uid)
-            entry = memo[uid] = _Successors(
-                0, (), [(name, bisect_right(self._writer_seqs[name],
-                                            src.seq)
-                         if name in self._writer_seqs else 0)
-                        for name in (src.writes if output else src.reads)])
-        if entry.pending and entry.checked != len(self._records):
-            entry.checked = len(self._records)
-            found: Dict[int, str] = {}
-            still: List[Tuple[str, int]] = []
-            for name, i in entry.pending:
-                writers = self._writers.get(name)
-                if writers is not None and i < len(writers):
-                    found[self._writer_seqs[name][i]] = writers[i]
-                else:
-                    still.append((name, i))
-            if found:
-                # Writers found now were committed after every one found
-                # before, so appending keeps commit order.
-                entry.dsts += tuple(found[seq] for seq in sorted(found))
-                entry.pending = still
-        return entry.dsts
+            hits = self._next_writers(src, src.writes if output
+                                      else src.reads)
+            found = memo[uid] = tuple(hits[seq][0] for seq in sorted(hits))
+        return found
 
     def _next_writers(
         self, src: LogRecord, names: Iterable[str],
@@ -450,18 +381,13 @@ class DependencyAnalyzer:
 
     def readers_of(self, names: Iterable[str]) -> List[LogRecord]:
         """Normal records that read any object in ``names``, in commit
-        order, from an object → readers index built on first use and
-        extended like the others (fact 4 of the class docstring)."""
-        self._extend()
+        order, from an object → readers index built on first use."""
         index = self._object_readers
         if index is None:
             index = self._object_readers = {}
-        records = self._records
-        for i in range(self._object_readers_indexed, len(records)):
-            record = records[i]
-            for name in record.reads:
-                index.setdefault(name, []).append(record)
-        self._object_readers_indexed = len(records)
+            for record in self._records:
+                for name in record.reads:
+                    index.setdefault(name, []).append(record)
         rows = [index[name] for name in names if name in index]
         if len(rows) <= 1:
             return list(rows[0]) if rows else []
@@ -471,7 +397,6 @@ class DependencyAnalyzer:
     # -- literal Definition 1 forms ------------------------------------------
 
     def _between(self, a: LogRecord, b: LogRecord) -> Iterable[LogRecord]:
-        self._extend()
         return (r for r in self._records if a.seq < r.seq < b.seq)
 
     def literal_flow(self, uid_i: str, uid_j: str) -> bool:
@@ -522,7 +447,6 @@ class DependencyAnalyzer:
         frontier: List[str] = list(seeds)
         for uid in frontier:
             self.record(uid)
-        self._extend()
         readers = self._readers
         seen: Set[str] = set()
         while frontier:
@@ -539,37 +463,25 @@ class DependencyAnalyzer:
 
     def control_dependents(self, uid: str) -> Tuple[str, ...]:
         """Instances ``t_j`` in the same workflow trace with
-        ``uid →c* t_j`` and ``uid ≺ t_j`` (fact 3 of the class
-        docstring)."""
-        src = self.record(uid)
-        self._extend()
+        ``uid →c* t_j`` and ``uid ≺ t_j``, memoised."""
         memo = self._dependents
-        if memo is None:
-            memo = self._dependents = {}
-        wf = src.instance.workflow_instance
-        trace = self._traces[wf]
-        hit = memo.get(uid)
-        if hit is None:
-            hit = (0, ())
-        elif hit[0] == len(trace):
-            return hit[1]
-        checked, found = hit
-        model = self.control_model(wf)
-        task = src.instance.task_id
-        found += tuple(
-            r.uid for r in trace[checked:]
-            if r.seq > src.seq
-            and model.depends(task, r.instance.task_id)
-        )
-        memo[uid] = (len(trace), found)
+        found = memo.get(uid)
+        if found is None:
+            src = self.record(uid)
+            wf = src.instance.workflow_instance
+            model = self.control_model(wf)
+            task = src.instance.task_id
+            found = memo[uid] = tuple(
+                r.uid for r in self._traces[wf]
+                if r.seq > src.seq
+                and model.depends(task, r.instance.task_id)
+            )
         return found
 
     def control_sources(self, uid: str) -> Tuple[str, ...]:
-        """Instances ``t_i`` in the same trace with ``t_i →c* uid``
-        (fact 3 of the class docstring)."""
+        """Instances ``t_i`` in the same trace with ``t_i →c* uid``,
+        memoised."""
         memo = self._sources
-        if memo is None:
-            memo = self._sources = {}
         found = memo.get(uid)
         if found is None:
             dst = self.record(uid)
@@ -589,42 +501,19 @@ class DependencyAnalyzer:
         """Theorem 1 condition 4's alternative-path tasks of ``uid``:
         each task ``t_k`` of its spec, sorted, that its trace has not
         executed, with ``uid →c* t_k`` and a non-empty write set, paired
-        with that write set (fact 3 of the class docstring)."""
-        record = self.record(uid)
-        self._extend()
+        with that write set; memoised."""
         memo = self._alternatives
-        if memo is None:
-            memo = self._alternatives = {}
-        wf = record.instance.workflow_instance
-        trace = self._traces[wf]
-        hit = memo.get(uid)
-        if hit is not None and hit[0] == len(trace):
-            return hit[1]
-        model = self.control_model(wf)
-        spec = self._specs[wf]
-        executed = {r.instance.task_id for r in trace}
-        task = record.instance.task_id
-        found = tuple(
-            (t_k, spec.task(t_k).writes) for t_k in sorted(spec.tasks)
-            if t_k not in executed and model.depends(task, t_k)
-            and spec.task(t_k).writes
-        )
-        memo[uid] = (len(trace), found)
+        found = memo.get(uid)
+        if found is None:
+            record = self.record(uid)
+            wf = record.instance.workflow_instance
+            model = self.control_model(wf)
+            spec = self._specs[wf]
+            executed = {r.instance.task_id for r in self._traces[wf]}
+            task = record.instance.task_id
+            found = memo[uid] = tuple(
+                (t_k, spec.task(t_k).writes) for t_k in sorted(spec.tasks)
+                if t_k not in executed and model.depends(task, t_k)
+                and spec.task(t_k).writes
+            )
         return found
-
-
-class _Successors:
-    """Memo entry of :meth:`DependencyAnalyzer.anti_successors` /
-    :meth:`~DependencyAnalyzer.output_successors`: the first later
-    writers found (``dsts``, in commit order), the objects with none
-    yet and the index their first later writer will take in the
-    object's writer list (``pending``), and the normal-record count at
-    the last check (``checked``)."""
-
-    __slots__ = ("checked", "dsts", "pending")
-
-    def __init__(self, checked: int, dsts: Tuple[str, ...],
-                 pending: List[Tuple[str, int]]) -> None:
-        self.checked = checked
-        self.dsts = dsts
-        self.pending = pending

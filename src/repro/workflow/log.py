@@ -145,11 +145,6 @@ class SystemLog:
             return tuple(self._records)
         return tuple(r for r in self._records if r.kind == kind)
 
-    def since(self, start: int) -> Tuple[LogRecord, ...]:
-        """Records of every kind from commit position ``start`` on, in
-        commit order — the part an incremental reader has not seen."""
-        return tuple(self._records[start:])
-
     def normal_records(self) -> Tuple[LogRecord, ...]:
         """Records of ordinary (non-recovery) executions, in commit order."""
         return self.records(RecordKind.NORMAL)

@@ -1,13 +1,10 @@
-"""The indexed, incremental damage analysis: every dependence query equals
-a linear scan of the log, an index extended chunk by chunk equals one
-built at once, an epoch's dependency index reused across scans decides
-exactly like a fresh one, and the provenance it emits stays pinned byte
-for byte."""
+"""The indexed damage analysis: every dependence query of a dependency
+index equals a linear scan of the log it was built on, and the
+provenance a heal emits stays pinned byte for byte."""
 
 import gc
 import hashlib
 import pickle
-import random
 import weakref
 
 import pytest
@@ -16,16 +13,9 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core.actions import Action, ActionKind
-from repro.core.analyzer import RecoveryAnalyzer
-from repro.core.partial_orders import recovery_partial_order
-from repro.core.undo_redo import find_redo_tasks, find_undo_tasks
 from repro.core.epochs import EpochManager
 from repro.errors import RecoveryError
-from repro.fleet import FleetConfig, FleetControlPlane
 from repro.ids.attacks import AttackCampaign
-from repro.scenarios.figure1 import build_figure1
-from repro.scenarios.travel import booking_spec
-from repro.sim.fullstack import FullStackConfig, run_replication
 from repro.system import SelfHealingSystem
 from repro.workflow.data import DataStore
 from repro.workflow.dependency import (
@@ -215,17 +205,6 @@ class TestQueriesAgainstLinearScan:
         commit_all(log, batch, {})
         assert_matches_scan(DependencyAnalyzer(log, SPECS), log)
 
-    @settings(max_examples=40, deadline=None)
-    @given(entries)
-    def test_index_extended_at_every_cut(self, batch):
-        for cut in range(len(batch) + 1):
-            log, visits = SystemLog(), {}
-            commit_all(log, batch[:cut], visits)
-            dep = DependencyAnalyzer(log, SPECS)
-            assert_matches_scan(dep, log)
-            commit_all(log, batch[cut:], visits)
-            assert_matches_scan(dep, log)
-
     def test_specs_are_read_live(self):
         log, specs = SystemLog(), {}
         dep = DependencyAnalyzer(log, specs)
@@ -249,197 +228,6 @@ class TestQueriesAgainstLinearScan:
         del spec, scan, heal, model
         gc.collect()
         assert collected() is None
-
-
-def insertion_order(order):
-    """The order's elements and each one's successor and predecessor
-    sets, as iterated: equal only when built by the same inserts."""
-    return [(a, list(order._succ[a]), list(order._pred[a]))
-            for a in order]
-
-
-def traced_analysis(dep, uids):
-    """The Theorem 1/2 sets of one analysis on ``dep``, their T1/T2/T3
-    provenance lists, and the insertion order of its Theorem 3 order."""
-    undo_trace, redo_trace, order_trace = [], [], []
-    undo = find_undo_tasks(dep, uids, trace=undo_trace)
-    redo = find_redo_tasks(dep, undo.definite, trace=redo_trace)
-    order = recovery_partial_order(dep, undo.definite, redo.definite,
-                                   trace=order_trace)
-    return (undo, redo, undo_trace, redo_trace, order_trace,
-            insertion_order(order))
-
-
-@pytest.fixture
-def checked_scans(monkeypatch):
-    """At every scan, the analysis of its unit on the scans' analyzer's
-    index (the one the epoch's heal decides on) must equal a fresh
-    index's, down to the provenance each would publish and the Theorem
-    3 order each would build over the sets.  Yields the analyzers that
-    ran the scans."""
-    original = RecoveryAnalyzer.analyze
-    analyzers = []
-
-    def analyze(self, alerts, outstanding_units=0):
-        unit = original(self, alerts, outstanding_units)
-        assert traced_analysis(self.dependency_index(), unit) == \
-            traced_analysis(DependencyAnalyzer(self._log, self._specs),
-                            unit)
-        analyzers.append(self)
-        return unit
-
-    monkeypatch.setattr(RecoveryAnalyzer, "analyze", analyze)
-    return analyzers
-
-
-def reused(analyzers):
-    """Scans that ran on an analyzer already used by an earlier scan."""
-    distinct = {id(a) for a in analyzers}
-    return len(analyzers) - len(distinct)
-
-
-class TestReusedAnalyzerPlansLikeFresh:
-    @pytest.mark.parametrize("lam,horizon", [(1.0, 40.0), (6.0, 15.0),
-                                             (8.0, 10.0)])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_fullstack(self, checked_scans, lam, horizon, seed):
-        config = FullStackConfig(arrival_rate=lam, alert_buffer=8,
-                                 recovery_buffer=8)
-        result = run_replication(config, horizon, seed)
-        assert result.all_heals_audited_ok
-        assert checked_scans
-        if lam >= 6.0:
-            assert reused(checked_scans) > len(checked_scans) // 2
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_self_healing_system_manager_mode(self, checked_scans, seed):
-        report = FleetControlPlane(FleetConfig(
-            tenants=4, duration=30.0, workers=1, seed=seed)).run()
-        assert all(t.audits_ok for t in report.health.tenants)
-        assert reused(checked_scans) > 0
-
-    def test_manager_mode_builds_one_analyzer_per_epoch(self,
-                                                        checked_scans):
-        initial = {"balance": 100}
-        manager = EpochManager(DataStore(initial), initial)
-        system = SelfHealingSystem(manager=manager, alert_buffer=8,
-                                   recovery_buffer=8)
-        for wave in range(3):
-            for i in range(3):
-                name = f"w{wave}.{i}"
-                campaign = AttackCampaign().transform_task(
-                    "apply", lambda _, o: {k: v + 1 for k, v in o.items()},
-                    workflow_instance=name)
-                manager.run_workflow_attacked(victim(name), campaign,
-                                              name=name)
-                system.submit_alert(campaign.malicious_uids[0])
-            system.sweep()
-        assert manager.epoch == 3
-        assert len(checked_scans) == 9
-        assert len({id(a) for a in checked_scans}) == 3
-        assert manager.audit().ok
-
-
-def branching_specs():
-    """Instance → spec over figure1's two workflows and a travel
-    booking: every one branches, and instances share objects."""
-    figure1 = build_figure1(attacked=False).specs_by_instance
-    booking = booking_spec("b")
-    return {"a": figure1["wf1"], "b": figure1["wf2"], "c": booking,
-            "d": figure1["wf1"], "e": booking}
-
-
-MEMO_SPECS = branching_specs()
-MEMO_INSTANCES = tuple(sorted(MEMO_SPECS))
-
-memo_steps = st.lists(
-    st.one_of(
-        st.tuples(st.just("commit"), st.sampled_from(MEMO_INSTANCES),
-                  st.integers(0, 5)),
-        st.tuples(st.just("scan"), st.integers(0, 63)),
-    ),
-    min_size=4, max_size=40,
-)
-
-MEMO_QUERIES = ("anti_successors", "output_successors",
-                "control_dependents", "control_sources",
-                "unexecuted_controlled_writers")
-
-
-def drive_interleaved(steps):
-    """Commit spec tasks (each reading the current versions of its
-    reads and writing the next ones) interleaved with scans on one
-    reused analyzer; every scan must decide like a fresh index, and
-    every memoised query must answer like a fresh index.  Returns how
-    often each case the memos must handle came up."""
-    specs = MEMO_SPECS
-    log, visits, versions = SystemLog(), {}, {}
-    reused = RecoveryAnalyzer(log, specs)
-    committed = []
-    seen = {}
-    stats = {"control": 0, "stale": 0, "reopened": 0}
-    for step in steps:
-        if step[0] == "commit":
-            _, wf, pick = step
-            tasks = sorted(specs[wf].tasks)
-            task = specs[wf].task(tasks[pick % len(tasks)])
-            visits[(wf, task.task_id)] = visits.get(
-                (wf, task.task_id), 0) + 1
-            reads = {n: versions.get(n, 0) for n in sorted(task.reads)}
-            writes = {n: versions.get(n, 0) + 1 for n in sorted(task.writes)}
-            versions.update(writes)
-            committed.append(log.commit(
-                TaskInstance(wf, task.task_id, visits[(wf, task.task_id)]),
-                reads=reads, writes=writes).uid)
-            continue
-        if not committed:
-            continue
-        _, pick = step
-        alerts = [committed[pick % len(committed)]]
-        assert reused.analyze(alerts) == tuple(alerts)
-        fresh_dep = DependencyAnalyzer(log, specs)
-        analysis = traced_analysis(reused.dependency_index(), alerts)
-        assert analysis == traced_analysis(fresh_dep, alerts)
-        for uid in committed:
-            for query in MEMO_QUERIES:
-                got = getattr(reused._dep, query)(uid)
-                assert got == getattr(fresh_dep, query)(uid), (query, uid)
-                if query.endswith("_successors") and \
-                        seen.get((query, uid), got) != got:
-                    stats["reopened"] += 1  # a first later writer came
-                seen[(query, uid)] = got
-            assert reused._dep.flow_closure([uid]) == \
-                fresh_dep.flow_closure([uid])
-            writes = log.get(uid).writes
-            assert reused._dep.readers_of(writes) == \
-                fresh_dep.readers_of(writes)
-        stats["control"] += bool(analysis[0].control_candidates)
-        stats["stale"] += bool(analysis[0].stale_read_candidates)
-    return stats
-
-
-class TestMemosUnderInterleavedCommits:
-    """Per-record memos filled by one scan and extended by the next
-    equal a fresh analyzer's answers, on branching specs where
-    condition-2 and condition-4 candidates arise and objects gain
-    their first later writer between scans."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(memo_steps)
-    def test_reused_analyzer_answers_like_fresh(self, steps):
-        drive_interleaved(steps)
-
-    def test_the_cases_the_memos_extend_all_occur(self):
-        rng = random.Random(5)
-        steps = []
-        for _ in range(60):
-            if rng.random() < 0.7:
-                steps.append(("commit", rng.choice(MEMO_INSTANCES),
-                              rng.randrange(6)))
-            else:
-                steps.append(("scan", rng.randrange(64)))
-        stats = drive_interleaved(steps)
-        assert stats["control"] and stats["stale"] and stats["reopened"]
 
 
 def victim(name):
@@ -511,12 +299,13 @@ class TestPinnedProvenance:
 
 def gated_profile(per_alert=0.05, orders=1.0, plan_wall=True,
                   plan_calls=4, planned=0, per_heal=1.0,
-                  observed_per_heal=1.0):
+                  observed_per_heal=1.0, builds_per_heal=1.0):
     """A profile document whose fullstack rows carry the given closure
     and order line items (``orders=None`` leaves ``orders_per_heal``
-    out): ``planned`` and ``per_heal`` are the unobserved row's
-    ``actions_planned`` and ``undo_analyses_per_heal`` (``None`` leaves
-    the latter out), the order items and ``observed_per_heal``, its
+    out): ``planned``, ``per_heal`` and ``builds_per_heal`` are the
+    unobserved row's ``actions_planned``, ``undo_analyses_per_heal``
+    and ``index_builds_per_heal`` (``None`` leaves either of the last
+    two out), the order items and ``observed_per_heal``, its
     ``undo_analyses_per_heal``, sit on the observed row."""
     observed = {"orders_per_heal": orders, "plan_calls": plan_calls,
                 "undo_analyses_per_heal": observed_per_heal}
@@ -528,10 +317,13 @@ def gated_profile(per_alert=0.05, orders=1.0, plan_wall=True,
         observed["plan_wall_s"] = 0.0
     unobserved = {"closure_recomputations": 3,
                   "closure_recomputations_per_alert": per_alert,
+                  "index_builds_per_heal": builds_per_heal,
                   "actions_planned": planned,
                   "undo_analyses_per_heal": per_heal}
     if per_heal is None:
         del unobserved["undo_analyses_per_heal"]
+    if builds_per_heal is None:
+        del unobserved["index_builds_per_heal"]
     return {"results": [
         {"scenario": "fullstack", "digest_stable": True,
          "line_items": unobserved},
@@ -570,6 +362,23 @@ class TestClosureGate:
         failures = check_profile(gated_profile(per_alert=1.0), None)
         assert len(failures) == 1
         assert "closure_recomputations_per_alert 1.0" in failures[0]
+        assert "built once per heal" in failures[0]
+
+    def test_other_than_one_index_per_heal_fails_the_profile_gate(self):
+        from benchmarks.check_regression import (
+            INDEX_BUILDS_PER_HEAL,
+            check_profile,
+        )
+
+        assert INDEX_BUILDS_PER_HEAL == 1.0
+        assert check_profile(gated_profile(builds_per_heal=1.0), None) == []
+        # Fewer: a heal's build goes uncounted; more: builds beside it.
+        for bad in (0.94, 2.0, None):
+            failures = check_profile(gated_profile(builds_per_heal=bad),
+                                     None)
+            assert len(failures) == 1
+            assert failures[0].startswith(
+                f"profile fullstack: index_builds_per_heal {bad} ")
 
     def test_per_scan_plans_fail_the_profile_gate(self):
         from benchmarks.check_regression import (
@@ -601,6 +410,8 @@ class TestClosureGate:
         # heal's own decisions, observed or not.
         assert unobserved["line_items"]["undo_analyses_per_heal"] == 1.0
         assert observed["line_items"]["undo_analyses_per_heal"] == 1.0
+        # Each heal builds, and counts, the one index it decides on.
+        assert unobserved["line_items"]["index_builds_per_heal"] == 1.0
 
     def test_missing_plan_wall_fails_the_profile_gate(self):
         from benchmarks.check_regression import check_profile

@@ -35,25 +35,25 @@ class TestRecoveryAnalyzer:
         }
 
     def test_units_count_alerts(self, figure1):
-        analyzer = RecoveryAnalyzer(figure1.log, figure1.specs_by_instance)
+        analyzer = RecoveryAnalyzer(figure1.log)
         unit = analyzer.analyze(
             [Alert(0.0, figure1.malicious_uid), Alert(1.0, "wf2/t7#1")]
         )
         assert unit == (figure1.malicious_uid, "wf2/t7#1")
 
     def test_accepts_bare_uids(self, figure1):
-        analyzer = RecoveryAnalyzer(figure1.log, figure1.specs_by_instance)
+        analyzer = RecoveryAnalyzer(figure1.log)
         assert analyzer.analyze([figure1.malicious_uid]) == \
             (figure1.malicious_uid,)
 
     def test_analysis_cost_grows_with_queue(self, figure1):
-        analyzer = RecoveryAnalyzer(figure1.log, figure1.specs_by_instance)
+        analyzer = RecoveryAnalyzer(figure1.log)
         assert analyzer.analysis_cost(4) > analyzer.analysis_cost(1)
 
     def test_analyzer_never_mutates(self, figure1):
         snapshot = figure1.store.snapshot()
         n_records = len(figure1.log)
-        analyzer = RecoveryAnalyzer(figure1.log, figure1.specs_by_instance)
+        analyzer = RecoveryAnalyzer(figure1.log)
         analyzer.analyze([figure1.malicious_uid])
         assert figure1.store.snapshot() == snapshot
         assert len(figure1.log) == n_records

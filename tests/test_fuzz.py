@@ -97,7 +97,8 @@ EXPECTED_ORACLE = {"drop-undo": "conformance",
 def test_injected_mutation_is_caught(kind):
     campaign = generate_campaign(1, index=0)
     outcome = run_campaign(campaign, mutation=kind)
-    assert outcome.mutated_heals > 0
+    # Counted over the first of the two determinism passes, as heals are.
+    assert 0 < outcome.mutated_heals <= outcome.heals
     assert any(v.oracle == EXPECTED_ORACLE[kind]
                for v in outcome.violations)
     assert outcome.conformance_violations > 0

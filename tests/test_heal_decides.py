@@ -1,10 +1,11 @@
 """The batch heal decides Theorems 1–2; a scan decides nothing.
 
-A scan only queues its unit (its alert's uid).  The heal decides the
-merged batch's sets once, on the epoch's one dependency index, and on
-an active bus publishes those decisions inside its ``HealStarted``
-bracket, ahead of its order's edges and its first undo.  So the
-provenance a flight log holds is that of the recovery that ran.
+A scan only queues its unit (its alert's uid).  The heal builds one
+dependency index of its epoch's log, decides the merged batch's sets
+once on it, and on an active bus publishes those decisions inside its
+``HealStarted`` bracket, ahead of its order's edges and its first
+undo.  So the provenance a flight log holds is that of the recovery
+that ran.
 """
 
 import pytest
@@ -36,6 +37,10 @@ DECISIONS = (UndoDecision, RedoDecision)
 
 def undo_analyses():
     return counter_snapshot().get("undo_analyses", 0)
+
+
+def index_builds():
+    return counter_snapshot().get("closure_recomputations", 0)
 
 
 def new_system(**kwargs):
@@ -162,10 +167,27 @@ class TestOneClosurePerHeal:
         assert result.all_heals_audited_ok
 
     @pytest.mark.parametrize("observed", [False, True])
-    def test_one_index_per_epoch(self, monkeypatch, observed):
+    def test_one_index_per_heal(self, monkeypatch, observed):
         indexes = CountedIndexes(monkeypatch)
         bus = observed_bus()[0] if observed else None
+        before = index_builds()
         result = run_replication(self.CONFIG, horizon=20.0, seed=7, bus=bus)
-        # Each heal closes one epoch and decides on the epoch's index.
+        # Each heal builds the one index it decides on, and counts it.
         assert result.heals > 1
         assert indexes.built == result.heals
+        assert index_builds() - before == result.heals
+
+    def test_a_heal_without_scans_counts_its_build(self, monkeypatch):
+        indexes = CountedIndexes(monkeypatch)
+        manager, system = new_system()
+        before = index_builds()
+        system.submit_alert(attack(manager, "a"))
+        assert len(system.sweep()) == 1
+        # An epoch with normal records and no alert (a fuzz stage whose
+        # attack never ran): the sweep rolls it with a heal no scan
+        # preceded, which still builds, and counts, one index.
+        manager.run_workflow(ledger_spec("b"), name="b")
+        (report,) = system.sweep()
+        assert not report.undone and manager.epoch == 2
+        assert indexes.built == 2
+        assert index_builds() - before == 2

@@ -1,7 +1,7 @@
 """A Theorem 3 order is built only when something observes the heal.
 
 Scans build no order.  A heal on an active bus builds the one order of
-the batch it runs, on the epoch's shared dependency index, and
+the batch it runs, on the dependency index the heal builds, and
 publishes its edges before its first undo; an unobserved heal builds
 none.  These tests pin that each heal's Theorem 2 decisions and order
 are those an eager build on a fresh index over the epoch log gives, and
@@ -21,13 +21,19 @@ from repro.scenarios.generate import generate_campaign
 from repro.sim.fullstack import FullStackConfig, run_replication
 from repro.workflow.dependency import DependencyAnalyzer
 from tests.conftest import observed_heal
-from tests.test_analyzer_incremental import insertion_order
 from tests.test_fuzz import EXPECTED_ORACLE
 
 #: The overload pin's shape: the run never quiesces, so one epoch log
 #: grows across many scans.
 OVERLOAD = FullStackConfig(arrival_rate=8.0, alert_buffer=8,
                            recovery_buffer=8)
+
+
+def insertion_order(order):
+    """The order's elements and each one's successor and predecessor
+    sets, as iterated: equal only when built by the same inserts."""
+    return [(a, list(order._succ[a]), list(order._pred[a]))
+            for a in order]
 
 
 def shape(order):

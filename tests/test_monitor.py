@@ -652,6 +652,7 @@ class TestConformanceProfileGate:
             {"scenario": "fullstack", "digest_stable": True,
              "line_items": {"closure_recomputations": 3,
                             "closure_recomputations_per_alert": 0.05,
+                            "index_builds_per_heal": 1.0,
                             "actions_planned": 0,
                             "undo_analyses_per_heal": 1.0}},
             {"scenario": "fullstack-observed", "digest_stable": True,
