@@ -19,8 +19,7 @@ Emits ``BENCH_profile.json``: one profiled run per scenario of the
   whose run an event bus records, the order phase's wall time and
   calls, the orders per heal and the Theorem 1 computations per heal
   (one each: the heal decides and orders its batch), and the parallel
-  batch's fan-out overhead (ROADMAP item 3, the <1 speedup), as real
-  numbers, not prose;
+  batch's fan-out overhead, as real numbers, not prose;
 - **store names touched per heal** — λ=1 fullstack runs at a short and
   a long horizon count the store objects that heals (reconcile, the
   epoch's baseline roll) and audits (the judge) visit, through the
@@ -214,12 +213,9 @@ def profile_batch(replications: int, horizon: float,
             "digest_stable": True,
             "counters": report.counters,
             "line_items": {
-                # ROADMAP item 3: wall time the parallel harness adds
-                # on top of each worker's fair share of the compute —
-                # the measured explanation of the <1 speedup rows.
+                # Wall time the parallel harness adds on top of each
+                # worker's fair share of the compute.
                 "fan_out_overhead_s": batch.fan_out_overhead,
-                "speedup": batch.speedup,
-                "speedup_lt_1": batch.speedup_lt_1,
                 "spawn_wall_s": rows.get(
                     "batch.spawn", {}).get("wall", 0.0),
                 "pickle_bytes": report.counters.get("pickle_bytes", 0),

@@ -123,77 +123,49 @@ def cmd_demo(args) -> int:
     sc = SCENARIOS[args.scenario]()
     if getattr(args, "flight_log", None):
         return _demo_recorded(args.scenario, sc, args.flight_log)
-    _print_state(sc, "before heal")
+    _print_state(sc, "before heal", sc.summary())
     report = sc.heal_now()
     for line in sc.describe(report):
         print(line)
-    _print_state(sc, "after heal")
+    _print_state(sc, "after heal", sc.summary())
     print(f"strictly correct: {sc.audit.ok}")
     return 0 if sc.audit.ok else 1
 
 
-def _print_state(sc, when: str) -> None:
+def _print_state(sc, when: str, state: object) -> None:
     """A demo's before/after view of the state the attack touched."""
-    state = sc.summary()
     if state is not None:
         print(f"{sc.STATE_LABEL}{when:<11}: {state}")
 
 
 def _demo_recorded(name: str, sc, path: str) -> int:
-    """Heal a scenario through the full Figure 2 pipeline (alert queue
-    → analyzer scan → batch heal) with a flight recorder attached,
-    leaving a replayable log whose conformance verdicts can be
-    re-derived offline (``obs replay --conformance --log FILE``).
-
-    Only damage named by task uids travels as IDS alerts; a scenario
-    that reports forged workflow runs cannot be recorded."""
-    malicious, forged_runs = sc.reported()
-    if forged_runs:
-        raise ObsError(
-            f"demo --flight-log cannot record {name}: it reports forged "
-            "workflow runs, which are not IDS alerts; the pipeline heals "
-            "only alerts that name task uids"
-        )
-    from repro.obs.events import EventBus
+    """Heal a scenario through the full Figure 2 pipeline
+    (:func:`repro.obs.runner.record_incident`) with a flight recorder
+    attached, leaving a replayable log whose conformance verdicts can
+    be re-derived offline (``obs replay --conformance --log FILE``).
+    The log is written once the run is recorded, so a scenario that
+    cannot be recorded leaves no file."""
     from repro.obs.recorder import FlightRecorder
-    from repro.obs.tracing import ManualClock
-    from repro.system import SelfHealingSystem
+    from repro.obs.runner import record_incident
 
-    bus = EventBus()
-    clock = ManualClock(0.0)
-    out = None if path == "-" else path
-    flight = FlightRecorder(
-        label=name,
-        path=out,
-        # The run ends at quiescence, so offline replay must close the
-        # trace (resolve remaining LTLf obligations) to reproduce the
-        # online monitor's final verdicts.
-        meta={"conformance_finalized": True},
-    ).attach(bus)
-    system = SelfHealingSystem(sc.manager, bus=bus, clock=clock)
-    flight.mark("start", clock.now, state=system.state.value)
-    _print_state(sc, "before heal")
-    for uid in malicious:
-        system.submit_alert(uid)
-    clock.advance(1.0)
-    while system.alerts_queued:
-        if system.scan_step() is None:
-            raise ObsError(f"{name} analyzer stalled with alerts queued")
-        clock.advance(1.0)
-    report = system.recovery_step()
-    if report is None:
-        raise ObsError(f"{name} pipeline produced no heal report")
-    audit = sc.record_heal(report)
-    flight.mark("finalize", clock.now, state=system.state.value)
+    flight = FlightRecorder(label=name,
+                            meta={"conformance_finalized": True})
+    before = sc.summary()
+    report = record_incident(sc, flight)
     flight.close()
+    audit = sc.record_heal(report)
+    _print_state(sc, "before heal", before)
     print(report.summary())
-    _print_state(sc, "after heal")
+    _print_state(sc, "after heal", sc.summary())
     print(f"strictly correct: {audit.ok}")
-    if out is None:
-        print(flight.text(), end="")
+    text = flight.text()
+    if path == "-":
+        print(text, end="")
     else:
-        lines = flight.text().count("\n")
-        print(f"{lines} flight-log records written to {out}")
+        with open(path, "w", encoding="utf-8") as out:
+            out.write(text)
+        records = text.count("\n")
+        print(f"{records} flight-log records written to {path}")
     return 0 if audit.ok else 1
 
 
@@ -399,9 +371,9 @@ def _obs_run(args, path: Optional[str] = None):
     """Record the selected ``obs`` scenario into a flight recorder;
     returns ``(flight, result)`` with the recorder closed.
 
-    figure1 goes through its incident driver; gillespie and fullstack
-    are the simulators' own ``run_replication`` with the recorder on
-    the bus, plus the health monitor for ``fullstack --health``
+    figure1 goes through the recorded-incident driver; gillespie and
+    fullstack are the simulators' own ``run_replication`` with the
+    recorder on the bus, plus the health monitor for ``fullstack --health``
     (objective ``--slo-loss`` when given).  The recorder writes through
     to ``path`` when given and keeps the log in memory either way;
     every ``obs`` view renders from a replay of that log.
@@ -416,15 +388,17 @@ def _obs_run(args, path: Optional[str] = None):
             "fullstack, or 'obs watch' for the Gillespie monitor)"
         )
     if args.scenario == "figure1":
-        from repro.obs.runner import run_figure1_observed
+        from repro.obs.runner import record_incident
+        from repro.scenarios.figure1 import build_figure1
 
         flight = FlightRecorder(
             label="figure1", path=path,
-            meta={"false_alarms": args.false_alarms},
+            meta={"false_alarms": args.false_alarms,
+                  "conformance_finalized": True},
         )
         with flight:
-            return flight, run_figure1_observed(
-                flight,
+            return flight, record_incident(
+                build_figure1(), flight,
                 false_alarms=args.false_alarms,
                 alert_buffer=args.alert_buffer or args.buffer,
                 recovery_buffer=args.buffer,

@@ -39,9 +39,9 @@ This package provides the measurement layer:
   recomputations, pickle bytes, and queue evictions;
 - :mod:`repro.obs.server` — a stdlib-only HTTP telemetry endpoint
   (``/metrics`` Prometheus text, ``/healthz``, ``/slo`` JSON);
-- :mod:`repro.obs.runner` — the Figure 1 incident driver behind the
-  ``repro-workflow obs`` CLI subcommand, recording into a flight
-  recorder (the simulators are recorded through their own
+- :mod:`repro.obs.runner` — the recorded-incident driver behind
+  ``repro-workflow obs --scenario figure1`` and ``demo --flight-log``,
+  recording into a flight recorder (the simulators are recorded through their own
   ``run_replication`` with a bus attached).
 
 Instrumentation is strictly opt-in: every instrumented component takes

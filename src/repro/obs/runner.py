@@ -1,8 +1,10 @@
-"""The Figure 1 incident driver behind ``repro-workflow obs``.
+"""The recorded-incident driver behind ``repro-workflow obs --scenario
+figure1`` and ``repro-workflow demo NAME --flight-log``.
 
-:func:`run_figure1_observed` pushes the paper's Figure 1 attack through
-:class:`~repro.system.SelfHealingSystem` on a sim-time clock and
-records it into a :class:`~repro.obs.recorder.FlightRecorder`.  The
+:func:`record_incident` pushes a scenario's reported attack through
+:class:`~repro.system.SelfHealingSystem` on a sim-time clock, settles
+it with the system's own ``sweep()``, and records it into a
+:class:`~repro.obs.recorder.FlightRecorder`.  The
 simulators need no driver of their own: an observed full-stack or
 Gillespie run is the ordinary ``run_replication`` with the recorder on
 its :class:`~repro.obs.events.EventBus`.  Every report — metrics, the
@@ -12,8 +14,10 @@ incident span tree, Prometheus text — is a replay of the log
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.healer import HealReport
-from repro.errors import RecoveryError
+from repro.errors import ObsError
 from repro.ids.alerts import Alert
 from repro.obs.events import (
     EventBus,
@@ -25,9 +29,12 @@ from repro.obs.events import (
 from repro.obs.recorder import FlightRecorder
 from repro.obs.tracing import ManualClock
 
+if TYPE_CHECKING:
+    from repro.scenarios.base import Scenario
+
 __all__ = [
     "SimTimeDriver",
-    "run_figure1_observed",
+    "record_incident",
 ]
 
 
@@ -61,59 +68,63 @@ class SimTimeDriver:
                 self.clock.advance(self.task_time)
 
 
-def run_figure1_observed(
+def record_incident(
+    scenario: "Scenario",
     recorder: FlightRecorder,
-    false_alarms: int = 2,
+    false_alarms: int = 0,
     alert_buffer: int = 8,
     recovery_buffer: int = 8,
     scan_time: float = 1.0 / 15.0,
     task_time: float = 1.0 / 20.0,
 ) -> HealReport:
-    """The paper's Figure 1 attack, driven through the Figure 2
-    architecture and captured by ``recorder``.
+    """Heal ``scenario``'s reported damage through the Figure 2
+    architecture and capture the incident in ``recorder``.
 
-    The genuine IDS alert for the forged ``t1`` arrives first; then
-    ``false_alarms`` spurious alerts (uids never committed — classic
-    IDS noise) follow, each 0.05 sim-seconds apart, so the
-    queues actually fill and drain.  Scan and heal advance the manual
-    clock via :class:`SimTimeDriver`.  The recorder gets the event
-    stream between ``start`` and ``finalize`` marks, so
+    The scenario's alerts arrive first; then ``false_alarms`` spurious
+    alerts (uids never committed — classic IDS noise) follow, every
+    alert 0.05 sim-seconds after the one before, so the queues fill
+    and drain.  The strict gate is probed once while damage is known,
+    then :meth:`~repro.system.SelfHealingSystem.sweep` settles the run
+    (it drains whenever the analyzer blocks, so an undersized recovery
+    buffer heals too).  Scan and heal advance the manual clock via
+    :class:`SimTimeDriver`.  The recorder gets the event stream between
+    ``start`` and ``finalize`` marks, so
     :func:`repro.obs.provenance.replay` rebuilds the metrics and
     :func:`repro.obs.provenance.build_span_tree` the incident tree
-    (detect → scan* → heal(undo, redo)).  Returns the heal report.
+    (detect → scan* → heal(undo, redo)).  The run ends at quiescence,
+    so its recorder's header should carry ``conformance_finalized``.
+    Returns the heal report.
 
-    Raises :class:`~repro.errors.RecoveryError` when the recovery
-    buffer is too small to admit every queued alert (the paper's
-    analyzer-blocked overflow).
+    Raises :class:`~repro.errors.ObsError` for a scenario that reports
+    forged workflow runs: they are not IDS alerts.
     """
-    from repro.scenarios.figure1 import build_figure1
-    from repro.system import SelfHealingSystem, SystemState
+    from repro.system import SelfHealingSystem
 
-    sc = build_figure1(attacked=True)
+    malicious, forged_runs = scenario.reported()
+    if forged_runs:
+        raise ObsError(
+            f"cannot record {type(scenario).__name__}: it reports "
+            "forged workflow runs, which are not IDS alerts; the "
+            "pipeline heals only alerts that name task uids"
+        )
+
     clock = ManualClock()
     bus = EventBus()
     bus.subscribe(SimTimeDriver(clock, scan_time, task_time))
     recorder.attach(bus)
-
     system = SelfHealingSystem(
-        sc.manager,
+        scenario.manager,
         alert_buffer=alert_buffer, recovery_buffer=recovery_buffer,
         bus=bus, clock=clock,
     )
     recorder.mark("start", clock.now, state="NORMAL")
-    system.submit_alert(Alert(clock.now, sc.malicious_uid))
-    for i in range(false_alarms):
-        clock.advance(0.05)
-        system.submit_alert(Alert(clock.now, f"noise/t0#{i + 1}"))
-    while system.state is SystemState.SCAN:
-        system.normal_task_admissible()  # strict gate: refusals count
-        if system.scan_step() is None:
-            raise RecoveryError(
-                "analyzer blocked: recovery queue full while alerts "
-                "are pending — increase the recovery buffer "
-                f"(capacity {recovery_buffer})"
-            )
-    report = system.recovery_step()
+    noise = [f"noise/t0#{i + 1}" for i in range(false_alarms)]
+    for i, uid in enumerate([*malicious, *noise]):
+        if i:
+            clock.advance(0.05)
+        system.submit_alert(Alert(clock.now, uid))
+    system.normal_task_admissible()  # strict gate: the refusal is logged
+    report = system.sweep()[0]
     # Queue pops publish no event, so snapshot the final depths into
     # the mark and replay lands on the same gauge readings.
     recorder.mark("finalize", clock.now, gauges={

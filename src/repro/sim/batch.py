@@ -31,12 +31,11 @@ Parallelism pays at the model's shape: the 3×3 (λ, buffer) grid of
 ``workers=2`` against 1.4–1.5 s at ``workers=1`` (2-CPU VM, Python
 3.11.7).  At small replication counts it often does not, so the batch
 results carry the accounting that explains the gap: per-replication
-in-worker wall times, the :attr:`~FullStackBatchResult.fan_out_overhead`
-spent outside any worker's compute (process spawn, task pickling, IPC),
-a :attr:`~FullStackBatchResult.speedup` estimate, and — when a parallel
-run is slower than its own serial work — a loud
-:class:`ParallelSlowdownWarning` plus the
-:attr:`~FullStackBatchResult.speedup_lt_1` flag.  Under a recording
+in-worker wall times and the
+:attr:`~FullStackBatchResult.fan_out_overhead` spent outside any
+worker's compute (process spawn, task pickling, IPC).  Whether the pool
+pays is a measured serial/parallel pair (``benchmarks/bench_scale.py``),
+not a ratio derived from one run.  Under a recording
 :class:`~repro.obs.perf.PhaseProfiler` the same quantities appear as
 ``batch.worker`` / ``batch.spawn`` / ``batch.fan-out`` phases and the
 ``pickle_bytes`` cost-driver counter.
@@ -47,7 +46,6 @@ from __future__ import annotations
 import os
 import pickle
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
@@ -90,43 +88,9 @@ R = TypeVar("R")
 
 
 class ParallelSlowdownWarning(UserWarning):
-    """A parallel batch ran slower than its own serial work.
-
-    Structured: the numbers behind the verdict ride on the instance so
-    handlers can do better than parse the message.
-
-    Attributes
-    ----------
-    workers, replications:
-        Fan-out shape of the offending batch.
-    elapsed, worker_wall:
-        Whole-batch wall seconds vs. the sum of in-worker compute
-        seconds.
-    speedup:
-        ``worker_wall / elapsed`` — below 1.0 by construction here.
-    fan_out_overhead:
-        Seconds not explained by perfectly-parallel compute: process
-        spawn, task pickling, IPC, result collection.
-    """
-
-    def __init__(self, workers: int, replications: int, elapsed: float,
-                 worker_wall: float, speedup: float,
-                 fan_out_overhead: float) -> None:
-        self.workers = workers
-        self.replications = replications
-        self.elapsed = elapsed
-        self.worker_wall = worker_wall
-        self.speedup = speedup
-        self.fan_out_overhead = fan_out_overhead
-        super().__init__(
-            f"parallel batch slower than its own serial work: "
-            f"speedup={speedup:.2f} (<1) with workers={workers}, "
-            f"replications={replications} — elapsed {elapsed:.3f}s vs "
-            f"{worker_wall:.3f}s of in-worker compute; "
-            f"{fan_out_overhead:.3f}s of fan-out overhead (process "
-            f"spawn, pickling, IPC).  Use workers=1 at this shape, or "
-            f"raise replications/horizon until compute dominates."
-        )
+    """Never raised.  Kept only because warning filters elsewhere name
+    it; a batch's measured fan-out cost is
+    :attr:`~FullStackBatchResult.fan_out_overhead`."""
 
 
 def spawn_seeds(base_seed: int, n: int) -> List[int]:
@@ -257,12 +221,11 @@ def _account_fan_out(batch) -> None:
     """Post-run fan-out accounting shared by both batch kinds.
 
     Computes :attr:`~FullStackBatchResult.fan_out_overhead` (pooled
-    runs only), mirrors the in-worker/overhead split into the recording
-    profiler as ``batch.worker`` / ``batch.fan-out`` phases, and issues
-    the :class:`ParallelSlowdownWarning` when the batch's
-    ``speedup_lt_1`` flag trips."""
-    worker_wall = sum(batch.wall_times)
+    runs only) and mirrors the in-worker/overhead split into the
+    recording profiler as ``batch.worker`` / ``batch.fan-out``
+    phases."""
     if batch.workers > 1:
+        worker_wall = sum(batch.wall_times)
         # A perfectly packed pool would finish in worker_wall/workers;
         # everything beyond that is fan-out overhead — spawn, pickle,
         # IPC, result collection (ROADMAP item 3's measured gap).
@@ -274,15 +237,6 @@ def _account_fan_out(batch) -> None:
                         calls=batch.replications)
             prof.add_at(("batch.fan-out",),
                         batch.fan_out_overhead, calls=1)
-    if batch.speedup_lt_1:
-        warnings.warn(ParallelSlowdownWarning(
-            workers=batch.workers,
-            replications=batch.replications,
-            elapsed=batch.elapsed,
-            worker_wall=worker_wall,
-            speedup=batch.speedup,
-            fan_out_overhead=batch.fan_out_overhead,
-        ), stacklevel=3)
 
 
 def _mean_and_stderr(values: Sequence[float]) -> Tuple[float, float]:
@@ -329,22 +283,6 @@ class _BatchResult(Generic[R]):
     def replications(self) -> int:
         """Number of replications merged."""
         return len(self.results)
-
-    @property
-    def speedup(self) -> float:
-        """In-worker compute seconds over whole-batch elapsed seconds —
-        the honest "did parallelism pay" estimate (1.0 ≈ break-even
-        with serial, below 1.0 means the pool made things *slower*)."""
-        if self.elapsed <= 0:
-            return 0.0
-        return sum(self.wall_times) / self.elapsed
-
-    @property
-    def speedup_lt_1(self) -> bool:
-        """True when a pooled run was slower than its own serial work
-        (the ROADMAP item 1 embarrassment, flagged loudly)."""
-        return (self.workers > 1 and bool(self.wall_times)
-                and self.speedup < 1.0)
 
     @property
     def category_occupancy(self) -> Dict[StateCategory, float]:

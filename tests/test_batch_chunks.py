@@ -27,9 +27,6 @@ from repro.sim.batch import (
 )
 from repro.sim.fullstack import FullStackConfig
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.sim.batch.ParallelSlowdownWarning")
-
 REPLICATIONS = [1, 2, 5, 7]
 WORKERS = [2, 3]
 SEED = 11

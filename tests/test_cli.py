@@ -212,6 +212,16 @@ class TestObs:
         out = capsys.readouterr().out
         assert out.split("Incident span tree:\n", 1)[1] == block
 
+    def test_blocked_analyzer_drains_and_heals(self, capsys):
+        """A recovery buffer too small for the alerts blocks the
+        analyzer; the system drains it and heals every alert."""
+        assert main(["obs", "--alert-buffer", "8", "--buffer", "1",
+                     "--false-alarms", "3"]) == 0
+        captured = capsys.readouterr()
+        assert "Observed figure1 incident" in captured.out
+        assert "- heal" in captured.out
+        assert captured.err == ""
+
     def test_gillespie_comparison_table(self, capsys):
         assert main(["obs", "--scenario", "gillespie", "--lam", "4",
                      "--mu1", "6", "--xi1", "8", "--buffer", "3",
@@ -255,16 +265,6 @@ class TestObs:
 
 
 class TestDomainErrorExit:
-    def test_blocked_analyzer_exits_3_with_clean_message(self, capsys):
-        from repro.cli import EXIT_DOMAIN_ERROR
-
-        code = main(["obs", "--alert-buffer", "8", "--buffer", "1",
-                     "--false-alarms", "3"])
-        captured = capsys.readouterr()
-        assert code == EXIT_DOMAIN_ERROR == 3
-        assert captured.err.startswith("error: analyzer blocked")
-        assert "Traceback" not in captured.err
-
     def test_any_subcommand_maps_recovery_error(self, capsys,
                                                 monkeypatch):
         """The handler sits in main(), so every subcommand gets the

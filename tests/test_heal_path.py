@@ -61,6 +61,20 @@ class TestOneHealPath:
         ]
         assert auditing == []
 
+    #: The modules that run the Figure 2 scheduler: the system itself
+    #: and the drivers that time its scan and recovery services.
+    SETTLE_OWNERS = {"system.py", "sim/fullstack.py", "fleet/shard.py",
+                     "scenarios/fuzz.py"}
+
+    def test_scan_and_recovery_steps_called_only_by_the_owners(self):
+        """Every other driver settles through ``sweep()``."""
+        stepping = {
+            path.relative_to(SRC).as_posix()
+            for path in SRC.rglob("*.py")
+            if {"scan_step", "recovery_step"} & set(_called_names(path))
+        }
+        assert stepping == self.SETTLE_OWNERS
+
     def test_system_requires_a_manager(self):
         params = inspect.signature(SelfHealingSystem.__init__).parameters
         assert not {"store", "log", "specs_by_instance"} & set(params)
@@ -104,23 +118,24 @@ class TestScenariosHealThroughTheManager:
 class TestFlightLogPins:
     """Digests of the Figure 2 pipeline's flight logs: the figure1
     incident (``obs record``) and the hijacked web shop (``demo web-app
-    --flight-log``).  Each heal publishes its batch's Theorem 1/2
-    decisions, then its Theorem 3 edges, after its ``HealStarted``;
-    scans publish no decisions."""
+    --flight-log``), both recorded by ``record_incident``.  Each heal
+    publishes its batch's Theorem 1/2 decisions, then its Theorem 3
+    edges, after its ``HealStarted``; scans publish no decisions, and
+    the strict gate is probed once."""
 
-    #: ``obs record --scenario figure1``: 57 records, 10 of them edges.
+    #: ``obs record --scenario figure1``: 55 records, 10 of them edges.
     FIGURE1_SHA256 = (
-        "9aa8c9746b73769ee67ec6005eb66293c81b700d2c2aa1b912804df8790a3783")
+        "75546e88f19c4a3b78bd94d4b8a485e5fbb3f8eedbbb4b24309423bf56091f9d")
     #: ``obs record --scenario figure1 --false-alarms 0``: 49 records,
     #: 10 of them edges.
     FIGURE1_NO_NOISE_SHA256 = (
-        "b4811f98d282b7579e8a35a742f2765098a4f67dbc12234743329c06099f35f9")
-    #: ``demo web-app --flight-log FILE``: 85 records, 15 of them edges.
+        "ecc3e1ef63794c5fa6a302666fd4c829e81f124bc3d65998875be23ff71d5356")
+    #: ``demo web-app --flight-log FILE``: 86 records, 15 of them edges.
     WEB_APP_SHA256 = (
-        "ecf5b8f263aff6c7cd7f1f8f64d9162c28171c4378be5b70bb6f648b2572d970")
+        "cb077d9097ce9ea531f8ff34bf967e8f021d38186c81b7bd40b26ff62d4d140f")
 
     @pytest.mark.parametrize("extra, records, digest", [
-        ([], 57, FIGURE1_SHA256),
+        ([], 55, FIGURE1_SHA256),
         (["--false-alarms", "0"], 49, FIGURE1_NO_NOISE_SHA256),
     ], ids=["default", "no-false-alarms"])
     def test_figure1_flight_log_digest(self, tmp_path, capsys, extra,
@@ -134,7 +149,7 @@ class TestFlightLogPins:
     def test_web_app_flight_log_digest(self, tmp_path, capsys):
         path = tmp_path / "web-app.jsonl"
         assert main(["demo", "web-app", "--flight-log", str(path)]) == 0
-        assert "85 flight-log records" in capsys.readouterr().out
+        assert "86 flight-log records" in capsys.readouterr().out
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.WEB_APP_SHA256
 

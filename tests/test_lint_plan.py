@@ -307,10 +307,10 @@ class TestSystemVerifyHook:
 
 def recorded_figure1_lines():
     """A figure1 flight log as a list of JSONL lines."""
-    from repro.obs.runner import run_figure1_observed
+    from repro.obs.runner import record_incident
 
     flight = FlightRecorder(label="figure1")
-    run_figure1_observed(flight)
+    record_incident(build_figure1(), flight, false_alarms=2)
     flight.close()
     return [line for line in flight.text().splitlines() if line.strip()]
 

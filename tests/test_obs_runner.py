@@ -1,6 +1,6 @@
 """Integration tests for observed runs.
 
-``run_figure1_observed`` drives the paper's Figure 1 attack through the
+``record_incident`` drives the paper's Figure 1 attack through the
 Figure 2 architecture into a flight recorder; the assertions here pin
 the headline quantities the ``repro obs`` report prints — per-state
 dwell times, queue high-water marks, loss counts, and the incident
@@ -14,34 +14,45 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.errors import RecoveryError
+from repro.cli import main
 from repro.obs.events import (
     AlertEnqueued,
     EventBus,
     HealFinished,
+    HealStarted,
     ScanStep,
     StateTransition,
     TaskRedone,
     TaskUndone,
 )
+from repro.obs.monitor import replay_conformance
 from repro.obs.provenance import build_span_tree, replay
-from repro.obs.recorder import FlightRecorder, read_flight_log
-from repro.obs.runner import run_figure1_observed
+from repro.obs.recorder import (
+    FlightRecorder,
+    load_flight_log,
+    read_flight_log,
+)
+from repro.obs.runner import record_incident
 from repro.obs.tracing import render_span_tree
+from repro.scenarios.figure1 import build_figure1
 
 SCAN_TIME = 1.0 / 15.0
 TASK_TIME = 1.0 / 20.0
 
 
-def observe_figure1(**kwargs):
+def observe_figure1(false_alarms=2, **kwargs):
     """A recorded Figure 1 incident: the replayed ``metrics``, the
-    logged ``events``, the ``spans`` tree and the heal ``result``."""
+    logged ``events``, the ``spans`` tree, the heal ``result`` and its
+    Definition 2 ``audit``."""
+    sc = build_figure1()
     flight = FlightRecorder(label="figure1")
-    report = run_figure1_observed(flight, **kwargs)
+    report = record_incident(sc, flight, false_alarms=false_alarms,
+                             **kwargs)
     flight.close()
     log = read_flight_log(flight.text())
     return SimpleNamespace(metrics=replay(log).metrics, events=log.events,
-                           spans=build_span_tree(log), result=report)
+                           spans=build_span_tree(log), result=report,
+                           audit=sc.record_heal(report))
 
 
 def observe(run_replication, model, horizon, seed):
@@ -82,8 +93,8 @@ class TestFigure1Observed:
         assert m.tasks_redone.value == 6  # 5 redone + 1 new execution
         assert m.undo_size.mean == pytest.approx(7.0)
         assert m.redo_size.mean == pytest.approx(6.0)
-        # strict gate probed once per scan step while damage was known
-        assert m.normal_refused.value == 3
+        # strict gate probed once while damage was known
+        assert m.normal_refused.value == 1
 
     def test_queue_high_water_marks(self, fig1):
         m = fig1.metrics
@@ -172,10 +183,29 @@ class TestFigure1Observed:
         scans = [e for e in fig1.events if isinstance(e, ScanStep)]
         assert [s.outstanding_units for s in scans] == [0, 1, 2]
 
-    def test_undersized_recovery_buffer_blocks_analyzer(self):
-        with pytest.raises(RecoveryError, match="analyzer blocked"):
-            run_figure1_observed(FlightRecorder(), false_alarms=3,
-                                 alert_buffer=8, recovery_buffer=1)
+    def test_undersized_recovery_buffer_drains_and_heals(self, fig1):
+        """A full recovery queue blocks the analyzer; the sweep drains
+        it and scans on, so every alert is healed in one batch."""
+        run = observe_figure1(false_alarms=3, alert_buffer=8,
+                              recovery_buffer=1)
+        (started,) = [e for e in run.events if isinstance(e, HealStarted)]
+        assert set(started.malicious) == {
+            "wf1/t1#1", *(f"noise/t0#{i}" for i in (1, 2, 3))}
+        assert run.metrics.heals.value == 1
+        assert run.metrics.recovery_depth.high_water == 1
+        assert run.audit.ok, run.audit.problems
+        assert replay_conformance(run.events).violations == []
+        assert set(run.result.undone) == set(fig1.result.undone)
+        assert set(run.result.redone) == set(fig1.result.redone)
+
+    def test_figure1_log_is_finalized(self, tmp_path, capsys):
+        """The run ends at quiescence, so the log asks replay to close
+        the LTLf trace, as the online monitor does."""
+        path = tmp_path / "figure1.jsonl"
+        assert main(["obs", "record", "--scenario", "figure1",
+                     "--log", str(path)]) == 0
+        capsys.readouterr()
+        assert load_flight_log(str(path)).meta["conformance_finalized"]
 
     def test_alert_overflow_counts_losses(self):
         run = observe_figure1(false_alarms=4, alert_buffer=2,
@@ -189,8 +219,7 @@ class TestFigure1Observed:
         """No-op-by-default contract: an unobserved run heals exactly
         the same instances the instrumented one does."""
         from repro.ids.alerts import Alert
-        from repro.scenarios.figure1 import build_figure1
-        from repro.system import SelfHealingSystem, SystemState
+        from repro.system import SelfHealingSystem
 
         sc = build_figure1(attacked=True)
         system = SelfHealingSystem(sc.manager, alert_buffer=8,
@@ -198,9 +227,7 @@ class TestFigure1Observed:
         system.submit_alert(Alert(0.0, sc.malicious_uid))
         for i in range(2):
             system.submit_alert(Alert(0.0, f"noise/t0#{i + 1}"))
-        while system.state is SystemState.SCAN:
-            assert system.scan_step() is not None
-        plain = system.recovery_step()
+        (plain,) = system.sweep()
         observed = fig1.result
         assert set(plain.undone) == set(observed.undone)
         assert set(plain.redone) == set(observed.redone)

@@ -24,7 +24,8 @@ from repro.obs.export import render_prometheus, spans_to_chrome_trace
 from repro.obs.metrics import Gauge, PipelineMetrics
 from repro.obs.provenance import build_span_tree, explain, replay
 from repro.obs.recorder import FlightRecorder, read_flight_log
-from repro.obs.runner import run_figure1_observed
+from repro.obs.runner import record_incident
+from repro.scenarios.figure1 import build_figure1
 from repro.sim.fullstack import (
     FullStackConfig,
     flight_log_meta,
@@ -64,7 +65,7 @@ class LiveRecorder(FlightRecorder):
 
 def record_figure1():
     flight = LiveRecorder(label="figure1", meta={"false_alarms": 2})
-    run_figure1_observed(flight)
+    record_incident(build_figure1(), flight, false_alarms=2)
     flight.close()
     return read_flight_log(flight.text()), flight.live
 
