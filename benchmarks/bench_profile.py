@@ -43,8 +43,10 @@ fan-out line items, a closure rebuild rate of at most 0.1 per alert
 and of exactly one per heal, no order built on an unobserved run, at most one Theorem 1 computation
 per heal on either fullstack row, at least one observed heal order
 phase and at most one order per heal, store names touched per heal
-at the long horizon at most 1.5 times the short horizon's, and
-a conformance row with zero violations are hard failures; the
+at the long horizon at most 1.5 times the short horizon's,
+a conformance row with zero violations, and a fleet-observe row that
+publishes one ``UnitEmitted`` per scan and no ``ScanStep`` or
+``QueueItemDropped`` are hard failures; the
 wall-time columns are informational
 (cross-machine timing comparisons are noise).
 """
@@ -59,6 +61,7 @@ import pathlib
 import platform
 import sys
 import time
+from collections import Counter
 from typing import Dict, List, Optional
 
 from repro.fleet import FleetConfig, FleetControlPlane
@@ -350,11 +353,14 @@ def profile_fleet_observe(tenants: int, duration: float,
     each go ``PASSES`` times, and the fastest of each is kept; the
     online verdicts must equal every replay's.
 
-    Line items: events published per healed alert (deterministic), the
-    replay's microseconds per event, and the replay wall as a share of
-    the run's wall (both walls on this machine, so the share carries
-    little of its speed).  The collector runs before each timed pass,
-    so no pass pays for the garbage of the one before.
+    Line items: events published per healed alert and by kind, and
+    ``UnitEmitted`` events per scan (all deterministic; the scans are
+    the alerts the tenants' systems accepted, every one scanned by the
+    end of the run), the replay's microseconds per event, and the
+    replay wall as a share of the run's wall (both walls on this
+    machine, so the share carries little of its speed).  The collector
+    runs before each timed pass, so no pass pays for the garbage of the
+    one before.
     """
     def run():
         gc.collect()
@@ -369,7 +375,9 @@ def profile_fleet_observe(tenants: int, duration: float,
                     shard.monitor.emitted)
                    for recorder, shard in zip(recorders, plane.shards)]
         healed = sum(len(t.latencies) for t in report.health.tenants)
-        return streams, healed, wall
+        scans = sum(shard.system.alert_queue.accepted
+                    - shard.system.alerts_queued for shard in plane.shards)
+        return streams, healed, scans, wall
 
     def replay(streams):
         gc.collect()
@@ -379,13 +387,15 @@ def profile_fleet_observe(tenants: int, duration: float,
         return verdicts, time.perf_counter() - t0
 
     # Runs and replays alternate, so both see the machine in one state.
-    streams, healed, run_wall = run()
+    streams, healed, scans, run_wall = run()
     passes = [replay(streams)]
     for _ in range(PASSES - 1):
-        run_wall = min(run_wall, run()[2])
+        run_wall = min(run_wall, run()[3])
         passes.append(replay(streams))
     wall = min(w for _, w in passes)
     events = sum(len(stream) for stream, _, _ in streams)
+    by_kind = Counter(event.kind for stream, _, _ in streams
+                      for event in stream)
     online = [emitted for _, _, emitted in streams]
     return [{
         "scenario": "fleet-observe",
@@ -401,6 +411,10 @@ def profile_fleet_observe(tenants: int, duration: float,
             "events": events,
             "healed_alerts": healed,
             "events_per_healed_alert": events / healed if healed else 0.0,
+            "events_by_kind": dict(sorted(by_kind.items())),
+            "scans": scans,
+            "unit_emitted_per_scan": (by_kind["UnitEmitted"] / scans
+                                      if scans else 0.0),
             "run_wall_s": run_wall,
             "replay_wall_s": wall,
             "replay_us_per_event": 1e6 * wall / events if events else 0.0,

@@ -6,8 +6,9 @@ Emits two JSON documents that seed the perf trajectory:
   comparing the dense and sparse solver backends (steady state,
   uniformization transient, expected hitting times, Equation 3's
   cumulative times at ``t = 1000``), with per-size
-  speedups and the max dense-vs-sparse discrepancy as a built-in
-  correctness guard;
+  best-of speedups, each op's spread over its repeats (the smallest and
+  largest of the per-repeat speedups) and the max dense-vs-sparse
+  discrepancy as a built-in correctness guard;
 - ``BENCH_sim.json`` — a replication-count sweep of the Gillespie
   batch runner comparing 1 worker with K workers, with the pooled
   loss-probability estimate per cell.
@@ -60,14 +61,14 @@ FULL_SIM_HORIZON = 400.0
 QUICK_SIM_HORIZON = 30.0
 
 
-def _best_of(fn: Callable[[], object], repeats: int) -> float:
-    """Best-of-N wall time of ``fn`` in seconds."""
-    best = float("inf")
+def _walls(fn: Callable[[], object], repeats: int) -> List[float]:
+    """Wall time of each of ``repeats`` calls of ``fn``, in seconds."""
+    walls = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        walls.append(time.perf_counter() - t0)
+    return walls
 
 
 def bench_ctmc(buffers: List[int], repeats: int) -> Dict[str, object]:
@@ -136,12 +137,18 @@ def bench_ctmc(buffers: List[int], repeats: int) -> Dict[str, object]:
              lambda: cumulative_times(chain, pi0, CUMULATIVE_HORIZON,
                                       backend="sparse")),
         ):
-            dense_s = _best_of(dense_fn, repeats)
-            sparse_s = _best_of(sparse_fn, repeats)
+            dense = _walls(dense_fn, repeats)
+            sparse = _walls(sparse_fn, repeats)
+            dense_s, sparse_s = min(dense), min(sparse)
+            # Repeat i of each backend makes one speedup; their range is
+            # how far this machine moves the best-of figure.
+            speedups = [d / s for d, s in zip(dense, sparse) if s > 0]
             entry[op] = {
                 "dense_s": dense_s,
                 "sparse_s": sparse_s,
                 "speedup": dense_s / sparse_s if sparse_s > 0 else None,
+                "speedup_min": min(speedups, default=None),
+                "speedup_max": max(speedups, default=None),
             }
         results.append(entry)
         print(f"  buffer {buffer_size:>3} ({chain.n_states} states): "

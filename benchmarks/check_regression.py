@@ -30,9 +30,11 @@ the committed baselines at the repository root and fails (exit 1) when:
   more store names per heal at the long horizon than
   ``MAX_STORE_SCALING`` times the short horizon's, or the fleet-observe
   row missing, replaying its tenants' events for more than
-  ``MAX_OBSERVE_SHARE`` of its run's wall, or publishing more than
+  ``MAX_OBSERVE_SHARE`` of its run's wall, publishing more than
   ``MAX_EVENTS_PER_HEALED_ALERT`` events per healed alert (or more than
-  the committed row of the same shape);
+  the committed row of the same shape), publishing any event of a
+  ``ABSENT_EVENT_KINDS`` kind, or other than
+  ``UNIT_EMITTED_PER_SCAN`` ``UnitEmitted`` per scan;
 - on rows present in *both* files (matched by ``buffer`` for the CTMC
   sweep, ``replications`` for the simulation batch, ``(tenants,
   duration)`` for the fleet sweep), a speedup or the fleet's alert
@@ -97,11 +99,21 @@ MAX_STORE_SCALING = 1.5
 #: property pack.
 MAX_OBSERVE_SHARE = 0.15
 
-#: Events a fleet publishes per healed alert: 18.82 on the row's shape
-#: (9,356 events for 497 healed alerts), since scans stopped publishing
-#: Theorem 1/2 decisions and each heal publishes its batch's.  More
-#: means a new event, or a second copy of one, on the observed path.
-MAX_EVENTS_PER_HEALED_ALERT = 18.83
+#: Events a fleet publishes per healed alert: 17.83 on the row's shape
+#: (8,859 events for 497 healed alerts), since a scan publishes one
+#: event (18.82 while the analyzer published a second).  More means a
+#: new event, or a second copy of one, on the observed path.
+MAX_EVENTS_PER_HEALED_ALERT = 17.83
+
+#: Event kinds the fleet-observe row must not publish: the analyzer's
+#: retired per-scan event, and drops published by a tenant system's
+#: own queues (a lost alert is its one ``AlertLost``; the row's plane
+#: has no bus for its central queue's deferrals).
+ABSENT_EVENT_KINDS = ("ScanStep", "QueueItemDropped")
+
+#: ``UnitEmitted`` events per scan on the fleet-observe row: a scan is
+#: one event, exactly.
+UNIT_EMITTED_PER_SCAN = 1.0
 
 
 def _load(path: pathlib.Path, expected_benchmark: str) -> dict:
@@ -299,6 +311,22 @@ def _check_fleet_observe(row: Optional[dict],
         failures.append(
             f"profile fleet-observe: {per_heal} events per healed alert, "
             f"above {limit} — the observed path publishes more events")
+    by_kind = items.get("events_by_kind")
+    if by_kind is None:
+        failures.append("profile fleet-observe: no events_by_kind line "
+                        "item — the event vocabulary is not counted")
+    else:
+        for kind in ABSENT_EVENT_KINDS:
+            if by_kind.get(kind, 0) != 0:
+                failures.append(
+                    f"profile fleet-observe: {by_kind[kind]} {kind} "
+                    "event(s), expected 0 — a scan or a lost alert "
+                    "publishes a second event")
+    per_scan = items.get("unit_emitted_per_scan")
+    if per_scan != UNIT_EMITTED_PER_SCAN:
+        failures.append(
+            f"profile fleet-observe: {per_scan} UnitEmitted per scan, "
+            f"expected exactly {UNIT_EMITTED_PER_SCAN}")
     return failures
 
 

@@ -347,24 +347,33 @@ def _serve_telemetry(args, monitor) -> int:
     (0: until interrupted).  Exit code 0 even on BREACH — the verdict
     is the payload, not the process status.
     """
-    import threading
-
     from repro.obs.server import TelemetryServer
 
     print(f"health verdict: {monitor.verdict.value}")
-    server = TelemetryServer(registry=monitor.registry, monitor=monitor,
-                             port=args.serve)
+    _serve_and_wait(
+        TelemetryServer(registry=monitor.registry, monitor=monitor,
+                        port=args.serve),
+        "serving telemetry at", "/metrics /healthz /slo", args.serve_for)
+    return 0
+
+
+def _serve_and_wait(server, banner: str, endpoints: str,
+                    serve_for: float) -> None:
+    """Start ``server``, print ``<banner> <url>`` and its endpoints,
+    then block for ``serve_for`` seconds (0: until interrupted; Ctrl-C
+    ends the wait quietly) and stop it."""
+    import threading
+
     with server:
-        print(f"serving telemetry at {server.url}", flush=True)
-        print("endpoints: /metrics /healthz /slo", flush=True)
+        print(f"{banner} {server.url}", flush=True)
+        print(f"endpoints: {endpoints}", flush=True)
         try:
-            if args.serve_for > 0:
-                threading.Event().wait(args.serve_for)
+            if serve_for > 0:
+                threading.Event().wait(serve_for)
             else:
                 threading.Event().wait()
         except KeyboardInterrupt:
             pass
-    return 0
 
 
 def _obs_run(args, path: Optional[str] = None):
@@ -876,23 +885,13 @@ def cmd_fleet(args) -> int:
 
     ok = audits_ok and health.verdict.value != "BREACH"
     if args.serve is not None:
-        import threading
-
         from repro.obs.server import TelemetryServer
 
-        server = TelemetryServer(registry=plane.registry, fleet=plane,
-                                 port=args.serve)
-        with server:
-            print(f"serving fleet telemetry at {server.url}", flush=True)
-            print("endpoints: /metrics /healthz /slo /slo?tenant=ID",
-                  flush=True)
-            try:
-                if args.serve_for > 0:
-                    threading.Event().wait(args.serve_for)
-                else:
-                    threading.Event().wait()
-            except KeyboardInterrupt:
-                pass
+        _serve_and_wait(
+            TelemetryServer(registry=plane.registry, fleet=plane,
+                            port=args.serve),
+            "serving fleet telemetry at",
+            "/metrics /healthz /slo /slo?tenant=ID", args.serve_for)
     return 0 if ok else 1
 
 

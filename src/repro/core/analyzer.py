@@ -26,9 +26,7 @@ degradation the CTMC assumes, not work the analyzer does.
 
 from __future__ import annotations
 
-import time as _time
 from typing import (
-    Callable,
     Iterable,
     List,
     Mapping,
@@ -45,7 +43,7 @@ from repro.core.undo_redo import (
     find_undo_tasks,
 )
 from repro.ids.alerts import Alert
-from repro.obs.events import EventBus, EventTrace, ObsEvent, ScanStep
+from repro.obs.events import EventTrace, ObsEvent
 from repro.obs.perf import bump
 from repro.workflow.dependency import DependencyAnalyzer
 from repro.workflow.log import SystemLog
@@ -96,56 +94,22 @@ class RecoveryAnalyzer:
     log:
         The system log the alerts name; its length sizes the modelled
         :meth:`analysis_cost`.
-    bus:
-        Optional :class:`repro.obs.events.EventBus`; when attached, each
-        :meth:`analyze` call publishes a
-        :class:`~repro.obs.events.ScanStep` carrying its modelled
-        dependence-check cost.  No-op when ``None``.
-    clock:
-        Timestamp source for published events (default
-        ``time.monotonic``), read once per observed scan.
     """
 
-    def __init__(
-        self,
-        log: SystemLog,
-        bus: Optional[EventBus] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, log: SystemLog) -> None:
         self._log = log
-        self._bus = bus
-        self._clock = clock if clock is not None else _time.monotonic  # lint: allow[DET001] injectable clock; wall time is the live default
 
-    def analyze(
-        self,
-        alerts: Sequence[Union[Alert, str]],
-        outstanding_units: int = 0,
-    ) -> Tuple[str, ...]:
+    def analyze(self, alerts: Sequence[Union[Alert, str]]) -> Tuple[str, ...]:
         """Turn a batch of alerts into one unit of recovery tasks: the
         alerts' instance uids, for the recovery queue.
 
-        Parameters
-        ----------
-        alerts:
-            IDS alerts (or bare instance uids).  Alerts naming instances
-            absent from the log are kept; the heal ignores them (false
-            alarms about uncommitted tasks).
-        outstanding_units:
-            Recovery units already queued but not yet executed.  Only
-            stamped on the :class:`~repro.obs.events.ScanStep` with its
-            modelled :meth:`analysis_cost`: the batch heal merges the
-            queued units, so no cross-unit order is computed.
+        Alerts naming instances absent from the log are kept; the heal
+        ignores them (false alarms about uncommitted tasks).  The batch
+        heal merges the queued units, so no cross-unit order is
+        computed; :meth:`analysis_cost` models what it would cost.
         """
-        uids = tuple(alert.uid if isinstance(alert, Alert) else alert
+        return tuple(alert.uid if isinstance(alert, Alert) else alert
                      for alert in alerts)
-        if self._bus is not None and self._bus.active:
-            self._bus.publish(ScanStep(
-                self._clock(),
-                uid=uids[0] if uids else "",
-                outstanding_units=outstanding_units,
-                cost=self.analysis_cost(outstanding_units),
-            ))
-        return uids
 
     def analysis_cost(self, outstanding_units: int) -> int:
         """Modelled dependence checks needed to admit one more alert
@@ -158,6 +122,6 @@ class RecoveryAnalyzer:
         decreasing in ``k``; the default CTMC family ``μ_k = μ_1 / k``
         corresponds to this linear cost.  This analyzer does no such
         check (the batch heal merges the queued units), so the cost is
-        the model's, stamped on each :class:`ScanStep`.
+        the model's.
         """
         return max(1, outstanding_units) * max(1, len(self._log))

@@ -145,14 +145,16 @@ class BoundedQueue(Generic[T]):
     def instrument(self, name: str, bus: Optional[EventBus],
                    clock: Callable[[], float]) -> None:
         """Make the queue publish a typed
-        :class:`~repro.obs.events.QueueItemDropped` on every rejection.
+        :class:`~repro.obs.events.QueueItemDropped` on every rejection
+        or eviction, stamped by ``clock``.
 
-        The queue itself owns the emission (not the code calling
-        ``offer``), so windowed loss estimators and the flight recorder
-        see *every* drop with its clock time, even on call paths that
-        bypass the system-level instrumentation.  ``name`` labels which
-        queue dropped (``"alert"`` / ``"recovery"``); ``bus=None``
-        removes the instrumentation.
+        The fleet's central scheduling queue is the one instrumented
+        queue: its drops are deferrals no other event reports.  A
+        :class:`~repro.system.SelfHealingSystem` leaves its own queues
+        uninstrumented — a lost alert is its one ``AlertLost``, and its
+        recovery queue never overflows (a scan refuses to run when it
+        is full).  ``name`` labels the queue on each event;
+        ``bus=None`` removes the instrumentation.
         """
         self._name = name
         self._bus = bus

@@ -6,10 +6,11 @@ Definitions 3–4) — so the runtime must be able to *measure* itself.
 This package provides the measurement layer:
 
 - :mod:`repro.obs.events` — a process-local event bus with one typed
-  event per pipeline happening (alert enqueued/lost, scan step, unit
-  emitted, state transition, heal started/finished, task undone/redone,
-  normal task refused) plus the provenance events (Theorem 1/2
-  undo/redo decisions, Theorem 3 order constraints);
+  event per pipeline happening (alert enqueued or lost, a scan's unit
+  emitted, state transition, heal started/finished, task
+  undone/redone, normal task refused, a fleet central-queue deferral)
+  plus the provenance events (Theorem 1/2 undo/redo decisions,
+  Theorem 3 order constraints);
 - :mod:`repro.obs.metrics` — counters, gauges (with high-water marks),
   and fixed-bucket histograms, plus :class:`PipelineMetrics`, a bus
   subscriber that derives the paper's quantities from the event stream;
@@ -62,7 +63,6 @@ from repro.obs.events import (
     OrderConstraint,
     QueueItemDropped,
     RedoDecision,
-    ScanStep,
     SloTransition,
     StateTransition,
     TaskRedone,
@@ -125,7 +125,6 @@ __all__ = [
     "ObsEvent",
     "AlertEnqueued",
     "AlertLost",
-    "ScanStep",
     "UnitEmitted",
     "StateTransition",
     "HealStarted",

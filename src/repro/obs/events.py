@@ -29,7 +29,6 @@ __all__ = [
     "ObsEvent",
     "AlertEnqueued",
     "AlertLost",
-    "ScanStep",
     "UnitEmitted",
     "StateTransition",
     "HealStarted",
@@ -62,7 +61,7 @@ class ObsEvent:
 
     @property
     def kind(self) -> str:
-        """The event's type name (``AlertLost``, ``ScanStep``, ...)."""
+        """The event's type name (``AlertLost``, ``UnitEmitted``, ...)."""
         return type(self).__name__
 
     def to_dict(self) -> Dict[str, Any]:
@@ -93,31 +92,21 @@ class AlertLost(ObsEvent):
 
 
 @dataclass(frozen=True)
-class ScanStep(ObsEvent):
-    """The analyzer processed one alert into a unit of recovery tasks.
-
-    ``cost`` is the analyzer's dependence-check count (the linear
-    ``μ_k`` work of Section V-A); ``outstanding_units`` the recovery
-    units already queued when the scan ran.
-    """
-
-    uid: str
-    outstanding_units: int
-    cost: int
-
-
-@dataclass(frozen=True)
 class UnitEmitted(ObsEvent):
-    """Units of recovery tasks entered the recovery-task queue.
+    """A scan moved one alert into the recovery-task queue as a unit of
+    recovery tasks: the one event of a scan.
 
-    A scan decides nothing, so the event carries counts only: the batch
-    heal publishes the Theorem 1/2 decisions it runs.  Flight logs
-    written when scans still claimed sets carry ``claimed*`` fields,
-    which loading ignores.
+    ``queue_depth`` is the recovery queue's occupancy after the push (1
+    + the units already outstanding); ``uid`` the scanned alert's
+    instance uid, ``""`` where the publisher has none (the Gillespie
+    simulator).  A scan decides nothing, so the event carries no sets:
+    the batch heal publishes the Theorem 1/2 decisions it runs.  Fields
+    older flight logs carry (``units``, ``claimed*``) are ignored on
+    load.
     """
 
-    units: int
     queue_depth: int
+    uid: str = ""
 
 
 @dataclass(frozen=True)
@@ -303,20 +292,20 @@ def trace_time(trace: Optional[List[Any]]) -> float:
 
 @dataclass(frozen=True)
 class QueueItemDropped(ObsEvent):
-    """A bounded queue rejected an item because it was full.
+    """An instrumented bounded queue rejected (or evicted) an item.
 
-    Unlike :class:`AlertLost` (which the *system* publishes with alert
-    identity), this event is emitted by the queue itself on every
-    rejection, stamped with the queue's clock, so windowed loss
-    estimators and the flight recorder see each drop even on paths
-    that bypass the system-level instrumentation.  ``queue`` names
-    which queue dropped (``"alert"`` / ``"recovery"``), ``depth`` its
-    occupancy at rejection time, ``lost_total`` the queue's lifetime
-    loss counter after this drop.  ``priority`` is the rejected item's
-    priority class when the queue is a
+    The queue itself publishes it (:meth:`~repro.ids.alerts.BoundedQueue.
+    instrument`), stamped with the queue's clock.  Only the fleet's
+    central scheduling queue is instrumented, so each event is one
+    deferral there (``queue`` ``"central"``); a
+    :class:`~repro.system.SelfHealingSystem` publishes one
+    :class:`AlertLost` per lost alert and nothing from its queues.
+    ``depth`` is the queue's occupancy at rejection time, ``lost_total``
+    its lifetime loss counter after this drop, ``priority`` the
+    rejected item's class when the queue is a
     :class:`~repro.ids.alerts.PriorityBoundedQueue` (0 for the plain
-    FIFO queue, whose only class is 0) — old flight logs without the
-    field replay with the default.
+    FIFO queue) — old flight logs without the field replay with the
+    default.
     """
 
     queue: str
@@ -388,7 +377,7 @@ class ConformanceViolation(ObsEvent):
 EVENT_TYPES: Dict[str, Type[ObsEvent]] = {
     cls.__name__: cls
     for cls in (
-        AlertEnqueued, AlertLost, ScanStep, UnitEmitted, StateTransition,
+        AlertEnqueued, AlertLost, UnitEmitted, StateTransition,
         HealStarted, HealFinished, TaskUndone, TaskRedone,
         NormalTaskRefused, UndoDecision, RedoDecision, OrderConstraint,
         QueueItemDropped, SloTransition, DriftDetected,

@@ -67,7 +67,6 @@ from repro.obs.events import (
     ObsEvent,
     OrderConstraint,
     RedoDecision,
-    ScanStep,
     SloTransition,
     StateTransition,
     TaskRedone,
@@ -417,7 +416,7 @@ class HealthMonitor:
     #: Event types the monitor consumes (the estimators' inputs plus
     #: everything the embedded LTLf conformance monitor reads).
     CONSUMES = (
-        AlertEnqueued, AlertLost, ScanStep, UnitEmitted,
+        AlertEnqueued, AlertLost, UnitEmitted,
         StateTransition, HealFinished,
         HealStarted, TaskUndone, TaskRedone, NormalTaskRefused,
         UndoDecision, RedoDecision, OrderConstraint,
@@ -601,11 +600,6 @@ class HealthMonitor:
         self.total_scans += 1
         self._scans.observe(event.time)
         self._unit_occ.set_level(event.time, event.queue_depth)
-
-    def _on_scan(self, event: ScanStep) -> None:
-        # Scan work cost; the scan rate comes from UnitEmitted.
-        if event.time > self.now:
-            self.now = event.time
 
     def _on_heal_finished(self, event: HealFinished) -> None:
         self._on_conformance(event)
@@ -930,7 +924,6 @@ class HealthMonitor:
 _HANDLERS: Dict[type, Callable[[HealthMonitor, Any], None]] = {
     AlertEnqueued: HealthMonitor._on_alert,
     AlertLost: HealthMonitor._on_alert,
-    ScanStep: HealthMonitor._on_scan,
     UnitEmitted: HealthMonitor._on_unit,
     StateTransition: HealthMonitor._on_transition,
     HealFinished: HealthMonitor._on_heal_finished,

@@ -27,7 +27,6 @@ from repro.obs.events import (
     NormalTaskRefused,
     ObsEvent,
     QueueItemDropped,
-    ScanStep,
     StateTransition,
     TaskRedone,
     TaskUndone,
@@ -261,15 +260,14 @@ class PipelineMetrics:
     Maintains, in a :class:`MetricsRegistry`:
 
     - counters ``repro_alerts_enqueued_total`` / ``repro_alerts_lost_total``
-      (Definition 3's numerator, observed), ``repro_scan_steps_total``,
-      ``repro_units_emitted_total``, ``repro_heals_total``,
+      (Definition 3's numerator, observed), ``repro_scan_steps_total``
+      (one per ``UnitEmitted``), ``repro_heals_total``,
       ``repro_tasks_undone_total`` / ``repro_tasks_redone_total``,
       ``repro_normal_tasks_refused_total`` (Theorem 4's cost);
     - gauges ``repro_alert_queue_depth`` / ``repro_recovery_queue_depth``
       with high-water marks (Section IV-E's buffer pressure);
     - histograms ``repro_state_dwell_time{state=...}`` (Section IV-C
-      occupancy), ``repro_scan_cost`` (the μ_k dependence checks),
-      ``repro_heal_duration``, ``repro_heal_undo_size`` /
+      occupancy), ``repro_heal_duration``, ``repro_heal_undo_size`` /
       ``repro_heal_redo_size``.
 
     Time accounting starts at the first event (or an explicit
@@ -288,10 +286,7 @@ class PipelineMetrics:
             help="IDS alerts rejected by a full alert queue")
         self.scan_steps = r.counter(
             "repro_scan_steps_total",
-            help="alerts processed by the recovery analyzer")
-        self.units_emitted = r.counter(
-            "repro_units_emitted_total",
-            help="recovery units emitted into the recovery-task queue")
+            help="alerts scanned into units of the recovery-task queue")
         self.heals = r.counter(
             "repro_heals_total", help="batch heals committed")
         self.tasks_undone = r.counter(
@@ -307,10 +302,6 @@ class PipelineMetrics:
         self.recovery_depth = r.gauge(
             "repro_recovery_queue_depth",
             help="recovery units currently queued")
-        self.scan_cost = r.histogram(
-            "repro_scan_cost", buckets=(1, 2, 5, 10, 25, 50, 100, 250,
-                                        500, 1000),
-            help="dependence checks per scan step (the mu_k work)")
         self.heal_duration = r.histogram(
             "repro_heal_duration", help="duration of each batch heal")
         self.undo_size = r.histogram(
@@ -352,11 +343,8 @@ class PipelineMetrics:
         elif isinstance(event, AlertLost):
             self.alerts_lost.inc()
             self.alert_depth.set(event.queue_depth)
-        elif isinstance(event, ScanStep):
-            self.scan_steps.inc()
-            self.scan_cost.observe(event.cost)
         elif isinstance(event, UnitEmitted):
-            self.units_emitted.inc(event.units)
+            self.scan_steps.inc()
             self.recovery_depth.set(event.queue_depth)
         elif isinstance(event, HealFinished):
             self.heals.inc()
@@ -458,8 +446,6 @@ class PipelineMetrics:
             ("recovery queue high-water",
              int(self.recovery_depth.high_water)),
             ("scan steps", int(self.scan_steps.value)),
-            ("mean scan cost", self.scan_cost.mean),
-            ("recovery units emitted", int(self.units_emitted.value)),
             ("heals", int(self.heals.value)),
             ("tasks undone", int(self.tasks_undone.value)),
             ("tasks redone", int(self.tasks_redone.value)),

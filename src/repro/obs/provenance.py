@@ -36,7 +36,6 @@ from repro.obs.events import (
     ObsEvent,
     OrderConstraint,
     RedoDecision,
-    ScanStep,
     SloTransition,
     StateTransition,
     TaskRedone,
@@ -273,11 +272,13 @@ def build_span_tree(log: FlightLog) -> List[Span]:
     dwell, then the incident spans in the order they open:
 
     - ``detect``: from an offered alert (``AlertEnqueued`` or
-      ``AlertLost``) while none is open to the analyzer's next
-      ``ScanStep`` (or ``UnitEmitted``, for abstract simulators that
-      publish no scan steps);
-    - ``scan``: one per ``ScanStep``, ending at the ``UnitEmitted``
-      that queues its recovery unit;
+      ``AlertLost``) while none is open to the next ``UnitEmitted``;
+    - ``scan``: one per ``UnitEmitted``, from its stamp to the stamp of
+      the log's next event (unfinished when none follows).  Under
+      :class:`~repro.obs.runner.SimTimeDriver`, which pays a scan's
+      service once its unit is queued, that is the scan's service
+      time; where the unit is stamped at the end of the scan service
+      (the simulators), it is the wait until the next event;
     - ``heal``: ``HealStarted`` → ``HealFinished``, with an ``undo``
       and a ``redo`` child.  Task events are stamped when the
       operation starts, so each undo/redo runs until the next one (or
@@ -321,23 +322,22 @@ def build_span_tree(log: FlightLog) -> List[Span]:
     heal: Optional[Span] = None
     ops: List[Tuple[str, float]] = []  # the open heal's (kind, start)
     for event in log.events:
+        if scan is not None:
+            scan.end = event.time
+            scan = None
         if isinstance(event, (AlertEnqueued, AlertLost)):
             if detect is None:
                 detect = Span("detect", event.time, {"alerts": 0})
                 root.children.append(detect)
             detect.attributes["alerts"] += 1
-        elif isinstance(event, (ScanStep, UnitEmitted)):
+        elif isinstance(event, UnitEmitted):
             if detect is not None:
                 detect.end = event.time
                 detect = None
-            if isinstance(event, ScanStep):
-                scans += 1
-                scan = Span("scan", event.time,
-                            {"step": scans, "uid": event.uid})
-                root.children.append(scan)
-            elif scan is not None:
-                scan.end = event.time
-                scan = None
+            scans += 1
+            scan = Span("scan", event.time,
+                        {"step": scans, "uid": event.uid})
+            root.children.append(scan)
         elif isinstance(event, HealStarted):
             heal = Span("heal", event.time,
                         {"malicious": ", ".join(event.malicious)})

@@ -17,11 +17,13 @@ Record shapes (all JSON objects, discriminated by ``"record"``):
 ``{"record": "mark", "mark": "start", "time": 0.0, "state": "NORMAL"}``
     Lifecycle marks; ``start`` and ``finalize`` bracket the run and
     drive the replayer's dwell accounting.
-``{"record": "event", "event": "ScanStep", "time": ..., ...}``
+``{"record": "event", "event": "UnitEmitted", "time": ..., ...}``
     One captured :class:`~repro.obs.events.ObsEvent`, in the flat
     :meth:`~repro.obs.events.ObsEvent.to_dict` form.
 
-Any other record kind fails to load.
+Any other record kind fails to load, and so does an event of a kind
+:data:`~repro.obs.events.EVENT_TYPES` does not know, except a retired
+one (:data:`RETIRED_EVENT_KINDS`), which loading skips.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.obs.events import EventBus, ObsEvent, event_from_dict
 
 __all__ = [
     "SCHEMA_VERSION",
+    "RETIRED_EVENT_KINDS",
     "FlightRecorder",
     "FlightLog",
     "read_flight_log",
@@ -173,12 +176,19 @@ class FlightLog:
         return None
 
 
+#: Event kinds older logs hold and nothing publishes any more; loading
+#: skips them.  The analyzer's per-scan event duplicated the scan's
+#: ``UnitEmitted``.
+RETIRED_EVENT_KINDS = frozenset({"ScanStep"})
+
+
 def read_flight_log(text: str) -> FlightLog:
     """Parse flight-log JSONL text into a :class:`FlightLog`.
 
     Raises :class:`~repro.errors.ObsError` for an empty log, a missing
     or wrong-version header, unparseable lines, unknown record or event
     kinds — corrupt logs fail loudly rather than replaying wrong.
+    Events of a :data:`RETIRED_EVENT_KINDS` kind are skipped.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -209,6 +219,8 @@ def read_flight_log(text: str) -> FlightLog:
         if kind == "mark":
             log.marks.append(record)
         elif kind == "event":
+            if record.get("event") in RETIRED_EVENT_KINDS:
+                continue
             try:
                 log.events.append(event_from_dict(record))
             except (KeyError, TypeError) as exc:

@@ -22,9 +22,9 @@ from repro.ids.alerts import Alert
 from repro.obs.events import (
     EventBus,
     ObsEvent,
-    ScanStep,
     TaskRedone,
     TaskUndone,
+    UnitEmitted,
 )
 from repro.obs.recorder import FlightRecorder
 from repro.obs.tracing import ManualClock
@@ -43,11 +43,13 @@ class SimTimeDriver:
     simulated cost of each pipeline operation.
 
     The operational system executes synchronously; in simulated time,
-    each scan step costs ``scan_time × (1 + outstanding units)`` (the
-    linear μ_k cross-check work of Section V-A) and each undo/redo
-    costs ``task_time`` (the per-unit ξ work).  Subscribing this driver
-    makes dwell times, heal durations, and span trees meaningful in
-    sim-time without touching the system under observation.
+    each scan costs ``scan_time × queue depth`` once its
+    ``UnitEmitted`` is published (the depth after the push is 1 + the
+    outstanding units: the linear μ_k cross-check work of Section V-A)
+    and each undo/redo costs ``task_time`` (the per-unit ξ work).
+    Subscribing this driver makes dwell times, heal durations, and span
+    trees meaningful in sim-time without touching the system under
+    observation.
     """
 
     def __init__(self, clock: ManualClock, scan_time: float = 1.0 / 15.0,
@@ -57,10 +59,8 @@ class SimTimeDriver:
         self.task_time = task_time
 
     def __call__(self, event: ObsEvent) -> None:
-        if isinstance(event, ScanStep):
-            self.clock.advance(
-                self.scan_time * (1 + event.outstanding_units)
-            )
+        if isinstance(event, UnitEmitted):
+            self.clock.advance(self.scan_time * event.queue_depth)
         elif isinstance(event, (TaskUndone, TaskRedone)):
             # Disposition-only notes announce a fate already paid for
             # (the closure undo); they cost no ξ work.

@@ -234,7 +234,7 @@ class GillespieSimulator:
                     and states[nxt].units == states[i].units + 1:
                 # A scan jump moves one alert into the recovery queue.
                 bus.publish(UnitEmitted(
-                    now, units=1, queue_depth=states[nxt].units,
+                    now, queue_depth=states[nxt].units,
                 ))
             if bus is not None:
                 old, new = states[i], states[nxt]

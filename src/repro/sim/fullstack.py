@@ -266,10 +266,10 @@ class FullStackSimulator:
     bus:
         Optional :class:`repro.obs.events.EventBus`; when attached, the
         whole pipeline publishes typed events stamped with *simulated*
-        time — alert arrivals and losses, scan steps (via the real
-        analyzer), unit emissions, NORMAL/SCAN/RECOVERY transitions,
-        and heal lifecycles including per-task undo/redo from the real
-        healer.  ``None`` (default) adds no observable cost.
+        time — alert arrivals and losses, one unit emission per scan,
+        NORMAL/SCAN/RECOVERY transitions, and heal lifecycles including
+        per-task undo/redo from the real healer.  ``None`` (default)
+        adds no observable cost.
 
     Under a recording profiler (:mod:`repro.obs.perf`), the event-loop
     callbacks run inside the phases detect / buffer-wait / analyze /

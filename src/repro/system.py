@@ -100,10 +100,12 @@ class SelfHealingSystem:
         buffer of Section IV-E).
     bus:
         Optional :class:`repro.obs.events.EventBus`; when attached, the
-        system publishes typed events (alert enqueued/lost, scan steps,
-        unit emissions, state transitions, heal lifecycle).  ``None``
-        (the default) makes every instrumentation site a single ``None``
-        check — no events are built.
+        system publishes typed events: one per offered alert
+        (enqueued or lost), one ``UnitEmitted`` per scan, state
+        transitions and the heal lifecycle.  Its queues publish
+        nothing of their own.  ``None`` (the default) makes every
+        instrumentation site a single ``None`` check — no events are
+        built.
     clock:
         Zero-argument callable supplying event timestamps; defaults to
         ``time.monotonic``.  Inject a
@@ -131,11 +133,6 @@ class SelfHealingSystem:
             recovery_buffer)
         self._bus = bus
         self._clock = clock if clock is not None else _time.monotonic  # lint: allow[DET001] injectable clock; wall time is the live default
-        # The queues publish their own typed drop events, so rejections
-        # are observable with their clock time even on call paths that
-        # never reach the system-level AlertLost instrumentation.
-        self._alerts.instrument("alert", bus, self._clock)
-        self._units.instrument("recovery", bus, self._clock)
         self._last_state = self.state
         #: uid → clock time at enqueue, for buffer-wait attribution.
         self._enqueued_at: Dict[str, float] = {}
@@ -233,7 +230,9 @@ class SelfHealingSystem:
 
         Returns the queued recovery unit (the alert's uid), or ``None``
         when there is nothing to scan or the analyzer is blocked by a
-        full recovery queue (Section IV-E).
+        full recovery queue (Section IV-E), so the push never overflows.
+        An observed scan publishes one ``UnitEmitted``: the alert's uid
+        and the recovery queue's depth after the push.
         """
         if not self._alerts or self._units.full:
             return None
@@ -249,16 +248,12 @@ class SelfHealingSystem:
                     # so the wall side stays zero.
                     prof.add_external("buffer-wait", 0.0,
                                       sim=self._clock() - queued_at)
-            analyzer = RecoveryAnalyzer(self._manager.log, bus=self._bus,
-                                        clock=self._clock)
-            unit = analyzer.analyze(
-                [alert], outstanding_units=self.recovery_units_queued
-            )
+            unit = RecoveryAnalyzer(self._manager.log).analyze([alert])
             self._units.push(unit)
             if self._bus is not None and self._bus.active:
                 self._bus.publish(UnitEmitted(
-                    self._clock(), units=1,
-                    queue_depth=len(self._units),
+                    self._clock(), queue_depth=len(self._units),
+                    uid=alert.uid,
                 ))
                 self._note_state()
         return unit

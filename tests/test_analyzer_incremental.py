@@ -262,18 +262,19 @@ class TestIndexLivesWithTheAnalyzer:
 
 class TestPinnedProvenance:
     #: sha256 of ``obs record --scenario fullstack --lam 8 --buffer 8
-    #: --horizon 5 --seed 3``: 986 records, each heal's T1/T2 decisions
+    #: --horizon 5 --seed 3``: 950 records, each heal's T1/T2 decisions
     #: and T3 edges in order among them, the final sweep's heal of the
-    #: alerts still queued at the horizon included.
+    #: alerts still queued at the horizon included; one ``UnitEmitted``
+    #: per scan and one ``AlertLost`` per lost alert.
     OVERLOAD_LOG_SHA256 = (
-        "cf19429d08657363fca97ad58763baf6766e0f7f1769029c49d74ed2d0d39418")
+        "22827375bb8bb41949a168d4d9cc28a92338391bb552cae6a1186f02ef2949fc")
 
     def test_overload_flight_log_digest(self, tmp_path, capsys):
         path = tmp_path / "overload.jsonl"
         assert main(["obs", "record", "--scenario", "fullstack",
                      "--lam", "8", "--buffer", "8", "--horizon", "5",
                      "--seed", "3", "--log", str(path)]) == 0
-        assert "986 flight-log records" in capsys.readouterr().out
+        assert "950 flight-log records" in capsys.readouterr().out
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.OVERLOAD_LOG_SHA256
 
@@ -341,7 +342,9 @@ def gated_profile(per_alert=0.05, orders=1.0, plan_wall=True,
 #: A fleet-observe profile row that passes its gate.
 FLEET_OBSERVE_ROW = {
     "scenario": "fleet-observe", "digest_stable": True,
-    "line_items": {"replay_share": 0.1, "events_per_healed_alert": 18.0}}
+    "line_items": {"replay_share": 0.1, "events_per_healed_alert": 17.0,
+                   "events_by_kind": {"UnitEmitted": 10},
+                   "unit_emitted_per_scan": 1.0}}
 
 
 #: A store-scaling profile row that passes its gate.

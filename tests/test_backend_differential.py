@@ -231,13 +231,17 @@ def test_unknown_backend_name_raises() -> None:
 
 @needs_scipy
 def test_ctmc_bench_gates_equation3() -> None:
-    """The CTMC sweep times Equation 3 and the regression gate reads it."""
+    """The CTMC sweep times Equation 3, records each op's speedup spread
+    over its repeats, and the regression gate reads it."""
     from benchmarks.bench_scale import bench_ctmc
     from benchmarks.check_regression import check_ctmc
 
-    doc = bench_ctmc([3], repeats=1)
+    doc = bench_ctmc([3], repeats=2)
     row = doc["results"][0]
-    assert set(row["cumulative"]) == {"dense_s", "sparse_s", "speedup"}
+    assert set(row["cumulative"]) == {"dense_s", "sparse_s", "speedup",
+                                      "speedup_min", "speedup_max"}
+    for op in ("steady_state", "transient", "passage", "cumulative"):
+        assert 0 < row[op]["speedup_min"] <= row[op]["speedup_max"]
     assert row["max_abs_diff"]["cumulative"] < 1e-6
     assert check_ctmc(doc, doc, 0.25, 1e-6) == []
 

@@ -132,7 +132,7 @@ def reference_run(stg, rng, horizon, start=None, bus=None,
                 bus.publish(AlertEnqueued(now, uid="",
                                           queue_depth=nxt.alerts))
         elif bus is not None and nxt.units == state.units + 1:
-            bus.publish(UnitEmitted(now, units=1, queue_depth=nxt.units))
+            bus.publish(UnitEmitted(now, queue_depth=nxt.units))
         if bus is not None:
             bus.publish(StateTransition(
                 now, old=str(state), new=str(nxt),
@@ -352,8 +352,9 @@ class TestPinnedEventFiles:
     """Flight logs of seeded ``obs record`` runs.  The stripped-event
     digests were taken from ``obs --events`` files before the loop was
     table-driven (and before the flight log became the one event
-    format), and re-taken when ``UnitEmitted`` lost its claim fields;
-    any change to draws or event order moves them."""
+    format), and re-taken when ``UnitEmitted`` lost its claim fields
+    and again when it lost its constant ``units`` field; any change to
+    draws or event order moves them."""
 
     def test_health_run(self, tmp_path, capsys):
         # --health rides a monitor on fullstack runs only: a gillespie
@@ -376,11 +377,11 @@ class TestPinnedEventFiles:
         capsys.readouterr()
         assert len(log.read_text().splitlines()) == 3673  # 3,670 events
         assert _stripped_events_sha256(log) == (
-            "cd95704bee9081cd6c833f5d7b639001"
-            "0a1771f75b561a8b76d671208206754a")
+            "63a362a56aca60debb6d01136015365e"
+            "ae7de06c3fb2c03f445f2d13eb577613")
         assert _sha256(log) == (
-            "5b14e646334905ce99843dfc0c03e2b0"
-            "0f7fe732d76861f58e2c40a4907123a0")
+            "02a0b1068bfcad5d854bf6aefe23e426"
+            "9332a0f70188f2603e8b5d1b3cfc312a")
 
 
 # -- the MMPP loop ---------------------------------------------------------------

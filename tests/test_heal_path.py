@@ -75,6 +75,17 @@ class TestOneHealPath:
         }
         assert stepping == self.SETTLE_OWNERS
 
+    def test_only_the_fleet_central_queue_publishes_drops(self):
+        """A system's lost alert is its one ``AlertLost``: its queues
+        publish nothing, and the fleet's central queue is the one
+        instrumented queue (its deferrals)."""
+        instrumenting = {
+            path.relative_to(SRC).as_posix()
+            for path in SRC.rglob("*.py")
+            if "instrument" in _called_names(path)
+        }
+        assert instrumenting == {"fleet/control.py"}
+
     def test_system_requires_a_manager(self):
         params = inspect.signature(SelfHealingSystem.__init__).parameters
         assert not {"store", "log", "specs_by_instance"} & set(params)
@@ -120,23 +131,24 @@ class TestFlightLogPins:
     incident (``obs record``) and the hijacked web shop (``demo web-app
     --flight-log``), both recorded by ``record_incident``.  Each heal
     publishes its batch's Theorem 1/2 decisions, then its Theorem 3
-    edges, after its ``HealStarted``; scans publish no decisions, and
-    the strict gate is probed once."""
+    edges, after its ``HealStarted``; a scan publishes one
+    ``UnitEmitted`` and no decisions, and the strict gate is probed
+    once."""
 
-    #: ``obs record --scenario figure1``: 55 records, 10 of them edges.
+    #: ``obs record --scenario figure1``: 52 records, 10 of them edges.
     FIGURE1_SHA256 = (
-        "75546e88f19c4a3b78bd94d4b8a485e5fbb3f8eedbbb4b24309423bf56091f9d")
-    #: ``obs record --scenario figure1 --false-alarms 0``: 49 records,
+        "ab85d27cb392552c5f747551b28bc532184b49d5be4fb542a93a4b6551b00586")
+    #: ``obs record --scenario figure1 --false-alarms 0``: 48 records,
     #: 10 of them edges.
     FIGURE1_NO_NOISE_SHA256 = (
-        "ecc3e1ef63794c5fa6a302666fd4c829e81f124bc3d65998875be23ff71d5356")
-    #: ``demo web-app --flight-log FILE``: 86 records, 15 of them edges.
+        "de5ca45a10534d60a99aa9c9a66b4b0bf1e64397402177dca73b0c156d84b784")
+    #: ``demo web-app --flight-log FILE``: 85 records, 15 of them edges.
     WEB_APP_SHA256 = (
-        "cb077d9097ce9ea531f8ff34bf967e8f021d38186c81b7bd40b26ff62d4d140f")
+        "0cd2c90c7de8cae1a9cd387a74d7d3e841cf3e64c7fde8a6c8fa594392ed2f1f")
 
     @pytest.mark.parametrize("extra, records, digest", [
-        ([], 55, FIGURE1_SHA256),
-        (["--false-alarms", "0"], 49, FIGURE1_NO_NOISE_SHA256),
+        ([], 52, FIGURE1_SHA256),
+        (["--false-alarms", "0"], 48, FIGURE1_NO_NOISE_SHA256),
     ], ids=["default", "no-false-alarms"])
     def test_figure1_flight_log_digest(self, tmp_path, capsys, extra,
                                        records, digest):
@@ -149,7 +161,7 @@ class TestFlightLogPins:
     def test_web_app_flight_log_digest(self, tmp_path, capsys):
         path = tmp_path / "web-app.jsonl"
         assert main(["demo", "web-app", "--flight-log", str(path)]) == 0
-        assert "86 flight-log records" in capsys.readouterr().out
+        assert "85 flight-log records" in capsys.readouterr().out
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.WEB_APP_SHA256
 

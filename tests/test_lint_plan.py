@@ -406,6 +406,18 @@ class TestHealOrders:
         assert verify_flight_log(flight) == []
         assert replay_conformance(flight.events).violations == []
 
+    def test_scan_order_log_loads_without_its_scan_records(self):
+        """The old log's three per-scan analyzer records are a retired
+        kind: loading skips them, and every other event survives."""
+        text = SCAN_ORDER_LOG.read_text(encoding="utf-8")
+        kinds = [json.loads(line).get("event")
+                 for line in text.splitlines()]
+        assert kinds.count("ScanStep") == 3
+        flight = read_flight_log(text)
+        assert [e.kind for e in flight.events] == [
+            k for k in kinds if k is not None and k != "ScanStep"]
+        assert [e.kind for e in flight.events].count("UnitEmitted") == 3
+
     def test_batch_demoting_a_scan_redo_lints_clean(self):
         # A scan of s1w0_t3 alone would decide it a definite (T2.1)
         # redo, but the batch also heals s1w0_t1, which controls t3:

@@ -242,7 +242,7 @@ class TestPropertyPack:
     def test_honest_heal_cycle_is_clean(self):
         uid = "wf/t1#1"
         events = [
-            UnitEmitted(1.0, units=1, queue_depth=1),
+            UnitEmitted(1.0, queue_depth=1, uid=uid),
             HealStarted(2.0, malicious=(uid,)),
             UndoDecision(2.0, uid=uid, condition="T1.1"),
             RedoDecision(2.0, uid=uid, condition="T2.1"),
@@ -386,10 +386,10 @@ class TestInjectionAnalogues:
             == [("redo-follow-through", "finally-violated", "wf/t9#1")]
 
     def test_unclaimed_unit_makes_no_claim(self):
-        # A queued unit carries counts only: the heal, not the scan,
-        # decides, so the monitor reads no UnitEmitted.
+        # A queued unit carries its depth and alert uid only: the heal,
+        # not the scan, decides, so the monitor reads no UnitEmitted.
         _, violations = run_monitor([
-            UnitEmitted(1.0, units=1, queue_depth=1),
+            UnitEmitted(1.0, queue_depth=1),
         ])
         assert violations == []
         assert UnitEmitted not in ConformanceMonitor.CONSUMES
@@ -666,7 +666,8 @@ class TestConformanceProfileGate:
                             "long_per_heal": 11.0}},
             {"scenario": "fleet-observe", "digest_stable": True,
              "line_items": {"replay_share": 0.1,
-                            "events_per_healed_alert": 18.0}},
+                            "events_per_healed_alert": 17.0,
+                            **TestFleetObserveGate.VOCABULARY}},
         ]
         if conformance is not None:
             rows.append({"scenario": "conformance", "digest_stable": True,
@@ -700,15 +701,23 @@ class TestConformanceProfileGate:
 class TestFleetObserveGate:
     """``check_regression.py`` gates what observing costs the fleet."""
 
-    @staticmethod
-    def profile(items, params=None):
+    #: The event-vocabulary line items of a passing row: one
+    #: ``UnitEmitted`` per scan and none of the gated-out kinds.
+    VOCABULARY = {"events_by_kind": {"AlertEnqueued": 10,
+                                     "UnitEmitted": 10},
+                  "unit_emitted_per_scan": 1.0}
+
+    @classmethod
+    def profile(cls, items, params=None):
+        """A passing profile whose fleet-observe row has ``items`` on
+        top of :attr:`VOCABULARY` (``None``: no row)."""
         doc = TestConformanceProfileGate.profile({"violations": 0})
         row = doc["results"][-2]
         assert row["scenario"] == "fleet-observe"
         if items is None:
             doc["results"].remove(row)
         else:
-            row["line_items"] = items
+            row["line_items"] = {**cls.VOCABULARY, **items}
             row["params"] = params
         return doc
 
@@ -725,12 +734,24 @@ class TestFleetObserveGate:
         }), None) == []
 
     @pytest.mark.parametrize("items, shown", [
-        ({"replay_share": 0.21, "events_per_healed_alert": 18.0},
+        ({"replay_share": 0.21, "events_per_healed_alert": 17.0},
          "replay_share 0.21"),
-        ({"events_per_healed_alert": 18.0}, "replay_share None"),
+        ({"events_per_healed_alert": 17.0}, "replay_share None"),
         ({"replay_share": 0.1, "events_per_healed_alert": 21.5},
          "21.5 events per healed alert"),
         ({"replay_share": 0.1}, "None events per healed alert"),
+        ({"replay_share": 0.1, "events_per_healed_alert": 17.0,
+          "events_by_kind": {"ScanStep": 10, "UnitEmitted": 10}},
+         "10 ScanStep event(s), expected 0"),
+        ({"replay_share": 0.1, "events_per_healed_alert": 17.0,
+          "events_by_kind": {"QueueItemDropped": 3, "UnitEmitted": 10}},
+         "3 QueueItemDropped event(s), expected 0"),
+        ({"replay_share": 0.1, "events_per_healed_alert": 17.0,
+          "events_by_kind": None},
+         "no events_by_kind line item"),
+        ({"replay_share": 0.1, "events_per_healed_alert": 17.0,
+          "unit_emitted_per_scan": 2.0},
+         "2.0 UnitEmitted per scan, expected exactly 1.0"),
     ])
     def test_over_budget_or_missing_item_fails(self, items, shown):
         from benchmarks.check_regression import check_profile
@@ -751,12 +772,12 @@ class TestFleetObserveGate:
 
         params = {"tenants": 20, "duration": 25.0, "seed": 7}
         base = self.profile({"replay_share": 0.1,
-                             "events_per_healed_alert": 18.0}, params)
+                             "events_per_healed_alert": 17.0}, params)
         fresh = self.profile({"replay_share": 0.1,
-                              "events_per_healed_alert": 18.2}, params)
+                              "events_per_healed_alert": 17.2}, params)
         failures = check_profile(fresh, base)
         assert len(failures) == 1
-        assert "18.2 events per healed alert, above 18.0" in failures[0]
+        assert "17.2 events per healed alert, above 17.0" in failures[0]
         other = dict(params, tenants=21)
         fresh["results"][-2]["params"] = other
         assert check_profile(fresh, base) == []

@@ -8,17 +8,17 @@ from repro.obs.events import (
     EventBus,
     EventRecorder,
     HealStarted,
-    ScanStep,
     StateTransition,
     TaskUndone,
+    UnitEmitted,
 )
 
 
 class TestEvents:
     def test_kind_is_type_name(self):
         assert AlertLost(1.0, uid="w/t1#1", queue_depth=3).kind == "AlertLost"
-        assert ScanStep(0.0, uid="u", outstanding_units=0,
-                        cost=1).kind == "ScanStep"
+        assert UnitEmitted(0.0, queue_depth=1,
+                           uid="u").kind == "UnitEmitted"
 
     def test_to_dict_is_flat_and_tagged(self):
         d = AlertEnqueued(2.5, uid="w/t1#1", queue_depth=2).to_dict()
@@ -87,13 +87,13 @@ class TestEventBus:
 
         def republisher(event):
             if isinstance(event, AlertEnqueued):
-                bus.publish(ScanStep(event.time, uid=event.uid,
-                                     outstanding_units=0, cost=1))
+                bus.publish(UnitEmitted(event.time, queue_depth=1,
+                                        uid=event.uid))
 
         bus.subscribe(republisher)
         bus.subscribe(lambda event: seen.append(event.kind))
         bus.publish(AlertEnqueued(0.0, uid="u1", queue_depth=1))
-        assert seen == ["ScanStep", "AlertEnqueued"]
+        assert seen == ["UnitEmitted", "AlertEnqueued"]
 
     def test_resubscription_mid_dispatch_applies_from_next_publish(self):
         # Copy-on-write handler lists: a handler that subscribes

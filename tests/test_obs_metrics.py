@@ -8,7 +8,6 @@ from repro.obs.events import (
     EventBus,
     HealFinished,
     NormalTaskRefused,
-    ScanStep,
     StateTransition,
     TaskRedone,
     TaskUndone,
@@ -119,13 +118,14 @@ class TestPipelineMetrics:
             AlertEnqueued(0.0, uid="a", queue_depth=1),
             AlertEnqueued(0.1, uid="b", queue_depth=2),
             AlertLost(0.2, uid="c", queue_depth=2),
-            UnitEmitted(0.3, units=2, queue_depth=2),
+            UnitEmitted(0.3, queue_depth=1, uid="a"),
+            UnitEmitted(0.4, queue_depth=2, uid="b"),
         ])
         assert m.alerts_enqueued.value == 2
         assert m.alerts_lost.value == 1
         assert m.loss_fraction == pytest.approx(1 / 3)
         assert m.alert_depth.high_water == 2
-        assert m.units_emitted.value == 2
+        assert m.scan_steps.value == 2
         assert m.recovery_depth.high_water == 2
 
     def test_loss_fraction_zero_when_nothing_offered(self):
@@ -162,7 +162,7 @@ class TestPipelineMetrics:
         m = PipelineMetrics()
         m.start(0.0)
         self.feed(m, [
-            ScanStep(0.1, uid="a", outstanding_units=1, cost=4),
+            UnitEmitted(0.1, queue_depth=2, uid="a"),
             TaskUndone(0.2, uid="x"),
             TaskUndone(0.3, uid="y"),
             TaskRedone(0.4, uid="x"),
@@ -171,7 +171,6 @@ class TestPipelineMetrics:
             NormalTaskRefused(0.6, state="SCAN"),
         ])
         assert m.scan_steps.value == 1
-        assert m.scan_cost.mean == pytest.approx(4.0)
         assert m.heals.value == 1
         assert m.tasks_undone.value == 2
         assert m.tasks_redone.value == 1

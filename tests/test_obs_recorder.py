@@ -14,6 +14,7 @@ from repro.obs.events import (
     event_from_dict,
 )
 from repro.obs.recorder import (
+    RETIRED_EVENT_KINDS,
     SCHEMA_VERSION,
     FlightRecorder,
     load_flight_log,
@@ -133,8 +134,23 @@ class TestReadFlightLog:
 
     def test_unknown_event_kind_rejected(self):
         bad = '{"record":"event","event":"NotAnEvent","time":0.0}'
-        with pytest.raises(ObsError, match="bad event record"):
+        with pytest.raises(ObsError, match="bad event record") as info:
             read_flight_log(self._text(bad))
+        assert isinstance(info.value.__cause__, KeyError)
+        with pytest.raises(KeyError, match="NotAnEvent"):
+            event_from_dict({"event": "NotAnEvent", "time": 0.0})
+
+    def test_retired_scan_step_record_is_skipped(self):
+        """Older logs hold one analyzer event per scan; nothing
+        publishes it any more, so loading skips it and keeps the
+        rest."""
+        old = ('{"cost":7,"event":"ScanStep","outstanding_units":0,'
+               '"record":"event","time":0.5,"uid":"wf1/t1#1"}')
+        log = read_flight_log(self._text(old))
+        assert log.events == [UndoDecision(1.0, uid="wf1/t1#1",
+                                           condition="T1.1")]
+        assert RETIRED_EVENT_KINDS == {"ScanStep"}
+        assert not RETIRED_EVENT_KINDS & set(EVENT_TYPES)
 
 
 class TestEventRegistry:

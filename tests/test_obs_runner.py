@@ -20,10 +20,10 @@ from repro.obs.events import (
     EventBus,
     HealFinished,
     HealStarted,
-    ScanStep,
     StateTransition,
     TaskRedone,
     TaskUndone,
+    UnitEmitted,
 )
 from repro.obs.monitor import replay_conformance
 from repro.obs.provenance import build_span_tree, replay
@@ -87,7 +87,6 @@ class TestFigure1Observed:
         assert m.alerts_lost.value == 0
         assert m.loss_fraction == 0.0
         assert m.scan_steps.value == 3
-        assert m.units_emitted.value == 3
         assert m.heals.value == 1
         assert m.tasks_undone.value == 7
         assert m.tasks_redone.value == 6  # 5 redone + 1 new execution
@@ -169,7 +168,7 @@ class TestFigure1Observed:
         times = [e.time for e in fig1.events]
         assert times == sorted(times)
         kinds = {e.kind for e in fig1.events}
-        assert {"AlertEnqueued", "StateTransition", "ScanStep",
+        assert {"AlertEnqueued", "StateTransition",
                 "UnitEmitted", "HealStarted", "HealFinished",
                 "TaskUndone", "TaskRedone",
                 "NormalTaskRefused"} <= kinds
@@ -180,8 +179,18 @@ class TestFigure1Observed:
         assert finished.duration == pytest.approx(13 * TASK_TIME)
 
     def test_scan_costs_reflect_outstanding_units(self, fig1):
-        scans = [e for e in fig1.events if isinstance(e, ScanStep)]
-        assert [s.outstanding_units for s in scans] == [0, 1, 2]
+        """Each scan is one UnitEmitted; the queue depth after its push
+        is 1 + the units outstanding (0, 1, 2), and SimTimeDriver bills
+        scan_time times that depth."""
+        scans = [e for e in fig1.events if isinstance(e, UnitEmitted)]
+        assert [s.queue_depth for s in scans] == [1, 2, 3]
+        assert [s.uid for s in scans] == [
+            "wf1/t1#1", "noise/t0#1", "noise/t0#2"]
+        times = [s.time for s in scans]
+        assert [b - a for a, b in zip(times, times[1:])] == pytest.approx(
+            [SCAN_TIME, 2 * SCAN_TIME])
+        (started,) = [e for e in fig1.events if isinstance(e, HealStarted)]
+        assert started.time - times[-1] == pytest.approx(3 * SCAN_TIME)
 
     def test_undersized_recovery_buffer_drains_and_heals(self, fig1):
         """A full recovery queue blocks the analyzer; the sweep drains

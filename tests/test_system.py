@@ -4,7 +4,14 @@ import pytest
 
 from repro.core.strategies import RecoveryStrategy
 from repro.ids.alerts import Alert
-from repro.obs.events import EventBus, HealStarted, NormalTaskRefused
+from repro.obs.events import (
+    AlertLost,
+    EventBus,
+    EventRecorder,
+    HealStarted,
+    NormalTaskRefused,
+    UnitEmitted,
+)
 from repro.obs.monitor import ConformanceMonitor
 from repro.obs.tracing import ManualClock
 from repro.scenarios.figure1 import build_figure1
@@ -114,6 +121,31 @@ class TestQueueLimits:
         assert not system.submit_alert("wf1/t3#1")
         assert system.alerts_lost == 1
         assert system.alerts_queued == 2
+
+    def test_lost_alert_publishes_one_alert_lost(self):
+        bus = EventBus()
+        recorder = EventRecorder().attach(bus)
+        sc, system = make_system(alert_buffer=2, bus=bus,
+                                 clock=ManualClock(4.0))
+        system.submit_alert("wf1/t1#1")
+        system.submit_alert("wf1/t2#1")
+        before = len(recorder.events)
+        assert not system.submit_alert("wf1/t3#1")
+        assert recorder.events[before:] == [
+            AlertLost(4.0, uid="wf1/t3#1", queue_depth=2)]
+
+    def test_scan_publishes_one_unit_emitted(self):
+        bus = EventBus()
+        recorder = EventRecorder().attach(bus)
+        sc, system = make_system(bus=bus, clock=ManualClock(1.5))
+        system.submit_alert(sc.malicious_uid)
+        before = len(recorder.events)
+        system.scan_step()
+        scan = recorder.events[before:]
+        assert scan[0] == UnitEmitted(1.5, queue_depth=1,
+                                      uid=sc.malicious_uid)
+        # the rest is the SCAN -> RECOVERY transition
+        assert [e.kind for e in scan[1:]] == ["StateTransition"]
 
     def test_scan_blocked_by_full_recovery_queue(self):
         sc, system = make_system(recovery_buffer=1)
