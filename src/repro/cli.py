@@ -35,7 +35,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.errors import (
     FleetError,
@@ -46,20 +46,11 @@ from repro.errors import (
     SimulationError,
     WorkflowSpecError,
 )
-from repro.markov.degradation import power_law
-from repro.markov.design import design_system, peak_resilience
-from repro.markov.metrics import (
-    category_probabilities,
-    expected_alerts,
-    expected_lost_alerts,
-    expected_recovery_units,
-    loss_probability,
-)
-from repro.markov.steady_state import steady_state
-from repro.markov.stg import RecoverySTG, StateCategory
-from repro.markov.transient import transient_probabilities
 from repro.report.tables import Table
 from repro.scenarios import SCENARIOS
+
+if TYPE_CHECKING:  # the model commands import repro.markov on use
+    from repro.markov.stg import RecoverySTG
 
 __all__ = ["main", "build_parser", "EXIT_DOMAIN_ERROR"]
 
@@ -68,6 +59,9 @@ EXIT_DOMAIN_ERROR = 3
 
 
 def _stg_from_args(args) -> RecoverySTG:
+    from repro.markov.degradation import power_law
+    from repro.markov.stg import RecoverySTG
+
     return RecoverySTG(
         arrival_rate=args.lam,
         scan=power_law(args.mu1, args.alpha),
@@ -171,6 +165,15 @@ def _demo_recorded(name: str, sc, path: str) -> int:
 
 def cmd_steady(args) -> int:
     """Steady-state analysis of one configuration (Equation 1)."""
+    from repro.markov.metrics import (
+        category_probabilities,
+        expected_alerts,
+        expected_recovery_units,
+        loss_probability,
+    )
+    from repro.markov.steady_state import steady_state
+    from repro.markov.stg import StateCategory
+
     stg = _stg_from_args(args)
     pi = steady_state(stg.ctmc(), backend=_backend_from_args(args))
     cats = category_probabilities(stg, pi)
@@ -186,6 +189,14 @@ def cmd_steady(args) -> int:
 
 def cmd_transient(args) -> int:
     """Transient analysis from NORMAL (Equations 2 and 3)."""
+    from repro.markov.metrics import (
+        category_probabilities,
+        expected_lost_alerts,
+        loss_probability,
+    )
+    from repro.markov.stg import StateCategory
+    from repro.markov.transient import transient_probabilities
+
     stg = _stg_from_args(args)
     chain = stg.ctmc()
     pi0 = stg.initial_distribution()
@@ -213,6 +224,10 @@ def cmd_transient(args) -> int:
 
 def cmd_design(args) -> int:
     """Section VI: size a system for a target (λ, ε)."""
+    from repro.markov.degradation import power_law
+    from repro.markov.design import design_system, peak_resilience
+    from repro.markov.stg import RecoverySTG
+
     result = design_system(
         arrival_rate=args.lam,
         epsilon=args.epsilon,
@@ -257,6 +272,10 @@ def cmd_simulate(args) -> int:
     ``--slo-loss`` overrides the loss-SLO objective (default: 3x the
     model's predicted loss).
     """
+    from repro.markov.metrics import category_probabilities, loss_probability
+    from repro.markov.steady_state import steady_state
+    from repro.markov.stg import StateCategory
+
     stg = _stg_from_args(args)
     backend = _backend_from_args(args)
     pi = steady_state(stg.ctmc(), backend=backend)
@@ -666,6 +685,8 @@ def _cmd_obs_watch(args) -> int:
         EventRecorder,
         SloTransition,
     )
+    from repro.markov.degradation import power_law
+    from repro.markov.stg import RecoverySTG
     from repro.obs.health import HealthMonitor, ModelPrediction
     from repro.sim.ctmc_sim import GillespieSimulator
 
@@ -799,6 +820,13 @@ def cmd_obs(args) -> int:
         print("\nIncident span tree:")
         print(render_span_tree(build_span_tree(log)))
     if args.scenario == "gillespie":
+        from repro.markov.metrics import (
+            category_probabilities,
+            loss_probability,
+        )
+        from repro.markov.steady_state import steady_state
+        from repro.markov.stg import StateCategory
+
         # Put the measurement next to the model's prediction.
         stg = _stg_from_args(args)
         pi = steady_state(stg.ctmc())

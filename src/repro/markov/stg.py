@@ -45,7 +45,6 @@ frees queue space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
@@ -54,6 +53,7 @@ import numpy as np
 from repro.errors import ModelError
 from repro.markov.ctmc import CTMC
 from repro.markov.degradation import RateFunction, inverse_k
+from repro.system import StateCategory
 
 __all__ = ["State", "StateCategory", "JumpTable", "RecoverySTG"]
 
@@ -124,14 +124,6 @@ def _stg_structure(alert_buffer: int, recovery_buffer: int) -> _STGStructure:
     )
     _STRUCTURE_CACHE[key] = structure
     return structure
-
-
-class StateCategory(str, Enum):
-    """The paper's three state families."""
-
-    NORMAL = "normal"
-    SCAN = "scan"
-    RECOVERY = "recovery"
 
 
 @dataclass(frozen=True, order=True)

@@ -36,7 +36,6 @@ import math
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from repro.errors import ModelError
 from repro.markov.backend import require_scipy_sparse, resolve_backend
@@ -211,6 +210,8 @@ def transient_probabilities_expm(
         return np.asarray(
             spla.expm_multiply(q.transpose().tocsc() * t, pi0)
         )
+    from scipy.linalg import expm  # on use: the module loads no scipy
+
     q = _as_generator(chain)
     return pi0 @ expm(q * t)
 

@@ -21,49 +21,54 @@ package adds an operational layer:
 
 Bursty (MMPP) arrivals need no simulator of their own: the (phase,
 state) process is a CTMC, solved exactly by :mod:`repro.markov.bursty`.
+
+The package's exports resolve on first use (PEP 562), each from the
+submodule that defines it.  Importing :mod:`repro.sim.fullstack` runs
+this file first, and an eager re-export would load
+:mod:`~repro.sim.batch` and :mod:`~repro.sim.ctmc_sim` and with them
+numpy and the model stack, which the pipeline never runs.  A resolved
+export is not cached here: every lookup reads the defining module's
+current binding, so a patched function is seen and a restored one is
+seen again.
 """
 
-from repro.sim.baselines import (
-    RecoveryCost,
-    checkpoint_rollback_cost,
-    dependency_recovery_cost,
-    full_redo_cost,
-)
-from repro.sim.batch import (
-    FullStackBatchResult,
-    GillespieBatchResult,
-    run_fullstack_batch,
-    run_gillespie_batch,
-    spawn_seeds,
-)
-from repro.sim.ctmc_sim import GillespieResult, GillespieSimulator
-from repro.sim.fullstack import (
-    FullStackConfig,
-    FullStackResult,
-    FullStackSimulator,
-)
-from repro.sim.recovery_sim import PipelineResult, run_pipeline
-from repro.sim.simulator import Simulator
-from repro.sim.workload import WorkloadConfig, WorkloadGenerator
+from __future__ import annotations
 
-__all__ = [
-    "Simulator",
-    "GillespieSimulator",
-    "GillespieResult",
-    "GillespieBatchResult",
-    "FullStackBatchResult",
-    "run_gillespie_batch",
-    "run_fullstack_batch",
-    "spawn_seeds",
-    "FullStackSimulator",
-    "FullStackConfig",
-    "FullStackResult",
-    "WorkloadGenerator",
-    "WorkloadConfig",
-    "run_pipeline",
-    "PipelineResult",
-    "RecoveryCost",
-    "checkpoint_rollback_cost",
-    "full_redo_cost",
-    "dependency_recovery_cost",
-]
+import importlib
+from typing import Any, List
+
+#: Each package export and the submodule that defines it.
+_HOMES = {
+    "Simulator": "simulator",
+    "GillespieSimulator": "ctmc_sim",
+    "GillespieResult": "ctmc_sim",
+    "GillespieBatchResult": "batch",
+    "FullStackBatchResult": "batch",
+    "run_gillespie_batch": "batch",
+    "run_fullstack_batch": "batch",
+    "spawn_seeds": "batch",
+    "FullStackSimulator": "fullstack",
+    "FullStackConfig": "fullstack",
+    "FullStackResult": "fullstack",
+    "WorkloadGenerator": "workload",
+    "WorkloadConfig": "workload",
+    "run_pipeline": "recovery_sim",
+    "PipelineResult": "recovery_sim",
+    "RecoveryCost": "baselines",
+    "checkpoint_rollback_cost": "baselines",
+    "full_redo_cost": "baselines",
+    "dependency_recovery_cost": "baselines",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str) -> Any:
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -60,6 +60,8 @@ from typing import (
 )
 
 import numpy as np
+# numpy loads numpy.random on first use: load it here, not inside a run.
+from numpy.random import SeedSequence
 
 from repro.errors import SimulationError
 from repro.markov.stg import RecoverySTG, State, StateCategory
@@ -102,7 +104,7 @@ def spawn_seeds(base_seed: int, n: int) -> List[int]:
     """
     if n < 0:
         raise SimulationError(f"need n >= 0 seeds, got {n}")
-    children = np.random.SeedSequence(base_seed).spawn(n)
+    children = SeedSequence(base_seed).spawn(n)
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
 

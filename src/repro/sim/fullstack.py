@@ -37,7 +37,6 @@ from repro.core.healer import HealReport
 from repro.errors import SimulationError
 from repro.ids.alerts import Alert
 from repro.ids.attacks import AttackCampaign
-from repro.markov.stg import StateCategory
 from repro.obs.events import EventBus
 from repro.obs.health import (
     ConformanceReport,
@@ -46,7 +45,7 @@ from repro.obs.health import (
 )
 from repro.obs.perf import active, phase
 from repro.sim.simulator import Simulator
-from repro.system import SelfHealingSystem, SystemState
+from repro.system import SelfHealingSystem, StateCategory, SystemState
 from repro.workflow.data import DataStore
 from repro.workflow.spec import WorkflowSpec, workflow
 

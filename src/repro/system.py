@@ -72,7 +72,7 @@ from repro.obs.events import (
 )
 from repro.obs.perf import active, phase
 
-__all__ = ["SystemState", "SelfHealingSystem"]
+__all__ = ["SystemState", "StateCategory", "SelfHealingSystem"]
 
 
 class SystemState(str, Enum):
@@ -81,6 +81,17 @@ class SystemState(str, Enum):
     NORMAL = "NORMAL"
     SCAN = "SCAN"
     RECOVERY = "RECOVERY"
+
+
+class StateCategory(str, Enum):
+    """The paper's three state families, as the CTMC model
+    (:mod:`repro.markov.stg`) and the simulators' occupancies name
+    them.  It lives here, beside :class:`SystemState`, so the pipeline
+    can report occupancies without loading the model's numerics."""
+
+    NORMAL = "normal"
+    SCAN = "scan"
+    RECOVERY = "recovery"
 
 
 class SelfHealingSystem:

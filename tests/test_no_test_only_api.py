@@ -7,8 +7,10 @@ public method or property of a public top-level class. A *use* is a
 reference from ``src/repro``, ``benchmarks/``, ``perfbench/`` or
 ``examples/``: a bare name, an attribute, a ``from … import`` alias, or
 a string constant (getattr tables and report columns name methods as
-strings). Re-exports in a package ``__init__.py``, ``__all__`` entries
-and references inside the definition's own body are not uses. Names
+strings). Re-exports in a package ``__init__.py`` (its imports, and
+the name strings of a lazily resolved package's export table),
+``__all__`` entries and references inside the definition's own body
+are not uses. Names
 are matched bare, so the guard errs toward finding a caller.
 
 A bare match proves nothing for a name that ``str``, ``list``,
@@ -195,7 +197,7 @@ def _uses() -> Dict[str, List[Tuple[Path, int]]]:
                         uses[alias.name].append((path, node.lineno))
                 elif (isinstance(node, ast.Constant)
                       and isinstance(node.value, str)
-                      and id(node) not in in_all):
+                      and id(node) not in in_all and not reexports):
                     uses[node.value].append((path, node.lineno))
     return uses
 

@@ -7,6 +7,7 @@ real fullstack / batch / fleet scenarios.
 """
 
 import json
+import statistics
 
 import pytest
 
@@ -222,6 +223,11 @@ class TestRecording:
 
 
 class TestFullstackAttribution:
+    #: One replication lasts 20-40 ms, so a single run's attribution
+    #: moves by about a percent with the machine's load; the floor is
+    #: judged on the median of this many runs of the same seed.
+    RUNS = 5
+
     def test_attribution_digest_and_closure_line_item(self):
         config = FullStackConfig(arrival_rate=6.0, alert_buffer=4,
                                  recovery_buffer=4)
@@ -233,19 +239,20 @@ class TestFullstackAttribution:
             prof.stop()
             return prof.report("fullstack")
 
-        first, second = once(), once()
-        assert first.structure_digest() == second.structure_digest()
-        assert first.attribution >= 0.95
-        rows = rows_by_path(first)
-        # Each heal builds the one dependency index of its epoch's log;
-        # no scan builds or extends one.
-        assert (first.counters["closure_recomputations"]
-                == rows["heal"]["calls"])
-        # Nothing reads an unobserved scan's sets: the batch closure is
-        # the heal's Phase A, one Theorem 1 computation per heal.
-        assert "analyze;analyze.closure" not in rows
-        assert rows["heal;heal.undo"]["wall"] >= 0.0
-        assert first.counters["undo_analyses"] == rows["heal"]["calls"]
+        reports = [once() for _ in range(self.RUNS)]
+        assert len({r.structure_digest() for r in reports}) == 1
+        assert statistics.median(r.attribution for r in reports) >= 0.95
+        for report in reports:
+            rows = rows_by_path(report)
+            # Each heal builds the one dependency index of its epoch's
+            # log; no scan builds or extends one.
+            assert (report.counters["closure_recomputations"]
+                    == rows["heal"]["calls"])
+            # Nothing reads an unobserved scan's sets: the batch closure
+            # is the heal's Phase A, one Theorem 1 computation per heal.
+            assert "analyze;analyze.closure" not in rows
+            assert rows["heal;heal.undo"]["wall"] >= 0.0
+            assert report.counters["undo_analyses"] == rows["heal"]["calls"]
 
 
 class TestBatchProfile:
