@@ -16,78 +16,51 @@ See ``examples/quickstart.py`` for an end-to-end walkthrough and
 DESIGN.md for the architecture and experiment map.
 """
 
-from repro.core import (
-    Action,
-    ActionKind,
-    HealReport,
-    Healer,
-    RecoveryAnalyzer,
-    RecoveryStrategy,
-    audit_strict_correctness,
-    find_redo_tasks,
-    find_undo_tasks,
-)
-from repro.errors import ReproError
-from repro.ids import Alert, AttackCampaign
-from repro.persistence import (
-    PersistenceError,
-    SystemSnapshot,
-    dump_system,
-    load_system,
-)
-from repro.system import SelfHealingSystem, SystemState
-from repro.workflow import (
-    DataStore,
-    DependencyAnalyzer,
-    Engine,
-    LogRecord,
-    PartialOrder,
-    SystemLog,
-    TaskInstance,
-    TaskSpec,
-    WorkflowRun,
-    WorkflowSpec,
-    minimal,
-    workflow,
-)
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "ReproError",
+#: Each package export and the module that defines it.  The exports
+#: resolve on first use (:mod:`repro._exports`), so importing any
+#: subpackage — the model's solvers, say — loads none of the pipeline.
+_HOMES = {
+    "ReproError": "errors",
     # workflow substrate
-    "workflow",
-    "WorkflowSpec",
-    "TaskSpec",
-    "TaskInstance",
-    "DataStore",
-    "SystemLog",
-    "LogRecord",
-    "Engine",
-    "WorkflowRun",
-    "PartialOrder",
-    "minimal",
-    "DependencyAnalyzer",
+    "workflow": "workflow.spec",
+    "WorkflowSpec": "workflow.spec",
+    "TaskSpec": "workflow.task",
+    "TaskInstance": "workflow.task",
+    "DataStore": "workflow.data",
+    "SystemLog": "workflow.log",
+    "LogRecord": "workflow.log",
+    "Engine": "workflow.engine",
+    "WorkflowRun": "workflow.engine",
+    "PartialOrder": "workflow.precedence",
+    "minimal": "workflow.precedence",
+    "DependencyAnalyzer": "workflow.dependency",
     # attacks & detection
-    "AttackCampaign",
-    "Alert",
+    "AttackCampaign": "ids.attacks",
+    "Alert": "ids.alerts",
     # recovery core
-    "Action",
-    "ActionKind",
-    "find_undo_tasks",
-    "find_redo_tasks",
-    "RecoveryAnalyzer",
-    "Healer",
-    "HealReport",
-    "RecoveryStrategy",
-    "audit_strict_correctness",
+    "Action": "core.actions",
+    "ActionKind": "core.actions",
+    "find_undo_tasks": "core.undo_redo",
+    "find_redo_tasks": "core.undo_redo",
+    "RecoveryAnalyzer": "core.analyzer",
+    "Healer": "core.healer",
+    "HealReport": "core.healer",
+    "RecoveryStrategy": "core.strategies",
+    "audit_strict_correctness": "core.axioms",
     # architecture
-    "SelfHealingSystem",
-    "SystemState",
+    "SelfHealingSystem": "system",
+    "SystemState": "states",
     # persistence
-    "dump_system",
-    "load_system",
-    "SystemSnapshot",
-    "PersistenceError",
-]
+    "dump_system": "persistence",
+    "load_system": "persistence",
+    "SystemSnapshot": "persistence",
+    "PersistenceError": "persistence",
+}
+
+__all__ = ["__version__", *_HOMES]
+
+__getattr__, __dir__ = lazy_exports(__name__, _HOMES)

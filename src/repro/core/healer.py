@@ -394,7 +394,9 @@ class Healer:
                 order = self._publish_order(analyzer, closure,
                                             redo_analysis, forged, now)
 
-            undone: List[str] = []
+            # Insertion-ordered, so membership is O(1) at every undo
+            # and redo of a large batch.
+            undone: Dict[str, None] = {}
             actions: List[Action] = []
 
             for uid in sorted(
@@ -568,7 +570,7 @@ class Healer:
         walker: _Walker,
         view: _SettledView,
         dirty: Set[Tuple[str, int]],
-        undone: List[str],
+        undone: Dict[str, None],
         redone: List[str],
         actions: List[Action],
         history: List[HistoryStep],
@@ -576,7 +578,7 @@ class Healer:
     ) -> None:
         """Re-execute a record's genuine code at its settle position."""
         uid = record.uid
-        if uid not in set(undone):
+        if uid not in undone:
             # Stale-read redo (Theorem 1 cond. 4): its old outputs are
             # incorrect even though it was not in the static closure.
             if (self._bus is not None
@@ -606,11 +608,11 @@ class Healer:
         self,
         record: LogRecord,
         reason: str,
-        undone: List[str],
+        undone: Dict[str, None],
         actions: List[Action],
     ) -> None:
         """Account ``undo(record)`` in the heal's order and commit it."""
-        undone.append(record.uid)
+        undone[record.uid] = None
         actions.append(Action.undo(record.uid))
         self._commit_undo(record, reason)
 
@@ -630,7 +632,7 @@ class Healer:
         record: LogRecord,
         closure: Set[str],
         dirty: Set[Tuple[str, int]],
-        undone: List[str],
+        undone: Dict[str, None],
         abandoned: List[str],
         actions: List[Action],
     ) -> None:
@@ -638,9 +640,9 @@ class Healer:
         uid = record.uid
         for name, ver in record.writes.items():
             dirty.add((name, ver))
-        already_undone = uid in set(undone)
+        already_undone = uid in undone
         if not already_undone:
-            undone.append(uid)
+            undone[uid] = None
             actions.append(Action.undo(uid))
         # Always announce the abandonment, even when Phase A already
         # rolled the record back as part of the closure: abandonment is

@@ -23,17 +23,11 @@ Implements Sections IV-C through VI of the paper:
   missing).
 """
 
+from repro._exports import lazy_exports
 from repro.markov.backend import (
     SPARSE_AUTO_THRESHOLD,
     resolve_backend,
     sparse_available,
-)
-
-from repro.markov.calibration import (
-    PowerLawFit,
-    fit_power_law,
-    measure_recovery_rates,
-    measure_scan_rates,
 )
 from repro.markov.ctmc import CTMC
 from repro.markov.degradation import (
@@ -63,12 +57,25 @@ from repro.markov.sensitivity import (
     normal_sensitivities,
 )
 from repro.markov.steady_state import steady_state
-from repro.markov.stg import RecoverySTG, State, StateCategory
+from repro.markov.stg import RecoverySTG, State
 from repro.markov.transient import (
     cumulative_times,
     transient_probabilities,
     transient_probabilities_expm,
 )
+from repro.states import StateCategory
+
+#: The calibration exports, which measure rates on the real pipeline,
+#: resolve on first use (:mod:`repro._exports`): the solvers above load
+#: none of the pipeline.  The solvers stay eager, ``steady_state`` above
+#: all: it names both the function and its submodule, and an eager
+#: binding keeps it the function.
+_HOMES = {
+    "PowerLawFit": "calibration",
+    "fit_power_law": "calibration",
+    "measure_scan_rates": "calibration",
+    "measure_recovery_rates": "calibration",
+}
 
 __all__ = [
     "CTMC",
@@ -105,3 +112,5 @@ __all__ = [
     "loss_sensitivities",
     "normal_sensitivities",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _HOMES)

@@ -53,7 +53,7 @@ import numpy as np
 from repro.errors import ModelError
 from repro.markov.ctmc import CTMC
 from repro.markov.degradation import RateFunction, inverse_k
-from repro.system import StateCategory
+from repro.states import StateCategory
 
 __all__ = ["State", "StateCategory", "JumpTable", "RecoverySTG"]
 

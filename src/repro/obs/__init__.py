@@ -48,147 +48,88 @@ This package provides the measurement layer:
 Instrumentation is strictly opt-in: every instrumented component takes
 an optional bus and publishes nothing (and allocates nothing) when none
 is attached.
+
+The package's exports resolve on first use (:mod:`repro._exports`):
+importing :mod:`repro.obs.events` loads no HTTP server, replay or
+recorded-incident driver.
 """
 
-from repro.obs.events import (
-    AlertEnqueued,
-    AlertLost,
-    DriftDetected,
-    EventBus,
-    EventRecorder,
-    HealFinished,
-    HealStarted,
-    NormalTaskRefused,
-    ObsEvent,
-    OrderConstraint,
-    QueueItemDropped,
-    RedoDecision,
-    SloTransition,
-    StateTransition,
-    TaskRedone,
-    TaskUndone,
-    UndoDecision,
-    UnitEmitted,
-    event_from_dict,
-)
-from repro.obs.health import (
-    ConformanceReport,
-    HealthMonitor,
-    ModelPrediction,
-    Slo,
-    SloSpec,
-    SloState,
-    merge_conformance,
-    replay_verdicts,
-    wilson_interval,
-)
-from repro.obs.export import (
-    metrics_table,
-    render_prometheus,
-    spans_to_chrome_trace,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    PipelineMetrics,
-)
-from repro.obs.perf import (
-    PHASES,
-    PhaseProfiler,
-    ProfileReport,
-    bump,
-    counter_snapshot,
-)
-from repro.obs.provenance import ReplayedRun, build_span_tree, explain, replay
-from repro.obs.recorder import (
-    SCHEMA_VERSION,
-    FlightLog,
-    FlightRecorder,
-    load_flight_log,
-    read_flight_log,
-)
-from repro.obs.server import TelemetryServer
-from repro.obs.tracing import ManualClock, Span, render_span_tree
-from repro.obs.windows import (
-    Cusum,
-    OccupancyWindow,
-    PageHinkley,
-    RateWindow,
-    SlidingWindow,
-    g_test,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
+#: Each package export and the submodule that defines it.
+_HOMES = {
     # events
-    "ObsEvent",
-    "AlertEnqueued",
-    "AlertLost",
-    "UnitEmitted",
-    "StateTransition",
-    "HealStarted",
-    "HealFinished",
-    "TaskUndone",
-    "TaskRedone",
-    "NormalTaskRefused",
-    "UndoDecision",
-    "RedoDecision",
-    "OrderConstraint",
-    "QueueItemDropped",
-    "SloTransition",
-    "DriftDetected",
-    "EventBus",
-    "EventRecorder",
-    "event_from_dict",
+    "ObsEvent": "events",
+    "AlertEnqueued": "events",
+    "AlertLost": "events",
+    "UnitEmitted": "events",
+    "StateTransition": "events",
+    "HealStarted": "events",
+    "HealFinished": "events",
+    "TaskUndone": "events",
+    "TaskRedone": "events",
+    "NormalTaskRefused": "events",
+    "UndoDecision": "events",
+    "RedoDecision": "events",
+    "OrderConstraint": "events",
+    "QueueItemDropped": "events",
+    "SloTransition": "events",
+    "DriftDetected": "events",
+    "EventBus": "events",
+    "EventRecorder": "events",
+    "event_from_dict": "events",
     # metrics
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "PipelineMetrics",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "PipelineMetrics": "metrics",
     # tracing
-    "ManualClock",
-    "Span",
-    "render_span_tree",
+    "ManualClock": "tracing",
+    "Span": "tracing",
+    "render_span_tree": "tracing",
     # recorder
-    "SCHEMA_VERSION",
-    "FlightRecorder",
-    "FlightLog",
-    "read_flight_log",
-    "load_flight_log",
+    "SCHEMA_VERSION": "recorder",
+    "FlightRecorder": "recorder",
+    "FlightLog": "recorder",
+    "read_flight_log": "recorder",
+    "load_flight_log": "recorder",
     # perf
-    "PHASES",
-    "PhaseProfiler",
-    "ProfileReport",
-    "bump",
-    "counter_snapshot",
+    "PHASES": "perf",
+    "PhaseProfiler": "perf",
+    "ProfileReport": "perf",
+    "bump": "perf",
+    "counter_snapshot": "perf",
     # provenance
-    "ReplayedRun",
-    "replay",
-    "explain",
-    "build_span_tree",
+    "ReplayedRun": "provenance",
+    "replay": "provenance",
+    "explain": "provenance",
+    "build_span_tree": "provenance",
     # export
-    "render_prometheus",
-    "metrics_table",
-    "spans_to_chrome_trace",
+    "render_prometheus": "export",
+    "metrics_table": "export",
+    "spans_to_chrome_trace": "export",
     # windows
-    "SlidingWindow",
-    "RateWindow",
-    "OccupancyWindow",
-    "Cusum",
-    "PageHinkley",
-    "g_test",
+    "SlidingWindow": "windows",
+    "RateWindow": "windows",
+    "OccupancyWindow": "windows",
+    "Cusum": "windows",
+    "PageHinkley": "windows",
+    "g_test": "windows",
     # health
-    "SloState",
-    "SloSpec",
-    "Slo",
-    "ModelPrediction",
-    "HealthMonitor",
-    "ConformanceReport",
-    "merge_conformance",
-    "replay_verdicts",
-    "wilson_interval",
+    "SloState": "health",
+    "SloSpec": "health",
+    "Slo": "health",
+    "ModelPrediction": "health",
+    "HealthMonitor": "health",
+    "ConformanceReport": "health",
+    "merge_conformance": "health",
+    "replay_verdicts": "health",
+    "wilson_interval": "health",
     # server
-    "TelemetryServer",
-]
+    "TelemetryServer": "server",
+}
+
+__all__ = list(_HOMES)
+
+__getattr__, __dir__ = lazy_exports(__name__, _HOMES)

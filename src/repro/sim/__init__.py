@@ -22,20 +22,14 @@ package adds an operational layer:
 Bursty (MMPP) arrivals need no simulator of their own: the (phase,
 state) process is a CTMC, solved exactly by :mod:`repro.markov.bursty`.
 
-The package's exports resolve on first use (PEP 562), each from the
-submodule that defines it.  Importing :mod:`repro.sim.fullstack` runs
-this file first, and an eager re-export would load
-:mod:`~repro.sim.batch` and :mod:`~repro.sim.ctmc_sim` and with them
-numpy and the model stack, which the pipeline never runs.  A resolved
-export is not cached here: every lookup reads the defining module's
-current binding, so a patched function is seen and a restored one is
-seen again.
+The package's exports resolve on first use (:mod:`repro._exports`),
+each from the submodule that defines it.  Importing
+:mod:`repro.sim.fullstack` runs this file first, and an eager re-export
+would load :mod:`~repro.sim.batch` and :mod:`~repro.sim.ctmc_sim` and
+with them numpy and the model stack, which the pipeline never runs.
 """
 
-from __future__ import annotations
-
-import importlib
-from typing import Any, List
+from repro._exports import lazy_exports
 
 #: Each package export and the submodule that defines it.
 _HOMES = {
@@ -62,13 +56,4 @@ _HOMES = {
 
 __all__ = list(_HOMES)
 
-
-def __getattr__(name: str) -> Any:
-    home = _HOMES.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
-
-
-def __dir__() -> List[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = lazy_exports(__name__, _HOMES)

@@ -49,6 +49,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Generic,
@@ -71,9 +72,11 @@ from repro.obs.health import (
     merge_conformance,
 )
 from repro.obs.perf import active, bump as perf_bump, phase, recording
-from repro.sim import ctmc_sim, fullstack
+from repro.sim import ctmc_sim
 from repro.sim.ctmc_sim import GillespieResult
-from repro.sim.fullstack import FullStackConfig, FullStackResult
+
+if TYPE_CHECKING:
+    from repro.sim.fullstack import FullStackConfig, FullStackResult
 
 __all__ = [
     "spawn_seeds",
@@ -147,6 +150,8 @@ def _timed_fullstack(
     health: Optional[ModelPrediction] = None,
     loss_objective: Optional[float] = None,
 ) -> Tuple[FullStackResult, float]:
+    from repro.sim import fullstack
+
     t0 = time.perf_counter()  # lint: allow[DET001] host benchmark timing, not simulated time
     result = fullstack.run_replication(config, horizon, seed,
                                        record_path=record_path,
@@ -364,7 +369,7 @@ class GillespieBatchResult(_BatchResult[GillespieResult]):
         return self.arrivals_lost / self.arrivals
 
 
-class FullStackBatchResult(_BatchResult[FullStackResult]):
+class FullStackBatchResult(_BatchResult["FullStackResult"]):
     """Merged statistics over ``n`` full-stack replications
     (:class:`~repro.sim.fullstack.FullStackResult` each)."""
 
@@ -498,6 +503,11 @@ def run_fullstack_batch(
     ``batch.worker``.  Pooled replications run unprofiled — a profiler
     cannot cross the process boundary.
     """
+    # The pipeline loads here, not with the module (the Gillespie batch
+    # never runs it), and before the timed fan-out, so neither an inline
+    # replication nor a forked worker imports it on the clock.
+    from repro.sim import fullstack  # noqa: F401
+
     _validate(replications, workers, horizon)
     seeds = spawn_seeds(seed, replications)
     record_paths: List[Optional[str]] = [None] * replications

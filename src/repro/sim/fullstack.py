@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.core.epochs import EpochManager
 from repro.core.healer import HealReport
@@ -45,9 +45,13 @@ from repro.obs.health import (
 )
 from repro.obs.perf import active, phase
 from repro.sim.simulator import Simulator
-from repro.system import SelfHealingSystem, StateCategory, SystemState
+from repro.states import StateCategory, SystemState
+from repro.system import SelfHealingSystem
 from repro.workflow.data import DataStore
 from repro.workflow.spec import WorkflowSpec, workflow
+
+if TYPE_CHECKING:
+    from repro.obs.recorder import FlightRecorder
 
 __all__ = [
     "FullStackConfig",
@@ -117,14 +121,16 @@ def run_replication(
     it — which is what lets ``obs replay`` reproduce the verdict
     sequence bit for bit.
     """
-    from repro.obs.recorder import FlightRecorder
-
     recorder: Optional[FlightRecorder] = None
     monitor: Optional[HealthMonitor] = None
     if record_path is not None or health is not None:
         if bus is None:
             bus = EventBus()
     if record_path is not None:
+        # Imported only to record: an unrecorded run, profiled or timed,
+        # imports nothing inside its window.
+        from repro.obs.recorder import FlightRecorder
+
         recorder = FlightRecorder(
             label="fullstack", path=record_path,
             meta=flight_log_meta(config, horizon, seed, health,

@@ -55,7 +55,6 @@ the conformance monitor and ``lint plan`` hold against them.
 from __future__ import annotations
 
 import time as _time
-from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.analyzer import RecoveryAnalyzer
@@ -71,27 +70,9 @@ from repro.obs.events import (
     UnitEmitted,
 )
 from repro.obs.perf import active, phase
+from repro.states import StateCategory, SystemState
 
 __all__ = ["SystemState", "StateCategory", "SelfHealingSystem"]
-
-
-class SystemState(str, Enum):
-    """The three operating states of Section IV-C."""
-
-    NORMAL = "NORMAL"
-    SCAN = "SCAN"
-    RECOVERY = "RECOVERY"
-
-
-class StateCategory(str, Enum):
-    """The paper's three state families, as the CTMC model
-    (:mod:`repro.markov.stg`) and the simulators' occupancies name
-    them.  It lives here, beside :class:`SystemState`, so the pipeline
-    can report occupancies without loading the model's numerics."""
-
-    NORMAL = "normal"
-    SCAN = "scan"
-    RECOVERY = "recovery"
 
 
 class SelfHealingSystem:

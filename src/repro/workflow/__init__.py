@@ -18,55 +18,44 @@ Public API
 - :mod:`~repro.workflow.precedence` — the ``≺`` relation and ``minimal``
 - :mod:`~repro.workflow.dependency` — flow / anti-flow / output / control
   dependencies (Definition 1 and Section II-D)
+
+The package's exports resolve on first use (:mod:`repro._exports`).
+``dominators`` names the function, not its submodule.
 """
 
-from repro.workflow.data import DataStore, Version
-from repro.workflow.dependency import (
-    ControlDependencies,
-    DependencyAnalyzer,
-    DependencyEdge,
-    DependencyKind,
-)
-from repro.workflow.dominators import (
-    branch_nodes,
-    dominators,
-    unavoidable_nodes,
-)
-from repro.workflow.engine import Engine, RunResult, WorkflowRun
-from repro.workflow.expr import Expr, ExprError, compile_expr
-from repro.workflow.log import LogRecord, SystemLog
-from repro.workflow.segments import LogSegment, SegmentedLog
-from repro.workflow.serialize import TaskDocument, WorkflowDocument
-from repro.workflow.precedence import PartialOrder, minimal
-from repro.workflow.spec import WorkflowSpec, workflow
-from repro.workflow.task import TaskInstance, TaskSpec
+from repro._exports import lazy_exports
 
-__all__ = [
-    "TaskSpec",
-    "TaskInstance",
-    "WorkflowSpec",
-    "workflow",
-    "DataStore",
-    "Version",
-    "SystemLog",
-    "LogRecord",
-    "Engine",
-    "WorkflowRun",
-    "RunResult",
-    "PartialOrder",
-    "minimal",
-    "DependencyAnalyzer",
-    "DependencyEdge",
-    "DependencyKind",
-    "ControlDependencies",
-    "dominators",
-    "unavoidable_nodes",
-    "branch_nodes",
-    "Expr",
-    "ExprError",
-    "compile_expr",
-    "WorkflowDocument",
-    "TaskDocument",
-    "SegmentedLog",
-    "LogSegment",
-]
+#: Each package export and the submodule that defines it.
+_HOMES = {
+    "TaskSpec": "task",
+    "TaskInstance": "task",
+    "WorkflowSpec": "spec",
+    "workflow": "spec",
+    "DataStore": "data",
+    "Version": "data",
+    "SystemLog": "log",
+    "LogRecord": "log",
+    "Engine": "engine",
+    "WorkflowRun": "engine",
+    "RunResult": "engine",
+    "PartialOrder": "precedence",
+    "minimal": "precedence",
+    "DependencyAnalyzer": "dependency",
+    "DependencyEdge": "dependency",
+    "DependencyKind": "dependency",
+    "ControlDependencies": "dependency",
+    "dominators": "dominators",
+    "unavoidable_nodes": "dominators",
+    "branch_nodes": "dominators",
+    "Expr": "expr",
+    "ExprError": "expr",
+    "compile_expr": "expr",
+    "WorkflowDocument": "serialize",
+    "TaskDocument": "serialize",
+    "SegmentedLog": "segments",
+    "LogSegment": "segments",
+}
+
+__all__ = list(_HOMES)
+
+__getattr__, __dir__ = lazy_exports(__name__, _HOMES)

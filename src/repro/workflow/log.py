@@ -166,10 +166,6 @@ class SystemLog:
         """Commit sequence number of instance ``uid``."""
         return self.get(uid, kind).seq
 
-    def precedes(self, uid_a: str, uid_b: str) -> bool:
-        """The log precedence ``a ≺ b`` over normal records."""
-        return self.position(uid_a) < self.position(uid_b)
-
     # -- traces ---------------------------------------------------------------
 
     def trace(self, workflow_instance: str) -> Tuple[LogRecord, ...]:

@@ -10,8 +10,18 @@ a string constant (getattr tables and report columns name methods as
 strings). Re-exports in a package ``__init__.py`` (its imports, and
 the name strings of a lazily resolved package's export table),
 ``__all__`` entries and references inside the definition's own body
-are not uses. Names
-are matched bare, so the guard errs toward finding a caller.
+are not uses.
+
+An attribute is matched to the class of its receiver where the
+receiver's class is plain from the code: ``self``/``cls`` in a method,
+a class named directly (``FlightLog.load``), a parameter annotated with
+a ``repro`` class (``Optional[...]`` too), or a local assigned from a
+class call or annotated with one.  Such a use counts only for a method
+of that class or of a class related to it by inheritance, so a
+test-only method is found even when another class has a used method of
+the same name.  Every other reference (a bare name, a receiver of
+unknown class, a ``Protocol``-typed one) is matched by name alone, so
+the guard errs toward finding a caller.
 
 A bare match proves nothing for a name that ``str``, ``list``,
 ``dict`` or ``set`` methods also carry (``.count`` on a list is no
@@ -179,26 +189,135 @@ def _all_entries(tree: ast.AST) -> Set[int]:
     return ids
 
 
-def _uses() -> Dict[str, List[Tuple[Path, int]]]:
-    """Every referenced name, with the file and line of each reference."""
-    uses: Dict[str, List[Tuple[Path, int]]] = defaultdict(list)
+#: A use: the file, the line, and the class of the receiver when the
+#: code makes it plain (``""`` for a name-only match).
+Use = Tuple[Path, int, str]
+
+
+def _class_bases() -> Dict[str, Set[str]]:
+    """The bases of every class defined under ``src/repro``, by bare
+    name (two classes of one name share an entry)."""
+    bases: Dict[str, Set[str]] = defaultdict(set)
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name].update(
+                    _annotation_class(base, None) for base in node.bases)
+    return bases
+
+
+def _ancestors(name: str, bases: Dict[str, Set[str]]) -> Set[str]:
+    seen: Set[str] = set()
+    todo = [name]
+    while todo:
+        for base in bases.get(todo.pop(), ()):
+            if base and base not in seen:
+                seen.add(base)
+                todo.append(base)
+    return seen
+
+
+def _annotation_class(node: ast.AST, known) -> str:
+    """The class an annotation or base expression names (``Optional``
+    unwrapped, string annotations parsed), if it is in ``known`` (any
+    name when ``known`` is ``None``); else ``""``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            node = ast.parse(node.value, mode="eval").body
+        except SyntaxError:
+            return ""
+    if (isinstance(node, ast.Subscript)
+            and _annotation_class(node.value, None) == "Optional"):
+        node = node.slice
+    if isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    else:
+        return ""
+    return name if known is None or name in known else ""
+
+
+def _receivers(tree: ast.AST, classes) -> Dict[int, str]:
+    """``id(attribute node)`` → the class of its receiver, for each
+    attribute whose receiver's class the code makes plain."""
+    found: Dict[int, str] = {}
+
+    def visit(node: ast.AST, types: Dict[str, str], owner: str) -> None:
+        if isinstance(node, ast.ClassDef):
+            for child in node.body:
+                visit(child, types, node.name)
+            for child in node.decorator_list + node.bases:
+                visit(child, types, "")
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            local = dict(types)
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in getattr(node, "decorator_list", ()))
+            for index, arg in enumerate(params):
+                kind = _annotation_class(arg.annotation, classes) \
+                    if arg.annotation is not None else ""
+                if index == 0 and owner and not static:
+                    kind = owner
+                if kind:
+                    local[arg.arg] = kind
+                else:
+                    local.pop(arg.arg, None)
+            for child in ast.walk(node):
+                if (isinstance(child, ast.Assign)
+                        and isinstance(child.value, ast.Call)):
+                    kind = _annotation_class(child.value.func, classes)
+                    for target in child.targets:
+                        if isinstance(target, ast.Name) and kind:
+                            local[target.id] = kind
+                elif (isinstance(child, ast.AnnAssign)
+                      and isinstance(child.target, ast.Name)):
+                    kind = _annotation_class(child.annotation, classes)
+                    if kind:
+                        local[child.target.id] = kind
+            body = node.body if isinstance(node.body, list) else [node.body]
+            for child in body + list(getattr(node, "decorator_list", ())):
+                visit(child, local, "")
+            return
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)):
+            kind = types.get(node.value.id) or (
+                node.value.id if node.value.id in classes else "")
+            if kind:
+                found[id(node)] = kind
+        for child in ast.iter_child_nodes(node):
+            visit(child, types, owner)
+
+    visit(tree, {}, "")
+    return found
+
+
+def _uses(classes) -> Dict[str, List[Use]]:
+    """Every referenced name, with the file and line of each reference
+    and the class of its receiver where the code makes it plain."""
+    uses: Dict[str, List[Use]] = defaultdict(list)
     for root in CALLER_DIRS:
         for path in root.rglob("*.py"):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             reexports = path.name == "__init__.py"
             in_all = _all_entries(tree)
+            receivers = _receivers(tree, classes)
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
-                    uses[node.id].append((path, node.lineno))
+                    uses[node.id].append((path, node.lineno, ""))
                 elif isinstance(node, ast.Attribute):
-                    uses[node.attr].append((path, node.lineno))
+                    uses[node.attr].append(
+                        (path, node.lineno, receivers.get(id(node), "")))
                 elif isinstance(node, ast.ImportFrom) and not reexports:
                     for alias in node.names:
-                        uses[alias.name].append((path, node.lineno))
+                        uses[alias.name].append((path, node.lineno, ""))
                 elif (isinstance(node, ast.Constant)
                       and isinstance(node.value, str)
                       and id(node) not in in_all and not reexports):
-                    uses[node.value].append((path, node.lineno))
+                    uses[node.value].append((path, node.lineno, ""))
     return uses
 
 
@@ -219,7 +338,13 @@ def _exempt_by_base(module: str, class_name: str, method: str) -> bool:
 
 def _test_only() -> Dict[str, Tuple[Path, int]]:
     """``module:Qualname`` → location of each definition with no use."""
-    uses = _uses()
+    bases = _class_bases()
+    # A Protocol's methods are reached through any implementer, so a
+    # Protocol-typed receiver is matched by name alone.
+    classes = {name for name in bases
+               if "Protocol" not in _ancestors(name, bases)}
+    related = {name: _ancestors(name, bases) | {name} for name in bases}
+    uses = _uses(classes)
     found: Dict[str, Tuple[Path, int]] = {}
     for path in sorted(SRC.rglob("*.py")):
         module = _module_name(path)
@@ -229,8 +354,10 @@ def _test_only() -> Dict[str, Tuple[Path, int]]:
             if name in BUILTIN_METHOD_NAMES:
                 if f"{module}:{qualname}" in CALLERS:
                     continue
-            elif any(p != path or line not in own
-                     for p, line in uses[name]):
+            elif any((p != path or line not in own) and (
+                        not receiver or class_name in related[receiver]
+                        or receiver in related.get(class_name, ()))
+                     for p, line, receiver in uses[name]):
                 continue
             if class_name and _exempt_by_base(module, class_name, name):
                 continue
